@@ -11,6 +11,7 @@
 package qlove
 
 import (
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -285,4 +286,69 @@ func BenchmarkAblationFewKOff(b *testing.B) {
 	benchThroughput(b, func(spec Window, phis []float64) (Policy, error) {
 		return New(Config{Spec: spec, Phis: phis})
 	}, Window{Size: 32_000, Period: 1000})
+}
+
+// --- Delta export: one flush over a resident key set ---
+
+// BenchmarkExportDelta measures one steady-state ExportDelta (encoded to
+// io.Discard) against how many keys are resident and how many sealed since
+// the previous export. The pushes that dirty the keys, and the barrier that
+// waits for the shards to absorb them, run with the timer stopped; the
+// timed region is the export alone. BENCH_export.json records the rows
+// before and after the mutation journal.
+func BenchmarkExportDelta(b *testing.B) {
+	for _, resident := range []int{2_000, 20_000} {
+		for _, changed := range []int{0, 256, resident} {
+			name := fmt.Sprintf("resident=%d/changed=%d", resident, changed)
+			if changed == resident {
+				name = fmt.Sprintf("resident=%d/changed=all", resident)
+			}
+			b.Run(name, func(b *testing.B) { benchExportDelta(b, resident, changed) })
+		}
+	}
+}
+
+func benchExportDelta(b *testing.B, resident, changed int) {
+	e, err := NewEngine(EngineConfig{
+		Config: Config{Spec: Window{Size: 64, Period: 16}, Phis: []float64{0.5, 0.9, 0.99, 0.999}, FewK: true},
+		Shards: 4,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	done := drainResults(e)
+	defer func() {
+		e.Close()
+		<-done
+	}()
+	keys := make([]string, resident)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%05d", i)
+	}
+	vs := fig4Data(b, 16) // one period: every push seals
+	dirty := func(n int) {
+		// A stride coprime to the key count spreads the dirty set over the
+		// key space (and so over the shards and the journal).
+		for i := range n {
+			if err := e.Push(keys[i*7919%resident], vs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		e.Keys() // rides every shard queue: the pushes above have landed
+	}
+	dirty(resident)
+	var cur ExportCursor
+	if _, err := e.ExportDelta(io.Discard, &cur); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dirty(changed)
+		b.StartTimer()
+		if _, err := e.ExportDelta(io.Discard, &cur); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"hash/maphash"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -246,14 +247,39 @@ type engineShard struct {
 	tick        time.Duration
 	nextTickAt  time.Time
 
-	// Delta-export bookkeeping: mutations counts every state change an
-	// export could care about (key created, key evicted or migrated away,
-	// any seal) so an ExportDelta whose cursor saw the current value skips
-	// the shard without touching a single key. Incarnation numbers come
-	// from the ENGINE-global e.incSeq, so a key keeps its identity when a
-	// migration moves it between shards and can never collide with the
-	// destination's counter.
+	// Delta-export bookkeeping: mutations is the shard's mutation clock,
+	// and every tick is journaled under its value. A state change an export
+	// could care about (key created, installed by a migration, any seal)
+	// stamps the live entry with a fresh tick and moves it to the tail of
+	// journal; a departure (evicted, expired, handed off) is appended to
+	// departed. An ExportDelta whose cursor recorded clock m walks both back
+	// from the tail while stamp > m — O(changed since m) — instead of
+	// scanning s.keys. exported is the clock at the latest export capture:
+	// no cursor holds a later one, so an entry already stamped past it is
+	// found by every cursor where it stands and changes again for free — a
+	// shard nobody exports from journals each key once. (Atomic because
+	// captures of a closed engine run on the exporting goroutines, several
+	// at a time.) Incarnation numbers come from the ENGINE-global e.incSeq,
+	// so a key keeps its identity when a migration moves it between shards
+	// and can never collide with the destination's counter.
 	mutations uint64
+	exported  atomic.Uint64
+	// journal is the sentinel of the intrusive ring of live (non-parking)
+	// entries in ascending stamp order: journal.next is the oldest,
+	// journal.prev the most recently touched.
+	journal keyEntry
+	// departed logs departures in ascending clock order, capped at resident
+	// keys + departedSlack (a longer walk would cost more than the scan it
+	// replaces). Trimming the oldest entry raises depFloor to its clock: a
+	// cursor older than depFloor may have missed a departure and must fall
+	// back to the full scan.
+	departed []departure
+	depFloor uint64
+	// genless counts resident snapshot-capable entries without a seal
+	// clock. The scan re-ships those on every export whether or not they
+	// were touched, which a journal cannot reproduce, so any such entry
+	// sends the shard's exports down the scan.
+	genless int
 
 	// counters is the shard's lock-free stats plane (Engine.Stats):
 	// producers update the enqueue side, the shard goroutine the delivery
@@ -274,6 +300,13 @@ type keyEntry struct {
 	gens     sealGenerator
 	batches  uint64 // lifetime batches delivered (travels with migrations)
 	sampled  uint64 // batches already attributed to a ctlSample pass
+
+	// Mutation journal (see engineShard.mutations): the entry's internal
+	// name, the shard clock of its latest journaled change, and its links
+	// in the owning shard's stamp-ordered ring.
+	name       string
+	stamp      uint64
+	prev, next *keyEntry
 
 	// Migration parking (engineroute.go): a parking entry holds a spot at
 	// the destination shard while the operator is still in flight from the
@@ -363,25 +396,58 @@ type keyCursor struct {
 
 // deltaCursorView is the read-only slice of an ExportCursor a shard needs:
 // the per-key map (shared, read concurrently by every shard — safe, no
-// writer runs during the scan) and this shard's mutation clock.
+// writer runs during the capture) and this shard's mutation clock.
 type deltaCursorView struct {
 	keys map[string]keyCursor
 	mut  uint64
-	have bool // cursor carries per-shard clocks (not a first export)
+	// have: the cursor carries this engine's per-shard clocks, so the shard
+	// answers from its mutation journal. Unset (first export, foreign
+	// engine, Reset, or the retry after a stale answer) selects the scan.
+	have bool
 }
 
-// shardDeltaResp is one shard's contribution to a delta export.
+// shardDeltaResp is one shard's contribution to a delta export. Every
+// shard of one export answers the same way — all from the journal or all by
+// the scan — because tombstones are a whole-engine set difference: a scan
+// cannot tell which cursor keys another shard's journal left unmentioned.
 type shardDeltaResp struct {
-	skipped   bool // mutation clock unchanged: nothing to ship, keys untouched
 	mutations uint64
-	changed   map[string]deltaCapture // keys needing a frame
-	present   map[string]uint64       // ALL snapshot-capable keys -> incarnation
+	changed   []deltaCapture // keys needing a frame
+	// stale: the cursor asked for the journal but this shard cannot answer
+	// from it (see deltaResp); nothing else is filled and the export
+	// re-asks every shard for the scan.
+	stale bool
+	// Journal answers: live keys touched since the cursor's clock that still
+	// match it (a migration without a seal in between), and names that left
+	// the shard since. Both in reverse clock order, departed possibly with
+	// repeats.
+	arrived  []string
+	departed []string
+	// Scan answers: scanned is set, and present holds every resident
+	// snapshot-capable name the cursor tracks.
+	scanned bool
+	present map[string]struct{}
 }
 
 type deltaCapture struct {
+	name string
 	snap Snapshot
 	inc  uint64
 }
+
+// departure is one departures-log record: an entry left the shard (evicted,
+// expired, or handed off by a migration) when its mutation clock ticked to
+// clock. The incarnation is not kept: whether the name is a tombstone, a
+// re-creation or a migration is decided from where it is resident NOW,
+// which the touched live entries of the same export say.
+type departure struct {
+	name  string
+	clock uint64
+}
+
+// departedSlack is the constant part of the departures-log cap, so a
+// near-empty shard still remembers a burst of evictions.
+const departedSlack = 64
 
 // NewEngine builds and starts an engine; callers must Close it to release
 // the shard goroutines.
@@ -500,6 +566,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 			timedPeriod: cfg.TimedPeriod,
 			tick:        tick,
 		}
+		s.journal.prev, s.journal.next = &s.journal, &s.journal
 		if s.ttl > 0 {
 			s.nextSweep = sweepInterval(s.ttl)
 		}
@@ -874,13 +941,16 @@ func (e *Engine) ExportKeys(w io.Writer, keys ...string) (int64, error) {
 
 // ExportCursor tracks, per destination, what a previous ExportDelta has
 // already shipped: each exported key's incarnation and seal generation,
-// plus per-shard mutation clocks that let an export skip untouched shards
-// in O(1). The zero value (or new(ExportCursor)) is a valid first cursor —
-// the first export bootstraps every key with a from-generation-0 delta.
+// plus the per-shard mutation clocks the next export resumes each shard's
+// journal from. The zero value (or new(ExportCursor)) is a valid first
+// cursor — the first export bootstraps every key with a from-generation-0
+// delta.
 //
-// A cursor belongs to the Engine that filled it (key→shard placement is
-// per-engine) and to one destination; it is NOT safe for concurrent use,
-// though any number of cursors may export from one engine concurrently.
+// A cursor belongs to the Engine that filled it (the clocks are that
+// engine's) and to one destination; it is NOT safe for concurrent use,
+// though any number of cursors — of any age, persisted or not — may export
+// from one engine concurrently: the journal they read is shared and no
+// export consumes it.
 type ExportCursor struct {
 	keys   map[string]keyCursor
 	shards []uint64
@@ -909,14 +979,21 @@ func (c *ExportCursor) Keys() int { return len(c.keys) }
 func (c *ExportCursor) Reset() { *c = ExportCursor{} }
 
 // ExportDelta writes to w only what changed since the cursor's last export
-// — the incremental half of the distributed plane, cutting steady-state
-// export bandwidth from O(resident keys) to O(keys changed since the last
-// export). The blob carries, in sorted key order:
+// — the incremental half of the distributed plane. Bytes shipped are always
+// O(keys changed since the last export). So is the work, at steady state:
+// each shard journals its mutations under a clock the cursor records, and
+// an export walks the journal back to that clock without visiting an
+// untouched key. The work is O(resident keys + cursor keys) — one scan of
+// every shard — only when there is no clock to resume from: a first export,
+// a cursor after Reset or filled by another engine, one so old that a
+// shard's bounded departures log no longer reaches back to it, or an engine
+// holding keys whose policies keep no seal clock. Either way the blob is
+// byte for byte the same. It carries, in sorted key order:
 //
 //   - a tombstone frame for every key the cursor has that the engine no
 //     longer monitors (TTL expiry or explicit Evict), so receivers delete
-//     it — tombstones are computed as the set difference against the
-//     cursor, so none is ever lost, however long ago the eviction;
+//     it — none is ever lost, however long ago the eviction: a cursor the
+//     departures log no longer covers gets the set difference of the scan;
 //   - for every key sealed past (or unknown to) the cursor, a delta frame
 //     with the summaries sealed since the cursor's generation (a key the
 //     cursor never saw, or one evicted and re-created since — detected by
@@ -924,10 +1001,9 @@ func (c *ExportCursor) Reset() { *c = ExportCursor{} }
 //     frame, preceded by a tombstone when re-created).
 //
 // Like Snapshot, the capture rides the shard control queues and never
-// stops ingestion; per-shard seal counters let untouched shards answer
-// without scanning a single key. On success the cursor is advanced in
-// place; on error it is reset (the next export re-bootstraps — receivers
-// treat from-generation-0 deltas as replacements, so this is always safe).
+// stops ingestion. On success the cursor is advanced in place; on error it
+// is reset (the next export re-bootstraps — receivers treat
+// from-generation-0 deltas as replacements, so this is always safe).
 // The cursor advances when the blob is ENCODED, not delivered: a caller
 // whose transport later fails must call cursor.Reset before continuing,
 // or the destination is left permanently behind (see Reset).
@@ -935,7 +1011,8 @@ func (c *ExportCursor) Reset() { *c = ExportCursor{} }
 // consumer); folded state is bit-for-bit the capture Export would have
 // shipped whole. Keys whose policies do not track seal generations
 // (anything but the built-in QLOVE path) are re-shipped as full frames on
-// every export — correct, just not incremental.
+// every export — correct, just not incremental. Engine.Stats counts
+// exports, keys visited, frames, tombstones and full scans per shard.
 func (e *Engine) ExportDelta(w io.Writer, cur *ExportCursor) (int64, error) {
 	if cur == nil {
 		return 0, fmt.Errorf("qlove: ExportDelta needs a cursor; use new(ExportCursor) for a first export")
@@ -952,7 +1029,7 @@ func (e *Engine) ExportDelta(w io.Writer, cur *ExportCursor) (int64, error) {
 		// collide with this engine's counters. Zero the incarnations —
 		// no live key has incarnation 0 — so every cursor key re-ships
 		// as tombstone + bootstrap, the replacement a destination can
-		// always fold, and drop the shard clocks so no shard is skipped.
+		// always fold, and drop the shard clocks so every shard scans.
 		for k, kc := range cur.keys {
 			kc.inc = 0
 			cur.keys[k] = kc
@@ -960,14 +1037,22 @@ func (e *Engine) ExportDelta(w io.Writer, cur *ExportCursor) (int64, error) {
 		cur.shards = nil
 		cur.have = false
 	}
-	// Adaptive engines disable the O(1) shard skip: a pinned or escalated
-	// key no longer lives on its hash-home shard, so per-shard cursor
-	// reasoning (which shard owns which cursor key) does not hold. Every
-	// shard scans, and assembleDelta reasons over the GLOBAL present set.
-	have := cur.have && len(cur.shards) == len(e.shards) && e.adapt == nil
+	have := cur.have && len(cur.shards) == len(e.shards)
 	if len(cur.shards) != len(e.shards) {
 		cur.shards = make([]uint64, len(e.shards))
 	}
+	resps := e.captureDelta(cur, have)
+	if have && slices.ContainsFunc(resps, func(r *shardDeltaResp) bool { return r.stale }) {
+		resps = e.captureDelta(cur, false)
+	}
+	return e.assembleDelta(w, cur, resps)
+}
+
+// captureDelta collects every shard's contribution to one delta export,
+// from the journals (have) or by the scan. The caller holds e.mu.RLock,
+// which also keeps migrations out: a stream is on exactly one shard for
+// the whole capture.
+func (e *Engine) captureDelta(cur *ExportCursor, have bool) []*shardDeltaResp {
 	resps := make([]*shardDeltaResp, len(e.shards))
 	if e.closed {
 		// The shard goroutines are gone (Close waited for them), so their
@@ -976,21 +1061,76 @@ func (e *Engine) ExportDelta(w io.Writer, cur *ExportCursor) (int64, error) {
 		for i, s := range e.shards {
 			resps[i] = s.deltaResp(&deltaCursorView{keys: cur.keys, have: have, mut: cur.shards[i]})
 		}
-	} else {
-		chans := make([]chan engineCtlResp, len(e.shards))
-		for i, s := range e.shards {
-			chans[i] = make(chan engineCtlResp, 1)
-			s.in <- engineMsg{ctl: &engineCtl{
-				op:   ctlDelta,
-				resp: chans[i],
-				cur:  &deltaCursorView{keys: cur.keys, have: have, mut: cur.shards[i]},
-			}}
+		return resps
+	}
+	chans := make([]chan engineCtlResp, len(e.shards))
+	for i, s := range e.shards {
+		chans[i] = make(chan engineCtlResp, 1)
+		s.in <- engineMsg{ctl: &engineCtl{
+			op:   ctlDelta,
+			resp: chans[i],
+			cur:  &deltaCursorView{keys: cur.keys, have: have, mut: cur.shards[i]},
+		}}
+	}
+	for i, ch := range chans {
+		resps[i] = (<-ch).delta
+	}
+	return resps
+}
+
+// deltaTombstones names, sorted, the cursor keys resident nowhere in the
+// engine. After a scan that is the set difference against what the shards
+// found. From the journals, only a name in some departures log can have
+// gone; it is still resident exactly when a live entry touched since the
+// cursor carries it — on the same shard (evicted and re-created) or on
+// another (a migration, whose handoff and install tick both shards' clocks
+// inside one cutover no capture can straddle).
+func deltaTombstones(cur *ExportCursor, resps []*shardDeltaResp) []string {
+	var tombs []string
+	if resps[0].scanned {
+		for k := range cur.keys {
+			found := false
+			for _, r := range resps {
+				if _, found = r.present[k]; found {
+					break
+				}
+			}
+			if !found {
+				tombs = append(tombs, k)
+			}
 		}
-		for i, ch := range chans {
-			resps[i] = (<-ch).delta
+		sort.Strings(tombs)
+		return tombs
+	}
+	departed, touched := 0, 0
+	for _, r := range resps {
+		departed += len(r.departed)
+		touched += len(r.changed) + len(r.arrived)
+	}
+	if departed == 0 {
+		return nil
+	}
+	live := make(map[string]struct{}, touched)
+	for _, r := range resps {
+		for _, c := range r.changed {
+			live[c.name] = struct{}{}
+		}
+		for _, k := range r.arrived {
+			live[k] = struct{}{}
 		}
 	}
-	return e.assembleDelta(w, cur, resps)
+	for _, r := range resps {
+		for _, k := range r.departed {
+			if _, ok := cur.keys[k]; !ok {
+				continue
+			}
+			if _, ok := live[k]; !ok {
+				tombs = append(tombs, k)
+			}
+		}
+	}
+	sort.Strings(tombs)
+	return slices.Compact(tombs) // a name can depart more than once
 }
 
 // assembleDelta turns the per-shard captures into sorted tombstone and
@@ -998,77 +1138,59 @@ func (e *Engine) ExportDelta(w io.Writer, cur *ExportCursor) (int64, error) {
 // or escalated key ships one frame per sub-stream (each a single stream
 // with real seal generations — the stable cursor identity that lets delta
 // exports survive per-key salting), and receivers fold sub-streams back
-// to logical keys at read time. On an adaptive engine no shard is ever
-// skipped (see ExportDelta), so the union of the per-shard present sets is
-// the complete resident set wherever each key currently lives; a key
-// observed mid-migration (parked at its destination) is simply absent for
-// that one export and bootstraps on the next — receivers treat
-// from-generation-0 deltas as replacements, so the fold converges.
+// to logical keys at read time. A key observed mid-migration (parked at
+// its destination, not yet handed off) is captured where it still lives.
 func (e *Engine) assembleDelta(w io.Writer, cur *ExportCursor, resps []*shardDeltaResp) (int64, error) {
-	adaptive := e.adapt != nil
-	present := make(map[string]uint64)
-	caps := make(map[string]deltaCapture)
+	tombs := deltaTombstones(cur, resps)
+	n := 0
 	for _, r := range resps {
-		if r.skipped {
-			continue
-		}
-		for k, inc := range r.present {
-			present[k] = inc
-		}
-		for k, c := range r.changed {
-			caps[k] = c
+		n += len(r.changed)
+	}
+	changed := make([]*deltaCapture, 0, n)
+	for _, r := range resps {
+		for i := range r.changed {
+			changed = append(changed, &r.changed[i])
 		}
 	}
-	var tombs, changed []string
-	recreated := make(map[string]bool)
-	for k, kc := range cur.keys {
-		if !adaptive && resps[e.shardIndex(k)].skipped {
-			continue // unchanged shard: every cursor key it owns is intact
-		}
-		inc, ok := present[k]
-		if !ok {
-			tombs = append(tombs, k)
-		} else if inc != kc.inc {
-			recreated[k] = true
-		}
-	}
-	for k := range caps {
-		changed = append(changed, k)
-	}
-	sort.Strings(tombs)
-	sort.Strings(changed)
+	slices.SortFunc(changed, func(a, b *deltaCapture) int { return strings.Compare(a.name, b.name) })
 
 	enc := wire.NewEncoder(w)
-	var n int64
+	var written int64
 	fail := func(err error) (int64, error) {
 		// The destination's view is now unknown; reset so the next export
 		// re-bootstraps (receivers treat from-generation-0 deltas as
 		// replacements, so over-shipping is safe, under-shipping is not).
 		*cur = ExportCursor{}
-		return n, err
+		return written, err
+	}
+	tombstone := func(k string) error {
+		m, err := enc.EncodeTombstone(k)
+		written += int64(m)
+		if err != nil {
+			return fmt.Errorf("qlove: delta export tombstone %q: %w", k, err)
+		}
+		e.shardOf(k).counters.exportTombstones.Add(1)
+		return nil
 	}
 	for _, k := range tombs {
-		m, err := enc.EncodeTombstone(k)
-		n += int64(m)
-		if err != nil {
-			return fail(fmt.Errorf("qlove: delta export tombstone %q: %w", k, err))
+		if err := tombstone(k); err != nil {
+			return fail(err)
 		}
 		delete(cur.keys, k)
 	}
-	for _, k := range changed {
-		c := caps[k]
+	for _, c := range changed {
+		k := c.name
 		g := c.snap.SealGen()
 		from := uint64(0)
-		if kc, ok := cur.keys[k]; ok && !recreated[k] && kc.inc == c.inc && kc.gen <= g {
-			from = kc.gen
-		} else if recreated[k] {
-			// The destination still holds the previous incarnation's
-			// window; retire it before the bootstrap frame.
-			m, err := enc.EncodeTombstone(k)
-			n += int64(m)
-			if err != nil {
-				return fail(fmt.Errorf("qlove: delta export tombstone %q: %w", k, err))
+		if kc, ok := cur.keys[k]; ok && kc.inc != c.inc {
+			// Re-created since the cursor: the destination still holds the
+			// previous incarnation's window; retire it before the
+			// bootstrap frame.
+			if err := tombstone(k); err != nil {
+				return fail(err)
 			}
+		} else if ok && kc.gen <= g {
+			from = kc.gen
 		}
 		var m int
 		var err error
@@ -1082,7 +1204,7 @@ func (e *Engine) assembleDelta(w io.Writer, cur *ExportCursor, resps []*shardDel
 			}
 			m, err = enc.EncodeDelta(k, d)
 		}
-		n += int64(m)
+		written += int64(m)
 		if err != nil {
 			return fail(fmt.Errorf("qlove: delta export key %q: %w", k, err))
 		}
@@ -1093,7 +1215,7 @@ func (e *Engine) assembleDelta(w io.Writer, cur *ExportCursor, resps []*shardDel
 	}
 	cur.have = true
 	cur.engine = e.id
-	return n, nil
+	return written, nil
 }
 
 // ImportSnapshots reads a wire blob of keyed captures (the exports of any
@@ -1364,19 +1486,73 @@ func (s *engineShard) handle(msg engineMsg) {
 }
 
 // noteMutation folds one key's operator-state change into the shard's
-// delta-export bookkeeping: the mutation clock advances exactly when the
-// key's capture would differ (a seal advanced SealGen, or expiry shrank
-// the resident count). Policies without a seal clock conservatively mark
-// the shard dirty on every touch.
+// delta-export bookkeeping: the entry is journaled exactly when the key's
+// capture would differ (a seal advanced SealGen, or expiry shrank the
+// resident count). Policies without a seal clock are conservatively
+// journaled on every touch.
 func (s *engineShard) noteMutation(ent *keyEntry) {
 	if ent.gens != nil {
-		if g, r := ent.gens.SealGen(), ent.gens.SubWindowCount(); g != ent.gen || r != ent.resident {
-			ent.gen, ent.resident = g, r
-			s.mutations++
+		g, r := ent.gens.SealGen(), ent.gens.SubWindowCount()
+		if g == ent.gen && r == ent.resident {
+			return
 		}
-	} else {
-		s.mutations++
+		ent.gen, ent.resident = g, r
 	}
+	s.touch(ent)
+}
+
+// touch journals a change to a live entry: unless the entry already stands
+// past every cursor's clock (see engineShard.exported), the mutation clock
+// ticks, the entry is stamped with the new value and moved (or, when new to
+// the shard, linked) to the tail of the journal ring, which therefore stays
+// in ascending stamp order.
+func (s *engineShard) touch(ent *keyEntry) {
+	if ent.stamp > s.exported.Load() {
+		return
+	}
+	s.mutations++
+	ent.stamp = s.mutations
+	if ent.prev != nil {
+		ent.prev.next, ent.next.prev = ent.next, ent.prev
+	}
+	tail := s.journal.prev
+	ent.prev, ent.next = tail, &s.journal
+	tail.next, s.journal.prev = ent, ent
+}
+
+// arrive journals an entry that just became resident under name (minted,
+// or installed by a migration).
+func (s *engineShard) arrive(name string, ent *keyEntry) {
+	ent.name = name
+	s.keys[name] = ent
+	if ent.snap != nil && ent.gens == nil {
+		s.genless++
+	}
+	s.touch(ent)
+	s.counters.resident.Store(int64(len(s.keys)))
+}
+
+// depart ticks the mutation clock for a live entry leaving the shard
+// (evicted, expired or handed off): the entry is unlinked from the journal
+// ring and its name appended to the departures log, which is then trimmed
+// to its cap — raising the floor below which a cursor must rescan.
+func (s *engineShard) depart(ent *keyEntry) {
+	delete(s.keys, ent.name)
+	if ent.snap != nil && ent.gens == nil {
+		s.genless--
+	}
+	s.mutations++
+	ent.prev.next, ent.next.prev = ent.next, ent.prev
+	ent.prev, ent.next, ent.stamp = nil, nil, 0
+	s.departed = append(s.departed, departure{name: ent.name, clock: s.mutations})
+	for len(s.departed) > len(s.keys)+departedSlack {
+		// Reslicing past the head leaves it to the next append that grows
+		// the backing array, which copies only what is still logged.
+		s.depFloor = s.departed[0].clock
+		s.departed[0] = departure{}
+		s.departed = s.departed[1:]
+	}
+	s.counters.resident.Store(int64(len(s.keys)))
 }
 
 // timedFlush drives every timed key's state machine to now: boundary
@@ -1475,13 +1651,11 @@ func (s *engineShard) entry(key string) (*keyEntry, error) {
 	ent.snap, _ = pol.(Snapshotter)
 	ent.gens, _ = pol.(sealGenerator)
 	ent.inc = s.eng.incSeq.Add(1)
-	s.mutations++
 	if s.wallTTL > 0 {
 		ent.lastAt = s.now()
 	}
 	ent.emit = s.makeEmit(logicalKey(key))
-	s.keys[key] = ent
-	s.counters.resident.Store(int64(len(s.keys)))
+	s.arrive(key, ent)
 	return ent, nil
 }
 
@@ -1554,9 +1728,7 @@ func (s *engineShard) control(ctl *engineCtl) {
 		ctl.resp <- engineCtlResp{ok: true}
 	case ctlHandoff:
 		if ent := s.keys[ctl.key]; ent != nil && !ent.parking {
-			delete(s.keys, ctl.key)
-			s.mutations++
-			s.counters.resident.Store(int64(len(s.keys)))
+			s.depart(ent)
 			ctl.resp <- engineCtlResp{ent: ent, ok: true}
 			return
 		}
@@ -1591,9 +1763,7 @@ func (s *engineShard) install(name string, ent *keyEntry) {
 		if s.wallTTL > 0 {
 			ent.lastAt = s.now()
 		}
-		s.keys[name] = ent
-		s.mutations++
-		s.counters.resident.Store(int64(len(s.keys)))
+		s.arrive(name, ent)
 	}
 	for _, bp := range parked {
 		s.handle(engineMsg{key: name, buf: bp})
@@ -1628,31 +1798,71 @@ func (s *engineShard) sampleLoads(n int) []KeyLoad {
 }
 
 // deltaResp computes this shard's contribution to a delta export: capture
-// only the keys the cursor has not seen at their current generation. When
-// the cursor's mutation clock matches, the scan is skipped outright —
-// O(1), whatever the shard's key count.
+// only the keys the cursor has not seen at their current generation. With
+// the cursor's clock in hand (cur.have) they are found by walking the
+// mutation journal back to that clock — nothing at all when the clock is
+// current, whatever the shard's key count; otherwise every key is scanned.
 func (s *engineShard) deltaResp(cur *deltaCursorView) *shardDeltaResp {
-	if cur.have && cur.mut == s.mutations {
-		return &shardDeltaResp{skipped: true, mutations: s.mutations}
-	}
-	r := &shardDeltaResp{
-		mutations: s.mutations,
-		changed:   make(map[string]deltaCapture),
-		present:   make(map[string]uint64, len(s.keys)),
-	}
-	for k, ent := range s.keys {
-		if ent.snap == nil {
-			continue
+	r := &shardDeltaResp{mutations: s.mutations}
+	s.exported.Store(s.mutations)
+	visited := 0
+	switch {
+	case !cur.have:
+		r.scanned = true
+		visited = len(s.keys)
+		if len(cur.keys) > 0 {
+			r.present = make(map[string]struct{}, min(len(s.keys), len(cur.keys)))
 		}
-		r.present[k] = ent.inc
-		kc, ok := cur.keys[k]
-		if ok && kc.inc == ent.inc && ent.gens != nil &&
-			ent.gens.SealGen() <= kc.gen && ent.gens.SubWindowCount() == kc.resident {
-			continue // unchanged since the cursor
+		for k, ent := range s.keys {
+			if ent.snap == nil {
+				continue
+			}
+			kc, ok := cur.keys[k]
+			if ok {
+				r.present[k] = struct{}{}
+			}
+			if !ok || !kc.covers(ent) {
+				r.changed = append(r.changed, deltaCapture{name: k, snap: ent.snap.Snapshot(), inc: ent.inc})
+			}
 		}
-		r.changed[k] = deltaCapture{snap: ent.snap.Snapshot(), inc: ent.inc}
+		s.counters.exportFullScans.Add(1)
+	case cur.mut < s.depFloor || s.genless > 0:
+		// The departures log no longer reaches back to the cursor's clock
+		// (it may have forgotten a tombstone), or generation-less keys are
+		// resident (the scan re-ships those untouched).
+		r.stale = true
+		return r
+	default:
+		// Every tick since the cursor's clock touched at most one entry.
+		r.changed = make([]deltaCapture, 0, min(uint64(len(s.keys)), s.mutations-cur.mut))
+		for ent := s.journal.prev; ent != &s.journal && ent.stamp > cur.mut; ent = ent.prev {
+			visited++
+			if ent.snap == nil {
+				continue
+			}
+			if kc, ok := cur.keys[ent.name]; ok && kc.covers(ent) {
+				r.arrived = append(r.arrived, ent.name)
+			} else {
+				r.changed = append(r.changed, deltaCapture{name: ent.name, snap: ent.snap.Snapshot(), inc: ent.inc})
+			}
+		}
+		for i := len(s.departed) - 1; i >= 0 && s.departed[i].clock > cur.mut; i-- {
+			visited++
+			r.departed = append(r.departed, s.departed[i].name)
+		}
 	}
+	s.counters.exports.Add(1)
+	s.counters.exportKeysVisited.Add(uint64(visited))
+	s.counters.exportFrames.Add(uint64(len(r.changed)))
 	return r
+}
+
+// covers reports whether the cursor's record of a key still describes the
+// live entry: same incarnation, no seal past the recorded generation, same
+// resident summary count. Entries without a seal clock are never covered.
+func (kc keyCursor) covers(ent *keyEntry) bool {
+	return kc.inc == ent.inc && ent.gens != nil &&
+		ent.gens.SealGen() <= kc.gen && ent.gens.SubWindowCount() == kc.resident
 }
 
 // evict removes a key and recycles its operator. Evicting a PARKING entry
@@ -1672,9 +1882,7 @@ func (s *engineShard) evict(key string) bool {
 		}
 		return true
 	}
-	delete(s.keys, key)
-	s.mutations++
-	s.counters.resident.Store(int64(len(s.keys)))
+	s.depart(ent)
 	if s.pool != nil {
 		if cp, ok := ent.policy().(*core.Policy); ok {
 			s.pool.Put(cp)

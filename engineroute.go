@@ -125,7 +125,10 @@ func (e *Engine) streamExists(name string) bool {
 // Steps 2–4 hold e.mu write-locked throughout: pushes stall for the two
 // control round-trips (migrations are rare; queues are bounded), and in
 // exchange the protocol is atomic with respect to Close — no path can
-// strand a detached operator. Returns the batches the handed-off stream
+// strand a detached operator — and to ExportDelta, which captures under the
+// read lock: the handoff logs a departure in src's mutation journal and the
+// install journals an arrival in dst's, and no capture can see one without
+// the other, which is how an export tells a migration from an eviction. Returns the batches the handed-off stream
 // had observed (0 when srcName was not resident, e.g. evicted by TTL
 // between the decision and the handoff — the stream then simply restarts
 // fresh at dst, never with stale seals) and whether the move ran.

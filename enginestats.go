@@ -53,6 +53,14 @@ type shardCounters struct {
 	blockedNanos   atomic.Uint64 // producer + delivery time spent blocked on full queues
 	queueHighWater atomic.Int64  // deepest observed shard-queue backlog, in batches
 	resident       atomic.Int64  // keys (salted sub-streams) currently resident
+
+	// Delta-export side (ExportDelta), updated by the shard goroutine except
+	// exportTombstones, which the exporting goroutine adds at encode time.
+	exports           atomic.Uint64 // delta captures answered
+	exportKeysVisited atomic.Uint64 // entries and departure records examined for them
+	exportFrames      atomic.Uint64 // key captures contributed to delta blobs
+	exportTombstones  atomic.Uint64 // tombstone frames encoded for names hashing here
+	exportFullScans   atomic.Uint64 // captures answered by the full scan, not the journal
 }
 
 // noteDepth raises the queue high-water mark to n if it exceeds the mark.
@@ -76,6 +84,12 @@ func (c *shardCounters) snapshot() ShardStats {
 		Blocked:          time.Duration(c.blockedNanos.Load()),
 		QueueHighWater:   int(c.queueHighWater.Load()),
 		ResidentKeys:     int(c.resident.Load()),
+
+		Exports:           c.exports.Load(),
+		ExportKeysVisited: c.exportKeysVisited.Load(),
+		ExportFrames:      c.exportFrames.Load(),
+		ExportTombstones:  c.exportTombstones.Load(),
+		ExportFullScans:   c.exportFullScans.Load(),
 	}
 }
 
@@ -112,6 +126,29 @@ type ShardStats struct {
 	// ResidentKeys is the number of keys currently resident on the shard
 	// (salted sub-streams count individually; see EngineConfig.RouteSalt).
 	ResidentKeys int
+
+	// Exports counts the delta captures the shard answered: one per
+	// ExportDelta call, plus one when a cursor too old for the shard's
+	// mutation journal made the export fall back to the scan.
+	Exports uint64
+	// ExportKeysVisited counts the entries (and departure records) those
+	// captures examined: every resident key for a full scan, only the keys
+	// touched since the cursor's clock otherwise. Per export it is the
+	// work ExportDelta did on this shard; ExportFrames is the part of it
+	// that shipped.
+	ExportKeysVisited uint64
+	// ExportFrames counts the key captures the shard contributed to delta
+	// blobs (each becomes one delta or full frame).
+	ExportFrames uint64
+	// ExportTombstones counts the tombstone frames delta exports encoded
+	// for names that hash to this shard (evictions, expiries, and the
+	// retirement preceding a re-created key's bootstrap frame).
+	ExportTombstones uint64
+	// ExportFullScans counts the captures answered by scanning every
+	// resident key: first exports, Reset or foreign cursors, and cursors
+	// the departures log no longer covers. At steady state it stays flat
+	// while Exports grows.
+	ExportFullScans uint64
 }
 
 // EngineStats is the engine-wide capture Engine.Stats returns: one entry
@@ -135,6 +172,11 @@ func (st EngineStats) Total() ShardStats {
 			t.QueueHighWater = s.QueueHighWater
 		}
 		t.ResidentKeys += s.ResidentKeys
+		t.Exports += s.Exports
+		t.ExportKeysVisited += s.ExportKeysVisited
+		t.ExportFrames += s.ExportFrames
+		t.ExportTombstones += s.ExportTombstones
+		t.ExportFullScans += s.ExportFullScans
 	}
 	return t
 }
