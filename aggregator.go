@@ -491,24 +491,6 @@ func (a *Aggregator) DropWorker(worker string) bool {
 	return a.store.DropWorker(worker)
 }
 
-// KeyList returns the distinct logical keys across all live workers,
-// sorted — the key enumeration Snapshot folds, without the folds.
-func (a *Aggregator) KeyList() []string {
-	seen := make(map[string]struct{})
-	var bases []string
-	for _, id := range a.liveWorkers() {
-		for _, name := range a.store.WorkerNames(id) {
-			b := logicalKey(name)
-			if _, dup := seen[b]; !dup {
-				seen[b] = struct{}{}
-				bases = append(bases, b)
-			}
-		}
-	}
-	sort.Strings(bases)
-	return bases
-}
-
 // --- slot export / migration ---
 
 // WorkerBlob is one worker's share of a slot export: a wire blob of

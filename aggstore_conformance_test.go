@@ -3,10 +3,8 @@ package qlove
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,23 +14,10 @@ import (
 	"repro/internal/workload"
 )
 
-// aggSurface is the aggregation surface every backend must serve
-// identically — shared by *Aggregator (any store) and *Partitioned.
-type aggSurface interface {
-	Apply(worker string, r io.Reader) (int, error)
-	Query(key string) (Snapshot, bool, error)
-	Snapshot() (EngineSnapshot, error)
-	Workers() int
-	Keys() int
-	SetPushDeadline(d time.Duration, clock func() time.Time)
-	Sweep() int
-	DropWorker(worker string) bool
-}
-
-// aggBackendCase names one backend configuration under conformance test.
-type aggBackendCase struct {
+// aggStoreCase names one backend configuration under conformance test.
+type aggStoreCase struct {
 	name string
-	mk   func(t *testing.T) aggSurface
+	mk   func(t *testing.T) *Aggregator
 }
 
 func mkAgg(t *testing.T, cfg AggregatorConfig) *Aggregator {
@@ -44,46 +29,39 @@ func mkAgg(t *testing.T, cfg AggregatorConfig) *Aggregator {
 	return a
 }
 
-// aggBackends is the conformance matrix: every store backend, with and
-// without the fold cache, the instrumented wrapper, a degenerate stripe
-// count, and the partitioned fan-in.
-func aggBackends() []aggBackendCase {
-	return []aggBackendCase{
-		{"map", func(t *testing.T) aggSurface { return mkAgg(t, AggregatorConfig{Store: "map"}) }},
-		{"map-nocache", func(t *testing.T) aggSurface {
+// aggStoreCases is the conformance matrix: every store backend, with and
+// without the fold cache, the instrumented wrapper and a degenerate
+// stripe count.
+func aggStoreCases() []aggStoreCase {
+	return []aggStoreCase{
+		{"map", func(t *testing.T) *Aggregator { return mkAgg(t, AggregatorConfig{Store: "map"}) }},
+		{"map-nocache", func(t *testing.T) *Aggregator {
 			return mkAgg(t, AggregatorConfig{Store: "map", NoFoldCache: true})
 		}},
-		{"striped", func(t *testing.T) aggSurface { return mkAgg(t, AggregatorConfig{}) }},
-		{"striped-nocache", func(t *testing.T) aggSurface {
+		{"striped", func(t *testing.T) *Aggregator { return mkAgg(t, AggregatorConfig{}) }},
+		{"striped-nocache", func(t *testing.T) *Aggregator {
 			return mkAgg(t, AggregatorConfig{NoFoldCache: true})
 		}},
-		{"striped-1", func(t *testing.T) aggSurface { return mkAgg(t, AggregatorConfig{Stripes: 1}) }},
-		{"striped-instrumented", func(t *testing.T) aggSurface {
+		{"striped-1", func(t *testing.T) *Aggregator { return mkAgg(t, AggregatorConfig{Stripes: 1}) }},
+		{"striped-instrumented", func(t *testing.T) *Aggregator {
 			return mkAgg(t, AggregatorConfig{Instrument: true})
 		}},
-		{"disk", func(t *testing.T) aggSurface {
+		{"disk", func(t *testing.T) *Aggregator {
 			a := mkAgg(t, AggregatorConfig{Store: "disk", Dir: t.TempDir()})
 			t.Cleanup(func() { a.Close() })
 			return a
 		}},
-		{"disk-nocache", func(t *testing.T) aggSurface {
+		{"disk-nocache", func(t *testing.T) *Aggregator {
 			a := mkAgg(t, AggregatorConfig{Store: "disk", Dir: t.TempDir(), NoFoldCache: true})
 			t.Cleanup(func() { a.Close() })
 			return a
-		}},
-		{"partitioned-3", func(t *testing.T) aggSurface {
-			p, err := NewPartitioned(3, AggregatorConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
 		}},
 	}
 }
 
 // snapshotBytes renders the backend's merged view to the deterministic
 // wire encoding — the cross-backend bit-equality currency.
-func snapshotBytes(t *testing.T, a aggSurface) []byte {
+func snapshotBytes(t *testing.T, a *Aggregator) []byte {
 	t.Helper()
 	snap, err := a.Snapshot()
 	if err != nil {
@@ -98,7 +76,7 @@ func snapshotBytes(t *testing.T, a aggSurface) []byte {
 
 // requireBitEqualViews asserts every backend's snapshot bytes and sampled
 // query bits match the first backend's.
-func requireBitEqualViews(t *testing.T, backends []aggBackendCase, surfaces []aggSurface, step string, queryKeys []string) {
+func requireBitEqualViews(t *testing.T, backends []aggStoreCase, surfaces []*Aggregator, step string, queryKeys []string) {
 	t.Helper()
 	ref := snapshotBytes(t, surfaces[0])
 	for i := 1; i < len(surfaces); i++ {
@@ -143,8 +121,8 @@ func requireBitEqualViews(t *testing.T, backends []aggBackendCase, surfaces []ag
 // every backend at once, requiring each step's view to be bit-for-bit the
 // engine's own full export AND bit-identical across backends.
 func TestAggregatorStoreConformanceDeltaFold(t *testing.T) {
-	backends := aggBackends()
-	surfaces := make([]aggSurface, len(backends))
+	backends := aggStoreCases()
+	surfaces := make([]*Aggregator, len(backends))
 	for i, b := range backends {
 		surfaces[i] = b.mk(t)
 	}
@@ -264,8 +242,8 @@ func TestAggregatorStoreConformanceSaltGroups(t *testing.T) {
 		return out
 	}
 
-	backends := aggBackends()
-	surfaces := make([]aggSurface, len(backends))
+	backends := aggStoreCases()
+	surfaces := make([]*Aggregator, len(backends))
 	for i, b := range backends {
 		surfaces[i] = b.mk(t)
 	}
@@ -364,7 +342,7 @@ func TestAggregatorStoreConformancePushDeadline(t *testing.T) {
 	silentBlob := mkBlob(1, "only-silent")
 	activeBlob := mkBlob(2, "only-active")
 
-	for _, b := range aggBackends() {
+	for _, b := range aggStoreCases() {
 		t.Run(b.name, func(t *testing.T) {
 			clk := newFakeClock(time.Unix(5_000_000, 0))
 			agg := b.mk(t)
@@ -547,69 +525,6 @@ func TestAggregatorMetricsInstrumented(t *testing.T) {
 	}
 	if m := mkAgg(t, AggregatorConfig{}).Metrics(); m.Store.Backend != "striped" {
 		t.Fatalf("default backend label %q", m.Store.Backend)
-	}
-}
-
-// TestPartitionedRouting pins the fan-in's partition algebra: each
-// logical key lives on exactly its PartitionOf owner, salted sub-streams
-// follow their base, and a malformed blob is rejected before any replica
-// folds a frame.
-func TestPartitionedRouting(t *testing.T) {
-	cfg := Config{Spec: Window{Size: 256, Period: 64}, Phis: []float64{0.5}, FewK: true}
-	sn := mkKeySnapshot(t, cfg, 21, 300)
-	p, err := NewPartitioned(3, AggregatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
-	var blob []byte
-	for _, k := range keys {
-		blob = wire.AppendFrame(blob, k, sn)
-	}
-	// Salted sub-stream bootstraps of a key, to prove group routing: they
-	// retire alpha's base frame and leave a two-sub group on its owner.
-	d, err := wire.NewDelta(sn, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob = wire.AppendDeltaFrame(blob, "alpha"+string([]byte{0, 0}), d)
-	blob = wire.AppendDeltaFrame(blob, "alpha"+string([]byte{0, 1}), d)
-	if _, err := p.Apply("w", bytes.NewReader(blob)); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys {
-		owner := PartitionOf(k, 3)
-		for i := 0; i < 3; i++ {
-			_, ok, err := p.Replica(i).Query(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ok != (i == owner) {
-				t.Fatalf("key %q on replica %d (owner %d): ok=%v", k, i, owner, ok)
-			}
-		}
-	}
-	// The salted sub-streams folded into alpha's owner: 2 streams there.
-	snA, ok, err := p.Query("alpha")
-	if err != nil || !ok || snA.Streams() != 2 {
-		t.Fatalf("alpha: ok=%v streams=%d err=%v", ok, snA.Streams(), err)
-	}
-	// Every replica saw the worker, even pure non-owners of every key.
-	for i := 0; i < 3; i++ {
-		if p.Replica(i).Workers() != 1 {
-			t.Fatalf("replica %d workers=%d, want 1", i, p.Replica(i).Workers())
-		}
-	}
-	if p.Keys() != len(keys) {
-		t.Fatalf("partition holds %d keys, want %d", p.Keys(), len(keys))
-	}
-	// A malformed blob is rejected up front: zero frames applied anywhere.
-	before := p.Keys()
-	if n, err := p.Apply("w2", strings.NewReader("garbage-not-a-frame")); err == nil || n != 0 {
-		t.Fatalf("malformed blob: applied %d frames, err %v", n, err)
-	}
-	if p.Keys() != before {
-		t.Fatal("malformed blob mutated state")
 	}
 }
 

@@ -33,17 +33,16 @@
 // (lock-striped by default; "map" is the single-lock original; "disk" is
 // durable), -stripes its stripe count, -instrument wraps it with the
 // per-op metrics recorder (see GET /metrics), and -no-fold-cache disables
-// the read-path fold cache. -replicas N partitions keys by hash slot
-// across N in-process aggregator replicas; -fanin URL,URL,… instead makes
-// this process a pure HTTP router over aggregator replicas running
-// elsewhere. With either form, -replication R keeps R copies of every
-// hash slot: pushes fan out to all R owners, reads prefer the primary and
-// fail over to secondaries. Under -fanin, a push succeeds once -quorum
+// the read-path fold cache. -fanin URL,URL,… instead makes this process a
+// pure HTTP router partitioning keys by hash slot over aggregator replicas
+// (other qlove-agg -serve processes). -replication R keeps R copies of
+// every hash slot: pushes fan out to all R owners, reads prefer the
+// primary and fail over to secondaries. A push succeeds once -quorum
 // owners of each slot ack (default: a majority of R), and the router
 // resyncs a replica that lost state from its slot co-owners; POST
 // /slots/move re-homes one hash slot live (GET /slots shows the table):
 //
-//	qlove-agg -serve -store striped -instrument -replicas 4
+//	qlove-agg -serve -store striped -instrument
 //	qlove-agg -serve -fanin http://10.0.0.1:7171,http://10.0.0.2:7171 -replication 2
 //
 // With -store disk -dir DIR every fold is appended to a crash-safe log
@@ -95,9 +94,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fsync := fs.String("fsync", "", "serve: disk backend sync discipline (always | interval | none; default always)")
 	instrument := fs.Bool("instrument", false, "serve: record per-op store metrics (GET /metrics)")
 	noFoldCache := fs.Bool("no-fold-cache", false, "serve: disable the read-path fold cache")
-	replicas := fs.Int("replicas", 1, "serve: partition keys by hash across N in-process aggregator replicas")
 	replication := fs.Int("replication", 1,
-		"serve: copies of each hash slot, with -replicas or -fanin (1 = no replication)")
+		"serve: copies of each hash slot, with -fanin (1 = no replication)")
 	fanin := fs.String("fanin", "",
 		"serve: comma-separated replica base URLs; this process routes over them instead of holding state")
 	faninTimeout := fs.Duration("fanin-timeout", 0,
@@ -117,16 +115,10 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		if len(fs.Args()) != 0 {
 			return fmt.Errorf("-serve takes no blob arguments; workers push over HTTP")
 		}
-		if *replicas < 1 {
-			return fmt.Errorf("-replicas %d < 1", *replicas)
-		}
 		if *replication < 1 {
 			return fmt.Errorf("-replication %d < 1", *replication)
 		}
 		if *fanin != "" {
-			if *replicas > 1 {
-				return fmt.Errorf("-fanin and -replicas are mutually exclusive (the fan-in holds no state)")
-			}
 			if *deadline != 0 {
 				return fmt.Errorf("-worker-deadline belongs on the replicas, not the fan-in router")
 			}
@@ -139,10 +131,10 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			return fmt.Errorf("-fanin-timeout only applies with -fanin")
 		}
 		if *quorum != 0 {
-			return fmt.Errorf("-quorum only applies with -fanin (the in-process partition has no partial failures)")
+			return fmt.Errorf("-quorum only applies with -fanin")
 		}
-		if *replication > 1 && *replicas == 1 {
-			return fmt.Errorf("-replication %d needs -replicas > 1 or -fanin (one replica cannot hold extra copies)", *replication)
+		if *replication > 1 {
+			return fmt.Errorf("-replication %d needs -fanin (one aggregator cannot hold extra copies)", *replication)
 		}
 		if *store == "disk" && *dir == "" {
 			return fmt.Errorf("-store disk needs -dir (the state directory to log to and recover from)")
@@ -151,14 +143,14 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			Store: *store, Stripes: *stripes, Instrument: *instrument, NoFoldCache: *noFoldCache,
 			Dir: *dir, Fsync: *fsync,
 		}
-		return serveHTTP(*addr, *deadline, cfg, *replicas, *replication)
+		return serveHTTP(*addr, *deadline, cfg)
 	}
 	if *deadline != 0 {
 		return fmt.Errorf("-worker-deadline only applies with -serve")
 	}
-	if *fanin != "" || *replicas != 1 || *replication != 1 || *quorum != 0 || *instrument || *noFoldCache ||
+	if *fanin != "" || *replication != 1 || *quorum != 0 || *instrument || *noFoldCache ||
 		*stripes != 0 || *store != "striped" || *dir != "" || *fsync != "" || *faninTimeout != 0 {
-		return fmt.Errorf("-store/-stripes/-dir/-fsync/-instrument/-no-fold-cache/-replicas/-replication/-quorum/-fanin/-fanin-timeout only apply with -serve")
+		return fmt.Errorf("-store/-stripes/-dir/-fsync/-instrument/-no-fold-cache/-replication/-quorum/-fanin/-fanin-timeout only apply with -serve")
 	}
 	agg, err := aggregate(fs.Args(), stdin)
 	if err != nil {
@@ -167,36 +159,19 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	return report(stdout, agg, *jsonOut, *top, *phi)
 }
 
-// aggBackend is the serve-mode state plane: a single Aggregator or an
-// in-process Partitioned, both of which GC and serve identically.
-type aggBackend interface {
-	aggsrv.Backend
-	SetPushDeadline(time.Duration, func() time.Time)
-	SetPushDeadlineFromStored(time.Duration, func() time.Time)
-	Sweep() int
-}
-
 // serveHTTP runs the aggregation service until the process is killed.
 // With a worker deadline, departed workers are GC'd: reads exclude them
 // the moment the deadline passes, and a background ticker sweeps their
 // resident state (pushes sweep too, so the ticker only covers the
 // all-workers-gone case).
-func serveHTTP(addr string, deadline time.Duration, cfg qlove.AggregatorConfig, replicas, replication int) error {
+func serveHTTP(addr string, deadline time.Duration, cfg qlove.AggregatorConfig) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	var agg aggBackend
-	if replicas > 1 {
-		if agg, err = qlove.NewPartitionedConfig(qlove.PartitionedConfig{
-			Replicas: replicas, Replication: replication, Agg: cfg,
-		}); err != nil {
-			return err
-		}
-	} else {
-		if agg, err = qlove.NewAggregatorConfig(cfg); err != nil {
-			return err
-		}
+	agg, err := qlove.NewAggregatorConfig(cfg)
+	if err != nil {
+		return err
 	}
 	if deadline > 0 {
 		if cfg.Store == "disk" {

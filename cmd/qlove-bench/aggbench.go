@@ -4,8 +4,8 @@ package main
 // engines feeding it: concurrent worker pushes (full-blob re-applies, so
 // every apply is replace-idempotent and the final state is deterministic)
 // against concurrent key queries, swept across goroutine counts and key
-// cardinalities, for every store backend (single-map, lock-striped,
-// striped+instrumented, partitioned fan-in). After each backend's sweep
+// cardinalities, for every in-memory store backend (single-map,
+// lock-striped, striped+instrumented). After each backend's sweep
 // its quiesced merged view is compared bit-for-bit against a serial fold
 // on the single-map reference — the throughput numbers are only
 // comparable because the answers are identical.
@@ -84,29 +84,15 @@ type aggBenchSection struct {
 // aggBenchBackend is one store configuration under the sweep.
 type aggBenchBackend struct {
 	name string
-	mk   func() (aggTarget, error)
+	cfg  qlove.AggregatorConfig
 }
 
-// aggTarget is the benched surface, shared by *qlove.Aggregator and
-// *qlove.Partitioned.
-type aggTarget interface {
-	Apply(worker string, r io.Reader) (int, error)
-	Query(key string) (qlove.Snapshot, bool, error)
-	Snapshot() (qlove.EngineSnapshot, error)
-}
-
-func aggBenchBackends(workers int) []aggBenchBackend {
-	mk := func(cfg qlove.AggregatorConfig) func() (aggTarget, error) {
-		return func() (aggTarget, error) { return qlove.NewAggregatorConfig(cfg) }
-	}
-	return []aggBenchBackend{
-		{"map", mk(qlove.AggregatorConfig{Store: "map"})},
-		{"striped", mk(qlove.AggregatorConfig{})},
-		{"striped+instrumented", mk(qlove.AggregatorConfig{Instrument: true})},
-		{fmt.Sprintf("partitioned-%d", workers), func() (aggTarget, error) {
-			return qlove.NewPartitioned(workers, qlove.AggregatorConfig{})
-		}},
-	}
+// aggBenchBackends lists the swept backends, the single-map reference
+// first.
+var aggBenchBackends = []aggBenchBackend{
+	{"map", qlove.AggregatorConfig{Store: "map"}},
+	{"striped", qlove.AggregatorConfig{}},
+	{"striped+instrumented", qlove.AggregatorConfig{Instrument: true}},
 }
 
 // aggBenchFixture is the prebuilt push traffic for one key count: each
@@ -179,7 +165,7 @@ func materializeAggBench(o aggBenchOptions, keys int) (aggBenchFixture, error) {
 // goroutines scanning the key list, for the cell duration. Pushers stop
 // only between complete blob applies, so the quiesced state is exactly
 // "every worker's blob applied".
-func runAggBenchCell(o aggBenchOptions, fx aggBenchFixture, agg aggTarget, pushers, queriers int) (aggBenchRun, error) {
+func runAggBenchCell(o aggBenchOptions, fx aggBenchFixture, agg *qlove.Aggregator, pushers, queriers int) (aggBenchRun, error) {
 	run := aggBenchRun{Pushers: pushers, Queriers: queriers, Keys: len(fx.keys)}
 	var stop atomic.Bool
 	var pushes, frames, queries atomic.Int64
@@ -271,8 +257,8 @@ func runAggBench(o aggBenchOptions) (aggBenchSection, error) {
 			return sec, fmt.Errorf("keys=%d: %w", keys, err)
 		}
 		topOps := map[string]float64{}
-		for _, b := range aggBenchBackends(o.Workers) {
-			agg, err := b.mk()
+		for _, b := range aggBenchBackends {
+			agg, err := qlove.NewAggregatorConfig(b.cfg)
 			if err != nil {
 				return sec, err
 			}

@@ -393,7 +393,7 @@ func resilienceFanin(o resilienceOptions) (resilienceFaninStats, error) {
 	rnd := rand.New(rand.NewSource(o.Seed))
 	for k := 0; deadKey == "" || liveKey == ""; k++ {
 		key := fmt.Sprintf("key-%03d", k)
-		switch qlove.PartitionOf(key, 2) {
+		switch qlove.SlotOf(key) % 2 {
 		case 0:
 			deadKey = key // replica 0 is the one we kill
 		case 1:

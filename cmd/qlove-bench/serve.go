@@ -51,7 +51,7 @@ type serveStats struct {
 	ServiceConsistent bool  `json:"service_consistent"`
 	// BackendsConsistent: the workers' final full blobs folded through
 	// every store backend (single-map reference, lock-striped,
-	// partitioned) produce bit-identical merged views.
+	// instrumented) produce bit-identical merged views.
 	BackendsConsistent bool `json:"backends_consistent"`
 	// FaninConsistent: the same blobs pushed through the HTTP fan-in
 	// router over fresh replica servers answer /snapshot byte-identically
@@ -314,11 +314,10 @@ func runDistributedServe(o distOptions) (distRun, error) {
 
 // backendsConsistent folds the workers' final full blobs — per worker, in
 // worker order, exactly as the service received its pushes — through
-// every store backend and the in-process partitioned fan-in, and requires
-// the merged views to be bit-identical to the single-map reference's wire
-// encoding.
+// every store backend, and requires the merged views to be bit-identical
+// to the single-map reference's wire encoding.
 func backendsConsistent(blobs [][]byte) (bool, error) {
-	render := func(a aggTarget) ([]byte, error) {
+	render := func(a *qlove.Aggregator) ([]byte, error) {
 		for w, blob := range blobs {
 			if _, err := a.Apply(serveWorkerID(w), bytes.NewReader(blob)); err != nil {
 				return nil, err
@@ -335,8 +334,8 @@ func backendsConsistent(blobs [][]byte) (bool, error) {
 		return buf.Bytes(), nil
 	}
 	var want []byte
-	for _, b := range aggBenchBackends(3) {
-		agg, err := b.mk()
+	for _, b := range aggBenchBackends {
+		agg, err := qlove.NewAggregatorConfig(b.cfg)
 		if err != nil {
 			return false, err
 		}
@@ -521,7 +520,7 @@ func serveDistributedExperiment(w io.Writer, o distOptions) error {
 	fmt.Fprintf(w, "  hot-key vs single monitor: %s\n", verdict(run.HotKeyConsistent))
 	fmt.Fprintf(w, "  cross-worker merge (streams=%d) vs in-process merge: %s\n",
 		run.CrossMergeStreams, verdict(run.CrossMergeConsistent))
-	fmt.Fprintf(w, "  store backends (map/striped/partitioned) folding the same blobs: %s\n", verdict(s.BackendsConsistent))
+	fmt.Fprintf(w, "  store backends (map/striped/instrumented) folding the same blobs: %s\n", verdict(s.BackendsConsistent))
 	fmt.Fprintf(w, "  HTTP fan-in router /snapshot vs single-process service: %s\n", verdict(s.FaninConsistent))
 	if !s.ServiceConsistent || !run.HotKeyConsistent || !run.CrossMergeConsistent ||
 		!s.BackendsConsistent || !s.FaninConsistent {

@@ -22,11 +22,12 @@ import (
 
 // Fanin is the out-of-process horizontal tier: an HTTP router over N
 // remote aggregator replica servers hosting the qlove.Slots hash slots of
-// the key space under a qlove.SlotMap (the same slot hash the in-process
-// Partitioned uses, so any router instance partitions identically). Each
-// slot has Replication owners holding full copies of its state; the
-// default map at replication 1 routes exactly like the old PartitionOf
-// modulo, so a single-copy tier behaves unchanged.
+// the key space under a qlove.SlotMap (a fixed hash, so any router
+// instance partitions identically). Each slot has Replication owners
+// holding full copies of its state; the default map at replication 1
+// routes a key to replica SlotOf(key) % N. Replicas are reached only
+// through FaninConfig.Client, so they may be remote servers or, behind an
+// http.RoundTripper, handlers in this process.
 //
 // It serves the same endpoints as Server:
 //
@@ -69,7 +70,8 @@ import (
 // a push, or its cursor rejected a delta) is marked DIRTY: reads prefer
 // clean owners, and the prober resyncs each dirty replica's slots from a
 // clean live owner (slot export → replay), clearing the flag when every
-// owned slot has been repaired. Close stops the prober.
+// owned slot has been repaired and no push missed the replica meanwhile.
+// Close stops the prober.
 type Fanin struct {
 	cfg    FaninConfig
 	reps   []*faninReplica
@@ -104,8 +106,8 @@ type FaninConfig struct {
 	Quorum int
 	// Slots optionally seeds a non-canonical slot table (it is cloned;
 	// owner indices must be < len(Replicas)). Nil builds the canonical
-	// qlove.NewSlotMap(len(Replicas), Replication), whose primaries
-	// follow PartitionOf.
+	// qlove.NewSlotMap(len(Replicas), Replication): slot s's primary is
+	// replica s % len(Replicas).
 	Slots *qlove.SlotMap
 	// Client overrides the HTTP client. nil builds one with Timeout as
 	// both the connect and the full per-request deadline — never
@@ -141,11 +143,14 @@ type faninReplica struct {
 	url   string
 	fails atomic.Int32
 	down  atomic.Bool
-	// dirty marks state-divergence: the replica missed a push carrying
-	// frames for a slot it owns (ejected, transport failure, or its
-	// cursor rejected the delta). Reads prefer clean owners; the prober
-	// resyncs dirty replicas from clean ones and clears the flag.
-	dirty atomic.Bool
+	// dirty is nonzero while the replica's state may have diverged: it
+	// counts the pushes carrying frames for a slot it owns that it missed
+	// (ejected, transport failure, or its cursor rejected the delta) since
+	// it was last clean. Reads prefer clean owners; the prober resyncs
+	// dirty replicas from clean ones and resets the count only if it still
+	// equals what the resync started from, so a mark that lands DURING a
+	// resync survives it.
+	dirty atomic.Uint64
 }
 
 // maxRetryBackoff caps the exponential retry backoff: past a couple of
@@ -319,15 +324,12 @@ func (f *Fanin) record(rep *faninReplica, ok bool) {
 	}
 	if int(rep.fails.Add(1)) >= f.cfg.FailThreshold {
 		if !rep.down.Swap(true) {
-			rep.dirty.Store(true)
+			rep.dirty.Add(1)
 		}
 	}
 }
 
-// probeLoop reinstates ejected replicas and repairs dirty ones: every
-// ProbeInterval, each down replica's /healthz is probed (a 200 brings it
-// back), then each live dirty replica's owned slots are resynced from
-// clean live owners.
+// probeLoop runs probeTick every ProbeInterval until Close.
 func (f *Fanin) probeLoop() {
 	t := time.NewTicker(f.cfg.ProbeInterval)
 	defer t.Stop()
@@ -337,19 +339,26 @@ func (f *Fanin) probeLoop() {
 			return
 		case <-t.C:
 		}
-		for _, rep := range f.reps {
-			if !rep.down.Load() {
-				continue
-			}
-			status, _, err := f.fetch(rep.url, "/healthz")
-			f.record(rep, err == nil && status == http.StatusOK)
+		f.probeTick()
+	}
+}
+
+// probeTick reinstates ejected replicas and repairs dirty ones: each down
+// replica's /healthz is probed (a 200 brings it back), then each live
+// dirty replica's owned slots are resynced from clean live owners.
+func (f *Fanin) probeTick() {
+	for _, rep := range f.reps {
+		if !rep.down.Load() {
+			continue
 		}
-		for i, rep := range f.reps {
-			if rep.down.Load() || !rep.dirty.Load() {
-				continue
-			}
-			f.resync(i, rep)
+		status, _, err := f.fetch(rep.url, "/healthz")
+		f.record(rep, err == nil && status == http.StatusOK)
+	}
+	for i, rep := range f.reps {
+		if rep.down.Load() || rep.dirty.Load() == 0 {
+			continue
 		}
+		f.resync(i, rep)
 	}
 }
 
@@ -362,11 +371,15 @@ func (f *Fanin) probeLoop() {
 //
 // Replays race concurrent worker pushes benignly: a push landing between
 // export and replay re-applies on top of the replayed bootstrap state via
-// its normal delta cursor, or is rejected and re-marks the replica dirty
-// for the next probe tick. A slot moved away mid-resync leaves a stray
+// its normal delta cursor, or misses the replica and marks it again — a
+// mark newer than the count read on entry keeps it dirty for the next
+// probe tick. A slot moved away mid-resync leaves a stray
 // replayed copy behind; reads filter by the live table, so a stray is
 // wasted memory until the next migration drop, never a wrong answer.
 func (f *Fanin) resync(i int, rep *faninReplica) {
+	// Read before anything is exported: a later mark is a push this resync
+	// may not have copied.
+	marks := rep.dirty.Load()
 	f.mu.RLock()
 	table := f.slots.Clone()
 	f.mu.RUnlock()
@@ -380,7 +393,7 @@ func (f *Fanin) resync(i int, rep *faninReplica) {
 			if o == i {
 				continue
 			}
-			if cand := f.reps[o]; !cand.down.Load() && !cand.dirty.Load() {
+			if cand := f.reps[o]; !cand.down.Load() && cand.dirty.Load() == 0 {
 				bySource[cand] = append(bySource[cand], s)
 				break
 			}
@@ -391,11 +404,9 @@ func (f *Fanin) resync(i int, rep *faninReplica) {
 			return // stay dirty; the next probe tick retries
 		}
 	}
-	// Every repairable slot was repaired: the replica serves reads again.
-	// (A push racing the replay may re-mark it dirty — the next tick
-	// converges; repair is eventually consistent, reads prefer clean
-	// owners meanwhile.)
-	rep.dirty.Store(false)
+	// Every repairable slot was repaired up to the marks seen on entry:
+	// the replica serves reads again unless a push missed it meanwhile.
+	rep.dirty.CompareAndSwap(marks, 0)
 }
 
 // replaySlots copies the given slots' state from replica src to replica
@@ -644,7 +655,7 @@ func (f *Fanin) handlePush(w http.ResponseWriter, r *http.Request) {
 			if outcomes[o].OK {
 				acked++
 			} else {
-				f.reps[o].dirty.Store(true)
+				f.reps[o].dirty.Add(1)
 			}
 		}
 		if acked < f.cfg.Quorum {
@@ -699,7 +710,7 @@ func (f *Fanin) readOrder(owners []int) []*faninReplica {
 			switch {
 			case rep.down.Load():
 				class = 2
-			case rep.dirty.Load():
+			case rep.dirty.Load() != 0:
 				class = 1
 			}
 			if class == pass {
@@ -1000,7 +1011,7 @@ func (f *Fanin) handleSlotMove(w http.ResponseWriter, r *http.Request) {
 	// staleness into the new owner.
 	var src *faninReplica
 	for _, o := range append([]int{from}, owners...) {
-		if cand := f.reps[o]; !cand.down.Load() && !cand.dirty.Load() {
+		if cand := f.reps[o]; !cand.down.Load() && cand.dirty.Load() == 0 {
 			src = cand
 			break
 		}
@@ -1087,7 +1098,7 @@ func (f *Fanin) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			ok := err == nil && status == http.StatusOK
 			f.record(rep, ok)
 			rh.ConsecutiveFailures = int(rep.fails.Load())
-			rh.Dirty = rep.dirty.Load()
+			rh.Dirty = rep.dirty.Load() != 0
 			if !ok {
 				rh.Status = "down"
 				return
@@ -1123,7 +1134,7 @@ func (f *Fanin) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		for _, o := range owners {
 			if !f.reps[o].down.Load() {
 				live++
-				if !f.reps[o].dirty.Load() {
+				if f.reps[o].dirty.Load() == 0 {
 					clean++
 				}
 			}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,7 +33,7 @@ func TestRetryBackoff(t *testing.T) {
 		{25 * time.Millisecond, 1, 50 * time.Millisecond},
 		{25 * time.Millisecond, 3, 200 * time.Millisecond},
 		{25 * time.Millisecond, 7, maxRetryBackoff},
-		{25 * time.Millisecond, 62, maxRetryBackoff},  // 25ms<<62 is negative
+		{25 * time.Millisecond, 62, maxRetryBackoff},      // 25ms<<62 is negative
 		{25 * time.Millisecond, 1 << 20, maxRetryBackoff}, // absurd Retries
 		{time.Second, 1, maxRetryBackoff},
 		{3 * time.Second, 0, maxRetryBackoff},
@@ -128,7 +129,7 @@ func TestFaninQuorumPush(t *testing.T) {
 		RetryBackoff:  time.Millisecond,
 		FailThreshold: 2,
 		ProbeInterval: 10 * time.Millisecond,
-	})
+	}, nil)
 	h := newFaninEngine(t, 42, 6)
 
 	// Round 1, both replicas healthy: every key owned (and held) by BOTH.
@@ -254,6 +255,96 @@ func TestFaninQuorumPush(t *testing.T) {
 	}
 }
 
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestFaninResyncConcurrentMark: a push that misses a replica WHILE the
+// prober is resyncing it — after the resync's export from the clean peer,
+// before its end — must leave the replica dirty, and the next probe tick
+// must repair it. The router's transport stages the interleaving: on the
+// resync's /slots/drop call to the dirty replica it drives one fan-in
+// /push whose delivery to that replica is lost.
+func TestFaninResyncConcurrentMark(t *testing.T) {
+	mem := memTransport{}
+	const victim = "replica-0.mem"
+	var losePush atomic.Bool          // lose the next /push delivered to the victim
+	var onDrop atomic.Pointer[func()] // runs once, at the victim's next /slots/drop
+	fx := newFaninFixture(t, 2, FaninConfig{
+		Replication:   2,
+		FailThreshold: 10,        // lost pushes dirty the victim, never eject it
+		ProbeInterval: time.Hour, // the test drives every probe tick itself
+		Client: &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			if req.URL.Host == victim {
+				switch req.URL.Path {
+				case "/push":
+					if losePush.CompareAndSwap(true, false) {
+						return nil, fmt.Errorf("injected: push to %s lost", victim)
+					}
+				case "/slots/drop":
+					if hook := onDrop.Swap(nil); hook != nil {
+						(*hook)()
+					}
+				}
+			}
+			return mem.RoundTrip(req)
+		})},
+	}, mem)
+	h := newFaninEngine(t, 44, 6)
+	victimDirty := func() bool {
+		t.Helper()
+		var fh FaninHealth
+		_, body := get(t, fx.fanin, "/healthz")
+		if err := json.Unmarshal(body, &fh); err != nil {
+			t.Fatal(err)
+		}
+		return fh.Replicas[0].Dirty
+	}
+	replicaSnapshot := func(i int) []byte {
+		rec := httptest.NewRecorder()
+		fx.servers[i].Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/snapshot", nil))
+		return rec.Body.Bytes()
+	}
+
+	fx.push(t, "w", h.round(t))
+	losePush.Store(true)
+	fx.push(t, "w", h.round(t)) // quorum 1 of 2: acked, the victim is now dirty
+	if !victimDirty() {
+		t.Fatal("a lost push did not mark the replica dirty")
+	}
+
+	// Tick 1: the resync exports from the peer, then — before it finishes —
+	// one more push misses the victim.
+	midResync := func() {
+		losePush.Store(true)
+		fx.push(t, "w", h.round(t))
+	}
+	onDrop.Store(&midResync)
+	fx.router.probeTick()
+	if onDrop.Load() != nil {
+		t.Fatal("the resync never dropped the victim's slots")
+	}
+	if bytes.Equal(replicaSnapshot(0), replicaSnapshot(1)) {
+		t.Fatal("fixture: the victim did not miss the mid-resync push")
+	}
+	if !victimDirty() {
+		t.Fatal("resync cleared a dirty mark set while it ran: the replica serves as clean with a frame missing")
+	}
+
+	// Tick 2 converges.
+	fx.router.probeTick()
+	if victimDirty() {
+		t.Fatal("second probe tick left the replica dirty")
+	}
+	_, ref := get(t, fx.ref, "/snapshot")
+	if s0, s1 := replicaSnapshot(0), replicaSnapshot(1); !bytes.Equal(s0, s1) || !bytes.Equal(s0, ref) {
+		t.Fatalf("repaired replica diverges (%d vs peer %d vs reference %d bytes)", len(s0), len(s1), len(ref))
+	}
+	fx.push(t, "w", h.round(t))
+	requireQuerySweep(t, "post-repair", fx, h.keys)
+}
+
 // TestFaninSlotMove grows a 2-owner fan-in onto a third, empty replica by
 // live /slots/move calls: only the intended slots migrate, /query answers
 // stay bit-identical to the unresized reference before, during, and after,
@@ -266,7 +357,7 @@ func TestFaninSlotMove(t *testing.T) {
 	fx := newFaninFixture(t, 3, FaninConfig{
 		Timeout: 2 * time.Second,
 		Slots:   initial,
-	})
+	}, nil)
 	h := newFaninEngine(t, 43, 24)
 
 	movedKeys, stayKeys := 0, 0
@@ -374,7 +465,9 @@ func TestFaninSlotMove(t *testing.T) {
 	}{
 		{"GET method", fmt.Sprintf("/slots/move?slot=%d&to=1", someMoved), 0}, // via get below
 		{"bad slot", "/slots/move?slot=999&to=2", http.StatusBadRequest},
+		{"negative slot", "/slots/move?slot=-1&to=2", http.StatusBadRequest},
 		{"bad destination", "/slots/move?slot=3&to=9", http.StatusBadRequest},
+		{"source out of range", "/slots/move?slot=3&from=5&to=2", http.StatusBadRequest},
 		{"destination already owns", fmt.Sprintf("/slots/move?slot=%d&to=2", someMoved), http.StatusBadRequest},
 		{"source does not own", fmt.Sprintf("/slots/move?slot=%d&from=1&to=0", someMoved), http.StatusBadRequest},
 	} {

@@ -15,24 +15,59 @@ import (
 	"repro/internal/workload"
 )
 
+// memTransport is the in-process replica transport: an http.RoundTripper
+// that dispatches each router request by URL host to a replica's
+// Handler(), with no socket between the router and its replicas.
+type memTransport map[string]http.Handler
+
+func (m memTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	h, ok := m[req.URL.Host]
+	if !ok {
+		return nil, fmt.Errorf("no in-memory replica at %q", req.URL.Host)
+	}
+	in := req.Clone(req.Context())
+	if in.Body == nil {
+		in.Body = http.NoBody
+	}
+	defer in.Body.Close()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, in)
+	return rec.Result(), nil
+}
+
 // faninFixture stands up N replica servers plus the fan-in router over
 // them, and one single-process reference server fed the same pushes.
 type faninFixture struct {
 	fanin    *httptest.Server
 	router   *Fanin
-	replicas []*httptest.Server
+	servers  []*Server          // the replicas, whichever transport reaches them
+	replicas []*httptest.Server // their loopback listeners; nil over a memTransport
 	ref      *httptest.Server
 }
 
-func newFaninFixture(t *testing.T, n int, cfg FaninConfig) *faninFixture {
+// newFaninFixture reaches the replicas over loopback sockets when mem is
+// nil; otherwise it registers their handlers in mem, which becomes the
+// router's transport unless cfg.Client already wraps it.
+func newFaninFixture(t *testing.T, n int, cfg FaninConfig, mem memTransport) *faninFixture {
 	t.Helper()
 	fx := &faninFixture{}
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
-		srv := httptest.NewServer(New(nil).Handler())
-		t.Cleanup(srv.Close)
-		fx.replicas = append(fx.replicas, srv)
-		urls[i] = srv.URL
+		srv := New(nil)
+		fx.servers = append(fx.servers, srv)
+		if mem != nil {
+			host := fmt.Sprintf("replica-%d.mem", i)
+			mem[host] = srv.Handler()
+			urls[i] = "http://" + host
+			continue
+		}
+		sock := httptest.NewServer(srv.Handler())
+		t.Cleanup(sock.Close)
+		fx.replicas = append(fx.replicas, sock)
+		urls[i] = sock.URL
+	}
+	if mem != nil && cfg.Client == nil {
+		cfg.Client = &http.Client{Transport: mem}
 	}
 	cfg.Replicas = urls
 	f, err := NewFaninConfig(cfg)
@@ -76,14 +111,23 @@ func (fx *faninFixture) push(t *testing.T, worker string, blob []byte) {
 // TestFaninEndToEnd: multi-worker, multi-key (including a salted
 // sub-stream group) pushes through the router answer /query, /snapshot
 // and /healthz byte-identically to one single-process server folding the
-// same pushes.
+// same pushes — whether the router reaches its replicas over loopback
+// sockets or in-process through FaninConfig.Client.
 func TestFaninEndToEnd(t *testing.T) {
+	t.Run("sockets", func(t *testing.T) { testFaninEndToEnd(t, nil) })
+	t.Run("in-memory", func(t *testing.T) { testFaninEndToEnd(t, memTransport{}) })
+}
+
+func testFaninEndToEnd(t *testing.T, mem memTransport) {
 	cfg := qlove.Config{Spec: qlove.Window{Size: 256, Period: 64}, Phis: []float64{0.5, 0.99}, FewK: true}
-	fx := newFaninFixture(t, 3, FaninConfig{})
+	fx := newFaninFixture(t, 3, FaninConfig{}, mem)
 
 	keys := []string{"api/latency", "db/qps", "cache/hits", "gc/pause", "net/rtt"}
-	cursors := make([]qlove.ExportCursor, 2)
-	for w := 0; w < 2; w++ {
+	// Workers 0 and 1 report every key; worker 2 only the first, so the
+	// replicas owning none of its blob's slots are forwarded an empty one.
+	const workers = 3
+	cursors := make([]qlove.ExportCursor, workers)
+	for w := 0; w < workers; w++ {
 		// Salted routing makes the engine emit "key\x00<j>" internal names
 		// in its delta exports — the fan-in must keep each group together.
 		eng, err := qlove.NewEngine(qlove.EngineConfig{Config: cfg, Shards: 2, RouteSalt: 2})
@@ -95,8 +139,12 @@ func TestFaninEndToEnd(t *testing.T) {
 			}
 		}()
 		gen := workload.NewNetMon(int64(60 + w))
+		pushed := keys
+		if w == 2 {
+			pushed = keys[:1]
+		}
 		for round := 0; round < 2; round++ {
-			for ki, k := range keys {
+			for ki, k := range pushed {
 				if err := eng.Push(k, workload.Generate(gen, 200+40*ki)); err != nil {
 					t.Fatal(err)
 				}
@@ -110,15 +158,34 @@ func TestFaninEndToEnd(t *testing.T) {
 		eng.Close()
 	}
 
-	// Replica key ownership is disjoint and matches PartitionOf.
+	// Each key lives on its slot's owner only, its salted sub-streams all
+	// with it; every replica registered every worker, empty blob or not.
+	table := fx.router.SlotTable()
 	for _, k := range keys {
-		owner := qlove.PartitionOf(k, len(fx.replicas))
-		for i, rs := range fx.replicas {
-			resp, _ := get(t, rs, "/query?key="+k)
-			wantOK := i == owner
-			if (resp.StatusCode == http.StatusOK) != wantOK {
-				t.Fatalf("key %q on replica %d (owner %d): %s", k, i, owner, resp.Status)
+		var want KeyReport
+		_, br := get(t, fx.ref, "/query?key="+k)
+		if err := json.Unmarshal(br, &want); err != nil {
+			t.Fatal(err)
+		}
+		if want.Streams < 4 {
+			t.Fatalf("key %q folds %d streams: two workers' salt groups are not exercised", k, want.Streams)
+		}
+		for i, srv := range fx.servers {
+			sn, ok, err := srv.Aggregator().Query(k)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if owner := table.IsOwner(qlove.SlotOf(k), i); ok != owner {
+				t.Fatalf("key %q on replica %d: resident=%v, owner=%v", k, i, ok, owner)
+			}
+			if ok && sn.Streams() != want.Streams {
+				t.Fatalf("key %q on replica %d holds %d streams, reference %d: salt group split", k, i, sn.Streams(), want.Streams)
+			}
+		}
+	}
+	for i, srv := range fx.servers {
+		if n := srv.Aggregator().Workers(); n != workers {
+			t.Fatalf("replica %d registered %d workers, want %d", i, n, workers)
 		}
 	}
 
@@ -155,8 +222,8 @@ func TestFaninEndToEnd(t *testing.T) {
 	if hf != hr {
 		t.Fatalf("fan-in health %+v != reference %+v", hf, hr)
 	}
-	if hf.Workers != 2 || hf.Keys != len(keys) {
-		t.Fatalf("health %+v, want 2 workers / %d keys", hf, len(keys))
+	if hf.Workers != workers || hf.Keys != len(keys) {
+		t.Fatalf("health %+v, want %d workers / %d keys", hf, workers, len(keys))
 	}
 
 	// /metrics relays one document per replica.
@@ -168,8 +235,8 @@ func TestFaninEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(bm, &fm); err != nil {
 		t.Fatal(err)
 	}
-	if len(fm.Replicas) != len(fx.replicas) {
-		t.Fatalf("metrics for %d replicas, want %d", len(fm.Replicas), len(fx.replicas))
+	if len(fm.Replicas) != len(fx.servers) {
+		t.Fatalf("metrics for %d replicas, want %d", len(fm.Replicas), len(fx.servers))
 	}
 }
 
@@ -223,7 +290,7 @@ func TestFaninErrors(t *testing.T) {
 		t.Fatal("slot map replication mismatch accepted")
 	}
 
-	fx := newFaninFixture(t, 2, FaninConfig{})
+	fx := newFaninFixture(t, 2, FaninConfig{}, nil)
 	if resp, _ := post(t, fx.fanin, "/push", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("push without worker: %s", resp.Status)
 	}
@@ -233,18 +300,28 @@ func TestFaninErrors(t *testing.T) {
 	if resp, _ := get(t, fx.fanin, "/query"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("query without key: %s", resp.Status)
 	}
-	// A malformed blob dies in the router's scan: no replica registers the
-	// worker, so /healthz still reports zero.
-	if resp, _ := post(t, fx.fanin, "/push?worker=w", []byte("garbage")); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed blob: %s", resp.Status)
+	// A malformed blob dies in the router's whole-blob scan, before
+	// anything is forwarded: even the valid frames ahead of the garbage
+	// reach no replica, and none registers the worker.
+	eng := mkEngine(t, qlove.Config{Spec: qlove.Window{Size: 256, Period: 64}, Phis: []float64{0.5}, FewK: true})
+	defer eng.Close()
+	for _, k := range []string{"a", "b", "c", "d"} {
+		if err := eng.Push(k, workload.Generate(workload.NewNetMon(5), 300)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var h Health
-	_, bh := get(t, fx.fanin, "/healthz")
-	if err := json.Unmarshal(bh, &h); err != nil {
+	var blob bytes.Buffer
+	if _, err := eng.Export(&blob); err != nil {
 		t.Fatal(err)
 	}
-	if h.Workers != 0 {
-		t.Fatalf("malformed blob registered a worker: %+v", h)
+	blob.WriteString("garbage")
+	if resp, _ := post(t, fx.fanin, "/push?worker=w", blob.Bytes()); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed blob: %s", resp.Status)
+	}
+	for i, srv := range fx.servers {
+		if agg := srv.Aggregator(); agg.Workers() != 0 || agg.Keys() != 0 {
+			t.Fatalf("malformed blob reached replica %d: %d workers, %d keys", i, agg.Workers(), agg.Keys())
+		}
 	}
 }
 
@@ -262,13 +339,13 @@ func TestFaninDegradedReplica(t *testing.T) {
 		RetryBackoff:  time.Millisecond,
 		FailThreshold: 2,
 		ProbeInterval: 10 * time.Millisecond,
-	})
+	}, nil)
 
 	// Find one key owned by each replica.
 	keyFor := func(owner int) string {
 		for i := 0; ; i++ {
 			k := fmt.Sprintf("key-%d", i)
-			if qlove.PartitionOf(k, 2) == owner {
+			if qlove.SlotOf(k)%2 == owner {
 				return k
 			}
 		}
@@ -473,10 +550,10 @@ func TestFaninHedgedQuery(t *testing.T) {
 	}))
 	defer fast.Close()
 	// At replication 2 over 2 replicas, every slot is owned by both; the
-	// default map's primary for "k" is PartitionOf("k", 2) — put the slow
+	// default map's primary for "k" is SlotOf("k") % 2 — put the slow
 	// server there so the hedge must rescue the read.
 	urls := []string{slow.URL, fast.URL}
-	if qlove.PartitionOf("k", 2) == 1 {
+	if qlove.SlotOf("k")%2 == 1 {
 		urls = []string{fast.URL, slow.URL}
 	}
 	f, err := NewFaninConfig(FaninConfig{
@@ -502,8 +579,8 @@ func TestFaninHedgedQuery(t *testing.T) {
 	}
 }
 
-// TestServiceMetricsEndpoint pins the server-side /metrics document for a
-// plain, an instrumented, and a partitioned backend.
+// TestServiceMetricsEndpoint pins the server-side /metrics document for
+// an instrumented aggregator.
 func TestServiceMetricsEndpoint(t *testing.T) {
 	agg, err := qlove.NewAggregatorConfig(qlove.AggregatorConfig{Instrument: true})
 	if err != nil {
@@ -527,22 +604,5 @@ func TestServiceMetricsEndpoint(t *testing.T) {
 	}
 	if m.Replicas[0].FoldCache == nil {
 		t.Fatal("fold cache stats missing")
-	}
-
-	p, err := qlove.NewPartitioned(3, qlove.AggregatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	psrv := httptest.NewServer(New(p).Handler())
-	defer psrv.Close()
-	resp, body = get(t, psrv, "/metrics")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("partitioned metrics: %s", resp.Status)
-	}
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Replicas) != 3 {
-		t.Fatalf("partitioned metrics for %d replicas, want 3", len(m.Replicas))
 	}
 }

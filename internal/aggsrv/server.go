@@ -17,10 +17,9 @@
 //	GET  /healthz          {"status":"ok","workers":N,"keys":M}; status
 //	                       "degraded" + an error string when a durable
 //	                       backend has hit a persistence error
-//	GET  /metrics          the backend's self-description: store backend,
-//	                       op counters (instrumented stores), lock-wait,
-//	                       fold-cache hits/misses — per replica for a
-//	                       partitioned backend
+//	GET  /metrics          the aggregator's self-description: store
+//	                       backend, op counters (instrumented stores),
+//	                       lock-wait, fold-cache hits/misses
 //	GET  /slots/export     ?slot=N or ?slots=a,b,c — the slots' resident
 //	                       state as self-contained bootstrap blobs, one per
 //	                       worker (the fan-in's slot migration and dirty
@@ -33,10 +32,8 @@
 // back gets bit-identical values — the bench's bit-for-bit verification
 // leans on this.
 //
-// The served Backend is anything with the aggregator's read/fold surface:
-// a *qlove.Aggregator on any store backend, or a *qlove.Partitioned
-// fanning keys across replicas. NewFanin is the out-of-process analogue —
-// an HTTP router over N remote replica servers.
+// A Server fronts one *qlove.Aggregator on any store backend. Scale-out
+// and replication are NewFanin's: an HTTP router over N such servers.
 package aggsrv
 
 import (
@@ -84,25 +81,14 @@ type Health struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// Backend is the aggregation surface the server fronts: the shared shape
-// of *qlove.Aggregator (any store backend) and *qlove.Partitioned.
-type Backend interface {
-	Apply(worker string, r io.Reader) (int, error)
-	Query(key string) (qlove.Snapshot, bool, error)
-	Snapshot() (qlove.EngineSnapshot, error)
-	Workers() int
-	Keys() int
-}
-
-// Server serves one aggregation backend over HTTP.
+// Server serves one aggregator over HTTP.
 type Server struct {
-	agg Backend
+	agg *qlove.Aggregator
 	mux *http.ServeMux
 }
 
-// New returns a server over the backend (a fresh default *qlove.Aggregator
-// when nil).
-func New(agg Backend) *Server {
+// New returns a server over the aggregator (a fresh default one when nil).
+func New(agg *qlove.Aggregator) *Server {
 	if agg == nil {
 		agg = qlove.NewAggregator()
 	}
@@ -117,19 +103,12 @@ func New(agg Backend) *Server {
 	return s
 }
 
-// SlotPorter is the optional slot-migration surface of a backend:
-// *qlove.Aggregator implements it; the fan-in's /slots/move and dirty
-// replica resync drive it over these endpoints.
-type SlotPorter interface {
-	ExportSlots(slots []int) ([]qlove.WorkerBlob, error)
-	DropSlots(slots []int) int
-}
-
 // SlotExport is the /slots/export document: the requested slots' resident
 // state as one self-contained bootstrap blob per worker (re-Apply-able
-// via /push, bit-for-bit).
+// via /push, bit-for-bit). The fan-in's /slots/move and dirty-replica
+// resync read it.
 type SlotExport struct {
-	Slots   []int             `json:"slots"`
+	Slots   []int              `json:"slots"`
 	Workers []qlove.WorkerBlob `json:"workers"`
 }
 
@@ -165,17 +144,12 @@ func (s *Server) handleSlotsExport(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "slots/export is GET-only")
 		return
 	}
-	p, ok := s.agg.(SlotPorter)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "backend does not support slot export")
-		return
-	}
 	slots, err := parseSlots(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	blobs, err := p.ExportSlots(slots)
+	blobs, err := s.agg.ExportSlots(slots)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -188,11 +162,6 @@ func (s *Server) handleSlotsDrop(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "slots/drop is POST-only")
 		return
 	}
-	p, ok := s.agg.(SlotPorter)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "backend does not support slot drop")
-		return
-	}
 	slots, err := parseSlots(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
@@ -201,11 +170,11 @@ func (s *Server) handleSlotsDrop(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Slots   []int `json:"slots"`
 		Dropped int   `json:"dropped"`
-	}{Slots: slots, Dropped: p.DropSlots(slots)})
+	}{Slots: slots, Dropped: s.agg.DropSlots(slots)})
 }
 
-// Aggregator returns the served backend (e.g. to preload blobs).
-func (s *Server) Aggregator() Backend { return s.agg }
+// Aggregator returns the served aggregator (e.g. to preload blobs).
+func (s *Server) Aggregator() *qlove.Aggregator { return s.agg }
 
 // Handler returns the root handler for mounting on any http.Server.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -355,8 +324,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	bw.Flush()
 }
 
-// MetricsReport is the /metrics document: one aggregator's metrics, or
-// one per replica for a partitioned backend.
+// MetricsReport is the /metrics document: the aggregator's metrics as a
+// one-element "replicas" list, the shape /metrics clients already parse.
 type MetricsReport struct {
 	Replicas []qlove.AggregatorMetrics `json:"replicas"`
 }
@@ -366,30 +335,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "metrics is GET-only")
 		return
 	}
-	switch b := s.agg.(type) {
-	case interface {
-		Metrics() qlove.AggregatorMetrics
-	}:
-		writeJSON(w, http.StatusOK, MetricsReport{Replicas: []qlove.AggregatorMetrics{b.Metrics()}})
-	case interface {
-		Metrics() []qlove.AggregatorMetrics
-	}:
-		writeJSON(w, http.StatusOK, MetricsReport{Replicas: b.Metrics()})
-	default:
-		writeErr(w, http.StatusNotFound, "backend exposes no metrics")
-	}
+	writeJSON(w, http.StatusOK, MetricsReport{Replicas: []qlove.AggregatorMetrics{s.agg.Metrics()}})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h := Health{Status: "ok", Workers: s.agg.Workers(), Keys: s.agg.Keys()}
-	// A durable backend (the disk store, directly or per partitioned
-	// replica) that has hit a persistence error keeps serving its
+	// A disk store that has hit a persistence error keeps serving its
 	// in-memory view but must say so: restart recovery is compromised.
-	if d, ok := s.agg.(interface{ DurabilityErr() error }); ok {
-		if err := d.DurabilityErr(); err != nil {
-			h.Status = "degraded"
-			h.Error = err.Error()
-		}
+	if err := s.agg.DurabilityErr(); err != nil {
+		h.Status = "degraded"
+		h.Error = err.Error()
 	}
 	writeJSON(w, http.StatusOK, h)
 }

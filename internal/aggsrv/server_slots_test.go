@@ -14,8 +14,8 @@ import (
 
 // TestServiceSlotEndpoints pins the per-server slot migration surface:
 // /slots/export lifts exactly the requested slots' state as re-pushable
-// worker blobs, /slots/drop removes exactly those slots, parameters are
-// validated, and a backend without the SlotPorter surface 404s.
+// worker blobs, /slots/drop removes exactly those slots, and parameters
+// are validated.
 func TestServiceSlotEndpoints(t *testing.T) {
 	cfg := qlove.Config{Spec: qlove.Window{Size: 256, Period: 64}, Phis: []float64{0.5}, FewK: true}
 
@@ -138,20 +138,5 @@ func TestServiceSlotEndpoints(t *testing.T) {
 		if resp := bad.do(); resp.StatusCode != bad.want {
 			t.Fatalf("%s: %s, want %d", bad.name, resp.Status, bad.want)
 		}
-	}
-
-	// A backend without the porter surface (the in-process partition
-	// manages its own slots) answers 404, not 500.
-	part, err := qlove.NewPartitioned(2, qlove.AggregatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	psrv := httptest.NewServer(New(part).Handler())
-	t.Cleanup(psrv.Close)
-	if resp, _ := get(t, psrv, "/slots/export?slot=1"); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("partitioned export: %s, want 404", resp.Status)
-	}
-	if resp, _ := post(t, psrv, "/slots/drop?slot=1", nil); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("partitioned drop: %s, want 404", resp.Status)
 	}
 }

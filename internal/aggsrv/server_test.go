@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -347,21 +348,19 @@ func TestServiceWorkerGC(t *testing.T) {
 	}
 }
 
-// durabilityStub wraps a real backend with a settable durability error,
-// standing in for a disk store whose WAL writes started failing.
-type durabilityStub struct {
-	Backend
-	err error
-}
-
-func (d *durabilityStub) DurabilityErr() error { return d.err }
-
 // TestServiceHealthzDurability: /healthz stays 200 (the in-memory view
 // still serves) but flips to status "degraded" with the persistence error
-// spelled out once the backend reports one.
+// spelled out once the disk store reports one. The fault is real: the
+// state directory disappears under a store set to compact on every
+// mutation, so the push after it cannot write its snapshot.
 func TestServiceHealthzDurability(t *testing.T) {
-	stub := &durabilityStub{Backend: qlove.NewAggregator()}
-	srv := httptest.NewServer(New(stub).Handler())
+	dir := t.TempDir()
+	agg, err := qlove.NewAggregatorConfig(qlove.AggregatorConfig{Store: "disk", Dir: dir, CompactBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	srv := httptest.NewServer(New(agg).Handler())
 	defer srv.Close()
 
 	resp, body := get(t, srv, "/healthz")
@@ -373,7 +372,22 @@ func TestServiceHealthzDurability(t *testing.T) {
 		t.Fatalf("healthy service: %s %+v", resp.Status, h)
 	}
 
-	stub.err = fmt.Errorf("wal append: no space left on device")
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	cfg := qlove.Config{Spec: qlove.Window{Size: 256, Period: 64}, Phis: []float64{0.5}, FewK: true}
+	eng := mkEngine(t, cfg)
+	defer eng.Close()
+	if err := eng.Push("k", workload.Generate(workload.NewNetMon(3), 300)); err != nil {
+		t.Fatal(err)
+	}
+	var blob bytes.Buffer
+	if _, err := eng.Export(&blob); err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := post(t, srv, "/push?worker=w", blob.Bytes()); resp.StatusCode != http.StatusOK {
+		t.Fatalf("push after the directory vanished must still fold in memory: %s: %s", resp.Status, body)
+	}
 	resp, body = get(t, srv, "/healthz")
 	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatal(err)
@@ -381,7 +395,7 @@ func TestServiceHealthzDurability(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("degraded service must still answer 200 (liveness): %s", resp.Status)
 	}
-	if h.Status != "degraded" || h.Error != "wal append: no space left on device" {
+	if h.Status != "degraded" || h.Error == "" || h.Error != agg.DurabilityErr().Error() {
 		t.Fatalf("degraded healthz = %+v", h)
 	}
 }

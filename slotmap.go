@@ -20,8 +20,8 @@ const Slots = 256
 // SlotOf returns the hash slot of a logical key: FNV-1a of the base key
 // (salted sub-stream names hash by their base, so a key's whole salt
 // group shares one slot) folded to [0, Slots). The hash is fixed and
-// process-independent: every router instance — in-process Partitioned,
-// the HTTP fan-in, tests predicting placement — slots identically.
+// process-independent: every router instance, every replica exporting a
+// slot and every test predicting placement slots identically.
 func SlotOf(key string) int {
 	key = logicalKey(key)
 	h := uint32(2166136261)
@@ -47,8 +47,7 @@ type SlotMap struct {
 
 // NewSlotMap returns the canonical map for `replicas` replica indices at
 // replication factor `replication` (copies per slot, in [1, replicas]):
-// slot s's primary is s % replicas — which makes the default map's
-// primary routing agree with PartitionOf — and its secondaries the next
+// slot s's primary is s % replicas and its secondaries the next
 // replication-1 indices round-robin, so ownership load is uniform.
 func NewSlotMap(replicas, replication int) (*SlotMap, error) {
 	if replicas < 1 {
@@ -158,9 +157,9 @@ func (m *SlotMap) Clone() *SlotMap {
 // slotMapJSON is the serialized form: explicit slot count so a future
 // resize of the constant fails loudly instead of misrouting.
 type slotMapJSON struct {
-	Slots       int      `json:"slots"`
-	Replication int      `json:"replication"`
-	Owners      [][]int  `json:"owners"`
+	Slots       int     `json:"slots"`
+	Replication int     `json:"replication"`
+	Owners      [][]int `json:"owners"`
 }
 
 // MarshalJSON serializes the slot table with its shape

@@ -8,9 +8,7 @@ import (
 )
 
 // TestSlotOfRouting pins the slot hash contract: every key lands in
-// [0, Slots), salted sub-stream names route with their base, and
-// PartitionOf is exactly the slot modulo the replica count — including
-// the replicas <= 0 guard (an exported hash must not divide by zero).
+// [0, Slots) and salted sub-stream names route with their base.
 func TestSlotOfRouting(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		k := fmt.Sprintf("key-%d", i)
@@ -26,25 +24,13 @@ func TestSlotOfRouting(t *testing.T) {
 				t.Fatalf("SlotOf(%q) = %d, base slot %d", salted, got, s)
 			}
 		}
-		for _, n := range []int{1, 2, 3, 7} {
-			if got, want := PartitionOf(k, n), s%n; got != want {
-				t.Fatalf("PartitionOf(%q, %d) = %d, want slot %d %% %d = %d", k, n, got, s, n, want)
-			}
-		}
-	}
-	// Div-by-zero pin: replicas <= 0 must answer 0, not panic.
-	if got := PartitionOf("any", 0); got != 0 {
-		t.Fatalf("PartitionOf(_, 0) = %d, want 0", got)
-	}
-	if got := PartitionOf("any", -3); got != 0 {
-		t.Fatalf("PartitionOf(_, -3) = %d, want 0", got)
 	}
 }
 
 // TestSlotMapCanonical property-checks NewSlotMap across (replicas,
 // replication) shapes: every slot lists exactly R distinct owners in
-// [0, N), the primary is s % N (so default-map primary routing agrees
-// with PartitionOf), and every key is owned by exactly R replicas.
+// [0, N), the primary is s % N, and every key is owned by exactly R
+// replicas.
 func TestSlotMapCanonical(t *testing.T) {
 	for _, tc := range []struct{ n, r int }{
 		{1, 1}, {2, 1}, {2, 2}, {3, 2}, {5, 3}, {7, 7},
@@ -75,14 +61,14 @@ func TestSlotMapCanonical(t *testing.T) {
 				seen[o] = true
 			}
 		}
-		// Key-level view: exactly R distinct owners, primary matching
-		// PartitionOf; SlotsOwnedBy and IsOwner agree with Owners.
+		// Key-level view: exactly R distinct owners, primary the key's slot
+		// modulo N; SlotsOwnedBy and IsOwner agree with Owners.
 		for i := 0; i < 200; i++ {
 			k := fmt.Sprintf("probe-%d", i)
 			own := m.OwnersOf(k)
-			if len(own) != tc.r || own[0] != PartitionOf(k, tc.n) || m.PrimaryOf(k) != own[0] {
-				t.Fatalf("(%d,%d): key %q owners %v, PartitionOf %d",
-					tc.n, tc.r, k, own, PartitionOf(k, tc.n))
+			if len(own) != tc.r || own[0] != SlotOf(k)%tc.n || m.PrimaryOf(k) != own[0] {
+				t.Fatalf("(%d,%d): key %q owners %v, slot %d",
+					tc.n, tc.r, k, own, SlotOf(k))
 			}
 		}
 		total := 0
