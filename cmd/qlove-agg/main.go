@@ -1,8 +1,8 @@
 // Command qlove-agg is the central half of the distributed quantile plane:
-// it consumes snapshot blobs exported by worker processes (Engine.Export,
-// EngineSnapshot.WriteTo or qlove-bench's distributed workers), groups the
-// keyed frames, merges captures of the same key into one logical-window
-// view and reports the merged quantile estimates.
+// it consumes snapshot blobs exported by worker processes (Engine.Export
+// or EngineSnapshot.WriteTo), groups the keyed frames, merges captures of
+// the same key into one logical-window view and reports the merged
+// quantile estimates.
 //
 //	qlove-agg worker-0.bin worker-1.bin worker-2.bin
 //	cat exports/*.bin | qlove-agg            # blobs concatenate freely

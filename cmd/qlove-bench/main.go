@@ -7,61 +7,47 @@
 //	qlove-bench -full fig5      # include the 100M-element windows
 //
 // Experiment names: fig1 table1 fig4 fig5 table2 table3 table4 table5
-// redundancy pareto fewk-throughput errbound — plus multikey, the keyed
-// Engine scaling scenario (shards × keys throughput sweep with a
-// bit-equivalence check of the hottest key's snapshot against a
-// single-Monitor reference; tune with -keys and -skew; add -storm for the
-// hot-key storm variant that reports per-shard skew and compares salted
-// routing), timedkeys, the Engine's wall-clock-window scenario (keys ×
-// tick sweep under a deterministic fake clock, hot key verified
-// bit-for-bit against a single-TimedMonitor reference), openloop, the
-// open-loop Poisson SLA ramp reporting the max sustainable op rate under
-// a p99 latency SLA (tune with -sla and -bp), scaling, the
-// GOMAXPROCS × shards ingest matrix with one pusher per processor, and
-// resilience, the failure-path gate: a disk-backed aggregation service
-// child SIGKILLed mid-delta-chain and restarted (recovered and resumed
-// views must be bit-identical), plus a degraded fan-in run with one dead
-// replica (partial serving, loud health, probe reinstatement), and
-// resize, the replication gate: a replication-2 fan-in that keeps
-// accepting pushes on quorum with a replica down, resyncs the replica
-// when it returns empty, and grows the tier live via /slots/move — all
-// verified bit-identically against an unresized single server.
+// redundancy pareto fewk-throughput errbound — plus the three scenarios
+// the repo benchmark (benchmark/: closed-loop producers, no injected
+// failures) cannot express: openloop, the open-loop Poisson SLA ramp
+// reporting the max sustainable op rate under a p99 latency SLA (tune with
+// -keys, -skew, -sla and -bp); resilience, the failure-path gate: a
+// disk-backed aggregation service child SIGKILLed mid-delta-chain and
+// restarted (recovered and resumed views must be bit-identical), plus a
+// degraded fan-in run with one dead replica (partial serving, loud health,
+// probe reinstatement); and resize, the replication gate: a replication-2
+// fan-in that keeps accepting pushes on quorum with a replica down,
+// resyncs the replica when it returns empty, and grows the tier live via
+// /slots/move — all verified bit-identically against an unresized single
+// server.
 //
-// The -json flag switches to a machine-readable perf record instead: a
-// single JSON document with the ingestion throughput and peak space of
-// every registered policy on the standard NetMon workload, the engine's
-// multi-key runs plus the GOMAXPROCS × shards scaling matrix, and the
-// open-loop ramp, so successive PRs can diff the performance trajectory:
-//
-//	qlove-bench -json -scale 0.1 > perf.json
+// Throughput, space and accuracy of the engine, the delta pipeline and the
+// aggregation tier are measured and gated by `bash benchmark/run.sh` (see
+// benchmark/README.md), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"time"
 
 	"repro"
 	"repro/internal/bench"
-	"repro/internal/loadgen"
-	"repro/internal/workload"
 )
 
+// scenarios are the experiments implemented in this package; they follow
+// bench.Order in -list and in a no-argument run.
+var scenarios = []string{"openloop", "resilience", "resize"}
+
 func main() {
-	// The distributed scenario re-execs this binary as its worker tier and
-	// the resilience scenario as its aggregation-service child; dispatch
-	// the hidden subcommands before any flag parsing.
-	if len(os.Args) > 1 && os.Args[1] == workerCmd {
-		if err := distributedWorker(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "qlove-bench worker:", err)
-			os.Exit(1)
-		}
-		return
-	}
+	// The resilience scenario re-execs this binary as its
+	// aggregation-service child; dispatch the hidden subcommand before any
+	// flag parsing.
 	if len(os.Args) > 1 && os.Args[1] == aggServeCmd {
 		if err := aggServeChild(os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "qlove-bench agg-server:", err)
@@ -69,35 +55,31 @@ func main() {
 		}
 		return
 	}
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "qlove-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("qlove-bench", flag.ContinueOnError)
 	scale := fs.Float64("scale", 1.0, "dataset scale in (0, 1]; 1 = paper-size (10M)")
 	seed := fs.Int64("seed", 1, "workload seed")
 	full := fs.Bool("full", false, "unlock the most expensive sweeps (Fig 5's 100M windows)")
 	list := fs.Bool("list", false, "list experiment names and exit")
-	jsonOut := fs.Bool("json", false, "emit a JSON per-policy throughput/space record instead of experiments")
-	keys := fs.Int("keys", 0, "multikey/distributed: key cardinality (0 = scaled default)")
-	skew := fs.Float64("skew", 1.2, "multikey/distributed: zipf skew over keys (0 = uniform)")
-	workers := fs.Int("workers", 3, "distributed: worker process count")
-	serve := fs.Bool("serve", false, "distributed: push deltas to a streaming aggregation service instead of batch blobs")
-	agg := fs.String("agg", "", "distributed -serve: base URL of an external qlove-agg -serve (empty = in-process service)")
-	intervals := fs.Int("intervals", 8, "distributed -serve: delta pushes per worker")
-	aggStrict := fs.Bool("agg-strict", false, "aggregator: fail unless the striped store reaches the single-map throughput at top concurrency")
-	storm := fs.Bool("storm", false, "multikey: run the hot-key storm variant (per-shard skew, salted vs unsalted routing)")
-	salt := fs.Int("salt", 8, "multikey -storm: RouteSalt sub-streams for the salted run")
-	adaptive := fs.Bool("adaptive", false, "multikey -storm: adaptive variant — no RouteSalt, a moving hot key, the occupancy controller rebalances live")
+	keys := fs.Int("keys", 0, "openloop: key cardinality (0 = scaled default)")
+	skew := fs.Float64("skew", 1.2, "openloop: zipf skew over keys (0 = uniform)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	sla := fs.Duration("sla", 25*time.Millisecond, "openloop: p99 latency SLA gating the ramp")
 	bp := fs.String("bp", "block", "openloop: engine backpressure mode (block | drop)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// bench.Options replaces an out-of-range scale with 1: a typo such as
+	// -scale 10 would start the paper-size suite.
+	if !(*scale > 0 && *scale <= 1) {
+		return fmt.Errorf("-scale %v outside (0, 1]", *scale)
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -133,331 +115,43 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown -bp mode %q (block | drop)", *bp)
 	}
+	all := append(slices.Clone(bench.Order), scenarios...)
 	if *list {
-		for _, name := range bench.Order {
-			fmt.Println(name)
+		for _, name := range all {
+			fmt.Fprintln(w, name)
 		}
-		fmt.Println("multikey")
-		fmt.Println("timedkeys")
-		fmt.Println("distributed")
-		fmt.Println("aggregator")
-		fmt.Println("openloop")
-		fmt.Println("scaling")
-		fmt.Println("resilience")
-		fmt.Println("resize")
 		return nil
-	}
-	if *jsonOut {
-		return runJSON(jsonOptions{
-			Scale: *scale, Seed: *seed, Keys: *keys, Skew: *skew,
-			Workers: *workers, Intervals: *intervals,
-			SLA: *sla, Backpressure: backpressure,
-			AggStrict: *aggStrict,
-		})
 	}
 	names := fs.Args()
 	if len(names) == 0 {
-		names = append(append([]string(nil), bench.Order...), "multikey", "timedkeys", "distributed", "aggregator", "openloop", "resilience", "resize")
+		names = all
 	}
-	opts := bench.Options{W: os.Stdout, Seed: *seed, Scale: *scale, Full: *full}
-	isLocal := map[string]bool{
-		"multikey": true, "timedkeys": true, "distributed": true,
-		"aggregator": true, "openloop": true, "scaling": true,
-		"resilience": true, "resize": true,
-	}
+	opts := bench.Options{W: w, Seed: *seed, Scale: *scale, Full: *full}
 	for _, name := range names {
-		exp, ok := bench.Experiments[name]
-		if !ok && !isLocal[name] {
+		paper, ok := bench.Experiments[name]
+		if !ok && !slices.Contains(scenarios, name) {
 			return fmt.Errorf("unknown experiment %q (use -list)", name)
 		}
 		start := time.Now()
-		fmt.Printf("=== %s ===\n", name)
+		fmt.Fprintf(w, "=== %s ===\n", name)
+		var err error
 		switch name {
-		case "multikey":
-			if *storm {
-				o := defaultStormOptions(*scale, *seed, *keys, *skew)
-				o.Salt = *salt
-				experiment := stormExperiment
-				if *adaptive {
-					experiment = adaptiveStormExperiment
-				}
-				if err := experiment(os.Stdout, o); err != nil {
-					return fmt.Errorf("%s: %w", name, err)
-				}
-			} else if err := multiKeyExperiment(os.Stdout, defaultMultiKeyOptions(*scale, *seed, *keys, *skew)); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-		case "timedkeys":
-			if err := timedKeysExperiment(os.Stdout, defaultTimedKeysOptions(*scale, *seed, *keys, *skew)); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-		case "distributed":
-			o := defaultDistOptions(*scale, *seed, *keys, *workers, *skew)
-			o.Serve, o.AggURL, o.Intervals = *serve, *agg, *intervals
-			if o.Serve {
-				if err := serveDistributedExperiment(os.Stdout, o); err != nil {
-					return fmt.Errorf("%s: %w", name, err)
-				}
-			} else if err := distributedExperiment(os.Stdout, o); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-		case "aggregator":
-			o := defaultAggBenchOptions(*scale, *seed, *keys)
-			o.Strict = *aggStrict
-			if err := aggregatorExperiment(os.Stdout, o); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
 		case "openloop":
 			o := defaultOpenLoopOptions(*scale, *seed, *keys, *skew)
 			o.SLA = *sla
 			o.Backpressure = backpressure
-			if err := openLoopExperiment(os.Stdout, o); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-		case "scaling":
-			if err := scalingExperiment(os.Stdout, defaultMultiKeyOptions(*scale, *seed, *keys, *skew)); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
+			err = openLoopExperiment(w, o)
 		case "resilience":
-			if err := resilienceExperiment(os.Stdout, defaultResilienceOptions(*seed)); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
+			err = resilienceExperiment(w, defaultResilienceOptions(*seed))
 		case "resize":
-			if err := resizeExperiment(os.Stdout, defaultResizeOptions(*seed)); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
+			err = resizeExperiment(w, defaultResizeOptions(*seed))
 		default:
-			if err := exp(opts); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
+			err = paper(opts)
 		}
-		fmt.Printf("--- %s done in %v ---\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-	return nil
-}
-
-// perfRecord is the -json output schema: one ingestion measurement per
-// registered policy on the standard NetMon workload. The schema field is
-// versioned so trajectory tooling can evolve the format; v2 turned the
-// engine section into an object ({runs, scaling}) and added openloop.
-type perfRecord struct {
-	Schema   string       `json:"schema"`
-	Window   int          `json:"window"`
-	Period   int          `json:"period"`
-	Elements int          `json:"elements"`
-	Seed     int64        `json:"seed"`
-	Policies []policyPerf `json:"policies"`
-	// Engine holds the keyed multi-key runs (single shard vs the full
-	// shard sweep top) and the GOMAXPROCS × shards scaling matrix.
-	Engine *engineSection `json:"engine,omitempty"`
-	// OpenLoop holds the open-loop Poisson SLA ramp: max sustainable op
-	// rate under the p99 SLA, with every measured step.
-	OpenLoop *openLoopRun `json:"openloop,omitempty"`
-	// TimedKeys holds the wall-clock-window runs (keys × tick under a
-	// deterministic fake clock), added with the timed-keys PR.
-	TimedKeys []timedKeysRun `json:"timed_keys,omitempty"`
-	// Distributed holds the multi-process aggregation run (worker engines
-	// exporting wire blobs to a central merge), including the codec's
-	// encode/decode MB/s and ns/snapshot, added with the wire PR.
-	Distributed *distRun `json:"distributed,omitempty"`
-	// Storm holds the hot-key storm runs: the static salted-vs-unsalted
-	// baseline and the adaptive variant with its skew-over-time series and
-	// route-event trace, added with the adaptive-routing PR.
-	Storm *stormSection `json:"storm,omitempty"`
-	// Aggregator holds the aggregation-tier sweep (concurrent push ×
-	// query throughput per store backend across goroutine and key counts,
-	// every backend verified bit-identical to the single-map serial
-	// fold), added with the aggregation-tier PR.
-	Aggregator *aggBenchSection `json:"aggregator,omitempty"`
-}
-
-// stormSection groups the perf record's hot-key storm measurements.
-type stormSection struct {
-	// Static is the fixed-head storm at salt 0 (the imbalance) and the
-	// configured RouteSalt (the manual mitigation baseline).
-	Static []stormRun `json:"static"`
-	// Adaptive is the moving-head storm under the occupancy controller.
-	Adaptive *adaptiveStormRun `json:"adaptive,omitempty"`
-}
-
-// engineSection groups the perf record's engine measurements.
-type engineSection struct {
-	// Runs is the serial-pusher shard sweep (the v1 "engine" array).
-	Runs []engineRun `json:"runs"`
-	// Scaling is the GOMAXPROCS × shards matrix with one concurrent
-	// pusher per processor (Mev/s per point, speedup vs the 1×1 cell).
-	Scaling []scalingPoint `json:"scaling"`
-}
-
-type policyPerf struct {
-	Name           string  `json:"name"`
-	ThroughputMevS float64 `json:"throughput_mev_s"`
-	PeakSpace      int     `json:"peak_space"`
-	Evaluations    int     `json:"evaluations"`
-}
-
-// jsonOptions parameterizes runJSON.
-type jsonOptions struct {
-	Scale        float64
-	Seed         int64
-	Keys         int
-	Skew         float64
-	Workers      int
-	Intervals    int
-	SLA          time.Duration
-	Backpressure qlove.Backpressure
-	AggStrict    bool
-}
-
-// runJSON measures every registered policy under the Figure 4 window shape
-// (100K window, 1K period), plus the keyed Engine at one and many shards,
-// the GOMAXPROCS × shards scaling matrix, the open-loop SLA ramp, and the
-// distributed worker/aggregator pipeline — run in SERVE mode, so the
-// record carries the steady-state delta-vs-full export bandwidth — and
-// writes one JSON document to stdout.
-func runJSON(o jsonOptions) error {
-	scale, seed, keys, skew := o.Scale, o.Seed, o.Keys, o.Skew
-	spec := qlove.Window{Size: 100_000, Period: 1000}
-	n := int(2_000_000 * scale)
-	if min := spec.Size + 10*spec.Period; n < min {
-		n = min
-	}
-	n -= n % spec.Period
-	data := workload.Generate(workload.NewNetMon(seed), n)
-	phis := []float64{0.5, 0.9, 0.99, 0.999}
-	rec := perfRecord{
-		Schema:   "qlove-bench/v2",
-		Window:   spec.Size,
-		Period:   spec.Period,
-		Elements: n,
-		Seed:     seed,
-	}
-	reg := qlove.Registry()
-	for _, name := range []string{"qlove", "qlove-fewk", "exact", "cmqs", "am", "random", "moment", "gk"} {
-		p, err := reg.New(name, spec, phis)
-		if err != nil {
-			return err
-		}
-		_, st, err := qlove.Run(p, spec, data)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		rec.Policies = append(rec.Policies, policyPerf{
-			Name:           name,
-			ThroughputMevS: st.ThroughputMevS(),
-			PeakSpace:      st.MaxSpace,
-			Evaluations:    st.Evaluations,
-		})
+		fmt.Fprintf(w, "--- %s done in %v ---\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
-	mko := defaultMultiKeyOptions(scale, seed, keys, skew)
-	seq, err := materializeReports(mko)
-	if err != nil {
-		return err
-	}
-	eng := &engineSection{}
-	for _, shards := range []int{mko.Shards[0], mko.Shards[len(mko.Shards)-1]} {
-		run, err := runEngineScenario(mko, seq, shards)
-		if err != nil {
-			return fmt.Errorf("engine shards=%d: %w", shards, err)
-		}
-		eng.Runs = append(eng.Runs, run)
-	}
-	eng.Scaling, err = runScalingMatrix(mko, seq)
-	if err != nil {
-		return fmt.Errorf("engine scaling: %w", err)
-	}
-	rec.Engine = eng
-	olo := defaultOpenLoopOptions(scale, seed, keys, skew)
-	if o.SLA > 0 {
-		olo.SLA = o.SLA
-	}
-	olo.Backpressure = o.Backpressure
-	openloop, err := runOpenLoop(olo)
-	if err != nil {
-		return fmt.Errorf("openloop: %w", err)
-	}
-	// MaxSustainableRPS 0 (even the first step failed — a noisy or starved
-	// runner) is still a valid record; the ramp's step reasons say why.
-	rec.OpenLoop = &openloop
-	tko := defaultTimedKeysOptions(scale, seed, keys, skew)
-	for _, kc := range tko.Keys {
-		seq, err := materializeTimedReports(tko, kc)
-		if err != nil {
-			return err
-		}
-		for _, tick := range tko.Ticks {
-			run, err := runTimedKeysScenario(tko, seq, kc, tick)
-			if err != nil {
-				return fmt.Errorf("timedkeys keys=%d tick=%v: %w", kc, tick, err)
-			}
-			if !run.HotKeyConsistent {
-				return fmt.Errorf("timedkeys keys=%d tick=%v: hot key diverged from TimedMonitor reference", kc, tick)
-			}
-			rec.TimedKeys = append(rec.TimedKeys, run)
-		}
-	}
-	sto := defaultStormOptions(scale, seed, keys, skew)
-	stormSec := &stormSection{}
-	stormSeq, err := materializeStorm(sto)
-	if err != nil {
-		return fmt.Errorf("storm: %w", err)
-	}
-	stormShards := sto.Shards[len(sto.Shards)-1]
-	for _, salt := range []int{0, sto.Salt} {
-		run, err := runStorm(sto, stormSeq, stormShards, salt)
-		if err != nil {
-			return fmt.Errorf("storm salt=%d: %w", salt, err)
-		}
-		if !run.Consistent {
-			return fmt.Errorf("storm salt=%d: hot-key snapshot diverged from reference", salt)
-		}
-		stormSec.Static = append(stormSec.Static, run)
-	}
-	sched := loadgen.HotSchedule{{Until: 0.5, Key: 0}, {Until: 1, Key: 1}}
-	adaptSeq, heads, err := materializeAdaptiveStorm(sto, sched)
-	if err != nil {
-		return fmt.Errorf("adaptive storm: %w", err)
-	}
-	_, refBlob, err := runStaticReference(sto, adaptSeq, stormShards)
-	if err != nil {
-		return fmt.Errorf("adaptive storm reference: %w", err)
-	}
-	adaptRun, err := runAdaptiveStorm(sto, adaptSeq, sched, heads, stormShards, refBlob)
-	if err != nil {
-		return fmt.Errorf("adaptive storm: %w", err)
-	}
-	if !adaptRun.ExportConsistent || !adaptRun.HotKeysConsistent || !adaptRun.FoldConsistent {
-		return fmt.Errorf("adaptive storm: verification failed (export=%v replay=%v fold=%v)",
-			adaptRun.ExportConsistent, adaptRun.HotKeysConsistent, adaptRun.FoldConsistent)
-	}
-	if adaptRun.ShardSkew > sto.SkewTarget {
-		return fmt.Errorf("adaptive storm: shard skew %.2f exceeds target %.2f", adaptRun.ShardSkew, sto.SkewTarget)
-	}
-	stormSec.Adaptive = &adaptRun
-	rec.Storm = stormSec
-	do := defaultDistOptions(scale, seed, keys, o.Workers, skew)
-	do.Serve, do.Intervals = true, o.Intervals
-	dist, err := runDistributedServe(do)
-	if err != nil {
-		return fmt.Errorf("distributed: %w", err)
-	}
-	if !dist.HotKeyConsistent || !dist.CrossMergeConsistent || !dist.Serve.ServiceConsistent ||
-		!dist.Serve.BackendsConsistent || !dist.Serve.FaninConsistent {
-		return fmt.Errorf("distributed: aggregation diverged from reference")
-	}
-	if dist.Serve.DeltaBytesLast >= dist.Serve.FullBytesLast {
-		return fmt.Errorf("distributed: delta export did not beat full export at steady state (%d >= %d bytes)",
-			dist.Serve.DeltaBytesLast, dist.Serve.FullBytesLast)
-	}
-	rec.Distributed = &dist
-	abo := defaultAggBenchOptions(scale, seed, keys)
-	abo.Strict = o.AggStrict
-	aggSec, err := runAggBench(abo)
-	if err != nil {
-		return fmt.Errorf("aggregator: %w", err)
-	}
-	rec.Aggregator = &aggSec
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rec)
+	return nil
 }

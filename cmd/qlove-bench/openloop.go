@@ -10,6 +10,7 @@ import (
 
 	"repro"
 	"repro/internal/loadgen"
+	"repro/internal/workload"
 )
 
 // The openloop scenario benchmarks the Engine the way production load
@@ -17,10 +18,11 @@ import (
 // operations (push / query / export / evict), stepped up rate by rate
 // until the engine can no longer sustain the offered load under a
 // p99-latency SLA — the quantile system benchmarked by its own quantiles.
-// Unlike the closed-loop multikey sweep (which measures how fast a tight
-// ingest loop spins), this reports a max sustainable rate with explicit
-// overload detection: the offered-vs-accepted divergence and the latency
-// blow-up a queueing system shows when pushed past capacity.
+// Unlike the repo benchmark's closed-loop producers (benchmark/, which
+// measure how fast a tight ingest loop spins), this reports a max
+// sustainable rate with explicit overload detection: the
+// offered-vs-accepted divergence and the latency blow-up a queueing system
+// shows when pushed past capacity.
 
 // openLoopOptions parameterizes one openloop scenario run.
 type openLoopOptions struct {
@@ -73,6 +75,46 @@ func defaultOpenLoopOptions(scale float64, seed int64, keys int, skew float64) o
 	}
 }
 
+// reportSeq is the scenario's deterministic report ring, materialized
+// before the ramp starts so the target times engine operations, not serial
+// workload generation. It opens with an enumeration pass where every key
+// reports once (the heartbeat all series send, so every key is resident
+// from the first lap), followed by skew-distributed traffic reports.
+type reportSeq struct {
+	keys   []string  // one per report
+	vals   []float64 // len(keys) × report values, report i at [i*report, (i+1)*report)
+	report int
+	hot    string // the Zipf head (key 0), the key export ops ship
+}
+
+// materializeReports draws the ring: four reports per key on average.
+func materializeReports(o openLoopOptions) (reportSeq, error) {
+	gen, err := workload.NewKeyed(o.Seed, o.Keys, o.Skew, workload.NewNetMon(o.Seed))
+	if err != nil {
+		return reportSeq{}, err
+	}
+	reports := 4 * o.Keys
+	seq := reportSeq{
+		keys:   make([]string, reports),
+		vals:   make([]float64, reports*o.Report),
+		report: o.Report,
+		hot:    gen.Key(0),
+	}
+	for i := 0; i < reports; i++ {
+		// Three-index slice: Values/NextReport fill to cap(dst), which
+		// must stop at this report's end, not the array's.
+		vs := seq.vals[i*o.Report : i*o.Report : (i+1)*o.Report]
+		if i < o.Keys {
+			seq.keys[i] = gen.Key(i)
+			gen.Values(vs)
+		} else {
+			key, _ := gen.NextReport(vs)
+			seq.keys[i] = key
+		}
+	}
+	return seq, nil
+}
+
 // engineTarget adapts an Engine to loadgen.Target over a pre-materialized
 // report ring (generation off the measured path). All state is atomics —
 // Do runs on many goroutines.
@@ -116,46 +158,34 @@ func (t *engineTarget) Do(op loadgen.Op) error {
 	return fmt.Errorf("openloop: unknown op %v", op)
 }
 
-// openLoopStep is one measured ramp step, emitted into the perf record.
+// openLoopStep is one measured ramp step.
 type openLoopStep struct {
-	OfferedRPS  float64 `json:"offered_rps"`
-	AcceptedRPS float64 `json:"accepted_rps"`
-	Offered     int     `json:"offered"`
-	Completed   int     `json:"completed"`
-	Errors      int     `json:"errors"`
-	Abandoned   int     `json:"abandoned"`
-	P50Ms       float64 `json:"p50_ms"`
-	P99Ms       float64 `json:"p99_ms"`
-	Sustainable bool    `json:"sustainable"`
-	Reason      string  `json:"reason,omitempty"`
+	OfferedRPS  float64
+	AcceptedRPS float64
+	Errors      int
+	Abandoned   int
+	P50Ms       float64
+	P99Ms       float64
+	Sustainable bool
+	Reason      string
 }
 
-// openLoopRun is the scenario result (the perf record's "openloop"
-// section).
+// openLoopRun is the scenario result.
 type openLoopRun struct {
-	Shards             int            `json:"shards"`
-	Keys               int            `json:"keys"`
-	ReportSize         int            `json:"report_size"`
-	Backpressure       string         `json:"backpressure"`
-	Mix                string         `json:"mix"`
-	SLAP99Ms           float64        `json:"sla_p99_ms"`
-	Steps              []openLoopStep `json:"steps"`
-	MaxSustainableRPS  float64        `json:"max_sustainable_rps"`
-	MaxSustainableMevS float64        `json:"max_sustainable_mev_s"` // push share × report size
-	Evaluations        uint64         `json:"evaluations"`
-	DroppedResults     uint64         `json:"dropped_results"`
-	BlockedMs          float64        `json:"blocked_ms"`
-	QueueHighWater     int            `json:"queue_high_water"`
-	ShardSkew          float64        `json:"shard_skew"`
+	Steps              []openLoopStep
+	MaxSustainableRPS  float64
+	MaxSustainableMevS float64 // push share × report size
+	Evaluations        uint64
+	DroppedResults     uint64
+	BlockedMs          float64
+	QueueHighWater     int
+	ShardSkew          float64
 }
 
 // runOpenLoop builds an engine, ramps the open-loop load against it and
 // folds the engine's own stats plane into the result.
 func runOpenLoop(o openLoopOptions) (openLoopRun, error) {
-	seq, err := materializeReports(multiKeyOptions{
-		Spec: o.Spec, Phis: o.Phis, Keys: o.Keys, Skew: o.Skew,
-		Report: o.Report, Elements: o.Keys * o.Report * 4, Seed: o.Seed,
-	})
+	seq, err := materializeReports(o)
 	if err != nil {
 		return openLoopRun{}, err
 	}
@@ -197,12 +227,6 @@ func runOpenLoop(o openLoopOptions) (openLoopRun, error) {
 	<-drained
 	st := eng.Stats().Total()
 	run := openLoopRun{
-		Shards:             o.Shards,
-		Keys:               o.Keys,
-		ReportSize:         o.Report,
-		Backpressure:       o.Backpressure.String(),
-		Mix:                o.Mix.String(),
-		SLAP99Ms:           float64(o.SLA) / 1e6,
 		MaxSustainableRPS:  ramp.MaxSustainable,
 		MaxSustainableMevS: ramp.MaxSustainable * float64(o.Mix.Push) / 100 * float64(o.Report) / 1e6,
 		Evaluations:        evals.Load(),
@@ -215,8 +239,6 @@ func runOpenLoop(o openLoopOptions) (openLoopRun, error) {
 		run.Steps = append(run.Steps, openLoopStep{
 			OfferedRPS:  s.Rate,
 			AcceptedRPS: s.CompletedRate,
-			Offered:     s.Offered,
-			Completed:   s.Completed,
 			Errors:      s.Errors,
 			Abandoned:   s.Abandoned,
 			P50Ms:       float64(s.P50) / 1e6,

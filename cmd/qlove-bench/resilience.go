@@ -4,14 +4,13 @@ package main
 // paths end to end, with real processes and real sockets:
 //
 //   - Crash restart: a DISK-BACKED aggregation service child (this binary
-//     re-exec'd, like the distributed workers) takes delta-chain pushes
-//     from live worker engines, is SIGKILLed mid-chain, and restarts on
-//     the same state directory. The recovered /snapshot must be
-//     bit-identical to the pre-crash one, and — because the store
-//     persists each worker's export cursor — the workers' NEXT deltas
-//     must fold without re-bootstrapping, landing the restarted service
-//     bit-identical to an uninterrupted reference service fed the same
-//     blobs.
+//     re-exec'd) takes delta-chain pushes from live worker engines, is
+//     SIGKILLed mid-chain, and restarts on the same state directory. The
+//     recovered /snapshot must be bit-identical to the pre-crash one, and
+//     — because the store persists each worker's export cursor — the
+//     workers' NEXT deltas must fold without re-bootstrapping, landing the
+//     restarted service bit-identical to an uninterrupted reference
+//     service fed the same blobs.
 //   - Degraded fan-in: two replica servers behind the HTTP fan-in
 //     router; one replica dies mid-serve. The router must keep answering
 //     the live partition, report the dead replica in /healthz and the
@@ -44,8 +43,7 @@ import (
 )
 
 // aggServeCmd is the hidden argv[1] the parent uses to re-exec itself as
-// the aggregation-service child of the restart phase (the same trick as
-// workerCmd for the distributed workers).
+// the aggregation-service child of the restart phase.
 const aggServeCmd = "__agg-server"
 
 // aggServeChild is the re-exec'd service process: an aggsrv server over a
@@ -128,6 +126,27 @@ func startAggChild(store, dir string) (*aggChild, error) {
 		return nil, err
 	}
 	return &aggChild{cmd: cmd, base: base}, nil
+}
+
+// waitHealthy polls /healthz until the child answers (it announces its
+// address before http.Serve is accepting).
+func waitHealthy(base string, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	client := &http.Client{Timeout: 2 * time.Second}
+	for {
+		resp, err := client.Get(base + "/healthz")
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return nil
+			}
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("aggregation service at %s not healthy after %v: %v", base, timeout, err)
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
 }
 
 // kill SIGKILLs the child — no shutdown hooks, no final fsync beyond what

@@ -23,19 +23,15 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestResilienceScenario runs the full scenario — the SIGKILL restart
-// phase against real re-exec'd service children AND the degraded fan-in
-// phase — exactly as `qlove-bench resilience` does.
-func TestResilienceScenario(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns service subprocesses; skipped in -short")
-	}
-	var out bytes.Buffer
-	if err := resilienceExperiment(&out, defaultResilienceOptions(1)); err != nil {
-		t.Fatalf("resilience scenario: %v\n%s", err, out.Bytes())
-	}
+// requireVerdicts fails unless a scenario run succeeded, printed every
+// wanted phrase and reported no failing verdict.
+func requireVerdicts(t *testing.T, err error, out *bytes.Buffer, wants ...string) {
+	t.Helper()
 	text := out.String()
-	for _, want := range []string{"bit-identical", "probe reinstatement"} {
+	if err != nil {
+		t.Fatalf("scenario: %v\n%s", err, text)
+	}
+	for _, want := range wants {
 		if !strings.Contains(text, want) {
 			t.Fatalf("scenario output missing %q:\n%s", want, text)
 		}
@@ -44,4 +40,25 @@ func TestResilienceScenario(t *testing.T) {
 		t.Fatalf("scenario reported a failing verdict:\n%s", text)
 	}
 	t.Logf("\n%s", text)
+}
+
+// TestResilienceScenario runs the full scenario — the SIGKILL restart
+// phase against real re-exec'd service children AND the degraded fan-in
+// phase — exactly as `qlove-bench resilience` does.
+func TestResilienceScenario(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns service subprocesses; skipped in -short")
+	}
+	var out bytes.Buffer
+	err := resilienceExperiment(&out, defaultResilienceOptions(1))
+	requireVerdicts(t, err, &out, "bit-identical", "probe reinstatement")
+}
+
+// TestResizeScenario runs the replication gate — quorum push with a
+// replica down, empty-revival resync, live /slots/move growth — exactly as
+// `qlove-bench resize` does (in-process replicas on loopback sockets).
+func TestResizeScenario(t *testing.T) {
+	var out bytes.Buffer
+	err := resizeExperiment(&out, defaultResizeOptions(1))
+	requireVerdicts(t, err, &out, "bit-identical")
 }

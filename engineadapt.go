@@ -30,8 +30,7 @@ import (
 //
 // The zero value of every threshold selects a sane default; a zero
 // Interval disables the background controller, leaving rebalancing to
-// explicit Engine.Rebalance calls (how deterministic tests and the bench
-// drive it).
+// explicit Engine.Rebalance calls (how the deterministic tests drive it).
 type AdaptConfig struct {
 	// Interval is the background controller cadence. 0 = no background
 	// goroutine; call Engine.Rebalance explicitly.
@@ -104,7 +103,8 @@ func (c AdaptConfig) withDefaults() (AdaptConfig, error) {
 }
 
 // AdaptSample is one controller pass's observation, recorded whether or
-// not the pass acted — the skew-over-time series the bench ships.
+// not the pass acted — the skew-over-time series the repo benchmark
+// reports as engine.interval_skew_max.
 type AdaptSample struct {
 	// At is the engine clock at the pass.
 	At time.Time
@@ -219,9 +219,8 @@ func (e *Engine) AdaptSamples() []AdaptSample {
 // and migrate residual cold keys off still-hot shards. Returns the
 // routing actions taken, in order. Safe to call concurrently with pushes
 // and with the background loop (passes serialize); a no-op returning nil
-// on non-adaptive or closed engines. Deterministic drivers (tests, the
-// bench's -adaptive storm) quiesce ingestion, then call Rebalance at
-// their own cadence.
+// on non-adaptive or closed engines. Deterministic drivers (the tests)
+// quiesce ingestion, then call Rebalance at their own cadence.
 func (e *Engine) Rebalance() []RouteEvent {
 	a := e.adapt
 	if a == nil {

@@ -328,8 +328,9 @@ func (k RouteEventKind) String() string {
 }
 
 // RouteEvent records one routing action the adaptive controller (or a
-// direct caller) took — the audit trail the bench's -adaptive mode ships
-// in its JSON record and replays against reference monitors.
+// direct caller) took — the audit trail: the repo benchmark's
+// engine-hotkey workload reads it to tell escalated keys (held to the
+// value-error bound) from the rest (held bit-identical to a static engine).
 type RouteEvent struct {
 	// Seq orders events across the engine's lifetime (1-based).
 	Seq uint64

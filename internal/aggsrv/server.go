@@ -2,8 +2,8 @@
 // service: a thin, stdlib-only layer over qlove.Aggregator that accepts
 // worker push streams (full blobs for bootstrap, delta blobs thereafter)
 // and serves the merged cross-worker view. cmd/qlove-agg mounts it in
-// -serve mode; qlove-bench's distributed -serve scenario drives it from
-// real worker processes.
+// -serve mode; the repo benchmark's pipeline-delta workload drives it
+// from live worker engines.
 //
 // Endpoints:
 //
@@ -29,8 +29,9 @@
 //
 // All responses are JSON. Estimates are float64s encoded by encoding/json
 // with Go's shortest round-trippable formatting, so a client parsing them
-// back gets bit-identical values — the bench's bit-for-bit verification
-// leans on this.
+// back gets bit-identical values — the bit-for-bit verifications over
+// HTTP (the resilience and resize scripts, the benchmark's gates) lean on
+// this.
 //
 // A Server fronts one *qlove.Aggregator on any store backend. Scale-out
 // and replication are NewFanin's: an HTTP router over N such servers.

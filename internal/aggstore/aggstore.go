@@ -1,7 +1,7 @@
 // Package aggstore is the aggregator's pluggable state plane: resident
 // per-(worker, internal key name) folded captures behind a small Store
 // interface, so the fold logic in qlove.Aggregator is independent of how
-// the state is laid out and locked. Three implementations ship:
+// the state is laid out and locked. Four implementations ship:
 //
 //   - Map: the original layout — every worker's state in one map behind a
 //     single RWMutex. Simple, fully serialized; the conformance reference.
@@ -11,6 +11,9 @@
 //     stripe lock.
 //   - Instrumented: a wrapper over either recording per-op counts and
 //     cumulative latency, surfaced by the service's /metrics endpoint.
+//   - Disk: a Map whose every mutation is first appended to an on-disk
+//     write-ahead log with snapshot compaction, so a restarted aggregator
+//     resumes its workers' delta chains (see disk.go).
 //
 // A State is IMMUTABLE once handed to Put/ReplaceGroup/BootstrapSub: the
 // aggregator folds copy-on-write (a delta builds a fresh State rather

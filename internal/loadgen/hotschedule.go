@@ -17,7 +17,8 @@ type HotPhase struct {
 // move the hot key as a run progresses. Static skew benchmarks let a
 // router learn one hot key and stop; a moving head forces an adaptive
 // router to keep re-learning — escalate the new head, cool the old one —
-// which is exactly what the bench's adaptive storm measures.
+// which is exactly what the repo benchmark's engine-hotkey workload
+// measures.
 type HotSchedule []HotPhase
 
 // Validate checks the schedule: at least one phase, strictly ascending
