@@ -13,10 +13,12 @@ package qlove
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
@@ -261,6 +263,48 @@ func BenchmarkObserveQLOVE(b *testing.B) { benchIngest(b, false) }
 
 // BenchmarkObserveBatchQLOVE: batched ingestion — the production path.
 func BenchmarkObserveBatchQLOVE(b *testing.B) { benchIngest(b, true) }
+
+// BenchmarkObserveKeyed: the operator as a shard runs it — 20 000 keyed
+// operators minted by one core.Pool, each behind a stream.Pusher, fed
+// period-sized reports in Zipf(1.1) key order (most keys cold, a few hot),
+// so a report finds its key's state out of the CPU cache. ns/value is the
+// per-value cost of that, seal and evaluation included; the single-stream
+// benchmarks above cannot see it. Set-up (minting, one warm-up report per
+// key) is outside the timer.
+func BenchmarkObserveKeyed(b *testing.B) {
+	const keys = 20_000
+	for _, spec := range []Window{{Size: 512, Period: 128}, {Size: 64, Period: 16}} {
+		b.Run(fmt.Sprintf("%d-%d", spec.Size, spec.Period), func(b *testing.B) {
+			pool, err := core.NewPool(Config{Spec: spec, Phis: []float64{0.5, 0.9, 0.99, 0.999}, FewK: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			data := fig4Data(b, 1<<16)
+			report := func(i int) []float64 {
+				off := (i * spec.Period) % (len(data) - spec.Period)
+				return data[off : off+spec.Period]
+			}
+			pushers := make([]*stream.Pusher, keys)
+			for i := range pushers {
+				if pushers[i], err = stream.NewPusher(pool.Get(), spec); err != nil {
+					b.Fatal(err)
+				}
+				pushers[i].PushBatch(report(i), nil)
+			}
+			zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, keys-1)
+			order := make([]int32, 1<<16)
+			for i := range order {
+				order[i] = int32(zipf.Uint64())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pushers[order[i%len(order)]].PushBatch(report(i), nil)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*spec.Period), "ns/value")
+		})
+	}
+}
 
 // --- Ablations (DESIGN.md): design choices behind QLOVE ---
 

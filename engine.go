@@ -54,7 +54,9 @@ import (
 //     captures that are safe to read, retain and Merge from any goroutine.
 //
 // Engines built from a Config (the default) mint QLOVE operators from a
-// per-shard core.Pool, so evicted keys recycle their arena-backed trees
+// per-shard core.Pool, which also lends them the Level-1 tree of the
+// sub-window they are filling: a resident key costs its summaries, a
+// shard's keys share a few arena-backed trees, and evicted keys recycle
 // instead of feeding the garbage collector. Engines built from a custom
 // Factory monitor any Policy; Snapshot/Query then cover the keys whose
 // policies implement Snapshotter.
@@ -315,6 +317,13 @@ type keyEntry struct {
 	// delta scans, timed flushes) skips parking entries.
 	parking bool
 	park    []*[]float64
+}
+
+// pooled returns the entry's operator when it is a QLOVE operator (always,
+// on the Config path), nil otherwise.
+func (ent *keyEntry) pooled() *core.Policy {
+	cp, _ := ent.policy().(*core.Policy)
+	return cp
 }
 
 // policy returns the operator behind whichever pusher variant the entry
@@ -1274,7 +1283,8 @@ func (e *Engine) Tick() {
 }
 
 // Evict retires a key, returning whether it existed. The key's operator
-// goes back to the shard's pool (arena and all) for the next new key.
+// (and the workbench of its unsealed sub-window) goes back to the shard's
+// pool for the next new key.
 // Under salted routing (engine-wide or adaptive) every resident stream of
 // the key — base residue and sub-streams — is retired; any route override
 // stays, so a later push re-creates the key under its current routing.
@@ -1483,6 +1493,18 @@ func (s *engineShard) handle(msg engineMsg) {
 	if s.tick > 0 && !now.Before(s.nextTickAt) {
 		s.timedFlush(now, true)
 	}
+	s.noteBenches()
+}
+
+// noteBenches publishes the pool's workbench gauges. Loans change hands
+// inside deliveries and timed flushes (borrow, seal), evictions (Reset) and
+// migrations, and every one of those runs through handle, timedFlush or
+// evict — each ends here.
+func (s *engineShard) noteBenches() {
+	if s.pool != nil {
+		setGauge(&s.counters.inFlight, s.pool.Lent())
+		setGauge(&s.counters.idleBenches, s.pool.IdleWorkbenches())
+	}
 }
 
 // noteMutation folds one key's operator-state change into the shard's
@@ -1578,6 +1600,7 @@ func (s *engineShard) timedFlush(now time.Time, deliver bool) {
 		s.noteMutation(ent)
 	}
 	s.nextTickAt = now.Add(s.tick)
+	s.noteBenches()
 }
 
 // sweepInterval spaces TTL sweeps: half the TTL, so an idle key is
@@ -1729,6 +1752,9 @@ func (s *engineShard) control(ctl *engineCtl) {
 	case ctlHandoff:
 		if ent := s.keys[ctl.key]; ent != nil && !ent.parking {
 			s.depart(ent)
+			if s.pool != nil {
+				s.pool.Disown(ent.pooled())
+			}
 			ctl.resp <- engineCtlResp{ent: ent, ok: true}
 			return
 		}
@@ -1758,6 +1784,11 @@ func (s *engineShard) install(name string, ent *keyEntry) {
 	}
 	if ent != nil {
 		ent.parking, ent.park = false, nil
+		if s.pool != nil {
+			// The operator borrows from and returns to a pool as it runs, and
+			// the source shard's pool is the source goroutine's to touch.
+			s.pool.Adopt(ent.pooled())
+		}
 		ent.emit = s.makeEmit(logicalKey(name))
 		ent.lastSeen = s.clock
 		if s.wallTTL > 0 {
@@ -1884,9 +1915,8 @@ func (s *engineShard) evict(key string) bool {
 	}
 	s.depart(ent)
 	if s.pool != nil {
-		if cp, ok := ent.policy().(*core.Policy); ok {
-			s.pool.Put(cp)
-		}
+		s.pool.Put(ent.pooled())
+		s.noteBenches()
 	}
 	return true
 }

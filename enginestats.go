@@ -53,6 +53,8 @@ type shardCounters struct {
 	blockedNanos   atomic.Uint64 // producer + delivery time spent blocked on full queues
 	queueHighWater atomic.Int64  // deepest observed shard-queue backlog, in batches
 	resident       atomic.Int64  // keys (salted sub-streams) currently resident
+	inFlight       atomic.Int64  // Level-1 workbenches out with this shard's keys
+	idleBenches    atomic.Int64  // workbenches shelved in the shard's pool
 
 	// Delta-export side (ExportDelta), updated by the shard goroutine except
 	// exportTombstones, which the exporting goroutine adds at encode time.
@@ -73,6 +75,14 @@ func (c *shardCounters) noteDepth(n int) {
 	}
 }
 
+// setGauge publishes v, skipping the store (and the cache-line traffic with
+// polling readers) when the gauge already reads v.
+func setGauge(g *atomic.Int64, v int) {
+	if g.Load() != int64(v) {
+		g.Store(int64(v))
+	}
+}
+
 // snapshot copies the counters into an exported view.
 func (c *shardCounters) snapshot() ShardStats {
 	return ShardStats{
@@ -84,6 +94,8 @@ func (c *shardCounters) snapshot() ShardStats {
 		Blocked:          time.Duration(c.blockedNanos.Load()),
 		QueueHighWater:   int(c.queueHighWater.Load()),
 		ResidentKeys:     int(c.resident.Load()),
+		InFlightKeys:     int(c.inFlight.Load()),
+		IdleWorkbenches:  int(c.idleBenches.Load()),
 
 		Exports:           c.exports.Load(),
 		ExportKeysVisited: c.exportKeysVisited.Load(),
@@ -126,6 +138,18 @@ type ShardStats struct {
 	// ResidentKeys is the number of keys currently resident on the shard
 	// (salted sub-streams count individually; see EngineConfig.RouteSalt).
 	ResidentKeys int
+	// InFlightKeys is how many of those keys hold a Level-1 workbench (tree
+	// arena, insert cache, seal scratch — 11 KB at period 128) because
+	// their current sub-window has values in it. A key whose last report
+	// ended on a period boundary, or that has been idle since a timed
+	// period closed, holds none and costs only its summaries; traffic made
+	// of such reports keeps this near zero, while reports that straddle
+	// periods push it toward ResidentKeys. Zero for Factory-built engines.
+	InFlightKeys int
+	// IdleWorkbenches is how many workbenches the shard's pool keeps, at
+	// capacity, for the next borrower (at most 64; the rest of a burst is
+	// left to the garbage collector).
+	IdleWorkbenches int
 
 	// Exports counts the delta captures the shard answered: one per
 	// ExportDelta call, plus one when a cursor too old for the shard's
@@ -172,6 +196,8 @@ func (st EngineStats) Total() ShardStats {
 			t.QueueHighWater = s.QueueHighWater
 		}
 		t.ResidentKeys += s.ResidentKeys
+		t.InFlightKeys += s.InFlightKeys
+		t.IdleWorkbenches += s.IdleWorkbenches
 		t.Exports += s.Exports
 		t.ExportKeysVisited += s.ExportKeysVisited
 		t.ExportFrames += s.ExportFrames

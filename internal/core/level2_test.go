@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core/fewk"
+	"repro/internal/rbtree"
 )
 
 func mkSummary(qs ...float64) Summary {
@@ -172,7 +173,7 @@ func TestQuickLevel2MeanInvariant(t *testing.T) {
 }
 
 func TestBuilderSealProducesSortedTails(t *testing.T) {
-	b := newBuilder(0)
+	b := newBuilder(rbtree.New(), 0)
 	for _, v := range []float64{5, 100, 3, 99, 42, 7, 88, 1, 64, 2} {
 		b.add(v)
 	}
@@ -191,14 +192,14 @@ func TestBuilderSealProducesSortedTails(t *testing.T) {
 	if len(s.Samples[0]) == 0 {
 		t.Fatal("no samples captured")
 	}
-	// Builder is reset after seal.
-	if b.len() != 0 {
+	// The operator empties the builder after a seal.
+	if b.reset(s.Count); b.len() != 0 {
 		t.Fatal("builder not reset")
 	}
 }
 
 func TestBuilderDensityAtSmallN(t *testing.T) {
-	b := newBuilder(0)
+	b := newBuilder(rbtree.New(), 0)
 	b.add(1)
 	b.add(2)
 	s := b.seal([]float64{0.5}, nil, nil, 100)

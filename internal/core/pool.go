@@ -1,17 +1,31 @@
 package core
 
-// Pool recycles QLOVE operators that share one configuration. A monitoring
-// engine serving a high-cardinality key space churns operators constantly
-// — keys appear, go idle, get evicted — and a fresh operator's dominant
-// cost is growing its Level-1 tree arena and scratch buffers back to
-// working-set size. The pool keeps retired operators (arenas and all) and
-// hands them back Reset, so key churn costs map traffic instead of
-// allocator traffic.
+import "repro/internal/rbtree"
+
+// Pool mints and recycles QLOVE operators that share one configuration,
+// and lends them their Level-1 workbench. A monitoring engine serving a
+// high-cardinality key space holds one operator per key, but the costly
+// part of an operator — the compressed tree's arena, its insert cache and
+// the seal scratch — is in use only while a sub-window is being filled and
+// is empty again at every seal (§3.1: a stream costs its sub-window
+// summaries plus ONE transient tree). So the pool owns that part: an
+// operator borrows a workbench at the first value of a sub-window and
+// hands it back when EndPeriod seals it. Keys whose reports end on period
+// boundaries, or that sit idle in a timed period, then share a few
+// cache-hot workbenches instead of each pinning a cold one, and a resident
+// key costs its summaries. A key that IS mid-period keeps its workbench
+// until the period completes; the workbench's insert cache is sized to the
+// period (rbtree.NewSized) to keep that case small too.
+//
+// Retired operators (Put) are kept too, Reset and without a workbench, so
+// key churn costs map traffic instead of allocator traffic.
 //
 // A Pool is NOT safe for concurrent use: it is designed to be owned by a
 // single shard goroutine (one pool per shard), which is also the only
-// goroutine allowed to touch the policies it recycles. Use one Pool per
-// owner, not one shared Pool behind a lock.
+// goroutine allowed to touch the operators homed on it — an operator calls
+// into its pool from Observe, EndPeriod and Reset. An operator handed to
+// another owner must change pools with it (Disown, then the new owner's
+// Adopt). Use one Pool per owner, not one shared Pool behind a lock.
 type Pool struct {
 	// mint is the configuration AS GIVEN by the caller — minting must go
 	// through New with the original config, because config resolution is
@@ -22,6 +36,10 @@ type Pool struct {
 	// Put compares against it.
 	cfg  Config
 	free []*Policy
+	// benches holds the idle workbenches, cleared, most recently used
+	// last; lent counts the ones out with operators homed here.
+	benches []*builder
+	lent    int
 }
 
 // NewPool returns a pool minting operators with cfg. The configuration is
@@ -32,7 +50,10 @@ func NewPool(cfg Config) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pool{mint: cfg, cfg: p.cfg, free: []*Policy{p}}, nil
+	pl := &Pool{mint: cfg, cfg: p.cfg}
+	p.lender = pl
+	pl.free = []*Policy{p}
+	return pl, nil
 }
 
 // Config returns the pool's resolved configuration.
@@ -53,21 +74,29 @@ func (pl *Pool) Get() *Policy {
 		// fail.
 		panic("qlove: pool config invalidated: " + err.Error())
 	}
+	p.lender = pl
 	return p
 }
 
-// maxIdle bounds the free list: a churn burst (a million transient keys
-// evicted) must not pin a million arenas forever. Operators beyond the
-// cap are dropped to the garbage collector.
+// maxIdle bounds the free list and the idle-workbench list: a churn burst
+// (a million transient keys evicted) or a burst of keys that were all
+// mid-period at once must not pin a million arenas forever. Operators and
+// workbenches beyond the cap are dropped to the garbage collector.
 const maxIdle = 64
 
-// Put resets p and shelves it for reuse. Operators built with a different
-// configuration are dropped (their estimates under this pool's config
-// would be silently wrong), as are operators beyond the maxIdle cap; nil
-// is ignored.
+// Put resets p and shelves it for reuse, re-homing it here first if it was
+// minted elsewhere. Operators built with a different configuration are
+// dropped (their estimates under this pool's config would be silently
+// wrong), as are operators beyond the maxIdle cap; nil is ignored.
 func (pl *Pool) Put(p *Policy) {
 	if p == nil || len(pl.free) >= maxIdle || !fullConfigEqual(p.cfg, pl.cfg) {
 		return
+	}
+	if p.lender != pl {
+		// A workbench it arrived with was built for, or is accounted by,
+		// someone else, and Reset discards the contents anyway.
+		p.builder = nil
+		pl.Adopt(p)
 	}
 	p.Reset()
 	pl.free = append(pl.free, p)
@@ -75,6 +104,72 @@ func (pl *Pool) Put(p *Policy) {
 
 // Idle returns how many recycled operators the pool currently holds.
 func (pl *Pool) Idle() int { return len(pl.free) }
+
+// Disown is the leaving half of handing an operator homed here to another
+// owner: the operator keeps the workbench of its in-flight sub-window (the
+// pool writes the loan off) and is stand-alone until the new owner's pool
+// Adopts it. nil and operators homed elsewhere are ignored.
+func (pl *Pool) Disown(p *Policy) {
+	if p == nil || p.lender != pl {
+		return
+	}
+	if p.builder != nil {
+		pl.lent--
+	}
+	p.lender = nil
+}
+
+// Adopt homes an operator on this pool: from now on it borrows from and
+// returns to pl, starting with the workbench it arrived with. The pool it
+// came from belongs to another owner and is NOT touched — Adopt alone makes
+// the operator safe to run under pl's owner; the previous owner's Disown
+// only keeps that pool's Lent count right. An operator of a different
+// configuration cannot be lent this pool's workbenches and is left
+// stand-alone; nil is ignored.
+func (pl *Pool) Adopt(p *Policy) {
+	if p == nil || p.lender == pl {
+		return
+	}
+	p.lender = nil
+	if !fullConfigEqual(p.cfg, pl.cfg) {
+		return
+	}
+	if p.builder != nil {
+		pl.lent++
+	}
+	p.lender = pl
+}
+
+// Lent returns how many workbenches are out with operators homed here —
+// the operators whose in-flight sub-window is not empty.
+func (pl *Pool) Lent() int { return pl.lent }
+
+// IdleWorkbenches returns how many workbenches sit in the pool, at
+// capacity, waiting for a borrower.
+func (pl *Pool) IdleWorkbenches() int { return len(pl.benches) }
+
+// lend hands out a workbench: the most recently returned one (still in the
+// CPU cache when a shard works through keys one report at a time), or a
+// new one whose tree knows it is cleared every period.
+func (pl *Pool) lend() *builder {
+	pl.lent++
+	if n := len(pl.benches); n > 0 {
+		b := pl.benches[n-1]
+		pl.benches[n-1] = nil
+		pl.benches = pl.benches[:n-1]
+		return b
+	}
+	return newBuilder(rbtree.NewSized(pl.cfg.Spec.Period), pl.cfg.Digits)
+}
+
+// takeBack clears a returned workbench and shelves it, up to maxIdle.
+func (pl *Pool) takeBack(b *builder) {
+	pl.lent--
+	if len(pl.benches) < maxIdle {
+		b.clear()
+		pl.benches = append(pl.benches, b)
+	}
+}
 
 // ConfigEqual reports whether two resolved configurations are identical in
 // every field — the equality Snapshot.Merge requires and delta folding

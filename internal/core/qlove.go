@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core/fewk"
 	"repro/internal/exact"
+	"repro/internal/rbtree"
 	"repro/internal/stats"
 	"repro/internal/window"
 )
@@ -83,8 +84,14 @@ func (c Config) withDefaults() Config {
 // Policy is the QLOVE sliding-window multi-quantile operator. It
 // implements the stream.Policy contract.
 type Policy struct {
-	cfg     Config
+	cfg Config
+	// builder is the Level-1 workbench of the sub-window in flight. An
+	// operator minted by a Pool (lender != nil) holds one only from the
+	// first value of a sub-window until EndPeriod seals it, then hands it
+	// back to the pool; a stand-alone operator builds its own at the first
+	// value and keeps it for life.
 	builder *builder
+	lender  *Pool
 	agg     *level2
 
 	// managed[i] is the index into cfg.Phis of the i-th few-k-managed
@@ -134,9 +141,8 @@ func New(cfg Config) (*Policy, error) {
 	}
 	cfg.Phis = append([]float64(nil), cfg.Phis...)
 	p := &Policy{
-		cfg:     cfg,
-		builder: newBuilder(cfg.Digits),
-		agg:     newLevel2(len(cfg.Phis)),
+		cfg: cfg,
+		agg: newLevel2(len(cfg.Phis)),
 	}
 	if cfg.FewK {
 		p.managed = managedIndexes(cfg)
@@ -182,14 +188,19 @@ func managedIndexes(cfg Config) []int {
 
 // Reset returns the operator to its as-constructed state while keeping
 // every internal buffer — the Level-1 tree arena, quantization scratch and
-// Level-2 summary slots — at capacity, so a recycled operator ingests its
-// first sub-window with zero heap allocations. It is the enabler for
-// operator pooling: an engine monitoring (and evicting) millions of keys
-// hands retired operators back to a Pool instead of rebuilding arenas from
-// scratch. After Reset the operator is observationally indistinguishable
-// from a freshly constructed one with the same Config.
+// Level-2 summary slots — at capacity (a pooled operator's workbench goes
+// back to its pool, at capacity, for the next borrower), so a recycled
+// operator ingests its first sub-window with zero heap allocations. It is
+// the enabler for operator pooling: an engine monitoring (and evicting)
+// millions of keys hands retired operators back to a Pool instead of
+// rebuilding arenas from scratch. After Reset the operator is
+// observationally indistinguishable from a freshly constructed one with
+// the same Config.
 func (p *Policy) Reset() {
-	p.builder.clear()
+	p.returnBench()
+	if p.builder != nil { // a stand-alone operator's own
+		p.builder.clear()
+	}
 	p.agg.reset()
 	p.prev = nil
 	for i := range p.burstActive {
@@ -217,10 +228,44 @@ func (p *Policy) Config() Config { return p.cfg }
 // sub-window seals into a summary handed to Level 2 — a tumbling window
 // inside the sliding window, so raw values never need deaccumulation.
 func (p *Policy) Observe(v float64) {
-	p.builder.add(v)
-	if p.builder.len() == p.cfg.Spec.Period {
-		p.EndPeriod()
+	b := p.bench()
+	b.add(v)
+	if n := b.len(); n == p.cfg.Spec.Period || n == 0 {
+		p.EndPeriod() // seal a full sub-window; release a still-empty workbench
 	}
+}
+
+// bench returns the workbench of the in-flight sub-window, obtaining one
+// at the sub-window's first value: on loan from the pool that minted the
+// operator, else a private one with the default-sized insert cache (a
+// stand-alone operator retains nodes across periods, see builder.reset).
+func (p *Policy) bench() *builder {
+	if p.builder == nil {
+		if p.lender != nil {
+			p.builder = p.lender.lend()
+		} else {
+			p.builder = newBuilder(rbtree.New(), p.cfg.Digits)
+		}
+	}
+	return p.builder
+}
+
+// returnBench hands a pooled operator's workbench (if it holds one) back
+// to its pool, discarding whatever the sub-window in flight contained. A
+// stand-alone operator keeps its builder.
+func (p *Policy) returnBench() {
+	if p.lender != nil && p.builder != nil {
+		p.lender.takeBack(p.builder)
+		p.builder = nil
+	}
+}
+
+// inFlight returns the number of elements in the unsealed sub-window.
+func (p *Policy) inFlight() int {
+	if p.builder == nil {
+		return 0
+	}
+	return p.builder.len()
 }
 
 // ObserveBatch implements stream.Policy: the native batch ingestion path.
@@ -234,12 +279,13 @@ func (p *Policy) Observe(v float64) {
 func (p *Policy) ObserveBatch(vs []float64) {
 	for len(vs) > 0 {
 		chunk := vs
-		if room := p.cfg.Spec.Period - p.builder.len(); len(chunk) > room {
+		if room := p.cfg.Spec.Period - p.inFlight(); len(chunk) > room {
 			chunk = chunk[:room]
 		}
-		p.builder.addBatch(chunk)
-		if p.builder.len() == p.cfg.Spec.Period {
-			p.EndPeriod()
+		b := p.bench()
+		b.addBatch(chunk)
+		if n := b.len(); n == p.cfg.Spec.Period || n == 0 {
+			p.EndPeriod() // seal a full sub-window; release a still-empty workbench
 		}
 		vs = vs[len(chunk):]
 	}
@@ -258,10 +304,17 @@ func (p *Policy) Expire([]float64) { p.agg.deaccumulate() }
 // variable m). An empty sub-window is skipped entirely — its quantiles
 // are undefined and it carries no information.
 func (p *Policy) EndPeriod() {
-	if p.builder.len() == 0 {
+	n := p.inFlight()
+	if n == 0 {
+		p.returnBench() // borrowed for values that all turned out NaN
 		return
 	}
 	s := p.builder.seal(p.cfg.Phis, p.managed, p.budgets, p.cfg.Spec.Size)
+	if p.lender != nil {
+		p.returnBench()
+	} else {
+		p.builder.reset(n)
+	}
 	if len(p.managed) > 0 {
 		s.BurstyVsPrev = make([]bool, len(p.managed))
 		if p.prev != nil {
@@ -355,7 +408,11 @@ func (p *Policy) ErrorBounds(alpha float64) []float64 {
 // nodes plus every resident summary slot (the paper's l(N/P) + O(P) space
 // model, with O(P) shrunk by data redundancy and few-k storage added).
 func (p *Policy) SpaceUsage() int {
-	return p.builder.unique() + p.agg.spaceUsage()
+	n := p.agg.spaceUsage()
+	if p.builder != nil {
+		n += p.builder.unique()
+	}
+	return n
 }
 
 // FewKSpace returns the number of resident few-k cache entries (tail

@@ -57,6 +57,11 @@ func (s *Summary) cachedValues(mi int) []float64 {
 // {value, count} red-black tree state of Algorithm 1. The scratch slices
 // are reused across batches and seals, so steady-state ingestion allocates
 // only what a Summary must retain.
+//
+// It is the operator's Level-1 workbench, and empty at every seal: a
+// stand-alone operator owns one for life, an operator minted by a Pool
+// borrows one from the pool only while a sub-window is in flight (see
+// Policy.bench).
 type builder struct {
 	tree  *rbtree.Tree
 	quant compress.Quantizer
@@ -83,8 +88,8 @@ type rankReq struct {
 	slot int32
 }
 
-func newBuilder(digits int) *builder {
-	return &builder{tree: rbtree.New(), quant: compress.NewQuantizer(digits)}
+func newBuilder(tree *rbtree.Tree, digits int) *builder {
+	return &builder{tree: tree, quant: compress.NewQuantizer(digits)}
 }
 
 // add inserts one element, quantized to the configured significant
@@ -129,9 +134,10 @@ func (b *builder) len() int { return int(b.tree.Len()) }
 // unique returns the resident {value, count} node count (the space cost).
 func (b *builder) unique() int { return b.tree.Unique() }
 
-// seal computes the sub-window summary and resets the builder. managed
-// lists the indexes (into phis) of few-k-managed quantiles; budgets holds
-// their per-sub-window plans.
+// seal computes the sub-window summary; the caller then empties the
+// builder (reset to keep it, clear to hand it back). managed lists the
+// indexes (into phis) of few-k-managed quantiles; budgets holds their
+// per-sub-window plans.
 //
 // The seal is fused: every rank the summary needs — the l ϕ-quantiles and
 // the two density finite-difference bounds per ϕ — is answered by ONE
@@ -228,18 +234,22 @@ func (b *builder) seal(phis []float64, managed []int, budgets []fewk.Budget, win
 		s.Tails[mi] = append([]float64(nil), tail[:kt]...)
 		s.Samples[mi] = fewk.SampleTail(tail, budgets[mi].Ks)
 	}
-	b.reset(n)
 	return s
 }
 
-// reset empties the tree for the next sub-window. Quantized telemetry
+// reset empties the tree of a builder its operator keeps (stand-alone
+// operators; a borrowed one is cleared and handed back instead) for the
+// next sub-window of count elements just sealed. Quantized telemetry
 // re-observes mostly the same values period after period (§3.1's data
 // redundancy), so when this period built few fresh nodes the node set is
 // retained (ResetCounts) and the next fill runs against warm nodes and a
 // valid insert cache — no allocation, no rebalancing. When the value
 // population drifts (many fresh nodes) or retention has accumulated too
 // large a resident set relative to the period, the tree is dropped to its
-// arena (Clear) and rebuilt, bounding memory at O(period) nodes.
+// arena (Clear) and rebuilt, bounding the resident set at 4·period + 1024
+// nodes. The constant term dominates small periods — 1024 nodes × 40 B is
+// 40 KB at period 16 — which is affordable for the one operator of a
+// Monitor and is why a fleet of keyed operators does not retain at all.
 func (b *builder) reset(count int) {
 	unique := b.tree.Unique()
 	fresh := unique - b.prevUnique
@@ -257,8 +267,10 @@ func (b *builder) reset(count int) {
 }
 
 // clear empties the builder back to its as-constructed state, keeping the
-// tree arena and every scratch buffer at capacity (Clear retains the
-// arena; the quantizer's decade cache is stateless across values).
+// tree arena, insert cache and every scratch buffer at capacity (Clear
+// retains the arena; the quantizer's decade cache is stateless across
+// values), so the next operator to use it — the same one after a Reset, or
+// whichever key of the shard borrows it next — fills it without allocating.
 func (b *builder) clear() {
 	b.tree.Clear()
 	b.prevUnique = 0

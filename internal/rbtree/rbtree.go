@@ -24,6 +24,7 @@ package rbtree
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 type color bool
@@ -67,9 +68,12 @@ type Tree struct {
 	// distributions are heavily skewed, so most inserts hit a recently
 	// seen key and skip the tree descent entirely (weights being lazy is
 	// what makes the O(1) count bump sound). Entries are validated by
-	// epoch, which Clear bumps instead of wiping the table.
-	cache []cacheEntry
-	epoch uint32
+	// epoch, which Clear bumps instead of wiping the table. cacheBits is
+	// log2 of the slot count (0 = the default cacheSize); the table itself
+	// is allocated on first insert.
+	cache     []cacheEntry
+	epoch     uint32
+	cacheBits uint8
 }
 
 // cacheEntry is one slot of the insert cache. idx == 0 (the sentinel)
@@ -80,18 +84,51 @@ type cacheEntry struct {
 	epoch uint32
 }
 
-// cacheSize is the insert-cache slot count (16 KiB of entries): enough to
-// cover the stable value population of a quantized telemetry stream with
-// few conflict misses while staying within L1/L2 reach.
-const cacheSize = 1024
+// cacheSize is the default (and largest) insert-cache slot count — 16 KiB
+// of entries: enough to cover the stable value population a tree RETAINS
+// across ResetCounts cycles of a quantized telemetry stream with few
+// conflict misses, while staying within L1/L2 reach. A tree that is
+// Cleared every cycle never holds more distinct keys than one cycle
+// inserts and can say so (NewSized) to get a table sized to that instead.
+const (
+	cacheSizeBits = 10
+	cacheSize     = 1 << cacheSizeBits
+)
 
-// cacheSlot maps a key's bits to a cache slot (Fibonacci multiply-shift).
-func cacheSlot(key float64) uint64 {
-	return (math.Float64bits(key) * 0x9E3779B97F4A7C15) >> 54
+// slot maps a key's bits to a cache slot (Fibonacci multiply-shift). Only
+// valid once the table exists.
+func (t *Tree) slot(key float64) uint64 {
+	return (math.Float64bits(key) * 0x9E3779B97F4A7C15) >> (64 - t.cacheBits)
+}
+
+// initCache allocates the insert cache (once per tree lifetime, on the
+// first insert; Clear keeps it).
+func (t *Tree) initCache() {
+	if t.cacheBits == 0 {
+		t.cacheBits = cacheSizeBits
+	}
+	t.cache = make([]cacheEntry, 1<<t.cacheBits)
 }
 
 // New returns an empty tree.
 func New() *Tree { return &Tree{} }
+
+// NewSized returns an empty tree for a caller that Clears it before more
+// than maxUnique distinct keys accumulate: its insert cache gets the
+// smallest power of two of at least 2·maxUnique slots (so a full tree
+// loads the direct-mapped table to at most one half), capped at the default
+// cacheSize. The bound sizes the cache only — a tree that outgrows it stays
+// correct and merely misses more.
+func NewSized(maxUnique int) *Tree {
+	b := uint8(1)
+	if maxUnique > 1 {
+		b = uint8(bits.Len(uint(2*maxUnique - 1)))
+	}
+	if b > cacheSizeBits {
+		b = cacheSizeBits
+	}
+	return &Tree{cacheBits: b}
+}
 
 // Len returns the total number of inserted elements (sum of frequencies).
 func (t *Tree) Len() uint64 { return t.total }
@@ -158,7 +195,7 @@ func (t *Tree) alloc(key float64, count uint64, parent int32) int32 {
 // entry that still maps its key to the slot.
 func (t *Tree) release(i int32) {
 	if t.cache != nil {
-		if e := &t.cache[cacheSlot(t.nodes[i].key)]; e.idx == i {
+		if e := &t.cache[t.slot(t.nodes[i].key)]; e.idx == i {
 			e.idx = nilIdx
 		}
 	}
@@ -198,12 +235,13 @@ func (t *Tree) InsertN(key float64, n uint64) {
 	}
 	t.total += n
 	t.dirty = true
-	slot := cacheSlot(key)
-	if t.cache != nil {
-		if e := &t.cache[slot]; e.idx != nilIdx && e.epoch == t.epoch && e.key == key {
-			t.nodes[e.idx].count += n
-			return
-		}
+	if t.cache == nil {
+		t.initCache()
+	}
+	slot := &t.cache[t.slot(key)]
+	if slot.idx != nilIdx && slot.epoch == t.epoch && slot.key == key {
+		t.nodes[slot.idx].count += n
+		return
 	}
 	parent := nilIdx
 	cur := t.root
@@ -219,7 +257,7 @@ func (t *Tree) InsertN(key float64, n uint64) {
 			cur = nd.right
 		default:
 			nd.count += n
-			t.setCache(slot, key, cur)
+			*slot = cacheEntry{key: key, idx: cur, epoch: t.epoch}
 			return
 		}
 	}
@@ -233,16 +271,7 @@ func (t *Tree) InsertN(key float64, n uint64) {
 		t.nodes[parent].right = nn
 	}
 	t.insertFixup(nn)
-	t.setCache(slot, key, nn)
-}
-
-// setCache records key's node index in the insert cache, allocating the
-// table on first use (once per tree lifetime; Clear keeps it).
-func (t *Tree) setCache(slot uint64, key float64, idx int32) {
-	if t.cache == nil {
-		t.cache = make([]cacheEntry, cacheSize)
-	}
-	t.cache[slot] = cacheEntry{key: key, idx: idx, epoch: t.epoch}
+	*slot = cacheEntry{key: key, idx: nn, epoch: t.epoch}
 }
 
 // Remove deletes one occurrence of key (the Exact baseline's Deaccumulate).
@@ -539,7 +568,13 @@ func (t *Tree) Clear() {
 	t.total = 0
 	t.dirty = false
 	t.zeroOK = false
-	t.epoch++ // invalidates every insert-cache entry without wiping the table
+	// Bumping the epoch invalidates every insert-cache entry without wiping
+	// the table — except when the counter wraps, where an entry untouched
+	// for 2^32 Clears would validate again (a workbench shared by a shard's
+	// keys is Cleared every seal, so the wrap is hours away, not never).
+	if t.epoch++; t.epoch == 0 {
+		clear(t.cache)
+	}
 	if len(t.nodes) > 0 {
 		t.nodes = t.nodes[:1] // keep the sentinel
 	}

@@ -6,6 +6,9 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/compress"
+	"repro/internal/workload"
 )
 
 func TestEmptyTree(t *testing.T) {
@@ -621,5 +624,117 @@ func BenchmarkQuantiles(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Quantiles(phis)
+	}
+}
+
+// cacheHit reports whether InsertN(key, ·) would be answered by the insert
+// cache (test-side mirror of the lookup at the top of InsertN).
+func (t *Tree) cacheHit(key float64) bool {
+	if t.cache == nil {
+		return false
+	}
+	e := &t.cache[t.slot(key)]
+	return e.idx != nilIdx && e.epoch == t.epoch && e.key == key
+}
+
+func TestNewSizedCacheSlots(t *testing.T) {
+	for _, c := range []struct{ maxUnique, slots int }{
+		{-1, 2}, {0, 2}, {1, 2}, {2, 4}, {3, 8}, {10, 32}, {16, 32}, {128, 256},
+		{500, 1024}, {512, 1024}, {513, 1024}, {1 << 20, 1024}, {math.MaxInt, 1024},
+	} {
+		tr := NewSized(c.maxUnique)
+		tr.Insert(1)
+		if len(tr.cache) != c.slots {
+			t.Errorf("NewSized(%d): %d cache slots, want %d", c.maxUnique, len(tr.cache), c.slots)
+		}
+	}
+	tr := New()
+	tr.Insert(1)
+	if len(tr.cache) != cacheSize {
+		t.Errorf("New: %d cache slots, want %d", len(tr.cache), cacheSize)
+	}
+}
+
+// TestSizedCacheIsOnlyACache: a tree whose cache is far too small for what
+// it holds (every slot contended) must stay the same multiset as a
+// default-sized one under inserts, removals and clears.
+func TestSizedCacheIsOnlyACache(t *testing.T) {
+	small, ref := NewSized(1), New()
+	rng := rand.New(rand.NewSource(3))
+	for step := 0; step < 20_000; step++ {
+		key := float64(rng.Intn(300))
+		switch op := rng.Intn(100); {
+		case op < 70:
+			n := uint64(1 + rng.Intn(3))
+			small.InsertN(key, n)
+			ref.InsertN(key, n)
+		case op < 99:
+			if small.Remove(key) != ref.Remove(key) {
+				t.Fatalf("step %d: Remove(%v) disagrees", step, key)
+			}
+		default:
+			small.Clear()
+			ref.Clear()
+		}
+		if small.Len() != ref.Len() || small.Unique() != ref.Unique() || small.Count(key) != ref.Count(key) {
+			t.Fatalf("step %d: len %d/%d unique %d/%d count(%v) %d/%d", step,
+				small.Len(), ref.Len(), small.Unique(), ref.Unique(), key, small.Count(key), ref.Count(key))
+		}
+	}
+	if err := small.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClearEpochWrap: cache entries are validated by a 32-bit epoch that
+// Clear bumps; when it wraps, an entry written 2^32 Clears ago must not
+// come back to life and credit its key's inserts to whatever node now sits
+// at its index.
+func TestClearEpochWrap(t *testing.T) {
+	tr := New()
+	tr.Insert(7) // cache: {7 -> node 1, epoch 0}
+	tr.epoch = math.MaxUint32
+	tr.Clear() // epoch wraps to 0
+	tr.Insert(8)
+	tr.Insert(7)
+	if tr.Count(7) != 1 || tr.Count(8) != 1 || tr.Unique() != 2 {
+		t.Fatalf("stale cache entry revived: count(7)=%d count(8)=%d unique=%d", tr.Count(7), tr.Count(8), tr.Unique())
+	}
+}
+
+// TestSizedCacheHitRate measures what the period-sized insert cache gives
+// up against the 1024-slot default on the tree core.Pool's workbenches are:
+// Cleared every period, fed run-length-grouped, 3-digit-quantized NetMon
+// telemetry. A hit needs the key to have been inserted earlier in the SAME
+// period, so the rate is bounded by value repetition within a period, not
+// by the table; the smaller table may only lose conflict misses on top.
+func TestSizedCacheHitRate(t *testing.T) {
+	q := compress.NewQuantizer(3)
+	data := q.AppendQuantized(nil, workload.Generate(workload.NewNetMon(1), 1<<18))
+	rate := func(tr *Tree, period int) float64 {
+		hits, descents := 0, 0
+		for off := 0; off+period <= len(data); off += period {
+			for i := off; i < off+period; {
+				j := i + 1
+				for j < off+period && data[j] == data[i] {
+					j++
+				}
+				if tr.cacheHit(data[i]) {
+					hits++
+				}
+				descents++
+				tr.InsertN(data[i], uint64(j-i))
+				i = j
+			}
+			tr.Clear()
+		}
+		return float64(hits) / float64(descents)
+	}
+	for _, period := range []int{16, 128, 1000} {
+		sized, full := rate(NewSized(period), period), rate(New(), period)
+		t.Logf("period %4d: hit rate %.3f with the sized cache, %.3f with %d slots", period, sized, full, cacheSize)
+		if sized < full-0.02 {
+			t.Errorf("period %d: sized cache hits %.3f of inserts, the default %.3f", period, sized, full)
+		}
 	}
 }
