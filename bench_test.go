@@ -14,6 +14,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -395,4 +398,72 @@ func benchExportDelta(b *testing.B, resident, changed int) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// --- Point reads beside saturating ingest ---
+
+// BenchmarkEngineQueryUnderIngest measures what a dashboard read costs while
+// the engine is kept busy: two closed-loop producers push period-sized
+// reports round the keys of a 4-shard engine holding 20 000 of them, and the
+// benchmark goroutine issues b.N Query calls. ns/op is the mean read; every
+// read is also timed on its own for the p99. BENCH_query.json records the
+// rows with reads queued behind ingest and with reads served in place.
+func BenchmarkEngineQueryUnderIngest(b *testing.B) {
+	const keys, producers = 20_000, 2
+	spec := Window{Size: 512, Period: 128}
+	e, err := NewEngine(EngineConfig{
+		Config: Config{Spec: spec, Phis: []float64{0.5, 0.9, 0.99, 0.999}, FewK: true},
+		Shards: 4,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	done := drainResults(e)
+	names := make([]string, keys)
+	for i := range names {
+		names[i] = fmt.Sprintf("key-%05d", i)
+	}
+	data := fig4Data(b, 1<<16)
+	report := func(i int) []float64 {
+		off := (i * spec.Period) % (len(data) - spec.Period)
+		return data[off : off+spec.Period]
+	}
+	for i := range names {
+		if err := e.Push(names[i], report(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	e.Keys() // every key is resident before the first read
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := p; !stop.Load(); i += producers {
+				if err := e.Push(names[i%keys], report(i)); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(p)
+	}
+	lat := make([]time.Duration, b.N)
+	b.ResetTimer()
+	for i := range lat {
+		key := names[i*7919%keys]
+		start := time.Now()
+		_, ok := e.Query(key)
+		lat[i] = time.Since(start)
+		if !ok {
+			b.Fatalf("resident key %s not queryable", key)
+		}
+	}
+	b.StopTimer()
+	stop.Store(true)
+	wg.Wait()
+	e.Close()
+	<-done
+	slices.Sort(lat)
+	b.ReportMetric(float64(lat[len(lat)*99/100]), "p99-ns")
 }

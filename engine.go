@@ -48,10 +48,10 @@ import (
 //     overload is observable, not inferred: Engine.Stats reads per-shard
 //     counters (delivered batches, queue high-water, blocked time, drops,
 //     resident keys) without locks.
-//   - Snapshot and Query serve reads WITHOUT stopping ingestion: the
-//     request rides the shard's own queue (so it is ordered with respect
-//     to ingest on every key) and the shard hands back immutable Snapshot
-//     captures that are safe to read, retain and Merge from any goroutine.
+//   - Reads never stop ingestion. Query copies one key's sealed state in
+//     place, on the caller's goroutine: what the shard has DELIVERED. Snapshot
+//     and the exports ride each shard's own queue, so they follow every earlier
+//     Push. Both return immutable captures, safe to retain and Merge anywhere.
 //
 // Engines built from a Config (the default) mint QLOVE operators from a
 // per-shard core.Pool, which also lends them the Level-1 tree of the
@@ -220,8 +220,12 @@ const (
 )
 
 type engineShard struct {
-	eng     *Engine
-	in      chan engineMsg
+	eng *Engine
+	in  chan engineMsg
+	// keys is written only by the shard goroutine, under keysMu (setKey,
+	// dropKey). Query reads it under keysMu.RLock, held until the operator's
+	// state is copied, so the entry cannot be evicted and re-minted meanwhile.
+	keysMu  sync.RWMutex
 	keys    map[string]*keyEntry
 	pool    *core.Pool   // non-nil on the Config path
 	factory BoundFactory // non-nil on the Factory path
@@ -348,7 +352,7 @@ type sealGenerator interface {
 }
 
 // engineMsg is one unit of shard work: either an ingest batch or a control
-// request (both ride the same queue, so reads are ordered with ingest).
+// request (both ride the same queue, so control ops are ordered with ingest).
 type engineMsg struct {
 	key string
 	buf *[]float64
@@ -359,7 +363,6 @@ type ctlOp int
 
 const (
 	ctlSnapshot ctlOp = iota
-	ctlQuery
 	ctlEvict
 	ctlCount
 	ctlDelta
@@ -387,7 +390,6 @@ type engineCtl struct {
 
 type engineCtlResp struct {
 	snaps map[string]Snapshot
-	snap  Snapshot
 	ok    bool
 	n     int
 	delta *shardDeltaResp
@@ -843,12 +845,17 @@ func (e *Engine) foldSalted(raw map[string]Snapshot) map[string]Snapshot {
 	return out
 }
 
-// Query captures one key's snapshot without stopping ingestion. ok is
-// false when the key is unknown (or its policy cannot snapshot). For a
-// salted key (engine-wide RouteSalt, or a key the adaptive controller has
-// escalated — even one since de-escalated whose fan has not yet drained)
-// the capture is the [base, sub-stream 0, 1, …]-ordered merge of the
-// key's resident streams.
+// Query captures one key's snapshot without stopping ingestion or waiting
+// for it: the operator is read in place, on the caller's goroutine. The
+// capture is the key's state as of the last seal or expiry its shard has
+// PERFORMED — a state some prefix of the key's deliveries produced, never a
+// torn one — not of batches still queued: a Push that just returned may not
+// show yet, and a key whose first batch is queued is unknown. Snapshot and the
+// exports follow every earlier Push. ok is false for an unknown key or a
+// policy that cannot snapshot. For a salted key (engine-wide RouteSalt, or one
+// the adaptive controller has escalated — even one since de-escalated whose
+// fan has not yet drained) the capture is the [base, sub-stream 0, 1, …]-
+// ordered merge of the key's resident streams, each read at its own instant.
 func (e *Engine) Query(key string) (Snapshot, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -886,26 +893,23 @@ func (e *Engine) Query(key string) (Snapshot, bool) {
 // (a pin observed through a racing route flip can be one step stale).
 func (e *Engine) queryOne(key string) (Snapshot, bool) {
 	s := e.locateShard(key)
-	if sn, ok := e.queryShard(s, key); ok {
+	if sn, ok := s.query(key); ok {
 		return sn, true
 	}
 	if h := e.shardOf(key); h != s {
-		return e.queryShard(h, key)
+		return h.query(key)
 	}
 	return Snapshot{}, false
 }
 
-func (e *Engine) queryShard(s *engineShard, key string) (Snapshot, bool) {
-	if e.closed {
-		if ent := s.keys[key]; ent != nil && ent.snap != nil {
-			return ent.snap.Snapshot(), true
-		}
-		return Snapshot{}, false
+// query reads one operator in place; keysMu spans lookup AND copy.
+func (s *engineShard) query(key string) (Snapshot, bool) {
+	s.keysMu.RLock()
+	defer s.keysMu.RUnlock()
+	if ent := s.keys[key]; ent != nil && ent.snap != nil {
+		return ent.snap.Snapshot(), true
 	}
-	resp := make(chan engineCtlResp, 1)
-	s.in <- engineMsg{ctl: &engineCtl{op: ctlQuery, key: key, resp: resp}}
-	r := <-resp
-	return r.snap, r.ok
+	return Snapshot{}, false
 }
 
 // Export captures every snapshot-capable key (via Snapshot, so the
@@ -921,8 +925,8 @@ func (e *Engine) Export(w io.Writer) (int64, error) {
 
 // ExportKeys writes the captures of just the named keys to w, skipping
 // keys the engine does not monitor (or whose policies cannot snapshot).
-// Each key is captured with Query, so the reads are ordered with ingest on
-// that key without stopping it.
+// Each key is captured with Query, under Query's contract (delivered state,
+// not queued batches); Export is the blob ordered after every earlier Push.
 func (e *Engine) ExportKeys(w io.Writer, keys ...string) (int64, error) {
 	enc := wire.NewEncoder(w)
 	var n int64
@@ -1432,12 +1436,11 @@ func (s *engineShard) drainParked() {
 			continue
 		}
 		parked := ent.park
-		delete(s.keys, name)
+		s.dropKey(name)
 		for _, bp := range parked {
 			s.handle(engineMsg{key: name, buf: bp})
 		}
 	}
-	s.counters.resident.Store(int64(len(s.keys)))
 }
 
 // handle processes one queued unit of shard work.
@@ -1546,11 +1549,25 @@ func (s *engineShard) touch(ent *keyEntry) {
 // or installed by a migration).
 func (s *engineShard) arrive(name string, ent *keyEntry) {
 	ent.name = name
-	s.keys[name] = ent
+	s.setKey(name, ent)
 	if ent.snap != nil && ent.gens == nil {
 		s.genless++
 	}
 	s.touch(ent)
+}
+
+// setKey and dropKey are the only writers of s.keys (see keysMu).
+func (s *engineShard) setKey(name string, ent *keyEntry) {
+	s.keysMu.Lock()
+	s.keys[name] = ent
+	s.keysMu.Unlock()
+	s.counters.resident.Store(int64(len(s.keys)))
+}
+
+func (s *engineShard) dropKey(name string) {
+	s.keysMu.Lock()
+	delete(s.keys, name)
+	s.keysMu.Unlock()
 	s.counters.resident.Store(int64(len(s.keys)))
 }
 
@@ -1559,7 +1576,7 @@ func (s *engineShard) arrive(name string, ent *keyEntry) {
 // ring and its name appended to the departures log, which is then trimmed
 // to its cap — raising the floor below which a cursor must rescan.
 func (s *engineShard) depart(ent *keyEntry) {
-	delete(s.keys, ent.name)
+	s.dropKey(ent.name)
 	if ent.snap != nil && ent.gens == nil {
 		s.genless--
 	}
@@ -1574,7 +1591,6 @@ func (s *engineShard) depart(ent *keyEntry) {
 		s.departed[0] = departure{}
 		s.departed = s.departed[1:]
 	}
-	s.counters.resident.Store(int64(len(s.keys)))
 }
 
 // timedFlush drives every timed key's state machine to now: boundary
@@ -1726,12 +1742,6 @@ func (s *engineShard) control(ctl *engineCtl) {
 			}
 		}
 		ctl.resp <- engineCtlResp{snaps: snaps}
-	case ctlQuery:
-		if ent := s.keys[ctl.key]; ent != nil && ent.snap != nil {
-			ctl.resp <- engineCtlResp{snap: ent.snap.Snapshot(), ok: true}
-			return
-		}
-		ctl.resp <- engineCtlResp{}
 	case ctlEvict:
 		ctl.resp <- engineCtlResp{ok: s.evict(ctl.key)}
 	case ctlCount:
@@ -1746,8 +1756,7 @@ func (s *engineShard) control(ctl *engineCtl) {
 			ctl.resp <- engineCtlResp{} // name already resident: refuse
 			return
 		}
-		s.keys[ctl.key] = &keyEntry{parking: true}
-		s.counters.resident.Store(int64(len(s.keys)))
+		s.setKey(ctl.key, &keyEntry{parking: true})
 		ctl.resp <- engineCtlResp{ok: true}
 	case ctlHandoff:
 		if ent := s.keys[ctl.key]; ent != nil && !ent.parking {
@@ -1780,7 +1789,7 @@ func (s *engineShard) install(name string, ent *keyEntry) {
 	var parked []*[]float64
 	if p := s.keys[name]; p != nil && p.parking {
 		parked = p.park
-		delete(s.keys, name)
+		s.dropKey(name)
 	}
 	if ent != nil {
 		ent.parking, ent.park = false, nil
@@ -1906,8 +1915,7 @@ func (s *engineShard) evict(key string) bool {
 		return false
 	}
 	if ent.parking {
-		delete(s.keys, key)
-		s.counters.resident.Store(int64(len(s.keys)))
+		s.dropKey(key)
 		for _, bp := range ent.park {
 			s.eng.bufs.Put(bp)
 		}

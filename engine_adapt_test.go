@@ -93,6 +93,8 @@ func TestEngineAdaptValidation(t *testing.T) {
 // bit-identical quantile estimates.
 func sameEstimates(t *testing.T, label string, a, b *Engine, keys []string) {
 	t.Helper()
+	settle(a)
+	settle(b)
 	for _, k := range keys {
 		qa, oka := a.Query(k)
 		qb, okb := b.Query(k)
@@ -335,6 +337,7 @@ func TestEngineAdaptEscalationEquivalence(t *testing.T) {
 				return m
 			}
 			compare := func(label string) {
+				settle(e)
 				got, ok := e.Query("hot")
 				if !ok {
 					t.Fatalf("%s: hot not queryable", label)
@@ -506,6 +509,7 @@ func TestEngineAdaptCollapseAfterTTL(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		push(0)
 	}
+	settle(e)
 	got, ok = e.Query("hot")
 	if !ok {
 		t.Fatal("hot unqueryable after post-collapse pushes")
@@ -591,6 +595,7 @@ func TestEngineAdaptMigrationTTLRace(t *testing.T) {
 	if err := e.Push(helper, batch()); err != nil {
 		t.Fatal(err)
 	}
+	settle(e)
 	if _, ok := e.Query("k"); ok {
 		t.Fatal("k survived its wall TTL")
 	}
@@ -625,6 +630,7 @@ func TestEngineAdaptMigrationTTLRace(t *testing.T) {
 		}
 		refMon.PushBatch(vs, nil)
 	}
+	settle(e)
 	got, ok := e.Query("k")
 	if !ok {
 		t.Fatal("reborn k unqueryable")

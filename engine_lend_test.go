@@ -113,6 +113,7 @@ func TestEngineMigrationRehomesWorkbenches(t *testing.T) {
 	if migrations < 10 || !merged[escalated] {
 		t.Fatalf("%d migrations, escalations %v: the test needs keys to move while on loan", migrations, merged)
 	}
+	settle(moving)
 	var whole []string
 	for _, k := range keys {
 		if !merged[k] {

@@ -217,6 +217,12 @@ func TestEngineShardedKeyMergesWithinTolerance(t *testing.T) {
 	}
 }
 
+// settle returns once every batch pushed before the call has been delivered.
+// Query answers from the state the shards have performed, not from batches
+// still queued; any queued control op is the barrier, and Keys is the
+// cheapest one.
+func settle(e *Engine) { e.Keys() }
+
 func TestEngineQueryLiveAndEvict(t *testing.T) {
 	spec := Window{Size: 100, Period: 50}
 	cfg := Config{Spec: spec, Phis: []float64{0.5}}
@@ -232,8 +238,9 @@ func TestEngineQueryLiveAndEvict(t *testing.T) {
 	if err := e.Push("a", vals); err != nil {
 		t.Fatal(err)
 	}
-	// Query rides the shard queue, so it observes everything pushed before
-	// it by this goroutine.
+	// Query reads what the shard has delivered; settle makes that everything
+	// pushed before it by this goroutine.
+	settle(e)
 	sn, ok := e.Query("a")
 	if !ok {
 		t.Fatal("live query missed key a")
@@ -260,6 +267,7 @@ func TestEngineQueryLiveAndEvict(t *testing.T) {
 	if err := e.Push("a", vals); err != nil {
 		t.Fatal(err)
 	}
+	settle(e)
 	if _, ok := e.Query("a"); !ok {
 		t.Fatal("recreated key not queryable")
 	}
@@ -530,6 +538,7 @@ func TestEngineKeyTTL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	settle(e)
 	if _, ok := e.Query("idle"); ok {
 		t.Fatal("idle key survived the TTL sweep")
 	}
@@ -544,6 +553,7 @@ func TestEngineKeyTTL(t *testing.T) {
 	if err := e.Push("idle", vals); err != nil {
 		t.Fatal(err)
 	}
+	settle(e)
 	if _, ok := e.Query("idle"); !ok {
 		t.Fatal("returned key not monitored")
 	}

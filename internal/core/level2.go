@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/core/fewk"
+import (
+	"sync"
+
+	"repro/internal/core/fewk"
+)
 
 // level2 is QLOVE's window-level aggregator (§3.1 Level 2): a sliding
 // window over sub-window summaries. Per the paper it is "almost identical
@@ -8,7 +12,11 @@ import "repro/internal/core/fewk"
 // configured quantile, accumulated when a summary arrives and
 // deaccumulated when a summary expires, in O(l) per period regardless of
 // sub-window size.
+// Policy.Snapshot copies sums and summaries from any goroutine, so the owner
+// holds mu around its three writes (Policy.EndPeriod, Expire, Reset); its own
+// reads need no lock. With mu the struct stays in its 64-byte size class.
 type level2 struct {
+	mu        sync.Mutex
 	nPhis     int
 	sums      []float64
 	summaries []Summary // resident summaries, oldest first (ring-free: N/P is small)

@@ -201,7 +201,10 @@ func (p *Policy) Reset() {
 	if p.builder != nil { // a stand-alone operator's own
 		p.builder.clear()
 	}
+	p.agg.mu.Lock()
 	p.agg.reset()
+	p.sealGen = 0
+	p.agg.mu.Unlock()
 	p.prev = nil
 	for i := range p.burstActive {
 		p.burstActive[i] = false
@@ -209,7 +212,6 @@ func (p *Policy) Reset() {
 	if p.baseBudgets != nil {
 		copy(p.budgets, p.baseBudgets)
 	}
-	p.sealGen = 0
 	p.initAdaptive()
 }
 
@@ -294,7 +296,11 @@ func (p *Policy) ObserveBatch(vs []float64) {
 // Expire implements stream.Policy: one whole sub-window summary is
 // deaccumulated per period in O(l) — QLOVE's answer to the Exact
 // baseline's per-element deaccumulation cost.
-func (p *Policy) Expire([]float64) { p.agg.deaccumulate() }
+func (p *Policy) Expire([]float64) {
+	p.agg.mu.Lock()
+	p.agg.deaccumulate()
+	p.agg.mu.Unlock()
+}
 
 // EndPeriod force-seals the in-flight sub-window even when it holds fewer
 // than Period elements. Time-driven deployments (§2's "evaluate every one
@@ -328,9 +334,11 @@ func (p *Policy) EndPeriod() {
 			}
 		}
 	}
+	p.agg.mu.Lock() // a concurrent Snapshot sees the summary and its generation together
 	p.agg.accumulate(s)
-	p.prev = &s
 	p.sealGen++
+	p.agg.mu.Unlock()
+	p.prev = &s
 }
 
 // SealGen returns the operator's seal-generation clock: how many sub-window

@@ -43,10 +43,13 @@ type Snapshot struct {
 
 // Snapshot captures the operator's current window state. It is O(l +
 // resident summaries): the summary structs are copied by value but their
-// internal slices — immutable after seal — are shared. The caller may use
-// the capture from any goroutine; only the goroutine owning the Policy may
-// take it.
+// internal slices — immutable after seal — are shared. It may be called from
+// any goroutine, concurrently with the owner's Observe*, Expire, EndPeriod
+// and Reset: the capture is the sums, summaries and SealGen of one instant
+// between two of the owner's Level-2 writes, never a torn mix.
 func (p *Policy) Snapshot() Snapshot {
+	p.agg.mu.Lock()
+	defer p.agg.mu.Unlock()
 	return Snapshot{
 		cfg:       p.cfg,
 		streams:   1,

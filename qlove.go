@@ -128,6 +128,9 @@ func MergeSnapshots(snaps []Snapshot) (Snapshot, error) {
 // Snapshotter is implemented by policies whose window state can be
 // captured into a mergeable Snapshot (QLOVE). Engine.Query and
 // Engine.Snapshot serve only keys whose policies implement it.
+// Snapshot may be called concurrently with Observe, ObserveBatch and Expire
+// from another goroutine — Engine.Query reads a key's policy while its shard
+// keeps ingesting. QLOVE honours this; a custom implementation must too.
 type Snapshotter interface {
 	Snapshot() Snapshot
 }
