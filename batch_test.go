@@ -8,6 +8,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
@@ -185,7 +187,13 @@ func TestPushBatchNilEmit(t *testing.T) {
 // unique-value population §3.1 quantization produces.
 func steadyQLOVE(t testing.TB, spec Window) (*QLOVE, []float64) {
 	t.Helper()
-	p, err := New(Config{Spec: spec, Phis: []float64{0.5, 0.9, 0.99, 0.999}})
+	return steadyOperator(t, Config{Spec: spec, Phis: []float64{0.5, 0.9, 0.99, 0.999}})
+}
+
+func steadyOperator(t testing.TB, cfg Config) (*QLOVE, []float64) {
+	t.Helper()
+	spec := cfg.Spec
+	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,20 +243,65 @@ func TestObserveBatchSteadyStateZeroAllocs(t *testing.T) {
 
 func TestSealSteadyStateIsArenaRecycled(t *testing.T) {
 	// Across many full periods the only steady-state allocations are the
-	// retained Summary slices — the tree arena and every scratch buffer
-	// must be recycled. Budget: well under one allocation per element.
+	// sealed summary's one block and the slice Result returns — the tree
+	// arena, the seal scratch and, with few-k on, the merge and burst-test
+	// scratch must all be recycled. Budget: 4 per expire+seal+evaluate.
 	spec := Window{Size: 1024, Period: 256}
-	p, vals := steadyQLOVE(t, spec)
-	period := make([]float64, spec.Period)
-	for i := range period {
-		period[i] = vals[(i*13)%len(vals)]
+	for _, fewk := range []bool{false, true} {
+		p, vals := steadyOperator(t, Config{Spec: spec, Phis: []float64{0.5, 0.9, 0.99, 0.999}, FewK: fewk})
+		period := make([]float64, spec.Period)
+		for i := range period {
+			period[i] = vals[(i*13)%len(vals)]
+		}
+		perPeriod := testing.AllocsPerRun(40, func() {
+			p.Expire(nil)
+			p.ObserveBatch(period)
+			_ = p.Result()
+		})
+		if perPeriod > 4 {
+			t.Fatalf("few-k %v: steady-state expire+seal+evaluate costs %v allocations, want <= 4", fewk, perPeriod)
+		}
 	}
-	perPeriod := testing.AllocsPerRun(40, func() {
-		p.Expire(nil)
-		p.ObserveBatch(period)
-		_ = p.Result()
-	})
-	if perElement := perPeriod / float64(spec.Period); perElement > 0.1 {
-		t.Fatalf("steady-state seal+evaluate costs %v allocs/element, want < 0.1", perElement)
+}
+
+// TestKeyedReportAllocBudget holds BenchmarkObserveKeyed's allocs/op — what
+// one period-sized report to one of many pooled keys allocates, seal and
+// evaluation included — at 4 (it was 50 at 64/16 and 64 at 512/128 while a
+// summary was nine slices and every merge rebuilt its inputs): the summary's
+// block, the estimates, and two to spare. Same set-up as the benchmark, with
+// fewer keys.
+func TestKeyedReportAllocBudget(t *testing.T) {
+	const keys = 512
+	for _, spec := range []Window{{Size: 512, Period: 128}, {Size: 64, Period: 16}} {
+		pool, err := core.NewPool(Config{Spec: spec, Phis: []float64{0.5, 0.9, 0.99, 0.999}, FewK: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := fig4Data(t, 1<<14)
+		report := func(i int) []float64 {
+			off := (i * spec.Period) % (len(data) - spec.Period)
+			return data[off : off+spec.Period]
+		}
+		pushers := make([]*stream.Pusher, keys)
+		for i := range pushers {
+			if pushers[i], err = stream.NewPusher(pool.Get(), spec); err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j <= spec.SubWindows(); j++ { // a full window and its first expiry
+				pushers[i].PushBatch(report(i+j), nil)
+			}
+		}
+		i := 0
+		evals := 0
+		perReport := testing.AllocsPerRun(2000, func() {
+			pushers[(i*31)%keys].PushBatch(report(i), func(stream.Evaluation) { evals++ })
+			i++
+		})
+		if evals < 2000 {
+			t.Fatalf("%d/%d: %d evaluations for 2000 reports", spec.Size, spec.Period, evals)
+		}
+		if perReport > 4 {
+			t.Fatalf("%d/%d: a pooled report costs %v allocations, want <= 4", spec.Size, spec.Period, perReport)
+		}
 	}
 }

@@ -74,7 +74,7 @@ func BenchmarkErrBound(b *testing.B) { runExperiment(b, "errbound") }
 
 // --- Figure 4: per-policy operator throughput, window 100K / period 1K ---
 
-func fig4Data(b *testing.B, n int) []float64 {
+func fig4Data(b testing.TB, n int) []float64 {
 	b.Helper()
 	return workload.Generate(workload.NewNetMon(1), n)
 }

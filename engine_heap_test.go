@@ -16,14 +16,15 @@ import (
 	"repro/internal/workload"
 )
 
-// liveHeap returns the live heap after two collections (the second frees
-// what the first one's finalizers and sync.Pool victim caches released).
-func liveHeap() uint64 {
+// liveHeap returns the live heap, in bytes and in objects, after two
+// collections (the second frees what the first one's finalizers and
+// sync.Pool victim caches released).
+func liveHeap() (bytes, objects uint64) {
 	runtime.GC()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
+	return ms.HeapAlloc, ms.HeapObjects
 }
 
 // TestEngineHeapPerKey pins what a resident key costs: the paper's space
@@ -40,7 +41,12 @@ func liveHeap() uint64 {
 //   - a timed-window engine one idle tick after traffic stopped.
 //
 // Before workbenches were lent by the shard pool the three shapes cost
-// 31.0, 30.8 and 31.1 KB per key.
+// 31.0, 30.8 and 31.1 KB per key. The object census is what the collector
+// has to mark per key: 40.5, 45.2 and 43.1 objects while a summary was nine
+// slices and every operator kept its own copy of the ϕ set, managed indexes
+// and budgets; now a summary is one pointer-free block and a key is its
+// entry, pusher, operator, Level 2 (struct, sums, summary headers), burst
+// flags and four blocks.
 func TestEngineHeapPerKey(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pushes 30M values")
@@ -66,12 +72,13 @@ func TestEngineHeapPerKey(t *testing.T) {
 		reports  int // reports per key
 		timed    bool
 		budget   float64 // bytes per key
+		objects  float64 // heap objects per key (what the collector marks)
 		inFlight int     // keys holding a workbench afterwards
 		minIdle  int     // workbenches shelved afterwards, at least
 	}{
-		{name: "aligned", report: 128, reports: 4, budget: 3 << 10, inFlight: 0, minIdle: shards},
-		{name: "unaligned", report: 100, reports: 5, budget: 15 << 10, inFlight: keys},
-		{name: "timed-idle", report: 100, reports: 5, timed: true, budget: 3 << 10, inFlight: 0, minIdle: shards},
+		{name: "aligned", report: 128, reports: 4, budget: 3 << 10, objects: 12, inFlight: 0, minIdle: shards},
+		{name: "unaligned", report: 100, reports: 5, budget: 15 << 10, objects: 30, inFlight: keys},
+		{name: "timed-idle", report: 100, reports: 5, timed: true, budget: 3 << 10, objects: 14, inFlight: 0, minIdle: shards},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
 			clock := newFakeClock(time.Unix(1_700_000_000, 0))
@@ -79,7 +86,7 @@ func TestEngineHeapPerKey(t *testing.T) {
 			if shape.timed {
 				ecfg.TimedWindow, ecfg.TimedPeriod, ecfg.Clock = 4*time.Hour, time.Hour, clock.now
 			}
-			base := liveHeap()
+			base, baseObjects := liveHeap()
 			eng, err := NewEngine(ecfg)
 			if err != nil {
 				t.Fatal(err)
@@ -102,11 +109,15 @@ func TestEngineHeapPerKey(t *testing.T) {
 			if n := eng.Keys(); n != keys { // also the barrier: every push is delivered
 				t.Fatalf("resident keys = %d, want %d", n, keys)
 			}
-			perKey := float64(liveHeap()-base) / keys
+			heap, objects := liveHeap()
+			perKey, objectsPerKey := float64(heap-base)/keys, float64(objects-baseObjects)/keys
 			st := eng.Stats().Total()
-			t.Logf("%s: %.0f B/key, %d keys in flight, %d idle workbenches", shape.name, perKey, st.InFlightKeys, st.IdleWorkbenches)
+			t.Logf("%s: %.0f B/key in %.1f objects, %d keys in flight, %d idle workbenches", shape.name, perKey, objectsPerKey, st.InFlightKeys, st.IdleWorkbenches)
 			if perKey > shape.budget {
 				t.Errorf("a resident key costs %.0f B, budget %.0f", perKey, shape.budget)
+			}
+			if objectsPerKey > shape.objects {
+				t.Errorf("a resident key is %.1f heap objects, budget %.0f", objectsPerKey, shape.objects)
 			}
 			if st.InFlightKeys != shape.inFlight {
 				t.Errorf("InFlightKeys = %d, want %d", st.InFlightKeys, shape.inFlight)

@@ -121,7 +121,7 @@ func (s *qsStream) check(t *testing.T, sn Snapshot) (start int, err error) {
 		}
 	}
 	sums := sn.Parts().Summaries
-	last := int32(sums[len(sums)-1].Quantiles[len(qsCfg.Phis)-1] - lo)
+	last := int32(sums[len(sums)-1].Quantile(len(qsCfg.Phis)-1) - lo)
 	q := sort.Search(len(s.elems), func(i int) bool { return s.elems[i] >= last })
 	if q == len(s.elems) || s.elems[q] != last {
 		return 0, fmt.Errorf("newest summary ends at element %d, which this stream never carried", last)

@@ -570,11 +570,12 @@ func (f *Fanin) handlePush(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "push needs a ?worker=ID (the per-worker fold state is keyed by it)")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPushBody))
+	body, err := readPushBody(w, r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "read push body: %v", err)
 		return
 	}
+	defer pushBodies.Put(body)
 	// The slot table is read-held across routing AND delivery: a slot
 	// migration (write lock) drains in-flight pushes first, so no frame
 	// routed against the old table lands after the flip.
@@ -586,7 +587,7 @@ func (f *Fanin) handlePush(w http.ResponseWriter, r *http.Request) {
 	parts := make([]bytes.Buffer, len(f.reps))
 	slotFrames := make(map[int]int) // slot -> frames routed
 	frames := 0
-	sc := wire.NewRawScanner(bytes.NewReader(body))
+	sc := wire.NewRawScanner(bytes.NewReader(body.Bytes()))
 	for {
 		_, key, frame, err := sc.Next()
 		if err == io.EOF {

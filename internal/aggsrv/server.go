@@ -42,10 +42,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro"
 )
@@ -53,6 +53,36 @@ import (
 // maxPushBody caps one push request (a worker's full bootstrap blob can be
 // large; a frame is already capped at 1 GiB by the wire format).
 const maxPushBody = 1 << 30
+
+// pushBodies recycles the buffers push bodies are read into. A handler may
+// use one only while nothing it hands the bytes to keeps them past its
+// return: Aggregator.Apply decodes every value into fresh memory, and the
+// fan-in's router copies frames into per-replica buffers
+// (TestPushBodyIsNotRetained overwrites returned buffers to hold that).
+var pushBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPushPregrow bounds how much of a claimed Content-Length is reserved
+// before any byte arrives; past it (or with no length, or a false one) the
+// buffer grows as the body does.
+const maxPushPregrow = 1 << 20
+
+// readPushBody reads the request's bounded body into a buffer from
+// pushBodies; the caller Puts it back when the handler is done with the
+// bytes.
+func readPushBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+	buf := pushBodies.Get().(*bytes.Buffer)
+	buf.Reset()
+	if n := r.ContentLength; n > 0 {
+		// MinRead more than the body: ReadFrom wants that much room spare
+		// when it makes the read that finds EOF.
+		buf.Grow(int(min(n, maxPushPregrow)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxPushBody)); err != nil {
+		pushBodies.Put(buf)
+		return nil, err
+	}
+	return buf, nil
+}
 
 // KeyReport is one key's merged view, shared by /query and /snapshot.
 type KeyReport struct {
@@ -207,12 +237,13 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	// Drain the (bounded) body BEFORE folding: Apply holds the
 	// aggregator's write lock, and a slow or stalled uploader must not
 	// wedge every concurrent query behind it.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPushBody))
+	body, err := readPushBody(w, r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "read push body: %v", err)
 		return
 	}
-	frames, err := s.agg.Apply(worker, bytes.NewReader(body))
+	defer pushBodies.Put(body)
+	frames, err := s.agg.Apply(worker, bytes.NewReader(body.Bytes()))
 	if err != nil {
 		// Frames already folded stay applied; the worker discards its
 		// cursor and re-bootstraps (from-generation-0 frames replace).

@@ -89,11 +89,11 @@ func (p *Policy) CurrentFractions() []float64 {
 func (p *Policy) poolShallow(mi int) bool {
 	rank := fewk.ExactTailSize(p.cfg.Spec.Size, p.cfg.Phis[p.managed[mi]])
 	total := 0
-	for _, l := range p.agg.cached(mi) {
-		total += len(l)
-		if total >= rank {
+	for i := range p.agg.summaries {
+		tail, below := p.agg.summaries[i].cached(mi)
+		if total += len(tail) + len(below); total >= rank {
 			return false
 		}
 	}
-	return total < rank
+	return true
 }

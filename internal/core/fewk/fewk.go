@@ -97,50 +97,60 @@ func PlanBudget(windowN, periodP int, phi, fraction float64) (Budget, error) {
 	return Budget{K: k, Kt: kt, Ks: k - kt}, nil
 }
 
-// Sample is one retained interval sample of a sub-window's tail: Value is
-// the element at some rank r of the descending-sorted tail, and Weight is
-// the number of tail ranks it represents (the gap back to the previous
-// sampled rank). Weights let the window-level merge reconstruct global
-// ranks exactly, whatever sampling rate each sub-window used.
-type Sample struct {
-	Value  float64
-	Weight int
+// SampleCount returns how many interval samples a sub-window retains of a
+// descending tail of n values under a sample-k share of ks: min(ks, n), and
+// none when either is empty.
+func SampleCount(n, ks int) int {
+	if ks <= 0 || n <= 0 {
+		return 0
+	}
+	return min(ks, n)
 }
 
-// SampleTail interval-samples exactly min(ks, len) values from tail, which
-// must hold a sub-window's largest values sorted in descending order (at
-// most N(1−ϕ) of them). Samples are evenly spaced over the ranked tail and
-// anchored at BOTH ends — the first sample is the sub-window's maximum and
-// the last its deepest tail value. Anchoring the maximum matters when
-// burst values from one sub-window interleave with other sub-windows'
-// ordinary maxima (the realistic burst pattern): the global quantile then
-// sits near another sub-window's top ranks, which midpoint-phased sampling
-// systematically misses. Anchoring the deepest rank keeps the merged read
-// exact under the pure E1 burst. Returns nil when ks <= 0 or the tail is
-// empty.
-func SampleTail(tail []float64, ks int) []Sample {
-	if ks <= 0 || len(tail) == 0 {
-		return nil
-	}
-	n := len(tail)
-	if ks >= n {
-		out := make([]Sample, n)
+// SampleTail interval-samples tail, which must hold a sub-window's largest
+// values sorted in descending order (at most N(1−ϕ) of them), into values
+// and weights — two equally long destinations of SampleCount(len(tail), ks)
+// slots, whose length is the ks that applies. values[i] is the element at
+// some rank r of the tail and weights[i] the number of tail ranks it
+// represents (the gap back to the previous sampled rank, an exact integer):
+// weights let the window-level merge reconstruct global ranks exactly,
+// whatever sampling rate each sub-window used.
+//
+// Samples are evenly spaced over the ranked tail and anchored at BOTH ends —
+// the first sample is the sub-window's maximum and the last its deepest tail
+// value. Anchoring the maximum matters when burst values from one sub-window
+// interleave with other sub-windows' ordinary maxima (the realistic burst
+// pattern): the global quantile then sits near another sub-window's top
+// ranks, which midpoint-phased sampling systematically misses. Anchoring the
+// deepest rank keeps the merged read exact under the pure E1 burst.
+func SampleTail(values, weights, tail []float64) {
+	n, ks := len(tail), len(values)
+	switch {
+	case ks == 0:
+	case ks >= n:
 		for i, v := range tail {
-			out[i] = Sample{Value: v, Weight: 1}
+			values[i], weights[i] = v, 1
 		}
-		return out
+	case ks == 1:
+		values[0], weights[0] = tail[n-1], float64(n)
+	default:
+		prev := 0
+		for i := 0; i < ks; i++ {
+			r := 1 + int(math.Round(float64(i)*float64(n-1)/float64(ks-1)))
+			values[i], weights[i] = tail[r-1], float64(r-prev)
+			prev = r
+		}
 	}
-	if ks == 1 {
-		return []Sample{{Value: tail[n-1], Weight: n}}
-	}
-	out := make([]Sample, 0, ks)
-	prev := 0
-	for i := 0; i < ks; i++ {
-		r := 1 + int(math.Round(float64(i)*float64(n-1)/float64(ks-1)))
-		out = append(out, Sample{Value: tail[r-1], Weight: r - prev})
-		prev = r
-	}
-	return out
+}
+
+// Scratch is the reusable working state of the window-level merges and the
+// burst detector: the merge heap's index arrays and the rank test's pooled
+// buffer. An evaluation that passes the same Scratch every time stops
+// allocating once the arrays have grown to the window's sub-window count.
+// The zero value is ready to use; a Scratch serves one caller at a time.
+type Scratch struct {
+	li, pos []int32
+	ranks   stats.RankBuf
 }
 
 // TopKMerge merges the cached top-k lists of all sub-windows (each sorted
@@ -150,10 +160,11 @@ func SampleTail(tail []float64, ks int) []Sample {
 // undershoots a burst). Returns ok=false when no values are cached.
 //
 // The merge walks a max-heap of list heads and stops at the read rank, so
-// the per-evaluation cost is O(rank·log L) for L sub-windows instead of
-// sorting every cached value.
-func TopKMerge(lists [][]float64, windowN int, phi float64) (float64, bool) {
-	h := newHeadHeap(lists)
+// the per-evaluation cost is O(rank·log L) for L lists instead of sorting
+// every cached value. A sub-window may contribute its values as several
+// descending lists: only the merged order is read.
+func TopKMerge(lists [][]float64, windowN int, phi float64, sc *Scratch) (float64, bool) {
+	h := sc.heap(lists)
 	if h.empty() {
 		return 0, false
 	}
@@ -169,28 +180,19 @@ func TopKMerge(lists [][]float64, windowN int, phi float64) (float64, bool) {
 	return last, true
 }
 
-// SampleKMerge merges the weighted interval samples of all sub-windows and
+// SampleKMerge merges the weighted interval samples of all sub-windows —
+// values[i] and weights[i] are one sub-window's SampleTail output — and
 // answers the ϕ-quantile of a window of size windowN: samples are sorted
 // by value descending and weights accumulated until they reach the target
-// tail rank N−⌈ϕN⌉+1 — each sample stands for the Weight tail ranks of its
+// tail rank N−⌈ϕN⌉+1 — each sample stands for the weight tail ranks of its
 // own sub-window that precede it, so the cumulative weight approximates
 // the global rank. (With a uniform sampling rate α this reduces to the
 // paper's "read the α·N(1−ϕ)-th largest sample" rule.) Returns ok=false
 // when no samples exist.
-func SampleKMerge(samples [][]Sample, windowN int, phi float64) (float64, bool) {
+func SampleKMerge(values, weights [][]float64, windowN int, phi float64, sc *Scratch) (float64, bool) {
 	// Heap-merge the descending per-sub-window lists, accumulating weight
 	// until the target tail rank is covered — O(popped·log L).
-	lists := make([][]float64, len(samples))
-	weights := make([][]int, len(samples))
-	for i, l := range samples {
-		vs := make([]float64, len(l))
-		ws := make([]int, len(l))
-		for j, s := range l {
-			vs[j], ws[j] = s.Value, s.Weight
-		}
-		lists[i], weights[i] = vs, ws
-	}
-	h := newHeadHeap(lists)
+	h := sc.heap(values)
 	if h.empty() {
 		return 0, false
 	}
@@ -203,21 +205,11 @@ func SampleKMerge(samples [][]Sample, windowN int, phi float64) (float64, bool) 
 			return last, true // samples exhausted: deepest value
 		}
 		last = v
-		cum += weights[li][pos]
+		cum += int(weights[li][pos])
 		if cum >= target {
 			return v, true
 		}
 	}
-}
-
-// SampleValues extracts the plain values of a sample list (for the burst
-// detector's rank test).
-func SampleValues(samples []Sample) []float64 {
-	out := make([]float64, len(samples))
-	for i, s := range samples {
-		out[i] = s.Value
-	}
-	return out
 }
 
 // headHeap is a max-heap over the heads of descending-sorted lists,
@@ -226,17 +218,20 @@ type headHeap struct {
 	lists [][]float64
 	// entries are (listIndex, positionInList) pairs ordered by the value
 	// at that position.
-	li  []int
-	pos []int
+	li  []int32
+	pos []int32
 }
 
-func newHeadHeap(lists [][]float64) *headHeap {
-	h := &headHeap{lists: lists}
+// heap builds the head heap of lists in sc's index arrays. It only shrinks
+// afterwards, so sc keeps whatever the build grew.
+func (sc *Scratch) heap(lists [][]float64) headHeap {
+	h := headHeap{lists: lists, li: sc.li[:0], pos: sc.pos[:0]}
 	for i, l := range lists {
 		if len(l) > 0 {
-			h.push(i, 0)
+			h.push(int32(i), 0)
 		}
 	}
+	sc.li, sc.pos = h.li, h.pos
 	return h
 }
 
@@ -244,7 +239,7 @@ func (h *headHeap) empty() bool { return len(h.li) == 0 }
 
 func (h *headHeap) val(k int) float64 { return h.lists[h.li[k]][h.pos[k]] }
 
-func (h *headHeap) push(li, pos int) {
+func (h *headHeap) push(li, pos int32) {
 	h.li = append(h.li, li)
 	h.pos = append(h.pos, pos)
 	i := len(h.li) - 1
@@ -269,10 +264,10 @@ func (h *headHeap) popIndexed() (v float64, li, pos int, ok bool) {
 	if len(h.li) == 0 {
 		return 0, 0, 0, false
 	}
-	v, li, pos = h.val(0), h.li[0], h.pos[0]
+	v, li, pos = h.val(0), int(h.li[0]), int(h.pos[0])
 	// Advance that list's head, or remove it.
 	if pos+1 < len(h.lists[li]) {
-		h.li[0], h.pos[0] = li, pos+1
+		h.pos[0]++
 	} else {
 		last := len(h.li) - 1
 		h.li[0], h.pos[0] = h.li[last], h.pos[last]
@@ -311,8 +306,8 @@ func (h *headHeap) pop() (float64, bool) {
 // distributionally different and stochastically larger than the previous
 // sub-window's, per the one-sided Mann–Whitney U test at level alpha
 // (§4.3). Either sample being empty yields false.
-func DetectBurst(current, previous []float64, alpha float64) bool {
-	return stats.StochasticallyLarger(current, previous, alpha)
+func DetectBurst(current, previous []float64, alpha float64, sc *Scratch) bool {
+	return stats.StochasticallyLarger(current, previous, alpha, &sc.ranks)
 }
 
 // Outcome selects between the three per-quantile answers at runtime,

@@ -89,49 +89,57 @@ func TestPlanBudgetValidation(t *testing.T) {
 	}
 }
 
+// sampleTail runs SampleTail into fresh destinations of the size it asks for.
+func sampleTail(tail []float64, ks int) (values, weights []float64) {
+	n := SampleCount(len(tail), ks)
+	values, weights = make([]float64, n), make([]float64, n)
+	SampleTail(values, weights, tail)
+	return values, weights
+}
+
 func TestSampleTail(t *testing.T) {
 	tail := []float64{100, 90, 80, 70, 60, 50, 40, 30, 20, 10} // descending
-	s := SampleTail(tail, 5)
-	if len(s) != 5 {
-		t.Fatalf("sampled %d values, want 5", len(s))
+	vs, ws := sampleTail(tail, 5)
+	if len(vs) != 5 {
+		t.Fatalf("sampled %d values, want 5", len(vs))
 	}
 	// Evenly spaced 1-based ranks anchored at both ends:
 	// 1, 1+round(9/4)=3, 1+round(18/4)=6, 1+round(27/4)=8, 10.
 	wantV := []float64{100, 80, 50, 30, 10}
-	wantW := []int{1, 2, 3, 2, 2}
-	var wsum int
+	wantW := []float64{1, 2, 3, 2, 2}
+	var wsum float64
 	for i := range wantV {
-		if s[i].Value != wantV[i] || s[i].Weight != wantW[i] {
-			t.Fatalf("sample = %v, want values %v weights %v", s, wantV, wantW)
+		if vs[i] != wantV[i] || ws[i] != wantW[i] {
+			t.Fatalf("sample = %v / %v, want values %v weights %v", vs, ws, wantV, wantW)
 		}
-		wsum += s[i].Weight
+		wsum += ws[i]
 	}
 	// Weights tile the sampled rank range exactly.
 	if wsum != 10 {
-		t.Fatalf("weights sum to %d, want 10", wsum)
+		t.Fatalf("weights sum to %v, want 10", wsum)
 	}
 	// Both anchors always present.
-	if s[0].Value != tail[0] || s[len(s)-1].Value != tail[len(tail)-1] {
+	if vs[0] != tail[0] || vs[len(vs)-1] != tail[len(tail)-1] {
 		t.Fatal("samples not anchored at both ends")
 	}
 }
 
 func TestSampleTailEdge(t *testing.T) {
-	if got := SampleTail(nil, 5); got != nil {
+	if got, _ := sampleTail(nil, 5); len(got) != 0 {
 		t.Fatalf("nil tail sample = %v", got)
 	}
-	if got := SampleTail([]float64{5}, 0); got != nil {
+	if got, _ := sampleTail([]float64{5}, 0); len(got) != 0 {
 		t.Fatalf("ks=0 sample = %v", got)
 	}
 	// ks >= len: full copy with unit weights.
-	got := SampleTail([]float64{3, 2, 1}, 10)
-	if len(got) != 3 || got[0].Value != 3 || got[0].Weight != 1 {
-		t.Fatalf("oversized ks sample = %v", got)
+	vs, ws := sampleTail([]float64{3, 2, 1}, 10)
+	if len(vs) != 3 || vs[0] != 3 || ws[0] != 1 {
+		t.Fatalf("oversized ks sample = %v / %v", vs, ws)
 	}
 	// ks == 1: single deepest value carrying the whole tail weight.
-	got = SampleTail([]float64{9, 8, 7, 6}, 1)
-	if len(got) != 1 || got[0].Value != 6 || got[0].Weight != 4 {
-		t.Fatalf("ks=1 sample = %v", got)
+	vs, ws = sampleTail([]float64{9, 8, 7, 6}, 1)
+	if len(vs) != 1 || vs[0] != 6 || ws[0] != 4 {
+		t.Fatalf("ks=1 sample = %v / %v", vs, ws)
 	}
 }
 
@@ -141,9 +149,9 @@ func TestSampleTailAlwaysIncludesDeepValues(t *testing.T) {
 	for i := range tail {
 		tail[i] = float64(100 - i)
 	}
-	s := SampleTail(tail, 4)
-	if s[len(s)-1].Value != 1 {
-		t.Fatalf("deepest sample = %v, want the tail end value 1", s[len(s)-1])
+	vs, _ := sampleTail(tail, 4)
+	if vs[len(vs)-1] != 1 {
+		t.Fatalf("deepest sample = %v, want the tail end value 1", vs[len(vs)-1])
 	}
 }
 
@@ -177,7 +185,7 @@ func TestTopKMergeExactWhenBudgetFull(t *testing.T) {
 			}
 			lists[s] = sub
 		}
-		got, ok := TopKMerge(lists, n, phi)
+		got, ok := TopKMerge(lists, n, phi, new(Scratch))
 		if !ok {
 			t.Fatalf("%s: no result", name)
 		}
@@ -190,17 +198,17 @@ func TestTopKMergeExactWhenBudgetFull(t *testing.T) {
 }
 
 func TestTopKMergeEmpty(t *testing.T) {
-	if _, ok := TopKMerge(nil, 1000, 0.99); ok {
+	if _, ok := TopKMerge(nil, 1000, 0.99, new(Scratch)); ok {
 		t.Fatal("empty merge returned ok")
 	}
-	if _, ok := TopKMerge([][]float64{{}, {}}, 1000, 0.99); ok {
+	if _, ok := TopKMerge([][]float64{{}, {}}, 1000, 0.99, new(Scratch)); ok {
 		t.Fatal("empty lists returned ok")
 	}
 }
 
 func TestTopKMergeClampsRank(t *testing.T) {
 	// Budget smaller than N(1-phi): falls back to the smallest cached.
-	got, ok := TopKMerge([][]float64{{100, 90}, {80}}, 10000, 0.99) // wants rank 100
+	got, ok := TopKMerge([][]float64{{100, 90}, {80}}, 10000, 0.99, new(Scratch)) // wants rank 100
 	if !ok || got != 80 {
 		t.Fatalf("clamped merge = %v, %v", got, ok)
 	}
@@ -216,7 +224,7 @@ func TestSampleKMergeUniformTail(t *testing.T) {
 	const phi = 0.999
 	exactTail := ExactTailSize(n, phi) // 101
 	perSub := (exactTail + subs - 1) / subs
-	var samples [][]Sample
+	var values, weights [][]float64
 	v := 1000.0
 	for s := 0; s < subs; s++ {
 		var tail []float64
@@ -225,9 +233,10 @@ func TestSampleKMergeUniformTail(t *testing.T) {
 			v++
 		}
 		sort.Sort(sort.Reverse(sort.Float64Slice(tail)))
-		samples = append(samples, SampleTail(tail, perSub/2))
+		vs, ws := sampleTail(tail, perSub/2)
+		values, weights = append(values, vs), append(weights, ws)
 	}
-	got, ok := SampleKMerge(samples, n, phi)
+	got, ok := SampleKMerge(values, weights, n, phi, new(Scratch))
 	if !ok {
 		t.Fatal("no result")
 	}
@@ -238,7 +247,7 @@ func TestSampleKMergeUniformTail(t *testing.T) {
 }
 
 func TestSampleKMergeEmpty(t *testing.T) {
-	if _, ok := SampleKMerge(nil, 1000, 0.99); ok {
+	if _, ok := SampleKMerge(nil, nil, 1000, 0.99, new(Scratch)); ok {
 		t.Fatal("empty sample merge returned ok")
 	}
 }
@@ -253,20 +262,13 @@ func TestSampleKMergePureBurstExact(t *testing.T) {
 	for i := range tail {
 		tail[i] = float64(100000 - i*1000) // descending
 	}
-	samples := [][]Sample{SampleTail(tail, 5)}
-	got, ok := SampleKMerge(samples, n, phi)
+	vs, ws := sampleTail(tail, 5)
+	got, ok := SampleKMerge([][]float64{vs}, [][]float64{ws}, n, phi, new(Scratch))
 	if !ok {
 		t.Fatal("no result")
 	}
 	if got != tail[tailRank-1] {
 		t.Fatalf("pure-burst SampleKMerge = %v, want exact %v", got, tail[tailRank-1])
-	}
-}
-
-func TestSampleValues(t *testing.T) {
-	vs := SampleValues([]Sample{{Value: 3, Weight: 2}, {Value: 1, Weight: 5}})
-	if len(vs) != 2 || vs[0] != 3 || vs[1] != 1 {
-		t.Fatalf("SampleValues = %v", vs)
 	}
 }
 
@@ -278,13 +280,13 @@ func TestDetectBurst(t *testing.T) {
 		prev[i] = 1000 + rng.NormFloat64()*50
 		cur[i] = 10000 + rng.NormFloat64()*500 // 10x burst
 	}
-	if !DetectBurst(cur, prev, DefaultBurstAlpha) {
+	if !DetectBurst(cur, prev, DefaultBurstAlpha, new(Scratch)) {
 		t.Fatal("10x burst not detected")
 	}
-	if DetectBurst(prev, cur, DefaultBurstAlpha) {
+	if DetectBurst(prev, cur, DefaultBurstAlpha, new(Scratch)) {
 		t.Fatal("reverse direction flagged")
 	}
-	if DetectBurst(nil, prev, DefaultBurstAlpha) {
+	if DetectBurst(nil, prev, DefaultBurstAlpha, new(Scratch)) {
 		t.Fatal("empty current flagged")
 	}
 }
@@ -322,25 +324,25 @@ func TestQuickSampleTailSubsequence(t *testing.T) {
 		}
 		sort.Sort(sort.Reverse(sort.Float64Slice(tail)))
 		ks := int(ksSeed%16) + 1
-		s := SampleTail(tail, ks)
-		if len(s) == 0 || len(s) > ks {
+		vs, ws := sampleTail(tail, ks)
+		if len(vs) == 0 || len(vs) > ks {
 			return false
 		}
 		// Values form a subsequence of the tail, and weights tile the
 		// rank range up to the deepest sampled rank without overlap.
 		j := 0
-		wsum := 0
-		for _, sm := range s {
-			for j < len(tail) && tail[j] != sm.Value {
+		wsum := 0.0
+		for i, v := range vs {
+			for j < len(tail) && tail[j] != v {
 				j++
 			}
-			if j == len(tail) || sm.Weight < 1 {
+			if j == len(tail) || ws[i] < 1 || ws[i] != math.Trunc(ws[i]) {
 				return false
 			}
 			j++
-			wsum += sm.Weight
+			wsum += ws[i]
 		}
-		return wsum <= len(tail)
+		return wsum <= float64(len(tail))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -370,7 +372,7 @@ func TestQuickTopKMergeExact(t *testing.T) {
 			}
 			lists = append(lists, sub)
 		}
-		got, ok := TopKMerge(lists, n, phi)
+		got, ok := TopKMerge(lists, n, phi, new(Scratch))
 		if !ok {
 			return false
 		}

@@ -9,8 +9,55 @@ import (
 	"repro/internal/rbtree"
 )
 
-func mkSummary(qs ...float64) Summary {
-	return Summary{Quantiles: qs, Count: 10}
+// summaryParts is a hand-built summary's contents; count defaults to 10,
+// densities to zeros, everything else to absent.
+type summaryParts struct {
+	count                  int
+	quantiles, densities   []float64
+	tails, values, weights [][]float64
+	bursty                 []bool
+}
+
+func (p summaryParts) build() Summary {
+	if p.count == 0 {
+		p.count = 10
+	}
+	if p.densities == nil {
+		p.densities = make([]float64, len(p.quantiles))
+	}
+	s, err := NewSummary(p.count, p.quantiles, p.densities, p.tails, p.values, p.weights, p.bursty)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// partsOf explodes a summary back into (copies of) what NewSummary takes.
+func partsOf(s Summary) summaryParts {
+	p := summaryParts{count: s.Count}
+	for i := 0; i < s.NumQuantiles(); i++ {
+		p.quantiles, p.densities = append(p.quantiles, s.Quantile(i)), append(p.densities, s.Density(i))
+	}
+	for mi := 0; mi < s.Managed(); mi++ {
+		p.tails = append(p.tails, append([]float64(nil), s.Tail(mi)...))
+		p.values = append(p.values, append([]float64(nil), s.SampleValues(mi)...))
+		p.weights = append(p.weights, append([]float64(nil), s.SampleWeights(mi)...))
+		if s.Flagged() {
+			p.bursty = append(p.bursty, s.Bursty(mi))
+		}
+	}
+	return p
+}
+
+func mkSummary(qs ...float64) Summary { return summaryParts{quantiles: qs}.build() }
+
+// union concatenates the runs cachedOf gathered for one summary.
+func union(runs [][]float64) []float64 {
+	var out []float64
+	for _, r := range runs {
+		out = append(out, r...)
+	}
+	return out
 }
 
 func TestLevel2AccumulateDeaccumulate(t *testing.T) {
@@ -46,29 +93,33 @@ func TestLevel2DeaccumulateEmpty(t *testing.T) {
 
 func TestLevel2CachedSkipsSummariesWithoutTails(t *testing.T) {
 	l := newLevel2(1)
-	l.accumulate(mkSummary(1)) // no Tails
-	s := mkSummary(2)
-	s.Tails = [][]float64{{9, 8}}
-	s.Samples = [][]fewk.Sample{{{Value: 5, Weight: 2}}}
-	l.accumulate(s)
-	got := l.cached(0)
-	if len(got) != 1 {
-		t.Fatalf("cached lists = %d, want 1", len(got))
+	l.accumulate(mkSummary(1)) // no tails
+	l.accumulate(summaryParts{
+		quantiles: []float64{2},
+		tails:     [][]float64{{9, 8}},
+		values:    [][]float64{{5}}, weights: [][]float64{{2}},
+	}.build())
+	var sc mergeScratch
+	got := sc.cachedOf(l.summaries, 0)
+	if n := len(union(got[:2])); n != 0 {
+		t.Fatalf("summary without tails contributed %d values", n)
 	}
 	// Union: tails {9,8} plus sample 5 (below the tail cutoff 8).
-	if len(got[0]) != 3 || got[0][0] != 9 || got[0][2] != 5 {
-		t.Fatalf("cached union = %v", got[0])
+	if u := union(got); len(u) != 3 || u[0] != 9 || u[2] != 5 {
+		t.Fatalf("cached union = %v", u)
 	}
 }
 
 func TestLevel2CachedDedupsSamplesInTopK(t *testing.T) {
 	l := newLevel2(1)
-	s := mkSummary(2)
-	s.Tails = [][]float64{{9, 8}}
 	// Sample at 8 duplicates the tail cache; sample at 3 does not.
-	s.Samples = [][]fewk.Sample{{{Value: 8, Weight: 1}, {Value: 3, Weight: 2}}}
-	l.accumulate(s)
-	got := l.cached(0)[0]
+	l.accumulate(summaryParts{
+		quantiles: []float64{2},
+		tails:     [][]float64{{9, 8}},
+		values:    [][]float64{{8, 3}}, weights: [][]float64{{1, 2}},
+	}.build())
+	var sc mergeScratch
+	got := union(sc.cachedOf(l.summaries, 0))
 	if len(got) != 3 {
 		t.Fatalf("cached union = %v, want 3 values (8 deduped)", got)
 	}
@@ -76,37 +127,34 @@ func TestLevel2CachedDedupsSamplesInTopK(t *testing.T) {
 
 func TestLevel2AnyBursty(t *testing.T) {
 	l := newLevel2(1)
-	a := mkSummary(1)
-	a.BurstyVsPrev = []bool{false}
-	b := mkSummary(2)
-	b.BurstyVsPrev = []bool{true}
-	l.accumulate(a)
-	if l.anyBursty(0) {
+	managed := func(q float64, bursty bool) Summary {
+		return summaryParts{
+			quantiles: []float64{q},
+			tails:     [][]float64{nil}, values: [][]float64{nil}, weights: [][]float64{nil},
+			bursty: []bool{bursty},
+		}.build()
+	}
+	l.accumulate(managed(1, false))
+	if anyBurstyOf(l.summaries, 0) {
 		t.Fatal("burst flagged without any bursty summary")
 	}
-	l.accumulate(b)
-	if !l.anyBursty(0) {
+	l.accumulate(managed(2, true))
+	if !anyBurstyOf(l.summaries, 0) {
 		t.Fatal("burst not flagged")
 	}
 	// After the bursty summary expires the flag clears.
 	l.deaccumulate()
 	l.deaccumulate()
-	if l.anyBursty(0) {
+	if anyBurstyOf(l.summaries, 0) {
 		t.Fatal("burst flag survived expiry")
 	}
 }
 
 func TestLevel2MeanDensity(t *testing.T) {
 	l := newLevel2(1)
-	a := mkSummary(1)
-	a.Densities = []float64{2}
-	b := mkSummary(2)
-	b.Densities = []float64{4}
-	c := mkSummary(3)
-	c.Densities = []float64{math.Inf(1)} // point mass excluded
-	l.accumulate(a)
-	l.accumulate(b)
-	l.accumulate(c)
+	l.accumulate(summaryParts{quantiles: []float64{1}, densities: []float64{2}}.build())
+	l.accumulate(summaryParts{quantiles: []float64{2}, densities: []float64{4}}.build())
+	l.accumulate(summaryParts{quantiles: []float64{3}, densities: []float64{math.Inf(1)}}.build()) // point mass excluded
 	if got := l.meanDensity(0); got != 3 {
 		t.Fatalf("meanDensity = %v, want 3", got)
 	}
@@ -118,10 +166,11 @@ func TestLevel2MeanDensity(t *testing.T) {
 
 func TestLevel2SpaceUsage(t *testing.T) {
 	l := newLevel2(2)
-	s := mkSummary(1, 2)
-	s.Tails = [][]float64{{9, 8, 7}}
-	s.Samples = [][]fewk.Sample{{{Value: 5, Weight: 1}}}
-	l.accumulate(s)
+	l.accumulate(summaryParts{
+		quantiles: []float64{1, 2},
+		tails:     [][]float64{{9, 8, 7}},
+		values:    [][]float64{{5}}, weights: [][]float64{{1}},
+	}.build())
 	// 2 quantile slots + 3 tail values + 1 sample.
 	if got := l.spaceUsage(); got != 6 {
 		t.Fatalf("spaceUsage = %d, want 6", got)
@@ -185,11 +234,11 @@ func TestBuilderSealProducesSortedTails(t *testing.T) {
 	// Tail cache: 3 largest, descending.
 	want := []float64{100, 99, 88}
 	for i := range want {
-		if s.Tails[0][i] != want[i] {
-			t.Fatalf("Tails = %v, want %v", s.Tails[0], want)
+		if s.Tail(0)[i] != want[i] {
+			t.Fatalf("Tail = %v, want %v", s.Tail(0), want)
 		}
 	}
-	if len(s.Samples[0]) == 0 {
+	if len(s.SampleValues(0)) == 0 {
 		t.Fatal("no samples captured")
 	}
 	// The operator empties the builder after a seal.
@@ -203,7 +252,7 @@ func TestBuilderDensityAtSmallN(t *testing.T) {
 	b.add(1)
 	b.add(2)
 	s := b.seal([]float64{0.5}, nil, nil, 100)
-	if got := s.Densities[0]; got != 0 {
+	if got := s.Density(0); got != 0 {
 		t.Fatalf("density with n<4 = %v, want 0", got)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/exact"
 )
@@ -13,10 +14,11 @@ import (
 // sees Snapshot's private fields, and core never sees bytes.
 //
 // The slices are SHARED with the Snapshot they came from (or are handed
-// to): summary internals are immutable after seal, so sharing is safe as
+// to): a summary's block is immutable after seal, so sharing is safe as
 // long as holders honour the same read-only contract the Snapshot itself
-// relies on. A decoder that just unmarshalled fresh slices hands them over
-// outright; nothing is copied in either direction.
+// relies on. A decoder that just unmarshalled fresh blocks hands them over
+// outright; nothing is copied in either direction. The same holds for
+// Config.Phis, which a decoder may share between the frames of one blob.
 type SnapshotParts struct {
 	// Config is the FULL resolved configuration the captured operator ran
 	// with — not just the merge-shape fields. Estimates on the rebuilt
@@ -53,7 +55,7 @@ func (s Snapshot) Parts() SnapshotParts {
 // every structural invariant a live capture carries by construction: the
 // configuration must be a valid RESOLVED one (as produced by New — zero
 // defaults already applied), the Level-2 sums must align with the ϕ set,
-// and every summary's slices must agree with the configuration's quantile
+// and every summary's shape must agree with the configuration's quantile
 // and managed-quantile counts. The managed index set is recomputed from the
 // configuration, so a rebuilt capture Merges and Estimates exactly — bit
 // for bit — like the never-serialized original.
@@ -63,32 +65,59 @@ func (s Snapshot) Parts() SnapshotParts {
 // NaN policies for the float payloads are the transport's concern (see
 // internal/wire), where corrupt input is actually possible.
 func NewSnapshot(p SnapshotParts) (Snapshot, error) {
-	cfg := p.Config
+	sh, err := NewShape(p.Config)
+	if err != nil {
+		return Snapshot{}, err
+	}
+	return sh.NewSnapshot(p)
+}
+
+// Shape is a resolved configuration that has passed NewSnapshot's checks,
+// together with the managed-quantile set derived from it. A decoder keeps
+// the Shape of the frame it just read: the frames of one blob nearly always
+// carry one configuration, which is then validated and derived once and
+// shared, read-only, by every capture rebuilt from it.
+type Shape struct {
+	cfg     Config
+	managed []int
+}
+
+// NewShape validates cfg as a RESOLVED configuration and derives its managed
+// set. cfg.Phis is retained, not copied.
+func NewShape(cfg Config) (Shape, error) {
+	if err := validateResolved(cfg); err != nil {
+		return Shape{}, fmt.Errorf("qlove: snapshot parts: %w", err)
+	}
+	return Shape{cfg: cfg, managed: managedIndexes(cfg)}, nil
+}
+
+// Config returns the configuration the shape was built from.
+func (sh Shape) Config() Config { return sh.cfg }
+
+// NewSnapshot is NewSnapshot for parts whose configuration is sh's: p.Config
+// is not read, the capture carries sh.Config().
+func (sh Shape) NewSnapshot(p SnapshotParts) (Snapshot, error) {
 	if p.Streams < 1 {
 		return Snapshot{}, fmt.Errorf("qlove: snapshot parts: streams %d < 1", p.Streams)
 	}
-	if err := validateResolved(cfg); err != nil {
-		return Snapshot{}, fmt.Errorf("qlove: snapshot parts: %w", err)
-	}
-	l := len(cfg.Phis)
+	l := len(sh.cfg.Phis)
 	if len(p.Sums) != l {
 		return Snapshot{}, fmt.Errorf("qlove: snapshot parts: %d sums for %d quantiles", len(p.Sums), l)
 	}
 	if p.SealGen != 0 && uint64(len(p.Summaries)) > p.SealGen {
 		return Snapshot{}, fmt.Errorf("qlove: snapshot parts: %d resident summaries exceed seal generation %d", len(p.Summaries), p.SealGen)
 	}
-	managed := managedIndexes(cfg)
 	for i := range p.Summaries {
-		if err := validateSummary(&p.Summaries[i], l, len(managed)); err != nil {
+		if err := validateSummary(&p.Summaries[i], l, len(sh.managed)); err != nil {
 			return Snapshot{}, fmt.Errorf("qlove: snapshot parts: summary %d: %w", i, err)
 		}
 	}
 	return Snapshot{
-		cfg:       cfg,
+		cfg:       sh.cfg,
 		streams:   p.Streams,
 		sums:      p.Sums,
 		summaries: p.Summaries,
-		managed:   managed,
+		managed:   sh.managed,
 		sealGen:   p.SealGen,
 	}, nil
 }
@@ -120,45 +149,35 @@ func validateResolved(cfg Config) error {
 	return nil
 }
 
-// validateSummary checks one summary's slice shape against the
-// configuration: l quantiles and densities, one tail and one sample list
-// per managed quantile, burst flags either absent or one per managed
-// quantile, and per-summary population cross-checks (a sub-window cannot
-// cache more tail values, or represent more tail ranks, than it contained).
+// validateSummary checks one summary's shape against the configuration:
+// l quantiles and densities, one tail and one sample list per managed
+// quantile (NewSummary already guarantees the lists and any burst flags agree
+// with each other), and per-summary population cross-checks (a sub-window
+// cannot cache more tail values, or represent more tail ranks, than it
+// contained; a weight is a whole number of ranks).
 func validateSummary(s *Summary, l, nManaged int) error {
 	if s.Count < 1 {
 		return fmt.Errorf("count %d < 1", s.Count)
 	}
-	if len(s.Quantiles) != l {
-		return fmt.Errorf("%d quantiles, config has %d", len(s.Quantiles), l)
+	if s.NumQuantiles() != l {
+		return fmt.Errorf("%d quantiles, config has %d", s.NumQuantiles(), l)
 	}
-	if len(s.Densities) != l {
-		return fmt.Errorf("%d densities, config has %d", len(s.Densities), l)
+	if s.Managed() != nManaged {
+		return fmt.Errorf("%d tail and sample lists for %d managed quantiles", s.Managed(), nManaged)
 	}
-	if len(s.Tails) != nManaged {
-		return fmt.Errorf("%d tails for %d managed quantiles", len(s.Tails), nManaged)
-	}
-	if len(s.Samples) != nManaged {
-		return fmt.Errorf("%d sample lists for %d managed quantiles", len(s.Samples), nManaged)
-	}
-	if len(s.BurstyVsPrev) != 0 && len(s.BurstyVsPrev) != nManaged {
-		return fmt.Errorf("%d burst flags for %d managed quantiles", len(s.BurstyVsPrev), nManaged)
-	}
-	for mi, t := range s.Tails {
-		if len(t) > s.Count {
-			return fmt.Errorf("tail %d holds %d values, sub-window held %d", mi, len(t), s.Count)
+	for mi := 0; mi < nManaged; mi++ {
+		if n := len(s.Tail(mi)); n > s.Count {
+			return fmt.Errorf("tail %d holds %d values, sub-window held %d", mi, n, s.Count)
 		}
-	}
-	for mi, list := range s.Samples {
-		ranks := 0
-		for _, sm := range list {
-			if sm.Weight < 1 {
-				return fmt.Errorf("sample list %d: weight %d < 1", mi, sm.Weight)
+		ranks := 0.0
+		for _, w := range s.SampleWeights(mi) {
+			if !(w >= 1) || w != math.Trunc(w) {
+				return fmt.Errorf("sample list %d: weight %v is not a count of tail ranks", mi, w)
 			}
-			ranks += sm.Weight
+			ranks += w
 		}
-		if ranks > s.Count {
-			return fmt.Errorf("sample list %d represents %d tail ranks, sub-window held %d", mi, ranks, s.Count)
+		if ranks > float64(s.Count) {
+			return fmt.Errorf("sample list %d represents %v tail ranks, sub-window held %d", mi, ranks, s.Count)
 		}
 	}
 	return nil

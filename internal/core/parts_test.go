@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core/fewk"
 	"repro/internal/window"
 	"repro/internal/workload"
 )
@@ -86,24 +85,34 @@ func TestNewSnapshotRejects(t *testing.T) {
 		fn(&p)
 		return p
 	}
+	// rebuild swaps the first summary for one built from its own parts, edited.
+	rebuild := func(fn func(sp *summaryParts)) SnapshotParts {
+		return mutate(func(p *SnapshotParts) {
+			sp := partsOf(p.Summaries[0])
+			fn(&sp)
+			p.Summaries[0] = sp.build()
+		})
+	}
 	cases := map[string]SnapshotParts{
-		"zero streams":     mutate(func(p *SnapshotParts) { p.Streams = 0 }),
-		"bad spec":         mutate(func(p *SnapshotParts) { p.Config.Spec.Period = 3 }),
-		"no phis":          mutate(func(p *SnapshotParts) { p.Config.Phis = nil }),
-		"unsorted phis":    mutate(func(p *SnapshotParts) { p.Config.Phis = []float64{0.9, 0.5} }),
-		"unresolved frac":  mutate(func(p *SnapshotParts) { p.Config.Fraction = 0 }),
-		"negative digits":  mutate(func(p *SnapshotParts) { p.Config.Digits = -1 }),
-		"both modes":       mutate(func(p *SnapshotParts) { p.Config.TopKOnly, p.Config.SampleKOnly = true, true }),
-		"sums mismatch":    mutate(func(p *SnapshotParts) { p.Sums = p.Sums[:1] }),
-		"zero count":       mutate(func(p *SnapshotParts) { s := p.Summaries[0]; s.Count = 0; p.Summaries[0] = s }),
-		"quantile shape":   mutate(func(p *SnapshotParts) { s := p.Summaries[0]; s.Quantiles = s.Quantiles[:1]; p.Summaries[0] = s }),
-		"density shape":    mutate(func(p *SnapshotParts) { s := p.Summaries[0]; s.Densities = nil; p.Summaries[0] = s }),
-		"tail shape":       mutate(func(p *SnapshotParts) { s := p.Summaries[0]; s.Tails = nil; p.Summaries[0] = s }),
-		"sample shape":     mutate(func(p *SnapshotParts) { s := p.Summaries[0]; s.Samples = append(s.Samples, nil); p.Summaries[0] = s }),
-		"burst shape":      mutate(func(p *SnapshotParts) { s := p.Summaries[0]; s.BurstyVsPrev = []bool{true, false}; p.Summaries[0] = s }),
-		"oversized tail":   mutate(func(p *SnapshotParts) { s := p.Summaries[0]; s.Count = len(s.Tails[0]) - 1; p.Summaries[0] = s }),
-		"zero weight":      mutate(func(p *SnapshotParts) { s := p.Summaries[0]; s.Samples = [][]fewk.Sample{{{Value: 1, Weight: 0}}}; p.Summaries[0] = s }),
-		"oversized weight": mutate(func(p *SnapshotParts) { s := p.Summaries[0]; s.Samples = [][]fewk.Sample{{{Value: 1, Weight: s.Count + 1}}}; p.Summaries[0] = s }),
+		"zero streams":    mutate(func(p *SnapshotParts) { p.Streams = 0 }),
+		"bad spec":        mutate(func(p *SnapshotParts) { p.Config.Spec.Period = 3 }),
+		"no phis":         mutate(func(p *SnapshotParts) { p.Config.Phis = nil }),
+		"unsorted phis":   mutate(func(p *SnapshotParts) { p.Config.Phis = []float64{0.9, 0.5} }),
+		"unresolved frac": mutate(func(p *SnapshotParts) { p.Config.Fraction = 0 }),
+		"negative digits": mutate(func(p *SnapshotParts) { p.Config.Digits = -1 }),
+		"both modes":      mutate(func(p *SnapshotParts) { p.Config.TopKOnly, p.Config.SampleKOnly = true, true }),
+		"sums mismatch":   mutate(func(p *SnapshotParts) { p.Sums = p.Sums[:1] }),
+		"zero count":      mutate(func(p *SnapshotParts) { s := p.Summaries[0]; s.Count = 0; p.Summaries[0] = s }),
+		"quantile shape":  rebuild(func(sp *summaryParts) { sp.quantiles, sp.densities = sp.quantiles[:1], sp.densities[:1] }),
+		"unmanaged":       rebuild(func(sp *summaryParts) { sp.tails, sp.values, sp.weights, sp.bursty = nil, nil, nil, nil }),
+		"extra managed": rebuild(func(sp *summaryParts) {
+			sp.tails, sp.values, sp.weights = append(sp.tails, nil), append(sp.values, nil), append(sp.weights, nil)
+			sp.bursty = append(sp.bursty, false)
+		}),
+		"oversized tail":    rebuild(func(sp *summaryParts) { sp.count = len(sp.tails[0]) - 1 }),
+		"zero weight":       rebuild(func(sp *summaryParts) { sp.values, sp.weights = [][]float64{{1}}, [][]float64{{0}} }),
+		"fractional weight": rebuild(func(sp *summaryParts) { sp.values, sp.weights = [][]float64{{1}}, [][]float64{{1.5}} }),
+		"oversized weight":  rebuild(func(sp *summaryParts) { sp.values, sp.weights = [][]float64{{1}}, [][]float64{{float64(sp.count + 1)}} }),
 	}
 	for name, parts := range cases {
 		if _, err := NewSnapshot(parts); err == nil {
@@ -114,6 +123,30 @@ func TestNewSnapshotRejects(t *testing.T) {
 	// not what fails the cases above).
 	if _, err := NewSnapshot(mutate(func(*SnapshotParts) {})); err != nil {
 		t.Fatalf("pristine parts rejected: %v", err)
+	}
+}
+
+// TestNewSummaryRejects: parts that do not fit together never become a
+// block (the shapes NewSnapshot used to find on a summary's separate slices).
+func TestNewSummaryRejects(t *testing.T) {
+	q, one := []float64{1, 2}, [][]float64{{9, 8}}
+	cases := map[string]func() (Summary, error){
+		"density shape": func() (Summary, error) { return NewSummary(10, q, q[:1], nil, nil, nil, nil) },
+		"sample shape":  func() (Summary, error) { return NewSummary(10, q, q, one, nil, nil, nil) },
+		"weight shape":  func() (Summary, error) { return NewSummary(10, q, q, one, one, [][]float64{{1}}, nil) },
+		"burst shape":   func() (Summary, error) { return NewSummary(10, q, q, one, one, one, []bool{true, false}) },
+	}
+	for name, build := range cases {
+		if _, err := build(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	s, err := NewSummary(10, q, q, one, one, [][]float64{{1, 2}}, []bool{true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.Bursty(0) || s.Tail(0)[1] != 8 || s.SampleWeights(0)[1] != 2 || s.Quantile(1) != 2 {
+		t.Fatalf("summary does not read back what it was built from: %+v", s)
 	}
 }
 

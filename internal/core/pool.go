@@ -27,37 +27,35 @@ import "repro/internal/rbtree"
 // another owner must change pools with it (Disown, then the new owner's
 // Adopt). Use one Pool per owner, not one shared Pool behind a lock.
 type Pool struct {
-	// mint is the configuration AS GIVEN by the caller — minting must go
-	// through New with the original config, because config resolution is
-	// not idempotent (user Digits<0 resolves to 0 "quantizer identity",
-	// which withDefaults would re-resolve to the default 3).
-	mint Config
-	// cfg is the resolved configuration every minted operator carries;
-	// Put compares against it.
-	cfg  Config
-	free []*Policy
+	// proto is the operator NewPool validated the configuration with. It
+	// never runs: every operator the pool hands out is minted from it
+	// (Policy.mint), shares its read-only parts and carries its resolved
+	// configuration, which Put and Adopt compare against.
+	proto *Policy
+	free  []*Policy
 	// benches holds the idle workbenches, cleared, most recently used
 	// last; lent counts the ones out with operators homed here.
 	benches []*builder
 	lent    int
+	// scratch is the few-k merge scratch every operator homed here
+	// evaluates and seals with (Policy.scratch): like the workbenches it is
+	// the owner goroutine's alone, so one serves the whole shard.
+	scratch mergeScratch
 }
 
 // NewPool returns a pool minting operators with cfg. The configuration is
-// validated eagerly — by constructing the first operator, which seeds the
-// free list — so Get never fails afterwards.
+// validated eagerly — by constructing the prototype every operator is minted
+// from — so Get never fails afterwards.
 func NewPool(cfg Config) (*Pool, error) {
 	p, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	pl := &Pool{mint: cfg, cfg: p.cfg}
-	p.lender = pl
-	pl.free = []*Policy{p}
-	return pl, nil
+	return &Pool{proto: p}, nil
 }
 
 // Config returns the pool's resolved configuration.
-func (pl *Pool) Config() Config { return pl.cfg }
+func (pl *Pool) Config() Config { return pl.proto.cfg }
 
 // Get returns an operator ready for a fresh stream: a recycled one when
 // available (already Reset by Put), newly constructed otherwise.
@@ -68,12 +66,7 @@ func (pl *Pool) Get() *Policy {
 		pl.free = pl.free[:n-1]
 		return p
 	}
-	p, err := New(pl.mint)
-	if err != nil {
-		// mint was validated by NewPool; New on the same config cannot
-		// fail.
-		panic("qlove: pool config invalidated: " + err.Error())
-	}
+	p := pl.proto.mint()
 	p.lender = pl
 	return p
 }
@@ -89,7 +82,7 @@ const maxIdle = 64
 // dropped (their estimates under this pool's config would be silently
 // wrong), as are operators beyond the maxIdle cap; nil is ignored.
 func (pl *Pool) Put(p *Policy) {
-	if p == nil || len(pl.free) >= maxIdle || !fullConfigEqual(p.cfg, pl.cfg) {
+	if p == nil || len(pl.free) >= maxIdle || !fullConfigEqual(p.cfg, pl.proto.cfg) {
 		return
 	}
 	if p.lender != pl {
@@ -131,7 +124,7 @@ func (pl *Pool) Adopt(p *Policy) {
 		return
 	}
 	p.lender = nil
-	if !fullConfigEqual(p.cfg, pl.cfg) {
+	if !fullConfigEqual(p.cfg, pl.proto.cfg) {
 		return
 	}
 	if p.builder != nil {
@@ -159,7 +152,7 @@ func (pl *Pool) lend() *builder {
 		pl.benches = pl.benches[:n-1]
 		return b
 	}
-	return newBuilder(rbtree.NewSized(pl.cfg.Spec.Period), pl.cfg.Digits)
+	return newBuilder(rbtree.NewSized(pl.proto.cfg.Spec.Period), pl.proto.cfg.Digits)
 }
 
 // takeBack clears a returned workbench and shelves it, up to maxIdle.

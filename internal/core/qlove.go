@@ -104,8 +104,10 @@ type Policy struct {
 	// recycled operator to its exact initial plan.
 	baseBudgets []fewk.Budget
 
-	// prev is the most recently sealed summary (resident or not); the
-	// burst detector compares each new sub-window against it.
+	// prev is the most recently sealed summary once it is no longer
+	// resident (Expire saves it when it removes the last one); while it is
+	// resident it is the newest in agg and prev stays nil. The burst
+	// detector compares each new sub-window against it.
 	prev *Summary
 
 	// burstActive[i] records, per managed quantile, whether the last
@@ -166,6 +168,28 @@ func New(cfg Config) (*Policy, error) {
 		p.initAdaptive()
 	}
 	return p, nil
+}
+
+// mint returns a fresh operator configured exactly like p, sharing what no
+// operator ever writes — the ϕ set, the managed indexes and, unless the
+// adaptive controller replans them, the budgets — so a pool's thousands of
+// operators do not each hold a copy.
+func (p *Policy) mint() *Policy {
+	q := &Policy{
+		cfg:     p.cfg,
+		agg:     newLevel2(len(p.cfg.Phis)),
+		managed: p.managed,
+		budgets: p.budgets,
+	}
+	if len(p.managed) > 0 {
+		q.burstActive = make([]bool, len(p.managed))
+	}
+	if p.baseBudgets != nil {
+		q.baseBudgets = p.baseBudgets // written by nobody: Reset copies FROM it
+		q.budgets = append([]fewk.Budget(nil), p.baseBudgets...)
+	}
+	q.initAdaptive()
+	return q
 }
 
 // managedIndexes derives, from a RESOLVED configuration, which ϕ indexes
@@ -297,9 +321,26 @@ func (p *Policy) ObserveBatch(vs []float64) {
 // deaccumulated per period in O(l) — QLOVE's answer to the Exact
 // baseline's per-element deaccumulation cost.
 func (p *Policy) Expire([]float64) {
+	if len(p.managed) > 0 && p.agg.count() == 1 {
+		last := p.agg.summaries[0]
+		p.prev = &last
+	}
 	p.agg.mu.Lock()
 	p.agg.deaccumulate()
 	p.agg.mu.Unlock()
+}
+
+// scratch returns the few-k merge scratch this operator evaluates with: its
+// pool's when it is homed on one (the pool's owner is the only goroutine
+// that runs it), else its own.
+func (p *Policy) scratch() *mergeScratch {
+	if p.lender != nil {
+		return &p.lender.scratch
+	}
+	if p.agg.merge == nil {
+		p.agg.merge = new(mergeScratch)
+	}
+	return p.agg.merge
 }
 
 // EndPeriod force-seals the in-flight sub-window even when it holds fewer
@@ -321,16 +362,19 @@ func (p *Policy) EndPeriod() {
 	} else {
 		p.builder.reset(n)
 	}
-	if len(p.managed) > 0 {
-		s.BurstyVsPrev = make([]bool, len(p.managed))
-		if p.prev != nil {
-			alpha := p.cfg.BurstAlpha
-			if pairs := p.cfg.Spec.SubWindows() - 1; pairs > 1 {
-				alpha /= float64(pairs)
-			}
-			for mi := range p.managed {
-				s.BurstyVsPrev[mi] = fewk.DetectBurst(
-					s.cachedValues(mi), p.prev.cachedValues(mi), alpha)
+	prev := p.prev
+	if c := p.agg.count(); c > 0 {
+		prev = &p.agg.summaries[c-1]
+	}
+	if len(p.managed) > 0 && prev != nil {
+		alpha := p.cfg.BurstAlpha
+		if pairs := p.cfg.Spec.SubWindows() - 1; pairs > 1 {
+			alpha /= float64(pairs)
+		}
+		sc := p.scratch()
+		for mi := range p.managed {
+			if sc.burstyVsPrev(&s, prev, mi, alpha) {
+				s.setBursty(mi) // still private: published by accumulate below
 			}
 		}
 	}
@@ -338,7 +382,7 @@ func (p *Policy) EndPeriod() {
 	p.agg.accumulate(s)
 	p.sealGen++
 	p.agg.mu.Unlock()
-	p.prev = &s
+	p.prev = nil
 }
 
 // SealGen returns the operator's seal-generation clock: how many sub-window
@@ -362,9 +406,8 @@ func (p *Policy) Result() []float64 {
 	for mi, pi := range p.managed {
 		phi := p.cfg.Phis[pi]
 		level2 := out[pi]
-		topK, topOK := fewk.TopKMerge(p.agg.cached(mi), p.cfg.Spec.Size, phi)
-		sampleK, sampOK := fewk.SampleKMerge(p.agg.samples(mi), p.cfg.Spec.Size, phi)
-		burst := p.agg.anyBursty(mi)
+		topK, topOK, sampleK, sampOK := p.scratch().fewkAnswers(p.agg.summaries, mi, p.cfg.Spec.Size, phi)
+		burst := anyBurstyOf(p.agg.summaries, mi)
 		p.burstActive[mi] = burst
 		if p.adapt != nil {
 			p.observeDistress(mi, burst || p.poolShallow(mi))

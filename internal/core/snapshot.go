@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core/fewk"
 )
@@ -9,9 +10,9 @@ import (
 // Snapshot is a point-in-time, immutable capture of a QLOVE operator's
 // window state: the resident sub-window summaries plus the Level-2 running
 // sums. Snapshots are values — safe to retain, read from any goroutine and
-// merge long after the operator that produced them has moved on (summary
-// internals are never mutated after seal, so the capture shares them
-// without copying).
+// merge long after the operator that produced them has moved on (a summary's
+// block is never written after seal and never recycled, so the capture
+// shares it without copying and may outlive the summary's expiry).
 //
 // Snapshots compose: Merge combines captures of operators that consumed
 // disjoint sub-streams of one logical stream (one per ingestion thread,
@@ -42,8 +43,8 @@ type Snapshot struct {
 }
 
 // Snapshot captures the operator's current window state. It is O(l +
-// resident summaries): the summary structs are copied by value but their
-// internal slices — immutable after seal — are shared. It may be called from
+// resident summaries): the summary headers are copied by value but their
+// blocks — immutable after seal — are shared. It may be called from
 // any goroutine, concurrently with the owner's Observe*, Expire, EndPeriod
 // and Reset: the capture is the sums, summaries and SealGen of one instant
 // between two of the owner's Level-2 writes, never a torn mix.
@@ -158,7 +159,10 @@ func (s Snapshot) Estimate(phi float64) (float64, bool) {
 		est := s.sums[i] / float64(len(s.summaries))
 		for mi, pi := range s.managed {
 			if pi == i {
-				return s.managedEstimate(mi, i, est), true
+				sc := scratchPool.Get().(*mergeScratch)
+				est = s.managedEstimate(sc, mi, i, est)
+				scratchPool.Put(sc)
+				break
 			}
 		}
 		return est, true
@@ -180,20 +184,27 @@ func (s Snapshot) Estimates() []float64 {
 	for i := range out {
 		out[i] = s.sums[i] / float64(len(s.summaries))
 	}
-	for mi, pi := range s.managed {
-		out[pi] = s.managedEstimate(mi, pi, out[pi])
+	if len(s.managed) > 0 {
+		sc := scratchPool.Get().(*mergeScratch)
+		for mi, pi := range s.managed {
+			out[pi] = s.managedEstimate(sc, mi, pi, out[pi])
+		}
+		scratchPool.Put(sc)
 	}
 	return out
 }
 
+// scratchPool lends the few-k merge scratch to Estimates and Estimate, which
+// any goroutine may call on a capture: there is no owner to keep one.
+var scratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
+
 // managedEstimate resolves one few-k-managed quantile from the captured
 // tails and samples per §4.3 — the selection Estimates runs for every
 // managed ϕ and Estimate runs for just the requested one.
-func (s Snapshot) managedEstimate(mi, pi int, level2 float64) float64 {
+func (s Snapshot) managedEstimate(sc *mergeScratch, mi, pi int, level2 float64) float64 {
 	phi := s.cfg.Phis[pi]
 	logicalN := s.cfg.Spec.Size * s.streams
-	topK, topOK := fewk.TopKMerge(cachedOf(s.summaries, mi), logicalN, phi)
-	sampleK, sampOK := fewk.SampleKMerge(samplesOf(s.summaries, mi), logicalN, phi)
+	topK, topOK, sampleK, sampOK := sc.fewkAnswers(s.summaries, mi, logicalN, phi)
 	burst := anyBurstyOf(s.summaries, mi)
 	statIneff := fewk.NeedsTopK(s.cfg.Spec.Period, phi, s.cfg.StatThreshold)
 	if s.cfg.SampleKOnly && sampOK {

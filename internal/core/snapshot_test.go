@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/race"
 	"repro/internal/window"
 	"repro/internal/workload"
 )
@@ -158,5 +159,31 @@ func TestMergedResultEqualsSnapshotFold(t *testing.T) {
 	}
 	if folded.Streams() != 3 {
 		t.Fatalf("streams = %d", folded.Streams())
+	}
+}
+
+// TestSnapshotEstimatesAllocs: reading a capture allocates the slice it
+// returns and nothing else — the merge scratch comes from scratchPool, the
+// merge inputs are views of the captured blocks.
+func TestSnapshotEstimatesAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector makes sync.Pool drop entries at random")
+	}
+	spec := window.Spec{Size: 512, Period: 128}
+	p := mustNew(t, Config{Spec: spec, Phis: []float64{0.5, 0.9, 0.99, 0.999}, FewK: true})
+	p.ObserveBatch(workload.Generate(workload.NewNetMon(3), 2*spec.Size))
+	other := mustNew(t, p.Config())
+	other.ObserveBatch(workload.Generate(workload.NewNetMon(4), 2*spec.Size))
+	merged, err := p.Snapshot().Merge(other.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sn := range map[string]Snapshot{"single": p.Snapshot(), "merged": merged} {
+		if allocs := testing.AllocsPerRun(100, func() { _ = sn.Estimates() }); allocs > 1 {
+			t.Errorf("%s capture: Estimates allocates %v times, want <= 1", name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _, _ = sn.Estimate(0.999) }); allocs > 0 {
+			t.Errorf("%s capture: Estimate allocates %v times, want 0", name, allocs)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -13,44 +14,273 @@ import (
 // Summary is the Level-1 product of one completed sub-window (§3.1): the
 // exact ϕ-quantiles of the sub-window plus, for each few-k-managed high
 // quantile, the cached top-k values and interval samples of the tail.
+//
+// It is a small pointer-free header over ONE exactly-sized []float64 block,
+// allocated once when the sub-window seals (or a frame decodes) and never
+// written again, so captures, exports, aggregator state and fold caches all
+// share it by reference and the collector sees one pointer-free object per
+// summary. With l configured quantiles and m managed ones the block holds
+//
+//	[0, l)        the sub-window ϕ-quantile per configured ϕ
+//	[l, 2l)       the density estimate at each of them (+Inf: a point mass)
+//	[2l, 2l+2m)   the list index: per managed ϕ, the block offsets where its
+//	              tail ends and where its samples end
+//	per managed ϕ, back to back:
+//	              the k_t largest values, descending (Tail)
+//	              the k_s interval-sample values, descending (SampleValues)
+//	              their k_s weights, exact integers (SampleWeights)
+//	if flagged:   ⌈m/32⌉ words of seal-time burst flags, 32 per word, each
+//	              word an exact integer (Bursty)
+//
+// Offsets, weights and flag words are integers stored as float64, all far
+// below 2^53, so every slot of the block is an ordinary number.
 type Summary struct {
-	// Quantiles holds the exact sub-window ϕ-quantile per configured ϕ.
-	Quantiles []float64
 	// Count is the number of elements the sub-window contained.
 	Count int
-	// Densities estimates the underlying density at each ϕ-quantile by a
-	// finite difference of neighbouring sub-window quantiles; used by the
-	// Appendix A error bound. +Inf marks a point mass.
-	Densities []float64
-	// Tails[i] caches the k_t largest values (descending) for the i-th
-	// managed high quantile.
-	Tails [][]float64
-	// Samples[i] holds the k_s weighted interval samples of the
-	// sub-window's N(1−ϕ) largest values (descending) for the i-th
-	// managed quantile.
-	Samples [][]fewk.Sample
-	// BurstyVsPrev[i] records whether this sub-window's cached tail was
-	// detected (at seal time) as stochastically larger than the previous
-	// sub-window's, per managed quantile — §4.3's burst signal. Computing
-	// it once at seal keeps Result() free of repeated rank tests.
-	BurstyVsPrev []bool
+
+	block []float64
+	l, m  int32
+	// flagged records that the summary carries seal-time burst flags — one
+	// per managed quantile, §4.3's burst signal, computed once at seal so
+	// Result() never repeats a rank test. Summaries of operators without
+	// managed quantiles, and hand-built ones, carry none.
+	flagged bool
 }
 
-// cachedValues returns the union of the top-k cache and sample values for
-// managed quantile mi, the per-sub-window pool both top-k merging and the
-// burst detector consume.
-func (s *Summary) cachedValues(mi int) []float64 {
-	if mi >= len(s.Tails) {
-		return nil
+const burstWordBits = 32
+
+// NewSummary builds a summary from its parts, copying them into one block:
+// count elements, the sub-window quantiles and their densities (equally
+// long), and per managed quantile a descending tail and a descending sample
+// list given as parallel values and weights. bursty is nil for a summary
+// without seal-time burst flags, else one flag per managed quantile. It is
+// the one writer of the block layout — the seal, the wire decoder and tests
+// all come through it — and checks only that the parts fit together;
+// NewSnapshot checks them against a configuration.
+func NewSummary(count int, quantiles, densities []float64, tails, sampleValues, sampleWeights [][]float64, bursty []bool) (Summary, error) {
+	l, m := len(quantiles), len(tails)
+	if len(densities) != l {
+		return Summary{}, fmt.Errorf("%d densities for %d quantiles", len(densities), l)
 	}
-	u := make([]float64, 0, len(s.Tails[mi])+len(s.Samples[mi]))
-	u = append(u, s.Tails[mi]...)
-	for _, sm := range s.Samples[mi] {
-		if len(s.Tails[mi]) == 0 || sm.Value < s.Tails[mi][len(s.Tails[mi])-1] {
-			u = append(u, sm.Value) // skip samples already in the top-k cache
+	if len(sampleValues) != m || len(sampleWeights) != m {
+		return Summary{}, fmt.Errorf("%d tails, %d sample value lists, %d sample weight lists", m, len(sampleValues), len(sampleWeights))
+	}
+	if bursty != nil && len(bursty) != m {
+		return Summary{}, fmt.Errorf("%d burst flags for %d managed quantiles", len(bursty), m)
+	}
+	size := 2*l + 2*m
+	for mi := range tails {
+		if len(sampleValues[mi]) != len(sampleWeights[mi]) {
+			return Summary{}, fmt.Errorf("sample list %d: %d values, %d weights", mi, len(sampleValues[mi]), len(sampleWeights[mi]))
+		}
+		size += len(tails[mi]) + 2*len(sampleValues[mi])
+	}
+	if bursty != nil {
+		size += (m + burstWordBits - 1) / burstWordBits
+	}
+	if size > math.MaxInt32 {
+		return Summary{}, fmt.Errorf("summary of %d values is too large", size)
+	}
+	s := Summary{Count: count, block: make([]float64, size), l: int32(l), m: int32(m), flagged: bursty != nil}
+	copy(s.block, quantiles)
+	copy(s.block[l:], densities)
+	off := 2*l + 2*m
+	for mi := range tails {
+		off += copy(s.block[off:], tails[mi])
+		s.block[2*l+2*mi] = float64(off)
+		off += copy(s.block[off:], sampleValues[mi])
+		off += copy(s.block[off:], sampleWeights[mi])
+		s.block[2*l+2*mi+1] = float64(off)
+	}
+	for mi, b := range bursty {
+		if b {
+			s.setBursty(mi)
 		}
 	}
-	return u
+	return s, nil
+}
+
+// NumQuantiles returns l, the number of configured quantiles the summary
+// answers.
+func (s *Summary) NumQuantiles() int { return int(s.l) }
+
+// Managed returns m, the number of few-k-managed quantiles the summary
+// caches a tail and a sample list for.
+func (s *Summary) Managed() int { return int(s.m) }
+
+// Quantile returns the exact sub-window ϕ-quantile of the i-th configured ϕ.
+func (s *Summary) Quantile(i int) float64 { return s.block[:s.l][i] }
+
+// Density returns the estimate of the underlying density at the i-th
+// ϕ-quantile, a finite difference of neighbouring sub-window quantiles used
+// by the Appendix A error bound. +Inf marks a point mass.
+func (s *Summary) Density(i int) float64 { return s.block[s.l : 2*s.l][i] }
+
+// lists returns managed quantile mi's two stored runs: the tail, and the
+// sample values followed by as many sample weights.
+func (s *Summary) lists(mi int) (tail, samples []float64) {
+	idx := s.block[2*s.l : 2*s.l+2*s.m]
+	start := 2*int(s.l) + 2*int(s.m)
+	if mi > 0 {
+		start = int(idx[2*mi-1])
+	}
+	tailEnd, end := int(idx[2*mi]), int(idx[2*mi+1])
+	return s.block[start:tailEnd:tailEnd], s.block[tailEnd:end:end]
+}
+
+// Tail returns the k_t largest values (descending) cached for the mi-th
+// managed quantile. Like every view of the block it is read-only.
+func (s *Summary) Tail(mi int) []float64 {
+	tail, _ := s.lists(mi)
+	return tail
+}
+
+// SampleValues returns the values of the k_s weighted interval samples of
+// the sub-window's N(1−ϕ) largest values (descending) for the mi-th managed
+// quantile.
+func (s *Summary) SampleValues(mi int) []float64 {
+	_, sm := s.lists(mi)
+	return sm[:len(sm)/2]
+}
+
+// SampleWeights returns, parallel to SampleValues, the number of tail ranks
+// each sample stands for — exact integers >= 1.
+func (s *Summary) SampleWeights(mi int) []float64 {
+	_, sm := s.lists(mi)
+	return sm[len(sm)/2:]
+}
+
+// Flagged reports whether the summary carries seal-time burst flags.
+func (s *Summary) Flagged() bool { return s.flagged }
+
+// Bursty reports whether this sub-window's cached tail for the mi-th managed
+// quantile was detected, at seal time, as stochastically larger than the
+// previous sub-window's (§4.3). False for a summary without flags.
+func (s *Summary) Bursty(mi int) bool {
+	if !s.flagged {
+		return false
+	}
+	w := uint32(s.burstWords()[mi/burstWordBits])
+	return w>>(mi%burstWordBits)&1 != 0
+}
+
+// setBursty raises managed quantile mi's burst flag. Only the seal that is
+// still building the summary may call it: a published block is immutable.
+func (s *Summary) setBursty(mi int) {
+	w := &s.burstWords()[mi/burstWordBits]
+	*w = float64(uint32(*w) | 1<<(mi%burstWordBits))
+}
+
+func (s *Summary) burstWords() []float64 {
+	return s.block[len(s.block)-(int(s.m)+burstWordBits-1)/burstWordBits:]
+}
+
+// cached returns every value retained for managed quantile mi as two
+// descending runs: the top-k cache, and the samples below it (a sample the
+// cache already holds is not counted twice). Section 4 opens with "each
+// sub-window collects k data points among the largest values ... and uses
+// the k values to compute the target high quantile": top-k merging and the
+// burst detector read this union, not only the k_t share. Both runs are nil
+// for a summary that manages fewer than mi+1 quantiles.
+func (s *Summary) cached(mi int) (tail, below []float64) {
+	if mi >= int(s.m) {
+		return nil, nil
+	}
+	tail, sm := s.lists(mi)
+	below = sm[:len(sm)/2]
+	if len(tail) > 0 {
+		least := tail[len(tail)-1]
+		for len(below) > 0 && !(below[0] < least) {
+			below = below[1:]
+		}
+	}
+	return tail, below
+}
+
+// fewkValues counts the summary's few-k storage: cached tail values plus
+// samples.
+func (s *Summary) fewkValues() int {
+	n := 0
+	for mi := 0; mi < int(s.m); mi++ {
+		tail, sm := s.lists(mi)
+		n += len(tail) + len(sm)/2
+	}
+	return n
+}
+
+// mergeScratch is the reusable working state of few-k evaluation: the views
+// of resident blocks one merge gathers, the burst detector's two pooled
+// tails, and the heap and rank buffers beneath them. A pooled operator uses
+// its pool's (one per shard, beside the workbenches), a stand-alone one its
+// own, a Snapshot one from scratchPool — so evaluating allocates nothing
+// once the buffers have grown to the window's shape.
+type mergeScratch struct {
+	fewk           fewk.Scratch
+	lists, weights [][]float64
+	union          []float64
+}
+
+// cachedOf gathers, per summary, the runs of every value retained for
+// managed quantile mi (Summary.cached). samplesOf gathers the sample-k
+// lists, anyBurstyOf reads the seal-time flags. Policy.Result and
+// Snapshot.Estimates both go through them, so a captured summary set is
+// read exactly — bit for bit — the way a live operator reads its own.
+func (sc *mergeScratch) cachedOf(summaries []Summary, mi int) [][]float64 {
+	lists := sc.lists[:0]
+	for i := range summaries {
+		tail, below := summaries[i].cached(mi)
+		lists = append(lists, tail, below)
+	}
+	sc.lists = lists
+	return lists
+}
+
+func (sc *mergeScratch) samplesOf(summaries []Summary, mi int) (values, weights [][]float64) {
+	values, weights = sc.lists[:0], sc.weights[:0]
+	for i := range summaries {
+		if s := &summaries[i]; mi < int(s.m) {
+			values, weights = append(values, s.SampleValues(mi)), append(weights, s.SampleWeights(mi))
+		}
+	}
+	sc.lists, sc.weights = values, weights
+	return values, weights
+}
+
+func anyBurstyOf(summaries []Summary, mi int) bool {
+	for i := range summaries {
+		if s := &summaries[i]; mi < int(s.m) && s.Bursty(mi) {
+			return true
+		}
+	}
+	return false
+}
+
+// fewkAnswers runs both window-level merges for managed quantile mi over
+// summaries: top-k over every cached value, sample-k over the weighted
+// samples, each reading the rank of phi in a logical window of logicalN
+// elements. The gathered views are dropped before it returns, so the
+// scratch pins no block between evaluations.
+func (sc *mergeScratch) fewkAnswers(summaries []Summary, mi, logicalN int, phi float64) (topK float64, topOK bool, sampleK float64, sampOK bool) {
+	topK, topOK = fewk.TopKMerge(sc.cachedOf(summaries, mi), logicalN, phi, &sc.fewk)
+	values, weights := sc.samplesOf(summaries, mi)
+	sampleK, sampOK = fewk.SampleKMerge(values, weights, logicalN, phi, &sc.fewk)
+	clear(sc.lists[:cap(sc.lists)])
+	clear(sc.weights[:cap(sc.weights)])
+	return topK, topOK, sampleK, sampOK
+}
+
+// burstyVsPrev runs §4.3's burst test for managed quantile mi: is the
+// freshly sealed cur's retained tail stochastically larger than prev's, at
+// level alpha?
+func (sc *mergeScratch) burstyVsPrev(cur, prev *Summary, mi int, alpha float64) bool {
+	u := sc.union[:0]
+	tail, below := cur.cached(mi)
+	u = append(append(u, tail...), below...)
+	nx := len(u)
+	tail, below = prev.cached(mi)
+	u = append(append(u, tail...), below...)
+	sc.union = u
+	return fewk.DetectBurst(u[:nx], u[nx:], alpha, &sc.fewk)
 }
 
 // builder accumulates one in-flight sub-window: the compressed
@@ -72,7 +302,13 @@ type builder struct {
 	rankVals []float64 // SelectRanks output
 	slotVals []float64 // rank answers distributed back to request slots
 	los, his []float64 // density finite-difference bounds per ϕ
+	dens     []float64 // density per ϕ
 	tail     []float64 // shared descending tail scratch (few-k capture)
+	samples  []float64 // every managed ϕ's sample values and weights, back to back
+	// Per-managed-ϕ views into tail and samples, and the (all false) burst
+	// flags, handed to NewSummary.
+	tails, sampleVals, sampleWts [][]float64
+	flags                        []bool
 
 	// prevUnique is the node count retained into the current period; the
 	// difference against the post-period count says how many fresh nodes
@@ -147,13 +383,6 @@ func (b *builder) unique() int { return b.tree.Unique() }
 func (b *builder) seal(phis []float64, managed []int, budgets []fewk.Budget, windowN int) Summary {
 	n := int(b.tree.Len())
 	l := len(phis)
-	s := Summary{
-		Quantiles: make([]float64, l),
-		Count:     n,
-		Densities: make([]float64, l),
-		Tails:     make([][]float64, len(managed)),
-		Samples:   make([][]fewk.Sample, len(managed)),
-	}
 	// Gather rank requests.
 	reqs := b.reqs[:0]
 	for i, phi := range phis {
@@ -200,39 +429,54 @@ func (b *builder) seal(phis []float64, managed []int, budgets []fewk.Budget, win
 	for k, r := range reqs {
 		b.slotVals[r.slot] = b.rankVals[k]
 	}
-	copy(s.Quantiles, b.slotVals[:l])
 	// Density at each ϕ-quantile by finite difference of the empirical
 	// quantile function, mirroring stats.DensityAt but reusing the tree.
+	b.dens = growFloats(b.dens, l)
 	for i := range phis {
+		b.dens[i] = 0
 		if n < 4 {
 			continue
 		}
 		qlo, qhi := b.slotVals[l+2*i], b.slotVals[l+2*i+1]
 		if qhi <= qlo {
-			s.Densities[i] = math.Inf(1)
+			b.dens[i] = math.Inf(1)
 			continue
 		}
-		s.Densities[i] = (b.his[i] - b.los[i]) / (qhi - qlo)
+		b.dens[i] = (b.his[i] - b.los[i]) / (qhi - qlo)
 	}
 	// Few-k capture: managed quantiles all want "the k largest", so one
 	// shared descending walk of maxTail values serves every ϕ as a prefix.
-	maxTail := 0
-	for _, pi := range managed {
-		if ts := tailSize(windowN, phis[pi], n); ts > maxTail {
-			maxTail = ts
-		}
+	maxTail, nSamples := 0, 0
+	for mi, pi := range managed {
+		ts := tailSize(windowN, phis[pi], n)
+		maxTail = max(maxTail, ts)
+		nSamples += fewk.SampleCount(ts, budgets[mi].Ks)
 	}
 	if maxTail > 0 {
 		b.tail = b.tree.AppendTopK(b.tail[:0], maxTail)
 	}
+	b.samples = growFloats(b.samples, 2*nSamples)
+	b.tails, b.sampleVals, b.sampleWts = b.tails[:0], b.sampleVals[:0], b.sampleWts[:0]
+	samples := b.samples
 	for mi, pi := range managed {
 		tail := b.tail[:tailSize(windowN, phis[pi], n)]
-		kt := budgets[mi].Kt
-		if kt > len(tail) {
-			kt = len(tail)
-		}
-		s.Tails[mi] = append([]float64(nil), tail[:kt]...)
-		s.Samples[mi] = fewk.SampleTail(tail, budgets[mi].Ks)
+		ks := fewk.SampleCount(len(tail), budgets[mi].Ks)
+		values, weights := samples[:ks], samples[ks:2*ks]
+		samples = samples[2*ks:]
+		fewk.SampleTail(values, weights, tail)
+		b.tails = append(b.tails, tail[:min(budgets[mi].Kt, len(tail))])
+		b.sampleVals, b.sampleWts = append(b.sampleVals, values), append(b.sampleWts, weights)
+	}
+	// An operator with managed quantiles flags every summary (all false
+	// until EndPeriod has compared it against its predecessor).
+	var flags []bool
+	if len(managed) > 0 {
+		b.flags = append(b.flags[:0], make([]bool, len(managed))...)
+		flags = b.flags
+	}
+	s, err := NewSummary(n, b.slotVals[:l], b.dens, b.tails, b.sampleVals, b.sampleWts, flags)
+	if err != nil {
+		panic("qlove: seal built an inconsistent summary: " + err.Error())
 	}
 	return s
 }

@@ -1,8 +1,9 @@
 package stats
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // MannWhitneyResult holds the outcome of a one-sided Mann–Whitney U test of
@@ -13,6 +14,17 @@ type MannWhitneyResult struct {
 	PValue float64 // one-sided p-value for H1: X stochastically larger than Y
 }
 
+// RankBuf is MannWhitney's pooled-observation buffer. A caller that runs the
+// test repeatedly (the burst detector does, once per seal) keeps one and
+// passes it back in, and the test stops allocating once the buffer has grown
+// to the largest pooled sample; the zero value is ready to use.
+type RankBuf []rankObs
+
+type rankObs struct {
+	v     float64
+	fromX bool
+}
+
 // MannWhitney performs the one-sided Mann–Whitney U test [Mann & Whitney
 // 1947] with the normal approximation and tie correction. QLOVE's runtime
 // traffic handler (§4.3) uses it to decide whether the sampled largest
@@ -20,24 +32,26 @@ type MannWhitneyResult struct {
 // the previous sub-window, which signals bursty traffic.
 //
 // Both samples must be non-empty; otherwise it returns a zero-information
-// result with PValue = 1.
-func MannWhitney(x, y []float64) MannWhitneyResult {
+// result with PValue = 1. buf may be nil (the test then allocates its own).
+// The pooled sort need not be stable: tied observations share one mid-rank,
+// so their order never reaches U.
+func MannWhitney(x, y []float64, buf *RankBuf) MannWhitneyResult {
 	nx, ny := len(x), len(y)
 	if nx == 0 || ny == 0 {
 		return MannWhitneyResult{PValue: 1}
 	}
-	type obs struct {
-		v     float64
-		fromX bool
+	if buf == nil {
+		buf = new(RankBuf)
 	}
-	all := make([]obs, 0, nx+ny)
+	all := (*buf)[:0]
 	for _, v := range x {
-		all = append(all, obs{v, true})
+		all = append(all, rankObs{v, true})
 	}
 	for _, v := range y {
-		all = append(all, obs{v, false})
+		all = append(all, rankObs{v, false})
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
+	*buf = all
+	slices.SortFunc(all, func(a, b rankObs) int { return cmp.Compare(a.v, b.v) })
 
 	// Midranks with tie correction term Σ(t³−t).
 	n := nx + ny
@@ -74,7 +88,7 @@ func MannWhitney(x, y []float64) MannWhitneyResult {
 
 // StochasticallyLarger reports whether sample x is stochastically larger
 // than sample y at significance level alpha, per the one-sided
-// Mann–Whitney U test.
-func StochasticallyLarger(x, y []float64, alpha float64) bool {
-	return MannWhitney(x, y).PValue < alpha
+// Mann–Whitney U test; buf is MannWhitney's.
+func StochasticallyLarger(x, y []float64, alpha float64, buf *RankBuf) bool {
+	return MannWhitney(x, y, buf).PValue < alpha
 }

@@ -240,15 +240,15 @@ func TestMannWhitneyDetectsShift(t *testing.T) {
 		x[i] = 10 + rng.NormFloat64() // clearly larger
 		y[i] = rng.NormFloat64()
 	}
-	res := MannWhitney(x, y)
+	res := MannWhitney(x, y, nil)
 	if res.PValue > 1e-6 {
 		t.Fatalf("p-value for obvious shift = %v, want tiny", res.PValue)
 	}
-	if !StochasticallyLarger(x, y, 0.05) {
+	if !StochasticallyLarger(x, y, 0.05, nil) {
 		t.Fatal("StochasticallyLarger = false for obvious shift")
 	}
 	// Reverse direction: y vs x should NOT be flagged.
-	if StochasticallyLarger(y, x, 0.05) {
+	if StochasticallyLarger(y, x, 0.05, nil) {
 		t.Fatal("StochasticallyLarger flagged the smaller sample")
 	}
 }
@@ -266,7 +266,7 @@ func TestMannWhitneyNullDistribution(t *testing.T) {
 			x[i] = rng.NormFloat64()
 			y[i] = rng.NormFloat64()
 		}
-		if StochasticallyLarger(x, y, 0.05) {
+		if StochasticallyLarger(x, y, 0.05, nil) {
 			rejections++
 		}
 	}
@@ -280,7 +280,7 @@ func TestMannWhitneyTies(t *testing.T) {
 	// All-equal samples must not be flagged and must not NaN.
 	x := []float64{5, 5, 5, 5}
 	y := []float64{5, 5, 5, 5}
-	res := MannWhitney(x, y)
+	res := MannWhitney(x, y, nil)
 	if res.PValue != 1 {
 		t.Fatalf("all-ties p-value = %v, want 1", res.PValue)
 	}
@@ -289,11 +289,88 @@ func TestMannWhitneyTies(t *testing.T) {
 	}
 }
 
+// mannWhitneySortSlice is MannWhitney as it stood before the pooled sort
+// moved from sort.Slice to slices.SortFunc over a caller's buffer — the
+// reference TestMannWhitneyMatchesSortSlice compares against.
+func mannWhitneySortSlice(x, y []float64) MannWhitneyResult {
+	nx, ny := len(x), len(y)
+	if nx == 0 || ny == 0 {
+		return MannWhitneyResult{PValue: 1}
+	}
+	type obs struct {
+		v     float64
+		fromX bool
+	}
+	all := make([]obs, 0, nx+ny)
+	for _, v := range x {
+		all = append(all, obs{v, true})
+	}
+	for _, v := range y {
+		all = append(all, obs{v, false})
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
+	n := nx + ny
+	var rankSumX, tieTerm float64
+	for i := 0; i < n; {
+		j := i
+		for j < n && all[j].v == all[i].v {
+			j++
+		}
+		t := float64(j - i)
+		mid := (float64(i+1) + float64(j)) / 2
+		for k := i; k < j; k++ {
+			if all[k].fromX {
+				rankSumX += mid
+			}
+		}
+		if t > 1 {
+			tieTerm += t*t*t - t
+		}
+		i = j
+	}
+	u := rankSumX - float64(nx)*float64(nx+1)/2
+	mu := float64(nx) * float64(ny) / 2
+	nn := float64(n)
+	sigma2 := float64(nx) * float64(ny) / 12 * (nn + 1 - tieTerm/(nn*(nn-1)))
+	if sigma2 <= 0 {
+		return MannWhitneyResult{U: u, PValue: 1}
+	}
+	z := (u - mu - 0.5) / math.Sqrt(sigma2)
+	return MannWhitneyResult{U: u, Z: z, PValue: 1 - NormalCDF(z)}
+}
+
+// TestMannWhitneyMatchesSortSlice: neither sort is stable, so the two
+// implementations order tied observations differently — and must still agree
+// bit for bit, because ties share a mid-rank. Tie-heavy on purpose (values
+// drawn from a handful of levels, as quantized telemetry tails are), with one
+// buffer reused across every trial.
+func TestMannWhitneyMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	var buf RankBuf
+	for trial := 0; trial < 2000; trial++ {
+		levels := 1 + rng.Intn(6)
+		x := make([]float64, 1+rng.Intn(40))
+		y := make([]float64, 1+rng.Intn(40))
+		for i := range x {
+			x[i] = float64(rng.Intn(levels)) + float64(trial%3)
+		}
+		for i := range y {
+			y[i] = float64(rng.Intn(levels))
+		}
+		got, want := MannWhitney(x, y, &buf), mannWhitneySortSlice(x, y)
+		if math.Float64bits(got.U) != math.Float64bits(want.U) ||
+			math.Float64bits(got.Z) != math.Float64bits(want.Z) ||
+			math.Float64bits(got.PValue) != math.Float64bits(want.PValue) {
+			t.Fatalf("trial %d: got %+v, sort.Slice reference %+v (x=%v y=%v)", trial, got, want, x, y)
+		}
+	}
+}
+
 func TestMannWhitneyEmpty(t *testing.T) {
-	if got := MannWhitney(nil, []float64{1}).PValue; got != 1 {
+	if got := MannWhitney(nil, []float64{1}, nil).PValue; got != 1 {
 		t.Fatalf("empty x p-value = %v, want 1", got)
 	}
-	if got := MannWhitney([]float64{1}, nil).PValue; got != 1 {
+	if got := MannWhitney([]float64{1}, nil, nil).PValue; got != 1 {
 		t.Fatalf("empty y p-value = %v, want 1", got)
 	}
 }
@@ -383,7 +460,7 @@ func TestQuickMannWhitneyPValueRange(t *testing.T) {
 		for i, v := range yr {
 			y[i] = float64(v)
 		}
-		p := MannWhitney(x, y).PValue
+		p := MannWhitney(x, y, nil).PValue
 		return p >= 0 && p <= 1 && !math.IsNaN(p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -14,7 +14,8 @@ import (
 // error, or a valid frame that survives a re-encode/re-decode round trip —
 // and must never panic. Seeds cover the golden blobs of EVERY format
 // version (full, delta and tombstone frames, plus a mixed-version stream)
-// and representative corruptions, so the fuzzer starts at the format's
+// and representative corruptions (among them tail and sample counts that
+// claim more than the payload holds), so the fuzzer starts at the format's
 // surface instead of rediscovering the magic number.
 func FuzzDecode(f *testing.F) {
 	goldenV1 := goldenBlobV1(f)
@@ -34,6 +35,9 @@ func FuzzDecode(f *testing.F) {
 	corruptKind := append([]byte(nil), goldenV2...)
 	corruptKind[headerSize] = 7 // unknown frame kind
 	f.Add(corruptKind)
+	for _, blob := range claimSeeds {
+		f.Add(blob)
+	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		dec := NewDecoder(bytes.NewReader(blob))
 		for {

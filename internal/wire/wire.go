@@ -108,6 +108,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -115,7 +116,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/core/fewk"
 )
 
 // Version is the current frame format version; Encode always emits it.
@@ -130,10 +130,12 @@ var magic = [4]byte{'Q', 'L', 'V', 'S'}
 const (
 	headerSize = 10      // magic + version + payload length
 	maxPayload = 1 << 30 // sanity cap on a single frame's payload
-	// allocCap bounds any single up-front slice capacity minted from a
+	// allocCap bounds the up-front capacity of the one slice minted from a
 	// claimed element count whose in-memory element size exceeds its wire
-	// floor; past it the slice grows by append as elements actually
-	// decode, so allocation always tracks real payload.
+	// floor (a frame's summary headers); past it the slice grows by append
+	// as summaries actually decode, so allocation always tracks real
+	// payload. A summary's block is never sized from a claim at all: its
+	// values decode into the Decoder's scratch first (see summaryScratch).
 	allocCap = 4096
 )
 
@@ -422,31 +424,39 @@ func appendSummaries(dst []byte, summaries []core.Summary) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(summaries)))
 	for i := range summaries {
 		sm := &summaries[i]
+		l, m := sm.NumQuantiles(), sm.Managed()
 		dst = binary.AppendUvarint(dst, uint64(sm.Count))
-		dst = appendF64s(dst, sm.Quantiles)
-		dst = appendF64s(dst, sm.Densities)
-		dst = binary.AppendUvarint(dst, uint64(len(sm.Tails)))
-		for _, t := range sm.Tails {
-			dst = appendF64s(dst, t)
+		dst = binary.AppendUvarint(dst, uint64(l))
+		for i := 0; i < l; i++ {
+			dst = appendF64(dst, sm.Quantile(i))
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(sm.Samples)))
-		for _, l := range sm.Samples {
-			dst = binary.AppendUvarint(dst, uint64(len(l)))
-			for _, smp := range l {
-				dst = appendF64(dst, smp.Value)
-				dst = binary.AppendUvarint(dst, uint64(smp.Weight))
+		dst = binary.AppendUvarint(dst, uint64(l))
+		for i := 0; i < l; i++ {
+			dst = appendF64(dst, sm.Density(i))
+		}
+		dst = binary.AppendUvarint(dst, uint64(m))
+		for mi := 0; mi < m; mi++ {
+			dst = appendF64s(dst, sm.Tail(mi))
+		}
+		dst = binary.AppendUvarint(dst, uint64(m))
+		for mi := 0; mi < m; mi++ {
+			values, weights := sm.SampleValues(mi), sm.SampleWeights(mi)
+			dst = binary.AppendUvarint(dst, uint64(len(values)))
+			for j, v := range values {
+				dst = appendF64(dst, v)
+				dst = binary.AppendUvarint(dst, uint64(weights[j]))
 			}
 		}
-		if sm.BurstyVsPrev == nil {
+		if !sm.Flagged() {
 			dst = append(dst, 0)
-		} else {
-			dst = append(dst, 1)
-			for _, b := range sm.BurstyVsPrev {
-				if b {
-					dst = append(dst, 1)
-				} else {
-					dst = append(dst, 0)
-				}
+			continue
+		}
+		dst = append(dst, 1)
+		for mi := 0; mi < m; mi++ {
+			if sm.Bursty(mi) {
+				dst = append(dst, 1)
+			} else {
+				dst = append(dst, 0)
 			}
 		}
 	}
@@ -472,6 +482,16 @@ type Decoder struct {
 	hdr      [headerSize]byte
 	buf      []byte
 	consumed int64
+
+	// cfgRaw is the encoded configuration of the last frame whose config
+	// validated, and shape what it resolved to: a frame carrying the same
+	// bytes — every frame of a typical blob — shares that Config (Phis
+	// included) and managed set instead of decoding, validating and
+	// allocating its own.
+	cfgRaw []byte
+	shape  core.Shape
+
+	sum summaryScratch
 }
 
 // NewDecoder returns a Decoder reading from r. Frames are read with
@@ -556,7 +576,7 @@ func (d *Decoder) DecodeFrame() (Frame, error) {
 			}
 		}
 	}
-	return decodePayload(d.buf, v)
+	return d.decodePayload(d.buf, v)
 }
 
 // Decode reads a single full frame from r; the convenience form of
@@ -631,7 +651,21 @@ func (r *payloadReader) f64s(what string) ([]float64, error) {
 	return out, nil
 }
 
-func decodePayload(b []byte, version uint16) (Frame, error) {
+// appendF64s reads a length-prefixed float64 run onto dst, which therefore
+// grows with the values actually present, never with a claimed count alone.
+func (r *payloadReader) appendF64s(dst []float64, what string) ([]float64, error) {
+	n, err := r.count(what, 8)
+	if err != nil {
+		return dst, err
+	}
+	for i := 0; i < n; i++ {
+		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:])))
+		r.off += 8
+	}
+	return dst, nil
+}
+
+func (d *Decoder) decodePayload(b []byte, version uint16) (Frame, error) {
 	r := &payloadReader{b: b}
 
 	kind := KindFull
@@ -660,10 +694,10 @@ func decodePayload(b []byte, version uint16) (Frame, error) {
 		return Frame{Kind: KindTombstone, Key: key}, nil
 	}
 
-	var p core.SnapshotParts
-	if p.Config, err = decodeConfig(r); err != nil {
+	if err := d.decodeShape(r); err != nil {
 		return Frame{}, err
 	}
+	p := core.SnapshotParts{Config: d.shape.Config()}
 	if p.Streams, err = intField(r, "streams"); err != nil {
 		return Frame{}, err
 	}
@@ -691,10 +725,10 @@ func decodePayload(b []byte, version uint16) (Frame, error) {
 
 	// Each summary costs at least its count varint + two length varints +
 	// tail/sample/burst bytes: >= 5 bytes on the wire. The slice GROWS as
-	// summaries actually decode (capacity capped up front): a summary is
-	// far bigger in memory than its 5-byte wire floor, so allocating the
-	// claimed count outright would let a corrupt count demand ~26x the
-	// payload in one allocation.
+	// summaries actually decode (capacity capped up front): a summary
+	// header is far bigger in memory than its 5-byte wire floor, so
+	// allocating the claimed count outright would let a corrupt count
+	// demand ~10x the payload in one allocation.
 	nSummaries, err := r.count("summary count", 5)
 	if err != nil {
 		return Frame{}, err
@@ -703,8 +737,8 @@ func decodePayload(b []byte, version uint16) (Frame, error) {
 		p.Summaries = make([]core.Summary, 0, min(nSummaries, allocCap))
 	}
 	for i := 0; i < nSummaries; i++ {
-		var sm core.Summary
-		if err := decodeSummary(r, &sm); err != nil {
+		sm, err := d.sum.decode(r)
+		if err != nil {
 			return Frame{}, fmt.Errorf("summary %d: %w", i, err)
 		}
 		p.Summaries = append(p.Summaries, sm)
@@ -731,11 +765,11 @@ func decodePayload(b []byte, version uint16) (Frame, error) {
 		if uint64(nSummaries) != want {
 			return Frame{}, fmt.Errorf("%w: delta ships %d summaries, cursor arithmetic requires %d", ErrCorrupt, nSummaries, want)
 		}
-		// NewSnapshot revalidates structure (config resolution, slice
-		// shapes, per-summary populations) exactly as for a full frame;
-		// the rebuilt capture itself is discarded — Delta.Parts is the
-		// transport container the receiver folds.
-		if _, err := core.NewSnapshot(p); err != nil {
+		// NewSnapshot revalidates structure (slice shapes, per-summary
+		// populations) exactly as for a full frame; the rebuilt capture
+		// itself is discarded — Delta.Parts is the transport container the
+		// receiver folds.
+		if _, err := d.shape.NewSnapshot(p); err != nil {
 			return Frame{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 		return Frame{
@@ -745,11 +779,56 @@ func decodePayload(b []byte, version uint16) (Frame, error) {
 		}, nil
 	}
 
-	snap, err := core.NewSnapshot(p)
+	snap, err := d.shape.NewSnapshot(p)
 	if err != nil {
 		return Frame{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return Frame{Kind: KindFull, Key: key, Snap: snap}, nil
+}
+
+// decodeShape consumes the frame's configuration and leaves what it resolves
+// to in d.shape. A configuration byte-identical to the previous frame's is
+// not decoded again: the frames then share one read-only Config and managed
+// set (as SnapshotParts documents for summaries), and each distinct
+// configuration is validated once.
+func (d *Decoder) decodeShape(r *payloadReader) error {
+	start := r.off
+	if end, ok := configEnd(r.b, start); ok && d.cfgRaw != nil && bytes.Equal(r.b[start:end], d.cfgRaw) {
+		r.off = end
+		return nil
+	}
+	cfg, err := decodeConfig(r)
+	if err != nil {
+		return err
+	}
+	shape, err := core.NewShape(cfg)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	d.shape, d.cfgRaw = shape, append(d.cfgRaw[:0], r.b[start:r.off]...)
+	return nil
+}
+
+// configEnd returns where the encoded configuration that starts at b[off]
+// ends, without decoding it; ok is false if it does not fit in b (decodeConfig
+// then says what is wrong with it).
+func configEnd(b []byte, off int) (end int, ok bool) {
+	for i := 0; i < 3; i++ { // size, period, digits
+		_, n := binary.Uvarint(b[off:])
+		if n <= 0 {
+			return 0, false
+		}
+		off += n
+	}
+	off += 1 + 4*8 // flags, four float64 fields
+	if off > len(b) {
+		return 0, false
+	}
+	nPhis, n := binary.Uvarint(b[off:])
+	if n <= 0 || nPhis > uint64(len(b)-off-n)/8 {
+		return 0, false
+	}
+	return off + n + 8*int(nPhis), true
 }
 
 func decodeConfig(r *payloadReader) (core.Config, error) {
@@ -801,112 +880,142 @@ func decodeConfig(r *payloadReader) (core.Config, error) {
 	return cfg, nil
 }
 
-func decodeSummary(r *payloadReader, s *core.Summary) error {
-	var err error
-	if s.Count, err = intField(r, "count"); err != nil {
-		return err
+// summaryScratch is where one summary's values land as they decode, before
+// core.NewSummary copies them into a block of exactly their size — so the
+// block is sized from the bytes actually present, whatever the counts in the
+// payload claim, and costs one allocation. A Decoder reuses it for every
+// summary of every frame.
+type summaryScratch struct {
+	// vals holds, back to back: the quantiles, the densities, every tail,
+	// then per sample list its values followed by its weights. ends[i] is
+	// where list i (tails first, then sample lists) ends in vals.
+	vals []float64
+	ends []int
+	// Views into vals handed to NewSummary, cut once vals has stopped
+	// growing, and the burst flags.
+	tails, values, weights [][]float64
+	flags                  []bool
+}
+
+func (sc *summaryScratch) decode(r *payloadReader) (core.Summary, error) {
+	count, err := intField(r, "count")
+	if err != nil {
+		return core.Summary{}, err
 	}
-	if s.Quantiles, err = r.f64s("quantiles"); err != nil {
-		return err
+	vals, ends := sc.vals[:0], sc.ends[:0]
+	if vals, err = r.appendF64s(vals, "quantiles"); err != nil {
+		return core.Summary{}, err
 	}
-	if err := noNaN("quantiles", s.Quantiles); err != nil {
-		return err
+	l := len(vals)
+	if err := noNaN("quantiles", vals); err != nil {
+		return core.Summary{}, err
 	}
-	if s.Densities, err = r.f64s("densities"); err != nil {
-		return err
+	if vals, err = r.appendF64s(vals, "densities"); err != nil {
+		return core.Summary{}, err
 	}
 	// Densities may legitimately be +Inf (point mass) but never NaN or
 	// -Inf (the finite-difference construction cannot produce either).
-	for _, v := range s.Densities {
+	for _, v := range vals[l:] {
 		if math.IsNaN(v) || math.IsInf(v, -1) {
-			return fmt.Errorf("%w: densities: invalid %v", ErrCorrupt, v)
+			return core.Summary{}, fmt.Errorf("%w: densities: invalid %v", ErrCorrupt, v)
 		}
 	}
+	listsAt := len(vals)
 	nTails, err := r.count("tail count", 1)
 	if err != nil {
-		return err
+		return core.Summary{}, err
 	}
-	// Allocated non-nil even when empty — the seal path always
-	// materializes the (possibly zero-length) per-managed-quantile slices,
-	// and the round trip reproduces a sealed capture's exact shape — but
-	// grown incrementally: a slice header is 24x the 1-byte wire floor of
-	// an empty tail, so the claimed count must not size the allocation.
-	s.Tails = make([][]float64, 0, min(nTails, allocCap))
 	for mi := 0; mi < nTails; mi++ {
-		t, err := r.f64s("tail")
-		if err != nil {
-			return err
+		start := len(vals)
+		if vals, err = r.appendF64s(vals, "tail"); err != nil {
+			return core.Summary{}, err
 		}
-		if err := noNaN("tail", t); err != nil {
-			return err
+		if err := noNaN("tail", vals[start:]); err != nil {
+			return core.Summary{}, err
 		}
-		if err := descending("tail", t); err != nil {
-			return err
+		if err := descending("tail", vals[start:]); err != nil {
+			return core.Summary{}, err
 		}
-		s.Tails = append(s.Tails, t)
+		ends = append(ends, len(vals))
 	}
 	nSamples, err := r.count("sample list count", 1)
 	if err != nil {
-		return err
+		return core.Summary{}, err
 	}
-	s.Samples = make([][]fewk.Sample, 0, min(nSamples, allocCap))
 	for mi := 0; mi < nSamples; mi++ {
 		n, err := r.count("sample list", 9) // 8-byte value + >=1-byte weight
 		if err != nil {
-			return err
+			return core.Summary{}, err
 		}
-		var list []fewk.Sample
-		if n > 0 {
-			list = make([]fewk.Sample, n)
-		}
-		var prev float64
-		for j := range list {
+		start := len(vals)
+		vals = append(vals, make([]float64, 2*n)...)
+		values, weights := vals[start:start+n], vals[start+n:]
+		for j := range values {
 			v, err := r.f64("sample value")
 			if err != nil {
-				return err
+				return core.Summary{}, err
 			}
 			if math.IsNaN(v) {
-				return fmt.Errorf("%w: sample value: NaN", ErrCorrupt)
+				return core.Summary{}, fmt.Errorf("%w: sample value: NaN", ErrCorrupt)
 			}
-			if j > 0 && v > prev {
-				return fmt.Errorf("%w: sample values not descending", ErrCorrupt)
+			if j > 0 && v > values[j-1] {
+				return core.Summary{}, fmt.Errorf("%w: sample values not descending", ErrCorrupt)
 			}
-			prev = v
 			w, err := intField(r, "sample weight")
 			if err != nil {
-				return err
+				return core.Summary{}, err
 			}
-			list[j] = fewk.Sample{Value: v, Weight: w}
+			values[j], weights[j] = v, float64(w)
 		}
-		s.Samples = append(s.Samples, list)
+		ends = append(ends, len(vals))
 	}
 	burst, err := r.byte("burst flag")
 	if err != nil {
-		return err
+		return core.Summary{}, err
 	}
+	var flags []bool
 	switch burst {
 	case 0:
 	case 1:
 		// One flag per managed quantile; the managed count equals the tail
 		// count in every valid capture, which NewSnapshot re-checks against
 		// the configuration afterwards.
-		s.BurstyVsPrev = make([]bool, nTails)
-		for mi := range s.BurstyVsPrev {
+		flags = sc.flags[:0]
+		for mi := 0; mi < nTails; mi++ {
 			b, err := r.byte("burst flags")
 			if err != nil {
-				return err
+				return core.Summary{}, err
 			}
-			switch b {
-			case 0, 1:
-				s.BurstyVsPrev[mi] = b == 1
-			default:
-				return fmt.Errorf("%w: burst flag byte %d", ErrCorrupt, b)
+			if b > 1 {
+				return core.Summary{}, fmt.Errorf("%w: burst flag byte %d", ErrCorrupt, b)
 			}
+			flags = append(flags, b == 1)
+		}
+		sc.flags = flags
+		if flags == nil {
+			flags = []bool{} // flagged, with no managed quantile to flag
 		}
 	default:
-		return fmt.Errorf("%w: burst presence byte %d", ErrCorrupt, burst)
+		return core.Summary{}, fmt.Errorf("%w: burst presence byte %d", ErrCorrupt, burst)
 	}
-	return nil
+
+	sc.vals, sc.ends = vals, ends // keep what grew
+	sc.tails, sc.values, sc.weights = sc.tails[:0], sc.values[:0], sc.weights[:0]
+	at := listsAt
+	for i, end := range ends {
+		if i < nTails {
+			sc.tails = append(sc.tails, vals[at:end])
+		} else {
+			n := (end - at) / 2
+			sc.values, sc.weights = append(sc.values, vals[at:at+n]), append(sc.weights, vals[at+n:end])
+		}
+		at = end
+	}
+	sm, err := core.NewSummary(count, vals[:l], vals[l:listsAt], sc.tails, sc.values, sc.weights, flags)
+	if err != nil {
+		return core.Summary{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return sm, nil
 }
 
 // intField reads a uvarint that must fit a non-negative int.

@@ -284,7 +284,8 @@ func TestDecodeValuePolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := snap.Parts().Summaries[0].Quantiles[0]
+	first := snap.Parts().Summaries[0]
+	target := first.Quantile(0)
 	pat := make([]byte, 8)
 	for i := 0; i < 8; i++ {
 		pat[i] = byte(math.Float64bits(target) >> (8 * i))
@@ -324,15 +325,23 @@ func TestDecodeValuePolicy(t *testing.T) {
 	// constructor (structurally valid) and check the transport refuses it.
 	parts := snap.Parts()
 	parts.Summaries = append([]core.Summary(nil), parts.Summaries...)
-	bad := parts.Summaries[0]
-	if len(bad.Tails) == 0 || len(bad.Tails[0]) < 2 {
+	if first.Managed() == 0 || len(first.Tail(0)) < 2 {
 		t.Fatal("test frame has no multi-value tail")
 	}
-	tail := append([]float64(nil), bad.Tails[0]...)
+	var quantiles, densities []float64
+	for i := 0; i < first.NumQuantiles(); i++ {
+		quantiles, densities = append(quantiles, first.Quantile(i)), append(densities, first.Density(i))
+	}
+	var tails, values, weights [][]float64
+	for mi := 0; mi < first.Managed(); mi++ {
+		tails = append(tails, append([]float64(nil), first.Tail(mi)...))
+		values, weights = append(values, first.SampleValues(mi)), append(weights, first.SampleWeights(mi))
+	}
+	tail := tails[0]
 	tail[0], tail[len(tail)-1] = tail[len(tail)-1], tail[0]
-	bad.Tails = append([][]float64(nil), bad.Tails...)
-	bad.Tails[0] = tail
-	parts.Summaries[0] = bad
+	if parts.Summaries[0], err = core.NewSummary(first.Count, quantiles, densities, tails, values, weights, nil); err != nil {
+		t.Fatal(err)
+	}
 	badSnap, err := core.NewSnapshot(parts)
 	if err != nil {
 		t.Fatal(err)
