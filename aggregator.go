@@ -280,6 +280,11 @@ func (a *Aggregator) Apply(worker string, r io.Reader) (int, error) {
 		if err != nil {
 			return frames, fmt.Errorf("qlove: aggregator apply worker %q: %w", worker, err)
 		}
+		if !wire.ValidName(f.Key) {
+			// Checked before the store sees (and a disk store logs) the name:
+			// the stores index by wire.SplitName and trust what they are given.
+			return frames, fmt.Errorf("qlove: aggregator apply worker %q key %q: %w: misplaced NUL separator", worker, f.Key, wire.ErrCorrupt)
+		}
 		if err := a.fold(worker, f); err != nil {
 			return frames, fmt.Errorf("qlove: aggregator apply worker %q key %q: %w", worker, f.Key, err)
 		}
@@ -322,7 +327,7 @@ func (a *Aggregator) foldDelta(worker, key string, d wire.Delta) error {
 		// BASE state it was escalated out of; a base bootstrap (a collapsed
 		// key coming home) retires the whole former salt group.
 		st := &aggstore.State{Parts: d.Parts}
-		if _, _, salted := splitKey(key); salted {
+		if _, _, salted := wire.SplitName(key); salted {
 			a.store.BootstrapSub(worker, key, st)
 		} else {
 			a.store.ReplaceGroup(worker, key, st)
@@ -435,7 +440,7 @@ func (a *Aggregator) Snapshot() (EngineSnapshot, error) {
 	var bases []string
 	for _, id := range live {
 		for _, name := range a.store.WorkerNames(id) {
-			b := logicalKey(name)
+			b := wire.LogicalKey(name)
 			if _, dup := seen[b]; !dup {
 				seen[b] = struct{}{}
 				bases = append(bases, b)
@@ -479,7 +484,7 @@ func (a *Aggregator) Keys() int {
 	seen := make(map[string]struct{})
 	for _, id := range live {
 		for _, name := range a.store.WorkerNames(id) {
-			seen[logicalKey(name)] = struct{}{}
+			seen[wire.LogicalKey(name)] = struct{}{}
 		}
 	}
 	return len(seen)
@@ -533,7 +538,7 @@ func (a *Aggregator) ExportSlots(slots []int) ([]WorkerBlob, error) {
 			if err != nil {
 				return nil, fmt.Errorf("qlove: export slots worker %q key %q: %w", id, ns.Name, err)
 			}
-			if _, _, salted := splitKey(ns.Name); salted {
+			if _, _, salted := wire.SplitName(ns.Name); salted {
 				// A full frame would ReplaceGroup away the sibling
 				// sub-streams already replayed; a from-generation-0 delta
 				// bootstraps exactly this sub-stream, cursor intact.

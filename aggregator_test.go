@@ -12,7 +12,7 @@ import (
 )
 
 // pushAll drains results in the background and pushes every report.
-func pushAll(t *testing.T, eng *Engine, reports map[string][]float64) {
+func pushAll(t testing.TB, eng *Engine, reports map[string][]float64) {
 	t.Helper()
 	for key, vs := range reports {
 		if err := eng.Push(key, vs); err != nil {
@@ -32,7 +32,7 @@ func drainResults(eng *Engine) chan struct{} {
 }
 
 // fullFold reads an engine's full export through the batch path.
-func fullFold(t *testing.T, eng *Engine) EngineSnapshot {
+func fullFold(t testing.TB, eng *Engine) EngineSnapshot {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := eng.Export(&buf); err != nil {

@@ -189,7 +189,7 @@ func TestAggregatorStoreConformanceDeltaFold(t *testing.T) {
 
 // mkKeySnapshot builds one deterministic single-stream capture (to be
 // re-encoded under arbitrary internal names).
-func mkKeySnapshot(t *testing.T, cfg Config, seed int64, n int) Snapshot {
+func mkKeySnapshot(t testing.TB, cfg Config, seed int64, n int) Snapshot {
 	t.Helper()
 	eng, err := NewEngine(EngineConfig{Config: cfg, Shards: 1})
 	if err != nil {

@@ -32,7 +32,8 @@ type diffCursor struct {
 // export on the cursor itself — and fails unless the blobs and the advanced
 // cursors are identical. The real blob is folded into the cursor's
 // aggregator. tally records which path the real export took, read off the
-// engine-wide full-scan counter — so only when no other export is running.
+// engine-wide full-scan counter — so only when no other export is running —
+// and checks it is the path the cursor's age calls for.
 func (d *diffCursor) exportBoth(e *Engine, step int, tally bool) error {
 	ref := d.cur.clone()
 	ref.have = false // the scan is what a cursor without shard clocks gets
@@ -41,15 +42,27 @@ func (d *diffCursor) exportBoth(e *Engine, step int, tally bool) error {
 		return fmt.Errorf("step %d %s: scan export: %w", step, d.name, err)
 	}
 	resumable := tally && d.cur.have && d.cur.engine == e.id
+	// A resumable cursor is sent back to the scan for one reason only: some
+	// shard's departures log no longer reaches back to the cursor's clock.
+	// (The shards are idle between the two exports, and the scan export
+	// above was a round trip to each, so their floors are safe to read.)
+	outrun := false
+	for i, s := range e.shards {
+		outrun = outrun || (resumable && d.cur.shards[i] < s.depFloor)
+	}
 	scans := e.Stats().Total().ExportFullScans
 	if _, err := e.ExportDelta(&got, d.cur); err != nil {
 		return fmt.Errorf("step %d %s: export: %w", step, d.name, err)
 	}
 	if resumable {
-		if e.Stats().Total().ExportFullScans == scans {
-			d.journaled++
-		} else {
+		scanned := e.Stats().Total().ExportFullScans != scans
+		if scanned != outrun {
+			return fmt.Errorf("step %d %s: full scan %v, but departures log outran the cursor %v", step, d.name, scanned, outrun)
+		}
+		if scanned {
 			d.stale++
+		} else {
+			d.journaled++
 		}
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {

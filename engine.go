@@ -53,13 +53,10 @@ import (
 //     and the exports ride each shard's own queue, so they follow every earlier
 //     Push. Both return immutable captures, safe to retain and Merge anywhere.
 //
-// Engines built from a Config (the default) mint QLOVE operators from a
-// per-shard core.Pool, which also lends them the Level-1 tree of the
-// sub-window they are filling: a resident key costs its summaries, a
-// shard's keys share a few arena-backed trees, and evicted keys recycle
-// instead of feeding the garbage collector. Engines built from a custom
-// Factory monitor any Policy; Snapshot/Query then cover the keys whose
-// policies implement Snapshotter.
+// Every key's operator is a QLOVE operator minted by its shard's core.Pool,
+// which also lends it the Level-1 tree of the sub-window it is filling: a
+// resident key costs its summaries, a shard's keys share a few arena-backed
+// trees, and evicted keys recycle instead of feeding the garbage collector.
 type Engine struct {
 	spec    Window
 	shards  []*engineShard
@@ -92,17 +89,9 @@ type KeyedResult struct {
 
 // EngineConfig parameterizes an Engine.
 type EngineConfig struct {
-	// Config parameterizes the QLOVE operator minted for each key — the
-	// default path, with per-shard operator pooling and snapshot support.
-	// Ignored when Factory is set.
+	// Config parameterizes the QLOVE operator minted for each key;
+	// Config.Spec is the engine's count-based window.
 	Config Config
-	// Factory, when non-nil, overrides Config: each new key gets a fresh
-	// policy from it (e.g. Registry().Bind("cmqs", spec, phis)). Spec must
-	// then carry the window spec the factory's policies were bound to.
-	Factory BoundFactory
-	// Spec is the window spec for Factory-built engines. With Config it
-	// must be zero or equal to Config.Spec.
-	Spec Window
 	// Shards is the number of ingest goroutines (and key partitions).
 	// Defaults to runtime.GOMAXPROCS(0).
 	Shards int
@@ -144,9 +133,7 @@ type EngineConfig struct {
 	// element count via the count auto-seal); choose its Size/Period to
 	// approximate the expected events per timed window/period. TimedWindow
 	// must be a positive multiple of TimedPeriod. Both zero selects the
-	// count-based mode. Timed engines require policies that support
-	// time-driven sealing (the built-in QLOVE path does; a custom Factory
-	// must produce policies implementing EndPeriod/SubWindowCount/SealGen).
+	// count-based mode.
 	TimedWindow time.Duration
 	// TimedPeriod is the timed evaluation period; see TimedWindow.
 	TimedPeriod time.Duration
@@ -225,10 +212,9 @@ type engineShard struct {
 	// keys is written only by the shard goroutine, under keysMu (setKey,
 	// dropKey). Query reads it under keysMu.RLock, held until the operator's
 	// state is copied, so the entry cannot be evicted and re-minted meanwhile.
-	keysMu  sync.RWMutex
-	keys    map[string]*keyEntry
-	pool    *core.Pool   // non-nil on the Config path
-	factory BoundFactory // non-nil on the Factory path
+	keysMu sync.RWMutex
+	keys   map[string]*keyEntry
+	pool   *core.Pool // mints, recycles and lends workbenches to this shard's operators
 
 	// Idle-key expiry (KeyTTL > 0): clock counts batch deliveries to this
 	// shard; a key whose lastSeen lags by more than ttl is evicted by the
@@ -281,11 +267,6 @@ type engineShard struct {
 	// back to the full scan.
 	departed []departure
 	depFloor uint64
-	// genless counts resident snapshot-capable entries without a seal
-	// clock. The scan re-ships those on every export whether or not they
-	// were touched, which a journal cannot reproduce, so any such entry
-	// sends the shard's exports down the scan.
-	genless int
 
 	// counters is the shard's lock-free stats plane (Engine.Stats):
 	// producers update the enqueue side, the shard goroutine the delivery
@@ -294,18 +275,17 @@ type engineShard struct {
 }
 
 type keyEntry struct {
+	op       *core.Policy        // the key's operator; nil only on a parking entry
 	pusher   *stream.Pusher      // count-based mode
 	timed    *stream.TimedPusher // timed mode (exactly one of the two is set)
-	snap     Snapshotter         // non-nil when the policy supports snapshots
 	emit     func(stream.Evaluation)
 	lastSeen uint64    // shard clock at this key's most recent batch
 	lastAt   time.Time // wall clock at this key's most recent batch (wallTTL > 0)
 	inc      uint64    // incarnation: unique per key lifetime, engine-global
-	gen      uint64    // last observed seal generation (gens != nil)
-	resident int       // last observed resident summary count (gens != nil)
-	gens     sealGenerator
-	batches  uint64 // lifetime batches delivered (travels with migrations)
-	sampled  uint64 // batches already attributed to a ctlSample pass
+	gen      uint64    // last observed seal generation
+	resident int       // last observed resident summary count
+	batches  uint64    // lifetime batches delivered (travels with migrations)
+	sampled  uint64    // batches already attributed to a ctlSample pass
 
 	// Mutation journal (see engineShard.mutations): the entry's internal
 	// name, the shard clock of its latest journaled change, and its links
@@ -318,37 +298,10 @@ type keyEntry struct {
 	// the destination shard while the operator is still in flight from the
 	// source. Batches arriving under the name are parked, in order, and
 	// replayed by ctlInstall; every other shard path (sweeps, snapshots,
-	// delta scans, timed flushes) skips parking entries.
+	// queries, delta scans, timed flushes) skips parking entries. The journal
+	// ring never links one, so the journal walk needs no check.
 	parking bool
 	park    []*[]float64
-}
-
-// pooled returns the entry's operator when it is a QLOVE operator (always,
-// on the Config path), nil otherwise.
-func (ent *keyEntry) pooled() *core.Policy {
-	cp, _ := ent.policy().(*core.Policy)
-	return cp
-}
-
-// policy returns the operator behind whichever pusher variant the entry
-// runs (count-based or timed).
-func (ent *keyEntry) policy() stream.Policy {
-	if ent.timed != nil {
-		return ent.timed.Policy()
-	}
-	return ent.pusher.Policy()
-}
-
-// sealGenerator is the optional policy capability delta exports key off:
-// the monotonic per-operator seal count plus the resident summary count.
-// Together they change exactly when the operator's snapshot changes — a
-// seal advances SealGen; a summary can also EXPIRE without a new seal
-// (the batch after a boundary expires before it observes), which only
-// SubWindowCount reflects. core.Policy implements it; keys whose policies
-// do not are re-shipped whole on every delta export.
-type sealGenerator interface {
-	SealGen() uint64
-	SubWindowCount() int
 }
 
 // engineMsg is one unit of shard work: either an ingest batch or a control
@@ -434,8 +387,8 @@ type shardDeltaResp struct {
 	// repeats.
 	arrived  []string
 	departed []string
-	// Scan answers: scanned is set, and present holds every resident
-	// snapshot-capable name the cursor tracks.
+	// Scan answers: scanned is set, and present holds every resident name
+	// the cursor tracks.
 	scanned bool
 	present map[string]struct{}
 }
@@ -489,33 +442,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if timed && tick == 0 {
 		tick = cfg.TimedPeriod
 	}
-	spec := cfg.Spec
-	var mkPool func() (*core.Pool, error)
-	if cfg.Factory == nil {
-		if spec != (Window{}) && spec != cfg.Config.Spec {
-			return nil, fmt.Errorf("qlove: engine Spec %v conflicts with Config.Spec %v", spec, cfg.Config.Spec)
-		}
-		spec = cfg.Config.Spec
-		mkPool = func() (*core.Pool, error) { return core.NewPool(cfg.Config) }
-	} else {
-		if err := spec.Validate(); err != nil {
-			return nil, fmt.Errorf("qlove: engine with custom factory: %w", err)
-		}
-		// Probe the factory once so configuration errors surface at
-		// construction, not on the first pushed key.
-		p, err := cfg.Factory()
-		if err != nil {
-			return nil, fmt.Errorf("qlove: engine factory: %w", err)
-		}
-		if p == nil {
-			return nil, fmt.Errorf("qlove: engine factory returned nil policy")
-		}
-		if timed {
-			if _, ok := p.(stream.TimedPolicy); !ok {
-				return nil, fmt.Errorf("qlove: timed engine: policy %q does not support time-driven sealing", p.Name())
-			}
-		}
-	}
 	if cfg.RouteSalt < 0 || cfg.RouteSalt > 256 {
 		return nil, fmt.Errorf("qlove: engine RouteSalt %d outside [0, 256]", cfg.RouteSalt)
 	}
@@ -527,7 +453,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		return nil, fmt.Errorf("qlove: Adapt cannot be combined with RouteSalt %d (per-key escalation replaces engine-wide salting)", cfg.RouteSalt)
 	}
 	e := &Engine{
-		spec:    spec,
+		spec:    cfg.Config.Spec,
 		timed:   timed,
 		block:   cfg.Backpressure == BackpressureBlock,
 		salt:    salt,
@@ -565,11 +491,15 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	e.shards = make([]*engineShard, shards)
 	for i := range e.shards {
+		pool, err := core.NewPool(cfg.Config)
+		if err != nil {
+			return nil, err
+		}
 		s := &engineShard{
 			eng:         e,
+			pool:        pool,
 			in:          make(chan engineMsg, depth),
 			keys:        make(map[string]*keyEntry),
-			factory:     cfg.Factory,
 			ttl:         uint64(cfg.KeyTTL),
 			wallTTL:     cfg.KeyTTLDuration,
 			now:         now,
@@ -586,13 +516,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		}
 		if s.tick > 0 {
 			s.nextTickAt = now().Add(s.tick)
-		}
-		if mkPool != nil {
-			pool, err := mkPool()
-			if err != nil {
-				return nil, err
-			}
-			s.pool = pool
 		}
 		e.shards[i] = s
 	}
@@ -628,10 +551,10 @@ func (e *Engine) route(key string) (*engineShard, string) {
 		if ov := rt.m[key]; ov != nil {
 			switch {
 			case ov.salt > 1:
-				key = saltedKey(key, byte((ov.ctr.Add(1)-1)%uint64(ov.salt)))
+				key = wire.SaltedName(key, byte((ov.ctr.Add(1)-1)%uint64(ov.salt)))
 				return e.shardOf(key), key
 			case ov.salt == 1:
-				key = saltedKey(key, 0)
+				key = wire.SaltedName(key, 0)
 				return e.shardOf(key), key
 			case ov.shard >= 0:
 				return e.shards[ov.shard], key
@@ -639,7 +562,7 @@ func (e *Engine) route(key string) (*engineShard, string) {
 		}
 	}
 	if e.salt > 1 {
-		key = saltedKey(key, byte((e.saltCtr.Add(1)-1)%uint64(e.salt)))
+		key = wire.SaltedName(key, byte((e.saltCtr.Add(1)-1)%uint64(e.salt)))
 	}
 	return e.shardOf(key), key
 }
@@ -705,7 +628,7 @@ func (e *Engine) push(ctx context.Context, key string, vs []float64) error {
 		// error as their shutdown signal see closure on empty reports too.
 		return ErrEngineClosed
 	}
-	if strings.IndexByte(key, saltSep) >= 0 {
+	if strings.IndexByte(key, wire.SaltSep) >= 0 {
 		// NUL is the internal sub-stream separator; letting it through
 		// would let a user key alias an escalated key's sub-stream.
 		return ErrReservedKey
@@ -729,8 +652,9 @@ func (e *Engine) Results() <-chan KeyedResult { return e.results }
 // ShardStats.EvalsDropped across shards (always zero under
 // BackpressureBlock). It says nothing about ingest-side loss, which has
 // its own accounting: Push never loses a batch, PushContext abandonment is
-// the caller's error, and factory-failure discards are ShardStats.
-// FailedBatches (see Err). Use Stats for the per-shard breakdown.
+// the caller's error, and batches discarded because a key could not be
+// built are ShardStats.FailedBatches (see Err). Use Stats for the per-shard
+// breakdown.
 func (e *Engine) Dropped() uint64 {
 	var n uint64
 	for _, s := range e.shards {
@@ -739,13 +663,13 @@ func (e *Engine) Dropped() uint64 {
 	return n
 }
 
-// engineErr wraps factory failures so lastErr always stores one concrete
-// type (atomic.Value panics on inconsistently typed stores, and different
-// failure paths produce different error implementations).
+// engineErr wraps key-construction failures so lastErr always stores one
+// concrete type (atomic.Value panics on inconsistently typed stores, and
+// different failure paths produce different error implementations).
 type engineErr struct{ err error }
 
-// Err returns the most recent per-key construction failure (custom
-// factories only; the built-in QLOVE path cannot fail after NewEngine),
+// Err returns the most recent per-key construction failure (a pusher that
+// refused the key's window — nothing NewEngine's validation lets through),
 // plus how many batches were dropped because of such failures.
 func (e *Engine) Err() (error, uint64) {
 	we, _ := e.lastErr.Load().(engineErr)
@@ -758,7 +682,7 @@ func (e *Engine) Shards() int { return len(e.shards) }
 // Spec returns the engine's window spec.
 func (e *Engine) Spec() Window { return e.spec }
 
-// Snapshot captures every snapshot-capable key without stopping ingestion.
+// Snapshot captures every key without stopping ingestion.
 // Each shard's capture is taken between batches on the shard's own
 // goroutine, so it is consistent with the ingest order of every key it
 // owns (captures of different shards are taken at independent instants).
@@ -768,11 +692,7 @@ func (e *Engine) Snapshot() EngineSnapshot {
 	raw := make(map[string]Snapshot)
 	if e.closed {
 		for _, s := range e.shards {
-			for k, ent := range s.keys {
-				if ent.snap != nil {
-					raw[k] = ent.snap.Snapshot()
-				}
-			}
+			s.snapshotInto(raw)
 		}
 		return EngineSnapshot{keys: e.foldSalted(raw)}
 	}
@@ -800,7 +720,7 @@ func (e *Engine) Snapshot() EngineSnapshot {
 func (e *Engine) foldSalted(raw map[string]Snapshot) map[string]Snapshot {
 	any := false
 	for name := range raw {
-		if _, _, salted := splitKey(name); salted {
+		if _, _, salted := wire.SplitName(name); salted {
 			any = true
 			break
 		}
@@ -812,7 +732,7 @@ func (e *Engine) foldSalted(raw map[string]Snapshot) map[string]Snapshot {
 	// stay zero, the merge identity.
 	grouped := make(map[string][]Snapshot)
 	for name, sn := range raw {
-		base, sub, salted := splitKey(name)
+		base, sub, salted := wire.SplitName(name)
 		idx := 0
 		if salted {
 			idx = int(sub) + 1
@@ -851,11 +771,11 @@ func (e *Engine) foldSalted(raw map[string]Snapshot) map[string]Snapshot {
 // PERFORMED — a state some prefix of the key's deliveries produced, never a
 // torn one — not of batches still queued: a Push that just returned may not
 // show yet, and a key whose first batch is queued is unknown. Snapshot and the
-// exports follow every earlier Push. ok is false for an unknown key or a
-// policy that cannot snapshot. For a salted key (engine-wide RouteSalt, or one
-// the adaptive controller has escalated — even one since de-escalated whose
-// fan has not yet drained) the capture is the [base, sub-stream 0, 1, …]-
-// ordered merge of the key's resident streams, each read at its own instant.
+// exports follow every earlier Push. ok is false for an unknown key. For a
+// salted key (engine-wide RouteSalt, or one the adaptive controller has
+// escalated — even one since de-escalated whose fan has not yet drained) the
+// capture is the [base, sub-stream 0, 1, …]-ordered merge of the key's
+// resident streams, each read at its own instant.
 func (e *Engine) Query(key string) (Snapshot, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -873,7 +793,7 @@ func (e *Engine) Query(key string) (Snapshot, bool) {
 		found = true
 	}
 	for j := 0; j < max; j++ {
-		if sn, ok := e.queryOne(saltedKey(key, byte(j))); ok {
+		if sn, ok := e.queryOne(wire.SaltedName(key, byte(j))); ok {
 			snaps[j+1] = sn
 			found = true
 		}
@@ -902,29 +822,31 @@ func (e *Engine) queryOne(key string) (Snapshot, bool) {
 	return Snapshot{}, false
 }
 
-// query reads one operator in place; keysMu spans lookup AND copy.
+// query reads one operator in place; keysMu spans lookup AND copy. A name
+// parked by a migration is not resident here yet: its operator is still at
+// the source shard.
 func (s *engineShard) query(key string) (Snapshot, bool) {
 	s.keysMu.RLock()
 	defer s.keysMu.RUnlock()
-	if ent := s.keys[key]; ent != nil && ent.snap != nil {
-		return ent.snap.Snapshot(), true
+	if ent := s.keys[key]; ent != nil && !ent.parking {
+		return ent.op.Snapshot(), true
 	}
 	return Snapshot{}, false
 }
 
-// Export captures every snapshot-capable key (via Snapshot, so the
-// capture rides the shard control queues and never stops ingestion) and
-// writes it to w as one wire blob — the worker half of the paper's
-// distributed-aggregation sketch. Returns the bytes written. Blobs from
-// any number of engines may be concatenated and handed to an aggregator
-// (EngineSnapshot.ReadFrom, ImportSnapshots or cmd/qlove-agg); keys
-// captured by several engines merge into one logical-window view there.
+// Export captures every key (via Snapshot, so the capture rides the shard
+// control queues and never stops ingestion) and writes it to w as one wire
+// blob — the worker half of the paper's distributed-aggregation sketch.
+// Returns the bytes written. Blobs from any number of engines may be
+// concatenated and handed to an aggregator (EngineSnapshot.ReadFrom,
+// ImportSnapshots or cmd/qlove-agg); keys captured by several engines merge
+// into one logical-window view there.
 func (e *Engine) Export(w io.Writer) (int64, error) {
 	return e.Snapshot().WriteTo(w)
 }
 
 // ExportKeys writes the captures of just the named keys to w, skipping
-// keys the engine does not monitor (or whose policies cannot snapshot).
+// keys the engine does not monitor.
 // Each key is captured with Query, under Query's contract (delivered state,
 // not queued batches); Export is the blob ordered after every earlier Push.
 func (e *Engine) ExportKeys(w io.Writer, keys ...string) (int64, error) {
@@ -998,10 +920,9 @@ func (c *ExportCursor) Reset() { *c = ExportCursor{} }
 // an export walks the journal back to that clock without visiting an
 // untouched key. The work is O(resident keys + cursor keys) — one scan of
 // every shard — only when there is no clock to resume from: a first export,
-// a cursor after Reset or filled by another engine, one so old that a
-// shard's bounded departures log no longer reaches back to it, or an engine
-// holding keys whose policies keep no seal clock. Either way the blob is
-// byte for byte the same. It carries, in sorted key order:
+// a cursor after Reset or filled by another engine, or one so old that a
+// shard's bounded departures log no longer reaches back to it. Either way
+// the blob is byte for byte the same. It carries, in sorted key order:
 //
 //   - a tombstone frame for every key the cursor has that the engine no
 //     longer monitors (TTL expiry or explicit Evict), so receivers delete
@@ -1022,10 +943,8 @@ func (c *ExportCursor) Reset() { *c = ExportCursor{} }
 // or the destination is left permanently behind (see Reset).
 // Receivers fold the blob with Aggregator.Apply (or any wire.DecodeFrame
 // consumer); folded state is bit-for-bit the capture Export would have
-// shipped whole. Keys whose policies do not track seal generations
-// (anything but the built-in QLOVE path) are re-shipped as full frames on
-// every export — correct, just not incremental. Engine.Stats counts
-// exports, keys visited, frames, tombstones and full scans per shard.
+// shipped whole. Engine.Stats counts exports, keys visited, frames,
+// tombstones and full scans per shard.
 func (e *Engine) ExportDelta(w io.Writer, cur *ExportCursor) (int64, error) {
 	if cur == nil {
 		return 0, fmt.Errorf("qlove: ExportDelta needs a cursor; use new(ExportCursor) for a first export")
@@ -1205,18 +1124,11 @@ func (e *Engine) assembleDelta(w io.Writer, cur *ExportCursor, resps []*shardDel
 		} else if ok && kc.gen <= g {
 			from = kc.gen
 		}
-		var m int
-		var err error
-		if g == 0 && c.snap.SubWindows() > 0 {
-			// Generation-less capture: cannot anchor a delta, re-ship whole.
-			m, err = enc.Encode(k, c.snap)
-		} else {
-			d, derr := wire.NewDelta(c.snap, from)
-			if derr != nil {
-				return fail(fmt.Errorf("qlove: delta export key %q: %w", k, derr))
-			}
-			m, err = enc.EncodeDelta(k, d)
+		d, err := wire.NewDelta(c.snap, from)
+		if err != nil {
+			return fail(fmt.Errorf("qlove: delta export key %q: %w", k, err))
 		}
+		m, err := enc.EncodeDelta(k, d)
 		written += int64(m)
 		if err != nil {
 			return fail(fmt.Errorf("qlove: delta export key %q: %w", k, err))
@@ -1299,7 +1211,7 @@ func (e *Engine) Evict(key string) bool {
 	}
 	any := e.evictOne(key)
 	for j := 0; j < max; j++ {
-		if e.evictOne(saltedKey(key, byte(j))) {
+		if e.evictOne(wire.SaltedName(key, byte(j))) {
 			any = true
 		}
 	}
@@ -1504,25 +1416,21 @@ func (s *engineShard) handle(msg engineMsg) {
 // migrations, and every one of those runs through handle, timedFlush or
 // evict — each ends here.
 func (s *engineShard) noteBenches() {
-	if s.pool != nil {
-		setGauge(&s.counters.inFlight, s.pool.Lent())
-		setGauge(&s.counters.idleBenches, s.pool.IdleWorkbenches())
-	}
+	setGauge(&s.counters.inFlight, s.pool.Lent())
+	setGauge(&s.counters.idleBenches, s.pool.IdleWorkbenches())
 }
 
 // noteMutation folds one key's operator-state change into the shard's
 // delta-export bookkeeping: the entry is journaled exactly when the key's
-// capture would differ (a seal advanced SealGen, or expiry shrank the
-// resident count). Policies without a seal clock are conservatively
-// journaled on every touch.
+// capture would differ — a seal advanced SealGen, or a summary EXPIRED
+// without a new seal (the batch after a boundary expires before it
+// observes), which only the resident count reflects.
 func (s *engineShard) noteMutation(ent *keyEntry) {
-	if ent.gens != nil {
-		g, r := ent.gens.SealGen(), ent.gens.SubWindowCount()
-		if g == ent.gen && r == ent.resident {
-			return
-		}
-		ent.gen, ent.resident = g, r
+	g, r := ent.op.SealGen(), ent.op.SubWindowCount()
+	if g == ent.gen && r == ent.resident {
+		return
 	}
+	ent.gen, ent.resident = g, r
 	s.touch(ent)
 }
 
@@ -1550,9 +1458,6 @@ func (s *engineShard) touch(ent *keyEntry) {
 func (s *engineShard) arrive(name string, ent *keyEntry) {
 	ent.name = name
 	s.setKey(name, ent)
-	if ent.snap != nil && ent.gens == nil {
-		s.genless++
-	}
 	s.touch(ent)
 }
 
@@ -1577,9 +1482,6 @@ func (s *engineShard) dropKey(name string) {
 // to its cap — raising the floor below which a cursor must rescan.
 func (s *engineShard) depart(ent *keyEntry) {
 	s.dropKey(ent.name)
-	if ent.snap != nil && ent.gens == nil {
-		s.genless--
-	}
 	s.mutations++
 	ent.prev.next, ent.next.prev = ent.next, ent.prev
 	ent.prev, ent.next, ent.stamp = nil, nil, 0
@@ -1662,38 +1564,25 @@ func (s *engineShard) entry(key string) (*keyEntry, error) {
 	if ent, ok := s.keys[key]; ok {
 		return ent, nil
 	}
-	var pol Policy
-	if s.pool != nil {
-		pol = s.pool.Get()
-	} else {
-		var err error
-		if pol, err = s.factory(); err != nil {
-			return nil, fmt.Errorf("qlove: policy for key %q: %w", key, err)
-		} else if pol == nil {
-			return nil, fmt.Errorf("qlove: nil policy for key %q", key)
-		}
-	}
-	ent := &keyEntry{}
+	ent := &keyEntry{op: s.pool.Get()}
 	if s.timedWindow > 0 {
-		tp, err := stream.NewTimedPusher(pol, s.timedWindow, s.timedPeriod)
+		tp, err := stream.NewTimedPusher(ent.op, s.timedWindow, s.timedPeriod)
 		if err != nil {
 			return nil, err
 		}
 		ent.timed = tp
 	} else {
-		pusher, err := stream.NewPusher(pol, s.eng.spec)
+		pusher, err := stream.NewPusher(ent.op, s.eng.spec)
 		if err != nil {
 			return nil, err
 		}
 		ent.pusher = pusher
 	}
-	ent.snap, _ = pol.(Snapshotter)
-	ent.gens, _ = pol.(sealGenerator)
 	ent.inc = s.eng.incSeq.Add(1)
 	if s.wallTTL > 0 {
 		ent.lastAt = s.now()
 	}
-	ent.emit = s.makeEmit(logicalKey(key))
+	ent.emit = s.makeEmit(wire.LogicalKey(key))
 	s.arrive(key, ent)
 	return ent, nil
 }
@@ -1736,11 +1625,7 @@ func (s *engineShard) control(ctl *engineCtl) {
 	switch ctl.op {
 	case ctlSnapshot:
 		snaps := make(map[string]Snapshot, len(s.keys))
-		for k, ent := range s.keys {
-			if ent.snap != nil {
-				snaps[k] = ent.snap.Snapshot()
-			}
-		}
+		s.snapshotInto(snaps)
 		ctl.resp <- engineCtlResp{snaps: snaps}
 	case ctlEvict:
 		ctl.resp <- engineCtlResp{ok: s.evict(ctl.key)}
@@ -1761,9 +1646,7 @@ func (s *engineShard) control(ctl *engineCtl) {
 	case ctlHandoff:
 		if ent := s.keys[ctl.key]; ent != nil && !ent.parking {
 			s.depart(ent)
-			if s.pool != nil {
-				s.pool.Disown(ent.pooled())
-			}
+			s.pool.Disown(ent.op)
 			ctl.resp <- engineCtlResp{ent: ent, ok: true}
 			return
 		}
@@ -1793,12 +1676,10 @@ func (s *engineShard) install(name string, ent *keyEntry) {
 	}
 	if ent != nil {
 		ent.parking, ent.park = false, nil
-		if s.pool != nil {
-			// The operator borrows from and returns to a pool as it runs, and
-			// the source shard's pool is the source goroutine's to touch.
-			s.pool.Adopt(ent.pooled())
-		}
-		ent.emit = s.makeEmit(logicalKey(name))
+		// The operator borrows from and returns to a pool as it runs, and
+		// the source shard's pool is the source goroutine's to touch.
+		s.pool.Adopt(ent.op)
+		ent.emit = s.makeEmit(wire.LogicalKey(name))
 		ent.lastSeen = s.clock
 		if s.wallTTL > 0 {
 			ent.lastAt = s.now()
@@ -1807,6 +1688,16 @@ func (s *engineShard) install(name string, ent *keyEntry) {
 	}
 	for _, bp := range parked {
 		s.handle(engineMsg{key: name, buf: bp})
+	}
+}
+
+// snapshotInto captures every resident operator under its internal name. A
+// parked name has no operator here: it is captured where it still lives.
+func (s *engineShard) snapshotInto(out map[string]Snapshot) {
+	for k, ent := range s.keys {
+		if !ent.parking {
+			out[k] = ent.op.Snapshot()
+		}
 	}
 }
 
@@ -1854,22 +1745,21 @@ func (s *engineShard) deltaResp(cur *deltaCursorView) *shardDeltaResp {
 			r.present = make(map[string]struct{}, min(len(s.keys), len(cur.keys)))
 		}
 		for k, ent := range s.keys {
-			if ent.snap == nil {
-				continue
+			if ent.parking {
+				continue // still resident, and captured, at its source shard
 			}
 			kc, ok := cur.keys[k]
 			if ok {
 				r.present[k] = struct{}{}
 			}
 			if !ok || !kc.covers(ent) {
-				r.changed = append(r.changed, deltaCapture{name: k, snap: ent.snap.Snapshot(), inc: ent.inc})
+				r.changed = append(r.changed, deltaCapture{name: k, snap: ent.op.Snapshot(), inc: ent.inc})
 			}
 		}
 		s.counters.exportFullScans.Add(1)
-	case cur.mut < s.depFloor || s.genless > 0:
-		// The departures log no longer reaches back to the cursor's clock
-		// (it may have forgotten a tombstone), or generation-less keys are
-		// resident (the scan re-ships those untouched).
+	case cur.mut < s.depFloor:
+		// The departures log no longer reaches back to the cursor's clock:
+		// it may have forgotten a tombstone.
 		r.stale = true
 		return r
 	default:
@@ -1877,13 +1767,10 @@ func (s *engineShard) deltaResp(cur *deltaCursorView) *shardDeltaResp {
 		r.changed = make([]deltaCapture, 0, min(uint64(len(s.keys)), s.mutations-cur.mut))
 		for ent := s.journal.prev; ent != &s.journal && ent.stamp > cur.mut; ent = ent.prev {
 			visited++
-			if ent.snap == nil {
-				continue
-			}
 			if kc, ok := cur.keys[ent.name]; ok && kc.covers(ent) {
 				r.arrived = append(r.arrived, ent.name)
 			} else {
-				r.changed = append(r.changed, deltaCapture{name: ent.name, snap: ent.snap.Snapshot(), inc: ent.inc})
+				r.changed = append(r.changed, deltaCapture{name: ent.name, snap: ent.op.Snapshot(), inc: ent.inc})
 			}
 		}
 		for i := len(s.departed) - 1; i >= 0 && s.departed[i].clock > cur.mut; i-- {
@@ -1899,10 +1786,9 @@ func (s *engineShard) deltaResp(cur *deltaCursorView) *shardDeltaResp {
 
 // covers reports whether the cursor's record of a key still describes the
 // live entry: same incarnation, no seal past the recorded generation, same
-// resident summary count. Entries without a seal clock are never covered.
+// resident summary count.
 func (kc keyCursor) covers(ent *keyEntry) bool {
-	return kc.inc == ent.inc && ent.gens != nil &&
-		ent.gens.SealGen() <= kc.gen && ent.gens.SubWindowCount() == kc.resident
+	return kc.inc == ent.inc && ent.op.SealGen() <= kc.gen && ent.op.SubWindowCount() == kc.resident
 }
 
 // evict removes a key and recycles its operator. Evicting a PARKING entry
@@ -1922,15 +1808,13 @@ func (s *engineShard) evict(key string) bool {
 		return true
 	}
 	s.depart(ent)
-	if s.pool != nil {
-		s.pool.Put(ent.pooled())
-		s.noteBenches()
-	}
+	s.pool.Put(ent.op)
+	s.noteBenches()
 	return true
 }
 
-// EngineSnapshot is a point-in-time capture of every snapshot-capable key
-// the engine monitors. It is immutable and safe to read from any
+// EngineSnapshot is a point-in-time capture of every key the engine
+// monitors. It is immutable and safe to read from any
 // goroutine.
 type EngineSnapshot struct {
 	keys map[string]Snapshot

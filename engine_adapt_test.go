@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -683,7 +684,7 @@ func TestEngineAdaptControllerLifecycle(t *testing.T) {
 		}
 		subs, colds := make([]int, 4), make([]int, 4)
 		for j := 0; j < 8; j++ {
-			subs[cand.shardIndex(saltedKey("hot", byte(j)))]++
+			subs[cand.shardIndex(wire.SaltedName("hot", byte(j)))]++
 		}
 		for _, k := range cold {
 			colds[cand.shardIndex(k)]++

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // TestEngineQueryAllocs pins what a read costs the allocator: the two slice
@@ -292,7 +294,7 @@ func TestEngineQueryIsSomeSealedState(t *testing.T) {
 		e.mu.RLock()
 		defer e.mu.RUnlock()
 		for j := range out {
-			out[j], _ = e.queryOne(saltedKey(name, byte(j)))
+			out[j], _ = e.queryOne(wire.SaltedName(name, byte(j)))
 		}
 		if out[0].IsZero() {
 			out[0], _ = e.queryOne(name) // not escalated yet: the base stream

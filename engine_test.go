@@ -313,43 +313,6 @@ func TestEngineCloseSemantics(t *testing.T) {
 	}
 }
 
-func TestEngineCustomFactory(t *testing.T) {
-	spec := Window{Size: 200, Period: 50}
-	phis := []float64{0.5, 0.9}
-	bound, err := Registry().Bind("cmqs", spec, phis)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(EngineConfig{Factory: bound, Spec: spec, Shards: 2, ResultBuffer: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := workload.Generate(workload.NewNetMon(2), 600)
-	if err := e.Push("svc", data); err != nil {
-		t.Fatal(err)
-	}
-	e.Close()
-	rs := engineResults(e)["svc"]
-	if want := spec.Evaluations(len(data)); len(rs) != want {
-		t.Fatalf("evaluations = %d, want %d", len(rs), want)
-	}
-	// CMQS cannot snapshot: the key exists but is not capturable.
-	if _, ok := e.Query("svc"); ok {
-		t.Fatal("non-snapshottable policy answered Query")
-	}
-	if e.Snapshot().Len() != 0 {
-		t.Fatal("snapshot captured a non-snapshottable key")
-	}
-	if errSeen, n := e.Err(); errSeen != nil || n != 0 {
-		t.Fatalf("unexpected factory failures: %v / %d", errSeen, n)
-	}
-
-	// A factory engine still needs a valid spec.
-	if _, err := NewEngine(EngineConfig{Factory: bound}); err == nil {
-		t.Fatal("factory engine without spec accepted")
-	}
-}
-
 func TestEngineSnapshotMergeAcrossEngines(t *testing.T) {
 	// Two engines monitoring the same key (two ingestion pipelines of one
 	// service): their EngineSnapshots merge key-wise.
@@ -389,12 +352,6 @@ func TestEngineSnapshotMergeAcrossEngines(t *testing.T) {
 func TestEngineValidation(t *testing.T) {
 	if _, err := NewEngine(EngineConfig{}); err == nil {
 		t.Fatal("zero config accepted")
-	}
-	if _, err := NewEngine(EngineConfig{
-		Config: Config{Spec: Window{Size: 100, Period: 10}, Phis: []float64{0.5}},
-		Spec:   Window{Size: 200, Period: 10},
-	}); err == nil {
-		t.Fatal("conflicting specs accepted")
 	}
 	if _, err := NewEngine(EngineConfig{
 		Config: Config{Spec: Window{Size: 100, Period: 10}, Phis: []float64{0.5}},

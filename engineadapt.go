@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // AdaptConfig switches the Engine into ADAPTIVE routing: an
@@ -288,7 +290,7 @@ func (e *Engine) rebalance() []RouteEvent {
 	byBase := make(map[string]float64)
 	for _, shardLoads := range loads {
 		for _, kl := range shardLoads {
-			byBase[logicalKey(kl.Key)] += float64(kl.Batches)
+			byBase[wire.LogicalKey(kl.Key)] += float64(kl.Batches)
 		}
 	}
 	escKeys := make([]string, 0, len(a.esc))
@@ -335,7 +337,7 @@ func (e *Engine) rebalance() []RouteEvent {
 			continue
 		}
 		for _, kl := range loads[i] {
-			if _, _, salted := splitKey(kl.Key); salted {
+			if _, _, salted := wire.SplitName(kl.Key); salted {
 				continue // already an escalated key's sub-stream
 			}
 			if _, ok := a.esc[kl.Key]; ok {
@@ -369,7 +371,7 @@ func (e *Engine) rebalance() []RouteEvent {
 			if moves >= a.cfg.MaxMoves || deltas[i] <= mean {
 				break
 			}
-			if _, _, salted := splitKey(kl.Key); salted {
+			if _, _, salted := wire.SplitName(kl.Key); salted {
 				continue
 			}
 			if _, ok := a.esc[kl.Key]; ok {

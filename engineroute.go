@@ -3,6 +3,8 @@ package qlove
 import (
 	"sync/atomic"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // This file is the Engine's per-key routing plane: a copy-on-write route
@@ -180,7 +182,7 @@ func (e *Engine) escalateKey(base string, salt int) (RouteEvent, bool) {
 		return ev, true
 	}
 	src := e.locateShard(base)
-	sub0 := saltedKey(base, 0)
+	sub0 := wire.SaltedName(base, 0)
 	dst := e.shardOf(sub0)
 	ov := &routeOverride{salt: salt, maxSalt: salt, shard: -1}
 	n, ok := e.moveStream(src, base, dst, sub0, func(m map[string]*routeOverride) { m[base] = ov })
@@ -219,7 +221,7 @@ func (e *Engine) collapseKey(base string, maxSalt int) (RouteEvent, bool) {
 		return RouteEvent{}, false
 	}
 	for j := 1; j < maxSalt; j++ {
-		if e.streamExists(saltedKey(base, byte(j))) {
+		if e.streamExists(wire.SaltedName(base, byte(j))) {
 			return RouteEvent{}, false
 		}
 	}
@@ -227,7 +229,7 @@ func (e *Engine) collapseKey(base string, maxSalt int) (RouteEvent, bool) {
 		return RouteEvent{}, false
 	}
 	ev := RouteEvent{Kind: RouteCollapse, Key: base, Salt: 0}
-	sub0 := saltedKey(base, 0)
+	sub0 := wire.SaltedName(base, 0)
 	dst := e.shardOf(base)
 	if !e.streamExists(sub0) {
 		// Everything expired; just drop the override.
@@ -290,7 +292,7 @@ func (e *Engine) indexOf(s *engineShard) int {
 // pinned base keys go to their pinned shard, everything else (including
 // every salted sub-stream name) hashes.
 func (e *Engine) locateShard(name string) *engineShard {
-	if _, _, salted := splitKey(name); !salted {
+	if _, _, salted := wire.SplitName(name); !salted {
 		if ov := e.override(name); ov != nil && ov.salt == 0 && ov.shard >= 0 {
 			return e.shards[ov.shard]
 		}

@@ -110,8 +110,8 @@ func (c *shardCounters) snapshot() ShardStats {
 //
 //   - Ingest-side: Push never loses a batch (it blocks on a full queue) and
 //     PushContext surfaces abandonment as an error to the caller; the only
-//     ingest loss is FailedBatches — batches discarded because a custom
-//     factory failed to mint the key's policy (see Engine.Err).
+//     ingest loss is FailedBatches — batches discarded because the key's
+//     pusher could not be built (see Engine.Err).
 //   - Delivery-side: EvalsDropped counts evaluations shed at the Results
 //     fan-in under BackpressureDrop; it is zero under BackpressureBlock.
 type ShardStats struct {
@@ -120,8 +120,8 @@ type ShardStats struct {
 	// DeliveredBatches counts batches the shard delivered into operators.
 	// After Close, EnqueuedBatches == DeliveredBatches + FailedBatches.
 	DeliveredBatches uint64
-	// FailedBatches counts batches discarded for want of a policy
-	// (custom-factory construction failure; the built-in path cannot fail).
+	// FailedBatches counts batches discarded because their key's pusher
+	// could not be built; zero on any engine NewEngine returned.
 	FailedBatches uint64
 	// EvalsDelivered counts evaluations handed to the Results consumer.
 	EvalsDelivered uint64
@@ -144,7 +144,7 @@ type ShardStats struct {
 	// ended on a period boundary, or that has been idle since a timed
 	// period closed, holds none and costs only its summaries; traffic made
 	// of such reports keeps this near zero, while reports that straddle
-	// periods push it toward ResidentKeys. Zero for Factory-built engines.
+	// periods push it toward ResidentKeys.
 	InFlightKeys int
 	// IdleWorkbenches is how many workbenches the shard's pool keeps, at
 	// capacity, for the next borrower (at most 64; the rest of a burst is
@@ -276,36 +276,6 @@ func (e *Engine) Stats() EngineStats {
 	return st
 }
 
-// saltSep separates a logical key from its routing-salt index in the
-// internal per-shard key space. The NUL byte is reserved: Push rejects any
-// key containing it, so the internal sub-stream namespace ("key\x00<j>")
-// can never collide with a user key and splitKey stays purely syntactic.
-const saltSep = '\x00'
-
-// saltedKey derives sub-stream j's internal key name.
-func saltedKey(key string, j byte) string {
-	return key + string([]byte{saltSep, j})
-}
-
-// splitKey decomposes an internal key name. For a salted sub-stream name
-// it returns (base key, salt index, true); for a plain key it returns
-// (name, 0, false). Because user keys can never contain NUL, the check is
-// syntactic and needs no engine configuration — it works identically for
-// engine-wide RouteSalt names and per-key adaptive escalation names.
-func splitKey(name string) (base string, sub byte, salted bool) {
-	if len(name) >= 2 && name[len(name)-2] == saltSep {
-		return name[:len(name)-2], name[len(name)-1], true
-	}
-	return name, 0, false
-}
-
-// logicalKey strips the salt suffix from an internal key name (identity
-// for plain keys).
-func logicalKey(name string) string {
-	base, _, _ := splitKey(name)
-	return base
-}
-
 // KeyLoad attributes recent delivery load to one resident internal key
 // name on one shard — the per-key refinement of ShardStats that lets the
 // adaptive controller name the offending key instead of just the shard.
@@ -313,8 +283,8 @@ func logicalKey(name string) string {
 // the per-key attribution counter; the cumulative count stays in
 // ShardStats.DeliveredBatches).
 type KeyLoad struct {
-	// Key is the internal key name (a salted sub-stream name for escalated
-	// or RouteSalt keys; use logicalKey to group).
+	// Key is the internal key name (a salted sub-stream name "key\x00<j>"
+	// for escalated or RouteSalt keys).
 	Key string
 	// Batches is the number of batches delivered into the key's operator
 	// since the shard was last sampled.

@@ -597,6 +597,10 @@ func (f *Fanin) handlePush(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "scan push blob: %v", err)
 			return
 		}
+		if !wire.ValidName(key) {
+			writeErr(w, http.StatusBadRequest, "scan push blob: key %q: %v: misplaced NUL separator", key, wire.ErrCorrupt)
+			return
+		}
 		slot := qlove.SlotOf(key)
 		slotFrames[slot]++
 		frames++

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -317,6 +318,16 @@ func TestFaninErrors(t *testing.T) {
 	blob.WriteString("garbage")
 	if resp, _ := post(t, fx.fanin, "/push?worker=w", blob.Bytes()); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed blob: %s", resp.Status)
+	}
+	// So does a well-formed frame whose key carries a misplaced NUL: slot
+	// routing and the replicas' stores both split names, and must never be
+	// handed one the engine could not have minted.
+	blob.Truncate(blob.Len() - len("garbage"))
+	for _, key := range []string{"abc\x00", "\x00", "a\x00bc"} {
+		bad := wire.AppendTombstoneFrame(append([]byte(nil), blob.Bytes()...), key)
+		if resp, body := post(t, fx.fanin, "/push?worker=w", bad); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("key %q: %s: %s", key, resp.Status, body)
+		}
 	}
 	for i, srv := range fx.servers {
 		if agg := srv.Aggregator(); agg.Workers() != 0 || agg.Keys() != 0 {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -397,5 +398,60 @@ func TestServiceHealthzDurability(t *testing.T) {
 	}
 	if h.Status != "degraded" || h.Error == "" || h.Error != agg.DurabilityErr().Error() {
 		t.Fatalf("degraded healthz = %+v", h)
+	}
+}
+
+// TestServiceMalformedKeyDisk: a disk-backed service sent a frame whose key
+// carries a misplaced NUL answers 400 and goes on serving. net/http recovers
+// a panicking handler, so when the store indexed past such a name with its
+// lock held and the record already logged, the connection dropped, every
+// later push blocked on the lock, and the directory panicked on reopen.
+func TestServiceMalformedKeyDisk(t *testing.T) {
+	acfg := qlove.AggregatorConfig{Store: "disk", Dir: t.TempDir()}
+	agg, err := qlove.NewAggregatorConfig(acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(New(agg).Handler())
+	defer srv.Close()
+	srv.Client().Timeout = 10 * time.Second // a wedged store fails the test, it does not hang it
+
+	eng := mkEngine(t, qlove.Config{Spec: qlove.Window{Size: 256, Period: 64}, Phis: []float64{0.5}, FewK: true})
+	defer eng.Close()
+	export := func(key string) []byte {
+		if err := eng.Push(key, workload.Generate(workload.NewNetMon(3), 300)); err != nil {
+			t.Fatal(err)
+		}
+		var blob bytes.Buffer
+		if _, err := eng.Export(&blob); err != nil {
+			t.Fatal(err)
+		}
+		return blob.Bytes()
+	}
+	if resp, body := post(t, srv, "/push?worker=w", export("k")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("push: %s: %s", resp.Status, body)
+	}
+	for _, key := range []string{"abc\x00", "\x00", "a\x00bc"} {
+		resp, body := post(t, srv, "/push?worker=w", wire.AppendTombstoneFrame(nil, key))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("tombstone for %q: %s: %s", key, resp.Status, body)
+		}
+	}
+	if resp, body := post(t, srv, "/push?worker=w", export("k2")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("push after the refusals: %s: %s", resp.Status, body)
+	}
+	_, want := get(t, srv, "/snapshot")
+	if err := agg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := qlove.NewAggregatorConfig(acfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	resrv := httptest.NewServer(New(re).Handler())
+	defer resrv.Close()
+	if _, got := get(t, resrv, "/snapshot"); !bytes.Equal(got, want) {
+		t.Fatalf("reopened /snapshot diverges:\n%s\n%s", got, want)
 	}
 }

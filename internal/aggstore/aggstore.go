@@ -21,9 +21,11 @@
 // share resident parts with zero copying and lets the fold cache hold
 // merged snapshots across reads.
 //
-// Internal key names follow the engine's salt convention: a logical key
-// K is resident either under its base name "K" or under salted
-// sub-stream names "K\x00<j>" (NUL cannot appear in user keys). All the
+// Internal key names follow the salt convention internal/wire defines
+// (wire.SplitName): a logical key K is resident either under its base name
+// "K" or under salted sub-stream names "K\x00<j>". The aggregator admits
+// only names wire.ValidName accepts; a store groups any other name — a WAL
+// written before that check may hold one — as an unsalted key. All the
 // names of one logical key form its GROUP; fold order is the sorted name
 // order [base, sub 0, sub 1, …] because NUL sorts below every user-key
 // byte. Both backends maintain a per-group index, so group reads and
@@ -149,33 +151,6 @@ type Metrics struct {
 	Ops                []OpMetrics `json:"ops"`
 	LockWaitReadNanos  int64       `json:"lock_wait_read_nanos"`
 	LockWaitWriteNanos int64       `json:"lock_wait_write_nanos"`
-}
-
-// --- salt-name convention (mirrors the engine's; the root package cannot
-// be imported from an internal package without a cycle) ---
-
-// saltSep separates a base key from its salt index in internal names.
-const saltSep = '\x00'
-
-// splitKey splits an internal name into (base, salt index, salted).
-func splitKey(name string) (string, int, bool) {
-	for i := 0; i < len(name); i++ {
-		if name[i] == saltSep {
-			return name[:i], int(name[i+1]), true
-		}
-	}
-	return name, 0, false
-}
-
-// logicalKey returns the base key of an internal name.
-func logicalKey(name string) string {
-	b, _, _ := splitKey(name)
-	return b
-}
-
-// saltedName rebuilds the internal name of sub-stream j of base.
-func saltedName(base string, j int) string {
-	return base + string([]byte{saltSep, byte(j)})
 }
 
 // fnv1a hashes the concatenation of the given strings (FNV-1a, 32-bit).

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/window"
+	"repro/internal/wire"
 )
 
 // testParts is a valid minimal capture: the disk backend wire-encodes
@@ -63,7 +64,7 @@ func TestStoreParityRandomOps(t *testing.T) {
 		if salt < 0 {
 			return base
 		}
-		return saltedName(base, salt)
+		return wire.SaltedName(base, byte(salt))
 	}
 	check := func(step int) {
 		t.Helper()
@@ -119,7 +120,7 @@ func TestStoreParityRandomOps(t *testing.T) {
 				s.ReplaceGroup(w, name(base, salt), st)
 			case 6, 7:
 				s.Touch(w, time.Unix(int64(step), 0))
-				s.BootstrapSub(w, saltedName(base, subSalt), st)
+				s.BootstrapSub(w, wire.SaltedName(base, byte(subSalt)), st)
 			case 8:
 				s.DropWorker(w)
 			case 9:
@@ -136,14 +137,14 @@ func TestStoreParityRandomOps(t *testing.T) {
 func TestStoreGroupFoldOrder(t *testing.T) {
 	for _, s := range stores(t) {
 		s.Touch("w", time.Time{})
-		s.Put("w", saltedName("k", 2), mkState(3))
+		s.Put("w", wire.SaltedName("k", 2), mkState(3))
 		s.Put("w", "k", mkState(1))
-		s.Put("w", saltedName("k", 0), mkState(2))
+		s.Put("w", wire.SaltedName("k", 0), mkState(2))
 		g := s.Group("w", "k")
 		if len(g) != 3 {
 			t.Fatalf("%s: group size %d", s.Kind(), len(g))
 		}
-		want := []string{"k", saltedName("k", 0), saltedName("k", 2)}
+		want := []string{"k", wire.SaltedName("k", 0), wire.SaltedName("k", 2)}
 		for i, ns := range g {
 			if ns.Name != want[i] {
 				t.Fatalf("%s: fold order %d = %q, want %q", s.Kind(), i, ns.Name, want[i])
@@ -172,7 +173,7 @@ func TestStoreKeyGenAdvances(t *testing.T) {
 		if g := s.KeyGen("k"); g != g1 {
 			t.Fatalf("%s: reads moved the generation (%d -> %d)", s.Kind(), g1, g)
 		}
-		s.ReplaceGroup("w", saltedName("k", 1), mkState(2))
+		s.ReplaceGroup("w", wire.SaltedName("k", 1), mkState(2))
 		if g := s.KeyGen("k"); g <= g1 {
 			t.Fatalf("%s: ReplaceGroup did not bump the generation", s.Kind())
 		}
@@ -199,7 +200,7 @@ func TestStoreOccupancyCounters(t *testing.T) {
 			t.Fatalf("%s: KeyCount %d, want 4", s.Kind(), s.KeyCount())
 		}
 		// A salted sub-stream of an existing base is NOT a new logical key.
-		s.Put("w0", saltedName("shared", 1), mkState(3))
+		s.Put("w0", wire.SaltedName("shared", 1), mkState(3))
 		if s.KeyCount() != 4 {
 			t.Fatalf("%s: salted sub-stream changed KeyCount to %d", s.Kind(), s.KeyCount())
 		}

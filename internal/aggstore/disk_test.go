@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // requireSameState asserts the disk store's whole observable surface
@@ -31,7 +33,7 @@ func requireSameState(t *testing.T, got, want Store, when string) {
 		}
 		seen := map[string]struct{}{}
 		for _, n := range names {
-			base := logicalKey(n)
+			base := wire.LogicalKey(n)
 			if _, dup := seen[base]; dup {
 				continue
 			}
@@ -64,7 +66,7 @@ func driveOps(t *testing.T, rng *rand.Rand, steps int, tag *uint64, ss ...Store)
 		salt := rng.Intn(4) - 1
 		name := base
 		if salt >= 0 {
-			name = saltedName(base, salt)
+			name = wire.SaltedName(base, byte(salt))
 		}
 		*tag++
 		st := mkState(*tag)
@@ -83,7 +85,7 @@ func driveOps(t *testing.T, rng *rand.Rand, steps int, tag *uint64, ss ...Store)
 				s.ReplaceGroup(w, name, st)
 			case 6, 7:
 				s.Touch(w, ts)
-				s.BootstrapSub(w, saltedName(base, subSalt), st)
+				s.BootstrapSub(w, wire.SaltedName(base, byte(subSalt)), st)
 			case 8:
 				s.DropWorker(w)
 			case 9:
@@ -356,4 +358,51 @@ func TestDiskConfigValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "fsync") {
 		t.Fatalf("bad fsync mode: %v", err)
 	}
+}
+
+// TestMalformedNamesAreUnsaltedKeys: a name whose NUL is not the
+// second-to-last byte is refused by the aggregator, but a WAL written before
+// that check existed may hold one, and a store must group it (as an unsalted
+// key) rather than index past its end — on the live path and on replay. Once
+// the first-NUL split panicked here with the WAL record already appended, so
+// every later OpenDisk of the directory panicked too.
+func TestMalformedNamesAreUnsaltedKeys(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk(DiskConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := NewMap()
+	ss := []Store{ref, NewStriped(0), d}
+	var tag uint64
+	for _, name := range []string{"abc\x00", "\x00", "a\x00bc"} {
+		if wire.ValidName(name) {
+			t.Fatalf("%q is a valid name", name)
+		}
+		for _, s := range ss {
+			s.Touch("w", time.Unix(1000, 0))
+			s.Put("w", name, mkState(tag+1))
+			s.ReplaceGroup("w", name, mkState(tag+2))
+			s.BootstrapSub("w", name, mkState(tag+3))
+			s.Put("w", name, mkState(tag+4))
+			if _, ok := s.Get("w", name); !ok {
+				t.Fatalf("%T lost %q", s, name)
+			}
+			if name == "\x00" && !s.Drop("w", name) {
+				t.Fatalf("%T: Drop(%q) found nothing", s, name)
+			}
+		}
+		tag += 4
+	}
+	requireSameState(t, ss[1], ref, "striped")
+	requireSameState(t, d, ref, "disk before close")
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err = OpenDisk(DiskConfig{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen a WAL holding malformed names: %v", err)
+	}
+	defer d.Close()
+	requireSameState(t, d, ref, "disk after reopen")
 }

@@ -1,6 +1,10 @@
 package aggstore
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/wire"
+)
 
 // group is one (worker, logical key)'s resident state: the base name's
 // capture plus any salted sub-streams, kept sorted by salt index. This IS
@@ -12,14 +16,14 @@ type group struct {
 }
 
 type subState struct {
-	j  int
+	j  byte
 	st *State
 }
 
 func (g *group) empty() bool { return g.base == nil && len(g.subs) == 0 }
 
 // setSub inserts or replaces sub-stream j.
-func (g *group) setSub(j int, st *State) {
+func (g *group) setSub(j byte, st *State) {
 	i := sort.Search(len(g.subs), func(i int) bool { return g.subs[i].j >= j })
 	if i < len(g.subs) && g.subs[i].j == j {
 		g.subs[i].st = st
@@ -31,7 +35,7 @@ func (g *group) setSub(j int, st *State) {
 }
 
 // dropSub removes sub-stream j, reporting whether it was resident.
-func (g *group) dropSub(j int) bool {
+func (g *group) dropSub(j byte) bool {
 	i := sort.Search(len(g.subs), func(i int) bool { return g.subs[i].j >= j })
 	if i >= len(g.subs) || g.subs[i].j != j {
 		return false
@@ -43,7 +47,7 @@ func (g *group) dropSub(j int) bool {
 }
 
 // get returns the state under the exact (salted, j) coordinate.
-func (g *group) get(salted bool, j int) (*State, bool) {
+func (g *group) get(salted bool, j byte) (*State, bool) {
 	if !salted {
 		if g.base == nil {
 			return nil, false
@@ -63,7 +67,7 @@ func (g *group) fold(base string, out []NamedState) []NamedState {
 		out = append(out, NamedState{Name: base, State: g.base})
 	}
 	for _, s := range g.subs {
-		out = append(out, NamedState{Name: saltedName(base, s.j), State: s.st})
+		out = append(out, NamedState{Name: wire.SaltedName(base, s.j), State: s.st})
 	}
 	return out
 }
@@ -74,7 +78,7 @@ func (g *group) names(base string, out []string) []string {
 		out = append(out, base)
 	}
 	for _, s := range g.subs {
-		out = append(out, saltedName(base, s.j))
+		out = append(out, wire.SaltedName(base, s.j))
 	}
 	return out
 }

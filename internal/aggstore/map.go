@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // Map is the original single-lock store: every worker's state in one map
@@ -46,7 +48,7 @@ func (m *Map) LockWaitNanos() (read, write int64) {
 }
 
 func (m *Map) Get(worker, name string) (*State, bool) {
-	base, j, salted := splitKey(name)
+	base, j, salted := wire.SplitName(name)
 	m.rlock()
 	defer m.runlock()
 	w := m.workers[worker]
@@ -61,7 +63,7 @@ func (m *Map) Get(worker, name string) (*State, bool) {
 }
 
 func (m *Map) Put(worker, name string, st *State) {
-	base, j, salted := splitKey(name)
+	base, j, salted := wire.SplitName(name)
 	m.lock()
 	w := m.worker(worker)
 	g := w.groups[base]
@@ -80,7 +82,7 @@ func (m *Map) Put(worker, name string, st *State) {
 }
 
 func (m *Map) Drop(worker, name string) bool {
-	base, j, salted := splitKey(name)
+	base, j, salted := wire.SplitName(name)
 	m.lock()
 	dropped := false
 	if w := m.workers[worker]; w != nil {
@@ -103,7 +105,7 @@ func (m *Map) Drop(worker, name string) bool {
 }
 
 func (m *Map) ReplaceGroup(worker, name string, st *State) {
-	base, j, salted := splitKey(name)
+	base, j, salted := wire.SplitName(name)
 	m.lock()
 	w := m.worker(worker)
 	g := w.groups[base]
@@ -125,7 +127,7 @@ func (m *Map) ReplaceGroup(worker, name string, st *State) {
 }
 
 func (m *Map) BootstrapSub(worker, name string, st *State) {
-	base, j, _ := splitKey(name)
+	base, j, _ := wire.SplitName(name)
 	m.lock()
 	w := m.worker(worker)
 	g := w.groups[base]

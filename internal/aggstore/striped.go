@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // DefaultStripes is the striped store's default stripe count.
@@ -90,7 +92,7 @@ func (s *Striped) stripe(worker, base string) *stripe {
 }
 
 func (s *Striped) Get(worker, name string) (*State, bool) {
-	base, j, salted := splitKey(name)
+	base, j, salted := wire.SplitName(name)
 	sp := s.stripe(worker, base)
 	rlockTimed(&sp.mu, &s.readWait)
 	defer sp.mu.RUnlock()
@@ -102,7 +104,7 @@ func (s *Striped) Get(worker, name string) (*State, bool) {
 }
 
 func (s *Striped) Put(worker, name string, st *State) {
-	base, j, salted := splitKey(name)
+	base, j, salted := wire.SplitName(name)
 	sp := s.stripe(worker, base)
 	lockTimed(&sp.mu, &s.writeWait)
 	g := sp.groups[groupKey{worker, base}]
@@ -121,7 +123,7 @@ func (s *Striped) Put(worker, name string, st *State) {
 }
 
 func (s *Striped) Drop(worker, name string) bool {
-	base, j, salted := splitKey(name)
+	base, j, salted := wire.SplitName(name)
 	sp := s.stripe(worker, base)
 	lockTimed(&sp.mu, &s.writeWait)
 	dropped := false
@@ -143,7 +145,7 @@ func (s *Striped) Drop(worker, name string) bool {
 }
 
 func (s *Striped) ReplaceGroup(worker, name string, st *State) {
-	base, j, salted := splitKey(name)
+	base, j, salted := wire.SplitName(name)
 	sp := s.stripe(worker, base)
 	lockTimed(&sp.mu, &s.writeWait)
 	g := sp.groups[groupKey{worker, base}]
@@ -165,7 +167,7 @@ func (s *Striped) ReplaceGroup(worker, name string, st *State) {
 }
 
 func (s *Striped) BootstrapSub(worker, name string, st *State) {
-	base, j, _ := splitKey(name)
+	base, j, _ := wire.SplitName(name)
 	sp := s.stripe(worker, base)
 	lockTimed(&sp.mu, &s.writeWait)
 	g := sp.groups[groupKey{worker, base}]

@@ -1,3 +1,8 @@
+// Package stream is the streaming substrate under every operator: the
+// Policy contract all evaluated algorithms implement, the runners that drive
+// a policy over a recorded count window (Run, Feed), the push-based state
+// machines live monitors wrap (Pusher for count windows, TimedPusher for
+// wall-clock ones) and the by-name policy Registry.
 package stream
 
 import (
@@ -176,21 +181,6 @@ func Feed(p Policy, spec window.Spec, data []float64) (RunStats, error) {
 // uniformly.
 type Factory func(spec window.Spec, phis []float64) (Policy, error)
 
-// BoundFactory is a factory with its window spec and quantile set already
-// applied: every call returns a fresh, independently owned policy. It is
-// the unit of policy construction a concurrent engine consumes — an engine
-// spawning one operator per key cannot share policy instances, only the
-// recipe for making them.
-type BoundFactory func() (Policy, error)
-
-// Bind fixes the spec and quantile set of a factory. The phis slice is
-// copied, so later mutation by the caller cannot leak into policies
-// constructed after the fact.
-func (f Factory) Bind(spec window.Spec, phis []float64) BoundFactory {
-	phis = append([]float64(nil), phis...)
-	return func() (Policy, error) { return f(spec, phis) }
-}
-
 // Registry maps policy names to factories. It hands out construction
 // recipes, never policy instances, so any number of goroutines can
 // instantiate the same algorithm concurrently. All methods are safe for
@@ -237,16 +227,6 @@ func (r *Registry) New(name string, spec window.Spec, phis []float64) (Policy, e
 		return nil, err
 	}
 	return f(spec, phis)
-}
-
-// Bind returns a BoundFactory for a registered policy, the form an engine
-// consumes to mint one operator per key.
-func (r *Registry) Bind(name string, spec window.Spec, phis []float64) (BoundFactory, error) {
-	f, err := r.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return f.Bind(spec, phis), nil
 }
 
 // Names returns the registered policy names, sorted.

@@ -85,47 +85,6 @@ func TestPusherValidation(t *testing.T) {
 	}
 }
 
-func TestFactoryBindAndRegistryBind(t *testing.T) {
-	r := NewRegistry()
-	mk := func(spec window.Spec, phis []float64) (Policy, error) {
-		return &recordingPolicy{}, nil
-	}
-	if err := r.Register("rec2", mk); err != nil {
-		t.Fatal(err)
-	}
-	bound, err := r.Bind("rec2", window.Spec{Size: 4, Period: 2}, []float64{0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err1 := bound()
-	b, err2 := bound()
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if a == b {
-		t.Fatal("bound factory handed out a shared instance")
-	}
-	if _, err := r.Bind("nope", window.Spec{Size: 4, Period: 2}, nil); err == nil {
-		t.Fatal("unknown policy bound")
-	}
-
-	// Bind snapshots the phi slice.
-	phis := []float64{0.5}
-	var seen []float64
-	f := Factory(func(spec window.Spec, ps []float64) (Policy, error) {
-		seen = ps
-		return &recordingPolicy{}, nil
-	})
-	bf := f.Bind(window.Spec{Size: 4, Period: 2}, phis)
-	phis[0] = 0.99
-	if _, err := bf(); err != nil {
-		t.Fatal(err)
-	}
-	if seen[0] != 0.5 {
-		t.Fatalf("bound phis mutated: %v", seen)
-	}
-}
-
 func TestRegistryNamesAndNilFactory(t *testing.T) {
 	r := NewRegistry()
 	if err := r.Register("b", nil); err == nil {

@@ -3,159 +3,9 @@ package stream
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
-	"repro/internal/stats"
 	"repro/internal/window"
 )
-
-func TestFromSlice(t *testing.T) {
-	s := FromSlice([]float64{10, 20, 30})
-	var times []int64
-	var vals []float64
-	for {
-		ev, ok := s.Next()
-		if !ok {
-			break
-		}
-		times = append(times, ev.Time)
-		vals = append(vals, ev.Payload)
-	}
-	if len(vals) != 3 || vals[0] != 10 || vals[2] != 30 {
-		t.Fatalf("vals = %v", vals)
-	}
-	if times[0] != 0 || times[1] != 1 || times[2] != 2 {
-		t.Fatalf("times = %v", times)
-	}
-	// Exhausted stream stays exhausted.
-	if _, ok := s.Next(); ok {
-		t.Fatal("stream yielded after exhaustion")
-	}
-}
-
-func TestFromFuncBounded(t *testing.T) {
-	n := 0.0
-	s := FromFunc(func() float64 { n++; return n }, 5)
-	got := Collect(s)
-	if len(got) != 5 || got[4] != 5 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestFromFuncUnboundedWithTake(t *testing.T) {
-	n := 0.0
-	s := Take(FromFunc(func() float64 { n++; return n }, -1), 3)
-	got := Collect(s)
-	if len(got) != 3 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestWhere(t *testing.T) {
-	// The paper's Qmonitor filters on errorCode != 0.
-	type ev struct {
-		errorCode int
-		latency   float64
-	}
-	src := FromSlice([]ev{{0, 1}, {1, 2}, {2, 3}, {0, 4}})
-	filtered := Where(src, func(e ev) bool { return e.errorCode != 0 })
-	lat := Select(filtered, func(e ev) float64 { return e.latency })
-	got := Collect(lat)
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestSelectPreservesTime(t *testing.T) {
-	s := Select(FromSlice([]float64{5, 6}), func(v float64) float64 { return v * 2 })
-	ev, _ := s.Next()
-	if ev.Time != 0 || ev.Payload != 10 {
-		t.Fatalf("ev = %+v", ev)
-	}
-	ev, _ = s.Next()
-	if ev.Time != 1 || ev.Payload != 12 {
-		t.Fatalf("ev = %+v", ev)
-	}
-}
-
-func TestAverageTumbling(t *testing.T) {
-	data := []float64{1, 2, 3, 4, 5, 6}
-	got, err := RunTumbling(NewAverage(), 3, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 5}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-}
-
-func TestAverageSliding(t *testing.T) {
-	data := []float64{1, 2, 3, 4, 5, 6}
-	got, err := RunSliding(NewAverage(), window.Spec{Size: 4, Period: 2}, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2.5, 4.5}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-}
-
-func TestRunSlidingRequiresDeaccumulate(t *testing.T) {
-	op := NewAverage()
-	op.Deaccumulate = nil
-	if _, err := RunSliding(op, window.Spec{Size: 4, Period: 2}, make([]float64, 8)); err == nil {
-		t.Fatal("missing Deaccumulate accepted for sliding window")
-	}
-	// Tumbling is fine without it.
-	if _, err := RunSliding(op, window.Spec{Size: 2, Period: 2}, []float64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunTumblingInvalidPeriod(t *testing.T) {
-	if _, err := RunTumbling(NewAverage(), 0, nil); err == nil {
-		t.Fatal("period 0 accepted")
-	}
-}
-
-func TestAverageEmptyState(t *testing.T) {
-	op := NewAverage()
-	if got := op.ComputeResult(op.InitialState()); got != 0 {
-		t.Fatalf("empty average = %v", got)
-	}
-}
-
-// Property: sliding average equals brute-force mean of each window.
-func TestQuickSlidingAverageMatchesBruteForce(t *testing.T) {
-	f := func(raw []int8, periodSeed, mulSeed uint8) bool {
-		p := int(periodSeed%8) + 1
-		spec := window.Spec{Size: p * (int(mulSeed%4) + 1), Period: p}
-		data := make([]float64, len(raw))
-		for i, r := range raw {
-			data[i] = float64(r)
-		}
-		got, err := RunSliding(NewAverage(), spec, data)
-		if err != nil {
-			return false
-		}
-		i := 0
-		ok := true
-		_ = spec.Iter(data, func(idx int, w []float64) {
-			if math.Abs(got[idx]-stats.Mean(w)) > 1e-9 {
-				ok = false
-			}
-			i++
-		})
-		return ok && i == len(got)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// --- Policy runner tests ---
 
 // recordingPolicy tracks the exact Observe/Expire/Result sequence.
 type recordingPolicy struct {

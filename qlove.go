@@ -125,16 +125,6 @@ func MergeSnapshots(snaps []Snapshot) (Snapshot, error) {
 	return core.MergeSnapshots(snaps)
 }
 
-// Snapshotter is implemented by policies whose window state can be
-// captured into a mergeable Snapshot (QLOVE). Engine.Query and
-// Engine.Snapshot serve only keys whose policies implement it.
-// Snapshot may be called concurrently with Observe, ObserveBatch and Expire
-// from another goroutine — Engine.Query reads a key's policy while its shard
-// keeps ingesting. QLOVE honours this; a custom implementation must too.
-type Snapshotter interface {
-	Snapshot() Snapshot
-}
-
 // Policy is the sliding-window multi-quantile operator contract shared by
 // QLOVE and every baseline: Observe feeds one element, ObserveBatch feeds
 // a run of elements (identical semantics, amortized cost), Expire retires
@@ -212,17 +202,11 @@ const DefaultEpsilon = 0.02
 // DefaultMomentK is the moment-sketch order used in Table 1.
 const DefaultMomentK = 12
 
-// BoundFactory is a policy factory with its window spec and quantile set
-// already applied; it is the construction recipe an Engine consumes to
-// mint one fresh operator per monitored key (see Registry.Bind and
-// stream.Factory.Bind).
-type BoundFactory = stream.BoundFactory
-
 // Registry returns a policy registry with every policy registered under
 // its paper name using Table 1 parameters — the six evaluated algorithms
 // plus the unwindowed GK reference ("gk"). The registry hands out
-// factories, never shared instances, so the benchmark harness, CLI and
-// concurrent engines can all instantiate policies through it.
+// factories, never shared instances, so the benchmark harness and CLI can
+// instantiate any number of policies through it.
 func Registry() *stream.Registry {
 	r := stream.NewRegistry()
 	must := func(err error) {

@@ -3,6 +3,8 @@ package qlove
 import (
 	"encoding/json"
 	"fmt"
+
+	"repro/internal/wire"
 )
 
 // Slots is the fixed hash-slot count of the partition map. Every logical
@@ -23,7 +25,7 @@ const Slots = 256
 // process-independent: every router instance, every replica exporting a
 // slot and every test predicting placement slots identically.
 func SlotOf(key string) int {
-	key = logicalKey(key)
+	key = wire.LogicalKey(key)
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h = (h ^ uint32(key[i])) * 16777619

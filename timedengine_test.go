@@ -28,18 +28,6 @@ func TestTimedEngineValidation(t *testing.T) {
 			t.Fatalf("config %d accepted", i)
 		}
 	}
-	// A custom factory must produce policies that support time-driven
-	// sealing; count-based baselines do not.
-	cm, err := Registry().Bind("cmqs", cfg.Spec, []float64{0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewEngine(EngineConfig{
-		Factory: cm, Spec: cfg.Spec,
-		TimedWindow: time.Minute, TimedPeriod: time.Second,
-	}); err == nil {
-		t.Fatal("timed engine accepted a policy without time-driven sealing")
-	}
 	// Tick on a count-based engine is a no-op, not a hang.
 	eng, err := NewEngine(EngineConfig{Config: cfg, Shards: 1})
 	if err != nil {
@@ -121,7 +109,7 @@ func TestTimedEngineMatchesTimedMonitor(t *testing.T) {
 			want = append(want, res)
 		}
 	}
-	refSnap := ref.Policy().(Snapshotter).Snapshot()
+	refSnap := ref.Policy().(*QLOVE).Snapshot()
 
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
