@@ -38,9 +38,10 @@
 // (other qlove-agg -serve processes). -replication R keeps R copies of
 // every hash slot: pushes fan out to all R owners, reads prefer the
 // primary and fail over to secondaries. A push succeeds once -quorum
-// owners of each slot ack (default: a majority of R), and the router
-// resyncs a replica that lost state from its slot co-owners; POST
-// /slots/move re-homes one hash slot live (GET /slots shows the table):
+// owners of each slot ack (default: ⌈R/2⌉, so an R=2 pair acks on one
+// replica), and the router resyncs a replica that lost state from its
+// slot co-owners; POST /slots/move re-homes one hash slot live (GET
+// /slots shows the table):
 //
 //	qlove-agg -serve -store striped -instrument
 //	qlove-agg -serve -fanin http://10.0.0.1:7171,http://10.0.0.2:7171 -replication 2
@@ -101,7 +102,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	faninTimeout := fs.Duration("fanin-timeout", 0,
 		"serve: per-request deadline for fan-in calls to replicas (0 = default 10s)")
 	quorum := fs.Int("quorum", 0,
-		"serve: replica acks a push needs per slot, with -fanin (0 = majority of -replication)")
+		"serve: replica acks a push needs per slot, with -fanin (0 = ⌈replication/2⌉)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

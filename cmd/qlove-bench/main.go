@@ -7,23 +7,18 @@
 //	qlove-bench -full fig5      # include the 100M-element windows
 //
 // Experiment names: fig1 table1 fig4 fig5 table2 table3 table4 table5
-// redundancy pareto fewk-throughput errbound — plus the three scenarios
-// the repo benchmark (benchmark/: closed-loop producers, no injected
-// failures) cannot express: openloop, the open-loop Poisson SLA ramp
-// reporting the max sustainable op rate under a p99 latency SLA (tune with
-// -keys, -skew, -sla and -bp); resilience, the failure-path gate: a
-// disk-backed aggregation service child SIGKILLed mid-delta-chain and
-// restarted (recovered and resumed views must be bit-identical), plus a
-// degraded fan-in run with one dead replica (partial serving, loud health,
-// probe reinstatement); and resize, the replication gate: a replication-2
-// fan-in that keeps accepting pushes on quorum with a replica down,
-// resyncs the replica when it returns empty, and grows the tier live via
-// /slots/move — all verified bit-identically against an unresized single
-// server.
+// redundancy pareto fewk-throughput errbound — plus openloop, the one
+// scenario the repo benchmark (benchmark/: closed-loop producers) cannot
+// express: an open-loop Poisson SLA ramp reporting the max sustainable op
+// rate under a p99 latency SLA (tune with -keys, -skew, -sla and -bp).
 //
 // Throughput, space and accuracy of the engine, the delta pipeline and the
 // aggregation tier are measured and gated by `bash benchmark/run.sh` (see
-// benchmark/README.md), not here.
+// benchmark/README.md), not here; the tier's failure verdicts (crash
+// restart, degraded fan-in, quorum push and resync, live slot moves) are
+// Go tests: TestServeCrashRestartRecovery in cmd/qlove-agg and
+// TestFaninDegradedReplica, TestFaninQuorumPush and TestFaninSlotMove in
+// internal/aggsrv.
 package main
 
 import (
@@ -42,19 +37,9 @@ import (
 
 // scenarios are the experiments implemented in this package; they follow
 // bench.Order in -list and in a no-argument run.
-var scenarios = []string{"openloop", "resilience", "resize"}
+var scenarios = []string{"openloop"}
 
 func main() {
-	// The resilience scenario re-execs this binary as its
-	// aggregation-service child; dispatch the hidden subcommand before any
-	// flag parsing.
-	if len(os.Args) > 1 && os.Args[1] == aggServeCmd {
-		if err := aggServeChild(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "qlove-bench agg-server:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "qlove-bench:", err)
 		os.Exit(1)
@@ -141,10 +126,6 @@ func run(w io.Writer, args []string) error {
 			o.SLA = *sla
 			o.Backpressure = backpressure
 			err = openLoopExperiment(w, o)
-		case "resilience":
-			err = resilienceExperiment(w, defaultResilienceOptions(*seed))
-		case "resize":
-			err = resizeExperiment(w, defaultResizeOptions(*seed))
 		default:
 			err = paper(opts)
 		}

@@ -24,7 +24,7 @@ func TestRunRejects(t *testing.T) {
 		{[]string{"-scale", "NaN", "table1"}, "outside (0, 1]"},
 		{[]string{"-bp", "spill", "openloop"}, "unknown -bp mode"},
 	}
-	for _, name := range []string{"multikey", "timedkeys", "scaling", "aggregator", "distributed"} {
+	for _, name := range []string{"multikey", "timedkeys", "scaling", "aggregator", "distributed", "resilience", "resize"} {
 		cases = append(cases, rejection{[]string{"-scale", "0.02", name}, `unknown experiment "` + name + `"`})
 	}
 	for _, c := range cases {
@@ -40,14 +40,14 @@ func TestRunRejects(t *testing.T) {
 }
 
 // TestListMatchesDispatch: -list prints exactly the paper experiments in
-// paper order followed by this package's scenarios.
+// paper order followed by openloop.
 func TestListMatchesDispatch(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(&out, []string{"-list"}); err != nil {
 		t.Fatal(err)
 	}
 	got := strings.Fields(out.String())
-	want := append(slices.Clone(bench.Order), "openloop", "resilience", "resize")
+	want := append(slices.Clone(bench.Order), "openloop")
 	if !slices.Equal(got, want) {
 		t.Fatalf("-list = %v, want %v", got, want)
 	}

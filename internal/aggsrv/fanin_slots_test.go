@@ -348,7 +348,7 @@ func TestFaninResyncConcurrentMark(t *testing.T) {
 // TestFaninSlotMove grows a 2-owner fan-in onto a third, empty replica by
 // live /slots/move calls: only the intended slots migrate, /query answers
 // stay bit-identical to the unresized reference before, during, and after,
-// and the workers' delta chains keep folding across the migration.
+// and the worker's delta chain keeps folding during and after the migration.
 func TestFaninSlotMove(t *testing.T) {
 	initial, err := qlove.NewSlotMap(2, 1)
 	if err != nil {
@@ -401,6 +401,11 @@ func TestFaninSlotMove(t *testing.T) {
 			t.Fatalf("move ack %+v", mv)
 		}
 		moved[s] = true
+		// The chain keeps folding while the tier resizes: every 20 moves a
+		// delta round lands on a half-moved table.
+		if len(moved)%20 == 0 {
+			fx.push(t, "w", h.round(t))
+		}
 		if len(moved) == 20 {
 			requireQuerySweep(t, "mid-migration", fx, h.keys)
 		}

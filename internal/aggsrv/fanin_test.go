@@ -341,7 +341,8 @@ func TestFaninErrors(t *testing.T) {
 // replicas' keys, names the dead replica in /healthz and in the /push 502
 // body, ejects it after the failure threshold, and reinstates it
 // automatically — via the background probe — once it is back on the SAME
-// address, after which pushes succeed again end-to-end.
+// address, after which pushes succeed again end-to-end and a worker's
+// re-push restores the revived replica's partition.
 func TestFaninDegradedReplica(t *testing.T) {
 	cfg := qlove.Config{Spec: qlove.Window{Size: 256, Period: 64}, Phis: []float64{0.5}, FewK: true}
 	fx := newFaninFixture(t, 2, FaninConfig{
@@ -480,6 +481,10 @@ func TestFaninDegradedReplica(t *testing.T) {
 	}
 	if resp, body := post(t, fx.fanin, "/push?worker=w2", blob.Bytes()); resp.StatusCode != http.StatusOK {
 		t.Fatalf("push after reinstatement: %s: %s", resp.Status, body)
+	}
+	// That bootstrap push restored the revived replica's partition.
+	if resp, body := get(t, fx.fanin, "/query?key="+k0); resp.StatusCode != http.StatusOK {
+		t.Fatalf("revived-replica query after re-push: %s: %s", resp.Status, body)
 	}
 }
 

@@ -30,8 +30,8 @@
 // All responses are JSON. Estimates are float64s encoded by encoding/json
 // with Go's shortest round-trippable formatting, so a client parsing them
 // back gets bit-identical values — the bit-for-bit verifications over
-// HTTP (the resilience and resize scripts, the benchmark's gates) lean on
-// this.
+// HTTP (the fan-in and crash-restart tests, the benchmark's gates) lean
+// on this.
 //
 // A Server fronts one *qlove.Aggregator on any store backend. Scale-out
 // and replication are NewFanin's: an HTTP router over N such servers.
