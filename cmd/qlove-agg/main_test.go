@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -277,6 +278,33 @@ func (p *aggProc) kill() {
 	p.cmd.Wait()
 }
 
+// saltFrames re-encodes a blob with every frame renamed from k to
+// wire.SaltedName(k, j), the internal sub-stream name an escalated key's
+// engine ships.
+func saltFrames(t *testing.T, blob io.Reader, j byte) []byte {
+	t.Helper()
+	var out []byte
+	dec := wire.NewDecoder(blob)
+	for {
+		f, err := dec.DecodeFrame()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := wire.SaltedName(f.Key, j)
+		switch f.Kind {
+		case wire.KindFull:
+			out = wire.AppendFrame(out, name, f.Snap)
+		case wire.KindDelta:
+			out = wire.AppendDeltaFrame(out, name, f.Delta)
+		case wire.KindTombstone:
+			out = wire.AppendTombstoneFrame(out, name)
+		}
+	}
+}
+
 func httpPush(t *testing.T, addr, worker string, blob []byte) {
 	t.Helper()
 	resp, err := http.Post("http://"+addr+"/push?worker="+worker, "application/octet-stream", bytes.NewReader(blob))
@@ -316,33 +344,43 @@ func TestServeCrashRestartRecovery(t *testing.T) {
 	}
 	cfg := qlove.Config{Spec: qlove.Window{Size: 256, Period: 64}, Phis: []float64{0.5, 0.99}, FewK: true}
 
-	// Two workers, four delta blobs each (the first bootstraps).
+	// Two workers, four delta blobs each (the first two bootstrap). Each
+	// worker salts its keys two ways, so the WAL logs salted sub-stream
+	// names: round r feeds plain engine r%2, whose frames ship renamed to
+	// sub-stream r%2 of their key.
 	const workers, rounds = 2, 4
 	blobs := make([][][]byte, workers)
 	for w := 0; w < workers; w++ {
-		eng, err := qlove.NewEngine(qlove.EngineConfig{Config: cfg, Shards: 2, RouteSalt: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			for range eng.Results() {
+		var engs [2]*qlove.Engine
+		var curs [2]qlove.ExportCursor
+		for j := range engs {
+			eng, err := qlove.NewEngine(qlove.EngineConfig{Config: cfg, Shards: 2})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
+			go func() {
+				for range eng.Results() {
+				}
+			}()
+			engs[j] = eng
+		}
 		gen := workload.NewNetMon(int64(80 + w))
-		var cur qlove.ExportCursor
 		for round := 0; round < rounds; round++ {
+			j := round % 2
 			for ki, key := range []string{"api/latency", "db/qps", "cache/hits"} {
-				if err := eng.Push(key, workload.Generate(gen, 150+50*ki)); err != nil {
+				if err := engs[j].Push(key, workload.Generate(gen, 150+50*ki)); err != nil {
 					t.Fatal(err)
 				}
 			}
 			var buf bytes.Buffer
-			if _, err := eng.ExportDelta(&buf, &cur); err != nil {
+			if _, err := engs[j].ExportDelta(&buf, &curs[j]); err != nil {
 				t.Fatal(err)
 			}
-			blobs[w] = append(blobs[w], buf.Bytes())
+			blobs[w] = append(blobs[w], saltFrames(t, &buf, byte(j)))
 		}
-		eng.Close()
+		for _, eng := range engs {
+			eng.Close()
+		}
 	}
 	worker := func(w int) string { return fmt.Sprintf("w%d", w) }
 

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // clone deep-copies a cursor.
@@ -91,15 +93,17 @@ func TestExportDeltaJournalMatchesScan(t *testing.T) {
 	cfg := Config{Spec: Window{Size: 64, Period: 16}, Phis: []float64{0.5, 0.99}, FewK: true}
 	clock := newFakeClock(time.Unix(1_700_000_000, 0))
 	cases := []struct {
-		name  string
-		cfg   EngineConfig
-		adapt bool
-		timed bool
+		name      string
+		cfg       EngineConfig
+		adapt     bool
+		escalated bool // every key is escalated to 3 sub-streams before its first push
+		timed     bool
 	}{
 		{name: "static-ttl", cfg: EngineConfig{Config: cfg, Shards: shards, KeyTTL: 40}},
-		{name: "salted-ttl", cfg: EngineConfig{Config: cfg, Shards: shards, KeyTTL: 40, RouteSalt: 3}},
+		{name: "escalated-ttl", escalated: true,
+			cfg: EngineConfig{Config: cfg, Shards: shards, KeyTTL: 40, Adapt: &AdaptConfig{}}},
 		{name: "adaptive-ttl", adapt: true,
-			cfg: EngineConfig{Config: cfg, Shards: shards, KeyTTL: 40, Adapt: &AdaptConfig{Salt: 4}}},
+			cfg: EngineConfig{Config: cfg, Shards: shards, KeyTTL: 40, Adapt: &AdaptConfig{}}},
 		// Tickers an hour apart never fire in a test: every flush and every
 		// wall-clock sweep below is driven by the fake clock.
 		{name: "timed-wallttl", timed: true,
@@ -131,6 +135,13 @@ func TestExportDeltaJournalMatchesScan(t *testing.T) {
 				return vs
 			}
 			push := func(k string) {
+				if tc.escalated && e.override(k) == nil {
+					// The key is not resident yet, so this only installs the
+					// route: its sub-streams mint fresh as pushes reach them.
+					if _, ok := e.escalateKey(k, 3); !ok {
+						t.Fatalf("escalate %q refused", k)
+					}
+				}
 				if err := e.Push(k, batch()); err != nil {
 					t.Fatal(err)
 				}
@@ -216,6 +227,11 @@ func TestExportDeltaJournalMatchesScan(t *testing.T) {
 				}
 				foldEquiv(t, tc.name+"/"+d.name, e, d.agg)
 				t.Logf("%s: %d exports from the journal, %d fell back to the scan", d.name, d.journaled, d.stale)
+				for k := range d.cur.keys {
+					if _, _, salted := wire.SplitName(k); !salted && tc.escalated {
+						t.Fatalf("%s: unsalted stream %q on an engine that escalates every key", d.name, k)
+					}
+				}
 			}
 			if fast := cursors[0]; fast.journaled == 0 || fast.stale > fast.journaled/10 {
 				t.Fatalf("fast cursor: %d journal exports, %d fallbacks: the journal path is not the steady state",

@@ -64,11 +64,9 @@ type Engine struct {
 	failed  atomic.Uint64
 	lastErr atomic.Value // engineErr; atomic.Value needs one concrete type
 	seed    maphash.Seed
-	id      uint64 // random instance identity; binds ExportCursors to THIS engine
-	timed   bool   // keys run wall-clock windows (TimedWindow set)
-	block   bool   // BackpressureBlock: lossless delivery, shards block on Results
-	salt    int    // RouteSalt sub-streams per key (0/1 = off)
-	saltCtr atomic.Uint64
+	id      uint64                     // random instance identity; binds ExportCursors to THIS engine
+	timed   bool                       // keys run wall-clock windows (TimedWindow set)
+	block   bool                       // BackpressureBlock: lossless delivery, shards block on Results
 	routes  atomic.Pointer[routeTable] // per-key overrides (engineroute.go); nil = pure hash
 	adapt   *adaptState                // adaptive controller (engineadapt.go); nil = static
 	incSeq  atomic.Uint64              // engine-global key incarnation mint (migration-stable)
@@ -155,40 +153,12 @@ type EngineConfig struct {
 	// snapshots/exports stay bit-identical to drop mode fed the same
 	// batches. See the Backpressure constants for the consumer contract.
 	Backpressure Backpressure
-	// RouteSalt, when > 1, spreads EVERY pushed key across up to RouteSalt
-	// independent sub-streams, each hash-routed (and windowed) on its own —
-	// the escape hatch for pathological single-key storms, where one
-	// scorching key otherwise pins its whole traffic on one shard whatever
-	// the shard count. Push i (engine-wide) goes to sub-stream i mod
-	// RouteSalt. The trade-offs, all consequences of a key no longer being
-	// one stream:
-	//
-	//   - Reads merge at query time: Snapshot, Query, Export and ExportKeys
-	//     fold a key's resident sub-streams through the existing
-	//     core.Snapshot merge (disjoint sub-streams of one logical key, the
-	//     same semantics as cross-engine aggregation), so estimates answer
-	//     over the union — but a salted key's capture is a MERGED view, not
-	//     bit-identical to an unsalted single stream's.
-	//   - Per-key element order holds within a sub-stream, not across them.
-	//   - Keys() and ShardStats.ResidentKeys count sub-streams.
-	//   - ExportDelta ships each sub-stream under its INTERNAL name
-	//     ("key\x00<j>") — every sub-stream is a single stream with real
-	//     seal generations, so cursors anchor on it like any other key.
-	//     Receivers (Aggregator, or any wire consumer grouping with the
-	//     NUL convention) fold sub-streams back to logical keys at read
-	//     time; full Export folds them at capture time as before.
-	//
-	// Keys must not contain a NUL byte (the reserved internal sub-stream
-	// separator; Push rejects such keys). 0 and 1 disable salting; max
-	// 256. Incompatible with Adapt, whose per-key escalation is the
-	// adaptive form of the same mechanism.
-	RouteSalt int
 	// Adapt, when non-nil, enables ADAPTIVE routing: a per-key route table
 	// consulted on every Push, plus an occupancy-driven controller that
 	// escalates hot keys to salted sub-stream routing, de-escalates them
 	// when traffic subsides, and migrates whole cold keys between shards —
-	// see AdaptConfig. Keys must not contain a NUL byte. Incompatible with
-	// RouteSalt > 1.
+	// see AdaptConfig for what an escalated key's reads and exports look
+	// like.
 	Adapt *AdaptConfig
 }
 
@@ -196,8 +166,8 @@ type EngineConfig struct {
 var ErrEngineClosed = fmt.Errorf("qlove: engine closed")
 
 // ErrReservedKey is returned by Push for keys containing a NUL byte — the
-// reserved separator of the internal salted sub-stream namespace (see
-// EngineConfig.RouteSalt and AdaptConfig).
+// reserved separator of the internal sub-stream names an escalated key
+// spreads over (see AdaptConfig).
 var ErrReservedKey = fmt.Errorf("qlove: key contains reserved NUL byte")
 
 const (
@@ -442,21 +412,10 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if timed && tick == 0 {
 		tick = cfg.TimedPeriod
 	}
-	if cfg.RouteSalt < 0 || cfg.RouteSalt > 256 {
-		return nil, fmt.Errorf("qlove: engine RouteSalt %d outside [0, 256]", cfg.RouteSalt)
-	}
-	salt := cfg.RouteSalt
-	if salt == 1 {
-		salt = 0 // one sub-stream is just the unsalted path
-	}
-	if cfg.Adapt != nil && salt > 1 {
-		return nil, fmt.Errorf("qlove: Adapt cannot be combined with RouteSalt %d (per-key escalation replaces engine-wide salting)", cfg.RouteSalt)
-	}
 	e := &Engine{
 		spec:    cfg.Config.Spec,
 		timed:   timed,
 		block:   cfg.Backpressure == BackpressureBlock,
-		salt:    salt,
 		results: make(chan KeyedResult, resBuf),
 		seed:    maphash.MakeSeed(),
 		// A fresh random seed hashed over nothing is a cheap random
@@ -479,14 +438,13 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	e.now = now
 	if cfg.Adapt != nil {
-		acfg, err := cfg.Adapt.withDefaults()
-		if err != nil {
-			return nil, err
+		if cfg.Adapt.Interval < 0 {
+			return nil, fmt.Errorf("qlove: engine Adapt.Interval %v < 0", cfg.Adapt.Interval)
 		}
 		e.adapt = &adaptState{
-			cfg:    acfg,
-			esc:    make(map[string]*escState),
-			pinned: make(map[string]int),
+			interval: cfg.Adapt.Interval,
+			esc:      make(map[string]*escState),
+			pinned:   make(map[string]int),
 		}
 	}
 	e.shards = make([]*engineShard, shards)
@@ -539,10 +497,9 @@ func (e *Engine) shardOf(key string) *engineShard {
 	return e.shards[e.shardIndex(key)]
 }
 
-// route picks the shard a push goes to. The per-key route table (adaptive
-// escalations and pins) takes precedence; the engine-wide RouteSalt comes
-// next (push i engine-wide addresses sub-stream i mod salt); plain hash
-// dispatch is the default. Returns the shard and the internal key name to
+// route picks the shard a push goes to: the key's route-table override (an
+// escalated key's next sub-stream, or a pin) when it has one, plain hash
+// dispatch otherwise. Returns the shard and the internal key name to
 // deliver under. Called under e.mu.RLock — held across route AND enqueue,
 // which is what lets a route flip under the write lock act as a cutover
 // barrier (engineroute.go).
@@ -560,9 +517,6 @@ func (e *Engine) route(key string) (*engineShard, string) {
 				return e.shards[ov.shard], key
 			}
 		}
-	}
-	if e.salt > 1 {
-		key = wire.SaltedName(key, byte((e.saltCtr.Add(1)-1)%uint64(e.salt)))
 	}
 	return e.shardOf(key), key
 }
@@ -714,9 +668,8 @@ func (e *Engine) Snapshot() EngineSnapshot {
 // identity when nothing is salted; otherwise each key's resident streams
 // merge in [base residue, sub-stream 0, 1, …] order (deterministic bytes
 // for Export), the same disjoint-sub-stream merge cross-engine aggregation
-// uses. Purely syntactic on the NUL convention, so it handles engine-wide
-// RouteSalt names and per-key adaptive escalation names alike — including
-// a base residue coexisting with sub-streams mid-escalation.
+// uses. Purely syntactic on the NUL convention, so it also handles a base
+// residue coexisting with sub-streams mid-escalation.
 func (e *Engine) foldSalted(raw map[string]Snapshot) map[string]Snapshot {
 	any := false
 	for name := range raw {
@@ -771,19 +724,18 @@ func (e *Engine) foldSalted(raw map[string]Snapshot) map[string]Snapshot {
 // PERFORMED — a state some prefix of the key's deliveries produced, never a
 // torn one — not of batches still queued: a Push that just returned may not
 // show yet, and a key whose first batch is queued is unknown. Snapshot and the
-// exports follow every earlier Push. ok is false for an unknown key. For a
-// salted key (engine-wide RouteSalt, or one the adaptive controller has
-// escalated — even one since de-escalated whose fan has not yet drained) the
-// capture is the [base, sub-stream 0, 1, …]-ordered merge of the key's
+// exports follow every earlier Push. ok is false for an unknown key. For an
+// escalated key (even one since de-escalated whose fan has not yet drained)
+// the capture is the [base, sub-stream 0, 1, …]-ordered merge of the key's
 // resident streams, each read at its own instant.
 func (e *Engine) Query(key string) (Snapshot, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	max := e.salt
-	if ov := e.override(key); ov != nil && ov.maxSalt > max {
+	max := 0
+	if ov := e.override(key); ov != nil {
 		max = ov.maxSalt
 	}
-	if max <= 1 {
+	if max == 0 {
 		return e.queryOne(key)
 	}
 	snaps := make([]Snapshot, max+1)
@@ -1066,8 +1018,8 @@ func deltaTombstones(cur *ExportCursor, resps []*shardDeltaResp) []string {
 }
 
 // assembleDelta turns the per-shard captures into sorted tombstone and
-// delta frames and advances the cursor. Keys are INTERNAL names: a salted
-// or escalated key ships one frame per sub-stream (each a single stream
+// delta frames and advances the cursor. Keys are INTERNAL names: an
+// escalated key ships one frame per sub-stream (each a single stream
 // with real seal generations — the stable cursor identity that lets delta
 // exports survive per-key salting), and receivers fold sub-streams back
 // to logical keys at read time. A key observed mid-migration (parked at
@@ -1201,12 +1153,12 @@ func (e *Engine) Tick() {
 // Evict retires a key, returning whether it existed. The key's operator
 // (and the workbench of its unsealed sub-window) goes back to the shard's
 // pool for the next new key.
-// Under salted routing (engine-wide or adaptive) every resident stream of
-// the key — base residue and sub-streams — is retired; any route override
-// stays, so a later push re-creates the key under its current routing.
+// For an escalated key every resident stream — base residue and
+// sub-streams — is retired; any route override stays, so a later push
+// re-creates the key under its current routing.
 func (e *Engine) Evict(key string) bool {
-	max := e.salt
-	if ov := e.override(key); ov != nil && ov.maxSalt > max {
+	max := 0
+	if ov := e.override(key); ov != nil {
 		max = ov.maxSalt
 	}
 	any := e.evictOne(key)
@@ -1251,9 +1203,9 @@ func (e *Engine) evictAt(s *engineShard, key string) bool {
 	return s.evict(key)
 }
 
-// Keys returns the number of keys currently monitored. Under salted
-// routing it counts resident sub-streams (a hot key may count up to
-// RouteSalt times), matching the sum of ShardStats.ResidentKeys.
+// Keys returns the number of keys currently monitored. It counts resident
+// sub-streams (an escalated key may count once per sub-stream, plus a base
+// residue), matching the sum of ShardStats.ResidentKeys.
 func (e *Engine) Keys() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

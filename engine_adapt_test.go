@@ -60,16 +60,8 @@ func TestEngineHotShardsDegenerateCounts(t *testing.T) {
 
 func TestEngineAdaptValidation(t *testing.T) {
 	cfg := Config{Spec: Window{Size: 64, Period: 32}, Phis: []float64{0.5}}
-	if _, err := NewEngine(EngineConfig{Config: cfg, RouteSalt: 4, Adapt: &AdaptConfig{}}); err == nil {
-		t.Error("RouteSalt + Adapt accepted; the salting disciplines must be exclusive")
-	}
-	for _, bad := range []AdaptConfig{
-		{Salt: 1}, {Salt: 300}, {HotShardFactor: 0.5}, {Interval: -time.Second},
-		{HotKeyFrac: 1.5}, {CoolFrac: -0.1},
-	} {
-		if _, err := NewEngine(EngineConfig{Config: cfg, Adapt: &bad}); err == nil {
-			t.Errorf("AdaptConfig %+v accepted", bad)
-		}
+	if _, err := NewEngine(EngineConfig{Config: cfg, Adapt: &AdaptConfig{Interval: -time.Second}}); err == nil {
+		t.Error("negative Adapt.Interval accepted")
 	}
 	// NUL is the reserved sub-stream separator on every engine, adaptive
 	// or not: user keys containing it are rejected up front.
@@ -286,7 +278,10 @@ func TestEngineAdaptMigrationEquivalence(t *testing.T) {
 // escalation lifecycle — fresh escalate (operator migrates to sub-stream
 // 0), widened fan-out, de-escalate, and a flip-only re-escalation — and
 // checks every phase bit-for-bit against external reference monitors fed
-// the deterministic i-mod-salt sub-stream assignment.
+// the deterministic i-mod-salt sub-stream assignment. While escalated, the
+// key's sub-streams count as resident keys, an ExportDelta-fed aggregator
+// folds them back to the logical key bit-for-bit, one Evict retires them
+// all, and delivered Results never name a sub-stream.
 func TestEngineAdaptEscalationEquivalence(t *testing.T) {
 	const salt = 4
 	spec := Window{Size: 64, Period: 32}
@@ -294,11 +289,18 @@ func TestEngineAdaptEscalationEquivalence(t *testing.T) {
 	data := workload.Generate(workload.NewNetMon(13), 64*32)
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			e, err := NewEngine(EngineConfig{Config: cfg, Shards: shards, ResultBuffer: 1 << 12, Adapt: &AdaptConfig{Salt: salt}})
+			e, err := NewEngine(EngineConfig{Config: cfg, Shards: shards, ResultBuffer: 1 << 12, Adapt: &AdaptConfig{}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			done := drainResults(e)
+			results := map[string]int{}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for kr := range e.Results() {
+					results[kr.Key]++
+				}
+			}()
 			subs := make([]*Monitor, salt)
 			pols := make([]*QLOVE, salt)
 			mk := func() (*Monitor, *QLOVE) {
@@ -352,6 +354,9 @@ func TestEngineAdaptEscalationEquivalence(t *testing.T) {
 				if _, err := back.ReadFrom(&blob); err != nil {
 					t.Fatal(err)
 				}
+				if keys := back.Keys(); len(keys) != 1 || keys[0] != "hot" {
+					t.Fatalf("%s: exported keys %q, want just hot", label, keys)
+				}
 				est, ok := back.Query("hot")
 				if !ok {
 					t.Fatalf("%s: export lost hot", label)
@@ -383,6 +388,30 @@ func TestEngineAdaptEscalationEquivalence(t *testing.T) {
 				push(i % salt)
 			}
 			compare("escalated")
+			if n := e.Keys(); n != salt {
+				t.Fatalf("escalated: Keys() = %d, want %d resident sub-streams", n, salt)
+			}
+			if n := e.Stats().Total().ResidentKeys; n != salt {
+				t.Fatalf("escalated: resident keys %d, want %d", n, salt)
+			}
+			// ExportDelta ships each sub-stream under its internal name; the
+			// aggregator folds them back to the one logical key.
+			var delta bytes.Buffer
+			if _, err := e.ExportDelta(&delta, new(ExportCursor)); err != nil {
+				t.Fatal(err)
+			}
+			agg := NewAggregator()
+			if _, err := agg.Apply("w0", &delta); err != nil {
+				t.Fatal(err)
+			}
+			if n := agg.Keys(); n != 1 {
+				t.Fatalf("escalated: aggregator sees %d logical keys, want 1", n)
+			}
+			folded, ok, err := agg.Query("hot")
+			if err != nil || !ok {
+				t.Fatalf("escalated: aggregator query hot: ok=%v err=%v", ok, err)
+			}
+			sameSnapshot(t, "escalated delta fold", folded, expect())
 
 			// Phase 3: de-escalated — everything funnels to sub-stream 0.
 			if _, ok := e.deescalateKey("hot"); !ok {
@@ -412,8 +441,22 @@ func TestEngineAdaptEscalationEquivalence(t *testing.T) {
 			}
 			compare("re-escalated")
 
+			// One Evict retires every resident stream of the key.
+			if !e.Evict("hot") {
+				t.Fatal("evict found nothing")
+			}
+			if n := e.Keys(); n != 0 {
+				t.Fatalf("Keys() = %d after evict", n)
+			}
+			if _, ok := e.Query("hot"); ok {
+				t.Fatal("evicted key still queryable")
+			}
+
 			e.Close()
 			<-done
+			if len(results) != 1 || results["hot"] == 0 {
+				t.Fatalf("result keys %q, want only hot", results)
+			}
 		})
 	}
 }
@@ -426,7 +469,7 @@ func TestEngineAdaptCollapseAfterTTL(t *testing.T) {
 	const salt, ttl = 4, 32
 	spec := Window{Size: 64, Period: 32}
 	cfg := Config{Spec: spec, Phis: []float64{0.5, 0.9}}
-	e, err := NewEngine(EngineConfig{Config: cfg, Shards: 1, ResultBuffer: 1 << 12, KeyTTL: ttl, Adapt: &AdaptConfig{Salt: salt}})
+	e, err := NewEngine(EngineConfig{Config: cfg, Shards: 1, ResultBuffer: 1 << 12, KeyTTL: ttl, Adapt: &AdaptConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -677,7 +720,7 @@ func TestEngineAdaptControllerLifecycle(t *testing.T) {
 	for e == nil {
 		cand, err := NewEngine(EngineConfig{
 			Config: cfg, Shards: 4, ResultBuffer: 1 << 14, KeyTTL: 48,
-			Adapt: &AdaptConfig{MinBatches: 32},
+			Adapt: &AdaptConfig{},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -710,6 +753,8 @@ func TestEngineAdaptControllerLifecycle(t *testing.T) {
 			}
 		}
 	}
+	// Every interval below delivers 96 or 64 batches, at least minBatches,
+	// so every pass acts.
 	// Phase A: heavy Zipf head. The controller must escalate "hot".
 	hotInterval := func() {
 		for i := 0; i < 64; i++ {
@@ -816,7 +861,7 @@ func TestEngineAdaptiveConcurrentStress(t *testing.T) {
 	cfg := Config{Spec: spec, Phis: []float64{0.5, 0.9}}
 	e, err := NewEngine(EngineConfig{
 		Config: cfg, Shards: 4, ResultBuffer: 1 << 10, KeyTTL: 64,
-		Adapt: &AdaptConfig{Interval: 200 * time.Microsecond, MinBatches: 16},
+		Adapt: &AdaptConfig{Interval: 200 * time.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -32,10 +32,10 @@ func TestEngineMigrationRehomesWorkbenches(t *testing.T) {
 		moves   = 96
 	)
 	cfg := Config{Spec: Window{Size: 64, Period: 32}, Phis: []float64{0.5, 0.9, 0.99}, FewK: true}
-	// HotKeyFrac 0.95: controller passes migrate, they do not escalate (the
-	// test escalates one key itself), so the moved keys stay comparable.
+	// The test escalates one key itself; a controller pass may escalate
+	// another, which then joins merged and is compared for residency only.
 	moving, err := NewEngine(EngineConfig{Config: cfg, Shards: shards, ResultBuffer: 1 << 12,
-		Adapt: &AdaptConfig{MinBatches: 16, HotKeyFrac: 0.95}})
+		Adapt: &AdaptConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}

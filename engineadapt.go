@@ -1,7 +1,6 @@
 package qlove
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -10,14 +9,14 @@ import (
 )
 
 // AdaptConfig switches the Engine into ADAPTIVE routing: an
-// occupancy-driven controller watches the per-shard stats plane at a
-// configurable cadence and rebalances the key space live —
+// occupancy-driven controller watches the per-shard stats plane every
+// Interval and rebalances the key space live —
 //
 //   - a key dominating a hot shard ESCALATES to salted sub-stream routing
-//     (the per-key form of RouteSalt: pushes spread over Salt sub-streams,
-//     reads merge them), and DE-ESCALATES back to one stream when its
-//     traffic subsides, eventually collapsing to plain hash routing once
-//     the extra sub-streams expire;
+//     (pushes spread over adaptSalt sub-streams "key\x00<j>", each
+//     hash-routed and windowed on its own), and DE-ESCALATES back to one
+//     stream when its traffic subsides, eventually collapsing to plain
+//     hash routing once the extra sub-streams expire;
 //   - whole cold keys MIGRATE between shards to flatten Zipf imbalance
 //     that salting alone cannot reach.
 //
@@ -26,83 +25,60 @@ import (
 // operator → replay), so per-key delivery order and seal generations are
 // never violated: a migrated key's stream, and therefore its snapshots
 // and delta exports, is bit-identical to the same key on an unmigrated
-// engine. AdaptConfig cannot be combined with the static engine-wide
-// RouteSalt (the two salting disciplines would fight over the same
-// sub-stream namespace).
+// engine. An escalated key, however, is no longer one stream:
 //
-// The zero value of every threshold selects a sane default; a zero
-// Interval disables the background controller, leaving rebalancing to
-// explicit Engine.Rebalance calls (how the deterministic tests drive it).
+//   - Reads merge: Snapshot, Query, Export and ExportKeys fold the key's
+//     resident sub-streams through the core.Snapshot merge (disjoint
+//     sub-streams of one logical key, the semantics of cross-engine
+//     aggregation), so its capture is a MERGED view, not bit-identical to
+//     an unsalted single stream's. Per-key element order holds within a
+//     sub-stream, not across them.
+//   - Keys() and ShardStats.ResidentKeys count sub-streams.
+//   - ExportDelta ships each sub-stream under its INTERNAL name — a single
+//     stream with real seal generations, so cursors anchor on it like any
+//     other key — and receivers (Aggregator, or any wire consumer grouping
+//     on the NUL convention) fold sub-streams back to the logical key at
+//     read time.
+//   - Results carry the logical key, but each sub-stream evaluates its own
+//     window.
+//
+// Keys must not contain a NUL byte, the sub-stream separator. The
+// controller's thresholds are the constants below.
 type AdaptConfig struct {
-	// Interval is the background controller cadence. 0 = no background
-	// goroutine; call Engine.Rebalance explicitly.
+	// Interval is the background controller cadence; it must not be
+	// negative. 0 = no background goroutine: rebalancing is left to
+	// explicit Engine.Rebalance calls (how the deterministic tests drive
+	// it).
 	Interval time.Duration
-	// Salt is the sub-stream fan an escalated key spreads over.
-	// Default 8; range [2, 256].
-	Salt int
-	// HotShardFactor flags a shard as hot when its delivered-batch count
-	// over the last controller pass exceeds factor × the per-shard mean
-	// (see EngineStats.HotShards; with 2 shards it must be < 2 to ever
-	// fire). Default 1.5.
-	HotShardFactor float64
-	// HotKeyFrac decides WHICH key on a hot shard escalates: the shard's
-	// top key must carry at least this fraction of the shard's
-	// last-interval deliveries (otherwise the imbalance is not one key's
-	// fault and migration, not salting, is the fix). Default 0.3.
-	HotKeyFrac float64
-	// CoolFrac de-escalates an escalated key once its share of the
-	// engine's last-interval deliveries falls below this fraction for
-	// CoolPasses consecutive passes. Default 0.05.
-	CoolFrac float64
-	// CoolPasses is how many consecutive cool passes a key must string
-	// together before de-escalating (hysteresis against flapping).
-	// Default 2.
-	CoolPasses int
-	// MinBatches is the minimum engine-wide deliveries in a pass for the
-	// controller to act at all — below it the sample is noise. Default 64.
-	MinBatches uint64
-	// MaxMoves caps whole-key migrations per pass. Default 4.
-	MaxMoves int
-	// TopKeys is how many keys per shard the occupancy sample attributes
-	// individually. Default 8.
-	TopKeys int
 }
 
-// withDefaults fills zero fields and validates.
-func (c AdaptConfig) withDefaults() (AdaptConfig, error) {
-	if c.Salt == 0 {
-		c.Salt = 8
-	}
-	if c.Salt < 2 || c.Salt > 256 {
-		return c, fmt.Errorf("qlove: AdaptConfig.Salt %d outside [2, 256]", c.Salt)
-	}
-	if c.HotShardFactor == 0 {
-		c.HotShardFactor = 1.5
-	}
-	if c.HotKeyFrac == 0 {
-		c.HotKeyFrac = 0.3
-	}
-	if c.CoolFrac == 0 {
-		c.CoolFrac = 0.05
-	}
-	if c.CoolPasses == 0 {
-		c.CoolPasses = 2
-	}
-	if c.MinBatches == 0 {
-		c.MinBatches = 64
-	}
-	if c.MaxMoves == 0 {
-		c.MaxMoves = 4
-	}
-	if c.TopKeys == 0 {
-		c.TopKeys = 8
-	}
-	if c.Interval < 0 || c.HotShardFactor < 1 || c.HotKeyFrac < 0 || c.HotKeyFrac > 1 ||
-		c.CoolFrac < 0 || c.CoolFrac > 1 || c.CoolPasses < 1 || c.MaxMoves < 0 || c.TopKeys < 1 {
-		return c, fmt.Errorf("qlove: AdaptConfig out of range: %+v", c)
-	}
-	return c, nil
-}
+// The adaptive controller's thresholds.
+const (
+	// adaptSalt is the sub-stream fan an escalated key spreads over.
+	adaptSalt = 8
+	// hotShardFactor flags a shard as hot when its delivered-batch count
+	// over the last controller pass exceeds factor × the per-shard mean
+	// (see EngineStats.HotShards; with 2 shards it fires below 2 only).
+	hotShardFactor = 1.5
+	// hotKeyFrac decides WHICH key on a hot shard escalates: the shard's
+	// top key must carry at least this fraction of the shard's
+	// last-interval deliveries (otherwise the imbalance is not one key's
+	// fault and migration, not salting, is the fix).
+	hotKeyFrac = 0.3
+	// coolFrac de-escalates an escalated key once its share of the
+	// engine's last-interval deliveries falls below this fraction for
+	// coolPasses consecutive passes (hysteresis against flapping).
+	coolFrac   = 0.05
+	coolPasses = 2
+	// minBatches is the minimum engine-wide deliveries in a pass for the
+	// controller to act at all — below it the sample is noise.
+	minBatches = 64
+	// maxMoves caps whole-key migrations per pass.
+	maxMoves = 4
+	// topKeys is how many keys per shard the occupancy sample attributes
+	// individually.
+	topKeys = 8
+)
 
 // AdaptSample is one controller pass's observation, recorded whether or
 // not the pass acted — the skew-over-time series the repo benchmark
@@ -132,14 +108,14 @@ const adaptLogCap = 4096
 // escState tracks one escalated key's cooling hysteresis.
 type escState struct {
 	salt int // current fan (1 = de-escalated, awaiting collapse)
-	cool int // consecutive passes below CoolFrac
+	cool int // consecutive passes below coolFrac
 }
 
-// adaptState is the controller: configuration, per-shard delivery marks,
+// adaptState is the controller: its cadence, per-shard delivery marks,
 // per-key escalation state, and the bounded event/sample logs. mu
 // serializes passes (the background loop and explicit Rebalance calls).
 type adaptState struct {
-	cfg AdaptConfig
+	interval time.Duration
 
 	mu            sync.Mutex
 	lastDelivered []uint64
@@ -157,14 +133,14 @@ type adaptState struct {
 // startAdapt launches the background controller loop (Interval > 0).
 func (e *Engine) startAdapt() {
 	a := e.adapt
-	if a == nil || a.cfg.Interval <= 0 {
+	if a == nil || a.interval <= 0 {
 		return
 	}
 	a.stop = make(chan struct{})
 	a.done = make(chan struct{})
 	go func() {
 		defer close(a.done)
-		t := time.NewTicker(a.cfg.Interval)
+		t := time.NewTicker(a.interval)
 		defer t.Stop()
 		for {
 			select {
@@ -274,17 +250,17 @@ func (e *Engine) rebalance() []RouteEvent {
 			a.events = appendBounded(a.events, events[i])
 		}
 	}()
-	if n < 1 || total < float64(a.cfg.MinBatches) {
+	if n < 1 || total < minBatches {
 		return nil
 	}
-	loads, ok := e.sampleKeyLoads(a.cfg.TopKeys)
+	loads, ok := e.sampleKeyLoads(topKeys)
 	if !ok {
 		return nil
 	}
 	mean := total / float64(n)
 
 	// (1) Cooling: de-escalate keys whose engine-wide share stayed below
-	// CoolFrac for CoolPasses passes; collapse drained de-escalated keys;
+	// coolFrac for coolPasses passes; collapse drained de-escalated keys;
 	// re-escalate a de-escalated key whose traffic came back. Iterated in
 	// sorted key order so event sequences are deterministic.
 	byBase := make(map[string]float64)
@@ -302,9 +278,9 @@ func (e *Engine) rebalance() []RouteEvent {
 		es := a.esc[base]
 		load := byBase[base]
 		if es.salt > 1 {
-			if load < a.cfg.CoolFrac*total {
+			if load < coolFrac*total {
 				es.cool++
-				if es.cool >= a.cfg.CoolPasses {
+				if es.cool >= coolPasses {
 					if ev, ok := e.deescalateKey(base); ok {
 						es.salt, es.cool = 1, 0
 						events = append(events, ev)
@@ -316,9 +292,9 @@ func (e *Engine) rebalance() []RouteEvent {
 			continue
 		}
 		// De-escalated: surge back, or drain out.
-		if load > a.cfg.HotKeyFrac*mean {
-			if ev, ok := e.escalateKey(base, a.cfg.Salt); ok {
-				es.salt, es.cool = a.cfg.Salt, 0
+		if load > hotKeyFrac*mean {
+			if ev, ok := e.escalateKey(base, adaptSalt); ok {
+				es.salt, es.cool = adaptSalt, 0
 				events = append(events, ev)
 			}
 			continue
@@ -333,7 +309,7 @@ func (e *Engine) rebalance() []RouteEvent {
 
 	// (2) Escalation: on each hot shard, salt the key dominating it.
 	for i := range deltas {
-		if deltas[i] <= a.cfg.HotShardFactor*mean {
+		if deltas[i] <= hotShardFactor*mean {
 			continue
 		}
 		for _, kl := range loads[i] {
@@ -343,11 +319,11 @@ func (e *Engine) rebalance() []RouteEvent {
 			if _, ok := a.esc[kl.Key]; ok {
 				continue
 			}
-			if float64(kl.Batches) < a.cfg.HotKeyFrac*deltas[i] {
+			if float64(kl.Batches) < hotKeyFrac*deltas[i] {
 				break // loads are sorted: no later key dominates either
 			}
-			if ev, ok := e.escalateKey(kl.Key, a.cfg.Salt); ok {
-				a.esc[kl.Key] = &escState{salt: a.cfg.Salt}
+			if ev, ok := e.escalateKey(kl.Key, adaptSalt); ok {
+				a.esc[kl.Key] = &escState{salt: adaptSalt}
 				delete(a.pinned, kl.Key)
 				events = append(events, ev)
 				deltas[i] -= float64(kl.Batches)
@@ -361,14 +337,14 @@ func (e *Engine) rebalance() []RouteEvent {
 	// comes from hash collisions rather than one dominant key.
 	moves := 0
 	for i := range deltas {
-		if moves >= a.cfg.MaxMoves {
+		if moves >= maxMoves {
 			break
 		}
-		if deltas[i] <= a.cfg.HotShardFactor*mean {
+		if deltas[i] <= hotShardFactor*mean {
 			continue
 		}
 		for _, kl := range loads[i] {
-			if moves >= a.cfg.MaxMoves || deltas[i] <= mean {
+			if moves >= maxMoves || deltas[i] <= mean {
 				break
 			}
 			if _, _, salted := wire.SplitName(kl.Key); salted {
@@ -378,7 +354,7 @@ func (e *Engine) rebalance() []RouteEvent {
 				continue
 			}
 			load := float64(kl.Batches)
-			if load >= a.cfg.HotKeyFrac*deltas[i] {
+			if load >= hotKeyFrac*deltas[i] {
 				continue // dominant keys escalate instead
 			}
 			dst := coldest(deltas)

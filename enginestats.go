@@ -136,7 +136,7 @@ type ShardStats struct {
 	// batches; a mark pinned at the queue capacity means producers waited.
 	QueueHighWater int
 	// ResidentKeys is the number of keys currently resident on the shard
-	// (salted sub-streams count individually; see EngineConfig.RouteSalt).
+	// (an escalated key's sub-streams count individually; see AdaptConfig).
 	ResidentKeys int
 	// InFlightKeys is how many of those keys hold a Level-1 workbench (tree
 	// arena, insert cache, seal scratch — 11 KB at period 128) because
@@ -284,7 +284,7 @@ func (e *Engine) Stats() EngineStats {
 // ShardStats.DeliveredBatches).
 type KeyLoad struct {
 	// Key is the internal key name (a salted sub-stream name "key\x00<j>"
-	// for escalated or RouteSalt keys).
+	// for escalated keys).
 	Key string
 	// Batches is the number of batches delivered into the key's operator
 	// since the shard was last sampled.

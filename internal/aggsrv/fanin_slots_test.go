@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -59,29 +61,35 @@ func TestRetryBackoff(t *testing.T) {
 	}
 }
 
-// faninEngine drives one salted engine through delta rounds for the
-// replication tests; each round's blob goes through fx.push (fan-in AND
-// reference, identical acks).
+// faninEngine is one worker whose every key is salted two ways, driven
+// through delta rounds; each round's blob goes through fx.push (fan-in AND
+// reference, identical acks). Round r feeds plain engine r%2, whose frames
+// ship renamed to sub-stream r%2 of their key, so every key pushed twice
+// reaches the tier as a two-stream salt group.
 type faninEngine struct {
-	eng  *qlove.Engine
-	gen  workload.Generator
-	cur  qlove.ExportCursor
-	keys []string
+	engs   [2]*qlove.Engine
+	curs   [2]qlove.ExportCursor
+	rounds int
+	gen    workload.Generator
+	keys   []string
 }
 
 func newFaninEngine(t *testing.T, seed int64, nkeys int) *faninEngine {
 	t.Helper()
 	cfg := qlove.Config{Spec: qlove.Window{Size: 256, Period: 64}, Phis: []float64{0.5, 0.99}, FewK: true}
-	eng, err := qlove.NewEngine(qlove.EngineConfig{Config: cfg, Shards: 2, RouteSalt: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for range eng.Results() {
+	h := &faninEngine{gen: workload.NewNetMon(seed)}
+	for j := range h.engs {
+		eng, err := qlove.NewEngine(qlove.EngineConfig{Config: cfg, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	t.Cleanup(eng.Close)
-	h := &faninEngine{eng: eng, gen: workload.NewNetMon(seed)}
+		go func() {
+			for range eng.Results() {
+			}
+		}()
+		t.Cleanup(eng.Close)
+		h.engs[j] = eng
+	}
 	for i := 0; i < nkeys; i++ {
 		h.keys = append(h.keys, fmt.Sprintf("key-%d", i))
 	}
@@ -90,16 +98,39 @@ func newFaninEngine(t *testing.T, seed int64, nkeys int) *faninEngine {
 
 func (h *faninEngine) round(t *testing.T) []byte {
 	t.Helper()
+	j := h.rounds % 2
+	h.rounds++
 	for ki, k := range h.keys {
-		if err := h.eng.Push(k, workload.Generate(h.gen, 120+20*ki)); err != nil {
+		if err := h.engs[j].Push(k, workload.Generate(h.gen, 120+20*ki)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var blob bytes.Buffer
-	if _, err := h.eng.ExportDelta(&blob, &h.cur); err != nil {
+	if _, err := h.engs[j].ExportDelta(&blob, &h.curs[j]); err != nil {
 		t.Fatal(err)
 	}
-	return blob.Bytes()
+	// Rename every frame from k to wire.SaltedName(k, j), the internal
+	// sub-stream name an escalated key's engine ships.
+	var out []byte
+	dec := wire.NewDecoder(&blob)
+	for {
+		f, err := dec.DecodeFrame()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := wire.SaltedName(f.Key, byte(j))
+		switch f.Kind {
+		case wire.KindFull:
+			out = wire.AppendFrame(out, name, f.Snap)
+		case wire.KindDelta:
+			out = wire.AppendDeltaFrame(out, name, f.Delta)
+		case wire.KindTombstone:
+			out = wire.AppendTombstoneFrame(out, name)
+		}
+	}
 }
 
 // requireQuerySweep asserts every key (and a miss) answers byte-identically

@@ -120,43 +120,23 @@ func TestFaninEndToEnd(t *testing.T) {
 }
 
 func testFaninEndToEnd(t *testing.T, mem memTransport) {
-	cfg := qlove.Config{Spec: qlove.Window{Size: 256, Period: 64}, Phis: []float64{0.5, 0.99}, FewK: true}
 	fx := newFaninFixture(t, 3, FaninConfig{}, mem)
 
 	keys := []string{"api/latency", "db/qps", "cache/hits", "gc/pause", "net/rtt"}
 	// Workers 0 and 1 report every key; worker 2 only the first, so the
 	// replicas owning none of its blob's slots are forwarded an empty one.
 	const workers = 3
-	cursors := make([]qlove.ExportCursor, workers)
 	for w := 0; w < workers; w++ {
-		// Salted routing makes the engine emit "key\x00<j>" internal names
-		// in its delta exports — the fan-in must keep each group together.
-		eng, err := qlove.NewEngine(qlove.EngineConfig{Config: cfg, Shards: 2, RouteSalt: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			for range eng.Results() {
-			}
-		}()
-		gen := workload.NewNetMon(int64(60 + w))
-		pushed := keys
+		// Salted workers ship "key\x00<j>" internal names in their delta
+		// exports — the fan-in must keep each group together.
+		h := newFaninEngine(t, int64(60+w), 0)
+		h.keys = keys
 		if w == 2 {
-			pushed = keys[:1]
+			h.keys = keys[:1]
 		}
 		for round := 0; round < 2; round++ {
-			for ki, k := range pushed {
-				if err := eng.Push(k, workload.Generate(gen, 200+40*ki)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var blob bytes.Buffer
-			if _, err := eng.ExportDelta(&blob, &cursors[w]); err != nil {
-				t.Fatal(err)
-			}
-			fx.push(t, fmt.Sprintf("w%d", w), blob.Bytes())
+			fx.push(t, fmt.Sprintf("w%d", w), h.round(t))
 		}
-		eng.Close()
 	}
 
 	// Each key lives on its slot's owner only, its salted sub-streams all
