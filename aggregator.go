@@ -285,86 +285,13 @@ func (a *Aggregator) Apply(worker string, r io.Reader) (int, error) {
 			// the stores index by wire.SplitName and trust what they are given.
 			return frames, fmt.Errorf("qlove: aggregator apply worker %q key %q: %w: misplaced NUL separator", worker, f.Key, wire.ErrCorrupt)
 		}
-		if err := a.fold(worker, f); err != nil {
+		// The store folds the frame (aggstore owns the fold); a disk store
+		// logs the bytes the decoder lends as they arrived.
+		if err := a.store.ApplyFrame(worker, f, dec.Raw()); err != nil {
 			return frames, fmt.Errorf("qlove: aggregator apply worker %q key %q: %w", worker, f.Key, err)
 		}
 		frames++
 	}
-}
-
-// fold applies one decoded frame to the worker's state. Frames may carry
-// internal salted sub-stream names ("key\x00<j>", from delta exports of a
-// salted or adaptively escalated engine); they are stored per name and
-// folded back to logical keys at read time.
-func (a *Aggregator) fold(worker string, f wire.Frame) error {
-	switch f.Kind {
-	case wire.KindTombstone:
-		a.store.Drop(worker, f.Key)
-		return nil
-	case wire.KindFull:
-		// A full frame is the worker's complete folded view of the logical
-		// key: it replaces the whole salt group, not just the exact name.
-		a.store.ReplaceGroup(worker, f.Key, &aggstore.State{Parts: f.Snap.Parts()})
-		return nil
-	case wire.KindDelta:
-		return a.foldDelta(worker, f.Key, f.Delta)
-	}
-	return fmt.Errorf("unknown frame kind %v", f.Kind)
-}
-
-// foldDelta advances one key's resident window by a delta frame: append
-// the newly sealed summaries, trim the front to the worker's resident
-// count (the summaries that slid out of its window since the cursor), and
-// replace the Level-2 sums wholesale. The result is bit-for-bit the full
-// capture the worker held at export time. Folds are copy-on-write — a
-// fresh State replaces the resident one, which stays immutable for any
-// concurrent reader or cached fold still holding it.
-func (a *Aggregator) foldDelta(worker, key string, d wire.Delta) error {
-	if d.FromGen == 0 {
-		// Bootstrap: the frame carries the entire resident window. A
-		// bootstrap resets stale state the tombstone stream may not cover
-		// (e.g. after a cursor reset): a sub-stream bootstrap retires the
-		// BASE state it was escalated out of; a base bootstrap (a collapsed
-		// key coming home) retires the whole former salt group.
-		st := &aggstore.State{Parts: d.Parts}
-		if _, _, salted := wire.SplitName(key); salted {
-			a.store.BootstrapSub(worker, key, st)
-		} else {
-			a.store.ReplaceGroup(worker, key, st)
-		}
-		return nil
-	}
-	cur, ok := a.store.Get(worker, key)
-	if !ok {
-		return fmt.Errorf("delta from generation %d for a key never bootstrapped", d.FromGen)
-	}
-	if cur.Parts.SealGen != d.FromGen {
-		return fmt.Errorf("delta cursor %d does not match resident generation %d", d.FromGen, cur.Parts.SealGen)
-	}
-	if !core.ConfigEqual(cur.Parts.Config, d.Parts.Config) {
-		return fmt.Errorf("delta configuration differs from resident state")
-	}
-	total := len(cur.Parts.Summaries) + len(d.Parts.Summaries)
-	if total < d.Resident {
-		return fmt.Errorf("delta needs %d resident summaries, only %d accumulated", d.Resident, total)
-	}
-	// The resident window is the LAST d.Resident of [resident ++ delta]:
-	// anything older slid out of the worker's window since the cursor.
-	sums := make([]core.Summary, 0, d.Resident)
-	if start := total - d.Resident; start < len(cur.Parts.Summaries) {
-		sums = append(sums, cur.Parts.Summaries[start:]...)
-		sums = append(sums, d.Parts.Summaries...)
-	} else {
-		sums = append(sums, d.Parts.Summaries[start-len(cur.Parts.Summaries):]...)
-	}
-	a.store.Put(worker, key, &aggstore.State{Parts: core.SnapshotParts{
-		Config:    cur.Parts.Config,
-		Streams:   d.Parts.Streams,
-		Sums:      d.Parts.Sums,
-		Summaries: sums,
-		SealGen:   d.Parts.SealGen,
-	}})
-	return nil
 }
 
 // mergeKey folds one logical key across the given workers: within each

@@ -605,6 +605,11 @@ func (f *Fanin) handlePush(w http.ResponseWriter, r *http.Request) {
 		slotFrames[slot]++
 		frames++
 		for _, o := range f.slots.Owners(slot) {
+			if parts[o].Cap() == 0 {
+				// One reservation per owner that carries frames: growing
+				// frame by frame re-copies the part every time it doubles.
+				parts[o].Grow(body.Len())
+			}
 			parts[o].Write(frame)
 		}
 	}

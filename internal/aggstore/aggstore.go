@@ -1,7 +1,7 @@
 // Package aggstore is the aggregator's pluggable state plane: resident
 // per-(worker, internal key name) folded captures behind a small Store
-// interface, so the fold logic in qlove.Aggregator is independent of how
-// the state is laid out and locked. Four implementations ship:
+// interface, so qlove.Aggregator is independent of how the state is laid
+// out, locked and persisted. Four implementations ship:
 //
 //   - Map: the original layout — every worker's state in one map behind a
 //     single RWMutex. Simple, fully serialized; the conformance reference.
@@ -15,11 +15,15 @@
 //     write-ahead log with snapshot compaction, so a restarted aggregator
 //     resumes its workers' delta chains (see disk.go).
 //
-// A State is IMMUTABLE once handed to Put/ReplaceGroup/BootstrapSub: the
-// aggregator folds copy-on-write (a delta builds a fresh State rather
-// than appending into the resident one), which is what lets read paths
-// share resident parts with zero copying and lets the fold cache hold
-// merged snapshots across reads.
+// The frame fold — how a full, delta or tombstone frame changes a worker's
+// state — lives here once (fold.go): Store.ApplyFrame plans the mutation
+// against the resident state, then applies it. The disk store logs the
+// received frame between the two and replays it through the same planner.
+//
+// A State is IMMUTABLE once stored: folds are copy-on-write (a delta builds
+// a fresh State rather than appending into the resident one), which is what
+// lets read paths share resident parts with zero copying and lets the fold
+// cache hold merged snapshots across reads.
 //
 // Internal key names follow the salt convention internal/wire defines
 // (wire.SplitName): a logical key K is resident either under its base name
@@ -45,6 +49,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // State is one worker's folded capture of one internal key name — exactly
@@ -85,6 +90,15 @@ type Store interface {
 	// stores st under name (a salted sub-stream bootstrapping out of an
 	// escalated base); other sub-streams stay resident.
 	BootstrapSub(worker, name string, st *State)
+	// ApplyFrame folds one decoded wire frame into the worker's state, the
+	// way one push frame folds: a full frame replaces its key's salt group,
+	// a delta advances one internal name's window (from generation 0 it
+	// bootstraps the name, as ReplaceGroup or BootstrapSub), a tombstone
+	// drops one name. A delta that does not fit the resident state is an
+	// error and changes nothing. raw is the frame's verbatim bytes, header
+	// included, valid only during the call; the disk store logs them as the
+	// fold's record.
+	ApplyFrame(worker string, f wire.Frame, raw []byte) error
 	// Group returns the worker's resident states for one logical key in
 	// fold order [base, sub 0, sub 1, …]; empty when the worker holds
 	// nothing for it. The returned slice is the caller's; the *States are

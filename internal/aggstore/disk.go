@@ -38,9 +38,16 @@ import (
 //	                 renamed — a crash mid-compaction leaves the previous
 //	                 snapshot+WAL pair intact
 //
-// State records carry the same wire full-frame encoding worker exports
-// use, so anything resident (which the read path already requires to be a
-// valid Snapshot) round-trips bit-identically.
+// A fold (ApplyFrame) is logged as the frame that arrived: one frame record
+// holds the worker and the frame's bytes exactly as received, and replay
+// decodes it and folds it through the same planner against the replayed
+// state, so a rejected delta logs nothing and a replayed one lands where the
+// live one did. Direct Put/ReplaceGroup/BootstrapSub calls log state
+// records, the state re-encoded as a wire full frame; every WAL written
+// before frame records existed holds only these, and they still replay.
+// Snapshots hold every resident state as a full frame. Either way anything
+// resident (which the read path already requires to be a valid Snapshot)
+// round-trips bit-identically.
 //
 // Durability is governed by DiskConfig.Fsync: FsyncAlways syncs every
 // record before the mutation returns (a state acknowledged to a worker
@@ -86,7 +93,8 @@ const (
 	maxWalRecord = 1<<30 + 1<<20
 )
 
-// WAL record ops.
+// WAL record ops. The first three are state records; recFrame is a fold
+// logged as its received frame.
 const (
 	recPut byte = iota + 1
 	recReplaceGroup
@@ -94,6 +102,7 @@ const (
 	recDrop
 	recTouch
 	recDropWorker
+	recFrame
 )
 
 var (
@@ -227,35 +236,51 @@ func (d *Disk) LockWaitNanos() (r, w int64) { return d.mem.LockWaitNanos() }
 // --- mutations: WAL first, then the resident map, one lock ---
 
 func (d *Disk) Put(worker, name string, st *State) {
-	d.mu.Lock()
-	d.logState(recPut, worker, name, st)
-	d.mem.Put(worker, name, st)
-	d.maybeCompact()
-	d.mu.Unlock()
+	d.putState(worker, mutation{op: recPut, name: name, st: st})
 }
 
 func (d *Disk) ReplaceGroup(worker, name string, st *State) {
+	d.putState(worker, mutation{op: recReplaceGroup, name: name, st: st})
+}
+
+func (d *Disk) BootstrapSub(worker, name string, st *State) {
+	d.putState(worker, mutation{op: recBootstrapSub, name: name, st: st})
+}
+
+// putState logs m as a state record and applies it.
+func (d *Disk) putState(worker string, m mutation) {
 	d.mu.Lock()
-	d.logState(recReplaceGroup, worker, name, st)
-	d.mem.ReplaceGroup(worker, name, st)
+	d.logState(m.op, worker, m.name, m.st)
+	m.apply(d.mem, worker)
 	d.maybeCompact()
 	d.mu.Unlock()
 }
 
-func (d *Disk) BootstrapSub(worker, name string, st *State) {
+// ApplyFrame plans the fold against the resident map, logs the frame as it
+// arrived, then applies the plan, all under d.mu: the log's order is the
+// order folds were planned in, so replay re-plans each frame against exactly
+// the state the live fold saw. A frame the plan rejects logs nothing.
+func (d *Disk) ApplyFrame(worker string, f wire.Frame, raw []byte) error {
 	d.mu.Lock()
-	d.logState(recBootstrapSub, worker, name, st)
-	d.mem.BootstrapSub(worker, name, st)
+	defer d.mu.Unlock()
+	m, err := plan(d.mem.Get, worker, f)
+	if err != nil {
+		return err
+	}
+	rec := d.newRecord(recFrame)
+	rec = appendLenPrefixed(rec, worker)
+	d.appendRecord(append(rec, raw...))
+	m.apply(d.mem, worker)
 	d.maybeCompact()
-	d.mu.Unlock()
+	return nil
 }
 
 func (d *Disk) Drop(worker, name string) bool {
 	d.mu.Lock()
-	body := append(d.scratch[:0], recDrop)
-	body = appendLenPrefixed(body, worker)
-	body = appendLenPrefixed(body, name)
-	d.appendRecord(body)
+	rec := d.newRecord(recDrop)
+	rec = appendLenPrefixed(rec, worker)
+	rec = appendLenPrefixed(rec, name)
+	d.appendRecord(rec)
 	dropped := d.mem.Drop(worker, name)
 	d.maybeCompact()
 	d.mu.Unlock()
@@ -264,21 +289,21 @@ func (d *Disk) Drop(worker, name string) bool {
 
 func (d *Disk) Touch(worker string, t time.Time) {
 	d.mu.Lock()
-	body := append(d.scratch[:0], recTouch)
-	body = appendLenPrefixed(body, worker)
+	rec := d.newRecord(recTouch)
+	rec = appendLenPrefixed(rec, worker)
 	var ts [8]byte
 	binary.LittleEndian.PutUint64(ts[:], uint64(t.UnixNano()))
-	body = append(body, ts[:]...)
-	d.appendRecord(body)
+	rec = append(rec, ts[:]...)
+	d.appendRecord(rec)
 	d.mem.Touch(worker, t)
 	d.mu.Unlock()
 }
 
 func (d *Disk) DropWorker(worker string) bool {
 	d.mu.Lock()
-	body := append(d.scratch[:0], recDropWorker)
-	body = appendLenPrefixed(body, worker)
-	d.appendRecord(body)
+	rec := d.newRecord(recDropWorker)
+	rec = appendLenPrefixed(rec, worker)
+	d.appendRecord(rec)
 	dropped := d.mem.DropWorker(worker)
 	d.mu.Unlock()
 	return dropped
@@ -300,9 +325,9 @@ func (d *Disk) SweepWorkers(stale func(time.Time) bool) int {
 		if _, ok := live[id]; ok {
 			continue
 		}
-		body := append(d.scratch[:0], recDropWorker)
-		body = appendLenPrefixed(body, id)
-		d.appendRecord(body)
+		rec := d.newRecord(recDropWorker)
+		rec = appendLenPrefixed(rec, id)
+		d.appendRecord(rec)
 		d.mem.DropWorker(id)
 		dropped++
 	}
@@ -324,40 +349,38 @@ func (d *Disk) logState(op byte, worker, name string, st *State) {
 		}
 		return
 	}
-	body := append(d.scratch[:0], op)
-	body = appendLenPrefixed(body, worker)
-	body = wire.AppendFrame(body, name, sn)
-	d.appendRecord(body)
+	rec := d.newRecord(op)
+	rec = appendLenPrefixed(rec, worker)
+	rec = wire.AppendFrame(rec, name, sn)
+	d.appendRecord(rec)
 }
 
-// appendRecord seals body with a length prefix and CRC32 and appends it to
-// the WAL (syncing in FsyncAlways mode). Caller holds d.mu. body may
-// alias d.scratch; the grown buffer is kept for reuse.
-func (d *Disk) appendRecord(body []byte) {
-	defer func() { d.scratch = body[:0] }()
+// newRecord starts a WAL record in d.scratch: room for the length prefix
+// appendRecord fills in, then the op. Caller holds d.mu.
+func (d *Disk) newRecord(op byte) []byte {
+	return append(d.scratch[:0], 0, 0, 0, 0, op)
+}
+
+// appendRecord seals rec, begun by newRecord, with its body's length and
+// CRC32 and appends it to the WAL in one write (syncing in FsyncAlways
+// mode). Caller holds d.mu. The grown buffer is kept for reuse.
+func (d *Disk) appendRecord(rec []byte) {
+	defer func() { d.scratch = rec[:0] }()
 	if d.werr != nil || d.closed {
 		return
 	}
-	var hdr, crc [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
+	body := rec[4:]
+	binary.LittleEndian.PutUint32(rec, uint32(len(body)))
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(body))
 	w := io.Writer(d.wal)
 	if d.bw != nil {
 		w = d.bw
 	}
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(rec); err != nil {
 		d.werr = err
 		return
 	}
-	if _, err := w.Write(body); err != nil {
-		d.werr = err
-		return
-	}
-	if _, err := w.Write(crc[:]); err != nil {
-		d.werr = err
-		return
-	}
-	d.walBytes += int64(8 + len(body))
+	d.walBytes += int64(len(rec))
 	if d.mode == FsyncAlways {
 		if err := d.wal.Sync(); err != nil {
 			d.werr = err
@@ -489,11 +512,12 @@ func (d *Disk) recover() error {
 		active = 1
 	}
 	activeOff := int64(-1)
+	fr := newFrameReader()
 	for _, seq := range wals {
 		if seq < d.snapSeq {
 			continue
 		}
-		off, err := d.replayWAL(seq)
+		off, err := d.replayWAL(seq, fr)
 		if err != nil {
 			return err
 		}
@@ -529,34 +553,72 @@ func (d *Disk) recover() error {
 // map, returning the offset where the valid prefix ends (a torn or
 // corrupt tail stops the replay without error — it is exactly the
 // in-flight mutation a crash cut off).
-func (d *Disk) replayWAL(seq uint64) (int64, error) {
+func (d *Disk) replayWAL(seq uint64, fr *frameReader) (int64, error) {
 	data, err := os.ReadFile(d.walPath(seq))
 	if err != nil {
 		return 0, err
 	}
 	off := 0
 	for {
-		if len(data)-off < 8 {
+		body, next, ok := walRecordAt(data, off)
+		if !ok || applyRecord(d.mem, fr, body) != nil {
 			break
 		}
-		n := binary.LittleEndian.Uint32(data[off:])
-		if n == 0 || n > maxWalRecord || len(data)-off < int(n)+8 {
-			break
-		}
-		body := data[off+4 : off+4+int(n)]
-		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[off+4+int(n):]) {
-			break
-		}
-		if err := applyRecord(d.mem, body); err != nil {
-			break
-		}
-		off += 8 + int(n)
+		off = next
 	}
 	return int64(off), nil
 }
 
-// applyRecord replays one WAL record onto mem.
-func applyRecord(mem *Map, body []byte) error {
+// walRecordAt returns the body of the WAL record starting at data[off] and
+// the offset the next one starts at; ok is false when no whole record with
+// a matching CRC starts there.
+func walRecordAt(data []byte, off int) (body []byte, next int, ok bool) {
+	if len(data)-off < 8 {
+		return nil, off, false
+	}
+	n := binary.LittleEndian.Uint32(data[off:])
+	if n == 0 || n > maxWalRecord || len(data)-off < int(n)+8 {
+		return nil, off, false
+	}
+	body = data[off+4 : off+4+int(n)]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[off+4+int(n):]) {
+		return nil, off, false
+	}
+	return body, off + 8 + int(n), true
+}
+
+// frameReader decodes the one frame a WAL record carries. One serves a
+// whole recovery, so replayed frames share configurations the way the
+// frames of one pushed blob do.
+type frameReader struct {
+	br  bytes.Reader
+	dec *wire.Decoder
+}
+
+func newFrameReader() *frameReader {
+	fr := &frameReader{}
+	fr.dec = wire.NewDecoder(&fr.br)
+	return fr
+}
+
+// decode decodes b, which must hold exactly one frame.
+func (fr *frameReader) decode(b []byte) (wire.Frame, error) {
+	fr.br.Reset(b)
+	start := fr.dec.Consumed()
+	f, err := fr.dec.DecodeFrame()
+	if err != nil {
+		return wire.Frame{}, err
+	}
+	if n := fr.dec.Consumed() - start; n != int64(len(b)) {
+		return wire.Frame{}, fmt.Errorf("record holds %d bytes past its frame", int64(len(b))-n)
+	}
+	return f, nil
+}
+
+// applyRecord replays one WAL record onto mem. A frame record whose fold
+// the planner rejects is an error, ending the valid prefix like a torn one:
+// the live store logged it only after the same plan succeeded.
+func applyRecord(mem *Map, fr *frameReader, body []byte) error {
 	if len(body) == 0 {
 		return errors.New("empty record")
 	}
@@ -566,23 +628,21 @@ func applyRecord(mem *Map, body []byte) error {
 		return err
 	}
 	switch op {
+	case recFrame:
+		f, err := fr.decode(rest)
+		if err != nil {
+			return err
+		}
+		return applyFrame(mem, worker, f)
 	case recPut, recReplaceGroup, recBootstrapSub:
-		f, err := wire.NewDecoder(bytes.NewReader(rest)).DecodeFrame()
+		f, err := fr.decode(rest)
 		if err != nil {
 			return err
 		}
 		if f.Kind != wire.KindFull {
 			return fmt.Errorf("state record carries a %v frame", f.Kind)
 		}
-		st := &State{Parts: f.Snap.Parts()}
-		switch op {
-		case recPut:
-			mem.Put(worker, f.Key, st)
-		case recReplaceGroup:
-			mem.ReplaceGroup(worker, f.Key, st)
-		case recBootstrapSub:
-			mem.BootstrapSub(worker, f.Key, st)
-		}
+		mutation{op: op, name: f.Key, st: &State{Parts: f.Snap.Parts()}}.apply(mem, worker)
 	case recDrop:
 		name, _, err := takeLenPrefixed(rest)
 		if err != nil {

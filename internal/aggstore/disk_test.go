@@ -1,6 +1,8 @@
 package aggstore
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -9,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -144,9 +147,27 @@ func TestDiskRecovery(t *testing.T) {
 	}
 }
 
+// frameOf encodes st as a full frame under name and decodes it back: the
+// frame ApplyFrame takes, and its bytes.
+func frameOf(t testing.TB, name string, st *State) (wire.Frame, []byte) {
+	t.Helper()
+	sn, err := core.NewSnapshot(st.Parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := wire.AppendFrame(nil, name, sn)
+	f, err := wire.NewDecoder(bytes.NewReader(raw)).DecodeFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, raw
+}
+
 // TestDiskTornTail pins crash-mid-append semantics: a torn record at the
 // WAL tail is detected (CRC/length), truncated, and everything before it
-// recovers; subsequent appends land cleanly on the truncated log.
+// recovers; subsequent appends land cleanly on the truncated log. The last
+// record is a frame record, cut at every offset inside it: each cut
+// recovers the state before that frame.
 func TestDiskTornTail(t *testing.T) {
 	dir := t.TempDir()
 	ref := NewMap()
@@ -160,23 +181,52 @@ func TestDiskTornTail(t *testing.T) {
 		ref.Touch("w", time.Unix(int64(i), 0))
 		ref.Put("w", k, mkState(uint64(i+1)))
 	}
+	f, raw := frameOf(t, "e", mkState(4))
+	if err := d.ApplyFrame("w", f, raw); err != nil {
+		t.Fatal(err)
+	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Tear the tail: a record header claiming more bytes than follow.
-	wals, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	if err != nil || len(wals) != 1 {
-		t.Fatalf("wal files: %v (%v)", wals, err)
+	path, recs := ReadWAL(t, dir)
+	last := recs[len(recs)-1]
+	if last.Op != recFrame || !bytes.Equal(last.Rest, raw) {
+		t.Fatalf("last record: op %d, %d bytes; want the frame as applied", last.Op, len(last.Rest))
 	}
-	f, err := os.OpenFile(wals[0], os.O_WRONLY|os.O_APPEND, 0)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{0xff, 0x00, 0x00, 0x00, 0xde, 0xad}); err != nil {
+	for cut := last.Start; cut < last.End; cut++ {
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := OpenDisk(DiskConfig{Dir: dir, Fsync: FsyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameState(t, d, ref, fmt.Sprintf("cut %d bytes into the frame record", cut-last.Start))
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	if err := ref.ApplyFrame("w", f, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	// Tear the tail: a record header claiming more bytes than follow.
+	wf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wf.Write([]byte{0xff, 0x00, 0x00, 0x00, 0xde, 0xad}); err != nil {
+		t.Fatal(err)
+	}
+	wf.Close()
 
 	d, err = OpenDisk(DiskConfig{Dir: dir})
 	if err != nil {
@@ -194,6 +244,70 @@ func TestDiskTornTail(t *testing.T) {
 	}
 	requireSameState(t, d, ref, "after append past torn tail")
 	d.Close()
+}
+
+// TestDiskReplayRejectsBadFrameRecords: a frame record is replayed only if
+// it holds exactly one frame and that frame folds. Records the live store
+// would never write — trailing bytes after the frame, a delta for a key
+// never bootstrapped — are sealed with valid CRCs here, followed by a good
+// record; each ends the valid prefix like a torn tail: the good record after
+// it is not replayed and the log is truncated where the bad one starts.
+func TestDiskReplayRejectsBadFrameRecords(t *testing.T) {
+	sn, err := core.NewSnapshot(mkState(5).Parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := wire.NewDelta(sn, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, full := frameOf(t, "k", mkState(1))
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"trailing bytes", append(append([]byte(nil), full...), 0)},
+		{"delta never bootstrapped", wire.AppendDeltaFrame(nil, "k", delta)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ref := NewMap()
+			d, err := OpenDisk(DiskConfig{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []Store{ref, d} {
+				s.Touch("w", time.Unix(1, 0))
+				s.Put("w", "before", mkState(2))
+			}
+			d.mu.Lock()
+			d.appendRecord(append(appendLenPrefixed(d.newRecord(recFrame), "w"), tc.frame...))
+			d.mu.Unlock()
+			d.Put("w", "after", mkState(3))
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			path, recs := ReadWAL(t, dir)
+			bad := recs[len(recs)-2]
+			if bad.Op != recFrame {
+				t.Fatalf("record %d is op %d, not the bad frame record", len(recs)-2, bad.Op)
+			}
+
+			d, err = OpenDisk(DiskConfig{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			requireSameState(t, d, ref, "reopen past a bad frame record")
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi.Size() != int64(bad.Start) {
+				t.Fatalf("log is %d bytes, not truncated at the bad record's offset %d", fi.Size(), bad.Start)
+			}
+		})
+	}
 }
 
 // TestDiskCompaction forces compaction after nearly every mutation

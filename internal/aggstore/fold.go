@@ -1,0 +1,113 @@
+package aggstore
+
+import (
+	"fmt"
+
+	"repro/internal/core"
+	"repro/internal/wire"
+)
+
+// mutation is the change folding one frame makes to a worker's resident
+// state: op is one of the state-record ops (recPut, recReplaceGroup,
+// recBootstrapSub) or recDrop, applied to the exact internal name. st is
+// nil for recDrop.
+type mutation struct {
+	op   byte
+	name string
+	st   *State
+}
+
+// apply performs m on s.
+func (m mutation) apply(s Store, worker string) {
+	switch m.op {
+	case recPut:
+		s.Put(worker, m.name, m.st)
+	case recReplaceGroup:
+		s.ReplaceGroup(worker, m.name, m.st)
+	case recBootstrapSub:
+		s.BootstrapSub(worker, m.name, m.st)
+	case recDrop:
+		s.Drop(worker, m.name)
+	}
+}
+
+// applyFrame plans f against s and applies the result: the frame path of
+// the in-memory stores.
+func applyFrame(s Store, worker string, f wire.Frame) error {
+	m, err := plan(s.Get, worker, f)
+	if err != nil {
+		return err
+	}
+	m.apply(s, worker)
+	return nil
+}
+
+// plan computes what folding one decoded frame into the worker's state does,
+// reading the resident state through get and changing nothing. Frames may
+// carry internal salted sub-stream names ("key\x00<j>", from delta exports
+// of an adaptively escalated engine); they are stored per name and folded
+// back to logical keys at read time.
+//
+// A delta advances one key's resident window: append the newly sealed
+// summaries, trim the front to the worker's resident count (the summaries
+// that slid out of its window since the cursor), and replace the Level-2
+// sums wholesale. The result is bit-for-bit the full capture the worker held
+// at export time. Folds are copy-on-write — a fresh State replaces the
+// resident one, which stays immutable for any concurrent reader or cached
+// fold still holding it.
+func plan(get func(worker, name string) (*State, bool), worker string, f wire.Frame) (mutation, error) {
+	switch f.Kind {
+	case wire.KindTombstone:
+		return mutation{op: recDrop, name: f.Key}, nil
+	case wire.KindFull:
+		// A full frame is the worker's complete folded view of the logical
+		// key: it replaces the whole salt group, not just the exact name.
+		return mutation{op: recReplaceGroup, name: f.Key, st: &State{Parts: f.Snap.Parts()}}, nil
+	case wire.KindDelta:
+	default:
+		return mutation{}, fmt.Errorf("unknown frame kind %v", f.Kind)
+	}
+	d := f.Delta
+	if d.FromGen == 0 {
+		// Bootstrap: the frame carries the entire resident window. A
+		// bootstrap resets stale state the tombstone stream may not cover
+		// (e.g. after a cursor reset): a sub-stream bootstrap retires the
+		// BASE state it was escalated out of; a base bootstrap (a collapsed
+		// key coming home) retires the whole former salt group.
+		op := recReplaceGroup
+		if _, _, salted := wire.SplitName(f.Key); salted {
+			op = recBootstrapSub
+		}
+		return mutation{op: op, name: f.Key, st: &State{Parts: d.Parts}}, nil
+	}
+	cur, ok := get(worker, f.Key)
+	if !ok {
+		return mutation{}, fmt.Errorf("delta from generation %d for a key never bootstrapped", d.FromGen)
+	}
+	if cur.Parts.SealGen != d.FromGen {
+		return mutation{}, fmt.Errorf("delta cursor %d does not match resident generation %d", d.FromGen, cur.Parts.SealGen)
+	}
+	if !core.ConfigEqual(cur.Parts.Config, d.Parts.Config) {
+		return mutation{}, fmt.Errorf("delta configuration differs from resident state")
+	}
+	total := len(cur.Parts.Summaries) + len(d.Parts.Summaries)
+	if total < d.Resident {
+		return mutation{}, fmt.Errorf("delta needs %d resident summaries, only %d accumulated", d.Resident, total)
+	}
+	// The resident window is the LAST d.Resident of [resident ++ delta]:
+	// anything older slid out of the worker's window since the cursor.
+	sums := make([]core.Summary, 0, d.Resident)
+	if start := total - d.Resident; start < len(cur.Parts.Summaries) {
+		sums = append(sums, cur.Parts.Summaries[start:]...)
+		sums = append(sums, d.Parts.Summaries...)
+	} else {
+		sums = append(sums, d.Parts.Summaries[start-len(cur.Parts.Summaries):]...)
+	}
+	return mutation{op: recPut, name: f.Key, st: &State{Parts: core.SnapshotParts{
+		Config:    cur.Parts.Config,
+		Streams:   d.Parts.Streams,
+		Sums:      d.Parts.Sums,
+		Summaries: sums,
+		SealGen:   d.Parts.SealGen,
+	}}}, nil
+}

@@ -3,6 +3,8 @@ package aggstore
 import (
 	"sync/atomic"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // Store ops, in the order Metrics reports them.
@@ -12,6 +14,7 @@ const (
 	opDrop
 	opReplaceGroup
 	opBootstrapSub
+	opApplyFrame
 	opGroup
 	opWorkerNames
 	opNamesMatching
@@ -23,7 +26,7 @@ const (
 )
 
 var opNames = [opCount]string{
-	"get", "put", "drop", "replace_group", "bootstrap_sub",
+	"get", "put", "drop", "replace_group", "bootstrap_sub", "apply_frame",
 	"group", "worker_names", "names_matching", "touch", "workers",
 	"drop_worker", "sweep_workers",
 }
@@ -105,6 +108,13 @@ func (in *Instrumented) ReplaceGroup(worker, name string, st *State) {
 func (in *Instrumented) BootstrapSub(worker, name string, st *State) {
 	defer in.record(opBootstrapSub, time.Now())
 	in.inner.BootstrapSub(worker, name, st)
+}
+
+// ApplyFrame forwards to the inner store and records one op, whatever
+// mutations the fold makes inside it.
+func (in *Instrumented) ApplyFrame(worker string, f wire.Frame, raw []byte) error {
+	defer in.record(opApplyFrame, time.Now())
+	return in.inner.ApplyFrame(worker, f, raw)
 }
 
 func (in *Instrumented) Group(worker, base string) []NamedState {

@@ -142,6 +142,10 @@ func (m *Map) BootstrapSub(worker, name string, st *State) {
 	m.gens.bump(base)
 }
 
+func (m *Map) ApplyFrame(worker string, f wire.Frame, _ []byte) error {
+	return applyFrame(m, worker, f)
+}
+
 func (m *Map) Group(worker, base string) []NamedState {
 	m.rlock()
 	defer m.runlock()

@@ -182,6 +182,10 @@ func (s *Striped) BootstrapSub(worker, name string, st *State) {
 	s.gens.bump(base)
 }
 
+func (s *Striped) ApplyFrame(worker string, f wire.Frame, _ []byte) error {
+	return applyFrame(s, worker, f)
+}
+
 func (s *Striped) Group(worker, base string) []NamedState {
 	sp := s.stripe(worker, base)
 	rlockTimed(&sp.mu, &s.readWait)

@@ -35,7 +35,8 @@ func scanAll(t *testing.T, blob []byte) ([]Kind, []string, []byte) {
 
 // The scanner must return every frame's bytes verbatim and agree with the
 // full decoder on kinds and keys — on both format versions' golden blobs
-// (v2 covers full, delta and tombstone frames).
+// (v2 covers full, delta and tombstone frames). The decoder must lend the
+// same verbatim bytes through Raw.
 func TestRawScannerMatchesDecoder(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -50,12 +51,20 @@ func TestRawScannerMatchesDecoder(t *testing.T) {
 				t.Fatal("reassembled frames differ from the input stream")
 			}
 			dec := NewDecoder(bytes.NewReader(tc.blob))
+			var lent []byte
 			i := 0
 			for {
 				f, err := dec.DecodeFrame()
 				if err == io.EOF {
+					if dec.Raw() != nil {
+						t.Fatal("Raw lends bytes after the end of the stream")
+					}
+					if !bytes.Equal(lent, tc.blob) {
+						t.Fatal("the frames Raw lent differ from the input stream")
+					}
 					break
 				}
+				lent = append(lent, dec.Raw()...)
 				if err != nil {
 					t.Fatalf("decode frame %d: %v", i, err)
 				}
@@ -124,6 +133,10 @@ func TestRawScannerErrors(t *testing.T) {
 			_, _, _, err := NewRawScanner(bytes.NewReader(tc.blob)).Next()
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("got %v, want %v", err, tc.want)
+			}
+			dec := NewDecoder(bytes.NewReader(tc.blob))
+			if _, err := dec.DecodeFrame(); !errors.Is(err, tc.want) || dec.Raw() != nil {
+				t.Fatalf("decoder: got %v and %d lent bytes, want %v and none", err, len(dec.Raw()), tc.want)
 			}
 		})
 	}

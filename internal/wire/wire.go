@@ -475,12 +475,12 @@ func appendF64s(dst []byte, vs []float64) []byte {
 	return dst
 }
 
-// Decoder reads frames from a stream, reusing one payload buffer across
+// Decoder reads frames from a stream, reusing one frame buffer across
 // calls.
 type Decoder struct {
 	r        io.Reader
-	hdr      [headerSize]byte
-	buf      []byte
+	buf      []byte // header and payload of the frame last read
+	raw      []byte // buf once its frame has decoded; nil after an error
 	consumed int64
 
 	// cfgRaw is the encoded configuration of the last frame whose config
@@ -505,6 +505,12 @@ func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: r} }
 // out).
 func (d *Decoder) Consumed() int64 { return d.consumed }
 
+// Raw returns the verbatim bytes, header included, of the frame the last
+// DecodeFrame or Decode call returned, or nil if that call failed. The bytes
+// are the Decoder's own and valid until its next call; a caller that keeps
+// them copies them.
+func (d *Decoder) Raw() []byte { return d.raw }
+
 // Decode reads the next frame of a snapshot-only stream. At a clean end of
 // stream it returns io.EOF unwrapped; a well-formed delta or tombstone
 // frame is an error wrapping ErrFrameKind (use DecodeFrame for mixed
@@ -526,7 +532,12 @@ func (d *Decoder) Decode() (key string, snap core.Snapshot, err error) {
 // unwrapped; any other failure wraps a package sentinel and never panics,
 // whatever the input bytes.
 func (d *Decoder) DecodeFrame() (Frame, error) {
-	hn, err := io.ReadFull(d.r, d.hdr[:])
+	d.raw = nil
+	if cap(d.buf) < headerSize {
+		d.buf = make([]byte, headerSize)
+	}
+	d.buf = d.buf[:headerSize]
+	hn, err := io.ReadFull(d.r, d.buf)
 	d.consumed += int64(hn)
 	if err != nil {
 		if err == io.EOF {
@@ -534,49 +545,46 @@ func (d *Decoder) DecodeFrame() (Frame, error) {
 		}
 		return Frame{}, fmt.Errorf("%w: header: %v", ErrTruncated, err)
 	}
-	if [4]byte(d.hdr[:4]) != magic {
-		return Frame{}, fmt.Errorf("%w: %q", ErrMagic, d.hdr[:4])
+	if [4]byte(d.buf[:4]) != magic {
+		return Frame{}, fmt.Errorf("%w: %q", ErrMagic, d.buf[:4])
 	}
-	v := binary.LittleEndian.Uint16(d.hdr[4:6])
+	v := binary.LittleEndian.Uint16(d.buf[4:6])
 	if v != VersionV1 && v != Version {
 		return Frame{}, fmt.Errorf("%w: frame v%d, decoder speaks v%d", ErrVersion, v, Version)
 	}
-	n := binary.LittleEndian.Uint32(d.hdr[6:10])
+	n := binary.LittleEndian.Uint32(d.buf[6:10])
 	if n > maxPayload {
 		return Frame{}, fmt.Errorf("%w: payload length %d exceeds cap", ErrCorrupt, n)
 	}
-	// The claimed length is untrusted until the bytes actually arrive:
-	// large payloads are read in bounded steps so a corrupt header cannot
-	// demand a huge up-front allocation for a stream that ends after a few
-	// bytes.
-	const allocStep = 1 << 20
-	if int(n) <= allocStep {
-		if cap(d.buf) < int(n) {
-			d.buf = make([]byte, n)
-		}
-		d.buf = d.buf[:n]
-		pn, err := io.ReadFull(d.r, d.buf)
+	size := headerSize + int(n)
+	if cap(d.buf) >= size {
+		d.buf = d.buf[:size]
+		pn, err := io.ReadFull(d.r, d.buf[headerSize:])
 		d.consumed += int64(pn)
 		if err != nil {
 			return Frame{}, fmt.Errorf("%w: payload: %v", ErrTruncated, err)
 		}
 	} else {
-		d.buf = d.buf[:0]
-		for len(d.buf) < int(n) {
-			step := int(n) - len(d.buf)
-			if step > allocStep {
-				step = allocStep
-			}
+		// The claimed length is untrusted until the bytes actually arrive:
+		// the buffer grows in bounded steps so a corrupt header cannot
+		// demand a huge up-front allocation for a stream that ends after a
+		// few bytes.
+		const allocStep = 1 << 20
+		for len(d.buf) < size {
+			step := min(size-len(d.buf), allocStep)
 			d.buf = append(d.buf, make([]byte, step)...)
-			chunk := d.buf[len(d.buf)-step:]
-			pn, err := io.ReadFull(d.r, chunk)
+			pn, err := io.ReadFull(d.r, d.buf[len(d.buf)-step:])
 			d.consumed += int64(pn)
 			if err != nil {
 				return Frame{}, fmt.Errorf("%w: payload: %v", ErrTruncated, err)
 			}
 		}
 	}
-	return d.decodePayload(d.buf, v)
+	f, err := d.decodePayload(d.buf[headerSize:], v)
+	if err == nil {
+		d.raw = d.buf
+	}
+	return f, err
 }
 
 // Decode reads a single full frame from r; the convenience form of
