@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/aggstore"
@@ -33,11 +31,9 @@ import (
 // Storage lives behind the internal aggstore.Store interface
 // (AggregatorConfig selects the backend): by default a lock-striped store
 // whose stripes are keyed by hash(worker, base key), so pushes from
-// different workers and concurrent reads genuinely run in parallel, plus
-// a read-path fold cache that memoizes each logical key's merged
-// cross-worker snapshot and invalidates it by per-key mutation
-// generation. Every backend answers bit-identically; the conformance
-// suite pins that.
+// different workers and concurrent reads genuinely run in parallel. Every
+// read merges the key's resident states afresh. Every backend answers
+// bit-identically; the conformance suite pins that.
 //
 // Apply calls for DIFFERENT workers may run concurrently with each other
 // and with reads; Apply calls for one worker must be serialized by the
@@ -48,7 +44,6 @@ import (
 // the distributed plane's verifications compare.
 type Aggregator struct {
 	store aggstore.Store
-	cache *foldCache // nil when the fold cache is disabled
 
 	// Push-deadline GC (SetPushDeadline): a worker whose last push is older
 	// than deadline is invisible to reads immediately and physically
@@ -66,14 +61,12 @@ type AggregatorConfig struct {
 	// Dir and replayed on the next open — see the aggstore disk backend).
 	Store string
 	// Stripes is the striped backend's stripe count (<= 0 picks the
-	// default; rounded up to a power of two). Ignored by "map" and "disk".
+	// default; rounded up to a power of two). Any non-zero count is
+	// rejected for "map" and "disk".
 	Stripes int
 	// Instrument wraps the store with the per-op metrics recorder; see
 	// Metrics and the service's /metrics endpoint.
 	Instrument bool
-	// NoFoldCache disables the read-path fold cache (folds recompute on
-	// every read; useful to measure what the cache buys).
-	NoFoldCache bool
 
 	// Dir is the disk backend's state directory (required for "disk",
 	// rejected for the in-memory backends). Reopening the same directory
@@ -90,7 +83,7 @@ type AggregatorConfig struct {
 }
 
 // NewAggregator returns an empty aggregator on the default backend
-// (striped store, fold cache on).
+// (striped store).
 func NewAggregator() *Aggregator {
 	a, err := NewAggregatorConfig(AggregatorConfig{})
 	if err != nil { // unreachable: the zero config is valid
@@ -102,6 +95,10 @@ func NewAggregator() *Aggregator {
 // NewAggregatorConfig returns an empty aggregator on the configured
 // backend.
 func NewAggregatorConfig(cfg AggregatorConfig) (*Aggregator, error) {
+	if cfg.Stripes != 0 && (cfg.Store == "map" || cfg.Store == "disk") {
+		// Checked before the switch opens a disk store it would then leak.
+		return nil, fmt.Errorf("qlove: Stripes only applies to the striped store, not %q", cfg.Store)
+	}
 	var store aggstore.Store
 	switch cfg.Store {
 	case "", "striped":
@@ -130,11 +127,7 @@ func NewAggregatorConfig(cfg AggregatorConfig) (*Aggregator, error) {
 	if cfg.Instrument {
 		store = aggstore.NewInstrumented(store)
 	}
-	a := &Aggregator{store: store, now: time.Now}
-	if !cfg.NoFoldCache {
-		a.cache = newFoldCache()
-	}
-	return a, nil
+	return &Aggregator{store: store, now: time.Now}, nil
 }
 
 // Close releases the store backend: for the disk backend it flushes and
@@ -326,36 +319,14 @@ func (a *Aggregator) mergeKey(base string, live []string) (Snapshot, bool, error
 	return merged, found, nil
 }
 
-// foldKey answers one logical key from the merged view of the given live
-// workers, through the fold cache when enabled.
-func (a *Aggregator) foldKey(base string, live []string) (Snapshot, bool, error) {
-	if a.cache == nil {
-		return a.mergeKey(base, live)
-	}
-	// The generation is loaded BEFORE folding: a mutation racing the fold
-	// bumps it, so the entry we store can only be tagged stale (a spurious
-	// refold later), never fresh-for-stale-bits.
-	gen := a.store.KeyGen(base)
-	if sn, ok, hit := a.cache.get(base, gen, live); hit {
-		return sn, ok, nil
-	}
-	sn, ok, err := a.mergeKey(base, live)
-	if err != nil {
-		return Snapshot{}, false, err
-	}
-	a.cache.put(base, gen, live, sn, ok)
-	return sn, ok, nil
-}
-
 // Query answers one LOGICAL key from the merged cross-worker view: within
 // each worker the key's resident streams (base plus any salted
 // sub-streams) fold first, in [base, sub-stream 0, 1, …] order — the same
 // fold the engine's own salted reads perform — then the per-worker
 // captures merge in ascending worker-ID order. ok is false when no worker
-// currently holds the key. Unchanged keys answer from the fold cache
-// without re-merging.
+// currently holds the key.
 func (a *Aggregator) Query(key string) (Snapshot, bool, error) {
-	return a.foldKey(key, a.liveWorkers())
+	return a.mergeKey(key, a.liveWorkers())
 }
 
 // Snapshot materializes the whole merged view — every key, each merged
@@ -377,7 +348,7 @@ func (a *Aggregator) Snapshot() (EngineSnapshot, error) {
 	sort.Strings(bases)
 	out := EngineSnapshot{keys: make(map[string]Snapshot, len(bases))}
 	for _, b := range bases {
-		sn, ok, err := a.foldKey(b, live)
+		sn, ok, err := a.mergeKey(b, live)
 		if err != nil {
 			return EngineSnapshot{}, err
 		}
@@ -527,7 +498,10 @@ type StoreMetrics struct {
 	Ops                []StoreOpMetric `json:"ops,omitempty"`
 }
 
-// FoldCacheStats counts the read-path fold cache's outcomes.
+// FoldCacheStats counted a read-path fold cache's hits and misses.
+//
+// Deprecated: the aggregator has no fold cache — every read merges — so
+// nothing reports these; AggregatorMetrics.FoldCache is always nil.
 type FoldCacheStats struct {
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
@@ -536,15 +510,16 @@ type FoldCacheStats struct {
 // AggregatorMetrics is the aggregator's self-description, served by the
 // aggregation service's /metrics endpoint.
 type AggregatorMetrics struct {
-	Workers   int             `json:"workers"`
-	Keys      int             `json:"keys"`
-	Store     StoreMetrics    `json:"store"`
+	Workers int          `json:"workers"`
+	Keys    int          `json:"keys"`
+	Store   StoreMetrics `json:"store"`
+	// Deprecated: always nil (see FoldCacheStats); omitted from the JSON.
 	FoldCache *FoldCacheStats `json:"fold_cache,omitempty"`
 }
 
-// Metrics snapshots the aggregator's occupancy, backend counters and fold
-// cache. Op counts and latencies are present only when the store was
-// built with AggregatorConfig.Instrument.
+// Metrics snapshots the aggregator's occupancy and backend counters. Op
+// counts and latencies are present only when the store was built with
+// AggregatorConfig.Instrument.
 func (a *Aggregator) Metrics() AggregatorMetrics {
 	m := AggregatorMetrics{
 		Workers: a.Workers(),
@@ -561,93 +536,5 @@ func (a *Aggregator) Metrics() AggregatorMetrics {
 	if lw, ok := a.store.(aggstore.LockWaiter); ok {
 		m.Store.LockWaitReadNanos, m.Store.LockWaitWriteNanos = lw.LockWaitNanos()
 	}
-	if a.cache != nil {
-		m.FoldCache = &FoldCacheStats{Hits: a.cache.hits.Load(), Misses: a.cache.misses.Load()}
-	}
 	return m
-}
-
-// --- fold cache ---
-
-const (
-	foldCacheStripes     = 16   // power of two
-	foldCacheStripeLimit = 4096 // entries per stripe before wholesale reset
-)
-
-// foldCache memoizes merged cross-worker folds per logical key. An entry
-// is valid only while BOTH its mutation-generation tag and the live
-// worker set it folded over still match — generation covers every state
-// change (gen slots may be shared between keys, which over-invalidates),
-// and the live set covers worker arrival, departure and push-deadline
-// staleness, none of which bump key generations. Entries for keys that
-// stop being read are reclaimed by the per-stripe reset when a stripe
-// outgrows its limit.
-type foldCache struct {
-	hits, misses atomic.Int64
-	stripes      [foldCacheStripes]struct {
-		mu sync.Mutex
-		m  map[string]*foldEntry
-	}
-}
-
-type foldEntry struct {
-	gen  uint64
-	live []string
-	sn   Snapshot
-	ok   bool
-}
-
-func newFoldCache() *foldCache {
-	c := &foldCache{}
-	for i := range c.stripes {
-		c.stripes[i].m = make(map[string]*foldEntry)
-	}
-	return c
-}
-
-func foldCacheHash(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
-	}
-	return h
-}
-
-func sameWorkers(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *foldCache) get(base string, gen uint64, live []string) (Snapshot, bool, bool) {
-	s := &c.stripes[foldCacheHash(base)&(foldCacheStripes-1)]
-	s.mu.Lock()
-	e := s.m[base]
-	s.mu.Unlock()
-	if e == nil || e.gen != gen || !sameWorkers(e.live, live) {
-		c.misses.Add(1)
-		return Snapshot{}, false, false
-	}
-	c.hits.Add(1)
-	return e.sn, e.ok, true
-}
-
-func (c *foldCache) put(base string, gen uint64, live []string, sn Snapshot, ok bool) {
-	e := &foldEntry{gen: gen, live: live, sn: sn, ok: ok}
-	s := &c.stripes[foldCacheHash(base)&(foldCacheStripes-1)]
-	s.mu.Lock()
-	if len(s.m) >= foldCacheStripeLimit {
-		// Wholesale reset beats per-entry eviction bookkeeping: the live
-		// working set refills in one round of misses, and entries for keys
-		// nobody reads anymore stop pinning their snapshots.
-		s.m = make(map[string]*foldEntry)
-	}
-	s.m[base] = e
-	s.mu.Unlock()
 }

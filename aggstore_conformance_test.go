@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -29,30 +31,18 @@ func mkAgg(t *testing.T, cfg AggregatorConfig) *Aggregator {
 	return a
 }
 
-// aggStoreCases is the conformance matrix: every store backend, with and
-// without the fold cache, the instrumented wrapper and a degenerate
-// stripe count.
+// aggStoreCases is the conformance matrix: every store backend, the
+// instrumented wrapper and a degenerate stripe count.
 func aggStoreCases() []aggStoreCase {
 	return []aggStoreCase{
 		{"map", func(t *testing.T) *Aggregator { return mkAgg(t, AggregatorConfig{Store: "map"}) }},
-		{"map-nocache", func(t *testing.T) *Aggregator {
-			return mkAgg(t, AggregatorConfig{Store: "map", NoFoldCache: true})
-		}},
 		{"striped", func(t *testing.T) *Aggregator { return mkAgg(t, AggregatorConfig{}) }},
-		{"striped-nocache", func(t *testing.T) *Aggregator {
-			return mkAgg(t, AggregatorConfig{NoFoldCache: true})
-		}},
 		{"striped-1", func(t *testing.T) *Aggregator { return mkAgg(t, AggregatorConfig{Stripes: 1}) }},
 		{"striped-instrumented", func(t *testing.T) *Aggregator {
 			return mkAgg(t, AggregatorConfig{Instrument: true})
 		}},
 		{"disk", func(t *testing.T) *Aggregator {
 			a := mkAgg(t, AggregatorConfig{Store: "disk", Dir: t.TempDir()})
-			t.Cleanup(func() { a.Close() })
-			return a
-		}},
-		{"disk-nocache", func(t *testing.T) *Aggregator {
-			a := mkAgg(t, AggregatorConfig{Store: "disk", Dir: t.TempDir(), NoFoldCache: true})
 			t.Cleanup(func() { a.Close() })
 			return a
 		}},
@@ -392,19 +382,20 @@ func TestAggregatorStoreConformancePushDeadline(t *testing.T) {
 	}
 }
 
-// TestAggregatorFoldCache pins the cache's contract: repeated reads of an
-// unchanged key hit; any mutation of the key, worker churn, or
-// push-deadline staleness invalidates; hits return bit-identical
-// snapshots; and a cache-disabled aggregator reports no cache at all.
-func TestAggregatorFoldCache(t *testing.T) {
+// TestAggregatorReadsFollowLiveWorkers pins that every read answers from
+// the resident states of the workers live at that instant, on every
+// backend: a re-push changes the answer, a second worker joins the merge,
+// a missing key stays missing, DropWorker leaves the merge, and an armed
+// push deadline hides a stale worker's key with no sweep.
+func TestAggregatorReadsFollowLiveWorkers(t *testing.T) {
 	cfg := Config{Spec: Window{Size: 256, Period: 64}, Phis: []float64{0.5, 0.99}}
-	blobA := func() []byte {
+	export := func(seed int64) []byte {
 		eng, err := NewEngine(EngineConfig{Config: cfg, Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		done := drainResults(eng)
-		pushAll(t, eng, map[string][]float64{"k": workload.Generate(workload.NewNetMon(7), 512)})
+		pushAll(t, eng, map[string][]float64{"k": workload.Generate(workload.NewNetMon(seed), 512)})
 		eng.Close()
 		<-done
 		var buf bytes.Buffer
@@ -412,89 +403,117 @@ func TestAggregatorFoldCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
-	}()
-
-	agg := mkAgg(t, AggregatorConfig{})
-	if _, err := agg.Apply("w", bytes.NewReader(blobA)); err != nil {
+	}
+	blobA, blobB := export(7), export(8)
+	// wantB is blobB's answer on its own: what "k" must read once blobB
+	// replaces blobA.
+	ref := mkAgg(t, AggregatorConfig{Store: "map"})
+	if _, err := ref.Apply("w", bytes.NewReader(blobB)); err != nil {
 		t.Fatal(err)
 	}
-	first, ok, err := agg.Query("k")
-	if err != nil || !ok {
-		t.Fatalf("query: ok=%v err=%v", ok, err)
-	}
-	m0 := agg.Metrics()
-	if m0.FoldCache == nil {
-		t.Fatal("fold cache enabled but unreported")
-	}
-	for i := 0; i < 5; i++ {
-		sn, ok, err := agg.Query("k")
-		if err != nil || !ok {
-			t.Fatalf("requery: ok=%v err=%v", ok, err)
-		}
-		a, b := sn.Estimates(), first.Estimates()
-		for j := range a {
-			if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
-				t.Fatalf("cached estimate ϕ[%d] %v != first read %v", j, a[j], b[j])
-			}
-		}
-	}
-	m1 := agg.Metrics()
-	if hits := m1.FoldCache.Hits - m0.FoldCache.Hits; hits != 5 {
-		t.Fatalf("5 unchanged re-reads produced %d cache hits", hits)
-	}
-	// A re-push of the same key invalidates: the next read re-folds.
-	if _, err := agg.Apply("w", bytes.NewReader(blobA)); err != nil {
-		t.Fatal(err)
-	}
-	preMiss := agg.Metrics().FoldCache.Misses
-	if _, _, err := agg.Query("k"); err != nil {
-		t.Fatal(err)
-	}
-	if m := agg.Metrics().FoldCache.Misses; m != preMiss+1 {
-		t.Fatalf("mutated key still answered from cache (misses %d -> %d)", preMiss, m)
-	}
-	// A NEW worker invalidates reads of keys it holds (live-set change).
-	if _, err := agg.Apply("w2", bytes.NewReader(blobA)); err != nil {
-		t.Fatal(err)
-	}
-	sn, _, err := agg.Query("k")
+	wantB, _, err := ref.Query("k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sn.Streams() != 2 {
-		t.Fatalf("after second worker: %d streams, want 2", sn.Streams())
+
+	for _, b := range aggStoreCases() {
+		t.Run(b.name, func(t *testing.T) {
+			agg := b.mk(t)
+			apply := func(worker string, blob []byte) {
+				t.Helper()
+				if _, err := agg.Apply(worker, bytes.NewReader(blob)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			query := func(step string) Snapshot {
+				t.Helper()
+				sn, ok, err := agg.Query("k")
+				if err != nil || !ok {
+					t.Fatalf("%s: query k: ok=%v err=%v", step, ok, err)
+				}
+				return sn
+			}
+			apply("w", blobA)
+			first := query("first")
+			// A re-push of a DIFFERENT blob changes the answer to exactly it.
+			apply("w", blobB)
+			second := query("re-push")
+			changed := false
+			for j, v := range second.Estimates() {
+				changed = changed || math.Float64bits(v) != math.Float64bits(first.Estimates()[j])
+			}
+			if !changed {
+				t.Fatal("re-push of a different blob left every estimate unchanged")
+			}
+			sameSnapshot(t, "re-push", second, wantB)
+			// A second worker's push joins the merge.
+			apply("w2", blobA)
+			if sn := query("second worker"); sn.Streams() != 2 {
+				t.Fatalf("after second worker: %d streams, want 2", sn.Streams())
+			}
+			// A missing key is missing on every read, not just the first.
+			for i := 0; i < 2; i++ {
+				if _, ok, err := agg.Query("ghost"); ok || err != nil {
+					t.Fatalf("ghost read %d: ok=%v err=%v", i, ok, err)
+				}
+			}
+			// DropWorker leaves the merge.
+			agg.DropWorker("w2")
+			sn := query("after drop")
+			if sn.Streams() != 1 {
+				t.Fatalf("after drop: %d streams, want 1", sn.Streams())
+			}
+			sameSnapshot(t, "after drop", sn, wantB)
+			// Push-deadline staleness hides the key the moment its only
+			// worker goes stale, with no Sweep and no mutation.
+			clk := newFakeClock(time.Unix(5_000_000, 0))
+			agg.SetPushDeadline(time.Minute, clk.now)
+			query("at arming")
+			clk.advance(2 * time.Minute)
+			if _, ok, _ := agg.Query("k"); ok {
+				t.Fatal("stale worker's key still served")
+			}
+		})
 	}
-	// Negative caching: a missing key misses once, then hits.
-	if _, ok, _ := agg.Query("ghost"); ok {
-		t.Fatal("ghost key found")
+}
+
+// TestNewAggregatorConfigValidation pins that a backend knob the chosen
+// store would ignore is refused, not silently dropped.
+func TestNewAggregatorConfigValidation(t *testing.T) {
+	dir, rejected := t.TempDir(), t.TempDir()
+	for _, tc := range []struct {
+		cfg  AggregatorConfig
+		want string // error substring; "" means valid
+	}{
+		{AggregatorConfig{}, ""},
+		{AggregatorConfig{Store: "striped", Stripes: 4}, ""},
+		{AggregatorConfig{Stripes: -1}, ""},
+		{AggregatorConfig{Store: "map", Instrument: true}, ""},
+		{AggregatorConfig{Store: "map", Stripes: 4}, "Stripes only applies to the striped store"},
+		{AggregatorConfig{Store: "map", Stripes: -1}, "Stripes only applies to the striped store"},
+		{AggregatorConfig{Store: "disk", Dir: rejected, Stripes: 4}, "Stripes only applies to the striped store"},
+		{AggregatorConfig{Dir: dir}, "only apply to the disk store"},
+		{AggregatorConfig{Store: "striped", Fsync: "none"}, "only apply to the disk store"},
+		{AggregatorConfig{Store: "map", CompactBytes: 1}, "only apply to the disk store"},
+		{AggregatorConfig{Store: "disk"}, "needs a state directory"},
+		{AggregatorConfig{Store: "btree"}, "unknown aggregator store"},
+		{AggregatorConfig{Store: "disk", Dir: dir, Fsync: "none", CompactBytes: 1 << 20}, ""},
+	} {
+		a, err := NewAggregatorConfig(tc.cfg)
+		if tc.want == "" {
+			if err != nil {
+				t.Fatalf("%+v: %v", tc.cfg, err)
+			}
+			a.Close()
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%+v: err %v, want %q", tc.cfg, err, tc.want)
+		}
 	}
-	preHit := agg.Metrics().FoldCache.Hits
-	if _, ok, _ := agg.Query("ghost"); ok {
-		t.Fatal("ghost key found")
-	}
-	if h := agg.Metrics().FoldCache.Hits; h != preHit+1 {
-		t.Fatalf("negative entry did not hit (hits %d -> %d)", preHit, h)
-	}
-	// DropWorker changes the live set: cached folds covering it die.
-	agg.DropWorker("w2")
-	sn, ok, err = agg.Query("k")
-	if err != nil || !ok || sn.Streams() != 1 {
-		t.Fatalf("after drop: ok=%v streams=%d err=%v", ok, sn.Streams(), err)
-	}
-	// Push-deadline staleness invalidates without any mutation: the same
-	// cached key must disappear the moment its only worker goes stale.
-	clk := newFakeClock(time.Unix(5_000_000, 0))
-	agg.SetPushDeadline(time.Minute, clk.now)
-	if _, ok, _ := agg.Query("k"); !ok {
-		t.Fatal("key vanished at arming")
-	}
-	clk.advance(2 * time.Minute)
-	if _, ok, _ := agg.Query("k"); ok {
-		t.Fatal("stale worker's key still served from the fold cache")
-	}
-	// NoFoldCache: no cache stats reported.
-	if m := mkAgg(t, AggregatorConfig{NoFoldCache: true}).Metrics(); m.FoldCache != nil {
-		t.Fatal("disabled fold cache still reported")
+	// The rejected disk config was refused before it opened its directory.
+	if ents, err := os.ReadDir(rejected); err != nil || len(ents) != 0 {
+		t.Fatalf("rejected disk config touched its directory: %d entries, err %v", len(ents), err)
 	}
 }
 
@@ -531,7 +550,7 @@ func TestAggregatorMetricsInstrumented(t *testing.T) {
 }
 
 // TestAggregatorStripedStress is the -race stress: concurrent multi-worker
-// Applies (delta chains with periodic re-bootstraps), cached Queries,
+// Applies (delta chains with periodic re-bootstraps), Queries,
 // whole-view Snapshots, explicit Sweeps and worker drop/revive churn on
 // the striped store — then a quiesced bit-equality check against a serial
 // reference fold of each worker's final state.
@@ -602,7 +621,7 @@ func TestAggregatorStripedStress(t *testing.T) {
 			}
 		}(w)
 	}
-	// Queriers: random keys, cache on.
+	// Queriers: random keys.
 	for q := 0; q < 3; q++ {
 		wg.Add(1)
 		go func(q int) {

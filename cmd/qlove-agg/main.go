@@ -31,17 +31,17 @@
 //
 // The service's state plane is configurable: -store picks the backend
 // (lock-striped by default; "map" is the single-lock original; "disk" is
-// durable), -stripes its stripe count, -instrument wraps it with the
-// per-op metrics recorder (see GET /metrics), and -no-fold-cache disables
-// the read-path fold cache. -fanin URL,URL,… instead makes this process a
-// pure HTTP router partitioning keys by hash slot over aggregator replicas
-// (other qlove-agg -serve processes). -replication R keeps R copies of
-// every hash slot: pushes fan out to all R owners, reads prefer the
-// primary and fail over to secondaries. A push succeeds once -quorum
-// owners of each slot ack (default: ⌈R/2⌉, so an R=2 pair acks on one
-// replica), and the router resyncs a replica that lost state from its
-// slot co-owners; POST /slots/move re-homes one hash slot live (GET
-// /slots shows the table):
+// durable), -stripes its stripe count (striped only), and -instrument
+// wraps it with the per-op metrics recorder (see GET /metrics). -fanin
+// URL,URL,… instead makes this process a pure HTTP router partitioning keys
+// by hash slot over aggregator replicas (other qlove-agg -serve processes),
+// which hold the state and therefore take the state-plane flags.
+// -replication R keeps R copies of every hash slot: pushes fan out to all
+// R owners, reads prefer the primary and fail over to secondaries. A push
+// succeeds once -quorum owners of each slot ack (default: ⌈R/2⌉, so an R=2
+// pair acks on one replica), and the router resyncs a replica that lost
+// state from its slot co-owners; POST /slots/move re-homes one hash slot
+// live (GET /slots shows the table):
 //
 //	qlove-agg -serve -store striped -instrument
 //	qlove-agg -serve -fanin http://10.0.0.1:7171,http://10.0.0.2:7171 -replication 2
@@ -94,7 +94,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	dir := fs.String("dir", "", "serve: the disk backend's state directory (required with -store disk)")
 	fsync := fs.String("fsync", "", "serve: disk backend sync discipline (always | interval | none; default always)")
 	instrument := fs.Bool("instrument", false, "serve: record per-op store metrics (GET /metrics)")
-	noFoldCache := fs.Bool("no-fold-cache", false, "serve: disable the read-path fold cache")
 	replication := fs.Int("replication", 1,
 		"serve: copies of each hash slot, with -fanin (1 = no replication)")
 	fanin := fs.String("fanin", "",
@@ -123,8 +122,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			if *deadline != 0 {
 				return fmt.Errorf("-worker-deadline belongs on the replicas, not the fan-in router")
 			}
-			if *dir != "" || *fsync != "" {
-				return fmt.Errorf("-dir/-fsync belong on the replicas, not the fan-in router")
+			if *store != "striped" || *stripes != 0 || *dir != "" || *fsync != "" || *instrument {
+				return fmt.Errorf("-store/-stripes/-dir/-fsync/-instrument belong on the replicas, not the fan-in router")
 			}
 			return serveFanin(*addr, strings.Split(*fanin, ","), *faninTimeout, *replication, *quorum)
 		}
@@ -141,7 +140,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			return fmt.Errorf("-store disk needs -dir (the state directory to log to and recover from)")
 		}
 		cfg := qlove.AggregatorConfig{
-			Store: *store, Stripes: *stripes, Instrument: *instrument, NoFoldCache: *noFoldCache,
+			Store: *store, Stripes: *stripes, Instrument: *instrument,
 			Dir: *dir, Fsync: *fsync,
 		}
 		return serveHTTP(*addr, *deadline, cfg)
@@ -149,9 +148,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if *deadline != 0 {
 		return fmt.Errorf("-worker-deadline only applies with -serve")
 	}
-	if *fanin != "" || *replication != 1 || *quorum != 0 || *instrument || *noFoldCache ||
+	if *fanin != "" || *replication != 1 || *quorum != 0 || *instrument ||
 		*stripes != 0 || *store != "striped" || *dir != "" || *fsync != "" || *faninTimeout != 0 {
-		return fmt.Errorf("-store/-stripes/-dir/-fsync/-instrument/-no-fold-cache/-replication/-quorum/-fanin/-fanin-timeout only apply with -serve")
+		return fmt.Errorf("-store/-stripes/-dir/-fsync/-instrument/-replication/-quorum/-fanin/-fanin-timeout only apply with -serve")
 	}
 	agg, err := aggregate(fs.Args(), stdin)
 	if err != nil {
@@ -166,12 +165,13 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 // resident state (pushes sweep too, so the ticker only covers the
 // all-workers-gone case).
 func serveHTTP(addr string, deadline time.Duration, cfg qlove.AggregatorConfig) error {
-	ln, err := net.Listen("tcp", addr)
+	agg, err := qlove.NewAggregatorConfig(cfg)
 	if err != nil {
 		return err
 	}
-	agg, err := qlove.NewAggregatorConfig(cfg)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
+		agg.Close()
 		return err
 	}
 	if deadline > 0 {

@@ -164,6 +164,23 @@ func TestServeFlagValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "belong on the replicas") {
 		t.Fatalf("-dir on the fan-in router: %v", err)
 	}
+	// The router holds no state: every state-plane flag belongs on the
+	// replicas, not silently ignored here.
+	for _, flags := range [][]string{{"-store", "map"}, {"-stripes", "4"}, {"-instrument"}} {
+		args := append([]string{"-serve", "-fanin", "http://a:1"}, flags...)
+		if err := run(args, nil, io.Discard); err == nil || !strings.Contains(err.Error(), "belong on the replicas") {
+			t.Fatalf("%v on the fan-in router: %v", flags, err)
+		}
+	}
+	// A stripe count off the striped store is refused before anything binds.
+	for _, args := range [][]string{
+		{"-serve", "-store", "map", "-stripes", "4"},
+		{"-serve", "-store", "disk", "-dir", t.TempDir(), "-stripes", "4"},
+	} {
+		if err := run(args, nil, io.Discard); err == nil || !strings.Contains(err.Error(), "Stripes only applies to the striped store") {
+			t.Fatalf("%v: %v", args, err)
+		}
+	}
 	if err := run([]string{"-serve", "-quorum", "2"}, nil, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "-quorum only applies with -fanin") {
 		t.Fatalf("-quorum without -fanin: %v", err)

@@ -587,6 +587,9 @@ func TestServiceMetricsEndpoint(t *testing.T) {
 	if resp, _ := post(t, srv, "/metrics", nil); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST metrics: %s", resp.Status)
 	}
+	if resp, body := post(t, srv, "/push?worker=w", wire.AppendTombstoneFrame(nil, "k")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("push: %s: %s", resp.Status, body)
+	}
 	resp, body := get(t, srv, "/metrics")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics: %s", resp.Status)
@@ -598,7 +601,10 @@ func TestServiceMetricsEndpoint(t *testing.T) {
 	if len(m.Replicas) != 1 || m.Replicas[0].Store.Backend != "striped+instrumented" {
 		t.Fatalf("metrics %s", body)
 	}
-	if m.Replicas[0].FoldCache == nil {
-		t.Fatal("fold cache stats missing")
+	if bytes.Contains(body, []byte(`"fold_cache"`)) {
+		t.Fatalf("metrics carry a fold_cache field: %s", body)
+	}
+	if len(m.Replicas[0].Store.Ops) == 0 {
+		t.Fatalf("instrumented store reported no op metrics: %s", body)
 	}
 }

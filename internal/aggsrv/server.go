@@ -19,7 +19,7 @@
 //	                       backend has hit a persistence error
 //	GET  /metrics          the aggregator's self-description: store
 //	                       backend, op counters (instrumented stores),
-//	                       lock-wait, fold-cache hits/misses
+//	                       lock-wait
 //	GET  /slots/export     ?slot=N or ?slots=a,b,c — the slots' resident
 //	                       state as self-contained bootstrap blobs, one per
 //	                       worker (the fan-in's slot migration and dirty

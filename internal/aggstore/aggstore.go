@@ -22,8 +22,7 @@
 //
 // A State is IMMUTABLE once stored: folds are copy-on-write (a delta builds
 // a fresh State rather than appending into the resident one), which is what
-// lets read paths share resident parts with zero copying and lets the fold
-// cache hold merged snapshots across reads.
+// lets read paths share resident parts with zero copying.
 //
 // Internal key names follow the salt convention internal/wire defines
 // (wire.SplitName): a logical key K is resident either under its base name
@@ -34,13 +33,6 @@
 // order [base, sub 0, sub 1, …] because NUL sorts below every user-key
 // byte. Both backends maintain a per-group index, so group reads and
 // wholesale group replacement never scan the worker's full key set.
-//
-// Every mutation bumps a per-base generation counter (KeyGen) AFTER the
-// state change lands; the aggregator's fold cache tags entries with the
-// generation it read before folding, so a stale tag can only cause a
-// spurious re-fold, never a stale hit. Generations live in a fixed hash
-// table: two bases may share a slot, which over-invalidates and is
-// harmless.
 package aggstore
 
 import (
@@ -71,8 +63,8 @@ type NamedState struct {
 // replacement is never observed half-applied) but no cross-operation
 // transactions — the aggregator's contract already requires pushes of ONE
 // worker to be serialized by the caller, and reads tolerate seeing a
-// multi-frame blob partially folded (the fold cache and the bit-equality
-// suites verify quiesced states).
+// multi-frame blob partially folded (the bit-equality suites verify
+// quiesced states).
 type Store interface {
 	// Get returns the state resident under the exact internal name.
 	Get(worker, name string) (*State, bool)
@@ -136,11 +128,6 @@ type Store interface {
 	WorkerCount() int
 	KeyCount() int
 
-	// KeyGen returns the mutation generation of a logical key's cache
-	// line. It only moves forward, and any mutation touching the base
-	// bumps it (hash slots may be shared across bases).
-	KeyGen(base string) uint64
-
 	// Kind names the backend ("map", "striped", …) for metrics and bench
 	// labels.
 	Kind() string
@@ -177,21 +164,6 @@ func fnv1a(ss ...string) uint32 {
 	}
 	return h
 }
-
-// --- generation table ---
-
-const genSlots = 4096 // power of two
-
-// genTable maps logical keys to monotone mutation generations via a fixed
-// hash table of atomics: collisions over-invalidate the fold cache, never
-// under-invalidate it.
-type genTable struct {
-	slots [genSlots]atomic.Uint64
-}
-
-func (g *genTable) bump(base string) { g.slots[fnv1a(base)&(genSlots-1)].Add(1) }
-
-func (g *genTable) load(base string) uint64 { return g.slots[fnv1a(base)&(genSlots-1)].Load() }
 
 // --- cross-worker logical-key refcounts ---
 

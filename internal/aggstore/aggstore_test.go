@@ -157,32 +157,6 @@ func TestStoreGroupFoldOrder(t *testing.T) {
 	}
 }
 
-// TestStoreKeyGenAdvances pins the cache-invalidation contract: any
-// mutation touching a base bumps its generation, and reads don't.
-func TestStoreKeyGenAdvances(t *testing.T) {
-	for _, s := range stores(t) {
-		g0 := s.KeyGen("k")
-		s.Touch("w", time.Time{})
-		s.Put("w", "k", mkState(1))
-		g1 := s.KeyGen("k")
-		if g1 <= g0 {
-			t.Fatalf("%s: Put did not bump the generation (%d -> %d)", s.Kind(), g0, g1)
-		}
-		s.Group("w", "k")
-		s.WorkerNames("w")
-		if g := s.KeyGen("k"); g != g1 {
-			t.Fatalf("%s: reads moved the generation (%d -> %d)", s.Kind(), g1, g)
-		}
-		s.ReplaceGroup("w", wire.SaltedName("k", 1), mkState(2))
-		if g := s.KeyGen("k"); g <= g1 {
-			t.Fatalf("%s: ReplaceGroup did not bump the generation", s.Kind())
-		}
-		// Worker removal deliberately does NOT bump generations: the
-		// aggregator's fold cache keys on the live worker set as well, which
-		// is what invalidates cached folds across worker churn.
-	}
-}
-
 // TestStoreOccupancyCounters pins the O(1) counters across the key
 // lifecycle, including the same logical key resident on several workers.
 func TestStoreOccupancyCounters(t *testing.T) {

@@ -230,7 +230,6 @@ func (d *Disk) Workers(stale func(time.Time) bool) []string {
 }
 func (d *Disk) WorkerCount() int            { return d.mem.WorkerCount() }
 func (d *Disk) KeyCount() int               { return d.mem.KeyCount() }
-func (d *Disk) KeyGen(base string) uint64   { return d.mem.KeyGen(base) }
 func (d *Disk) LockWaitNanos() (r, w int64) { return d.mem.LockWaitNanos() }
 
 // --- mutations: WAL first, then the resident map, one lock ---

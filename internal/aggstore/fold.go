@@ -53,8 +53,8 @@ func applyFrame(s Store, worker string, f wire.Frame) error {
 // that slid out of its window since the cursor), and replace the Level-2
 // sums wholesale. The result is bit-for-bit the full capture the worker held
 // at export time. Folds are copy-on-write — a fresh State replaces the
-// resident one, which stays immutable for any concurrent reader or cached
-// fold still holding it.
+// resident one, which stays immutable for any concurrent reader still
+// holding it.
 func plan(get func(worker, name string) (*State, bool), worker string, f wire.Frame) (mutation, error) {
 	switch f.Kind {
 	case wire.KindTombstone:

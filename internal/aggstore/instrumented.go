@@ -34,9 +34,8 @@ var opNames = [opCount]string{
 // Instrumented wraps any Store, recording per-op call counts and
 // cumulative latency in atomics; the inner backend's lock-wait counters
 // (when it exposes them) ride along in Metrics. The pure-atomic counter
-// reads (WorkerCount/KeyCount/KeyGen) pass through unrecorded — timing
-// them would cost more than the ops themselves and they sit on the fold
-// cache's hot path.
+// reads (WorkerCount/KeyCount) pass through unrecorded — timing them
+// would cost more than the ops themselves.
 type Instrumented struct {
 	inner Store
 	ops   [opCount]opRec
@@ -155,5 +154,3 @@ func (in *Instrumented) SweepWorkers(stale func(time.Time) bool) int {
 func (in *Instrumented) WorkerCount() int { return in.inner.WorkerCount() }
 
 func (in *Instrumented) KeyCount() int { return in.inner.KeyCount() }
-
-func (in *Instrumented) KeyGen(base string) uint64 { return in.inner.KeyGen(base) }

@@ -19,7 +19,6 @@ type Map struct {
 	mu      sync.RWMutex
 	workers map[string]*mapWorker
 
-	gens                genTable
 	refs                refTable
 	workerCount         atomic.Int64
 	readWait, writeWait atomic.Int64
@@ -78,7 +77,6 @@ func (m *Map) Put(worker, name string, st *State) {
 		g.base = st
 	}
 	m.unlock()
-	m.gens.bump(base)
 }
 
 func (m *Map) Drop(worker, name string) bool {
@@ -100,7 +98,6 @@ func (m *Map) Drop(worker, name string) bool {
 		}
 	}
 	m.unlock()
-	m.gens.bump(base)
 	return dropped
 }
 
@@ -123,7 +120,6 @@ func (m *Map) ReplaceGroup(worker, name string, st *State) {
 		g.base = st
 	}
 	m.unlock()
-	m.gens.bump(base)
 }
 
 func (m *Map) BootstrapSub(worker, name string, st *State) {
@@ -139,7 +135,6 @@ func (m *Map) BootstrapSub(worker, name string, st *State) {
 	g.base = nil
 	g.setSub(j, st)
 	m.unlock()
-	m.gens.bump(base)
 }
 
 func (m *Map) ApplyFrame(worker string, f wire.Frame, _ []byte) error {
@@ -261,5 +256,3 @@ func (m *Map) SweepWorkers(stale func(time.Time) bool) int {
 func (m *Map) WorkerCount() int { return int(m.workerCount.Load()) }
 
 func (m *Map) KeyCount() int { return int(m.refs.distinct.Load()) }
-
-func (m *Map) KeyGen(base string) uint64 { return m.gens.load(base) }

@@ -23,14 +23,13 @@ const DefaultStripes = 64
 // but the hot path — stamping a worker's last push — runs under the read
 // lock with an atomic store, so concurrent pushers never serialize on it.
 // Worker and distinct-logical-key counts are atomics; WorkerCount /
-// KeyCount / KeyGen never take a stripe lock.
+// KeyCount never take a stripe lock.
 type Striped struct {
 	stripes []stripe
 	mask    uint32
 
 	wmu                 sync.RWMutex
 	wm                  map[string]*workerMeta
-	gens                genTable
 	refs                refTable
 	wcount              atomic.Int64
 	readWait, writeWait atomic.Int64
@@ -119,7 +118,6 @@ func (s *Striped) Put(worker, name string, st *State) {
 		g.base = st
 	}
 	sp.mu.Unlock()
-	s.gens.bump(base)
 }
 
 func (s *Striped) Drop(worker, name string) bool {
@@ -140,7 +138,6 @@ func (s *Striped) Drop(worker, name string) bool {
 		}
 	}
 	sp.mu.Unlock()
-	s.gens.bump(base)
 	return dropped
 }
 
@@ -163,7 +160,6 @@ func (s *Striped) ReplaceGroup(worker, name string, st *State) {
 		g.base = st
 	}
 	sp.mu.Unlock()
-	s.gens.bump(base)
 }
 
 func (s *Striped) BootstrapSub(worker, name string, st *State) {
@@ -179,7 +175,6 @@ func (s *Striped) BootstrapSub(worker, name string, st *State) {
 	g.base = nil
 	g.setSub(j, st)
 	sp.mu.Unlock()
-	s.gens.bump(base)
 }
 
 func (s *Striped) ApplyFrame(worker string, f wire.Frame, _ []byte) error {
@@ -319,5 +314,3 @@ func (s *Striped) SweepWorkers(stale func(time.Time) bool) int {
 func (s *Striped) WorkerCount() int { return int(s.wcount.Load()) }
 
 func (s *Striped) KeyCount() int { return int(s.refs.distinct.Load()) }
-
-func (s *Striped) KeyGen(base string) uint64 { return s.gens.load(base) }

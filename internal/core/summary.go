@@ -17,8 +17,8 @@ import (
 //
 // It is a small pointer-free header over ONE exactly-sized []float64 block,
 // allocated once when the sub-window seals (or a frame decodes) and never
-// written again, so captures, exports, aggregator state and fold caches all
-// share it by reference and the collector sees one pointer-free object per
+// written again, so captures, exports and aggregator state all share it
+// by reference and the collector sees one pointer-free object per
 // summary. With l configured quantiles and m managed ones the block holds
 //
 //	[0, l)        the sub-window ϕ-quantile per configured ϕ
