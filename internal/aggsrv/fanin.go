@@ -31,14 +31,16 @@ import (
 //
 // It serves the same endpoints as Server:
 //
-//   - /push splits the worker's blob frame-by-frame — bit-verbatim, via
-//     the wire raw scanner — and forwards each frame to EVERY owner of its
-//     slot IN PARALLEL; every reachable replica receives a push (empty for
-//     non-owners) so worker liveness and push deadlines stay coherent
-//     partition-wide. The push succeeds when every slot that carried
-//     frames was applied by at least Quorum of its owners; otherwise it
-//     502s naming the failed replicas and slots. An owner that missed
-//     frames is marked dirty and resynced in the background (below).
+//   - /push routes the worker's blob frame-by-frame — bit-verbatim, via
+//     the wire raw scanner — to EVERY owner of each frame's slot IN
+//     PARALLEL: a replica owning every frame is forwarded the body as it
+//     arrived, one owning some gets a part holding just its frames, and
+//     every other reachable replica an empty push, so worker liveness and
+//     push deadlines stay coherent partition-wide. The push succeeds when
+//     every slot that carried frames was applied by at least Quorum of its
+//     owners; otherwise it 502s naming the failed replicas and slots. An
+//     owner that missed frames is marked dirty and resynced in the
+//     background (below).
 //   - /query proxies to the key's primary owner, response bytes untouched;
 //     transport errors and 5xx are retried with exponential backoff +
 //     jitter (queries are idempotent reads), and the read fails over /
@@ -400,7 +402,7 @@ func (f *Fanin) resync(i int, rep *faninReplica) {
 		}
 	}
 	for src, slots := range bySource {
-		if err := f.replaySlots(src, rep, slots); err != nil {
+		if _, err := f.replaySlots(src, rep, slots); err != nil {
 			return // stay dirty; the next probe tick retries
 		}
 	}
@@ -411,8 +413,9 @@ func (f *Fanin) resync(i int, rep *faninReplica) {
 
 // replaySlots copies the given slots' state from replica src to replica
 // dst: export from src, drop dst's (possibly stale) resident state for
-// those slots, then replay the per-worker bootstrap blobs.
-func (f *Fanin) replaySlots(src, dst *faninReplica, slots []int) error {
+// those slots, then replay the per-worker bootstrap blobs. It returns how
+// many worker blobs it replayed.
+func (f *Fanin) replaySlots(src, dst *faninReplica, slots []int) (int, error) {
 	parts := make([]string, len(slots))
 	for i, s := range slots {
 		parts[i] = strconv.Itoa(s)
@@ -420,30 +423,30 @@ func (f *Fanin) replaySlots(src, dst *faninReplica, slots []int) error {
 	q := "?slots=" + strings.Join(parts, ",")
 	status, body, err := f.fetch(src.url, "/slots/export"+q)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if status != http.StatusOK {
-		return fmt.Errorf("export status %d", status)
+		return 0, fmt.Errorf("export status %d", status)
 	}
 	var exp SlotExport
 	if err := json.Unmarshal(body, &exp); err != nil {
-		return fmt.Errorf("bad export: %w", err)
+		return 0, fmt.Errorf("bad export: %w", err)
 	}
 	// Drop before replay: a sub-stream bootstrap frame replaces only its
 	// own sub-stream, so stale siblings at dst must go first.
 	if status, _, err := f.post(dst.url, "/slots/drop"+q, nil); err != nil || status != http.StatusOK {
-		return fmt.Errorf("drop status %d: %v", status, err)
+		return 0, fmt.Errorf("drop status %d: %v", status, err)
 	}
 	for _, wb := range exp.Workers {
 		status, rb, err := f.post(dst.url, "/push?worker="+url.QueryEscape(wb.Worker), wb.Blob)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if status != http.StatusOK {
-			return fmt.Errorf("replay worker %q status %d: %s", wb.Worker, status, bytes.TrimSpace(rb))
+			return 0, fmt.Errorf("replay worker %q status %d: %s", wb.Worker, status, bytes.TrimSpace(rb))
 		}
 	}
-	return nil
+	return len(exp.Workers), nil
 }
 
 // fetch GETs one replica path, returning status and a bounded body; a
@@ -464,7 +467,33 @@ func (f *Fanin) fetch(base, path string) (int, []byte, error) {
 
 // post POSTs one replica path, returning status and a bounded ack body.
 func (f *Fanin) post(base, path string, body []byte) (int, []byte, error) {
-	resp, err := f.client.Post(base+path, "application/octet-stream", bytes.NewReader(body))
+	return readAck(f.client.Post(base+path, "application/octet-stream", bytes.NewReader(body)))
+}
+
+// postLent is post over a lent push buffer (nil posts an empty body). The
+// request body holds its own reference to the buffer until the transport
+// closes it, so bytes the transport reads after Do has returned are still
+// the ones routed here.
+func (f *Fanin) postLent(base, path string, l *lentBuf) (int, []byte, error) {
+	if l == nil || l.buf.Len() == 0 {
+		return f.post(base, path, nil)
+	}
+	req, err := http.NewRequest(http.MethodPost, base+path, nil)
+	if err != nil {
+		return 0, nil, err
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	// Without a length net/http sends a body of its own type chunked.
+	req.ContentLength = int64(l.buf.Len())
+	req.Body = l.body()
+	// A transport rewinds only within Do, while the handler still holds
+	// its own reference.
+	req.GetBody = func() (io.ReadCloser, error) { return l.body(), nil }
+	return readAck(f.client.Do(req))
+}
+
+// readAck returns a replica response's status and bounded ack body.
+func readAck(resp *http.Response, err error) (int, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
@@ -474,6 +503,55 @@ func (f *Fanin) post(base, path string, body []byte) (int, []byte, error) {
 		return 0, nil, err
 	}
 	return resp.StatusCode, rb, nil
+}
+
+// lentBuf is a pushBodies buffer shared by the /push handler that read it
+// and the request bodies forwarding it to replicas. Each holder has one
+// reference — the handler until it returns, each body until its first
+// Close — and the last release puts the buffer back in the pool. net/http
+// may read and close a request body after RoundTrip has returned, which is
+// why the handler's return alone cannot recycle it.
+type lentBuf struct {
+	buf  *bytes.Buffer
+	refs atomic.Int32
+}
+
+// lend wraps buf with the caller's reference.
+func lend(buf *bytes.Buffer) *lentBuf {
+	l := &lentBuf{buf: buf}
+	l.refs.Store(1)
+	return l
+}
+
+// release drops one reference.
+func (l *lentBuf) release() {
+	if l.refs.Add(-1) == 0 {
+		pushBodies.Put(l.buf)
+	}
+}
+
+// body returns a request body over the buffer's bytes that holds a
+// reference of its own; the caller must hold one while it asks.
+func (l *lentBuf) body() io.ReadCloser {
+	l.refs.Add(1)
+	b := &lentBody{from: l}
+	b.Reset(l.buf.Bytes())
+	return b
+}
+
+// lentBody reads a lentBuf; its first Close releases its reference (net/http
+// may close a body more than once).
+type lentBody struct {
+	bytes.Reader
+	from   *lentBuf
+	closed atomic.Bool
+}
+
+func (b *lentBody) Close() error {
+	if b.closed.CompareAndSwap(false, true) {
+		b.from.release()
+	}
+	return nil
 }
 
 // readBounded reads r up to limit bytes; anything longer is an error.
@@ -575,7 +653,8 @@ func (f *Fanin) handlePush(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "read push body: %v", err)
 		return
 	}
-	defer pushBodies.Put(body)
+	whole := lend(body)
+	defer whole.release()
 	// The slot table is read-held across routing AND delivery: a slot
 	// migration (write lock) drains in-flight pushes first, so no frame
 	// routed against the old table lands after the flip.
@@ -584,12 +663,12 @@ func (f *Fanin) handlePush(w http.ResponseWriter, r *http.Request) {
 	// Route the whole blob before forwarding anything: a malformed blob is
 	// rejected with zero frames applied anywhere. Each frame goes to every
 	// owner of its slot.
-	parts := make([]bytes.Buffer, len(f.reps))
-	slotFrames := make(map[int]int) // slot -> frames routed
+	owned := make([]int, len(f.reps)) // frames each replica owns
+	var carried [qlove.Slots]bool     // slots that carried frames
 	frames := 0
 	sc := wire.NewRawScanner(bytes.NewReader(body.Bytes()))
 	for {
-		_, key, frame, err := sc.Next()
+		_, key, _, err := sc.Next()
 		if err == io.EOF {
 			break
 		}
@@ -602,15 +681,29 @@ func (f *Fanin) handlePush(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		slot := qlove.SlotOf(key)
-		slotFrames[slot]++
+		carried[slot] = true
 		frames++
-		for _, o := range f.slots.Owners(slot) {
-			if parts[o].Cap() == 0 {
-				// One reservation per owner that carries frames: growing
-				// frame by frame re-copies the part every time it doubles.
-				parts[o].Grow(body.Len())
+		for _, o := range f.slots.OwnersView(slot) {
+			owned[o]++
+		}
+	}
+	// A replica that owns every frame is forwarded the body it arrived in;
+	// one that owns some gets a part of its own.
+	parts := make([]*lentBuf, len(f.reps))
+	split := false
+	for i, n := range owned {
+		if n == frames {
+			parts[i] = whole
+		} else if n > 0 {
+			split = true
+		}
+	}
+	if split {
+		f.splitParts(body.Bytes(), owned, frames, parts)
+		for _, p := range parts {
+			if p != nil && p != whole {
+				defer p.release()
 			}
-			parts[o].Write(frame)
 		}
 	}
 	// Fan out to every replica IN PARALLEL — one slow or dead replica never
@@ -629,7 +722,7 @@ func (f *Fanin) handlePush(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, rep *faninReplica) {
 			defer wg.Done()
-			status, rb, err := f.post(rep.url, "/push?worker="+url.QueryEscape(worker), parts[i].Bytes())
+			status, rb, err := f.postLent(rep.url, "/push?worker="+url.QueryEscape(worker), parts[i])
 			if err != nil {
 				f.record(rep, false)
 				out.Error = err.Error()
@@ -658,10 +751,13 @@ func (f *Fanin) handlePush(w http.ResponseWriter, r *http.Request) {
 	// An owner that missed its slot's frames — ejected, transport failure,
 	// rejected delta — now holds stale state: mark it dirty so reads avoid
 	// it and the prober resyncs it.
-	var failedSlots []int
-	for slot := range slotFrames {
+	var failedSlots []int // ascending
+	for slot, c := range carried {
+		if !c {
+			continue
+		}
 		acked := 0
-		for _, o := range f.slots.Owners(slot) {
+		for _, o := range f.slots.OwnersView(slot) {
 			if outcomes[o].OK {
 				acked++
 			} else {
@@ -672,7 +768,6 @@ func (f *Fanin) handlePush(w http.ResponseWriter, r *http.Request) {
 			failedSlots = append(failedSlots, slot)
 		}
 	}
-	sort.Ints(failedSlots)
 	var failed []string
 	keys := 0
 	for i, out := range outcomes {
@@ -697,6 +792,33 @@ func (f *Fanin) handlePush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, PushResult{Worker: worker, Frames: frames, Keys: keys})
+}
+
+// splitParts builds, in pushBodies buffers, the part of blob owed to each
+// replica that owns some but not all of its frames (owned[i] in (0,
+// frames)); blob has already been scanned whole, so it scans cleanly.
+func (f *Fanin) splitParts(blob []byte, owned []int, frames int, parts []*lentBuf) {
+	sc := wire.NewRawScanner(bytes.NewReader(blob))
+	for {
+		_, key, frame, err := sc.Next()
+		if err != nil {
+			return
+		}
+		for _, o := range f.slots.OwnersView(qlove.SlotOf(key)) {
+			if owned[o] == frames {
+				continue
+			}
+			if parts[o] == nil {
+				buf := pushBodies.Get().(*bytes.Buffer)
+				buf.Reset()
+				// One reservation per part: growing frame by frame re-copies
+				// the part every time it doubles.
+				buf.Grow(len(blob))
+				parts[o] = lend(buf)
+			}
+			parts[o].buf.Write(frame)
+		}
+	}
 }
 
 // --- query ---
@@ -806,7 +928,7 @@ func (f *Fanin) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// to the old owner always still finds the data there.
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	cands := f.readOrder(f.slots.OwnersOf(r.URL.Query().Get("key")))
+	cands := f.readOrder(f.slots.OwnersView(qlove.SlotOf(r.URL.Query().Get("key"))))
 	res := f.queryOwners(cands, "/query?"+r.URL.RawQuery)
 	if res.err != nil {
 		writeErr(w, http.StatusBadGateway, "replica %s: %v", cands[len(cands)-1].url, res.err)
@@ -893,7 +1015,7 @@ func (f *Fanin) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	source := make([]int, qlove.Slots)
 	for s := 0; s < qlove.Slots; s++ {
 		source[s] = -1
-		for _, rep := range f.readOrder(f.slots.Owners(s)) {
+		for _, rep := range f.readOrder(f.slots.OwnersView(s)) {
 			idx := f.replicaIndex(rep)
 			if answered[idx] {
 				source[s] = idx
@@ -1030,16 +1152,10 @@ func (f *Fanin) handleSlotMove(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "no clean live owner of slot %d to export from", slot)
 		return
 	}
-	if err := f.replaySlots(src, f.reps[to], []int{slot}); err != nil {
+	workers, err := f.replaySlots(src, f.reps[to], []int{slot})
+	if err != nil {
 		writeErr(w, http.StatusBadGateway, "replay slot %d onto %s: %v", slot, f.reps[to].url, err)
 		return
-	}
-	workers := 0 // recount for the ack: replaySlots already validated
-	if status, body, err := f.fetch(src.url, "/slots/export?slot="+strconv.Itoa(slot)); err == nil && status == http.StatusOK {
-		var exp SlotExport
-		if json.Unmarshal(body, &exp) == nil {
-			workers = len(exp.Workers)
-		}
 	}
 	if err := f.slots.Move(slot, from, to); err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
@@ -1139,7 +1255,7 @@ func (f *Fanin) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	f.mu.RLock()
 	cov := &FaninSlotCoverage{Slots: qlove.Slots, Replication: f.cfg.Replication, Quorum: f.cfg.Quorum}
 	for s := 0; s < qlove.Slots; s++ {
-		owners := f.slots.Owners(s)
+		owners := f.slots.OwnersView(s)
 		live, clean := 0, 0
 		for _, o := range owners {
 			if !f.reps[o].down.Load() {

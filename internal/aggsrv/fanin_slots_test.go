@@ -380,16 +380,30 @@ func TestFaninResyncConcurrentMark(t *testing.T) {
 // live /slots/move calls: only the intended slots migrate, /query answers
 // stay bit-identical to the unresized reference before, during, and after,
 // and the worker's delta chain keeps folding during and after the migration.
+// Each move exports its slot exactly once, and its ack counts the worker
+// blobs that export carried.
 func TestFaninSlotMove(t *testing.T) {
 	initial, err := qlove.NewSlotMap(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var exports atomic.Int32 // /slots/export requests the router made
+	tr := &http.Transport{}
+	t.Cleanup(tr.CloseIdleConnections)
 	fx := newFaninFixture(t, 3, FaninConfig{
-		Timeout: 2 * time.Second,
-		Slots:   initial,
+		Slots: initial,
+		Client: &http.Client{Timeout: 2 * time.Second, Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			if req.URL.Path == "/slots/export" {
+				exports.Add(1)
+			}
+			return tr.RoundTrip(req)
+		})},
 	}, nil)
 	h := newFaninEngine(t, 43, 24)
+	keyed := map[int]bool{} // slots holding one of the worker's keys
+	for _, k := range h.keys {
+		keyed[qlove.SlotOf(k)] = true
+	}
 
 	movedKeys, stayKeys := 0, 0
 	for _, k := range h.keys {
@@ -420,16 +434,24 @@ func TestFaninSlotMove(t *testing.T) {
 		if s%3 != 2 {
 			continue
 		}
+		before := exports.Load()
 		resp, body := post(t, fx.fanin, fmt.Sprintf("/slots/move?slot=%d&to=2", s), nil)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("move slot %d: %s: %s", s, resp.Status, body)
+		}
+		if n := exports.Load() - before; n != 1 {
+			t.Fatalf("move slot %d exported it %d times, want once", s, n)
 		}
 		var mv SlotMoveResult
 		if err := json.Unmarshal(body, &mv); err != nil {
 			t.Fatal(err)
 		}
-		if mv.Slot != s || mv.To != 2 || mv.From != s%2 {
-			t.Fatalf("move ack %+v", mv)
+		wantWorkers := 0
+		if keyed[s] {
+			wantWorkers = 1 // the one worker; slots without keys export none
+		}
+		if mv.Slot != s || mv.To != 2 || mv.From != s%2 || mv.Workers != wantWorkers {
+			t.Fatalf("move ack %+v, want %d workers", mv, wantWorkers)
 		}
 		moved[s] = true
 		// The chain keeps folding while the tier resizes: every 20 moves a

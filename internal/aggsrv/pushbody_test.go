@@ -2,13 +2,18 @@ package aggsrv
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro"
 	"repro/internal/race"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -119,5 +124,168 @@ func TestPushBodyIsNotRetained(t *testing.T) {
 	defer reopened.Close()
 	if got := serve(t, New(reopened).Handler(), http.MethodGet, "/snapshot", nil); !bytes.Equal(got, want) {
 		t.Fatal("reopened disk store differs from the reference: the log kept bytes of a recycled push body")
+	}
+}
+
+// routedParts returns the bytes the fan-in owes each replica for blob under
+// table: every frame whose slot the replica owns, in blob order.
+func routedParts(t *testing.T, table *qlove.SlotMap, replicas int, blob []byte) [][]byte {
+	t.Helper()
+	parts := make([][]byte, replicas)
+	sc := wire.NewRawScanner(bytes.NewReader(blob))
+	for {
+		_, key, frame, err := sc.Next()
+		if err == io.EOF {
+			return parts
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range table.Owners(qlove.SlotOf(key)) {
+			parts[o] = append(parts[o], frame...)
+		}
+	}
+}
+
+// TestFaninPushBodyOutlivesRoundTrip holds the fan-in's half of the pooled
+// push body: net/http may read a request body after RoundTrip has returned,
+// so a buffer the router forwards must not return to the pool until the
+// transport closes the body that reads it. The router's transport acks every
+// push without reading it, and reads each body on its own goroutine only
+// after every push has been handled — each handler has returned and released
+// its buffers, later pushes have taken buffers from the pool, and whatever
+// the pool hands back has been overwritten. Every body must still read
+// exactly the bytes routed to its replica: the blob as it arrived where the
+// replica owns every frame (N = R), a part of the owned frames where it does
+// not (N > R).
+func TestFaninPushBodyOutlivesRoundTrip(t *testing.T) {
+	for _, tc := range []struct{ n, r int }{{2, 2}, {3, 2}} {
+		t.Run(fmt.Sprintf("N%d-R%d", tc.n, tc.r), func(t *testing.T) {
+			type late struct {
+				push, replica int
+				got           []byte
+			}
+			var (
+				mu    sync.Mutex
+				lates []*late
+				push  int // the push being handled; set between pushes only
+				reads sync.WaitGroup
+			)
+			release := make(chan struct{})
+			mem := memTransport{}
+			hosts := map[string]int{}
+			ackLater := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+				mu.Lock()
+				l := &late{push: push, replica: hosts[req.URL.Host]}
+				lates = append(lates, l)
+				mu.Unlock()
+				reads.Add(1)
+				go func(body io.ReadCloser) {
+					defer reads.Done()
+					<-release
+					if body != nil {
+						l.got, _ = io.ReadAll(body)
+						body.Close()
+					}
+				}(req.Body)
+				ack, _ := json.Marshal(PushResult{Worker: "w"})
+				return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(bytes.NewReader(ack)), Request: req}, nil
+			})
+			fx := newFaninFixture(t, tc.n, FaninConfig{Replication: tc.r, Client: &http.Client{Transport: ackLater}}, mem)
+			for i, u := range fx.router.Replicas() {
+				hosts[u[len("http://"):]] = i
+			}
+			table := fx.router.SlotTable()
+			h := newFaninEngine(t, 45, 12)
+			const pushes = 6
+			var want [pushes][][]byte
+			for p := 0; p < pushes; p++ {
+				push = p
+				blob := h.round(t)
+				want[p] = routedParts(t, table, tc.n, blob)
+				serve(t, fx.router.Handler(), http.MethodPost, "/push?worker=w", blob)
+				scribblePushBodies(nil)
+			}
+			close(release)
+			reads.Wait()
+			if len(lates) != pushes*tc.n {
+				t.Fatalf("%d forwarded pushes, want %d", len(lates), pushes*tc.n)
+			}
+			whole := 0
+			for _, l := range lates {
+				w := want[l.push][l.replica]
+				if !bytes.Equal(l.got, w) {
+					t.Fatalf("push %d to replica %d read %d bytes after its handler returned, not the %d routed there: its buffer was recycled under it",
+						l.push, l.replica, len(l.got), len(w))
+				}
+				if len(w) > 0 && tc.n == tc.r {
+					whole++
+				}
+			}
+			if tc.n == tc.r && whole != pushes*tc.n {
+				t.Fatalf("only %d of %d forwarded bodies carried frames", whole, pushes*tc.n)
+			}
+		})
+	}
+}
+
+// TestFaninPushAllocsAtFullReplication pins the point of forwarding the body
+// that arrived: at R = N every replica owns every frame, so a push allocates
+// less than one copy of its blob — routing, the requests and the acks —
+// where building a part per replica cost a copy each.
+func TestFaninPushAllocsAtFullReplication(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own behalf and drops pooled buffers")
+	}
+	ack, _ := json.Marshal(PushResult{Worker: "w", Frames: 1000})
+	drain := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		if req.Body != nil {
+			io.Copy(io.Discard, req.Body)
+			req.Body.Close()
+		}
+		return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(bytes.NewReader(ack)), Request: req}, nil
+	})
+	fx := newFaninFixture(t, 2, FaninConfig{Replication: 2, Client: &http.Client{Transport: drain}}, memTransport{})
+
+	// A 1 000-frame blob of one-summary deltas: every key's window is full
+	// before the exported round seals one more period.
+	cfg := qlove.Config{Spec: qlove.Window{Size: 256, Period: 64}, Phis: []float64{0.5, 0.99, 0.999}, FewK: true}
+	eng := mkEngine(t, cfg)
+	defer eng.Close()
+	gen := workload.NewNetMon(47)
+	var cur qlove.ExportCursor
+	var blob bytes.Buffer
+	for _, n := range []int{cfg.Spec.Size, cfg.Spec.Period} {
+		for k := 0; k < 1000; k++ {
+			if err := eng.Push(fmt.Sprintf("svc-%04d/latency", k), workload.Generate(gen, n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		blob.Reset()
+		if _, err := eng.ExportDelta(&blob, &cur); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	h := fx.router.Handler()
+	push := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/push?worker=w", bytes.NewReader(blob.Bytes())))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("push: %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, push)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		push()
+	}
+	runtime.ReadMemStats(&after)
+	perPush := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("a %d-byte, 1000-frame push: %d B and %.0f allocations", blob.Len(), perPush, allocs)
+	if perPush >= uint64(blob.Len()) {
+		t.Fatalf("a push at R = N allocated %d B, at least one copy of its %d-byte blob", perPush, blob.Len())
 	}
 }

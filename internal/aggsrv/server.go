@@ -54,11 +54,21 @@ import (
 // large; a frame is already capped at 1 GiB by the wire format).
 const maxPushBody = 1 << 30
 
-// pushBodies recycles the buffers push bodies are read into. A handler may
-// use one only while nothing it hands the bytes to keeps them past its
-// return: Aggregator.Apply decodes every value into fresh memory, and the
-// fan-in's router copies frames into per-replica buffers
-// (TestPushBodyIsNotRetained overwrites returned buffers to hold that).
+// pushBodies recycles the buffers push bodies are read into, and the parts
+// the fan-in builds from them. Who may hold one, and when it goes back:
+//   - Server.handlePush holds its body until it returns, then Puts it:
+//     Aggregator.Apply decodes every value into fresh memory and the disk
+//     store copies the frame bytes it logs.
+//   - Fanin.handlePush lends its body, and each per-replica part, to the
+//     requests forwarding them (lentBuf). The handler holds one reference
+//     until it returns, each request body one until the transport first
+//     closes it — which may be after the handler has returned — and the
+//     last release Puts the buffer. A transport that never closed a body
+//     would only cost the pool that buffer.
+//
+// TestPushBodyIsNotRetained overwrites returned buffers to hold the first
+// rule, TestFaninPushBodyOutlivesRoundTrip reads bodies after their handler
+// has returned to hold the second.
 var pushBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // maxPushPregrow bounds how much of a claimed Content-Length is reserved

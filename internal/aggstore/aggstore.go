@@ -20,9 +20,11 @@
 // against the resident state, then applies it. The disk store logs the
 // received frame between the two and replays it through the same planner.
 //
-// A State is IMMUTABLE once stored: folds are copy-on-write (a delta builds
-// a fresh State rather than appending into the resident one), which is what
-// lets read paths share resident parts with zero copying.
+// A State is a value, held inline by every backend, and its slices are
+// IMMUTABLE once stored: folds are copy-on-write (a delta builds a fresh
+// State over a new window slice rather than appending into the resident
+// one), which is what lets read paths share resident parts with zero
+// copying.
 //
 // Internal key names follow the salt convention internal/wire defines
 // (wire.SplitName): a logical key K is resident either under its base name
@@ -45,8 +47,9 @@ import (
 )
 
 // State is one worker's folded capture of one internal key name — exactly
-// the SnapshotParts a full export of that name would carry. Immutable
-// after it is stored: folds replace the *State, never mutate it.
+// the SnapshotParts a full export of that name would carry. Stores keep it
+// by value; the slices it carries are shared and read-only once stored:
+// folds replace the State, never mutate what its slices point at.
 type State struct {
 	Parts core.SnapshotParts
 }
@@ -55,7 +58,7 @@ type State struct {
 // by Group in fold order.
 type NamedState struct {
 	Name  string
-	State *State
+	State State
 }
 
 // Store is the aggregator's state plane. Implementations serialize each
@@ -67,9 +70,9 @@ type NamedState struct {
 // quiesced states).
 type Store interface {
 	// Get returns the state resident under the exact internal name.
-	Get(worker, name string) (*State, bool)
+	Get(worker, name string) (State, bool)
 	// Put stores st under the exact internal name, creating or replacing.
-	Put(worker, name string, st *State)
+	Put(worker, name string, st State)
 	// Drop removes the exact internal name, reporting whether it was
 	// resident.
 	Drop(worker, name string) bool
@@ -77,11 +80,11 @@ type Store interface {
 	// logical group (base and all salted sub-streams) and stores st under
 	// name. Used when a frame replaces the logical key wholesale: a full
 	// frame, or a from-generation-0 bootstrap of the base name.
-	ReplaceGroup(worker, name string, st *State)
+	ReplaceGroup(worker, name string, st State)
 	// BootstrapSub atomically drops the BASE name of name's group and
 	// stores st under name (a salted sub-stream bootstrapping out of an
 	// escalated base); other sub-streams stay resident.
-	BootstrapSub(worker, name string, st *State)
+	BootstrapSub(worker, name string, st State)
 	// ApplyFrame folds one decoded wire frame into the worker's state, the
 	// way one push frame folds: a full frame replaces its key's salt group,
 	// a delta advances one internal name's window (from generation 0 it
@@ -93,8 +96,8 @@ type Store interface {
 	ApplyFrame(worker string, f wire.Frame, raw []byte) error
 	// Group returns the worker's resident states for one logical key in
 	// fold order [base, sub 0, sub 1, …]; empty when the worker holds
-	// nothing for it. The returned slice is the caller's; the *States are
-	// shared and immutable.
+	// nothing for it. The returned slice is the caller's; the States'
+	// slices are shared and read-only.
 	Group(worker, base string) []NamedState
 	// WorkerNames returns every internal name the worker holds, sorted.
 	WorkerNames(worker string) []string
@@ -104,8 +107,8 @@ type Store interface {
 	// names), sorted by internal name, which keeps each group contiguous
 	// in fold order [base, sub 0, sub 1, …]. The slot-migration export
 	// path uses it to lift one hash slot's worth of state atomically per
-	// group. The returned slice is the caller's; the *States are shared
-	// and immutable.
+	// group. The returned slice is the caller's; the States' slices are
+	// shared and read-only.
 	NamesMatching(worker string, match func(base string) bool) []NamedState
 
 	// Touch creates the worker if needed and stamps its last-push time.

@@ -27,10 +27,10 @@ var testParts = func() core.SnapshotParts {
 
 // mkState builds a distinguishable dummy State, tagged via SealGen (the
 // stores never inspect Parts beyond holding them).
-func mkState(tag uint64) *State {
+func mkState(tag uint64) State {
 	parts := testParts
 	parts.SealGen = tag
-	return &State{Parts: parts}
+	return State{Parts: parts}
 }
 
 // stores returns one fresh instance of every backend, the Map first (it

@@ -219,7 +219,7 @@ func (d *Disk) Compact() error {
 
 // --- reads: straight to the resident map ---
 
-func (d *Disk) Get(worker, name string) (*State, bool) { return d.mem.Get(worker, name) }
+func (d *Disk) Get(worker, name string) (State, bool)  { return d.mem.Get(worker, name) }
 func (d *Disk) Group(worker, base string) []NamedState { return d.mem.Group(worker, base) }
 func (d *Disk) WorkerNames(worker string) []string     { return d.mem.WorkerNames(worker) }
 func (d *Disk) NamesMatching(worker string, match func(base string) bool) []NamedState {
@@ -234,15 +234,15 @@ func (d *Disk) LockWaitNanos() (r, w int64) { return d.mem.LockWaitNanos() }
 
 // --- mutations: WAL first, then the resident map, one lock ---
 
-func (d *Disk) Put(worker, name string, st *State) {
+func (d *Disk) Put(worker, name string, st State) {
 	d.putState(worker, mutation{op: recPut, name: name, st: st})
 }
 
-func (d *Disk) ReplaceGroup(worker, name string, st *State) {
+func (d *Disk) ReplaceGroup(worker, name string, st State) {
 	d.putState(worker, mutation{op: recReplaceGroup, name: name, st: st})
 }
 
-func (d *Disk) BootstrapSub(worker, name string, st *State) {
+func (d *Disk) BootstrapSub(worker, name string, st State) {
 	d.putState(worker, mutation{op: recBootstrapSub, name: name, st: st})
 }
 
@@ -337,7 +337,7 @@ func (d *Disk) SweepWorkers(stale func(time.Time) bool) int {
 // logState appends one state-bearing record: op, worker, then the state
 // as a wire full frame keyed by the internal name (so salted sub-stream
 // names replay into the same salt-group slots). Caller holds d.mu.
-func (d *Disk) logState(op byte, worker, name string, st *State) {
+func (d *Disk) logState(op byte, worker, name string, st State) {
 	sn, err := core.NewSnapshot(st.Parts)
 	if err != nil {
 		// Everything the aggregator stores must be a valid snapshot (the
@@ -641,7 +641,7 @@ func applyRecord(mem *Map, fr *frameReader, body []byte) error {
 		if f.Kind != wire.KindFull {
 			return fmt.Errorf("state record carries a %v frame", f.Kind)
 		}
-		mutation{op: op, name: f.Key, st: &State{Parts: f.Snap.Parts()}}.apply(mem, worker)
+		mutation{op: op, name: f.Key, st: State{Parts: f.Snap.Parts()}}.apply(mem, worker)
 	case recDrop:
 		name, _, err := takeLenPrefixed(rest)
 		if err != nil {
@@ -705,7 +705,7 @@ func (d *Disk) loadSnapshot(seq uint64) error {
 			if f.Kind != wire.KindFull {
 				return fmt.Errorf("snapshot carries a %v frame", f.Kind)
 			}
-			mem.Put(id, f.Key, &State{Parts: f.Snap.Parts()})
+			mem.Put(id, f.Key, State{Parts: f.Snap.Parts()})
 		}
 	}
 	if br.Len() != 0 {

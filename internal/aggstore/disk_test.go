@@ -149,7 +149,7 @@ func TestDiskRecovery(t *testing.T) {
 
 // frameOf encodes st as a full frame under name and decodes it back: the
 // frame ApplyFrame takes, and its bytes.
-func frameOf(t testing.TB, name string, st *State) (wire.Frame, []byte) {
+func frameOf(t testing.TB, name string, st State) (wire.Frame, []byte) {
 	t.Helper()
 	sn, err := core.NewSnapshot(st.Parts)
 	if err != nil {

@@ -10,11 +10,11 @@ import (
 // mutation is the change folding one frame makes to a worker's resident
 // state: op is one of the state-record ops (recPut, recReplaceGroup,
 // recBootstrapSub) or recDrop, applied to the exact internal name. st is
-// nil for recDrop.
+// unused for recDrop.
 type mutation struct {
 	op   byte
 	name string
-	st   *State
+	st   State
 }
 
 // apply performs m on s.
@@ -52,17 +52,17 @@ func applyFrame(s Store, worker string, f wire.Frame) error {
 // summaries, trim the front to the worker's resident count (the summaries
 // that slid out of its window since the cursor), and replace the Level-2
 // sums wholesale. The result is bit-for-bit the full capture the worker held
-// at export time. Folds are copy-on-write — a fresh State replaces the
-// resident one, which stays immutable for any concurrent reader still
-// holding it.
-func plan(get func(worker, name string) (*State, bool), worker string, f wire.Frame) (mutation, error) {
+// at export time. Folds are copy-on-write — a fresh State value, over a new
+// window slice, replaces the resident one, whose slices stay untouched for
+// any concurrent reader still holding them.
+func plan(get func(worker, name string) (State, bool), worker string, f wire.Frame) (mutation, error) {
 	switch f.Kind {
 	case wire.KindTombstone:
 		return mutation{op: recDrop, name: f.Key}, nil
 	case wire.KindFull:
 		// A full frame is the worker's complete folded view of the logical
 		// key: it replaces the whole salt group, not just the exact name.
-		return mutation{op: recReplaceGroup, name: f.Key, st: &State{Parts: f.Snap.Parts()}}, nil
+		return mutation{op: recReplaceGroup, name: f.Key, st: State{Parts: f.Snap.Parts()}}, nil
 	case wire.KindDelta:
 	default:
 		return mutation{}, fmt.Errorf("unknown frame kind %v", f.Kind)
@@ -78,7 +78,7 @@ func plan(get func(worker, name string) (*State, bool), worker string, f wire.Fr
 		if _, _, salted := wire.SplitName(f.Key); salted {
 			op = recBootstrapSub
 		}
-		return mutation{op: op, name: f.Key, st: &State{Parts: d.Parts}}, nil
+		return mutation{op: op, name: f.Key, st: State{Parts: d.Parts}}, nil
 	}
 	cur, ok := get(worker, f.Key)
 	if !ok {
@@ -103,7 +103,7 @@ func plan(get func(worker, name string) (*State, bool), worker string, f wire.Fr
 	} else {
 		sums = append(sums, d.Parts.Summaries[start-len(cur.Parts.Summaries):]...)
 	}
-	return mutation{op: recPut, name: f.Key, st: &State{Parts: core.SnapshotParts{
+	return mutation{op: recPut, name: f.Key, st: State{Parts: core.SnapshotParts{
 		Config:    cur.Parts.Config,
 		Streams:   d.Parts.Streams,
 		Sums:      d.Parts.Sums,

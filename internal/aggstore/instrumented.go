@@ -84,12 +84,12 @@ func (in *Instrumented) LockWaitNanos() (read, write int64) {
 	return 0, 0
 }
 
-func (in *Instrumented) Get(worker, name string) (*State, bool) {
+func (in *Instrumented) Get(worker, name string) (State, bool) {
 	defer in.record(opGet, time.Now())
 	return in.inner.Get(worker, name)
 }
 
-func (in *Instrumented) Put(worker, name string, st *State) {
+func (in *Instrumented) Put(worker, name string, st State) {
 	defer in.record(opPut, time.Now())
 	in.inner.Put(worker, name, st)
 }
@@ -99,12 +99,12 @@ func (in *Instrumented) Drop(worker, name string) bool {
 	return in.inner.Drop(worker, name)
 }
 
-func (in *Instrumented) ReplaceGroup(worker, name string, st *State) {
+func (in *Instrumented) ReplaceGroup(worker, name string, st State) {
 	defer in.record(opReplaceGroup, time.Now())
 	in.inner.ReplaceGroup(worker, name, st)
 }
 
-func (in *Instrumented) BootstrapSub(worker, name string, st *State) {
+func (in *Instrumented) BootstrapSub(worker, name string, st State) {
 	defer in.record(opBootstrapSub, time.Now())
 	in.inner.BootstrapSub(worker, name, st)
 }

@@ -46,22 +46,22 @@ func (m *Map) LockWaitNanos() (read, write int64) {
 	return m.readWait.Load(), m.writeWait.Load()
 }
 
-func (m *Map) Get(worker, name string) (*State, bool) {
+func (m *Map) Get(worker, name string) (State, bool) {
 	base, j, salted := wire.SplitName(name)
 	m.rlock()
 	defer m.runlock()
 	w := m.workers[worker]
 	if w == nil {
-		return nil, false
+		return State{}, false
 	}
 	g := w.groups[base]
 	if g == nil {
-		return nil, false
+		return State{}, false
 	}
 	return g.get(salted, j)
 }
 
-func (m *Map) Put(worker, name string, st *State) {
+func (m *Map) Put(worker, name string, st State) {
 	base, j, salted := wire.SplitName(name)
 	m.lock()
 	w := m.worker(worker)
@@ -71,11 +71,7 @@ func (m *Map) Put(worker, name string, st *State) {
 		w.groups[base] = g
 		m.refs.incr(base)
 	}
-	if salted {
-		g.setSub(j, st)
-	} else {
-		g.base = st
-	}
+	g.set(salted, j, st)
 	m.unlock()
 }
 
@@ -85,12 +81,7 @@ func (m *Map) Drop(worker, name string) bool {
 	dropped := false
 	if w := m.workers[worker]; w != nil {
 		if g := w.groups[base]; g != nil {
-			if salted {
-				dropped = g.dropSub(j)
-			} else if g.base != nil {
-				g.base = nil
-				dropped = true
-			}
+			dropped = g.drop(salted, j)
 			if dropped && g.empty() {
 				delete(w.groups, base)
 				m.refs.decr(base)
@@ -101,7 +92,7 @@ func (m *Map) Drop(worker, name string) bool {
 	return dropped
 }
 
-func (m *Map) ReplaceGroup(worker, name string, st *State) {
+func (m *Map) ReplaceGroup(worker, name string, st State) {
 	base, j, salted := wire.SplitName(name)
 	m.lock()
 	w := m.worker(worker)
@@ -111,18 +102,13 @@ func (m *Map) ReplaceGroup(worker, name string, st *State) {
 		w.groups[base] = g
 		m.refs.incr(base)
 	} else {
-		g.base = nil
-		g.subs = nil
+		*g = group{}
 	}
-	if salted {
-		g.setSub(j, st)
-	} else {
-		g.base = st
-	}
+	g.set(salted, j, st)
 	m.unlock()
 }
 
-func (m *Map) BootstrapSub(worker, name string, st *State) {
+func (m *Map) BootstrapSub(worker, name string, st State) {
 	base, j, _ := wire.SplitName(name)
 	m.lock()
 	w := m.worker(worker)
@@ -132,7 +118,7 @@ func (m *Map) BootstrapSub(worker, name string, st *State) {
 		w.groups[base] = g
 		m.refs.incr(base)
 	}
-	g.base = nil
+	g.dropBase()
 	g.setSub(j, st)
 	m.unlock()
 }

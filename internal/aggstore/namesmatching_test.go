@@ -9,7 +9,7 @@ import (
 // TestStoreNamesMatching pins the slot-export enumeration on every
 // backend: the predicate sees only BASE keys (salted sub-streams ride
 // with their group), results sort by internal name — groups contiguous
-// in fold order — the returned *States are the shared residents, and all
+// in fold order — the returned States share the residents' slices, and all
 // backends agree.
 func TestStoreNamesMatching(t *testing.T) {
 	salted := func(base string, j byte) string { return base + string([]byte{0, j}) }
@@ -54,12 +54,13 @@ func TestStoreNamesMatching(t *testing.T) {
 			t.Fatalf("%s: predicate probed %v, want bases a/b/c", s.Kind(), probed)
 		}
 
-		// Filtering selects whole groups; the states are not copies.
+		// Filtering selects whole groups; the states' slices are not copies.
 		only := s.NamesMatching("w", func(base string) bool { return base == "b" })
 		if len(only) != 2 || only[0].Name != salted("b", 0) || only[1].Name != salted("b", 1) {
 			t.Fatalf("%s: filtered names %v", s.Kind(), only)
 		}
-		if got, ok := s.Get("w", salted("b", 0)); !ok || got != only[0].State {
+		if got, ok := s.Get("w", salted("b", 0)); !ok || got.Parts.SealGen != only[0].State.Parts.SealGen ||
+			&got.Parts.Sums[0] != &only[0].State.Parts.Sums[0] {
 			t.Fatalf("%s: filtered state is not the shared resident", s.Kind())
 		}
 		if n := s.NamesMatching("w", func(string) bool { return false }); len(n) != 0 {

@@ -90,19 +90,19 @@ func (s *Striped) stripe(worker, base string) *stripe {
 	return &s.stripes[fnv1a(worker, base)&s.mask]
 }
 
-func (s *Striped) Get(worker, name string) (*State, bool) {
+func (s *Striped) Get(worker, name string) (State, bool) {
 	base, j, salted := wire.SplitName(name)
 	sp := s.stripe(worker, base)
 	rlockTimed(&sp.mu, &s.readWait)
 	defer sp.mu.RUnlock()
 	g := sp.groups[groupKey{worker, base}]
 	if g == nil {
-		return nil, false
+		return State{}, false
 	}
 	return g.get(salted, j)
 }
 
-func (s *Striped) Put(worker, name string, st *State) {
+func (s *Striped) Put(worker, name string, st State) {
 	base, j, salted := wire.SplitName(name)
 	sp := s.stripe(worker, base)
 	lockTimed(&sp.mu, &s.writeWait)
@@ -112,11 +112,7 @@ func (s *Striped) Put(worker, name string, st *State) {
 		sp.groups[groupKey{worker, base}] = g
 		s.refs.incr(base)
 	}
-	if salted {
-		g.setSub(j, st)
-	} else {
-		g.base = st
-	}
+	g.set(salted, j, st)
 	sp.mu.Unlock()
 }
 
@@ -126,12 +122,7 @@ func (s *Striped) Drop(worker, name string) bool {
 	lockTimed(&sp.mu, &s.writeWait)
 	dropped := false
 	if g := sp.groups[groupKey{worker, base}]; g != nil {
-		if salted {
-			dropped = g.dropSub(j)
-		} else if g.base != nil {
-			g.base = nil
-			dropped = true
-		}
+		dropped = g.drop(salted, j)
 		if dropped && g.empty() {
 			delete(sp.groups, groupKey{worker, base})
 			s.refs.decr(base)
@@ -141,7 +132,7 @@ func (s *Striped) Drop(worker, name string) bool {
 	return dropped
 }
 
-func (s *Striped) ReplaceGroup(worker, name string, st *State) {
+func (s *Striped) ReplaceGroup(worker, name string, st State) {
 	base, j, salted := wire.SplitName(name)
 	sp := s.stripe(worker, base)
 	lockTimed(&sp.mu, &s.writeWait)
@@ -151,18 +142,13 @@ func (s *Striped) ReplaceGroup(worker, name string, st *State) {
 		sp.groups[groupKey{worker, base}] = g
 		s.refs.incr(base)
 	} else {
-		g.base = nil
-		g.subs = nil
+		*g = group{}
 	}
-	if salted {
-		g.setSub(j, st)
-	} else {
-		g.base = st
-	}
+	g.set(salted, j, st)
 	sp.mu.Unlock()
 }
 
-func (s *Striped) BootstrapSub(worker, name string, st *State) {
+func (s *Striped) BootstrapSub(worker, name string, st State) {
 	base, j, _ := wire.SplitName(name)
 	sp := s.stripe(worker, base)
 	lockTimed(&sp.mu, &s.writeWait)
@@ -172,7 +158,7 @@ func (s *Striped) BootstrapSub(worker, name string, st *State) {
 		sp.groups[groupKey{worker, base}] = g
 		s.refs.incr(base)
 	}
-	g.base = nil
+	g.dropBase()
 	g.setSub(j, st)
 	sp.mu.Unlock()
 }

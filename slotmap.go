@@ -78,6 +78,12 @@ func (m *SlotMap) Owners(slot int) []int {
 	return append([]int(nil), m.owners[slot]...)
 }
 
+// OwnersView returns the ordered owner set of one slot without copying it:
+// the slice is the map's own, so callers must not modify it, and a later
+// Move rewrites it in place. Routers read it under the lock that guards
+// their Moves.
+func (m *SlotMap) OwnersView(slot int) []int { return m.owners[slot] }
+
 // Primary returns the primary replica index of one slot.
 func (m *SlotMap) Primary(slot int) int { return m.owners[slot][0] }
 

@@ -106,11 +106,20 @@ func TestSlotMapMove(t *testing.T) {
 	if got := m.Owners(7); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Fatalf("canonical owners of slot 7: %v", got)
 	}
+	// Owners is a copy the move leaves alone; OwnersView is the map's own
+	// slice, read without allocating, which the move rewrites in place.
+	copied, view := m.Owners(7), m.OwnersView(7)
+	if n := testing.AllocsPerRun(10, func() { _ = m.OwnersView(7) }); n != 0 {
+		t.Fatalf("OwnersView allocates %v times", n)
+	}
 	if err := m.Move(7, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Owners(7); !reflect.DeepEqual(got, []int{0, 2}) {
 		t.Fatalf("after move, slot 7 owners %v, want [0 2]", got)
+	}
+	if !reflect.DeepEqual(copied, []int{1, 2}) || !reflect.DeepEqual(view, []int{0, 2}) {
+		t.Fatalf("across the move: Owners copy %v (want [1 2]), OwnersView %v (want [0 2])", copied, view)
 	}
 	// Every other slot is untouched.
 	for s := 0; s < Slots; s++ {
