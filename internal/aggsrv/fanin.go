@@ -391,7 +391,7 @@ func (f *Fanin) resync(i int, rep *faninReplica) {
 	// good as it gets, so the slot needs no repair.
 	bySource := make(map[*faninReplica][]int)
 	for _, s := range table.SlotsOwnedBy(i) {
-		for _, o := range table.Owners(s) {
+		for _, o := range table.OwnersView(s) {
 			if o == i {
 				continue
 			}
@@ -660,15 +660,28 @@ func (f *Fanin) handlePush(w http.ResponseWriter, r *http.Request) {
 	// routed against the old table lands after the flip.
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	// Route the whole blob before forwarding anything: a malformed blob is
-	// rejected with zero frames applied anywhere. Each frame goes to every
-	// owner of its slot.
-	owned := make([]int, len(f.reps)) // frames each replica owns
-	var carried [qlove.Slots]bool     // slots that carried frames
+	// Route the whole blob, in one scan, before forwarding anything: a
+	// malformed blob is rejected with zero frames applied anywhere. Each
+	// frame goes to every owner of its slot. A replica that has owned every
+	// frame so far needs no part: it is forwarded the body as it arrived. At
+	// its first miss it owned exactly the bytes scanned before that frame,
+	// so they start its part, and every frame it owns after joins it.
+	blob := body.Bytes()
+	missed := make([]bool, len(f.reps))
+	parts := make([]*lentBuf, len(f.reps))
+	defer func() {
+		for _, p := range parts {
+			if p != nil && p != whole {
+				p.release()
+			}
+		}
+	}()
+	var carried [qlove.Slots]bool // slots that carried frames
 	frames := 0
-	sc := wire.NewRawScanner(bytes.NewReader(body.Bytes()))
+	sc := wire.NewRawScanner(bytes.NewReader(blob))
 	for {
-		_, key, _, err := sc.Next()
+		start := sc.Consumed()
+		_, key, frame, err := sc.Next()
 		if err == io.EOF {
 			break
 		}
@@ -683,27 +696,25 @@ func (f *Fanin) handlePush(w http.ResponseWriter, r *http.Request) {
 		slot := qlove.SlotOf(key)
 		carried[slot] = true
 		frames++
-		for _, o := range f.slots.OwnersView(slot) {
-			owned[o]++
-		}
-	}
-	// A replica that owns every frame is forwarded the body it arrived in;
-	// one that owns some gets a part of its own.
-	parts := make([]*lentBuf, len(f.reps))
-	split := false
-	for i, n := range owned {
-		if n == frames {
-			parts[i] = whole
-		} else if n > 0 {
-			split = true
-		}
-	}
-	if split {
-		f.splitParts(body.Bytes(), owned, frames, parts)
-		for _, p := range parts {
-			if p != nil && p != whole {
-				defer p.release()
+		for i := range f.reps {
+			owns := f.slots.IsOwner(slot, i)
+			switch {
+			case !missed[i] && !owns:
+				missed[i] = true
+				if start > 0 {
+					parts[i] = newPart(blob[:start], len(blob))
+				}
+			case missed[i] && owns:
+				if parts[i] == nil {
+					parts[i] = newPart(nil, len(blob))
+				}
+				parts[i].buf.Write(frame)
 			}
+		}
+	}
+	for i := range parts {
+		if !missed[i] {
+			parts[i] = whole
 		}
 	}
 	// Fan out to every replica IN PARALLEL — one slow or dead replica never
@@ -794,31 +805,15 @@ func (f *Fanin) handlePush(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, PushResult{Worker: worker, Frames: frames, Keys: keys})
 }
 
-// splitParts builds, in pushBodies buffers, the part of blob owed to each
-// replica that owns some but not all of its frames (owned[i] in (0,
-// frames)); blob has already been scanned whole, so it scans cleanly.
-func (f *Fanin) splitParts(blob []byte, owned []int, frames int, parts []*lentBuf) {
-	sc := wire.NewRawScanner(bytes.NewReader(blob))
-	for {
-		_, key, frame, err := sc.Next()
-		if err != nil {
-			return
-		}
-		for _, o := range f.slots.OwnersView(qlove.SlotOf(key)) {
-			if owned[o] == frames {
-				continue
-			}
-			if parts[o] == nil {
-				buf := pushBodies.Get().(*bytes.Buffer)
-				buf.Reset()
-				// One reservation per part: growing frame by frame re-copies
-				// the part every time it doubles.
-				buf.Grow(len(blob))
-				parts[o] = lend(buf)
-			}
-			parts[o].buf.Write(frame)
-		}
-	}
+// newPart starts a replica's part of a push in a pushBodies buffer holding
+// prefix. It reserves the whole blob's size once: growing frame by frame
+// re-copies the part every time it doubles.
+func newPart(prefix []byte, size int) *lentBuf {
+	buf := pushBodies.Get().(*bytes.Buffer)
+	buf.Reset()
+	buf.Grow(size)
+	buf.Write(prefix)
+	return lend(buf)
 }
 
 // --- query ---

@@ -234,6 +234,21 @@ func TestFaninPushBodyOutlivesRoundTrip(t *testing.T) {
 // less than one copy of its blob — routing, the requests and the acks —
 // where building a part per replica cost a copy each.
 func TestFaninPushAllocsAtFullReplication(t *testing.T) {
+	faninPushAllocs(t, 2, 2)
+}
+
+// TestFaninPushAllocsSplitParts is the same bound at R < N, the default
+// -fanin deployment: each replica owns some of the frames and gets a part of
+// its own, built in one scan of the blob into pooled buffers that the
+// transport's Close returns, so a steady stream of pushes reuses them.
+func TestFaninPushAllocsSplitParts(t *testing.T) {
+	faninPushAllocs(t, 2, 1)
+}
+
+// faninPushAllocs pushes a 1 000-frame delta blob through a fan-in over n
+// replicas at replication r, whose transport drains and acks every request,
+// and fails if a push allocates a full copy of the blob.
+func faninPushAllocs(t *testing.T, n, r int) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own behalf and drops pooled buffers")
 	}
@@ -245,7 +260,7 @@ func TestFaninPushAllocsAtFullReplication(t *testing.T) {
 		}
 		return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(bytes.NewReader(ack)), Request: req}, nil
 	})
-	fx := newFaninFixture(t, 2, FaninConfig{Replication: 2, Client: &http.Client{Transport: drain}}, memTransport{})
+	fx := newFaninFixture(t, n, FaninConfig{Replication: r, Client: &http.Client{Transport: drain}}, memTransport{})
 
 	// A 1 000-frame blob of one-summary deltas: every key's window is full
 	// before the exported round seals one more period.
@@ -255,9 +270,9 @@ func TestFaninPushAllocsAtFullReplication(t *testing.T) {
 	gen := workload.NewNetMon(47)
 	var cur qlove.ExportCursor
 	var blob bytes.Buffer
-	for _, n := range []int{cfg.Spec.Size, cfg.Spec.Period} {
+	for _, size := range []int{cfg.Spec.Size, cfg.Spec.Period} {
 		for k := 0; k < 1000; k++ {
-			if err := eng.Push(fmt.Sprintf("svc-%04d/latency", k), workload.Generate(gen, n)); err != nil {
+			if err := eng.Push(fmt.Sprintf("svc-%04d/latency", k), workload.Generate(gen, size)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -284,8 +299,8 @@ func TestFaninPushAllocsAtFullReplication(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perPush := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("a %d-byte, 1000-frame push: %d B and %.0f allocations", blob.Len(), perPush, allocs)
+	t.Logf("a %d-byte, 1000-frame push over %d replicas at R = %d: %d B and %.0f allocations", blob.Len(), n, r, perPush, allocs)
 	if perPush >= uint64(blob.Len()) {
-		t.Fatalf("a push at R = N allocated %d B, at least one copy of its %d-byte blob", perPush, blob.Len())
+		t.Fatalf("a push over %d replicas at R = %d allocated %d B, at least one copy of its %d-byte blob", n, r, perPush, blob.Len())
 	}
 }

@@ -87,9 +87,6 @@ func (m *SlotMap) OwnersView(slot int) []int { return m.owners[slot] }
 // Primary returns the primary replica index of one slot.
 func (m *SlotMap) Primary(slot int) int { return m.owners[slot][0] }
 
-// OwnersOf returns the ordered owner set of a logical key's slot.
-func (m *SlotMap) OwnersOf(key string) []int { return m.Owners(SlotOf(key)) }
-
 // PrimaryOf returns the primary replica index of a logical key.
 func (m *SlotMap) PrimaryOf(key string) int { return m.Primary(SlotOf(key)) }
 

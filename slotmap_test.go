@@ -65,7 +65,7 @@ func TestSlotMapCanonical(t *testing.T) {
 		// modulo N; SlotsOwnedBy and IsOwner agree with Owners.
 		for i := 0; i < 200; i++ {
 			k := fmt.Sprintf("probe-%d", i)
-			own := m.OwnersOf(k)
+			own := m.OwnersView(SlotOf(k))
 			if len(own) != tc.r || own[0] != SlotOf(k)%tc.n || m.PrimaryOf(k) != own[0] {
 				t.Fatalf("(%d,%d): key %q owners %v, slot %d",
 					tc.n, tc.r, k, own, SlotOf(k))
