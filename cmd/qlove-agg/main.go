@@ -159,6 +159,17 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	return report(stdout, agg, *jsonOut, *top, *phi)
 }
 
+// minSweepInterval floors the worker-GC ticker, as the engine floors its
+// idle-key sweep: time.Tick returns nil for a zero interval, so without the
+// floor a -worker-deadline under 2ns would never sweep, and a tiny positive
+// one would busy-loop.
+const minSweepInterval = time.Millisecond
+
+// sweepInterval spaces worker-GC sweeps: half the deadline, floored.
+func sweepInterval(deadline time.Duration) time.Duration {
+	return max(deadline/2, minSweepInterval)
+}
+
 // serveHTTP runs the aggregation service until the process is killed.
 // With a worker deadline, departed workers are GC'd: reads exclude them
 // the moment the deadline passes, and a background ticker sweeps their
@@ -185,7 +196,7 @@ func serveHTTP(addr string, deadline time.Duration, cfg qlove.AggregatorConfig) 
 			agg.SetPushDeadline(deadline, nil)
 		}
 		go func() {
-			for range time.Tick(deadline / 2) {
+			for range time.Tick(sweepInterval(deadline)) {
 				agg.Sweep()
 			}
 		}()

@@ -140,6 +140,26 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSweepInterval: the worker-GC ticker runs at half the deadline, never
+// below minSweepInterval — a 1ns deadline, which validation accepts, must
+// still get a ticking sweeper (time.Tick(0) is nil and blocks forever).
+func TestSweepInterval(t *testing.T) {
+	for _, tc := range []struct{ deadline, want time.Duration }{
+		{time.Nanosecond, minSweepInterval},
+		{time.Microsecond, minSweepInterval},
+		{2 * time.Millisecond, time.Millisecond},
+		{3 * time.Millisecond, 1500 * time.Microsecond},
+		{5 * time.Minute, 150 * time.Second},
+	} {
+		if got := sweepInterval(tc.deadline); got != tc.want {
+			t.Errorf("sweepInterval(%v) = %v, want %v", tc.deadline, got, tc.want)
+		}
+		if time.Tick(sweepInterval(tc.deadline)) == nil {
+			t.Errorf("deadline %v: time.Tick returned nil", tc.deadline)
+		}
+	}
+}
+
 // TestServeFlagValidation: -serve refuses positional blob arguments (blobs
 // arrive over HTTP in serve mode), and the serve-only / disk-only /
 // fanin-only flags are rejected out of place.

@@ -91,7 +91,11 @@ func (d *diffCursor) exportBoth(e *Engine, step int, tally bool) error {
 func TestExportDeltaJournalMatchesScan(t *testing.T) {
 	const shards = 4
 	cfg := Config{Spec: Window{Size: 64, Period: 16}, Phis: []float64{0.5, 0.99}, FewK: true}
-	clock := newFakeClock(time.Unix(1_700_000_000, 0))
+	// Every case runs on its own fake clock; tickers minutes or hours apart
+	// never fire in a test, so every flush and every sweep below is driven
+	// by it. The untimed cases advance it one second per step: a key idle
+	// for 200 steps (about 40 deliveries to its shard) expires.
+	const ttl = 200 * time.Second
 	cases := []struct {
 		name      string
 		cfg       EngineConfig
@@ -99,19 +103,19 @@ func TestExportDeltaJournalMatchesScan(t *testing.T) {
 		escalated bool // every key is escalated to 3 sub-streams before its first push
 		timed     bool
 	}{
-		{name: "static-ttl", cfg: EngineConfig{Config: cfg, Shards: shards, KeyTTL: 40}},
+		{name: "static-ttl", cfg: EngineConfig{Config: cfg, Shards: shards, KeyTTLDuration: ttl}},
 		{name: "escalated-ttl", escalated: true,
-			cfg: EngineConfig{Config: cfg, Shards: shards, KeyTTL: 40, Adapt: &AdaptConfig{}}},
+			cfg: EngineConfig{Config: cfg, Shards: shards, KeyTTLDuration: ttl, Adapt: &AdaptConfig{}}},
 		{name: "adaptive-ttl", adapt: true,
-			cfg: EngineConfig{Config: cfg, Shards: shards, KeyTTL: 40, Adapt: &AdaptConfig{}}},
-		// Tickers an hour apart never fire in a test: every flush and every
-		// wall-clock sweep below is driven by the fake clock.
+			cfg: EngineConfig{Config: cfg, Shards: shards, KeyTTLDuration: ttl, Adapt: &AdaptConfig{}}},
 		{name: "timed-wallttl", timed: true,
 			cfg: EngineConfig{Config: cfg, Shards: shards, TimedWindow: 4 * time.Hour, TimedPeriod: time.Hour,
-				KeyTTLDuration: 6 * time.Hour, Clock: clock.now}},
+				KeyTTLDuration: 6 * time.Hour}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			clock := newFakeClock(time.Unix(1_700_000_000, 0))
+			tc.cfg.Clock = clock.now
 			e, err := NewEngine(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -148,6 +152,9 @@ func TestExportDeltaJournalMatchesScan(t *testing.T) {
 			}
 			const steps = 6000
 			for step := 1; step <= steps; step++ {
+				if !tc.timed {
+					clock.advance(time.Second)
+				}
 				switch op := rng.Intn(100); {
 				case op < 45:
 					push(stable())

@@ -14,17 +14,21 @@ import (
 
 // TestExportDeltaStress is the concurrency gate of the delta plane: one
 // engine under simultaneous Push, ExportDelta, Snapshot, ImportSnapshots
-// and TTL eviction (run it with -race). Afterwards the cursor-folded
+// and TTL eviction (run it with -race). The pushers advance a fake clock
+// one second per batch, so churn keys expire mid-run while the hot set,
+// pushed every few seconds, stays resident. Afterwards the cursor-folded
 // aggregator state must equal a fresh full export exactly — same key set
 // in both directions (no lost tombstones, no resurrected keys) and
 // bit-identical estimates.
 func TestExportDeltaStress(t *testing.T) {
 	cfg := Config{Spec: Window{Size: 256, Period: 64}, Phis: []float64{0.5, 0.99}, FewK: true}
+	clk := newFakeClock(time.Unix(1_000_000, 0))
 	eng, err := NewEngine(EngineConfig{
-		Config:       cfg,
-		Shards:       4,
-		KeyTTL:       48, // churn keys expire mid-run, exercising tombstones
-		ResultBuffer: 1 << 12,
+		Config:         cfg,
+		Shards:         4,
+		KeyTTLDuration: 192 * time.Second, // churn keys expire mid-run, exercising tombstones
+		Clock:          clk.now,
+		ResultBuffer:   1 << 12,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,6 +68,7 @@ func TestExportDeltaStress(t *testing.T) {
 				} else {
 					key = fmt.Sprintf("churn-%d-%d", p, i%97)
 				}
+				clk.advance(time.Second)
 				if err := eng.Push(key, workload.Generate(gen, 32)); err != nil {
 					return // engine closed under us: the run is over
 				}

@@ -99,24 +99,14 @@ type EngineConfig struct {
 	// ResultBuffer is the capacity of the fan-in Results channel. Default
 	// 1024.
 	ResultBuffer int
-	// KeyTTL, when positive, expires idle keys: a key that has received no
-	// batch for more than KeyTTL batch deliveries on its owning shard is
-	// evicted by a periodic sweep, its operator recycled through the
-	// shard's pool exactly as an explicit Evict would. The clock is
-	// pushes-since-last-seen, not wall time, so an idle fleet costs
-	// nothing and a busy shard reclaims churned keys in bounded memory —
-	// and exported blobs stay bounded under key churn. The sweep runs
-	// every ⌈KeyTTL/2⌉ deliveries (each sweep is O(keys in shard)), so an
-	// idle key survives at most ~1.5×KeyTTL deliveries past its last
-	// batch. 0 disables expiry.
-	KeyTTL int
 	// KeyTTLDuration, when positive, expires idle keys on a WALL-CLOCK
 	// basis: a key that has received no batch for more than KeyTTLDuration
-	// is evicted, even on a shard receiving no deliveries at all (each
-	// shard arms a ticker at half the TTL, and overdue sweeps also
-	// piggyback on deliveries). This is the complement of KeyTTL's
-	// delivery-count clock: a quiet fleet still reclaims churned keys.
-	// Both modes may be enabled together. 0 disables wall-clock expiry.
+	// is evicted, its operator recycled through the shard's pool exactly
+	// as an explicit Evict would, so churned keys are reclaimed in bounded
+	// memory and exported blobs stay bounded. Eviction happens even on a
+	// shard receiving no deliveries at all (each shard arms a ticker at
+	// half the TTL, and overdue sweeps also piggyback on deliveries); each
+	// sweep is O(keys in shard). 0 disables expiry.
 	KeyTTLDuration time.Duration
 	// TimedWindow and TimedPeriod switch the engine into TIMED mode: every
 	// key answers over a wall-clock sliding window of TimedWindow,
@@ -186,14 +176,7 @@ type engineShard struct {
 	keys   map[string]*keyEntry
 	pool   *core.Pool // mints, recycles and lends workbenches to this shard's operators
 
-	// Idle-key expiry (KeyTTL > 0): clock counts batch deliveries to this
-	// shard; a key whose lastSeen lags by more than ttl is evicted by the
-	// next sweep at nextSweep.
-	ttl       uint64
-	clock     uint64
-	nextSweep uint64
-
-	// Wall-clock expiry (KeyTTLDuration > 0): a key idle past wallTTL is
+	// Idle-key expiry (KeyTTLDuration > 0): a key idle past wallTTL is
 	// evicted by a sweep armed on a ticker (so quiet shards still expire)
 	// and piggybacked on deliveries once overdue.
 	wallTTL    time.Duration
@@ -249,7 +232,6 @@ type keyEntry struct {
 	pusher   *stream.Pusher      // count-based mode
 	timed    *stream.TimedPusher // timed mode (exactly one of the two is set)
 	emit     func(stream.Evaluation)
-	lastSeen uint64    // shard clock at this key's most recent batch
 	lastAt   time.Time // wall clock at this key's most recent batch (wallTTL > 0)
 	inc      uint64    // incarnation: unique per key lifetime, engine-global
 	gen      uint64    // last observed seal generation
@@ -426,9 +408,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		b := make([]float64, 0, defaultBatchCap)
 		return &b
 	}
-	if cfg.KeyTTL < 0 {
-		return nil, fmt.Errorf("qlove: engine KeyTTL %d < 0", cfg.KeyTTL)
-	}
 	if cfg.KeyTTLDuration < 0 {
 		return nil, fmt.Errorf("qlove: engine KeyTTLDuration %v < 0", cfg.KeyTTLDuration)
 	}
@@ -458,7 +437,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 			pool:        pool,
 			in:          make(chan engineMsg, depth),
 			keys:        make(map[string]*keyEntry),
-			ttl:         uint64(cfg.KeyTTL),
 			wallTTL:     cfg.KeyTTLDuration,
 			now:         now,
 			timedWindow: cfg.TimedWindow,
@@ -466,9 +444,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 			tick:        tick,
 		}
 		s.journal.prev, s.journal.next = &s.journal, &s.journal
-		if s.ttl > 0 {
-			s.nextSweep = sweepInterval(s.ttl)
-		}
 		if s.wallTTL > 0 {
 			s.nextWallAt = now().Add(wallSweepInterval(s.wallTTL))
 		}
@@ -1333,8 +1308,6 @@ func (s *engineShard) handle(msg engineMsg) {
 		s.counters.failed.Add(1)
 		s.eng.lastErr.Store(engineErr{err})
 	} else {
-		s.clock++
-		ent.lastSeen = s.clock
 		if s.wallTTL > 0 {
 			ent.lastAt = now
 		}
@@ -1351,9 +1324,6 @@ func (s *engineShard) handle(msg engineMsg) {
 		s.noteMutation(ent)
 	}
 	s.eng.bufs.Put(msg.buf)
-	if s.ttl > 0 && s.clock >= s.nextSweep {
-		s.sweep()
-	}
 	if s.wallTTL > 0 && !now.Before(s.nextWallAt) {
 		s.wallSweep(now)
 	}
@@ -1473,13 +1443,10 @@ func (s *engineShard) timedFlush(now time.Time, deliver bool) {
 	s.noteBenches()
 }
 
-// sweepInterval spaces TTL sweeps: half the TTL, so an idle key is
-// reclaimed at most ~1.5×TTL deliveries after its last batch while each
-// O(keys) scan amortizes over many deliveries.
-func sweepInterval(ttl uint64) uint64 { return (ttl + 1) / 2 }
-
-// wallSweepInterval is the wall-clock analogue (floored so a tiny TTL
-// cannot arm a busy-looping ticker).
+// wallSweepInterval spaces TTL sweeps: half the TTL, so an idle key is
+// reclaimed at most ~1.5×TTL after its last batch while each O(keys) scan
+// amortizes over many deliveries (floored so a tiny TTL cannot arm a
+// busy-looping ticker).
 func wallSweepInterval(ttl time.Duration) time.Duration {
 	iv := ttl / 2
 	if iv < time.Millisecond {
@@ -1488,20 +1455,10 @@ func wallSweepInterval(ttl time.Duration) time.Duration {
 	return iv
 }
 
-// sweep evicts every key idle for more than the TTL. It runs on the shard
-// goroutine between batches, so it is ordered with ingest like any other
-// shard work; evicted operators recycle through the pool.
-func (s *engineShard) sweep() {
-	for k, ent := range s.keys {
-		if !ent.parking && s.clock-ent.lastSeen > s.ttl {
-			s.evict(k)
-		}
-	}
-	s.nextSweep = s.clock + sweepInterval(s.ttl)
-}
-
-// wallSweep evicts every key wall-clock idle for more than the TTL.
-// Parking entries are exempt (a migration in flight is not an idle key).
+// wallSweep evicts every key idle for more than the TTL. It runs on the
+// shard goroutine between batches, so it is ordered with ingest like any
+// other shard work; evicted operators recycle through the pool. Parking
+// entries are exempt (a migration in flight is not an idle key).
 func (s *engineShard) wallSweep(now time.Time) {
 	for k, ent := range s.keys {
 		if !ent.parking && now.Sub(ent.lastAt) > s.wallTTL {
@@ -1531,9 +1488,6 @@ func (s *engineShard) entry(key string) (*keyEntry, error) {
 		ent.pusher = pusher
 	}
 	ent.inc = s.eng.incSeq.Add(1)
-	if s.wallTTL > 0 {
-		ent.lastAt = s.now()
-	}
 	ent.emit = s.makeEmit(wire.LogicalKey(key))
 	s.arrive(key, ent)
 	return ent, nil
@@ -1632,7 +1586,6 @@ func (s *engineShard) install(name string, ent *keyEntry) {
 		// the source shard's pool is the source goroutine's to touch.
 		s.pool.Adopt(ent.op)
 		ent.emit = s.makeEmit(wire.LogicalKey(name))
-		ent.lastSeen = s.clock
 		if s.wallTTL > 0 {
 			ent.lastAt = s.now()
 		}

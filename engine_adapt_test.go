@@ -462,14 +462,17 @@ func TestEngineAdaptEscalationEquivalence(t *testing.T) {
 }
 
 // TestEngineAdaptCollapseAfterTTL walks the back half of the lifecycle:
-// after de-escalation the idle sub-streams age out under count-based
-// KeyTTL, collapse migrates sub-stream 0 home to the base name, the
-// override disappears, and the key keeps answering bit-identically.
+// after de-escalation the idle sub-streams age out under KeyTTLDuration (a
+// fake clock advanced one second per push), collapse migrates sub-stream 0
+// home to the base name, the override disappears, and the key keeps
+// answering bit-identically.
 func TestEngineAdaptCollapseAfterTTL(t *testing.T) {
-	const salt, ttl = 4, 32
+	const salt, ttl = 4, 32 * time.Second
 	spec := Window{Size: 64, Period: 32}
 	cfg := Config{Spec: spec, Phis: []float64{0.5, 0.9}}
-	e, err := NewEngine(EngineConfig{Config: cfg, Shards: 1, ResultBuffer: 1 << 12, KeyTTL: ttl, Adapt: &AdaptConfig{}})
+	clk := newFakeClock(time.Unix(1_000_000, 0))
+	e, err := NewEngine(EngineConfig{Config: cfg, Shards: 1, ResultBuffer: 1 << 12,
+		KeyTTLDuration: ttl, Clock: clk.now, Adapt: &AdaptConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,6 +504,7 @@ func TestEngineAdaptCollapseAfterTTL(t *testing.T) {
 	push := func(sub int) {
 		vs := data[off : off+32]
 		off += 32
+		clk.advance(time.Second)
 		if err := e.Push("hot", vs); err != nil {
 			t.Fatal(err)
 		}
@@ -714,12 +718,17 @@ func TestEngineAdaptControllerLifecycle(t *testing.T) {
 	// NewEngine draws its key-hash seed at random. Take one that spreads
 	// this test's keys evenly — at most 3 of hot's 8 sub-streams and 1 to 6
 	// of the cold keys on any shard — so that once "hot" is escalated no
-	// shard is hot, every shard's TTL clock keeps ticking, and the skew
-	// bound below holds by construction, not by luck (about 1 seed in 3).
+	// shard is hot, every shard keeps getting deliveries (so its
+	// piggybacked TTL sweep runs: the fake clock never fires the ticker),
+	// and the skew bound below holds by construction, not by luck (about 1
+	// seed in 3). Every push advances the clock one second, so the TTL is
+	// three cooling intervals.
+	clk := newFakeClock(time.Unix(1_000_000, 0))
 	var e *Engine
 	for e == nil {
 		cand, err := NewEngine(EngineConfig{
-			Config: cfg, Shards: 4, ResultBuffer: 1 << 14, KeyTTL: 48,
+			Config: cfg, Shards: 4, ResultBuffer: 1 << 14,
+			KeyTTLDuration: 192 * time.Second, Clock: clk.now,
 			Adapt: &AdaptConfig{},
 		})
 		if err != nil {
@@ -744,6 +753,7 @@ func TestEngineAdaptControllerLifecycle(t *testing.T) {
 	batch := func() []float64 {
 		vs := data[off%(63*32) : off%(63*32)+32]
 		off += 32
+		clk.advance(time.Second)
 		return vs
 	}
 	pushSpread := func(n int) {
@@ -859,8 +869,10 @@ func TestEngineAdaptControllerLifecycle(t *testing.T) {
 func TestEngineAdaptiveConcurrentStress(t *testing.T) {
 	spec := Window{Size: 64, Period: 32}
 	cfg := Config{Spec: spec, Phis: []float64{0.5, 0.9}}
+	clk := newFakeClock(time.Unix(1_000_000, 0))
 	e, err := NewEngine(EngineConfig{
-		Config: cfg, Shards: 4, ResultBuffer: 1 << 10, KeyTTL: 64,
+		Config: cfg, Shards: 4, ResultBuffer: 1 << 10,
+		KeyTTLDuration: 256 * time.Second, Clock: clk.now, // pushers advance it a second per batch
 		Adapt: &AdaptConfig{Interval: 200 * time.Microsecond},
 	})
 	if err != nil {
@@ -879,6 +891,7 @@ func TestEngineAdaptiveConcurrentStress(t *testing.T) {
 					key = fmt.Sprintf("k%d", (g*400+i)%7)
 				}
 				vs := data[(i%63)*32 : (i%63)*32+32]
+				clk.advance(time.Second)
 				if err := e.Push(key, vs); err != nil {
 					t.Error(err)
 					return

@@ -189,19 +189,22 @@ func TestPushContextBoundsWait(t *testing.T) {
 
 // TestEngineStressBackpressure hammers one blocking engine from every
 // surface at once — PushContext producers with cancellations, a Stats
-// poller, an ExportDelta shipper, explicit Evicts, and KeyTTL expiry — and
+// poller, an ExportDelta shipper, explicit Evicts, and idle-key expiry on a
+// fake clock the producers advance one second per batch — and
 // then checks the exactly-once accounting: every evaluation the consumer
 // received is counted delivered, nothing is counted dropped, and every
 // accepted batch was delivered. Run under -race this is the data-race
 // suite for the stats plane.
 func TestEngineStressBackpressure(t *testing.T) {
+	clk := newFakeClock(time.Unix(1_000_000, 0))
 	e, err := NewEngine(EngineConfig{
-		Config:       Config{Spec: Window{Size: 128, Period: 32}, Phis: []float64{0.5, 0.99}},
-		Shards:       4,
-		QueueDepth:   8,
-		ResultBuffer: 64,
-		Backpressure: BackpressureBlock,
-		KeyTTL:       16,
+		Config:         Config{Spec: Window{Size: 128, Period: 32}, Phis: []float64{0.5, 0.99}},
+		Shards:         4,
+		QueueDepth:     8,
+		ResultBuffer:   64,
+		Backpressure:   BackpressureBlock,
+		KeyTTLDuration: 64 * time.Second,
+		Clock:          clk.now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -269,6 +272,7 @@ func TestEngineStressBackpressure(t *testing.T) {
 			vals := workload.Generate(workload.NewNetMon(int64(w+1)), 32)
 			for i := 0; i < 150; i++ {
 				key := fmt.Sprintf("key-%02d", (w*37+i)%24)
+				clk.advance(time.Second)
 				switch i % 3 {
 				case 0:
 					if err := e.Push(key, vals); err != nil {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -241,7 +242,8 @@ func qsScript(rng *rand.Rand, keys []*qsKey, own []int, fan int, rounds int) []q
 
 // TestEngineQueryIsSomeSealedState: readers Query continuously while
 // producers push period-aligned and unaligned reports to a few hundred keys
-// that are evicted and re-minted (KeyTTL, explicit Evict), migrated between
+// that are evicted and re-minted (idle-key expiry on a fake clock the
+// producers advance one second per push, explicit Evict), migrated between
 // shards and escalated / de-escalated under them. Every capture must be a
 // state the key's own deliveries produce — bit for bit the reference
 // Monitor's for that (SealGen, SubWindows) — never a torn one and never
@@ -258,7 +260,7 @@ func TestEngineQueryIsSomeSealedState(t *testing.T) {
 		plainPer  = 80
 		rounds    = 40
 		readers   = 4
-		keyTTL    = 200
+		keyTTL    = 800 * time.Second
 	)
 	rng := rand.New(rand.NewSource(21))
 	var keys []*qsKey
@@ -283,7 +285,8 @@ func TestEngineQueryIsSomeSealedState(t *testing.T) {
 	}
 
 	const shards = 4
-	e, err := NewEngine(EngineConfig{Config: qsCfg, Shards: shards, KeyTTL: keyTTL, Adapt: &AdaptConfig{}})
+	clk := newFakeClock(time.Unix(1_000_000, 0))
+	e, err := NewEngine(EngineConfig{Config: qsCfg, Shards: shards, KeyTTLDuration: keyTTL, Clock: clk.now, Adapt: &AdaptConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,6 +315,7 @@ func TestEngineQueryIsSomeSealedState(t *testing.T) {
 				k := keys[op.key]
 				switch op.kind {
 				case qsPush:
+					clk.advance(time.Second)
 					if err := e.Push(k.name, k.vals[op.lo:op.hi]); err != nil {
 						t.Error(err)
 						return

@@ -8,8 +8,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/workload"
 )
@@ -354,10 +356,10 @@ func TestEngineValidation(t *testing.T) {
 		t.Fatal("zero config accepted")
 	}
 	if _, err := NewEngine(EngineConfig{
-		Config: Config{Spec: Window{Size: 100, Period: 10}, Phis: []float64{0.5}},
-		KeyTTL: -1,
-	}); err == nil {
-		t.Fatal("negative KeyTTL accepted")
+		Config:         Config{Spec: Window{Size: 100, Period: 10}, Phis: []float64{0.5}},
+		KeyTTLDuration: -1,
+	}); err == nil || !strings.Contains(err.Error(), "KeyTTLDuration") {
+		t.Fatalf("negative KeyTTLDuration: %v", err)
 	}
 }
 
@@ -477,25 +479,30 @@ func TestEngineExportImportRoundTrip(t *testing.T) {
 func TestEngineKeyTTL(t *testing.T) {
 	spec := Window{Size: 100, Period: 50}
 	cfg := Config{Spec: spec, Phis: []float64{0.5}}
-	const ttl = 8
-	// One shard so the delivery clock is deterministic from this test's
-	// Push sequence.
-	e, err := NewEngine(EngineConfig{Config: cfg, Shards: 1, KeyTTL: ttl})
+	const ttl = 8 * time.Second
+	// One shard and a fake clock, advanced one second per push and read by
+	// the shard only after the push is delivered: every TTL stamp and every
+	// piggybacked sweep is deterministic from this test's Push sequence.
+	clk := newFakeClock(time.Unix(1_000_000, 0))
+	e, err := NewEngine(EngineConfig{Config: cfg, Shards: 1, KeyTTLDuration: ttl, Clock: clk.now})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	vals := []float64{1, 2, 3, 4, 5}
-	if err := e.Push("idle", vals); err != nil {
-		t.Fatal(err)
-	}
-	// Keep one key busy well past TTL + sweep lag.
-	for i := 0; i < 3*ttl; i++ {
-		if err := e.Push("busy", vals); err != nil {
+	push := func(key string) {
+		t.Helper()
+		clk.advance(time.Second)
+		if err := e.Push(key, vals); err != nil {
 			t.Fatal(err)
 		}
+		settle(e)
 	}
-	settle(e)
+	push("idle")
+	// Keep one key busy well past TTL + sweep lag.
+	for i := 0; i < 3*8; i++ {
+		push("busy")
+	}
 	if _, ok := e.Query("idle"); ok {
 		t.Fatal("idle key survived the TTL sweep")
 	}
@@ -507,24 +514,17 @@ func TestEngineKeyTTL(t *testing.T) {
 	}
 	// The expired key comes right back on its next report (recycled
 	// through the shard pool).
-	if err := e.Push("idle", vals); err != nil {
-		t.Fatal(err)
-	}
-	settle(e)
+	push("idle")
 	if _, ok := e.Query("idle"); !ok {
 		t.Fatal("returned key not monitored")
 	}
 	// Exported blobs only carry live keys: churn a few transient keys past
 	// expiry and check the export stays bounded.
 	for i := 0; i < 5; i++ {
-		if err := e.Push(fmt.Sprintf("transient-%d", i), vals); err != nil {
-			t.Fatal(err)
-		}
+		push(fmt.Sprintf("transient-%d", i))
 	}
-	for i := 0; i < 3*ttl; i++ {
-		if err := e.Push("busy", vals); err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; i < 3*8; i++ {
+		push("busy")
 	}
 	var blob bytes.Buffer
 	if _, err := e.Export(&blob); err != nil {

@@ -52,7 +52,7 @@
 // ingestion, a fan-in Results channel, and Snapshot()/Query(key) reads
 // that never stop ingestion. Snapshots of operators that consumed
 // disjoint sub-streams of one logical key Merge into a single
-// logical-window view. With EngineConfig.KeyTTL set, idle keys expire
+// logical-window view. With EngineConfig.KeyTTLDuration set, idle keys expire
 // automatically and their operators recycle. With
 // EngineConfig.TimedWindow/TimedPeriod set, keys answer over wall-clock
 // windows instead — TimedMonitor's §2 "evaluate every minute over the
