@@ -65,7 +65,6 @@ type Engine struct {
 	lastErr atomic.Value // engineErr; atomic.Value needs one concrete type
 	seed    maphash.Seed
 	id      uint64                     // random instance identity; binds ExportCursors to THIS engine
-	timed   bool                       // keys run wall-clock windows (TimedWindow set)
 	block   bool                       // BackpressureBlock: lossless delivery, shards block on Results
 	routes  atomic.Pointer[routeTable] // per-key overrides (engineroute.go); nil = pure hash
 	adapt   *adaptState                // adaptive controller (engineadapt.go); nil = static
@@ -104,9 +103,10 @@ type EngineConfig struct {
 	// is evicted, its operator recycled through the shard's pool exactly
 	// as an explicit Evict would, so churned keys are reclaimed in bounded
 	// memory and exported blobs stay bounded. Eviction happens even on a
-	// shard receiving no deliveries at all (each shard arms a ticker at
-	// half the TTL, and overdue sweeps also piggyback on deliveries); each
-	// sweep is O(keys in shard). 0 disables expiry.
+	// shard receiving no deliveries at all: it runs in the shard's one
+	// housekeeping pass (see Engine.Tick), which a ticker fires at least
+	// every half TTL and overdue passes also piggyback on deliveries; each
+	// pass is O(keys in shard). 0 disables expiry.
 	KeyTTLDuration time.Duration
 	// TimedWindow and TimedPeriod switch the engine into TIMED mode: every
 	// key answers over a wall-clock sliding window of TimedWindow,
@@ -115,7 +115,8 @@ type EngineConfig struct {
 	// Spec windows. Each shard owns a stream.TimedPusher per key (the same
 	// state machine TimedMonitor wraps): batch deliveries are stamped with
 	// the shard's clock, period boundaries seal whatever the sub-window
-	// holds, and shard ticks Flush every key so evaluations fire on wall
+	// holds, and the shard's housekeeping pass (see Engine.Tick) Flushes
+	// every key at least every TimedPeriod, so evaluations fire on wall
 	// time even for keys receiving no traffic. The count-based Config.Spec
 	// still governs the operator's few-k budgets (and caps a sub-window's
 	// element count via the count auto-seal); choose its Size/Period to
@@ -125,12 +126,6 @@ type EngineConfig struct {
 	TimedWindow time.Duration
 	// TimedPeriod is the timed evaluation period; see TimedWindow.
 	TimedPeriod time.Duration
-	// Tick is the cadence of the shard flush ticker in timed mode: every
-	// Tick, each shard Flushes its keys at the current clock (the flush
-	// also piggybacks on batch deliveries once overdue, and Engine.Tick
-	// drives it explicitly for deterministic fake-clock tests). Defaults
-	// to TimedPeriod. Only meaningful in timed mode.
-	Tick time.Duration
 	// Clock overrides the wall-clock source for KeyTTLDuration and timed
 	// windows (tests use a fake clock for deterministic expiry and timed
 	// flushes). nil means time.Now. The function is called from shard
@@ -176,21 +171,19 @@ type engineShard struct {
 	keys   map[string]*keyEntry
 	pool   *core.Pool // mints, recycles and lends workbenches to this shard's operators
 
-	// Idle-key expiry (KeyTTLDuration > 0): a key idle past wallTTL is
-	// evicted by a sweep armed on a ticker (so quiet shards still expire)
-	// and piggybacked on deliveries once overdue.
-	wallTTL    time.Duration
-	now        func() time.Time
-	nextWallAt time.Time
-
-	// Timed mode (timedWindow > 0): every key is a TimedPusher sealing
-	// wall-clock sub-windows; a ticker at tick (plus a delivery piggyback
-	// once nextTickAt is overdue, plus explicit Engine.Tick control ops)
-	// Flushes every key at the shard's clock.
+	// Housekeeping: a key idle past wallTTL (KeyTTLDuration > 0) is
+	// evicted, and in timed mode (timedWindow > 0) every key is a
+	// TimedPusher whose wall-clock sub-windows are Flushed to the shard's
+	// clock. One pass (housekeep) does both: a ticker fires it at interval
+	// every (so quiet shards still expire and evaluate), a delivery
+	// piggybacks it once nextAt is overdue, and Engine.Tick drives it
+	// explicitly. every is 0 when neither job is on.
+	wallTTL     time.Duration
 	timedWindow time.Duration
 	timedPeriod time.Duration
-	tick        time.Duration
-	nextTickAt  time.Time
+	every       time.Duration
+	now         func() time.Time
+	nextAt      time.Time
 
 	// Delta-export bookkeeping: mutations is the shard's mutation clock,
 	// and every tick is journaled under its value. A state change an export
@@ -249,8 +242,8 @@ type keyEntry struct {
 	// Migration parking (engineroute.go): a parking entry holds a spot at
 	// the destination shard while the operator is still in flight from the
 	// source. Batches arriving under the name are parked, in order, and
-	// replayed by ctlInstall; every other shard path (sweeps, snapshots,
-	// queries, delta scans, timed flushes) skips parking entries. The journal
+	// replayed by ctlInstall; every other shard path (housekeeping,
+	// snapshots, queries, delta scans) skips parking entries. The journal
 	// ring never links one, so the journal walk needs no check.
 	parking bool
 	park    []*[]float64
@@ -380,23 +373,14 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if resBuf <= 0 {
 		resBuf = defaultResultBuffer
 	}
-	timed := cfg.TimedWindow != 0 || cfg.TimedPeriod != 0 || cfg.Tick != 0
-	if timed {
+	if cfg.TimedWindow != 0 || cfg.TimedPeriod != 0 {
 		if cfg.TimedPeriod <= 0 || cfg.TimedWindow < cfg.TimedPeriod || cfg.TimedWindow%cfg.TimedPeriod != 0 {
 			return nil, fmt.Errorf("qlove: engine timed window %v must be a positive multiple of period %v",
 				cfg.TimedWindow, cfg.TimedPeriod)
 		}
-		if cfg.Tick < 0 {
-			return nil, fmt.Errorf("qlove: engine Tick %v < 0", cfg.Tick)
-		}
-	}
-	tick := cfg.Tick
-	if timed && tick == 0 {
-		tick = cfg.TimedPeriod
 	}
 	e := &Engine{
 		spec:    cfg.Config.Spec,
-		timed:   timed,
 		block:   cfg.Backpressure == BackpressureBlock,
 		results: make(chan KeyedResult, resBuf),
 		seed:    maphash.MakeSeed(),
@@ -416,6 +400,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		now = time.Now
 	}
 	e.now = now
+	every := housekeepInterval(cfg.KeyTTLDuration, cfg.TimedPeriod)
 	if cfg.Adapt != nil {
 		if cfg.Adapt.Interval < 0 {
 			return nil, fmt.Errorf("qlove: engine Adapt.Interval %v < 0", cfg.Adapt.Interval)
@@ -438,17 +423,14 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 			in:          make(chan engineMsg, depth),
 			keys:        make(map[string]*keyEntry),
 			wallTTL:     cfg.KeyTTLDuration,
-			now:         now,
 			timedWindow: cfg.TimedWindow,
 			timedPeriod: cfg.TimedPeriod,
-			tick:        tick,
+			every:       every,
+			now:         now,
 		}
 		s.journal.prev, s.journal.next = &s.journal, &s.journal
-		if s.wallTTL > 0 {
-			s.nextWallAt = now().Add(wallSweepInterval(s.wallTTL))
-		}
-		if s.tick > 0 {
-			s.nextTickAt = now().Add(s.tick)
+		if every > 0 {
+			s.nextAt = now().Add(every)
 		}
 		e.shards[i] = s
 	}
@@ -1084,20 +1066,20 @@ func (e *Engine) ImportSnapshots(r io.Reader) (EngineSnapshot, error) {
 	return e.Snapshot().Merge(remote)
 }
 
-// Tick flushes every timed key against the engine's current clock: period
-// boundaries at or before it seal their sub-windows, expired sub-windows
-// drop, and the evaluations fan into Results. The flush rides each
-// shard's control queue, so it is ordered with ingest on every key —
-// deterministic (fake-clock) tests and external schedulers drive timed
-// windows through it without waiting for the shard tickers. Tick returns
-// after every shard has flushed. It is a no-op for count-based engines.
-// After Close it flushes the final state directly — sealing trailing
-// sub-windows before a last Export — but the evaluations are discarded,
-// since the Results channel has already closed.
+// Tick runs every shard's housekeeping pass against the engine's current
+// clock: keys idle past KeyTTLDuration are evicted, and every other timed
+// key is flushed — period boundaries at or before the clock seal their
+// sub-windows, expired sub-windows drop, and the evaluations fan into
+// Results. The pass rides each shard's control queue, so it is ordered
+// with ingest on every key — deterministic (fake-clock) tests and
+// external schedulers drive expiry and timed windows through it without
+// waiting for the shard tickers. Tick returns after every shard has run
+// its pass; with neither KeyTTLDuration nor timed mode set the pass does
+// nothing. After Close it runs the pass directly — expiring idle keys
+// and sealing trailing sub-windows before a last Export — but the
+// evaluations are discarded, since the Results channel has already
+// closed.
 func (e *Engine) Tick() {
-	if !e.timed {
-		return
-	}
 	e.mu.RLock()
 	if !e.closed {
 		resps := make([]chan engineCtlResp, len(e.shards))
@@ -1116,12 +1098,12 @@ func (e *Engine) Tick() {
 	}
 	e.mu.RUnlock()
 	// After Close the shard goroutines are gone; like post-Close Evict,
-	// flushing mutates shard state directly and must exclude the
+	// the pass mutates shard state directly and must exclude the
 	// RLock-holding readers.
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, s := range e.shards {
-		s.timedFlush(s.now(), false)
+		s.housekeep(s.now(), false)
 	}
 }
 
@@ -1231,23 +1213,17 @@ func (e *Engine) Close() {
 }
 
 // run is a shard's single-writer loop: every operator in s.keys is touched
-// exclusively here. With wall-clock TTL enabled a ticker wakes the loop on
-// quiet shards so idle keys expire even with no deliveries at all; in
-// timed mode a second ticker Flushes every key so evaluations fire on wall
-// time even for keys receiving no traffic. Both tickers ride the same
-// select as ingest, so ticks never stop ingestion — they interleave with
-// it between batches.
+// exclusively here. With wall-clock TTL or timed mode enabled a ticker
+// wakes the loop for a housekeeping pass, so idle keys expire and timed
+// keys evaluate on wall time even on a shard with no deliveries at all.
+// The ticker rides the same select as ingest, so passes never stop
+// ingestion — they interleave with it between batches.
 func (s *engineShard) run() {
-	var tick, flush <-chan time.Time
-	if s.wallTTL > 0 {
-		t := time.NewTicker(wallSweepInterval(s.wallTTL))
+	var tick <-chan time.Time
+	if s.every > 0 {
+		t := time.NewTicker(s.every)
 		defer t.Stop()
 		tick = t.C
-	}
-	if s.tick > 0 {
-		t := time.NewTicker(s.tick)
-		defer t.Stop()
-		flush = t.C
 	}
 	for {
 		select {
@@ -1258,9 +1234,7 @@ func (s *engineShard) run() {
 			}
 			s.handle(msg)
 		case <-tick:
-			s.wallSweep(s.now())
-		case <-flush:
-			s.timedFlush(s.now(), true)
+			s.housekeep(s.now(), true)
 		}
 	}
 }
@@ -1295,11 +1269,11 @@ func (s *engineShard) handle(msg engineMsg) {
 		return
 	}
 	// One clock read per delivery, shared by the batch timestamp, the TTL
-	// stamp and both overdue checks: the hot loop pays a single now() (a
+	// stamp and the overdue check: the hot loop pays a single now() (a
 	// mutex round-trip under injected fake clocks) and the whole delivery
 	// sees one coherent instant.
 	var now time.Time
-	if s.wallTTL > 0 || s.tick > 0 {
+	if s.every > 0 {
 		now = s.now()
 	}
 	ent, err := s.entry(msg.key)
@@ -1324,18 +1298,15 @@ func (s *engineShard) handle(msg engineMsg) {
 		s.noteMutation(ent)
 	}
 	s.eng.bufs.Put(msg.buf)
-	if s.wallTTL > 0 && !now.Before(s.nextWallAt) {
-		s.wallSweep(now)
-	}
-	if s.tick > 0 && !now.Before(s.nextTickAt) {
-		s.timedFlush(now, true)
+	if s.every > 0 && !now.Before(s.nextAt) {
+		s.housekeep(now, true)
 	}
 	s.noteBenches()
 }
 
 // noteBenches publishes the pool's workbench gauges. Loans change hands
 // inside deliveries and timed flushes (borrow, seal), evictions (Reset) and
-// migrations, and every one of those runs through handle, timedFlush or
+// migrations, and every one of those runs through handle, housekeep or
 // evict — each ends here.
 func (s *engineShard) noteBenches() {
 	setGauge(&s.counters.inFlight, s.pool.Lent())
@@ -1417,55 +1388,55 @@ func (s *engineShard) depart(ent *keyEntry) {
 	}
 }
 
-// timedFlush drives every timed key's state machine to now: boundary
-// crossings seal the in-flight sub-windows, expire departed ones, and —
-// when deliver is set — fan evaluations into the engine's results
+// housekeepInterval spaces housekeeping passes: at most half the TTL, so
+// an idle key is reclaimed at most ~1.5×TTL after its last batch while
+// each O(keys) pass amortizes over many deliveries, and at most one timed
+// period, so evaluations fire on wall time. It is floored so a tiny TTL or
+// period cannot arm a busy-looping ticker, and 0 when neither is set.
+func housekeepInterval(ttl, period time.Duration) time.Duration {
+	if ttl <= 0 && period <= 0 {
+		return 0
+	}
+	iv := period
+	if ttl > 0 && (period <= 0 || ttl/2 < period) {
+		iv = ttl / 2
+	}
+	return max(iv, time.Millisecond)
+}
+
+// housekeep is the shard's periodic pass. It evicts every key idle for
+// more than the TTL — before its flush, so an expiring key emits nothing
+// more — and drives every other timed key's state machine to now:
+// boundary crossings seal the in-flight sub-windows, expire departed ones,
+// and — when deliver is set — fan evaluations into the engine's results
 // channel. Sealed periods advance the same seal-generation bookkeeping
 // batch deliveries do, so delta exports ship tick-driven seals exactly
-// like traffic-driven ones. It runs on the shard goroutine between
-// batches (from the flush ticker, a delivery piggyback, or a ctlTick
-// control op), so it is ordered with ingest on every key the shard owns;
-// post-Close flushes pass deliver=false because the Results channel is
-// already closed.
-func (s *engineShard) timedFlush(now time.Time, deliver bool) {
-	for _, ent := range s.keys {
-		if ent.timed == nil {
+// like traffic-driven ones. It runs on the shard goroutine between batches
+// (from the ticker, a delivery piggyback, or a ctlTick control op), so it
+// is ordered with ingest on every key the shard owns; evicted operators
+// recycle through the pool. Parking entries are exempt (a migration in
+// flight is not an idle key). Post-Close passes use deliver=false because
+// the Results channel is already closed.
+func (s *engineShard) housekeep(now time.Time, deliver bool) {
+	for k, ent := range s.keys {
+		if ent.parking {
 			continue
 		}
-		emit := ent.emit
-		if !deliver {
-			emit = nil
-		}
-		ent.timed.Flush(now, emit)
-		s.noteMutation(ent)
-	}
-	s.nextTickAt = now.Add(s.tick)
-	s.noteBenches()
-}
-
-// wallSweepInterval spaces TTL sweeps: half the TTL, so an idle key is
-// reclaimed at most ~1.5×TTL after its last batch while each O(keys) scan
-// amortizes over many deliveries (floored so a tiny TTL cannot arm a
-// busy-looping ticker).
-func wallSweepInterval(ttl time.Duration) time.Duration {
-	iv := ttl / 2
-	if iv < time.Millisecond {
-		iv = time.Millisecond
-	}
-	return iv
-}
-
-// wallSweep evicts every key idle for more than the TTL. It runs on the
-// shard goroutine between batches, so it is ordered with ingest like any
-// other shard work; evicted operators recycle through the pool. Parking
-// entries are exempt (a migration in flight is not an idle key).
-func (s *engineShard) wallSweep(now time.Time) {
-	for k, ent := range s.keys {
-		if !ent.parking && now.Sub(ent.lastAt) > s.wallTTL {
+		if s.wallTTL > 0 && now.Sub(ent.lastAt) > s.wallTTL {
 			s.evict(k)
+			continue
+		}
+		if ent.timed != nil {
+			emit := ent.emit
+			if !deliver {
+				emit = nil
+			}
+			ent.timed.Flush(now, emit)
+			s.noteMutation(ent)
 		}
 	}
-	s.nextWallAt = now.Add(wallSweepInterval(s.wallTTL))
+	s.nextAt = now.Add(s.every)
+	s.noteBenches()
 }
 
 // entry returns the key's state, minting operator + pusher on first use.
@@ -1540,7 +1511,7 @@ func (s *engineShard) control(ctl *engineCtl) {
 	case ctlDelta:
 		ctl.resp <- engineCtlResp{delta: s.deltaResp(ctl.cur)}
 	case ctlTick:
-		s.timedFlush(s.now(), true)
+		s.housekeep(s.now(), true)
 		ctl.resp <- engineCtlResp{}
 	case ctlPrepare:
 		if s.keys[ctl.key] != nil {

@@ -540,3 +540,105 @@ func TestEngineKeyTTL(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineTickSweepsIdleKeys: Engine.Tick runs the housekeeping pass on
+// every shard, so keys idle past the TTL expire on shards that get no
+// deliveries (the fake clock never fires the shard tickers), in count and
+// in timed mode. An idle timed key is evicted before it would be flushed,
+// so it emits no evaluation on its way out, and every expiry reaches the
+// next delta export as a tombstone.
+func TestEngineTickSweepsIdleKeys(t *testing.T) {
+	for _, mode := range []string{"count", "timed"} {
+		t.Run(mode, func(t *testing.T) {
+			clk := newFakeClock(time.Unix(1_000_000, 0))
+			ec := EngineConfig{
+				Config: Config{Spec: Window{Size: 128, Period: 64}, Phis: []float64{0.5}},
+				Shards: 4, ResultBuffer: 1 << 12,
+				KeyTTLDuration: time.Minute, Clock: clk.now,
+			}
+			if mode == "timed" {
+				ec.TimedWindow, ec.TimedPeriod = 20*time.Second, 10*time.Second
+			}
+			e, err := NewEngine(ec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			// Two keys on every shard.
+			var keys []string
+			perShard := make([]int, ec.Shards)
+			for i := 0; len(keys) < 2*ec.Shards; i++ {
+				k := fmt.Sprintf("k%d", i)
+				if sh := e.shardIndex(k); perShard[sh] < 2 {
+					perShard[sh]++
+					keys = append(keys, k)
+				}
+			}
+			gen := workload.NewNetMon(7)
+			for _, k := range keys {
+				if err := e.Push(k, workload.Generate(gen, 128)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if mode == "timed" {
+				// Seal every key's first sub-window, so each one exports;
+				// a full window has not passed, so nothing evaluates yet.
+				clk.advance(ec.TimedPeriod)
+				e.Tick()
+			}
+			agg := NewAggregator()
+			var cur ExportCursor
+			syncAgg := func() {
+				t.Helper()
+				var buf bytes.Buffer
+				if _, err := e.ExportDelta(&buf, &cur); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := agg.Apply("w", bytes.NewReader(buf.Bytes())); err != nil {
+					t.Fatal(err)
+				}
+			}
+			syncAgg()
+			if agg.Keys() != len(keys) {
+				t.Fatalf("aggregated %d keys, want %d", agg.Keys(), len(keys))
+			}
+			drain := func(busy string) {
+				t.Helper()
+				for {
+					select {
+					case r := <-e.Results():
+						if busy != "" && r.Key != busy {
+							t.Fatalf("idle key %q evaluated on its way out", r.Key)
+						}
+					default:
+						return
+					}
+				}
+			}
+			drain("")
+
+			// Past the TTL, one key reports: its own shard sweeps on the
+			// delivery, and only Tick reaches the other three.
+			clk.advance(2 * time.Minute)
+			busy := keys[0]
+			if err := e.Push(busy, workload.Generate(gen, 128)); err != nil {
+				t.Fatal(err)
+			}
+			e.Tick()
+			if got := e.Keys(); got != 1 {
+				t.Fatalf("after Tick: %d keys resident, want 1 (%q)", got, busy)
+			}
+			drain(busy)
+			syncAgg()
+			if agg.Keys() != 1 {
+				t.Fatalf("aggregator holds %d keys after the sweep, want 1", agg.Keys())
+			}
+			for _, k := range keys[1:] {
+				if _, ok, _ := agg.Query(k); ok {
+					t.Fatalf("tombstone for idle key %q was lost", k)
+				}
+			}
+			requireSameView(t, agg, e)
+		})
+	}
+}

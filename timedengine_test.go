@@ -20,15 +20,13 @@ func TestTimedEngineValidation(t *testing.T) {
 		{Config: cfg, TimedWindow: time.Second},                                // no period
 		{Config: cfg, TimedWindow: time.Second, TimedPeriod: time.Minute},      // size < period
 		{Config: cfg, TimedWindow: 90 * time.Second, TimedPeriod: time.Minute}, // non-multiple
-		{Config: cfg, Tick: time.Second},                                       // tick without timed window
-		{Config: cfg, TimedWindow: time.Minute, TimedPeriod: time.Second, Tick: -time.Second},
 	}
 	for i, ec := range bad {
 		if _, err := NewEngine(ec); err == nil {
 			t.Fatalf("config %d accepted", i)
 		}
 	}
-	// Tick on a count-based engine is a no-op, not a hang.
+	// Tick on a count-based engine with no TTL is an empty pass, not a hang.
 	eng, err := NewEngine(EngineConfig{Config: cfg, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -36,6 +34,34 @@ func TestTimedEngineValidation(t *testing.T) {
 	eng.Tick()
 	eng.Close()
 	eng.Tick()
+}
+
+// TestTimedEngineQuietShardEvaluates: the ticker path of timed mode — on a
+// real clock, with no Tick calls and no further deliveries, the shard's
+// housekeeping ticker flushes a key past its period boundary and the
+// evaluation reaches Results (bounded wait).
+func TestTimedEngineQuietShardEvaluates(t *testing.T) {
+	eng, err := NewEngine(EngineConfig{
+		Config:      Config{Spec: Window{Size: 128, Period: 64}, Phis: []float64{0.5}},
+		Shards:      2,
+		TimedWindow: 20 * time.Millisecond,
+		TimedPeriod: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := eng.Push("quiet", workload.Generate(workload.NewNetMon(6), 32)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-eng.Results():
+		if r.Key != "quiet" {
+			t.Fatalf("evaluation for %q, want \"quiet\"", r.Key)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("quiet timed key not evaluated after 5s")
+	}
 }
 
 // timedScript is one deterministic interleaved schedule: per epoch, the
