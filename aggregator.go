@@ -54,16 +54,11 @@ type Aggregator struct {
 
 // AggregatorConfig selects the aggregator's state backend.
 type AggregatorConfig struct {
-	// Store names the backend: "striped" (the default — lock-striped
-	// shards, parallel pushes and reads), "map" (the original layout,
-	// one map behind one RWMutex; every operation serialized), or "disk"
-	// (durable: every mutation appended to a crash-safe segment log in
-	// Dir and replayed on the next open — see the aggstore disk backend).
+	// Store names the backend: "striped" (the default — in memory,
+	// lock-striped shards, parallel pushes and reads) or "disk" (durable:
+	// every mutation appended to a crash-safe segment log in Dir and
+	// replayed on the next open — see the aggstore disk backend).
 	Store string
-	// Stripes is the striped backend's stripe count (<= 0 picks the
-	// default; rounded up to a power of two). Any non-zero count is
-	// rejected for "map" and "disk".
-	Stripes int
 	// Instrument wraps the store with the per-op metrics recorder; see
 	// Metrics and the service's /metrics endpoint.
 	Instrument bool
@@ -95,16 +90,10 @@ func NewAggregator() *Aggregator {
 // NewAggregatorConfig returns an empty aggregator on the configured
 // backend.
 func NewAggregatorConfig(cfg AggregatorConfig) (*Aggregator, error) {
-	if cfg.Stripes != 0 && (cfg.Store == "map" || cfg.Store == "disk") {
-		// Checked before the switch opens a disk store it would then leak.
-		return nil, fmt.Errorf("qlove: Stripes only applies to the striped store, not %q", cfg.Store)
-	}
 	var store aggstore.Store
 	switch cfg.Store {
 	case "", "striped":
-		store = aggstore.NewStriped(cfg.Stripes)
-	case "map":
-		store = aggstore.NewMap()
+		store = aggstore.NewStriped(0)
 	case "disk":
 		if cfg.Dir == "" {
 			return nil, fmt.Errorf("qlove: the disk aggregator store needs a state directory (AggregatorConfig.Dir)")
@@ -119,7 +108,7 @@ func NewAggregatorConfig(cfg AggregatorConfig) (*Aggregator, error) {
 		}
 		store = d
 	default:
-		return nil, fmt.Errorf("qlove: unknown aggregator store %q (striped | map | disk)", cfg.Store)
+		return nil, fmt.Errorf("qlove: unknown aggregator store %q (striped | disk)", cfg.Store)
 	}
 	if cfg.Store != "disk" && (cfg.Dir != "" || cfg.Fsync != "" || cfg.CompactBytes != 0) {
 		return nil, fmt.Errorf("qlove: Dir/Fsync/CompactBytes only apply to the disk store, not %q", cfg.Store)

@@ -60,13 +60,12 @@ func TestAggregatorApplyAllocsPerFrame(t *testing.T) {
 	for _, store := range []string{"map", "striped", "disk"} {
 		t.Run(store, func(t *testing.T) {
 			apply := func(boot []byte, chain [][]byte) float64 {
-				cfg := AggregatorConfig{Store: store}
-				if store == "disk" {
-					cfg.Dir, cfg.Fsync, cfg.CompactBytes = t.TempDir(), "none", -1
-				}
-				agg, err := NewAggregatorConfig(cfg)
-				if err != nil {
-					t.Fatal(err)
+				agg := mapAgg()
+				switch store {
+				case "disk":
+					agg = mkAgg(t, AggregatorConfig{Store: store, Dir: t.TempDir(), Fsync: "none", CompactBytes: -1})
+				case "striped":
+					agg = mkAgg(t, AggregatorConfig{Store: store})
 				}
 				defer agg.Close()
 				if _, err := agg.Apply("w", bytes.NewReader(boot)); err != nil {

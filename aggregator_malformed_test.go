@@ -72,10 +72,14 @@ func TestAggregatorRejectsMalformedKeys(t *testing.T) {
 	for _, store := range []string{"map", "striped", "disk"} {
 		t.Run(store, func(t *testing.T) {
 			acfg := AggregatorConfig{Store: store}
-			if store == "disk" {
+			agg := mapAgg()
+			switch store {
+			case "disk":
 				acfg.Dir = t.TempDir()
+				agg = mkAgg(t, acfg)
+			case "striped":
+				agg = mkAgg(t, acfg)
 			}
-			agg := mkAgg(t, acfg)
 			defer func() { agg.Close() }()
 			if _, err := applyWithin(t, agg, "w", good); err != nil {
 				t.Fatal(err)
@@ -159,7 +163,7 @@ func FuzzAggregatorApply(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		dcfg := AggregatorConfig{Store: "disk", Dir: t.TempDir(), Fsync: "none"}
-		aggs := []*Aggregator{mkAgg(t, AggregatorConfig{Store: "map"}), mkAgg(t, AggregatorConfig{}), mkAgg(t, dcfg)}
+		aggs := []*Aggregator{mapAgg(), mkAgg(t, AggregatorConfig{}), mkAgg(t, dcfg)}
 		var frames int
 		var view []byte
 		var viewErr error

@@ -30,9 +30,8 @@
 // engine's wall-clock key TTL); if it comes back it re-bootstraps.
 //
 // The service's state plane is configurable: -store picks the backend
-// (lock-striped by default; "map" is the single-lock original; "disk" is
-// durable), -stripes its stripe count (striped only), and -instrument
-// wraps it with the per-op metrics recorder (see GET /metrics). -fanin
+// ("striped", the in-memory default, or "disk", which is durable), and
+// -instrument wraps it with the per-op metrics recorder (see GET /metrics). -fanin
 // URL,URL,… instead makes this process a pure HTTP router partitioning keys
 // by hash slot over aggregator replicas (other qlove-agg -serve processes),
 // which hold the state and therefore take the state-plane flags.
@@ -89,8 +88,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	addr := fs.String("addr", "127.0.0.1:7171", "serve: listen address")
 	deadline := fs.Duration("worker-deadline", 0,
 		"serve: drop workers that stop pushing for this long (0 = keep departed workers forever)")
-	store := fs.String("store", "striped", "serve: state backend (striped | map | disk)")
-	stripes := fs.Int("stripes", 0, "serve: stripe count for the striped backend (0 = default)")
+	store := fs.String("store", "striped", "serve: state backend (striped | disk)")
 	dir := fs.String("dir", "", "serve: the disk backend's state directory (required with -store disk)")
 	fsync := fs.String("fsync", "", "serve: disk backend sync discipline (always | interval | none; default always)")
 	instrument := fs.Bool("instrument", false, "serve: record per-op store metrics (GET /metrics)")
@@ -122,8 +120,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			if *deadline != 0 {
 				return fmt.Errorf("-worker-deadline belongs on the replicas, not the fan-in router")
 			}
-			if *store != "striped" || *stripes != 0 || *dir != "" || *fsync != "" || *instrument {
-				return fmt.Errorf("-store/-stripes/-dir/-fsync/-instrument belong on the replicas, not the fan-in router")
+			if *store != "striped" || *dir != "" || *fsync != "" || *instrument {
+				return fmt.Errorf("-store/-dir/-fsync/-instrument belong on the replicas, not the fan-in router")
 			}
 			return serveFanin(*addr, strings.Split(*fanin, ","), *faninTimeout, *replication, *quorum)
 		}
@@ -139,18 +137,15 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		if *store == "disk" && *dir == "" {
 			return fmt.Errorf("-store disk needs -dir (the state directory to log to and recover from)")
 		}
-		cfg := qlove.AggregatorConfig{
-			Store: *store, Stripes: *stripes, Instrument: *instrument,
-			Dir: *dir, Fsync: *fsync,
-		}
+		cfg := qlove.AggregatorConfig{Store: *store, Instrument: *instrument, Dir: *dir, Fsync: *fsync}
 		return serveHTTP(*addr, *deadline, cfg)
 	}
 	if *deadline != 0 {
 		return fmt.Errorf("-worker-deadline only applies with -serve")
 	}
 	if *fanin != "" || *replication != 1 || *quorum != 0 || *instrument ||
-		*stripes != 0 || *store != "striped" || *dir != "" || *fsync != "" || *faninTimeout != 0 {
-		return fmt.Errorf("-store/-stripes/-dir/-fsync/-instrument/-replication/-quorum/-fanin/-fanin-timeout only apply with -serve")
+		*store != "striped" || *dir != "" || *fsync != "" || *faninTimeout != 0 {
+		return fmt.Errorf("-store/-dir/-fsync/-instrument/-replication/-quorum/-fanin/-fanin-timeout only apply with -serve")
 	}
 	agg, err := aggregate(fs.Args(), stdin)
 	if err != nil {

@@ -186,20 +186,20 @@ func TestServeFlagValidation(t *testing.T) {
 	}
 	// The router holds no state: every state-plane flag belongs on the
 	// replicas, not silently ignored here.
-	for _, flags := range [][]string{{"-store", "map"}, {"-stripes", "4"}, {"-instrument"}} {
+	for _, flags := range [][]string{{"-store", "disk"}, {"-instrument"}} {
 		args := append([]string{"-serve", "-fanin", "http://a:1"}, flags...)
 		if err := run(args, nil, io.Discard); err == nil || !strings.Contains(err.Error(), "belong on the replicas") {
 			t.Fatalf("%v on the fan-in router: %v", flags, err)
 		}
 	}
-	// A stripe count off the striped store is refused before anything binds.
-	for _, args := range [][]string{
-		{"-serve", "-store", "map", "-stripes", "4"},
-		{"-serve", "-store", "disk", "-dir", t.TempDir(), "-stripes", "4"},
-	} {
-		if err := run(args, nil, io.Discard); err == nil || !strings.Contains(err.Error(), "Stripes only applies to the striped store") {
-			t.Fatalf("%v: %v", args, err)
-		}
+	// Two backends are selectable; the stripe count is not a flag.
+	if err := run([]string{"-serve", "-store", "map"}, nil, io.Discard); err == nil ||
+		!strings.Contains(err.Error(), "unknown aggregator store") {
+		t.Fatalf("-store map: %v", err)
+	}
+	if err := run([]string{"-serve", "-stripes", "4"}, nil, io.Discard); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined: -stripes") {
+		t.Fatalf("-stripes: %v", err)
 	}
 	if err := run([]string{"-serve", "-quorum", "2"}, nil, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "-quorum only applies with -fanin") {

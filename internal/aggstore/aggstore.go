@@ -1,24 +1,26 @@
-// Package aggstore is the aggregator's pluggable state plane: resident
+// Package aggstore is the aggregator's state plane: resident
 // per-(worker, internal key name) folded captures behind a small Store
 // interface, so qlove.Aggregator is independent of how the state is laid
-// out, locked and persisted. Four implementations ship:
+// out, locked and persisted. Three backends and a wrapper ship:
 //
-//   - Map: the original layout — every worker's state in one map behind a
-//     single RWMutex. Simple, fully serialized; the conformance reference.
-//   - Striped: lock-striped shards keyed by hash(worker, base key), so
-//     pushes from different workers and concurrent reads proceed in
-//     parallel. Worker/key counts are kept in atomics and never take a
-//     stripe lock.
-//   - Instrumented: a wrapper over either recording per-op counts and
-//     cumulative latency, surfaced by the service's /metrics endpoint.
+//   - Striped: the in-memory backend — lock-striped shards keyed by
+//     hash(worker, base key), so pushes from different workers and
+//     concurrent reads proceed in parallel. Worker/key counts are kept in
+//     atomics and never take a stripe lock.
+//   - Map: every worker's state in one map behind a single RWMutex. It is
+//     the disk store's in-memory map and the parity reference the other
+//     backends are verified against.
 //   - Disk: a Map whose every mutation is first appended to an on-disk
 //     write-ahead log with snapshot compaction, so a restarted aggregator
 //     resumes its workers' delta chains (see disk.go).
+//   - Instrumented: a wrapper over any of them recording per-op counts and
+//     cumulative latency, surfaced by the service's /metrics endpoint.
 //
-// The frame fold — how a full, delta or tombstone frame changes a worker's
-// state — lives here once (fold.go): Store.ApplyFrame plans the mutation
-// against the resident state, then applies it. The disk store logs the
-// received frame between the two and replays it through the same planner.
+// A frame is the only way state enters a store: Store.ApplyFrame folds a
+// full, delta or tombstone frame — how it changes a worker's state lives
+// here once (fold.go), which plans the mutation against the resident state
+// and then applies it. The disk store logs the received frame between the
+// two and replays it through the same planner.
 //
 // A State is a value, held inline by every backend, and its slices are
 // IMMUTABLE once stored: folds are copy-on-write (a delta builds a fresh
@@ -33,8 +35,8 @@
 // written before that check may hold one — as an unsalted key. All the
 // names of one logical key form its GROUP; fold order is the sorted name
 // order [base, sub 0, sub 1, …] because NUL sorts below every user-key
-// byte. Both backends maintain a per-group index, so group reads and
-// wholesale group replacement never scan the worker's full key set.
+// byte. Both in-memory layouts maintain a per-group index, so group reads
+// and wholesale group replacement never scan the worker's full key set.
 package aggstore
 
 import (
@@ -69,27 +71,14 @@ type NamedState struct {
 // multi-frame blob partially folded (the bit-equality suites verify
 // quiesced states).
 type Store interface {
-	// Get returns the state resident under the exact internal name.
-	Get(worker, name string) (State, bool)
-	// Put stores st under the exact internal name, creating or replacing.
-	Put(worker, name string, st State)
 	// Drop removes the exact internal name, reporting whether it was
 	// resident.
 	Drop(worker, name string) bool
-	// ReplaceGroup atomically removes every resident name of name's
-	// logical group (base and all salted sub-streams) and stores st under
-	// name. Used when a frame replaces the logical key wholesale: a full
-	// frame, or a from-generation-0 bootstrap of the base name.
-	ReplaceGroup(worker, name string, st State)
-	// BootstrapSub atomically drops the BASE name of name's group and
-	// stores st under name (a salted sub-stream bootstrapping out of an
-	// escalated base); other sub-streams stay resident.
-	BootstrapSub(worker, name string, st State)
 	// ApplyFrame folds one decoded wire frame into the worker's state, the
 	// way one push frame folds: a full frame replaces its key's salt group,
 	// a delta advances one internal name's window (from generation 0 it
-	// bootstraps the name, as ReplaceGroup or BootstrapSub), a tombstone
-	// drops one name. A delta that does not fit the resident state is an
+	// bootstraps the name: a base name replaces its salt group, a salted
+	// one retires the group's base state), a tombstone drops one name. A delta that does not fit the resident state is an
 	// error and changes nothing. raw is the frame's verbatim bytes, header
 	// included, valid only during the call; the disk store logs them as the
 	// fold's record.
@@ -131,7 +120,7 @@ type Store interface {
 	WorkerCount() int
 	KeyCount() int
 
-	// Kind names the backend ("map", "striped", …) for metrics and bench
+	// Kind names the backend ("striped", "disk", …) for metrics and bench
 	// labels.
 	Kind() string
 }

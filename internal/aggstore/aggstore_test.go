@@ -1,10 +1,12 @@
 package aggstore
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,10 +15,9 @@ import (
 	"repro/internal/wire"
 )
 
-// testParts is a valid minimal capture: the disk backend wire-encodes
-// every stored state, so dummies must satisfy the same snapshot-validity
-// contract real folds do (the read path folds through core.NewSnapshot
-// anyway).
+// testParts is a valid minimal capture: states reach a store only as wire
+// frames, so dummies must satisfy the same snapshot-validity contract real
+// folds do (the read path folds through core.NewSnapshot anyway).
 var testParts = func() core.SnapshotParts {
 	p, err := core.New(core.Config{Spec: window.Spec{Size: 256, Period: 64}, Phis: []float64{0.5}})
 	if err != nil {
@@ -26,11 +27,73 @@ var testParts = func() core.SnapshotParts {
 }()
 
 // mkState builds a distinguishable dummy State, tagged via SealGen (the
-// stores never inspect Parts beyond holding them).
+// stores never inspect Parts beyond holding them and checking a delta's
+// cursor against it).
 func mkState(tag uint64) State {
 	parts := testParts
 	parts.SealGen = tag
 	return State{Parts: parts}
+}
+
+// fullFrame is a full frame for name carrying mkState(tag): it replaces
+// name's whole salt group.
+func fullFrame(t testing.TB, name string, tag uint64) []byte {
+	t.Helper()
+	sn, err := core.NewSnapshot(mkState(tag).Parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire.AppendFrame(nil, name, sn)
+}
+
+// deltaFrame is a delta frame for name advancing cursor from to mkState(tag).
+// From 0 it bootstraps name: a base name replaces its salt group, a salted
+// one retires the group's base state.
+func deltaFrame(t testing.TB, name string, from, tag uint64) []byte {
+	t.Helper()
+	sn, err := core.NewSnapshot(mkState(tag).Parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := wire.NewDelta(sn, from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire.AppendDeltaFrame(nil, name, d)
+}
+
+// decodeFrame decodes raw, which holds one frame.
+func decodeFrame(t testing.TB, raw []byte) wire.Frame {
+	t.Helper()
+	f, err := wire.NewDecoder(bytes.NewReader(raw)).DecodeFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// applyRaw folds the one frame raw holds into the worker's state in s.
+func applyRaw(t testing.TB, s Store, worker string, raw []byte) error {
+	t.Helper()
+	return s.ApplyFrame(worker, decodeFrame(t, raw), raw)
+}
+
+// mustApply is applyRaw for a frame that must fold.
+func mustApply(t testing.TB, s Store, worker string, raw []byte) {
+	t.Helper()
+	if err := applyRaw(t, s, worker, raw); err != nil {
+		t.Fatalf("%s: %v", s.Kind(), err)
+	}
+}
+
+// resident returns the state s holds under the exact internal name.
+func resident(s Store, worker, name string) (State, bool) {
+	for _, ns := range s.Group(worker, wire.LogicalKey(name)) {
+		if ns.Name == name {
+			return ns.State, true
+		}
+	}
+	return State{}, false
 }
 
 // stores returns one fresh instance of every backend, the Map first (it
@@ -51,21 +114,80 @@ func stores(t *testing.T) []Store {
 	}
 }
 
-// TestStoreParityRandomOps drives an identical randomized op sequence —
-// puts, drops, group replacements, sub bootstraps, worker churn — through
-// every backend and requires identical observable state after every step:
-// Group fold order, WorkerNames, Workers, and the occupancy counters.
+// The workers and logical keys driveOps draws from.
+var (
+	driveWorkers = []string{"wa", "wb", "wc"}
+	driveBases   = []string{"k0", "k1", "k2", "k3"}
+)
+
+// driveOps applies one deterministic randomized op sequence to every given
+// store (the same op to each), calling each (when non-nil) after every
+// step. Every state enters as a frame, after the worker's Touch the way a
+// push folds: deltas from the resident generation, full frames, base and
+// salted bootstraps, tombstones, and deltas whose cursor misses (every
+// store must refuse those); plus worker drops and sweeps.
+func driveOps(t *testing.T, rng *rand.Rand, steps int, tag *uint64, each func(step int), ss ...Store) {
+	t.Helper()
+	for step := 0; step < steps; step++ {
+		w := driveWorkers[rng.Intn(len(driveWorkers))]
+		base := driveBases[rng.Intn(len(driveBases))]
+		name := base
+		if salt := rng.Intn(4) - 1; salt >= 0 {
+			name = wire.SaltedName(base, byte(salt))
+		}
+		*tag++
+		ts := time.Unix(int64(1000+step), 0)
+		// Every store holds the same state, so the first one picks the
+		// cursors.
+		cur, ok := resident(ss[0], w, name)
+		var frame []byte
+		refused := false
+		op := rng.Intn(11)
+		switch op {
+		case 0, 1, 2: // advance name, bootstrapping it when nothing is resident
+			from := uint64(0)
+			if ok {
+				from = cur.Parts.SealGen
+			}
+			frame = deltaFrame(t, name, from, *tag)
+		case 3:
+			frame = wire.AppendTombstoneFrame(nil, name)
+		case 4, 5:
+			frame = fullFrame(t, name, *tag)
+		case 6: // a sub-stream escalating out of its base
+			frame = deltaFrame(t, wire.SaltedName(base, byte(rng.Intn(3))), 0, *tag)
+		case 7: // the base coming home, retiring its salt group
+			frame = deltaFrame(t, base, 0, *tag)
+		case 10: // never bootstrapped, or behind the resident generation
+			frame, refused = deltaFrame(t, name, cur.Parts.SealGen+1, *tag), true
+		}
+		for _, s := range ss {
+			switch op {
+			case 8:
+				s.DropWorker(w)
+			case 9:
+				cutoff := time.Unix(int64(1000+step-25), 0)
+				s.SweepWorkers(func(last time.Time) bool { return last.Before(cutoff) })
+			default:
+				s.Touch(w, ts)
+				if err := applyRaw(t, s, w, frame); (err != nil) != refused {
+					t.Fatalf("step %d: %s folded op %d with err %v", step, s.Kind(), op, err)
+				}
+			}
+		}
+		if each != nil {
+			each(step)
+		}
+	}
+}
+
+// TestStoreParityRandomOps drives an identical randomized frame sequence —
+// deltas, full frames, bootstraps, tombstones, refused deltas, worker churn
+// — through every backend and requires identical observable state after
+// every step: Group fold order, WorkerNames, Workers, and the occupancy
+// counters.
 func TestStoreParityRandomOps(t *testing.T) {
 	ss := stores(t)
-	rng := rand.New(rand.NewSource(7))
-	workers := []string{"wa", "wb", "wc"}
-	bases := []string{"k0", "k1", "k2", "k3"}
-	name := func(base string, salt int) string {
-		if salt < 0 {
-			return base
-		}
-		return wire.SaltedName(base, byte(salt))
-	}
 	check := func(step int) {
 		t.Helper()
 		ref := ss[0]
@@ -80,11 +202,11 @@ func TestStoreParityRandomOps(t *testing.T) {
 			if got, want := s.Workers(nil), ref.Workers(nil); !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d: %s Workers %v != map %v", step, s.Kind(), got, want)
 			}
-			for _, w := range workers {
+			for _, w := range driveWorkers {
 				if got, want := s.WorkerNames(w), ref.WorkerNames(w); !reflect.DeepEqual(got, want) {
 					t.Fatalf("step %d: %s WorkerNames(%s) %v != map %v", step, s.Kind(), w, got, want)
 				}
-				for _, b := range bases {
+				for _, b := range driveBases {
 					got, want := s.Group(w, b), ref.Group(w, b)
 					if len(got) != len(want) {
 						t.Fatalf("step %d: %s Group(%s,%s) has %d members, map %d", step, s.Kind(), w, b, len(got), len(want))
@@ -100,58 +222,35 @@ func TestStoreParityRandomOps(t *testing.T) {
 		}
 	}
 	var tag uint64
-	for step := 0; step < 2000; step++ {
-		w := workers[rng.Intn(len(workers))]
-		base := bases[rng.Intn(len(bases))]
-		salt := rng.Intn(4) - 1 // -1 = base name, 0..2 = sub-streams
-		tag++
-		st := mkState(tag)
-		op := rng.Intn(10)
-		subSalt := rng.Intn(3) // drawn once: every backend gets the same op
-		for _, s := range ss {
-			switch op {
-			case 0, 1, 2:
-				s.Touch(w, time.Unix(int64(step), 0))
-				s.Put(w, name(base, salt), st)
-			case 3:
-				s.Drop(w, name(base, salt))
-			case 4, 5:
-				s.Touch(w, time.Unix(int64(step), 0))
-				s.ReplaceGroup(w, name(base, salt), st)
-			case 6, 7:
-				s.Touch(w, time.Unix(int64(step), 0))
-				s.BootstrapSub(w, wire.SaltedName(base, byte(subSalt)), st)
-			case 8:
-				s.DropWorker(w)
-			case 9:
-				cutoff := time.Unix(int64(step-40), 0)
-				s.SweepWorkers(func(last time.Time) bool { return last.Before(cutoff) })
-			}
-		}
-		check(step)
-	}
+	driveOps(t, rand.New(rand.NewSource(7)), 2000, &tag, check, ss...)
 }
 
 // TestStoreGroupFoldOrder pins the documented fold order: base first,
-// then sub-streams ascending — NUL sorts below every user-key byte.
+// then sub-streams ascending — NUL sorts below every user-key byte —
+// whatever order they arrived in.
 func TestStoreGroupFoldOrder(t *testing.T) {
 	for _, s := range stores(t) {
 		s.Touch("w", time.Time{})
-		s.Put("w", wire.SaltedName("k", 2), mkState(3))
-		s.Put("w", "k", mkState(1))
-		s.Put("w", wire.SaltedName("k", 0), mkState(2))
-		g := s.Group("w", "k")
-		if len(g) != 3 {
-			t.Fatalf("%s: group size %d", s.Kind(), len(g))
+		mustApply(t, s, "w", deltaFrame(t, wire.SaltedName("k", 2), 0, 3))
+		mustApply(t, s, "w", deltaFrame(t, wire.SaltedName("k", 0), 0, 2))
+		want := []string{wire.SaltedName("k", 0), wire.SaltedName("k", 2)}
+		if ms, ok := s.(memStore); ok {
+			// Frames never leave a base beside its sub-streams (a sub-stream
+			// bootstrap retires it), but a WAL of state records can.
+			ms.set("w", mutation{op: recPut, name: "k", st: mkState(1)})
+			want = append([]string{"k"}, want...)
 		}
-		want := []string{"k", wire.SaltedName("k", 0), wire.SaltedName("k", 2)}
+		g := s.Group("w", "k")
+		if len(g) != len(want) {
+			t.Fatalf("%s: group size %d, want %d", s.Kind(), len(g), len(want))
+		}
 		for i, ns := range g {
 			if ns.Name != want[i] {
 				t.Fatalf("%s: fold order %d = %q, want %q", s.Kind(), i, ns.Name, want[i])
 			}
 		}
 		names := s.WorkerNames("w")
-		if !sort.StringsAreSorted(names) || len(names) != 3 {
+		if !sort.StringsAreSorted(names) || len(names) != len(want) {
 			t.Fatalf("%s: WorkerNames %v", s.Kind(), names)
 		}
 	}
@@ -164,8 +263,8 @@ func TestStoreOccupancyCounters(t *testing.T) {
 		for w := 0; w < 3; w++ {
 			worker := fmt.Sprintf("w%d", w)
 			s.Touch(worker, time.Time{})
-			s.Put(worker, "shared", mkState(1))
-			s.Put(worker, fmt.Sprintf("own-%d", w), mkState(2))
+			mustApply(t, s, worker, fullFrame(t, "shared", 1))
+			mustApply(t, s, worker, fullFrame(t, fmt.Sprintf("own-%d", w), 2))
 		}
 		if s.WorkerCount() != 3 {
 			t.Fatalf("%s: WorkerCount %d", s.Kind(), s.WorkerCount())
@@ -174,7 +273,7 @@ func TestStoreOccupancyCounters(t *testing.T) {
 			t.Fatalf("%s: KeyCount %d, want 4", s.Kind(), s.KeyCount())
 		}
 		// A salted sub-stream of an existing base is NOT a new logical key.
-		s.Put("w0", wire.SaltedName("shared", 1), mkState(3))
+		mustApply(t, s, "w0", deltaFrame(t, wire.SaltedName("shared", 1), 0, 3))
 		if s.KeyCount() != 4 {
 			t.Fatalf("%s: salted sub-stream changed KeyCount to %d", s.Kind(), s.KeyCount())
 		}
@@ -191,28 +290,80 @@ func TestStoreOccupancyCounters(t *testing.T) {
 	}
 }
 
-// TestInstrumentedRecords pins the wrapper: ops counted, kind labeled,
-// inner lock-wait surfaced.
+// TestStoreReviveRacesSweep: a stale worker revived — Touch, then a fold —
+// while a sweep retires it must come out resident with what it just
+// folded, whichever side wins: the sweep either sees the fresh stamp and
+// spares the worker, or retires the old one before the revival re-creates
+// it. The push is acked, so a lost fold is a read miss until the worker's
+// next delta fails as never bootstrapped. A bystander worker's keys give the
+// sweep's purge something to walk while the revival runs.
+func TestStoreReviveRacesSweep(t *testing.T) {
+	const trials, bystanders = 500, 1024
+	old, cutoff, now := time.Unix(1, 0), time.Unix(2, 0), time.Unix(3, 0)
+	stale := func(last time.Time) bool { return last.Before(cutoff) }
+	seed, fresh := fullFrame(t, "old", 1), fullFrame(t, "k", 2)
+	ff := decodeFrame(t, fresh)
+	for _, s := range stores(t) {
+		s.Touch("live", now)
+		for k := 0; k < bystanders; k++ {
+			mustApply(t, s, "live", fullFrame(t, fmt.Sprint("b", k), 3))
+		}
+		lost := 0
+		for i := 0; i < trials; i++ {
+			w := fmt.Sprint("w", i)
+			s.Touch(w, old)
+			mustApply(t, s, w, seed)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				<-start
+				s.Touch(w, now)
+				if err := s.ApplyFrame(w, ff, fresh); err != nil {
+					t.Error(err)
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				<-start
+				s.SweepWorkers(stale)
+			}()
+			close(start)
+			wg.Wait()
+			if ws := s.Workers(nil); len(ws) != 2 || ws[1] != w || len(s.Group(w, "k")) != 1 {
+				lost++
+			}
+			s.DropWorker(w)
+		}
+		if lost > 0 || s.KeyCount() != bystanders {
+			t.Errorf("%s: the revived worker lost its fold in %d of %d trials; %d keys left, want the %d bystanders",
+				s.Kind(), lost, trials, s.KeyCount(), bystanders)
+		}
+	}
+}
+
+// TestInstrumentedRecords pins the wrapper: ops counted (a refused fold
+// too), kind labeled, inner lock-wait surfaced.
 func TestInstrumentedRecords(t *testing.T) {
 	in := NewInstrumented(NewMap())
 	if in.Kind() != "map+instrumented" {
 		t.Fatalf("kind %q", in.Kind())
 	}
 	in.Touch("w", time.Time{})
-	in.Put("w", "k", mkState(1))
-	in.Get("w", "k")
-	in.Get("w", "missing")
+	mustApply(t, in, "w", fullFrame(t, "k", 1))
+	if err := applyRaw(t, in, "w", deltaFrame(t, "k", 5, 6)); err == nil {
+		t.Fatal("a delta off the resident generation folded")
+	}
+	in.Group("w", "k")
 	in.Drop("w", "k")
-	m := in.Metrics()
 	counts := map[string]int64{}
-	for _, op := range m.Ops {
+	for _, op := range in.Metrics().Ops {
 		counts[op.Op] = op.Count
 	}
-	want := map[string]int64{"touch": 1, "put": 1, "get": 2, "drop": 1}
-	for op, n := range want {
-		if counts[op] != n {
-			t.Fatalf("op %q counted %d, want %d (all: %v)", op, counts[op], n, counts)
-		}
+	want := map[string]int64{"touch": 1, "apply_frame": 2, "group": 1, "drop": 1}
+	if !reflect.DeepEqual(counts, want) {
+		t.Fatalf("ops counted %v, want %v", counts, want)
 	}
 	if _, ok := Store(in).(LockWaiter); !ok {
 		t.Fatal("instrumented wrapper hides the inner LockWaiter")

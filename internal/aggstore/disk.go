@@ -42,12 +42,13 @@ import (
 // holds the worker and the frame's bytes exactly as received, and replay
 // decodes it and folds it through the same planner against the replayed
 // state, so a rejected delta logs nothing and a replayed one lands where the
-// live one did. Direct Put/ReplaceGroup/BootstrapSub calls log state
-// records, the state re-encoded as a wire full frame; every WAL written
-// before frame records existed holds only these, and they still replay.
-// Snapshots hold every resident state as a full frame. Either way anything
-// resident (which the read path already requires to be a valid Snapshot)
-// round-trips bit-identically.
+// live one did. Live folds log only frame, drop, touch and drop-worker
+// records. WALs written before frame records existed hold state records
+// instead — a resulting state re-encoded as a wire full frame under a put,
+// replace-group or bootstrap-sub op — and those still replay
+// (testdata/state_records.wal pins it). Snapshots hold every resident state
+// as a full frame, so anything resident (which the read path already
+// requires to be a valid Snapshot) round-trips bit-identically.
 //
 // Durability is governed by DiskConfig.Fsync: FsyncAlways syncs every
 // record before the mutation returns (a state acknowledged to a worker
@@ -93,8 +94,9 @@ const (
 	maxWalRecord = 1<<30 + 1<<20
 )
 
-// WAL record ops. The first three are state records; recFrame is a fold
-// logged as its received frame.
+// WAL record ops. recFrame is a fold logged as its received frame. The first
+// three are state records, which only WALs written before frame records
+// existed hold: replay still reads them, nothing writes them.
 const (
 	recPut byte = iota + 1
 	recReplaceGroup
@@ -219,7 +221,6 @@ func (d *Disk) Compact() error {
 
 // --- reads: straight to the resident map ---
 
-func (d *Disk) Get(worker, name string) (State, bool)  { return d.mem.Get(worker, name) }
 func (d *Disk) Group(worker, base string) []NamedState { return d.mem.Group(worker, base) }
 func (d *Disk) WorkerNames(worker string) []string     { return d.mem.WorkerNames(worker) }
 func (d *Disk) NamesMatching(worker string, match func(base string) bool) []NamedState {
@@ -234,27 +235,6 @@ func (d *Disk) LockWaitNanos() (r, w int64) { return d.mem.LockWaitNanos() }
 
 // --- mutations: WAL first, then the resident map, one lock ---
 
-func (d *Disk) Put(worker, name string, st State) {
-	d.putState(worker, mutation{op: recPut, name: name, st: st})
-}
-
-func (d *Disk) ReplaceGroup(worker, name string, st State) {
-	d.putState(worker, mutation{op: recReplaceGroup, name: name, st: st})
-}
-
-func (d *Disk) BootstrapSub(worker, name string, st State) {
-	d.putState(worker, mutation{op: recBootstrapSub, name: name, st: st})
-}
-
-// putState logs m as a state record and applies it.
-func (d *Disk) putState(worker string, m mutation) {
-	d.mu.Lock()
-	d.logState(m.op, worker, m.name, m.st)
-	m.apply(d.mem, worker)
-	d.maybeCompact()
-	d.mu.Unlock()
-}
-
 // ApplyFrame plans the fold against the resident map, logs the frame as it
 // arrived, then applies the plan, all under d.mu: the log's order is the
 // order folds were planned in, so replay re-plans each frame against exactly
@@ -262,7 +242,7 @@ func (d *Disk) putState(worker string, m mutation) {
 func (d *Disk) ApplyFrame(worker string, f wire.Frame, raw []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	m, err := plan(d.mem.Get, worker, f)
+	m, err := plan(d.mem.get, worker, f)
 	if err != nil {
 		return err
 	}
@@ -332,26 +312,6 @@ func (d *Disk) SweepWorkers(stale func(time.Time) bool) int {
 	}
 	d.mu.Unlock()
 	return dropped
-}
-
-// logState appends one state-bearing record: op, worker, then the state
-// as a wire full frame keyed by the internal name (so salted sub-stream
-// names replay into the same salt-group slots). Caller holds d.mu.
-func (d *Disk) logState(op byte, worker, name string, st State) {
-	sn, err := core.NewSnapshot(st.Parts)
-	if err != nil {
-		// Everything the aggregator stores must be a valid snapshot (the
-		// read path folds through core.NewSnapshot); refusing to encode a
-		// contract-violating state beats persisting garbage.
-		if d.werr == nil {
-			d.werr = fmt.Errorf("aggstore: disk: state %q/%q not encodable: %w", worker, name, err)
-		}
-		return
-	}
-	rec := d.newRecord(op)
-	rec = appendLenPrefixed(rec, worker)
-	rec = wire.AppendFrame(rec, name, sn)
-	d.appendRecord(rec)
 }
 
 // newRecord starts a WAL record in d.scratch: room for the length prefix
@@ -705,7 +665,7 @@ func (d *Disk) loadSnapshot(seq uint64) error {
 			if f.Kind != wire.KindFull {
 				return fmt.Errorf("snapshot carries a %v frame", f.Kind)
 			}
-			mem.Put(id, f.Key, State{Parts: f.Snap.Parts()})
+			mem.set(id, mutation{op: recPut, name: f.Key, st: State{Parts: f.Snap.Parts()}})
 		}
 	}
 	if br.Len() != 0 {

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -57,49 +56,7 @@ func requireSameState(t *testing.T, got, want Store, when string) {
 	}
 }
 
-// driveOps applies a deterministic randomized op sequence to every given
-// store (the same ops to each).
-func driveOps(t *testing.T, rng *rand.Rand, steps int, tag *uint64, ss ...Store) {
-	t.Helper()
-	workers := []string{"wa", "wb", "wc"}
-	bases := []string{"k0", "k1", "k2"}
-	for step := 0; step < steps; step++ {
-		w := workers[rng.Intn(len(workers))]
-		base := bases[rng.Intn(len(bases))]
-		salt := rng.Intn(4) - 1
-		name := base
-		if salt >= 0 {
-			name = wire.SaltedName(base, byte(salt))
-		}
-		*tag++
-		st := mkState(*tag)
-		op := rng.Intn(10)
-		subSalt := rng.Intn(3)
-		ts := time.Unix(int64(1000+step), 0)
-		for _, s := range ss {
-			switch op {
-			case 0, 1, 2:
-				s.Touch(w, ts)
-				s.Put(w, name, st)
-			case 3:
-				s.Drop(w, name)
-			case 4, 5:
-				s.Touch(w, ts)
-				s.ReplaceGroup(w, name, st)
-			case 6, 7:
-				s.Touch(w, ts)
-				s.BootstrapSub(w, wire.SaltedName(base, byte(subSalt)), st)
-			case 8:
-				s.DropWorker(w)
-			case 9:
-				cutoff := time.Unix(int64(1000+step-25), 0)
-				s.SweepWorkers(func(last time.Time) bool { return last.Before(cutoff) })
-			}
-		}
-	}
-}
-
-// TestDiskRecovery drives the same randomized ops through a Map and a
+// TestDiskRecovery drives the same randomized frames through a Map and a
 // Disk, then reopens the directory three ways — after a clean Close,
 // after an abandon-without-Close (the kill -9 shape; FsyncAlways makes
 // every applied record durable), and after further ops atop the recovered
@@ -115,7 +72,7 @@ func TestDiskRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveOps(t, rng, 300, &tag, ref, d)
+	driveOps(t, rng, 300, &tag, nil, ref, d)
 	requireSameState(t, d, ref, "before close")
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -129,7 +86,7 @@ func TestDiskRecovery(t *testing.T) {
 
 	// Keep mutating, then abandon WITHOUT Close: FsyncAlways means every
 	// completed mutation is already on disk, exactly the kill -9 contract.
-	driveOps(t, rng, 200, &tag, ref, d)
+	driveOps(t, rng, 200, &tag, nil, ref, d)
 	d2, err := OpenDisk(DiskConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +94,7 @@ func TestDiskRecovery(t *testing.T) {
 	requireSameState(t, d2, ref, "after crash reopen")
 
 	// The recovered store keeps accepting and persisting new mutations.
-	driveOps(t, rng, 100, &tag, ref, d2)
+	driveOps(t, rng, 100, &tag, nil, ref, d2)
 	requireSameState(t, d2, ref, "after post-recovery ops")
 	if err := d2.Close(); err != nil {
 		t.Fatal(err)
@@ -145,22 +102,6 @@ func TestDiskRecovery(t *testing.T) {
 	if err := d2.Err(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// frameOf encodes st as a full frame under name and decodes it back: the
-// frame ApplyFrame takes, and its bytes.
-func frameOf(t testing.TB, name string, st State) (wire.Frame, []byte) {
-	t.Helper()
-	sn, err := core.NewSnapshot(st.Parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := wire.AppendFrame(nil, name, sn)
-	f, err := wire.NewDecoder(bytes.NewReader(raw)).DecodeFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f, raw
 }
 
 // TestDiskTornTail pins crash-mid-append semantics: a torn record at the
@@ -176,15 +117,13 @@ func TestDiskTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, k := range []string{"a", "b", "c"} {
-		d.Touch("w", time.Unix(int64(i), 0))
-		d.Put("w", k, mkState(uint64(i+1)))
-		ref.Touch("w", time.Unix(int64(i), 0))
-		ref.Put("w", k, mkState(uint64(i+1)))
+		for _, s := range []Store{ref, d} {
+			s.Touch("w", time.Unix(int64(i), 0))
+			mustApply(t, s, "w", fullFrame(t, k, uint64(i+1)))
+		}
 	}
-	f, raw := frameOf(t, "e", mkState(4))
-	if err := d.ApplyFrame("w", f, raw); err != nil {
-		t.Fatal(err)
-	}
+	raw := deltaFrame(t, "a", 1, 4)
+	mustApply(t, d, "w", raw)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -214,9 +153,7 @@ func TestDiskTornTail(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.ApplyFrame("w", f, nil); err != nil {
-		t.Fatal(err)
-	}
+	mustApply(t, ref, "w", raw)
 
 	// Tear the tail: a record header claiming more bytes than follow.
 	wf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
@@ -233,8 +170,8 @@ func TestDiskTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameState(t, d, ref, "after torn tail")
-	d.Put("w", "d", mkState(9))
-	ref.Put("w", "d", mkState(9))
+	mustApply(t, d, "w", fullFrame(t, "d", 9))
+	mustApply(t, ref, "w", fullFrame(t, "d", 9))
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -253,21 +190,13 @@ func TestDiskTornTail(t *testing.T) {
 // record; each ends the valid prefix like a torn tail: the good record after
 // it is not replayed and the log is truncated where the bad one starts.
 func TestDiskReplayRejectsBadFrameRecords(t *testing.T) {
-	sn, err := core.NewSnapshot(mkState(5).Parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta, err := wire.NewDelta(sn, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, full := frameOf(t, "k", mkState(1))
+	full := fullFrame(t, "k", 1)
 	for _, tc := range []struct {
 		name  string
 		frame []byte
 	}{
 		{"trailing bytes", append(append([]byte(nil), full...), 0)},
-		{"delta never bootstrapped", wire.AppendDeltaFrame(nil, "k", delta)},
+		{"delta never bootstrapped", deltaFrame(t, "k", 3, 5)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -278,12 +207,12 @@ func TestDiskReplayRejectsBadFrameRecords(t *testing.T) {
 			}
 			for _, s := range []Store{ref, d} {
 				s.Touch("w", time.Unix(1, 0))
-				s.Put("w", "before", mkState(2))
+				mustApply(t, s, "w", fullFrame(t, "before", 2))
 			}
 			d.mu.Lock()
 			d.appendRecord(append(appendLenPrefixed(d.newRecord(recFrame), "w"), tc.frame...))
 			d.mu.Unlock()
-			d.Put("w", "after", mkState(3))
+			mustApply(t, d, "w", fullFrame(t, "after", 3))
 			if err := d.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -323,7 +252,7 @@ func TestDiskCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveOps(t, rng, 200, &tag, ref, d)
+	driveOps(t, rng, 200, &tag, nil, ref, d)
 	requireSameState(t, d, ref, "compacting store")
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
@@ -367,16 +296,16 @@ func TestDiskExplicitCompactAndCorruptSnapshotFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		d.Touch("w", time.Unix(int64(i), 0))
-		d.Put("w", "k", mkState(uint64(i)))
-		ref.Touch("w", time.Unix(int64(i), 0))
-		ref.Put("w", "k", mkState(uint64(i)))
+		for _, s := range []Store{ref, d} {
+			s.Touch("w", time.Unix(int64(i), 0))
+			mustApply(t, s, "w", deltaFrame(t, "k", uint64(i-1), uint64(i)))
+		}
 	}
 	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	d.Put("w", "post", mkState(7))
-	ref.Put("w", "post", mkState(7))
+	mustApply(t, d, "w", fullFrame(t, "post", 7))
+	mustApply(t, ref, "w", fullFrame(t, "post", 7))
 	d.Close()
 
 	// Reopen: snapshot + the post-compaction WAL record.
@@ -408,7 +337,7 @@ func TestDiskExplicitCompactAndCorruptSnapshotFallback(t *testing.T) {
 	}
 	if n := d.WorkerCount(); n != 0 {
 		// Only the post-compaction WAL survived; it re-creates the worker
-		// via its Put record, so 1 worker with just the "post" key is also
+		// via its frame record, so 1 worker with just the "post" key is also
 		// acceptable — what is NOT acceptable is a phantom full recovery.
 		if names := d.WorkerNames("w"); len(names) != 1 || names[0] != "post" {
 			t.Fatalf("corrupt snapshot recovered to workers=%d names=%v", n, names)
@@ -431,7 +360,7 @@ func TestDiskFsyncModes(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(5))
 		var tag uint64
-		driveOps(t, rng, 120, &tag, ref, d)
+		driveOps(t, rng, 120, &tag, nil, ref, d)
 		if mode == FsyncInterval {
 			// The flusher must land the buffered records on its own.
 			deadline := time.Now().Add(2 * time.Second)
@@ -495,11 +424,11 @@ func TestMalformedNamesAreUnsaltedKeys(t *testing.T) {
 		}
 		for _, s := range ss {
 			s.Touch("w", time.Unix(1000, 0))
-			s.Put("w", name, mkState(tag+1))
-			s.ReplaceGroup("w", name, mkState(tag+2))
-			s.BootstrapSub("w", name, mkState(tag+3))
-			s.Put("w", name, mkState(tag+4))
-			if _, ok := s.Get("w", name); !ok {
+			mustApply(t, s, "w", fullFrame(t, name, tag+1))
+			mustApply(t, s, "w", deltaFrame(t, name, tag+1, tag+2))
+			mustApply(t, s, "w", deltaFrame(t, name, 0, tag+3))
+			mustApply(t, s, "w", deltaFrame(t, name, tag+3, tag+4))
+			if st, ok := resident(s, "w", name); !ok || st.Parts.SealGen != tag+4 {
 				t.Fatalf("%T lost %q", s, name)
 			}
 			if name == "\x00" && !s.Drop("w", name) {

@@ -7,6 +7,17 @@ import (
 	"repro/internal/wire"
 )
 
+// memStore is what a fold plans against and applies to: the exact-name
+// state primitives of the in-memory layouts (Map, Striped). Nothing outside
+// this package reaches them; state enters a Store only as a frame.
+type memStore interface {
+	// get returns the state resident under the exact internal name.
+	get(worker, name string) (State, bool)
+	// set performs a state-record mutation (see group.apply).
+	set(worker string, m mutation)
+	Drop(worker, name string) bool
+}
+
 // mutation is the change folding one frame makes to a worker's resident
 // state: op is one of the state-record ops (recPut, recReplaceGroup,
 // recBootstrapSub) or recDrop, applied to the exact internal name. st is
@@ -18,23 +29,18 @@ type mutation struct {
 }
 
 // apply performs m on s.
-func (m mutation) apply(s Store, worker string) {
-	switch m.op {
-	case recPut:
-		s.Put(worker, m.name, m.st)
-	case recReplaceGroup:
-		s.ReplaceGroup(worker, m.name, m.st)
-	case recBootstrapSub:
-		s.BootstrapSub(worker, m.name, m.st)
-	case recDrop:
+func (m mutation) apply(s memStore, worker string) {
+	if m.op == recDrop {
 		s.Drop(worker, m.name)
+		return
 	}
+	s.set(worker, m)
 }
 
 // applyFrame plans f against s and applies the result: the frame path of
 // the in-memory stores.
-func applyFrame(s Store, worker string, f wire.Frame) error {
-	m, err := plan(s.Get, worker, f)
+func applyFrame(s memStore, worker string, f wire.Frame) error {
+	m, err := plan(s.get, worker, f)
 	if err != nil {
 		return err
 	}
@@ -95,8 +101,13 @@ func plan(get func(worker, name string) (State, bool), worker string, f wire.Fra
 		return mutation{}, fmt.Errorf("delta needs %d resident summaries, only %d accumulated", d.Resident, total)
 	}
 	// The resident window is the LAST d.Resident of [resident ++ delta]:
-	// anything older slid out of the worker's window since the cursor.
-	sums := make([]core.Summary, 0, d.Resident)
+	// anything older slid out of the worker's window since the cursor. An
+	// empty window stays nil, as a decoded full frame holds it, so a state
+	// reloaded from a snapshot is the state folded live.
+	var sums []core.Summary
+	if d.Resident > 0 {
+		sums = make([]core.Summary, 0, d.Resident)
+	}
 	if start := total - d.Resident; start < len(cur.Parts.Summaries) {
 		sums = append(sums, cur.Parts.Summaries[start:]...)
 		sums = append(sums, d.Parts.Summaries...)

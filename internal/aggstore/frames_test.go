@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -122,40 +123,60 @@ func closeOK(t testing.TB, c io.Closer) {
 // records from a disk aggregator, then a compaction, then more frame
 // records, reopens to exactly the state a Map reference folded — the delta
 // chains continuing across each change of record format.
+//
+// No store writes state records any more, so the first era is a checked-in
+// WAL, testdata/state_records.wal. A Disk that still had the writers made
+// it: for each of the blobs chain(1, 7)[:3] it logged Touch("wa", zero
+// time), then folded each frame into a Map and logged the resulting state
+// through ReplaceGroup (full frames and bootstraps), Put (deltas) or Drop
+// (b's tombstone). Then, all with c's state, it logged BootstrapSub of
+// "s\x00\x01"; ReplaceGroup of "t" and BootstrapSub of "t\x00\x02", which
+// retires base t; BootstrapSub of "u\x00\x01" and ReplaceGroup of "u",
+// which retires the sub-stream. Its 17 records hold every state-record op,
+// each where it differs from a plain put.
 func TestDiskMixedEraRecovery(t *testing.T) {
 	wa, wb := chain(t, 1, 7), chain(t, 2, 5)
 	dir := t.TempDir()
-	ref := aggstore.NewMap()
+	legacy, err := os.ReadFile(filepath.Join("testdata", "state_records.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000001.log"), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-	// State records: the aggregator folded each frame itself and logged the
-	// resulting state through Put / ReplaceGroup / BootstrapSub, tombstones
-	// through Drop. wa[:3] holds bootstraps, deltas and b's tombstone.
-	d := openDisk(t, dir)
+	// The reference folds the same history as frames; the bootstraps of
+	// c's state are from-generation-0 deltas.
+	ref := aggstore.NewMap()
 	for _, blob := range wa[:3] {
-		d.Touch("wa", time.Time{})
-		ref.Touch("wa", time.Time{})
-		eachFrame(t, blob, func(f wire.Frame, _ []byte) {
-			if err := ref.ApplyFrame("wa", f, nil); err != nil {
+		applyBlob(t, ref, "wa", blob)
+	}
+	c := ref.Group("wa", "c")
+	if len(c) != 1 {
+		t.Fatalf("wa holds %d states for c, want 1", len(c))
+	}
+	sn, err := core.NewSnapshot(c[0].State.Parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot, err := wire.NewDelta(sn, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		wire.SaltedName("s", 1), "t", wire.SaltedName("t", 2), wire.SaltedName("u", 1), "u",
+	} {
+		eachFrame(t, wire.AppendDeltaFrame(nil, name, boot), func(f wire.Frame, raw []byte) {
+			if err := ref.ApplyFrame("wa", f, raw); err != nil {
 				t.Fatal(err)
-			}
-			st, _ := ref.Get("wa", f.Key)
-			switch {
-			case f.Kind == wire.KindTombstone:
-				d.Drop("wa", f.Key)
-			case f.Kind == wire.KindFull || f.Delta.FromGen == 0:
-				d.ReplaceGroup("wa", f.Key, st)
-			default:
-				d.Put("wa", f.Key, st)
 			}
 		})
 	}
-	st, ok := ref.Get("wa", "c")
-	if !ok {
-		t.Fatal("wa holds no c")
+	if got, want := ref.WorkerNames("wa"), []string{"a", "c", "s\x00\x01", "t\x00\x02", "u"}; !slices.Equal(got, want) {
+		t.Fatalf("reference holds %q, want %q", got, want)
 	}
-	sub := wire.SaltedName("s", 1)
-	d.BootstrapSub("wa", sub, st)
-	ref.BootstrapSub("wa", sub, st)
+	d := openDisk(t, dir)
+	aggstore.RequireSameState(t, d, ref, "state records")
 	closeOK(t, d)
 
 	// Frame records on top, from a disk aggregator: wa's chain continues
@@ -265,13 +286,12 @@ func digest(t testing.TB, s aggstore.Store) string {
 	var b []byte
 	for _, w := range s.Workers(nil) {
 		b = append(append(b, w...), 0)
-		for _, name := range s.WorkerNames(w) {
-			st, _ := s.Get(w, name)
-			sn, err := core.NewSnapshot(st.Parts)
+		for _, ns := range s.NamesMatching(w, func(string) bool { return true }) {
+			sn, err := core.NewSnapshot(ns.State.Parts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b = wire.AppendFrame(b, name, sn)
+			b = wire.AppendFrame(b, ns.Name, sn)
 		}
 	}
 	return string(b)

@@ -42,6 +42,23 @@ func (g *group) set(salted bool, j byte, st State) {
 	}
 }
 
+// apply performs a state-record op on the exact (salted, j) coordinate:
+// recPut stores st there; recReplaceGroup first empties the whole group (a
+// full frame, or a from-generation-0 bootstrap of the base name);
+// recBootstrapSub first drops the base state and stores st as sub-stream j
+// (a salted sub-stream bootstrapping out of an escalated base), leaving the
+// other sub-streams resident.
+func (g *group) apply(op byte, salted bool, j byte, st State) {
+	switch op {
+	case recReplaceGroup:
+		*g = group{}
+	case recBootstrapSub:
+		g.dropBase()
+		salted = true
+	}
+	g.set(salted, j, st)
+}
+
 // setSub inserts or replaces sub-stream j.
 func (g *group) setSub(j byte, st State) {
 	i := sort.Search(len(g.subs), func(i int) bool { return g.subs[i].j >= j })

@@ -9,11 +9,7 @@ import (
 
 // Store ops, in the order Metrics reports them.
 const (
-	opGet = iota
-	opPut
-	opDrop
-	opReplaceGroup
-	opBootstrapSub
+	opDrop = iota
 	opApplyFrame
 	opGroup
 	opWorkerNames
@@ -26,8 +22,7 @@ const (
 )
 
 var opNames = [opCount]string{
-	"get", "put", "drop", "replace_group", "bootstrap_sub", "apply_frame",
-	"group", "worker_names", "names_matching", "touch", "workers",
+	"drop", "apply_frame", "group", "worker_names", "names_matching", "touch", "workers",
 	"drop_worker", "sweep_workers",
 }
 
@@ -84,29 +79,9 @@ func (in *Instrumented) LockWaitNanos() (read, write int64) {
 	return 0, 0
 }
 
-func (in *Instrumented) Get(worker, name string) (State, bool) {
-	defer in.record(opGet, time.Now())
-	return in.inner.Get(worker, name)
-}
-
-func (in *Instrumented) Put(worker, name string, st State) {
-	defer in.record(opPut, time.Now())
-	in.inner.Put(worker, name, st)
-}
-
 func (in *Instrumented) Drop(worker, name string) bool {
 	defer in.record(opDrop, time.Now())
 	return in.inner.Drop(worker, name)
-}
-
-func (in *Instrumented) ReplaceGroup(worker, name string, st State) {
-	defer in.record(opReplaceGroup, time.Now())
-	in.inner.ReplaceGroup(worker, name, st)
-}
-
-func (in *Instrumented) BootstrapSub(worker, name string, st State) {
-	defer in.record(opBootstrapSub, time.Now())
-	in.inner.BootstrapSub(worker, name, st)
 }
 
 // ApplyFrame forwards to the inner store and records one op, whatever

@@ -9,12 +9,12 @@ import (
 	"repro/internal/wire"
 )
 
-// Map is the original single-lock store: every worker's state in one map
-// behind one RWMutex, every operation fully serialized against every
-// other. It is the simplest correct implementation and the conformance
-// reference the striped backend is verified against. Unlike the
-// pre-refactor layout it still keeps the per-base group index, so salted
-// reads and group replacement are O(group), not O(resident keys).
+// Map is the single-lock store: every worker's state in one map behind one
+// RWMutex, every operation fully serialized against every other. It is the
+// disk store's in-memory map and, being the simplest correct layout, the
+// reference the other backends are verified against. It keeps the per-base
+// group index, so salted reads and group replacement are O(group), not
+// O(resident keys).
 type Map struct {
 	mu      sync.RWMutex
 	workers map[string]*mapWorker
@@ -46,7 +46,7 @@ func (m *Map) LockWaitNanos() (read, write int64) {
 	return m.readWait.Load(), m.writeWait.Load()
 }
 
-func (m *Map) Get(worker, name string) (State, bool) {
+func (m *Map) get(worker, name string) (State, bool) {
 	base, j, salted := wire.SplitName(name)
 	m.rlock()
 	defer m.runlock()
@@ -61,8 +61,10 @@ func (m *Map) Get(worker, name string) (State, bool) {
 	return g.get(salted, j)
 }
 
-func (m *Map) Put(worker, name string, st State) {
-	base, j, salted := wire.SplitName(name)
+// set performs a state-record mutation (recPut, recReplaceGroup or
+// recBootstrapSub) on the exact internal name.
+func (m *Map) set(worker string, mu mutation) {
+	base, j, salted := wire.SplitName(mu.name)
 	m.lock()
 	w := m.worker(worker)
 	g := w.groups[base]
@@ -71,7 +73,7 @@ func (m *Map) Put(worker, name string, st State) {
 		w.groups[base] = g
 		m.refs.incr(base)
 	}
-	g.set(salted, j, st)
+	g.apply(mu.op, salted, j, mu.st)
 	m.unlock()
 }
 
@@ -90,37 +92,6 @@ func (m *Map) Drop(worker, name string) bool {
 	}
 	m.unlock()
 	return dropped
-}
-
-func (m *Map) ReplaceGroup(worker, name string, st State) {
-	base, j, salted := wire.SplitName(name)
-	m.lock()
-	w := m.worker(worker)
-	g := w.groups[base]
-	if g == nil {
-		g = &group{}
-		w.groups[base] = g
-		m.refs.incr(base)
-	} else {
-		*g = group{}
-	}
-	g.set(salted, j, st)
-	m.unlock()
-}
-
-func (m *Map) BootstrapSub(worker, name string, st State) {
-	base, j, _ := wire.SplitName(name)
-	m.lock()
-	w := m.worker(worker)
-	g := w.groups[base]
-	if g == nil {
-		g = &group{}
-		w.groups[base] = g
-		m.refs.incr(base)
-	}
-	g.dropBase()
-	g.setSub(j, st)
-	m.unlock()
 }
 
 func (m *Map) ApplyFrame(worker string, f wire.Frame, _ []byte) error {

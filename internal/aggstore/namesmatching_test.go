@@ -17,11 +17,11 @@ func TestStoreNamesMatching(t *testing.T) {
 		now := time.Now()
 		s.Touch("w", now)
 		s.Touch("v", now)
-		s.Put("w", "a", mkState(1))
-		s.Put("w", salted("b", 0), mkState(2))
-		s.Put("w", salted("b", 1), mkState(3))
-		s.Put("w", "c", mkState(4))
-		s.Put("v", "a", mkState(5))
+		mustApply(t, s, "w", fullFrame(t, "a", 1))
+		mustApply(t, s, "w", deltaFrame(t, salted("b", 0), 0, 2))
+		mustApply(t, s, "w", deltaFrame(t, salted("b", 1), 0, 3))
+		mustApply(t, s, "w", fullFrame(t, "c", 4))
+		mustApply(t, s, "v", fullFrame(t, "a", 5))
 
 		var probed []string
 		all := s.NamesMatching("w", func(base string) bool {
@@ -59,7 +59,7 @@ func TestStoreNamesMatching(t *testing.T) {
 		if len(only) != 2 || only[0].Name != salted("b", 0) || only[1].Name != salted("b", 1) {
 			t.Fatalf("%s: filtered names %v", s.Kind(), only)
 		}
-		if got, ok := s.Get("w", salted("b", 0)); !ok || got.Parts.SealGen != only[0].State.Parts.SealGen ||
+		if got, ok := resident(s, "w", salted("b", 0)); !ok || got.Parts.SealGen != only[0].State.Parts.SealGen ||
 			&got.Parts.Sums[0] != &only[0].State.Parts.Sums[0] {
 			t.Fatalf("%s: filtered state is not the shared resident", s.Kind())
 		}
@@ -74,7 +74,7 @@ func TestStoreNamesMatching(t *testing.T) {
 	// The instrumented wrapper records the op under its own label.
 	in := NewInstrumented(NewMap())
 	in.Touch("w", time.Now())
-	in.Put("w", "k", mkState(9))
+	mustApply(t, in, "w", fullFrame(t, "k", 9))
 	in.NamesMatching("w", func(string) bool { return true })
 	found := false
 	for _, op := range in.Metrics().Ops {

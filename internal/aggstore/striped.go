@@ -9,8 +9,8 @@ import (
 	"repro/internal/wire"
 )
 
-// DefaultStripes is the striped store's default stripe count.
-const DefaultStripes = 64
+// defaultStripes is the stripe count of the aggregator's striped store.
+const defaultStripes = 64
 
 // Striped is the lock-striped store: state shards across stripes keyed by
 // hash(worker, base key), each behind its own RWMutex, so pushes from
@@ -19,9 +19,10 @@ const DefaultStripes = 64
 // whole salt group hashes to ONE stripe, so group reads and wholesale
 // replacement stay atomic under a single stripe lock.
 //
-// The worker table is separate: membership changes take its write lock,
-// but the hot path — stamping a worker's last push — runs under the read
-// lock with an atomic store, so concurrent pushers never serialize on it.
+// The worker table is separate: membership changes, and the purge of a
+// retired worker's state, take its write lock, but the hot path — stamping
+// a worker's last push — runs under the read lock with an atomic store, so
+// concurrent pushers never serialize on it.
 // Worker and distinct-logical-key counts are atomics; WorkerCount /
 // KeyCount never take a stripe lock.
 type Striped struct {
@@ -55,10 +56,10 @@ type workerMeta struct {
 func metaTime(nanos int64) time.Time { return time.Unix(0, nanos) }
 
 // NewStriped returns an empty striped store with n stripes (n <= 0 picks
-// DefaultStripes; n is rounded up to a power of two).
+// defaultStripes; n is rounded up to a power of two).
 func NewStriped(n int) *Striped {
 	if n <= 0 {
-		n = DefaultStripes
+		n = defaultStripes
 	}
 	size := 1
 	for size < n {
@@ -77,9 +78,6 @@ func NewStriped(n int) *Striped {
 
 func (s *Striped) Kind() string { return "striped" }
 
-// Stripes returns the stripe count (for bench labels).
-func (s *Striped) Stripes() int { return len(s.stripes) }
-
 // LockWaitNanos reports cumulative read-/write-lock wait across every
 // stripe and the worker table.
 func (s *Striped) LockWaitNanos() (read, write int64) {
@@ -90,7 +88,7 @@ func (s *Striped) stripe(worker, base string) *stripe {
 	return &s.stripes[fnv1a(worker, base)&s.mask]
 }
 
-func (s *Striped) Get(worker, name string) (State, bool) {
+func (s *Striped) get(worker, name string) (State, bool) {
 	base, j, salted := wire.SplitName(name)
 	sp := s.stripe(worker, base)
 	rlockTimed(&sp.mu, &s.readWait)
@@ -102,8 +100,10 @@ func (s *Striped) Get(worker, name string) (State, bool) {
 	return g.get(salted, j)
 }
 
-func (s *Striped) Put(worker, name string, st State) {
-	base, j, salted := wire.SplitName(name)
+// set performs a state-record mutation (recPut, recReplaceGroup or
+// recBootstrapSub) on the exact internal name.
+func (s *Striped) set(worker string, m mutation) {
+	base, j, salted := wire.SplitName(m.name)
 	sp := s.stripe(worker, base)
 	lockTimed(&sp.mu, &s.writeWait)
 	g := sp.groups[groupKey{worker, base}]
@@ -112,7 +112,7 @@ func (s *Striped) Put(worker, name string, st State) {
 		sp.groups[groupKey{worker, base}] = g
 		s.refs.incr(base)
 	}
-	g.set(salted, j, st)
+	g.apply(m.op, salted, j, m.st)
 	sp.mu.Unlock()
 }
 
@@ -130,37 +130,6 @@ func (s *Striped) Drop(worker, name string) bool {
 	}
 	sp.mu.Unlock()
 	return dropped
-}
-
-func (s *Striped) ReplaceGroup(worker, name string, st State) {
-	base, j, salted := wire.SplitName(name)
-	sp := s.stripe(worker, base)
-	lockTimed(&sp.mu, &s.writeWait)
-	g := sp.groups[groupKey{worker, base}]
-	if g == nil {
-		g = &group{}
-		sp.groups[groupKey{worker, base}] = g
-		s.refs.incr(base)
-	} else {
-		*g = group{}
-	}
-	g.set(salted, j, st)
-	sp.mu.Unlock()
-}
-
-func (s *Striped) BootstrapSub(worker, name string, st State) {
-	base, j, _ := wire.SplitName(name)
-	sp := s.stripe(worker, base)
-	lockTimed(&sp.mu, &s.writeWait)
-	g := sp.groups[groupKey{worker, base}]
-	if g == nil {
-		g = &group{}
-		sp.groups[groupKey{worker, base}] = g
-		s.refs.incr(base)
-	}
-	g.dropBase()
-	g.setSub(j, st)
-	sp.mu.Unlock()
 }
 
 func (s *Striped) ApplyFrame(worker string, f wire.Frame, _ []byte) error {
@@ -211,15 +180,19 @@ func (s *Striped) NamesMatching(worker string, match func(base string) bool) []N
 }
 
 func (s *Striped) Touch(worker string, t time.Time) {
+	// The stamp lands under the read lock, so a sweep (which decides under
+	// the write lock) either sees it and spares the worker, or has already
+	// retired the worker and this Touch creates it afresh.
 	s.wmu.RLock()
-	m := s.wm[worker]
-	s.wmu.RUnlock()
-	if m != nil {
+	if m := s.wm[worker]; m != nil {
 		m.lastPush.Store(t.UnixNano())
+		s.wmu.RUnlock()
 		return
 	}
+	s.wmu.RUnlock()
 	lockTimed(&s.wmu, &s.writeWait)
-	if m = s.wm[worker]; m == nil {
+	m := s.wm[worker]
+	if m == nil {
 		m = &workerMeta{}
 		s.wm[worker] = m
 		s.wcount.Add(1)
@@ -242,8 +215,10 @@ func (s *Striped) Workers(stale func(time.Time) bool) []string {
 }
 
 // purgeWorkers removes every stripe-resident group of the given workers,
-// fixing refcounts. Membership is already gone from the worker table, so
-// readers no longer fold these groups.
+// fixing refcounts. The caller holds the worker table's write lock from
+// retiring the workers until the purge ends: a worker revived meanwhile
+// re-enters the table (Touch) only after its old state is gone, so nothing
+// it folds can be purged.
 func (s *Striped) purgeWorkers(ids []string) {
 	for i := range s.stripes {
 		sp := &s.stripes[i]
@@ -263,25 +238,22 @@ func (s *Striped) purgeWorkers(ids []string) {
 
 func (s *Striped) DropWorker(worker string) bool {
 	lockTimed(&s.wmu, &s.writeWait)
-	_, ok := s.wm[worker]
-	if ok {
-		delete(s.wm, worker)
-		s.wcount.Add(-1)
+	defer s.wmu.Unlock()
+	if _, ok := s.wm[worker]; !ok {
+		return false
 	}
-	s.wmu.Unlock()
-	if ok {
-		s.purgeWorkers([]string{worker})
-	}
-	return ok
+	delete(s.wm, worker)
+	s.wcount.Add(-1)
+	s.purgeWorkers([]string{worker})
+	return true
 }
 
 func (s *Striped) SweepWorkers(stale func(time.Time) bool) int {
 	if stale == nil {
 		return 0
 	}
-	// Decide under the table's write lock (a concurrent Touch that landed
-	// its stamp is seen here and spares the worker), then purge state.
 	lockTimed(&s.wmu, &s.writeWait)
+	defer s.wmu.Unlock()
 	var dead []string
 	for id, m := range s.wm {
 		if stale(metaTime(m.lastPush.Load())) {
@@ -290,7 +262,6 @@ func (s *Striped) SweepWorkers(stale func(time.Time) bool) int {
 			s.wcount.Add(-1)
 		}
 	}
-	s.wmu.Unlock()
 	if len(dead) > 0 {
 		s.purgeWorkers(dead)
 	}
