@@ -36,8 +36,9 @@ func liveHeap() (bytes, objects uint64) {
 //   - reports that end on period boundaries (the repo benchmark's shape):
 //     no key holds a workbench between deliveries;
 //   - 100-value reports, which leave every key mid-period: each key holds
-//     a workbench, so the budget is the workbench — which is why its insert
-//     cache is sized to the period and not the 16 KiB default;
+//     a workbench, so the budget is the workbench — at period 128 a
+//     period-sized buffer and its seal scratch, with no tree arena and no
+//     insert cache (13.2 KB and 29 objects while the workbench was a tree);
 //   - a timed-window engine one idle tick after traffic stopped.
 //
 // Before workbenches were lent by the shard pool the three shapes cost
@@ -77,7 +78,7 @@ func TestEngineHeapPerKey(t *testing.T) {
 		minIdle  int     // workbenches shelved afterwards, at least
 	}{
 		{name: "aligned", report: 128, reports: 4, budget: 3 << 10, objects: 12, inFlight: 0, minIdle: shards},
-		{name: "unaligned", report: 100, reports: 5, budget: 15 << 10, objects: 30, inFlight: keys},
+		{name: "unaligned", report: 100, reports: 5, budget: 8 << 10, objects: 25, inFlight: keys},
 		{name: "timed-idle", report: 100, reports: 5, timed: true, budget: 3 << 10, objects: 14, inFlight: 0, minIdle: shards},
 	} {
 		t.Run(shape.name, func(t *testing.T) {

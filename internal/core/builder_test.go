@@ -1,0 +1,317 @@
+package core
+
+import (
+	"encoding/binary"
+	"math"
+	"testing"
+
+	"repro/internal/compress"
+	"repro/internal/rbtree"
+	"repro/internal/window"
+)
+
+// builderPhis are the quantiles the builder tests seal: two Level-2-only
+// ones and two few-k-managed ones, so every part of the block is written.
+var builderPhis = []float64{0.5, 0.9, 0.99, 0.999}
+
+// fuzzProgram is a byte program for FuzzBuilderSeal. Each op byte's top two
+// bits pick the call and its low six bits size it; values follow the op
+// byte, one byte each (see value), so runs of one byte are runs of one
+// value.
+type fuzzProgram []byte
+
+// specials are the values a program names by one byte below 16.
+var specials = [16]float64{
+	math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030,
+	math.MaxFloat64, -math.MaxFloat64, 1e-300, -1e-300, 1e300, 1, -1, 0.5,
+}
+
+// value decodes one value: a special below 16, eight raw little-endian
+// bytes after 0xF0 and above, and a multiple of 0.37 (negative too)
+// otherwise. ok is false once the program ends.
+func (p *fuzzProgram) value() (v float64, ok bool) {
+	if len(*p) == 0 {
+		return 0, false
+	}
+	c := (*p)[0]
+	*p = (*p)[1:]
+	switch {
+	case c < 16:
+		return specials[c], true
+	case c >= 0xF0:
+		if len(*p) < 8 {
+			return 0, false
+		}
+		v = math.Float64frombits(binary.LittleEndian.Uint64(*p))
+		*p = (*p)[8:]
+		return v, true
+	default:
+		return float64(int(c)-128) * 0.37, true
+	}
+}
+
+// values decodes up to n values.
+func (p *fuzzProgram) values(n int) []float64 {
+	var vs []float64
+	for len(vs) < n {
+		v, ok := p.value()
+		if !ok {
+			break
+		}
+		vs = append(vs, v)
+	}
+	return vs
+}
+
+// seedProgram is a program that seals a few full sub-windows of period
+// values through every call kind, with a forced partial seal, heavy
+// duplicates, −0 before +0, NaN and raw values on the way.
+func seedProgram(period int) []byte {
+	var p []byte
+	val := func(i int) {
+		switch i % 11 {
+		case 0:
+			p = append(p, 1, 2) // −0 then +0
+		case 1:
+			p = append(p, 0) // NaN
+		case 2:
+			p = append(p, 0xF0)
+			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(float64(i)*1.0001e-3))
+		default:
+			p = append(p, byte(16+i*7%200))
+		}
+	}
+	for i := 0; i < period+3; i++ { // element-at-a-time past one seal
+		p = append(p, 0)
+		val(i)
+	}
+	p = append(p, 2<<6) // force a partial seal
+	for left := 2 * period; left > 0; {
+		n, op := left, byte(1<<6|(left-1))
+		if n > 64 {
+			n = min(left, 64*16) / 16 * 16
+			op = byte(3<<6 | (n/16 - 1))
+		}
+		p = append(p, op)
+		for i := 0; i < n; i++ {
+			val(i * 3)
+		}
+		left -= n
+	}
+	return append(p, 2<<6)
+}
+
+// referenceSeal is the tree-only Level 1: every value quantized (−0 stored
+// as +0), inserted one by one into a fresh tree and sealed from it; prev,
+// when not nil, is the summary the burst flags compare against.
+func referenceSeal(p *Policy, values []float64, prev *Summary, sc *mergeScratch) Summary {
+	cfg := p.Config()
+	q := compress.NewQuantizer(cfg.Digits)
+	tree := rbtree.New()
+	for _, v := range values {
+		x := q.Quantize(v)
+		if x == 0 {
+			x = 0
+		}
+		tree.InsertN(x, 1)
+	}
+	s := newBuilder(tree, cfg.Digits, cfg.Spec.Period).seal(cfg.Phis, p.managed, p.budgets, cfg.Spec.Size)
+	if len(p.managed) > 0 && prev != nil {
+		alpha := cfg.BurstAlpha
+		if pairs := cfg.Spec.SubWindows() - 1; pairs > 1 {
+			alpha /= float64(pairs)
+		}
+		for mi := range p.managed {
+			if sc.burstyVsPrev(&s, prev, mi, alpha) {
+				s.setBursty(mi)
+			}
+		}
+	}
+	return s
+}
+
+// sameSummary reports whether two summaries are identical, block bit for
+// bit.
+func sameSummary(a, b *Summary) bool {
+	if a.Count != b.Count || a.l != b.l || a.m != b.m || a.flagged != b.flagged || len(a.block) != len(b.block) {
+		return false
+	}
+	for i := range a.block {
+		if math.Float64bits(a.block[i]) != math.Float64bits(b.block[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzBuilderSeal drives one operator, stand-alone or pooled, with
+// arbitrary values split arbitrarily into Observe and ObserveBatch calls
+// and EndPeriod forced at arbitrary partial counts, and holds every
+// summary it seals — buffered or spilled into the tree — to the tree-only
+// reference, byte for byte.
+func FuzzBuilderSeal(f *testing.F) {
+	for _, period := range []uint16{1, 2, 3, 4, 16, 128, 255, 256, 257, 1000} {
+		f.Add(period, false, seedProgram(int(period)))
+		f.Add(period, true, seedProgram(int(period)))
+	}
+	f.Fuzz(func(t *testing.T, period uint16, pooled bool, program []byte) {
+		if period == 0 || period > 1100 {
+			t.Skip("period outside 1..1100")
+		}
+		cfg := Config{Spec: window.Spec{Size: 4 * int(period), Period: int(period)}, Phis: builderPhis, FewK: true}
+		var p *Policy
+		if pooled {
+			pool, err := NewPool(cfg)
+			if err != nil {
+				t.Skip(err)
+			}
+			p = pool.Get()
+		} else {
+			var err error
+			if p, err = New(cfg); err != nil {
+				t.Skip(err)
+			}
+		}
+		var (
+			pending []float64 // the reference's in-flight sub-window
+			want    []Summary // the reference's seals not yet matched
+			sc      mergeScratch
+			prev    *Summary
+		)
+		seal := func() {
+			s := referenceSeal(p, pending, prev, &sc)
+			want = append(want, s)
+			prev = &want[len(want)-1]
+			pending = pending[:0]
+		}
+		feed := func(vs []float64) {
+			for _, v := range vs {
+				if math.IsNaN(v) {
+					continue
+				}
+				if pending = append(pending, v); len(pending) == int(period) {
+					seal()
+				}
+			}
+		}
+		prog := fuzzProgram(program)
+		for sealed := uint64(0); len(prog) > 0; {
+			op := prog[0]
+			prog = prog[1:]
+			n := int(op&63) + 1
+			switch op >> 6 {
+			case 0:
+				if v, ok := prog.value(); ok {
+					p.Observe(v)
+					feed([]float64{v})
+				}
+			case 1, 3:
+				if op>>6 == 3 {
+					n *= 16
+				}
+				vs := prog.values(n)
+				p.ObserveBatch(vs)
+				feed(vs)
+			case 2:
+				p.EndPeriod()
+				if len(pending) > 0 {
+					seal()
+				}
+			}
+			got := p.SealGen() - sealed
+			if got != uint64(len(want)) {
+				t.Fatalf("operator sealed %d summaries, reference %d", got, len(want))
+			}
+			summaries := p.agg.summaries[len(p.agg.summaries)-int(got):]
+			for i := range summaries {
+				if !sameSummary(&summaries[i], &want[i]) {
+					t.Fatalf("summary %d of %d values differs from the tree-only reference:\n got %v\nwant %v",
+						sealed+uint64(i)+1, want[i].Count, summaries[i].block, want[i].block)
+				}
+			}
+			sealed += got
+			// Keep the last one as the next reference seal's burst baseline.
+			if len(want) > 0 {
+				last := want[len(want)-1]
+				want, prev = want[:0], &last
+			}
+		}
+		if p.inFlight() != len(pending) {
+			t.Fatalf("%d values in flight, reference %d", p.inFlight(), len(pending))
+		}
+	})
+}
+
+// TestBuilderOneZero pins the one zero a sub-window stores: −0 and +0
+// quantize to the same key, and whichever arrives first, every read of the
+// sub-window answers +0 — on the buffer and in the tree alike.
+func TestBuilderOneZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, period := range []int{16, spillAt + 44} {
+		for _, negFirst := range []bool{true, false} {
+			for _, batch := range []bool{false, true} {
+				p := mustNew(t, Config{Spec: window.Spec{Size: 2 * period, Period: period}, Phis: builderPhis, FewK: true})
+				vs := make([]float64, period)
+				for i := range vs {
+					if (i%2 == 0) == negFirst {
+						vs[i] = negZero
+					}
+				}
+				if batch {
+					p.ObserveBatch(vs)
+				} else {
+					for _, v := range vs {
+						p.Observe(v)
+					}
+				}
+				if p.SubWindowCount() != 1 {
+					t.Fatalf("period %d: %d summaries sealed, want 1", period, p.SubWindowCount())
+				}
+				s := &p.agg.summaries[0]
+				for i := range builderPhis {
+					if q := s.Quantile(i); math.Float64bits(q) != 0 {
+						t.Errorf("period %d, −0 first %v, batch %v: quantile %d = %v (bits %#x), want +0",
+							period, negFirst, batch, i, q, math.Float64bits(q))
+					}
+				}
+				for mi := 0; mi < s.Managed(); mi++ {
+					for _, v := range append(s.Tail(mi), s.SampleValues(mi)...) {
+						if math.Float64bits(v) != 0 {
+							t.Errorf("period %d, −0 first %v, batch %v: cached value %v, want +0", period, negFirst, batch, v)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSpaceUsageLeavesBufferInPlace: mid-period, SpaceUsage counts the
+// distinct quantized values in flight plus the resident summaries, and
+// asking moves nothing into the tree — stream.Run asks every period, and
+// a count that spilled would put every paper experiment on the tree path.
+func TestSpaceUsageLeavesBufferInPlace(t *testing.T) {
+	const period = 128
+	p := mustNew(t, Config{Spec: window.Spec{Size: 4 * period, Period: period}, Phis: builderPhis, FewK: true})
+	q := compress.NewQuantizer(p.Config().Digits)
+	v := func(i int) float64 { return float64(i%37)*1.0007 + float64(i%5)*1e-4 }
+	for i := 0; i < 2*period; i++ {
+		p.Observe(v(i))
+	}
+	distinct := map[float64]bool{}
+	for i := 0; i < 100; i++ {
+		p.Observe(v(i * 3))
+		distinct[q.Quantize(v(i*3))] = true
+		if got, want := p.SpaceUsage(), len(distinct)+p.agg.spaceUsage(); got != want {
+			t.Fatalf("after %d values in flight: SpaceUsage = %d, want %d distinct + %d summary slots",
+				i+1, got, len(distinct), p.agg.spaceUsage())
+		}
+	}
+	if n, u := p.builder.tree.Len(), p.builder.tree.Unique(); n != 0 || u != 0 {
+		t.Fatalf("the tree holds %d values in %d nodes after SpaceUsage, want none", n, u)
+	}
+	if len(p.builder.vals) != 100 {
+		t.Fatalf("buffer holds %d values, want 100", len(p.builder.vals))
+	}
+}

@@ -222,7 +222,7 @@ func TestQuickLevel2MeanInvariant(t *testing.T) {
 }
 
 func TestBuilderSealProducesSortedTails(t *testing.T) {
-	b := newBuilder(rbtree.New(), 0)
+	b := newBuilder(rbtree.New(), 0, 100)
 	for _, v := range []float64{5, 100, 3, 99, 42, 7, 88, 1, 64, 2} {
 		b.add(v)
 	}
@@ -248,7 +248,7 @@ func TestBuilderSealProducesSortedTails(t *testing.T) {
 }
 
 func TestBuilderDensityAtSmallN(t *testing.T) {
-	b := newBuilder(rbtree.New(), 0)
+	b := newBuilder(rbtree.New(), 0, 100)
 	b.add(1)
 	b.add(2)
 	s := b.seal([]float64{0.5}, nil, nil, 100)

@@ -5,17 +5,20 @@ import "repro/internal/rbtree"
 // Pool mints and recycles QLOVE operators that share one configuration,
 // and lends them their Level-1 workbench. A monitoring engine serving a
 // high-cardinality key space holds one operator per key, but the costly
-// part of an operator — the compressed tree's arena, its insert cache and
-// the seal scratch — is in use only while a sub-window is being filled and
-// is empty again at every seal (§3.1: a stream costs its sub-window
-// summaries plus ONE transient tree). So the pool owns that part: an
+// part of an operator — the sub-window buffer (and, past spillAt values,
+// the compressed tree's arena and insert cache) and the seal scratch — is
+// in use only while a sub-window is being filled and is empty again at
+// every seal (§3.1: a stream costs its sub-window summaries plus ONE
+// transient sub-window). So the pool owns that part: an
 // operator borrows a workbench at the first value of a sub-window and
 // hands it back when EndPeriod seals it. Keys whose reports end on period
 // boundaries, or that sit idle in a timed period, then share a few
 // cache-hot workbenches instead of each pinning a cold one, and a resident
 // key costs its summaries. A key that IS mid-period keeps its workbench
-// until the period completes; the workbench's insert cache is sized to the
-// period (rbtree.NewSized) to keep that case small too.
+// until the period completes: at a period of at most spillAt values that is
+// a period-sized buffer, and the tree's arena and insert cache are never
+// allocated; a longer period's insert cache is sized to the period
+// (rbtree.NewSized).
 //
 // Retired operators (Put) are kept too, Reset and without a workbench, so
 // key churn costs map traffic instead of allocator traffic.
@@ -143,7 +146,8 @@ func (pl *Pool) IdleWorkbenches() int { return len(pl.benches) }
 
 // lend hands out a workbench: the most recently returned one (still in the
 // CPU cache when a shard works through keys one report at a time), or a
-// new one whose tree knows it is cleared every period.
+// new one with a buffer sized to the period (up to spillAt) and a tree
+// that knows it is cleared every period.
 func (pl *Pool) lend() *builder {
 	pl.lent++
 	if n := len(pl.benches); n > 0 {
@@ -152,7 +156,8 @@ func (pl *Pool) lend() *builder {
 		pl.benches = pl.benches[:n-1]
 		return b
 	}
-	return newBuilder(rbtree.NewSized(pl.proto.cfg.Spec.Period), pl.proto.cfg.Digits)
+	period := pl.proto.cfg.Spec.Period
+	return newBuilder(rbtree.NewSized(period), pl.proto.cfg.Digits, period)
 }
 
 // takeBack clears a returned workbench and shelves it, up to maxIdle.

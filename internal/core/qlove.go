@@ -1,9 +1,11 @@
 // Package core implements QLOVE — approximate Quantiles with LOw Value
 // Error — the primary contribution of the paper. QLOVE partitions a
 // sliding window into period-aligned sub-windows; Level 1 computes each
-// sub-window's exact quantiles from a compressed {value, count} red-black
-// tree (Algorithm 1), Level 2 averages the sub-window quantiles across the
-// window (justified by the CLT, Appendix A), and few-k merging (§4)
+// sub-window's exact quantiles — from a sorted buffer of its quantized
+// values while it holds at most 256, else from the compressed
+// {value, count} red-black tree of Algorithm 1 — Level 2 averages the
+// sub-window quantiles across the window (justified by the CLT,
+// Appendix A), and few-k merging (§4)
 // repairs high quantiles under statistical inefficiency and bursty
 // traffic by retaining a few tail values per sub-window.
 package core
@@ -211,8 +213,8 @@ func managedIndexes(cfg Config) []int {
 }
 
 // Reset returns the operator to its as-constructed state while keeping
-// every internal buffer — the Level-1 tree arena, quantization scratch and
-// Level-2 summary slots — at capacity (a pooled operator's workbench goes
+// every internal buffer — the Level-1 buffer and tree arena, quantization
+// scratch and Level-2 summary slots — at capacity (a pooled operator's workbench goes
 // back to its pool, at capacity, for the next borrower), so a recycled
 // operator ingests its first sub-window with zero heap allocations. It is
 // the enabler for operator pooling: an engine monitoring (and evicting)
@@ -263,14 +265,15 @@ func (p *Policy) Observe(v float64) {
 
 // bench returns the workbench of the in-flight sub-window, obtaining one
 // at the sub-window's first value: on loan from the pool that minted the
-// operator, else a private one with the default-sized insert cache (a
-// stand-alone operator retains nodes across periods, see builder.reset).
+// operator, else a private one whose tree has the default-sized insert
+// cache (a stand-alone operator retains tree nodes across periods, see
+// builder.reset).
 func (p *Policy) bench() *builder {
 	if p.builder == nil {
 		if p.lender != nil {
 			p.builder = p.lender.lend()
 		} else {
-			p.builder = newBuilder(rbtree.New(), p.cfg.Digits)
+			p.builder = newBuilder(rbtree.New(), p.cfg.Digits, p.cfg.Spec.Period)
 		}
 	}
 	return p.builder
@@ -295,10 +298,11 @@ func (p *Policy) inFlight() int {
 }
 
 // ObserveBatch implements stream.Policy: the native batch ingestion path.
-// Each period-bounded chunk is quantized in one pass over a reused scratch
-// (amortizing the decade lookup across the batch), and consecutive equal
-// quantized values collapse into single InsertN descents — one descent per
-// run, not per element. Sub-windows seal exactly where the
+// Each period-bounded chunk is quantized in one pass (amortizing the
+// decade lookup across the batch) straight onto the sub-window buffer, or,
+// for a sub-window past the buffer, into a reused scratch whose runs of
+// equal quantized values collapse into single InsertN tree descents — one
+// descent per run, not per element. Sub-windows seal exactly where the
 // element-at-a-time path would seal, so evaluations are bit-identical to
 // repeated Observe calls. NaN elements are dropped and (as in Observe) do
 // not advance the period.
@@ -455,9 +459,11 @@ func (p *Policy) ErrorBounds(alpha float64) []float64 {
 	return out
 }
 
-// SpaceUsage implements stream.Policy: the in-flight tree's {value, count}
-// nodes plus every resident summary slot (the paper's l(N/P) + O(P) space
-// model, with O(P) shrunk by data redundancy and few-k storage added).
+// SpaceUsage implements stream.Policy: the in-flight sub-window's distinct
+// values (buffered) or {value, count} nodes (in the tree) plus every
+// resident summary slot (the paper's l(N/P) + O(P) space model, with O(P)
+// shrunk by data redundancy and few-k storage added). Asking changes
+// nothing: a buffered sub-window stays buffered.
 func (p *Policy) SpaceUsage() int {
 	n := p.agg.spaceUsage()
 	if p.builder != nil {

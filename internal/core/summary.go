@@ -283,20 +283,31 @@ func (sc *mergeScratch) burstyVsPrev(cur, prev *Summary, mi int, alpha float64) 
 	return fewk.DetectBurst(u[:nx], u[nx:], alpha, &sc.fewk)
 }
 
-// builder accumulates one in-flight sub-window: the compressed
-// {value, count} red-black tree state of Algorithm 1. The scratch slices
-// are reused across batches and seals, so steady-state ingestion allocates
-// only what a Summary must retain.
+// builder accumulates one in-flight sub-window of quantized values. The
+// paper's Level 1 keeps a sub-window as the compressed {value, count}
+// red-black tree of Algorithm 1, which pays when values recur across a
+// sub-window of thousands. A small sub-window is mostly distinct values
+// (113 of 128 on NetMon at 3 digits), so the builder keeps up to spillAt
+// of them in a flat buffer and sorts it once at seal; only a sub-window
+// that outgrows the buffer moves into the tree and continues there. Both
+// forms hold the same multiset and seal to the same summary, bit for bit.
+// The scratch slices are reused across batches and seals, so steady-state
+// ingestion allocates only what a Summary must retain.
 //
 // It is the operator's Level-1 workbench, and empty at every seal: a
 // stand-alone operator owns one for life, an operator minted by a Pool
 // borrows one from the pool only while a sub-window is in flight (see
 // Policy.bench).
 type builder struct {
+	// vals is the in-flight sub-window while it has at most spillAt values
+	// and tree is empty: quantized, NaN dropped, −0 stored as +0, in
+	// arrival order until seal sorts it. Once tree holds the sub-window,
+	// vals is empty.
+	vals  []float64
 	tree  *rbtree.Tree
 	quant compress.Quantizer
 
-	qbuf     []float64 // quantized batch scratch (addBatch)
+	qbuf     []float64 // quantized batch scratch (addBatch), distinct-count scratch (unique)
 	reqs     []rankReq // fused rank requests of one seal
 	ranks    []uint64  // sorted ranks handed to SelectRanks
 	rankVals []float64 // SelectRanks output
@@ -316,59 +327,118 @@ type builder struct {
 	prevUnique int
 }
 
-// rankReq asks one seal traversal for the value at a 1-based rank; slot
-// says where the answer goes (0..l-1: ϕ-quantiles; l+2i, l+2i+1: density
-// lo/hi bounds of ϕ index i).
+// spillAt is how many quantized values a sub-window keeps in the flat
+// buffer before it moves into the tree: the engine's 16- and 128-value
+// sub-windows never reach it, the paper's 1 000–16 000-value ones leave it
+// early enough that the tree's duplicate compression still pays.
+const spillAt = 256
+
+// rankReq asks one seal for the value at a 1-based rank; slot says where
+// the answer goes (0..l-1: ϕ-quantiles; l+2i, l+2i+1: density lo/hi
+// bounds of ϕ index i).
 type rankReq struct {
 	rank uint64
 	slot int32
 }
 
-func newBuilder(tree *rbtree.Tree, digits int) *builder {
-	return &builder{tree: tree, quant: compress.NewQuantizer(digits)}
+// newBuilder returns an empty builder over tree whose buffer is sized for
+// a sub-window of period values (at most spillAt).
+func newBuilder(tree *rbtree.Tree, digits, period int) *builder {
+	return &builder{vals: make([]float64, 0, min(period, spillAt)), tree: tree, quant: compress.NewQuantizer(digits)}
 }
 
-// add inserts one element, quantized to the configured significant
+// add accumulates one element, quantized to the configured significant
 // digits. NaN values — telemetry glitches — are dropped: they have no
-// place in an order statistic and would corrupt the tree's comparisons.
+// place in an order statistic and would corrupt the comparisons. −0 is
+// stored as +0, so a sub-window's zero does not depend on arrival order.
 func (b *builder) add(v float64) {
 	if math.IsNaN(v) {
 		return
 	}
-	b.tree.Insert(b.quant.Quantize(v))
+	q := b.quant.Quantize(v)
+	if q == 0 {
+		q = 0
+	}
+	if b.tree.Len() == 0 {
+		if len(b.vals) < spillAt {
+			b.vals = append(b.vals, q)
+			return
+		}
+		b.spill()
+	}
+	b.tree.Insert(q)
 }
 
-// addBatch inserts a run of elements: the whole batch is quantized into a
-// reused scratch (one decade-cache pass, no per-element dispatch), then
-// consecutive equal quantized values — frequent after §3.1 compression
-// flattens telemetry plateaus — collapse into single InsertN tree
-// descents. NaNs are dropped exactly as add does. (A full sort of the
-// chunk would collapse non-adjacent duplicates too, but measures slower
-// than the descents it saves on a compressed sub-window tree that is
-// already cache-resident.)
+// addBatch accumulates a run of elements exactly as repeated add calls
+// would. The whole batch is quantized in one decade-cache pass (no
+// per-element dispatch): straight onto the buffer while the sub-window
+// fits there, else into a reused scratch whose runs of equal values —
+// frequent after §3.1 compression flattens telemetry plateaus — collapse
+// into single InsertN tree descents. A batch that would overflow the
+// buffer goes to the tree without passing through it.
 func (b *builder) addBatch(vs []float64) {
-	q := b.quant.AppendQuantized(b.qbuf[:0], vs)
-	b.qbuf = q
-	for i := 0; i < len(q); {
-		v := q[i]
+	if b.tree.Len() == 0 && len(b.vals)+len(vs) <= spillAt {
+		b.vals = b.appendQuantized(b.vals, vs)
+		return
+	}
+	b.spill()
+	b.qbuf = b.appendQuantized(b.qbuf[:0], vs)
+	b.insertRuns(b.qbuf)
+}
+
+// appendQuantized appends vs to dst quantized, NaN dropped and −0 stored
+// as +0, and returns the extended slice.
+func (b *builder) appendQuantized(dst, vs []float64) []float64 {
+	n := len(dst)
+	q := b.quant.AppendQuantized(dst, vs)
+	kept := q[:n]
+	for _, v := range q[n:] {
 		if math.IsNaN(v) {
-			i++
 			continue
 		}
+		if v == 0 {
+			v = 0
+		}
+		kept = append(kept, v)
+	}
+	return kept
+}
+
+// spill moves the buffered sub-window into the tree, which holds it from
+// then until the seal.
+func (b *builder) spill() {
+	b.insertRuns(b.vals)
+	b.vals = b.vals[:0]
+}
+
+// insertRuns inserts appendQuantized output into the tree, one InsertN per
+// run of consecutive equal values.
+func (b *builder) insertRuns(q []float64) {
+	for i := 0; i < len(q); {
 		j := i + 1
-		for j < len(q) && q[j] == v {
+		for j < len(q) && q[j] == q[i] {
 			j++
 		}
-		b.tree.InsertN(v, uint64(j-i))
+		b.tree.InsertN(q[i], uint64(j-i))
 		i = j
 	}
 }
 
 // len returns the number of elements accumulated so far.
-func (b *builder) len() int { return int(b.tree.Len()) }
+func (b *builder) len() int { return len(b.vals) + int(b.tree.Len()) }
 
-// unique returns the resident {value, count} node count (the space cost).
-func (b *builder) unique() int { return b.tree.Unique() }
+// unique returns the in-flight sub-window's space cost: the distinct
+// buffered values, counted on a sorted copy so that asking moves nothing
+// into the tree, or the tree's resident {value, count} node count.
+func (b *builder) unique() int {
+	if len(b.vals) == 0 {
+		return b.tree.Unique()
+	}
+	u := append(b.qbuf[:0], b.vals...)
+	b.qbuf = u
+	slices.Sort(u)
+	return len(slices.Compact(u))
+}
 
 // seal computes the sub-window summary; the caller then empties the
 // builder (reset to keep it, clear to hand it back). managed lists the
@@ -376,12 +446,17 @@ func (b *builder) unique() int { return b.tree.Unique() }
 // per-sub-window plans.
 //
 // The seal is fused: every rank the summary needs — the l ϕ-quantiles and
-// the two density finite-difference bounds per ϕ — is answered by ONE
-// in-order traversal (SelectRanks), and every managed quantile's tail is a
-// prefix of ONE shared descending traversal, instead of the
-// l + 2l·Select + |managed| independent walks of the naive path.
+// the two density finite-difference bounds per ϕ — is read in one go, and
+// every managed quantile's tail is a prefix of ONE shared descending run.
+// A buffered sub-window is sorted once and read by index; a tree answers
+// the ranks with ONE in-order traversal (SelectRanks) and the tail with
+// one descending one.
 func (b *builder) seal(phis []float64, managed []int, budgets []fewk.Budget, windowN int) Summary {
-	n := int(b.tree.Len())
+	n := b.len()
+	flat := b.tree.Len() == 0
+	if flat {
+		slices.Sort(b.vals)
+	}
 	l := len(phis)
 	// Gather rank requests.
 	reqs := b.reqs[:0]
@@ -408,29 +483,16 @@ func (b *builder) seal(phis []float64, managed []int, budgets []fewk.Budget, win
 		}
 	}
 	b.reqs = reqs
-	slices.SortFunc(reqs, func(a, c rankReq) int {
-		switch {
-		case a.rank < c.rank:
-			return -1
-		case a.rank > c.rank:
-			return 1
-		default:
-			return 0
-		}
-	})
-	ranks := b.ranks[:0]
-	for _, r := range reqs {
-		ranks = append(ranks, r.rank)
-	}
-	b.ranks = ranks
-	b.rankVals = growFloats(b.rankVals, len(reqs))
-	b.tree.SelectRanks(ranks, b.rankVals)
 	b.slotVals = growFloats(b.slotVals, 3*l)
-	for k, r := range reqs {
-		b.slotVals[r.slot] = b.rankVals[k]
+	if flat {
+		for _, r := range reqs {
+			b.slotVals[r.slot] = b.vals[r.rank-1]
+		}
+	} else {
+		b.selectRanks(reqs)
 	}
 	// Density at each ϕ-quantile by finite difference of the empirical
-	// quantile function, mirroring stats.DensityAt but reusing the tree.
+	// quantile function, mirroring stats.DensityAt on the rank reads.
 	b.dens = growFloats(b.dens, l)
 	for i := range phis {
 		b.dens[i] = 0
@@ -445,14 +507,22 @@ func (b *builder) seal(phis []float64, managed []int, budgets []fewk.Budget, win
 		b.dens[i] = (b.his[i] - b.los[i]) / (qhi - qlo)
 	}
 	// Few-k capture: managed quantiles all want "the k largest", so one
-	// shared descending walk of maxTail values serves every ϕ as a prefix.
+	// shared descending run of maxTail values serves every ϕ as a prefix.
 	maxTail, nSamples := 0, 0
 	for mi, pi := range managed {
 		ts := tailSize(windowN, phis[pi], n)
 		maxTail = max(maxTail, ts)
 		nSamples += fewk.SampleCount(ts, budgets[mi].Ks)
 	}
-	if maxTail > 0 {
+	switch {
+	case maxTail == 0:
+	case flat:
+		tail := b.tail[:0]
+		for i := n - 1; i >= n-maxTail; i-- {
+			tail = append(tail, b.vals[i])
+		}
+		b.tail = tail
+	default:
 		b.tail = b.tree.AppendTopK(b.tail[:0], maxTail)
 	}
 	b.samples = growFloats(b.samples, 2*nSamples)
@@ -481,20 +551,48 @@ func (b *builder) seal(phis []float64, managed []int, budgets []fewk.Budget, win
 	return s
 }
 
-// reset empties the tree of a builder its operator keeps (stand-alone
-// operators; a borrowed one is cleared and handed back instead) for the
-// next sub-window of count elements just sealed. Quantized telemetry
-// re-observes mostly the same values period after period (§3.1's data
-// redundancy), so when this period built few fresh nodes the node set is
-// retained (ResetCounts) and the next fill runs against warm nodes and a
-// valid insert cache — no allocation, no rebalancing. When the value
-// population drifts (many fresh nodes) or retention has accumulated too
-// large a resident set relative to the period, the tree is dropped to its
-// arena (Clear) and rebuilt, bounding the resident set at 4·period + 1024
-// nodes. The constant term dominates small periods — 1024 nodes × 40 B is
-// 40 KB at period 16 — which is affordable for the one operator of a
-// Monitor and is why a fleet of keyed operators does not retain at all.
+// selectRanks answers the seal's rank requests from the tree in one
+// in-order traversal, writing each answer to its request's slot.
+func (b *builder) selectRanks(reqs []rankReq) {
+	slices.SortFunc(reqs, func(a, c rankReq) int {
+		switch {
+		case a.rank < c.rank:
+			return -1
+		case a.rank > c.rank:
+			return 1
+		default:
+			return 0
+		}
+	})
+	ranks := b.ranks[:0]
+	for _, r := range reqs {
+		ranks = append(ranks, r.rank)
+	}
+	b.ranks = ranks
+	b.rankVals = growFloats(b.rankVals, len(reqs))
+	b.tree.SelectRanks(ranks, b.rankVals)
+	for k, r := range reqs {
+		b.slotVals[r.slot] = b.rankVals[k]
+	}
+}
+
+// reset empties a builder its operator keeps (stand-alone operators; a
+// borrowed one is cleared and handed back instead) for the next
+// sub-window of count elements just sealed. A sub-window sealed from the
+// buffer never touched the tree, which keeps whatever it retained. For
+// one the tree held: quantized telemetry re-observes mostly the same
+// values period after period (§3.1's data redundancy), so when this period
+// built few fresh nodes the node set is retained (ResetCounts) and the
+// next spill runs against warm nodes and a valid insert cache — no
+// allocation, no rebalancing. When the value population drifts (many
+// fresh nodes) or retention has accumulated too large a resident set
+// relative to the period, the tree is dropped to its arena (Clear) and
+// rebuilt, bounding the resident set at 4·period + 1024 nodes.
 func (b *builder) reset(count int) {
+	if len(b.vals) > 0 {
+		b.vals = b.vals[:0]
+		return
+	}
 	unique := b.tree.Unique()
 	fresh := unique - b.prevUnique
 	// A period that began with an empty tree gives no drift signal (every
@@ -511,11 +609,13 @@ func (b *builder) reset(count int) {
 }
 
 // clear empties the builder back to its as-constructed state, keeping the
-// tree arena, insert cache and every scratch buffer at capacity (Clear
-// retains the arena; the quantizer's decade cache is stateless across
-// values), so the next operator to use it — the same one after a Reset, or
-// whichever key of the shard borrows it next — fills it without allocating.
+// buffer, tree arena, insert cache and every scratch buffer at capacity
+// (Clear retains the arena; the quantizer's decade cache is stateless
+// across values), so the next operator to use it — the same one after a
+// Reset, or whichever key of the shard borrows it next — fills it without
+// allocating.
 func (b *builder) clear() {
+	b.vals = b.vals[:0]
 	b.tree.Clear()
 	b.prevUnique = 0
 }
