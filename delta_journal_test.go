@@ -82,12 +82,13 @@ func (d *diffCursor) exportBoth(e *Engine, step int, tally bool) error {
 
 // TestExportDeltaJournalMatchesScan is the differential gate of the
 // mutation journal: over a seeded random schedule of pushes, evictions,
-// evict-then-recreate, TTL expiry, timed ticks, live migrations and
-// escalations, and cursor persistence round trips, three cursors exporting
-// at different cadences must each get, from the journal, byte for byte the
-// blob a full scan produces — including the slow one, whose clock the
-// departures log outruns, so it exercises the stale fallback. Every
-// cursor's folded stream must also still equal the engine's full export.
+// evict-then-recreate, TTL expiry, timed ticks, live stream moves (a
+// salt-1 escalation and its collapse) and escalations, and cursor
+// persistence round trips, three cursors exporting at different cadences
+// must each get, from the journal, byte for byte the blob a full scan
+// produces — including the slow one, whose clock the departures log
+// outruns, so it exercises the stale fallback. Every cursor's folded
+// stream must also still equal the engine's full export.
 func TestExportDeltaJournalMatchesScan(t *testing.T) {
 	const shards = 4
 	cfg := Config{Spec: Window{Size: 64, Period: 16}, Phis: []float64{0.5, 0.99}, FewK: true}
@@ -178,7 +179,13 @@ func TestExportDeltaJournalMatchesScan(t *testing.T) {
 						k := stable()
 						switch rng.Intn(4) {
 						case 0, 1:
-							e.migrateKey(k, rng.Intn(shards))
+							// A whole-stream move: to sub-stream 0's shard
+							// under a salt-1 route, or back to the base name.
+							if ov := e.override(k); ov == nil {
+								e.escalateKey(k, 1)
+							} else {
+								e.collapseKey(k, ov.maxSalt)
+							}
 						case 2:
 							e.escalateKey(k, 4)
 						case 3:

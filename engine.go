@@ -54,9 +54,11 @@ import (
 //     Push. Both return immutable captures, safe to retain and Merge anywhere.
 //
 // Every key's operator is a QLOVE operator minted by its shard's core.Pool,
-// which also lends it the Level-1 tree of the sub-window it is filling: a
-// resident key costs its summaries, a shard's keys share a few arena-backed
-// trees, and evicted keys recycle instead of feeding the garbage collector.
+// which also lends it the Level-1 workbench of the sub-window it is filling
+// (a period-sized buffer of quantized values; a tree only past 256 of
+// them): a resident key costs its summaries, a shard's keys share a few
+// workbenches, and evicted keys recycle instead of feeding the garbage
+// collector.
 type Engine struct {
 	spec    Window
 	shards  []*engineShard
@@ -140,10 +142,9 @@ type EngineConfig struct {
 	Backpressure Backpressure
 	// Adapt, when non-nil, enables ADAPTIVE routing: a per-key route table
 	// consulted on every Push, plus an occupancy-driven controller that
-	// escalates hot keys to salted sub-stream routing, de-escalates them
-	// when traffic subsides, and migrates whole cold keys between shards —
-	// see AdaptConfig for what an escalated key's reads and exports look
-	// like.
+	// escalates hot keys to salted sub-stream routing and de-escalates them
+	// when traffic subsides — see AdaptConfig for what an escalated key's
+	// reads and exports look like.
 	Adapt *AdaptConfig
 }
 
@@ -198,8 +199,8 @@ type engineShard struct {
 	// shard nobody exports from journals each key once. (Atomic because
 	// captures of a closed engine run on the exporting goroutines, several
 	// at a time.) Incarnation numbers come from the ENGINE-global e.incSeq,
-	// so a key keeps its identity when a migration moves it between shards
-	// and can never collide with the destination's counter.
+	// so a stream keeps its identity when a migration hands it to another
+	// name and shard, and can never collide with the destination's counter.
 	mutations uint64
 	exported  atomic.Uint64
 	// journal is the sentinel of the intrusive ring of live (non-parking)
@@ -408,7 +409,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		e.adapt = &adaptState{
 			interval: cfg.Adapt.Interval,
 			esc:      make(map[string]*escState),
-			pinned:   make(map[string]int),
 		}
 	}
 	e.shards = make([]*engineShard, shards)
@@ -454,25 +454,19 @@ func (e *Engine) shardOf(key string) *engineShard {
 	return e.shards[e.shardIndex(key)]
 }
 
-// route picks the shard a push goes to: the key's route-table override (an
-// escalated key's next sub-stream, or a pin) when it has one, plain hash
-// dispatch otherwise. Returns the shard and the internal key name to
-// deliver under. Called under e.mu.RLock — held across route AND enqueue,
-// which is what lets a route flip under the write lock act as a cutover
-// barrier (engineroute.go).
+// route picks the shard a push goes to: an escalated key's next sub-stream
+// when the route table overrides it, plain hash dispatch otherwise. Returns
+// the shard and the internal key name to deliver under. Called under
+// e.mu.RLock — held across route AND enqueue, which is what lets a route
+// flip under the write lock act as a cutover barrier (engineroute.go).
 func (e *Engine) route(key string) (*engineShard, string) {
 	if rt := e.routes.Load(); rt != nil {
 		if ov := rt.m[key]; ov != nil {
-			switch {
-			case ov.salt > 1:
-				key = wire.SaltedName(key, byte((ov.ctr.Add(1)-1)%uint64(ov.salt)))
-				return e.shardOf(key), key
-			case ov.salt == 1:
-				key = wire.SaltedName(key, 0)
-				return e.shardOf(key), key
-			case ov.shard >= 0:
-				return e.shards[ov.shard], key
+			j := uint64(0)
+			if ov.salt > 1 {
+				j = (ov.ctr.Add(1) - 1) % uint64(ov.salt)
 			}
+			key = wire.SaltedName(key, byte(j))
 		}
 	}
 	return e.shardOf(key), key
@@ -717,18 +711,10 @@ func (e *Engine) Query(key string) (Snapshot, bool) {
 	return m, true
 }
 
-// queryOne captures one INTERNAL key name; callers hold e.mu.RLock. The
-// routed shard answers first; on a miss the hash-home shard is probed too
-// (a pin observed through a racing route flip can be one step stale).
+// queryOne captures one INTERNAL key name from its hash shard; callers
+// hold e.mu.RLock.
 func (e *Engine) queryOne(key string) (Snapshot, bool) {
-	s := e.locateShard(key)
-	if sn, ok := s.query(key); ok {
-		return sn, true
-	}
-	if h := e.shardOf(key); h != s {
-		return h.query(key)
-	}
-	return Snapshot{}, false
+	return e.shardOf(key).query(key)
 }
 
 // query reads one operator in place; keysMu spans lookup AND copy. A name
@@ -923,9 +909,9 @@ func (e *Engine) captureDelta(cur *ExportCursor, have bool) []*shardDeltaResp {
 // engine. After a scan that is the set difference against what the shards
 // found. From the journals, only a name in some departures log can have
 // gone; it is still resident exactly when a live entry touched since the
-// cursor carries it — on the same shard (evicted and re-created) or on
-// another (a migration, whose handoff and install tick both shards' clocks
-// inside one cutover no capture can straddle).
+// cursor carries it — evicted and re-created, or handed back to the name by
+// a collapse (whose handoff and install tick both shards' clocks inside one
+// cutover no capture can straddle).
 func deltaTombstones(cur *ExportCursor, resps []*shardDeltaResp) []string {
 	var tombs []string
 	if resps[0].scanned {
@@ -1127,19 +1113,9 @@ func (e *Engine) Evict(key string) bool {
 	return any
 }
 
-// evictOne retires one INTERNAL key name, probing the routed shard first
-// and the hash home on a miss (mirroring queryOne).
+// evictOne retires one INTERNAL key name from its hash shard.
 func (e *Engine) evictOne(key string) bool {
-	if e.evictAt(e.locateShard(key), key) {
-		return true
-	}
-	if h := e.shardOf(key); h != e.locateShard(key) {
-		return e.evictAt(h, key)
-	}
-	return false
-}
-
-func (e *Engine) evictAt(s *engineShard, key string) bool {
+	s := e.shardOf(key)
 	e.mu.RLock()
 	if !e.closed {
 		resp := make(chan engineCtlResp, 1)
@@ -1306,8 +1282,8 @@ func (s *engineShard) handle(msg engineMsg) {
 
 // noteBenches publishes the pool's workbench gauges. Loans change hands
 // inside deliveries and timed flushes (borrow, seal), evictions (Reset) and
-// migrations, and every one of those runs through handle, housekeep or
-// evict — each ends here.
+// migrations (Disown at the handoff, Adopt at the install), and each of
+// those ends here.
 func (s *engineShard) noteBenches() {
 	setGauge(&s.counters.inFlight, s.pool.Lent())
 	setGauge(&s.counters.idleBenches, s.pool.IdleWorkbenches())
@@ -1524,12 +1500,14 @@ func (s *engineShard) control(ctl *engineCtl) {
 		if ent := s.keys[ctl.key]; ent != nil && !ent.parking {
 			s.depart(ent)
 			s.pool.Disown(ent.op)
+			s.noteBenches()
 			ctl.resp <- engineCtlResp{ent: ent, ok: true}
 			return
 		}
 		ctl.resp <- engineCtlResp{}
 	case ctlInstall:
 		s.install(ctl.key, ctl.ent)
+		s.noteBenches()
 		ctl.resp <- engineCtlResp{}
 	case ctlSample:
 		ctl.resp <- engineCtlResp{loads: s.sampleLoads(ctl.n)}

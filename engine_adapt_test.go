@@ -1,8 +1,9 @@
-// Tests for adaptive hot-key routing: live key migration and per-key
+// Tests for adaptive hot-key routing: live stream moves and per-key
 // escalation must be invisible to readers — queries, full exports and
-// delta exports stay bit-identical to an unmigrated/unsalted reference —
-// and the occupancy-driven controller must escalate, cool and collapse a
-// hot key across its whole lifecycle without ordering violations.
+// delta folds stay bit-identical to an unmoved/unsalted reference — the
+// occupancy-driven controller must escalate, cool and collapse a hot key
+// across its whole lifecycle without ordering violations, and every
+// stream must stay on its hash shard.
 package qlove
 
 import (
@@ -151,13 +152,16 @@ func foldEquiv(t *testing.T, label string, e *Engine, agg *Aggregator) {
 	}
 }
 
-// --- tentpole: migration bit-equivalence --------------------------------
+// --- stream-move bit-equivalence ----------------------------------------
 
-// TestEngineAdaptMigrationEquivalence pins the core migration promise: a
-// key moved live between shards produces queries, full exports and delta
-// exports bit-identical to the same key on an engine that never migrated
-// anything — at 1, 2 and 8 shards, including eviction tombstones after a
-// move and pin-removal when a key migrates back home.
+// TestEngineAdaptMigrationEquivalence pins the stream-move promise: a key
+// whose whole stream moves live — a salt-1 escalation hands it to
+// sub-stream 0 on that name's hash shard, a collapse hands it back —
+// produces queries and full exports bit-identical to the same key on an
+// engine that never moved anything, and an ExportDelta-fed aggregator folds
+// to the same answers, at 1, 2 and 8 shards, including eviction tombstones
+// after a move. Delta bytes match the reference only until the first move:
+// from then on the moved streams ship under their sub-stream names.
 func TestEngineAdaptMigrationEquivalence(t *testing.T) {
 	spec := Window{Size: 64, Period: 32}
 	cfg := Config{Spec: spec, Phis: []float64{0.5, 0.9, 0.99}}
@@ -195,6 +199,7 @@ func TestEngineAdaptMigrationEquivalence(t *testing.T) {
 					}
 				}
 			}
+			moved := false
 			checkpoint := func(label string) {
 				var fa, fb, da, db bytes.Buffer
 				if _, err := adaptive.Export(&fa); err != nil {
@@ -212,7 +217,7 @@ func TestEngineAdaptMigrationEquivalence(t *testing.T) {
 				if _, err := ref.ExportDelta(&db, curB); err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(da.Bytes(), db.Bytes()) {
+				if !moved && !bytes.Equal(da.Bytes(), db.Bytes()) {
 					t.Fatalf("%s: delta export diverged (%d vs %d bytes)", label, da.Len(), db.Len())
 				}
 				if _, err := agg.Apply("w0", bytes.NewReader(da.Bytes())); err != nil {
@@ -223,41 +228,37 @@ func TestEngineAdaptMigrationEquivalence(t *testing.T) {
 			}
 
 			pushRound()
-			checkpoint("pre-migration")
+			checkpoint("pre-move")
 
-			if shards == 1 {
-				if _, ok := adaptive.migrateKey("k0", 0); ok {
-					t.Fatal("1-shard migrate reported a move")
+			moved = true
+			for _, k := range []string{"k0", "k1", "k2"} {
+				sub0 := wire.SaltedName(k, 0)
+				ev, ok := adaptive.escalateKey(k, 1)
+				if !ok {
+					t.Fatalf("salt-1 escalation of %q refused", k)
 				}
-			} else {
-				for _, k := range []string{"k0", "k1", "k2"} {
-					home := adaptive.shardIndex(k)
-					dst := (home + 1) % shards
-					ev, ok := adaptive.migrateKey(k, dst)
-					if !ok {
-						t.Fatalf("migrate %q -> shard %d refused", k, dst)
-					}
-					if ev.Kind != RouteMigrate || ev.FromShard != home || ev.ToShard != dst {
-						t.Fatalf("migrate event %+v, want %s->%d", ev, k, dst)
-					}
-					if ev.KeyBatches != rounds {
-						t.Fatalf("migrate %q carried %d batches, want %d", k, ev.KeyBatches, rounds)
-					}
+				if ev.Kind != RouteEscalate || ev.FromShard != adaptive.shardIndex(k) || ev.ToShard != adaptive.shardIndex(sub0) {
+					t.Fatalf("move event %+v, want %s from its hash shard to %q's", ev, k, sub0)
 				}
-				// Pin k0 back to its hash home: the override must vanish,
-				// not persist as a redundant pin.
-				home := adaptive.shardIndex("k0")
-				if _, ok := adaptive.migrateKey("k0", home); !ok {
-					t.Fatal("migrate k0 home refused")
-				}
-				if ov := adaptive.override("k0"); ov != nil {
-					t.Fatalf("k0 still overridden after moving home: %+v", ov)
+				if ev.KeyBatches != rounds {
+					t.Fatalf("move of %q carried %d batches, want %d", k, ev.KeyBatches, rounds)
 				}
 			}
 
-			checkpoint("post-migration-quiescent")
+			checkpoint("post-move-quiescent")
 			pushRound()
-			checkpoint("post-migration-traffic")
+			checkpoint("post-move-traffic")
+
+			// Move k0 back: the override goes, and the stream is its base
+			// name's again, history intact.
+			ev, ok := adaptive.collapseKey("k0", 1)
+			if !ok || ev.Kind != RouteCollapse || ev.KeyBatches != 2*rounds {
+				t.Fatalf("collapse of k0: %+v, ok %v; want a move carrying %d batches", ev, ok, 2*rounds)
+			}
+			if ov := adaptive.override("k0"); ov != nil {
+				t.Fatalf("k0 still overridden after moving back: %+v", ov)
+			}
+			checkpoint("post-move-back")
 
 			if !adaptive.Evict("k2") || !ref.Evict("k2") {
 				t.Fatal("evict k2 found nothing")
@@ -275,7 +276,7 @@ func TestEngineAdaptMigrationEquivalence(t *testing.T) {
 // --- tentpole: escalation replay equivalence ----------------------------
 
 // TestEngineAdaptEscalationEquivalence drives a key through the full
-// escalation lifecycle — fresh escalate (operator migrates to sub-stream
+// escalation lifecycle — fresh escalate (operator moves to sub-stream
 // 0), widened fan-out, de-escalate, and a flip-only re-escalation — and
 // checks every phase bit-for-bit against external reference monitors fed
 // the deterministic i-mod-salt sub-stream assignment. While escalated, the
@@ -463,7 +464,7 @@ func TestEngineAdaptEscalationEquivalence(t *testing.T) {
 
 // TestEngineAdaptCollapseAfterTTL walks the back half of the lifecycle:
 // after de-escalation the idle sub-streams age out under KeyTTLDuration (a
-// fake clock advanced one second per push), collapse migrates sub-stream 0
+// fake clock advanced one second per push), collapse moves sub-stream 0
 // home to the base name, the override disappears, and the key keeps
 // answering bit-identically.
 func TestEngineAdaptCollapseAfterTTL(t *testing.T) {
@@ -567,13 +568,13 @@ func TestEngineAdaptCollapseAfterTTL(t *testing.T) {
 	<-done
 }
 
-// --- satellite: migration vs key TTL ------------------------------------
+// --- stream move vs key TTL ---------------------------------------------
 
 // TestEngineAdaptMigrationTTLRace pins the eviction race: a key that
-// wall-clock-expires before its migration handoff must NOT resurrect with
-// stale seal generations — the pin still flips, the handoff finds nothing,
-// and the next push mints a genuinely fresh stream whose delta export
-// tombstones the old identity.
+// wall-clock-expires before the handoff of its escalation must NOT
+// resurrect with stale seal generations — the route still flips, the
+// handoff finds nothing, and the next push mints a genuinely fresh stream
+// at sub-stream 0 whose delta export tombstones the old identity.
 func TestEngineAdaptMigrationTTLRace(t *testing.T) {
 	spec := Window{Size: 64, Period: 32}
 	cfg := Config{Spec: spec, Phis: []float64{0.5, 0.9}}
@@ -648,20 +649,20 @@ func TestEngineAdaptMigrationTTLRace(t *testing.T) {
 		t.Fatal("k survived its wall TTL")
 	}
 
-	// Migrate the now-evicted key. The pin flips; the handoff misses.
-	ev, ok := e.migrateKey("k", 1-home)
+	// Escalate the now-evicted key. The route flips; the handoff misses.
+	ev, ok := e.escalateKey("k", 1)
 	if !ok {
-		t.Fatal("migration of evicted key refused")
+		t.Fatal("escalation of evicted key refused")
 	}
 	if ev.KeyBatches != 0 {
 		t.Fatalf("handoff of evicted key carried %d batches, want 0", ev.KeyBatches)
 	}
-	if ov := e.override("k"); ov == nil || ov.shard != 1-home {
-		t.Fatalf("pin not installed: %+v", ov)
+	if ov := e.override("k"); ov == nil || ov.salt != 1 {
+		t.Fatalf("salt-1 route not installed: %+v", ov)
 	}
 
-	// Fresh pushes mint a brand-new stream at the pinned shard: its state
-	// must equal a reference monitor fed ONLY the new batches — any stale
+	// Fresh pushes mint a brand-new stream at sub-stream 0: its state must
+	// equal a reference monitor fed ONLY the new batches — any stale
 	// resurrection would poison the quantiles.
 	refPol, err := New(cfg)
 	if err != nil {
@@ -679,6 +680,13 @@ func TestEngineAdaptMigrationTTLRace(t *testing.T) {
 		refMon.PushBatch(vs, nil)
 	}
 	settle(e)
+	e.mu.RLock()
+	sub0, ok := e.queryOne(wire.SaltedName("k", 0))
+	e.mu.RUnlock()
+	if !ok {
+		t.Fatal("reborn k has no sub-stream 0")
+	}
+	sameSnapshot(t, "reborn sub-stream 0", sub0, refPol.Snapshot())
 	got, ok := e.Query("k")
 	if !ok {
 		t.Fatal("reborn k unqueryable")
@@ -860,10 +868,123 @@ func TestEngineAdaptControllerLifecycle(t *testing.T) {
 	<-done
 }
 
+// TestEngineAdaptStreamsStayOnHashShard pins the one balancing mechanism:
+// a shard made hot by six moderate keys, none carrying 30% of its traffic,
+// is left alone — no key escalates, none is moved elsewhere — and after
+// every pass each resident name sits on its hash shard.
+func TestEngineAdaptStreamsStayOnHashShard(t *testing.T) {
+	const shards, heavyKeys, passes = 4, 6, 4
+	cfg := Config{Spec: Window{Size: 64, Period: 32}, Phis: []float64{0.5, 0.9}}
+	e, err := NewEngine(EngineConfig{Config: cfg, Shards: shards, ResultBuffer: 1 << 12, Adapt: &AdaptConfig{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := drainResults(e)
+	// Six heavy keys hash to shard 0; two light keys to each other shard.
+	var heavy, light []string
+	perShard := make([]int, shards)
+	for i := 0; len(heavy) < heavyKeys || len(light) < 2*(shards-1); i++ {
+		k := fmt.Sprintf("m%d", i)
+		switch sh := e.shardIndex(k); {
+		case sh == 0 && len(heavy) < heavyKeys:
+			heavy = append(heavy, k)
+		case sh != 0 && perShard[sh] < 2:
+			perShard[sh]++
+			light = append(light, k)
+		}
+	}
+	data := workload.Generate(workload.NewNetMon(31), 64*32)
+	off := 0
+	push := func(k string, n int) {
+		for i := 0; i < n; i++ {
+			vs := data[off%(63*32) : off%(63*32)+32]
+			off += 32
+			if err := e.Push(k, vs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for p := 0; p < passes; p++ {
+		// 96 batches on shard 0 (16 per key, 17% of it each) against 12
+		// spread over the other three: interval skew 3.6, a hot shard.
+		for _, k := range heavy {
+			push(k, 16)
+		}
+		for _, k := range light {
+			push(k, 2)
+		}
+		e.Keys() // barrier: all enqueued batches delivered before sampling
+		e.Rebalance()
+		for i, s := range e.shards {
+			s.keysMu.RLock()
+			for name := range s.keys {
+				if e.shardOf(name) != s {
+					t.Errorf("pass %d: %q resident on shard %d, its hash shard is %d", p, name, i, e.shardIndex(name))
+				}
+			}
+			s.keysMu.RUnlock()
+		}
+	}
+	for _, ev := range e.RouteEvents() {
+		if ev.Kind == RouteMigrate {
+			t.Errorf("a key was moved off its hash shard: %+v", ev)
+		} else {
+			t.Errorf("no key dominates the hot shard, yet the controller acted: %+v", ev)
+		}
+	}
+	for _, sm := range e.AdaptSamples() {
+		if sm.IntervalSkew <= hotShardFactor {
+			t.Errorf("interval skew %.2f: the collision-hot shard was not hot", sm.IntervalSkew)
+		}
+	}
+	e.Close()
+	<-done
+}
+
+// TestEngineAdaptCollapseRacesPush races a collapse of a salt-1 key whose
+// sub-stream 0 is not resident against the key's first push. Wherever the
+// push lands — sub-stream 0 before the route flip, or the base name after
+// it — the collapsed key must answer from its base name: a push that read
+// the salt-1 route after the collapse looked for sub-stream 0 but before
+// the override went would otherwise mint a sub-stream no route or Evict
+// reaches again.
+func TestEngineAdaptCollapseRacesPush(t *testing.T) {
+	cfg := Config{Spec: Window{Size: 64, Period: 32}, Phis: []float64{0.5}}
+	e, err := NewEngine(EngineConfig{Config: cfg, Shards: 2, ResultBuffer: 1 << 12, Adapt: &AdaptConfig{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := drainResults(e)
+	vs := workload.Generate(workload.NewNetMon(37), 32)
+	for i := 0; i < 500; i++ {
+		k := fmt.Sprintf("r%d", i)
+		if _, ok := e.escalateKey(k, 1); !ok {
+			t.Fatalf("salt-1 escalation of %q refused", k)
+		}
+		pushed := make(chan error)
+		go func() { pushed <- e.Push(k, vs) }()
+		if _, ok := e.collapseKey(k, 1); !ok {
+			t.Fatalf("collapse of %q refused", k)
+		}
+		if err := <-pushed; err != nil {
+			t.Fatal(err)
+		}
+		settle(e)
+		if _, ok := e.Query(k); !ok {
+			t.Fatalf("%q: its push was delivered under a name nothing reads after the collapse", k)
+		}
+		if !e.Evict(k) || e.Keys() != 0 {
+			t.Fatalf("%q: Evict left %d streams resident", k, e.Keys())
+		}
+	}
+	e.Close()
+	<-done
+}
+
 // TestEngineAdaptiveConcurrentStress exercises the background controller
 // against concurrent pushes, queries, stats reads and delta exports — the
 // -race job's workhorse for the adaptive plane. Correctness here is "no
-// race, no deadlock, no lost engine": the bit-level guarantees are pinned
+// race, no deadlock, no lost engine": the bit-level guarantees are held
 // by the deterministic tests above.
 func TestEngineAdaptiveConcurrentStress(t *testing.T) {
 	spec := Window{Size: 64, Period: 32}

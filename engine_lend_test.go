@@ -9,19 +9,22 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
 // TestEngineMigrationRehomesWorkbenches hands keys between shards — by
-// explicit migration, by escalation and by controller passes — while a
-// producer pushes 20-value reports against a 32-value period, so the moved
-// operators are nearly always holding a workbench on loan from the shard
-// they leave. An operator that kept borrowing from (or returning to) its
-// old shard's pool would share that pool's free list with another
-// goroutine: a race report here, and a hang on a corrupted list in the
-// prototype. The run must finish inside the timeout, every key that was
-// not escalated must answer bit-identically to an engine that never moved
-// anything, and once every key is evicted no shard may still count a
+// whole-stream moves (a salt-1 escalation sends a key's stream to
+// sub-stream 0's shard, its collapse brings it back to the base name's), by
+// escalation and by controller passes — while a producer pushes 20-value
+// reports against a 32-value period, so the moved operators are nearly
+// always holding a workbench on loan from the shard they leave. An
+// operator that kept borrowing from (or returning to) its old shard's pool
+// would share that pool's free list with another goroutine: a race report
+// here, and a hang on a corrupted list in the prototype. The run must finish inside the timeout, every key that was
+// not escalated over more than one sub-stream must answer bit-identically
+// to an engine that never moved anything (a salt-1 key's merged view is its
+// single stream), and once every key is evicted no shard may still count a
 // workbench on loan.
 func TestEngineMigrationRehomesWorkbenches(t *testing.T) {
 	const (
@@ -51,7 +54,7 @@ func TestEngineMigrationRehomesWorkbenches(t *testing.T) {
 	const escalated = "k0"
 	data := workload.Generate(workload.NewNetMon(41), 1<<12)
 
-	migrations, merged := 0, map[string]bool{} // the mover's, read once finished closes
+	crossings, merged := 0, map[string]bool{} // the mover's, read once finished closes
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
@@ -69,16 +72,27 @@ func TestEngineMigrationRehomesWorkbenches(t *testing.T) {
 				case i%16 == 15:
 					evs = moving.Rebalance()
 				default:
-					if ev, ok := moving.migrateKey(keys[1+rng.Intn(8)], rng.Intn(shards)); ok {
+					// Move a whole stream, or move it back; a key the
+					// controller fanned out is left to the controller.
+					k := keys[1+rng.Intn(8)]
+					var ev RouteEvent
+					ok := false
+					switch ov := moving.override(k); {
+					case ov == nil:
+						ev, ok = moving.escalateKey(k, 1)
+					case ov.maxSalt == 1:
+						ev, ok = moving.collapseKey(k, 1)
+					}
+					if ok {
 						evs = append(evs, ev)
 					}
 				}
 				for _, ev := range evs {
-					switch ev.Kind {
-					case RouteMigrate:
-						migrations++
-					case RouteEscalate:
+					switch {
+					case ev.Kind == RouteEscalate && ev.Salt > 1:
 						merged[ev.Key] = true // answers from merged sub-streams from here on
+					case ev.FromShard >= 0 && ev.FromShard != ev.ToShard:
+						crossings++ // a stream changed pools
 					}
 				}
 			}
@@ -107,11 +121,11 @@ func TestEngineMigrationRehomesWorkbenches(t *testing.T) {
 	select {
 	case <-finished:
 	case <-time.After(60 * time.Second):
-		t.Fatal("pushes and migrations did not finish: a shard is stuck")
+		t.Fatal("pushes and stream moves did not finish: a shard is stuck")
 	}
 
-	if migrations < 10 || !merged[escalated] {
-		t.Fatalf("%d migrations, escalations %v: the test needs keys to move while on loan", migrations, merged)
+	if crossings < 10 || !merged[escalated] {
+		t.Fatalf("%d cross-shard stream moves, escalations %v: the test needs keys to move while on loan", crossings, merged)
 	}
 	settle(moving)
 	var whole []string
@@ -122,7 +136,7 @@ func TestEngineMigrationRehomesWorkbenches(t *testing.T) {
 			t.Fatalf("escalated key %q lost", k)
 		}
 	}
-	sameEstimates(t, "after migrations", moving, static, whole)
+	sameEstimates(t, "after stream moves", moving, static, whole)
 	// A key holds a workbench iff its reports do not add up to whole
 	// periods, wherever it lives: the moved keys must be counted by the
 	// shards they ended up on (the merged ones split into sub-streams and
@@ -170,4 +184,51 @@ func TestEngineMigrationRehomesWorkbenches(t *testing.T) {
 	if err, n := moving.Err(); err != nil {
 		t.Fatalf("engine saw %d failures, last: %v", n, err)
 	}
+}
+
+// TestEngineStreamMoveCarriesLoanGauge moves a key holding a workbench to
+// sub-stream 0's shard and back, with no delivery after either move: each
+// shard's InFlightKeys gauge must follow the loan at once, not wait for the
+// shard's next delivery to republish it.
+func TestEngineStreamMoveCarriesLoanGauge(t *testing.T) {
+	cfg := Config{Spec: Window{Size: 64, Period: 32}, Phis: []float64{0.5}}
+	e, err := NewEngine(EngineConfig{Config: cfg, Shards: 2, Adapt: &AdaptConfig{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := drainResults(e)
+	k := ""
+	for i := 0; k == ""; i++ {
+		if c := fmt.Sprintf("k%d", i); e.shardIndex(c) != e.shardIndex(wire.SaltedName(c, 0)) {
+			k = c
+		}
+	}
+	home := e.shardIndex(k)
+	if err := e.Push(k, workload.Generate(workload.NewNetMon(43), 20)); err != nil {
+		t.Fatal(err)
+	}
+	settle(e)
+	loans := func(label string, want int) {
+		t.Helper()
+		for i, sh := range e.Stats().Shards {
+			w := 0
+			if i == want {
+				w = 1
+			}
+			if sh.InFlightKeys != w {
+				t.Fatalf("%s: shard %d counts %d workbenches on loan, want %d", label, i, sh.InFlightKeys, w)
+			}
+		}
+	}
+	loans("before the move", home)
+	if ev, ok := e.escalateKey(k, 1); !ok || ev.KeyBatches != 1 {
+		t.Fatalf("salt-1 escalation: %+v, ok %v", ev, ok)
+	}
+	loans("after the move", 1-home)
+	if ev, ok := e.collapseKey(k, 1); !ok || ev.KeyBatches != 1 {
+		t.Fatalf("collapse: %+v, ok %v", ev, ok)
+	}
+	loans("after the move back", home)
+	e.Close()
+	<-done
 }

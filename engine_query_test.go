@@ -243,11 +243,11 @@ func qsScript(rng *rand.Rand, keys []*qsKey, own []int, fan int, rounds int) []q
 // TestEngineQueryIsSomeSealedState: readers Query continuously while
 // producers push period-aligned and unaligned reports to a few hundred keys
 // that are evicted and re-minted (idle-key expiry on a fake clock the
-// producers advance one second per push, explicit Evict), migrated between
-// shards and escalated / de-escalated under them. Every capture must be a
-// state the key's own deliveries produce — bit for bit the reference
-// Monitor's for that (SealGen, SubWindows) — never a torn one and never
-// another key's. A merged capture of a fan key must be MergeSnapshots of
+// producers advance one second per push, explicit Evict), moved between
+// shards by salt-1 escalations and their collapses, and escalated /
+// de-escalated under them. Every capture must be a state the key's own
+// deliveries produce — bit for bit the reference Monitor's for that
+// (SealGen, SubWindows) — never a torn one and never another key's. A merged capture of a fan key must be MergeSnapshots of
 // per-sub-stream states that each pass, bracketed by direct sub-stream
 // reads before and after it. After a barrier, Query equals Snapshot.
 //
@@ -334,8 +334,11 @@ func TestEngineQueryIsSomeSealedState(t *testing.T) {
 			}
 		}(scripts[p])
 	}
-	// The mover: migrations and evictions no script knows about.
-	var migrations int
+	// The mover: stream moves and evictions no script knows about. A move
+	// is a salt-1 escalation (the whole stream to sub-stream 0's shard) or
+	// its collapse back to the base name; Query of a salt-1 key merges one
+	// resident stream, so its captures stay single-stream states.
+	var moves int
 	working.Add(1)
 	go func() {
 		defer working.Done()
@@ -347,8 +350,15 @@ func TestEngineQueryIsSomeSealedState(t *testing.T) {
 			case 1:
 				e.Evict(keys[fans[rng.Intn(len(fans))]].name)
 			default:
-				if _, ok := e.migrateKey(keys[k].name, rng.Intn(shards)); ok {
-					migrations++
+				name := keys[k].name
+				var ok bool
+				if ov := e.override(name); ov == nil {
+					_, ok = e.escalateKey(name, 1)
+				} else {
+					_, ok = e.collapseKey(name, ov.maxSalt)
+				}
+				if ok {
+					moves++
 				}
 			}
 			runtime.Gosched()
@@ -485,10 +495,10 @@ func TestEngineQueryIsSomeSealedState(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d distinct single-stream captures, %d merged (%d bracketed); %d migrations, %d streams met after a re-mint",
-		nSingle, nMerged, nBracketed, migrations, reminted)
-	if nSingle < len(plain) || nBracketed == 0 || migrations == 0 || reminted == 0 {
-		t.Fatal("too few captures, migrations or re-mints for the run to mean anything")
+	t.Logf("%d distinct single-stream captures, %d merged (%d bracketed); %d stream moves, %d streams met after a re-mint",
+		nSingle, nMerged, nBracketed, moves, reminted)
+	if nSingle < len(plain) || nBracketed == 0 || moves == 0 || reminted == 0 {
+		t.Fatal("too few captures, stream moves or re-mints for the run to mean anything")
 	}
 
 	// Behind a barrier the two read tiers agree, and every stream has reached

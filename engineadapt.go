@@ -10,22 +10,21 @@ import (
 
 // AdaptConfig switches the Engine into ADAPTIVE routing: an
 // occupancy-driven controller watches the per-shard stats plane every
-// Interval and rebalances the key space live —
+// Interval, and a key dominating a hot shard ESCALATES to salted
+// sub-stream routing (pushes spread over adaptSalt sub-streams
+// "key\x00<j>", each hash-routed and windowed on its own). It
+// DE-ESCALATES back to one stream when its traffic subsides, and
+// eventually collapses to plain hash routing once the extra sub-streams
+// expire. Salting is the only balancing mechanism: every internal name
+// lives on its hash shard, so a shard made hot by several moderate keys,
+// none dominating it, is left alone.
 //
-//   - a key dominating a hot shard ESCALATES to salted sub-stream routing
-//     (pushes spread over adaptSalt sub-streams "key\x00<j>", each
-//     hash-routed and windowed on its own), and DE-ESCALATES back to one
-//     stream when its traffic subsides, eventually collapsing to plain
-//     hash routing once the extra sub-streams expire;
-//   - whole cold keys MIGRATE between shards to flatten Zipf imbalance
-//     that salting alone cannot reach.
-//
-// Both act through ordered control ops on the source and destination
-// shard queues (park at the destination → flip the route → hand off the
-// operator → replay), so per-key delivery order and seal generations are
-// never violated: a migrated key's stream, and therefore its snapshots
-// and delta exports, is bit-identical to the same key on an unmigrated
-// engine. An escalated key, however, is no longer one stream:
+// The stream moves (the base stream to sub-stream 0 at a fresh
+// escalation, back at a collapse) act through ordered control ops on the
+// source and destination shard queues (park at the destination → flip the
+// route → hand off the operator → replay), so per-key delivery order and
+// seal generations are never violated. An escalated key, however, is no
+// longer one stream:
 //
 //   - Reads merge: Snapshot, Query, Export and ExportKeys fold the key's
 //     resident sub-streams through the core.Snapshot merge (disjoint
@@ -63,7 +62,7 @@ const (
 	// hotKeyFrac decides WHICH key on a hot shard escalates: the shard's
 	// top key must carry at least this fraction of the shard's
 	// last-interval deliveries (otherwise the imbalance is not one key's
-	// fault and migration, not salting, is the fix).
+	// fault, salting would not fix it, and the shard is left alone).
 	hotKeyFrac = 0.3
 	// coolFrac de-escalates an escalated key once its share of the
 	// engine's last-interval deliveries falls below this fraction for
@@ -73,8 +72,6 @@ const (
 	// minBatches is the minimum engine-wide deliveries in a pass for the
 	// controller to act at all — below it the sample is noise.
 	minBatches = 64
-	// maxMoves caps whole-key migrations per pass.
-	maxMoves = 4
 	// topKeys is how many keys per shard the occupancy sample attributes
 	// individually.
 	topKeys = 8
@@ -96,8 +93,8 @@ type AdaptSample struct {
 	// recover quickly from a bad start; interval skew shows the current
 	// routing's balance).
 	IntervalSkew float64
-	// Escalated and Pinned count keys currently escalated / pinned.
-	Escalated, Pinned int
+	// Escalated counts keys currently escalated.
+	Escalated int
 	// Events is how many routing actions this pass took.
 	Events int
 }
@@ -120,7 +117,6 @@ type adaptState struct {
 	mu            sync.Mutex
 	lastDelivered []uint64
 	esc           map[string]*escState
-	pinned        map[string]int
 	events        []RouteEvent
 	samples       []AdaptSample
 	seq           uint64
@@ -193,11 +189,10 @@ func (e *Engine) AdaptSamples() []AdaptSample {
 }
 
 // Rebalance runs one controller pass: sample the stats plane, de-escalate
-// or collapse cooled keys, escalate the dominant key of each hot shard,
-// and migrate residual cold keys off still-hot shards. Returns the
-// routing actions taken, in order. Safe to call concurrently with pushes
-// and with the background loop (passes serialize); a no-op returning nil
-// on non-adaptive or closed engines. Deterministic drivers (the tests)
+// or collapse cooled keys, and escalate the dominant key of each hot
+// shard. Returns the routing actions taken, in order. Safe to call
+// concurrently with pushes and with the background loop (passes
+// serialize); a no-op returning nil on non-adaptive or closed engines. Deterministic drivers (the tests)
 // quiesce ingestion, then call Rebalance at their own cadence.
 func (e *Engine) Rebalance() []RouteEvent {
 	a := e.adapt
@@ -237,7 +232,6 @@ func (e *Engine) rebalance() []RouteEvent {
 		Skew:         st.Skew(),
 		IntervalSkew: intervalSkew(deltas, total),
 		Escalated:    len(a.esc),
-		Pinned:       len(a.pinned),
 	}
 	var events []RouteEvent
 	defer func() {
@@ -324,54 +318,9 @@ func (e *Engine) rebalance() []RouteEvent {
 			}
 			if ev, ok := e.escalateKey(kl.Key, adaptSalt); ok {
 				a.esc[kl.Key] = &escState{salt: adaptSalt}
-				delete(a.pinned, kl.Key)
 				events = append(events, ev)
-				deltas[i] -= float64(kl.Batches)
 			}
 			break
-		}
-	}
-
-	// (3) Migration: move modest whole keys off still-hot shards onto the
-	// coldest one — the flattening salting cannot provide when imbalance
-	// comes from hash collisions rather than one dominant key.
-	moves := 0
-	for i := range deltas {
-		if moves >= maxMoves {
-			break
-		}
-		if deltas[i] <= hotShardFactor*mean {
-			continue
-		}
-		for _, kl := range loads[i] {
-			if moves >= maxMoves || deltas[i] <= mean {
-				break
-			}
-			if _, _, salted := wire.SplitName(kl.Key); salted {
-				continue
-			}
-			if _, ok := a.esc[kl.Key]; ok {
-				continue
-			}
-			load := float64(kl.Batches)
-			if load >= hotKeyFrac*deltas[i] {
-				continue // dominant keys escalate instead
-			}
-			dst := coldest(deltas)
-			if dst == i || deltas[dst]+load >= deltas[i]-load {
-				continue // moving would not improve balance
-			}
-			if ev, ok := e.migrateKey(kl.Key, dst); ok {
-				if dst == e.shardIndex(kl.Key) {
-					delete(a.pinned, kl.Key)
-				} else {
-					a.pinned[kl.Key] = dst
-				}
-				events = append(events, ev)
-				deltas[i] -= load
-				deltas[dst] += load
-				moves++
-			}
 		}
 	}
 	return events
@@ -411,18 +360,6 @@ func intervalSkew(deltas []float64, total float64) float64 {
 		}
 	}
 	return max * float64(len(deltas)) / total
-}
-
-// coldest returns the index of the smallest delta (lowest index wins ties,
-// keeping passes deterministic).
-func coldest(deltas []float64) int {
-	idx := 0
-	for i, d := range deltas {
-		if d < deltas[idx] {
-			idx = i
-		}
-	}
-	return idx
 }
 
 // appendBounded appends keeping at most adaptLogCap entries.

@@ -9,22 +9,22 @@ import (
 
 // This file is the Engine's per-key routing plane: a copy-on-write route
 // table layered over the static hash dispatch, consulted on every Push,
-// plus the ordered migration protocol that moves a live stream between
-// shards without violating per-key delivery order or seal generations.
+// plus the ordered protocol that moves a live stream from one internal name
+// to another without violating per-key delivery order or seal generations.
 // The adaptive controller (engineadapt.go) drives it; the mechanisms here
 // are independent of any policy and usable one key at a time.
-
-// routeOverride is one key's routing decision. Exactly one of the two
-// dimensions is active:
 //
-//   - salt >= 1: the key is ESCALATED — pushes spread across salted
-//     sub-streams ("key\x00<j>"), each hash-routed on its own. salt == 1
-//     is the de-escalated holding state: every push goes to sub-stream 0
-//     (so the key is one stream again and keeps its history) while the
-//     older sub-streams drain toward expiry; maxSalt remembers the widest
-//     fan ever used so reads know how many sub-streams to fold.
-//   - salt == 0, shard >= 0: the key is PINNED to a specific shard
-//     (migrated off its hash home to flatten Zipf imbalance).
+// The table only salts: every internal name — a base key or a sub-stream
+// "key\x00<j>" — always lives on shardOf(name). A stream changes shards
+// only by changing names (a fresh escalation moves the base stream to
+// sub-stream 0, a collapse moves sub-stream 0 back to the base name).
+
+// routeOverride is one ESCALATED key's routing decision: pushes spread
+// across salt salted sub-streams ("key\x00<j>"), each hash-routed on its
+// own. salt == 1 is the de-escalated holding state: every push goes to
+// sub-stream 0 (so the key is one stream again and keeps its history)
+// while the older sub-streams drain toward expiry; maxSalt remembers the
+// widest fan ever used so reads know how many sub-streams to fold.
 //
 // ctr is the key's private push counter, reset at every escalation flip,
 // so sub-stream assignment after a flip is deterministic: the i-th push
@@ -32,7 +32,6 @@ import (
 type routeOverride struct {
 	salt    int
 	maxSalt int
-	shard   int
 	ctr     atomic.Uint64
 }
 
@@ -70,8 +69,8 @@ func (e *Engine) storeRoutesLocked(mut func(map[string]*routeOverride)) {
 	e.routes.Store(&routeTable{m: m})
 }
 
-// updateRoutes is a route flip with no stream movement (de-escalation,
-// dropping a stale override). False when the engine is closed.
+// updateRoutes is a route flip with no stream movement (de-escalation, a
+// re-escalation's widening). False when the engine is closed.
 func (e *Engine) updateRoutes(mut func(map[string]*routeOverride)) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -99,15 +98,15 @@ func (e *Engine) sendCtl(s *engineShard, ctl *engineCtl) (engineCtlResp, bool) {
 }
 
 // streamExists reports whether an internal key name is live (not parking)
-// on its routed shard.
+// on its shard.
 func (e *Engine) streamExists(name string) bool {
-	r, ok := e.sendCtl(e.locateShard(name), &engineCtl{op: ctlExists, key: name})
+	r, ok := e.sendCtl(e.shardOf(name), &engineCtl{op: ctlExists, key: name})
 	return ok && r.ok
 }
 
-// moveStream relocates one internal stream: srcName on src becomes dstName
-// on dst, with mut flipping the route table at the cutover point. The
-// ordering argument, step by step:
+// moveStream relocates one internal stream: srcName becomes dstName, each on
+// its hash shard (src and dst below), with mut flipping the route table at
+// the cutover point. The ordering argument, step by step:
 //
 //  1. A parking entry is created at dst under dstName (ctlPrepare rides
 //     dst's queue, so by the time it acks, dst will park — not deliver —
@@ -125,16 +124,18 @@ func (e *Engine) streamExists(name string) bool {
 //     handed-off operator — the stream never restarts.
 //
 // Steps 2–4 hold e.mu write-locked throughout: pushes stall for the two
-// control round-trips (migrations are rare; queues are bounded), and in
+// control round-trips (moves are rare; queues are bounded), and in
 // exchange the protocol is atomic with respect to Close — no path can
 // strand a detached operator — and to ExportDelta, which captures under the
 // read lock: the handoff logs a departure in src's mutation journal and the
 // install journals an arrival in dst's, and no capture can see one without
-// the other, which is how an export tells a migration from an eviction. Returns the batches the handed-off stream
-// had observed (0 when srcName was not resident, e.g. evicted by TTL
-// between the decision and the handoff — the stream then simply restarts
-// fresh at dst, never with stale seals) and whether the move ran.
-func (e *Engine) moveStream(src *engineShard, srcName string, dst *engineShard, dstName string, mut func(map[string]*routeOverride)) (uint64, bool) {
+// the other, which is how an export tells a move from an eviction. Returns
+// the batches the handed-off stream had observed (0 when srcName was not
+// resident, e.g. evicted by TTL between the decision and the handoff — the
+// stream then simply restarts fresh at dst, never with stale seals) and
+// whether the move ran.
+func (e *Engine) moveStream(srcName, dstName string, mut func(map[string]*routeOverride)) (uint64, bool) {
+	src, dst := e.shardOf(srcName), e.shardOf(dstName)
 	if r, ok := e.sendCtl(dst, &engineCtl{op: ctlPrepare, key: dstName}); !ok || !r.ok {
 		return 0, false
 	}
@@ -162,34 +163,32 @@ func (e *Engine) moveStream(src *engineShard, srcName string, dst *engineShard, 
 }
 
 // escalateKey switches a key to salted sub-stream routing. A fresh
-// escalation migrates the key's existing operator to sub-stream 0 (its
+// escalation moves the key's existing operator to sub-stream 0 (its
 // history and seal generations continue there; merged reads never see a
 // discontinuity); a re-escalation of a currently de-escalated key only
 // widens the route again, since sub-stream 0 already carries the live
 // stream. Returns the event and whether the escalation ran.
 func (e *Engine) escalateKey(base string, salt int) (RouteEvent, bool) {
 	ev := RouteEvent{Kind: RouteEscalate, Key: base, Salt: salt}
-	if cur := e.override(base); cur != nil && cur.salt >= 1 {
+	if cur := e.override(base); cur != nil {
 		maxSalt := cur.maxSalt
 		if salt > maxSalt {
 			maxSalt = salt
 		}
-		ov := &routeOverride{salt: salt, maxSalt: maxSalt, shard: -1}
+		ov := &routeOverride{salt: salt, maxSalt: maxSalt}
 		if !e.updateRoutes(func(m map[string]*routeOverride) { m[base] = ov }) {
 			return RouteEvent{}, false
 		}
 		ev.FromShard, ev.ToShard = -1, -1
 		return ev, true
 	}
-	src := e.locateShard(base)
 	sub0 := wire.SaltedName(base, 0)
-	dst := e.shardOf(sub0)
-	ov := &routeOverride{salt: salt, maxSalt: salt, shard: -1}
-	n, ok := e.moveStream(src, base, dst, sub0, func(m map[string]*routeOverride) { m[base] = ov })
+	ov := &routeOverride{salt: salt, maxSalt: salt}
+	n, ok := e.moveStream(base, sub0, func(m map[string]*routeOverride) { m[base] = ov })
 	if !ok {
 		return RouteEvent{}, false
 	}
-	ev.FromShard, ev.ToShard, ev.KeyBatches = e.indexOf(src), e.indexOf(dst), n
+	ev.FromShard, ev.ToShard, ev.KeyBatches = e.shardIndex(base), e.shardIndex(sub0), n
 	return ev, true
 }
 
@@ -202,7 +201,7 @@ func (e *Engine) deescalateKey(base string) (RouteEvent, bool) {
 	if cur == nil || cur.salt <= 1 {
 		return RouteEvent{}, false
 	}
-	ov := &routeOverride{salt: 1, maxSalt: cur.maxSalt, shard: -1}
+	ov := &routeOverride{salt: 1, maxSalt: cur.maxSalt}
 	if !e.updateRoutes(func(m map[string]*routeOverride) { m[base] = ov }) {
 		return RouteEvent{}, false
 	}
@@ -211,9 +210,9 @@ func (e *Engine) deescalateKey(base string) (RouteEvent, bool) {
 
 // collapseKey retires a de-escalated key's override once its fan has
 // drained: when no sub-stream but 0 is resident (TTL expiry has reclaimed
-// them) and the base name is absent, sub-stream 0 migrates home to the
-// base name and the override disappears — the key is an ordinary
-// hash-routed stream again, history intact. False while any older
+// them) and the base name is absent, sub-stream 0 moves back to the base
+// name and the override disappears — the key is an ordinary hash-routed
+// stream again, history intact. False while any older
 // sub-stream is still resident.
 func (e *Engine) collapseKey(base string, maxSalt int) (RouteEvent, bool) {
 	cur := e.override(base)
@@ -228,76 +227,15 @@ func (e *Engine) collapseKey(base string, maxSalt int) (RouteEvent, bool) {
 	if e.streamExists(base) {
 		return RouteEvent{}, false
 	}
-	ev := RouteEvent{Kind: RouteCollapse, Key: base, Salt: 0}
+	// Sub-stream 0 moves even when it is not resident: a push that read the
+	// salt-1 route before the flip lands there, and only the handoff, queued
+	// behind it, carries it to the base name.
 	sub0 := wire.SaltedName(base, 0)
-	dst := e.shardOf(base)
-	if !e.streamExists(sub0) {
-		// Everything expired; just drop the override.
-		if !e.updateRoutes(func(m map[string]*routeOverride) { delete(m, base) }) {
-			return RouteEvent{}, false
-		}
-		ev.FromShard, ev.ToShard = -1, -1
-		return ev, true
-	}
-	src := e.locateShard(sub0)
-	n, ok := e.moveStream(src, sub0, dst, base, func(m map[string]*routeOverride) { delete(m, base) })
+	n, ok := e.moveStream(sub0, base, func(m map[string]*routeOverride) { delete(m, base) })
 	if !ok {
 		return RouteEvent{}, false
 	}
-	ev.FromShard, ev.ToShard, ev.KeyBatches = e.indexOf(src), e.indexOf(dst), n
-	return ev, true
-}
-
-// migrateKey pins a whole (unescalated) key to a specific shard, moving
-// its live stream there. Pinning back to the hash home removes the
-// override instead of storing a redundant pin.
-func (e *Engine) migrateKey(base string, dstIdx int) (RouteEvent, bool) {
-	if cur := e.override(base); cur != nil && cur.salt >= 1 {
-		return RouteEvent{}, false // escalated keys spread; they don't pin
-	}
-	src := e.locateShard(base)
-	dst := e.shards[dstIdx]
-	if src == dst {
-		return RouteEvent{}, false
-	}
-	home := e.shardIndex(base)
-	mut := func(m map[string]*routeOverride) {
-		if dstIdx == home {
-			delete(m, base)
-		} else {
-			m[base] = &routeOverride{salt: 0, shard: dstIdx}
-		}
-	}
-	n, ok := e.moveStream(src, base, dst, base, mut)
-	if !ok {
-		return RouteEvent{}, false
-	}
-	return RouteEvent{
-		Kind: RouteMigrate, Key: base,
-		FromShard: e.indexOf(src), ToShard: dstIdx, KeyBatches: n,
-	}, true
-}
-
-// indexOf maps a shard pointer back to its index.
-func (e *Engine) indexOf(s *engineShard) int {
-	for i, sh := range e.shards {
-		if sh == s {
-			return i
-		}
-	}
-	return -1
-}
-
-// locateShard resolves the shard an internal key name currently lives on:
-// pinned base keys go to their pinned shard, everything else (including
-// every salted sub-stream name) hashes.
-func (e *Engine) locateShard(name string) *engineShard {
-	if _, _, salted := wire.SplitName(name); !salted {
-		if ov := e.override(name); ov != nil && ov.salt == 0 && ov.shard >= 0 {
-			return e.shards[ov.shard]
-		}
-	}
-	return e.shardOf(name)
+	return RouteEvent{Kind: RouteCollapse, Key: base, FromShard: e.shardIndex(sub0), ToShard: e.shardIndex(base), KeyBatches: n}, true
 }
 
 // RouteEventKind classifies one adaptive routing action.
@@ -310,7 +248,9 @@ const (
 	RouteDeescalate
 	// RouteCollapse: a drained key's override was retired entirely.
 	RouteCollapse
-	// RouteMigrate: a whole key moved (pinned) to another shard.
+	// RouteMigrate is never emitted: whole-key migration and route pins
+	// were removed, and every stream lives on its hash shard. The constant
+	// remains for readers that still switch on it.
 	RouteMigrate
 )
 
@@ -344,8 +284,8 @@ type RouteEvent struct {
 	Key string
 	// Salt is the sub-stream fan after the action (escalate/deescalate).
 	Salt int
-	// FromShard/ToShard are the handoff endpoints for actions that moved a
-	// stream; -1 when no stream moved.
+	// FromShard/ToShard are the handoff endpoints of a stream move (a
+	// fresh escalation, a collapse); -1 for a route flip alone.
 	FromShard, ToShard int
 	// KeyBatches is how many batches the moved stream had observed at
 	// handoff (0 when the source stream was not resident).

@@ -133,7 +133,7 @@ type ShardStats struct {
 	// not the harness — is the bottleneck.
 	Blocked time.Duration
 	// QueueHighWater is the deepest shard-queue backlog observed, in
-	// batches; a mark pinned at the queue capacity means producers waited.
+	// batches; a mark stuck at the queue capacity means producers waited.
 	QueueHighWater int
 	// ResidentKeys is the number of keys currently resident on the shard
 	// (an escalated key's sub-streams count individually; see AdaptConfig).
@@ -234,7 +234,7 @@ func (st EngineStats) Skew() float64 {
 // twice its fair share).
 //
 // The factor is relative to the MEAN, so the degenerate shard counts have
-// pinned semantics rather than accidental ones:
+// defined semantics rather than accidental ones:
 //
 //   - 1 shard: always nil. The only shard is by definition at the mean;
 //     flagging it would make every single-shard engine permanently "hot"

@@ -448,7 +448,7 @@ func goldenBlobV2(t testing.TB) []byte {
 // TestGoldenCompatMatrix is the cross-version decode compatibility matrix:
 // the checked-in golden blob of EVERY wire version must keep decoding
 // through the current decoder with bit-identical estimates, and encoding
-// today's captures must still produce the pinned bytes of the CURRENT
+// today's captures must still produce the recorded bytes of the CURRENT
 // version. Any layout change breaks a pin — which is the point: bump
 // Version and add a new golden file instead of mutating a frozen layout.
 func TestGoldenCompatMatrix(t *testing.T) {
