@@ -50,7 +50,8 @@
 // directory recovers the full state — per-worker cursors included, so
 // workers resume delta pushes without re-bootstrapping, and a kill -9'd
 // service answers /snapshot bit-identically to one that never died.
-// -fsync picks the sync discipline (always | interval | none).
+// -fsync picks the sync discipline (always | interval, which syncs every
+// 100ms | none).
 //
 //	qlove-agg -serve -store disk -dir /var/lib/qlove-agg
 package main
@@ -90,7 +91,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		"serve: drop workers that stop pushing for this long (0 = keep departed workers forever)")
 	store := fs.String("store", "striped", "serve: state backend (striped | disk)")
 	dir := fs.String("dir", "", "serve: the disk backend's state directory (required with -store disk)")
-	fsync := fs.String("fsync", "", "serve: disk backend sync discipline (always | interval | none; default always)")
+	fsync := fs.String("fsync", "", "serve: disk backend sync discipline (always | interval: sync every 100ms | none; default always)")
 	instrument := fs.Bool("instrument", false, "serve: record per-op store metrics (GET /metrics)")
 	replication := fs.Int("replication", 1,
 		"serve: copies of each hash slot, with -fanin (1 = no replication)")

@@ -65,7 +65,7 @@ import (
 //     concurrent pushes and reads drain first and resume against the new
 //     table. Growing a tier N→N+1 is a handful of moves, not a reshuffle.
 //
-// Replica health: FailThreshold consecutive failures (transport errors or
+// Replica health: failThreshold consecutive failures (transport errors or
 // 5xx) eject a replica — pushes skip it and reads prefer its peers — and
 // a background prober reinstates it as soon as its /healthz answers
 // again. A replica that missed frames for a slot it owns (ejected during
@@ -91,7 +91,7 @@ type Fanin struct {
 	stop     chan struct{}
 }
 
-// FaninConfig configures the router's replicas and resilience knobs.
+// FaninConfig configures the router's replicas, replication and client.
 type FaninConfig struct {
 	// Replicas are the replica base URLs ("http://10.0.0.1:7171"), one per
 	// partition. Duplicates (after trailing-slash normalization) are
@@ -119,25 +119,6 @@ type FaninConfig struct {
 	// Timeout is the per-request deadline for the built-in client
 	// (<= 0 means 10s). Ignored when Client is set.
 	Timeout time.Duration
-	// Retries is how many times an idempotent read (/query, /snapshot
-	// parts) is retried after a transport error or 5xx (< 0 means 0,
-	// 0 means the default 2). Pushes are never retried: a replica may
-	// have applied frames before failing mid-response.
-	Retries int
-	// RetryBackoff is the base backoff before the first retry; each
-	// retry doubles it — capped at maxRetryBackoff — and adds up to 50%
-	// jitter (<= 0 means 25ms).
-	RetryBackoff time.Duration
-	// HedgeDelay is how long a read waits on one owner before also asking
-	// the slot's next owner, first answer wins (<= 0 means 100ms). Only
-	// meaningful at Replication >= 2.
-	HedgeDelay time.Duration
-	// FailThreshold is how many consecutive failures eject a replica
-	// (<= 0 means 3).
-	FailThreshold int
-	// ProbeInterval is how often the background prober re-checks ejected
-	// replicas for reinstatement and resyncs dirty ones (<= 0 means 1s).
-	ProbeInterval time.Duration
 }
 
 // faninReplica is one replica's address and live health state.
@@ -155,6 +136,28 @@ type faninReplica struct {
 	dirty atomic.Uint64
 }
 
+// The router's resilience policy: no deployment needs other values, so
+// they are constants rather than configuration.
+const (
+	// readRetries is how many times an idempotent read (/query, /snapshot
+	// parts) is retried after a transport error or 5xx. Pushes are never
+	// retried: a replica may have applied frames before failing
+	// mid-response.
+	readRetries = 2
+	// retryBase is the backoff before the first retry; each retry doubles
+	// it — capped at maxRetryBackoff — and adds up to 50% jitter.
+	retryBase = 25 * time.Millisecond
+	// hedgeDelay is how long a read waits on one owner before also asking
+	// the slot's next owner, first answer wins. Only meaningful at
+	// Replication >= 2.
+	hedgeDelay = 100 * time.Millisecond
+	// failThreshold is how many consecutive failures eject a replica.
+	failThreshold = 3
+	// probeInterval is how often the background prober re-checks ejected
+	// replicas for reinstatement and resyncs dirty ones.
+	probeInterval = time.Second
+)
+
 // maxRetryBackoff caps the exponential retry backoff: past a couple of
 // seconds a bigger wait only delays the failure verdict, and an unbounded
 // shift eventually overflows time.Duration into a negative value (which
@@ -170,9 +173,9 @@ const maxReplicaBody = maxPushBody
 // document; anything near the cap is garbage.
 const maxAckBody = 1 << 20
 
-// NewFanin returns a router over the replica base URLs with default
-// resilience settings (replication 1). client nil means a default client
-// WITH timeouts (never http.DefaultClient).
+// NewFanin returns a router over the replica base URLs at replication 1.
+// client nil means a default client WITH timeouts (never
+// http.DefaultClient).
 func NewFanin(urls []string, client *http.Client) (*Fanin, error) {
 	return NewFaninConfig(FaninConfig{Replicas: urls, Client: client})
 }
@@ -191,23 +194,6 @@ func NewFaninConfig(cfg FaninConfig) (*Fanin, error) {
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 10 * time.Second
-	}
-	if cfg.Retries == 0 {
-		cfg.Retries = 2
-	} else if cfg.Retries < 0 {
-		cfg.Retries = 0
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 25 * time.Millisecond
-	}
-	if cfg.HedgeDelay <= 0 {
-		cfg.HedgeDelay = 100 * time.Millisecond
-	}
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 3
-	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = time.Second
 	}
 
 	// The slot table: canonical for the configured replication factor, or
@@ -314,7 +300,7 @@ func (f *Fanin) Close() error {
 }
 
 // record folds one request outcome into the replica's health: a success
-// clears the failure streak and reinstates; FailThreshold consecutive
+// clears the failure streak and reinstates; failThreshold consecutive
 // failures eject. Ejection marks the replica dirty — while it is
 // unreachable it misses pushes for slots it owns, so its state must be
 // assumed stale until resynced.
@@ -324,16 +310,16 @@ func (f *Fanin) record(rep *faninReplica, ok bool) {
 		rep.down.Store(false)
 		return
 	}
-	if int(rep.fails.Add(1)) >= f.cfg.FailThreshold {
+	if int(rep.fails.Add(1)) >= failThreshold {
 		if !rep.down.Swap(true) {
 			rep.dirty.Add(1)
 		}
 	}
 }
 
-// probeLoop runs probeTick every ProbeInterval until Close.
+// probeLoop runs probeTick every probeInterval until Close.
 func (f *Fanin) probeLoop() {
-	t := time.NewTicker(f.cfg.ProbeInterval)
+	t := time.NewTicker(probeInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -587,9 +573,10 @@ func retryBackoff(base time.Duration, attempt int) time.Duration {
 }
 
 // fetchRetry is fetch with the idempotent-read retry policy: transport
-// errors and 5xx retry up to Retries times with doubling capped backoff +
-// jitter; every attempt's outcome feeds the replica's health. 4xx pass
-// straight through — they are the replica's answer, not its failure.
+// errors and 5xx retry up to readRetries times with doubling capped
+// backoff + jitter; every attempt's outcome feeds the replica's health.
+// 4xx pass straight through — they are the replica's answer, not its
+// failure.
 func (f *Fanin) fetchRetry(rep *faninReplica, path string) (int, []byte, error) {
 	var (
 		status int
@@ -600,10 +587,10 @@ func (f *Fanin) fetchRetry(rep *faninReplica, path string) (int, []byte, error) 
 		status, body, err = f.fetch(rep.url, path)
 		ok := err == nil && status < 500
 		f.record(rep, ok)
-		if ok || attempt >= f.cfg.Retries {
+		if ok || attempt >= readRetries {
 			return status, body, err
 		}
-		backoff := retryBackoff(f.cfg.RetryBackoff, attempt)
+		backoff := retryBackoff(retryBase, attempt)
 		if half := int64(backoff / 2); half > 0 {
 			backoff += time.Duration(rand.Int63n(half + 1))
 		}
@@ -849,7 +836,7 @@ func (f *Fanin) readOrder(owners []int) []*faninReplica {
 }
 
 // queryOwners answers one read path from the candidate owners, hedging:
-// the leader gets the full retry policy; each HedgeDelay without a good
+// the leader gets the full retry policy; each hedgeDelay without a good
 // answer — or a leader failing outright — launches the next candidate,
 // first good answer wins.
 func (f *Fanin) queryOwners(cands []*faninReplica, path string) fetchResult {
@@ -882,7 +869,7 @@ func (f *Fanin) queryOwners(cands []*faninReplica, path string) fetchResult {
 	launch()
 	pending := 1
 	var last fetchResult
-	timer := time.NewTimer(f.cfg.HedgeDelay)
+	timer := time.NewTimer(hedgeDelay)
 	defer timer.Stop()
 	for pending > 0 {
 		select {
@@ -903,7 +890,7 @@ func (f *Fanin) queryOwners(cands []*faninReplica, path string) fetchResult {
 				launch()
 				pending++
 			}
-			timer.Reset(f.cfg.HedgeDelay)
+			timer.Reset(hedgeDelay)
 		}
 	}
 	return last

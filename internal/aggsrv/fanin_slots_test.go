@@ -36,7 +36,7 @@ func TestRetryBackoff(t *testing.T) {
 		{25 * time.Millisecond, 3, 200 * time.Millisecond},
 		{25 * time.Millisecond, 7, maxRetryBackoff},
 		{25 * time.Millisecond, 62, maxRetryBackoff},      // 25ms<<62 is negative
-		{25 * time.Millisecond, 1 << 20, maxRetryBackoff}, // absurd Retries
+		{25 * time.Millisecond, 1 << 20, maxRetryBackoff}, // absurd attempt count
 		{time.Second, 1, maxRetryBackoff},
 		{3 * time.Second, 0, maxRetryBackoff},
 		{maxRetryBackoff, 0, maxRetryBackoff},
@@ -153,14 +153,7 @@ func requireQuerySweep(t *testing.T, step string, fx *faninFixture, keys []strin
 // single-server reference throughout, including the revived replica's own
 // snapshot.
 func TestFaninQuorumPush(t *testing.T) {
-	fx := newFaninFixture(t, 2, FaninConfig{
-		Replication:   2,
-		Timeout:       2 * time.Second,
-		Retries:       1,
-		RetryBackoff:  time.Millisecond,
-		FailThreshold: 2,
-		ProbeInterval: 10 * time.Millisecond,
-	}, nil)
+	fx := newFaninFixture(t, 2, FaninConfig{Replication: 2, Timeout: 2 * time.Second}, nil)
 	h := newFaninEngine(t, 42, 6)
 
 	// Round 1, both replicas healthy: every key owned (and held) by BOTH.
@@ -303,9 +296,7 @@ func TestFaninResyncConcurrentMark(t *testing.T) {
 	var losePush atomic.Bool          // lose the next /push delivered to the victim
 	var onDrop atomic.Pointer[func()] // runs once, at the victim's next /slots/drop
 	fx := newFaninFixture(t, 2, FaninConfig{
-		Replication:   2,
-		FailThreshold: 10,        // lost pushes dirty the victim, never eject it
-		ProbeInterval: time.Hour, // the test drives every probe tick itself
+		Replication: 2,
 		Client: &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
 			if req.URL.Host == victim {
 				switch req.URL.Path {
@@ -322,7 +313,18 @@ func TestFaninResyncConcurrentMark(t *testing.T) {
 			return mem.RoundTrip(req)
 		})},
 	}, mem)
+	// The test drives every probe tick itself. Close stops only the
+	// background prober; the router keeps serving.
+	fx.router.Close()
 	h := newFaninEngine(t, 44, 6)
+	// A lost push is one failure, and each /healthz below answers and
+	// clears the streak, so the victim is dirtied but never ejected.
+	requireNotEjected := func(step string) {
+		t.Helper()
+		if fx.router.reps[0].down.Load() {
+			t.Fatalf("%s: a lost push ejected the victim (failThreshold %d)", step, failThreshold)
+		}
+	}
 	victimDirty := func() bool {
 		t.Helper()
 		var fh FaninHealth
@@ -341,6 +343,7 @@ func TestFaninResyncConcurrentMark(t *testing.T) {
 	fx.push(t, "w", h.round(t))
 	losePush.Store(true)
 	fx.push(t, "w", h.round(t)) // quorum 1 of 2: acked, the victim is now dirty
+	requireNotEjected("lost push")
 	if !victimDirty() {
 		t.Fatal("a lost push did not mark the replica dirty")
 	}
@@ -359,6 +362,7 @@ func TestFaninResyncConcurrentMark(t *testing.T) {
 	if bytes.Equal(replicaSnapshot(0), replicaSnapshot(1)) {
 		t.Fatal("fixture: the victim did not miss the mid-resync push")
 	}
+	requireNotEjected("mid-resync push")
 	if !victimDirty() {
 		t.Fatal("resync cleared a dirty mark set while it ran: the replica serves as clean with a frame missing")
 	}
@@ -496,7 +500,7 @@ func TestFaninSlotMove(t *testing.T) {
 		if moved[s] {
 			want = 2
 		}
-		if got := report.Map.Primary(s); got != want {
+		if got := report.Map.OwnersView(s)[0]; got != want {
 			t.Fatalf("slot %d primary %d in /slots, want %d", s, got, want)
 		}
 	}

@@ -325,13 +325,7 @@ func TestFaninErrors(t *testing.T) {
 // re-push restores the revived replica's partition.
 func TestFaninDegradedReplica(t *testing.T) {
 	cfg := qlove.Config{Spec: qlove.Window{Size: 256, Period: 64}, Phis: []float64{0.5}, FewK: true}
-	fx := newFaninFixture(t, 2, FaninConfig{
-		Timeout:       2 * time.Second,
-		Retries:       1,
-		RetryBackoff:  time.Millisecond,
-		FailThreshold: 2,
-		ProbeInterval: 10 * time.Millisecond,
-	}, nil)
+	fx := newFaninFixture(t, 2, FaninConfig{Timeout: 2 * time.Second}, nil)
 
 	// Find one key owned by each replica.
 	keyFor := func(owner int) string {
@@ -478,7 +472,6 @@ func TestFaninTimeout(t *testing.T) {
 	f, err := NewFaninConfig(FaninConfig{
 		Replicas: []string{stall.URL},
 		Timeout:  50 * time.Millisecond,
-		Retries:  -1, // no retries: measure one attempt
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -497,12 +490,12 @@ func TestFaninTimeout(t *testing.T) {
 }
 
 // TestFaninQueryRetry pins the idempotent-read retry: a replica that 500s
-// twice then answers is retried through to the answer, invisibly to the
-// client.
+// on every attempt but the last is retried through to the answer,
+// invisibly to the client.
 func TestFaninQueryRetry(t *testing.T) {
 	var calls atomic.Int32
 	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
+		if calls.Add(1) <= readRetries {
 			http.Error(w, "transient", http.StatusInternalServerError)
 			return
 		}
@@ -512,9 +505,7 @@ func TestFaninQueryRetry(t *testing.T) {
 	}))
 	defer flaky.Close()
 	f, err := NewFaninConfig(FaninConfig{
-		Replicas:     []string{flaky.URL},
-		Retries:      2,
-		RetryBackoff: time.Millisecond,
+		Replicas: []string{flaky.URL},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -526,8 +517,8 @@ func TestFaninQueryRetry(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("retried query: %s: %s", resp.Status, body)
 	}
-	if calls.Load() != 3 {
-		t.Fatalf("replica saw %d calls, want 3 (2 failures + success)", calls.Load())
+	if calls.Load() != readRetries+1 {
+		t.Fatalf("replica saw %d calls, want %d (%d failures + success)", calls.Load(), readRetries+1, readRetries)
 	}
 }
 
@@ -556,8 +547,6 @@ func TestFaninHedgedQuery(t *testing.T) {
 		Replicas:    urls,
 		Replication: 2,
 		Timeout:     5 * time.Second,
-		Retries:     -1,
-		HedgeDelay:  20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -86,8 +86,9 @@ const (
 )
 
 const (
-	defaultFsyncInterval = 100 * time.Millisecond
-	defaultCompactBytes  = 8 << 20
+	// fsyncPeriod is the sync cadence of FsyncInterval mode.
+	fsyncPeriod         = 100 * time.Millisecond
+	defaultCompactBytes = 8 << 20
 	// maxWalRecord bounds a record's claimed length during recovery (a
 	// frame payload is capped at 1 GiB by the wire format; the record adds
 	// only the op byte and the worker name).
@@ -119,12 +120,9 @@ type DiskConfig struct {
 	Dir string
 	// Fsync selects the WAL durability discipline: FsyncAlways (the
 	// default — every record synced before the mutation returns),
-	// FsyncInterval (buffered appends synced every FsyncInterval), or
-	// FsyncNone (buffered, synced only at compaction and Close).
+	// FsyncInterval (buffered appends synced every fsyncPeriod, 100ms),
+	// or FsyncNone (buffered, synced only at compaction and Close).
 	Fsync string
-	// FsyncInterval is the sync cadence for FsyncInterval mode
-	// (<= 0 picks the 100ms default).
-	FsyncInterval time.Duration
 	// CompactBytes triggers snapshot compaction once the active WAL
 	// exceeds this many bytes (0 picks the 8 MiB default; negative
 	// disables compaction).
@@ -145,10 +143,6 @@ func OpenDisk(cfg DiskConfig) (*Disk, error) {
 	default:
 		return nil, fmt.Errorf("aggstore: unknown fsync mode %q (always | interval | none)", cfg.Fsync)
 	}
-	interval := cfg.FsyncInterval
-	if interval <= 0 {
-		interval = defaultFsyncInterval
-	}
 	compact := cfg.CompactBytes
 	if compact == 0 {
 		compact = defaultCompactBytes
@@ -162,7 +156,7 @@ func OpenDisk(cfg DiskConfig) (*Disk, error) {
 	}
 	if mode == FsyncInterval {
 		d.stop, d.done = make(chan struct{}), make(chan struct{})
-		go d.flushLoop(interval)
+		go d.flushLoop()
 	}
 	return d, nil
 }
@@ -700,9 +694,9 @@ func (d *Disk) removeObsolete(keepSnap uint64) {
 
 // --- fsync plumbing ---
 
-func (d *Disk) flushLoop(interval time.Duration) {
+func (d *Disk) flushLoop() {
 	defer close(d.done)
-	t := time.NewTicker(interval)
+	t := time.NewTicker(fsyncPeriod)
 	defer t.Stop()
 	for {
 		select {

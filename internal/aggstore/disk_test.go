@@ -353,7 +353,7 @@ func TestDiskFsyncModes(t *testing.T) {
 	for _, mode := range []string{FsyncInterval, FsyncNone} {
 		dir := t.TempDir()
 		ref := NewMap()
-		cfg := DiskConfig{Dir: dir, Fsync: mode, FsyncInterval: 5 * time.Millisecond}
+		cfg := DiskConfig{Dir: dir, Fsync: mode}
 		d, err := OpenDisk(cfg)
 		if err != nil {
 			t.Fatal(err)

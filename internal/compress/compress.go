@@ -1,18 +1,12 @@
 // Package compress implements QLOVE's value compression (§3.1): zeroing out
 // insignificant low-order digits so that streamed values collapse onto a
-// small set of recurring numbers, plus a compact binary encoding for
-// {value, count} frequency summaries. Keeping the three most significant
+// small set of recurring numbers. Keeping the three most significant
 // digits bounds the quantization relative error below 1% while greatly
 // increasing data redundancy, which shrinks the red-black-tree state and,
 // per the paper, lowers space usage by ~5x.
 package compress
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"math"
-)
+import "math"
 
 // Quantizer rounds values to a fixed number of significant decimal digits.
 // The zero value is invalid; use NewQuantizer. Digits <= 0 means "identity"
@@ -24,9 +18,6 @@ type Quantizer struct {
 // NewQuantizer returns a Quantizer keeping the given number of most
 // significant decimal digits. The paper uses three.
 func NewQuantizer(digits int) Quantizer { return Quantizer{digits: digits} }
-
-// Digits returns the configured number of significant digits (0 = identity).
-func (q Quantizer) Digits() int { return q.digits }
 
 // pow10 holds powers of ten for the fast decade lookup, computed once via
 // math.Pow (repeated multiplication would accumulate rounding drift).
@@ -159,116 +150,4 @@ func DropLowDigits(v float64, d int) float64 {
 	}
 	p := math.Pow(10, float64(d))
 	return math.Trunc(v/p) * p
-}
-
-// Entry is one {value, count} pair of a frequency summary.
-type Entry struct {
-	Value float64
-	Count uint64
-}
-
-// EncodeSummary serializes entries into a compact byte stream: values are
-// delta-encoded as scaled integers (varint zig-zag) and counts as varints.
-// Entries must be sorted by ascending Value. The scale is chosen as the
-// largest power of ten (up to 1e6) under which all values round-trip
-// exactly; non-integral values after scaling fall back to raw IEEE bits.
-func EncodeSummary(entries []Entry) []byte {
-	buf := make([]byte, 0, 16+len(entries)*4)
-	buf = binary.AppendUvarint(buf, uint64(len(entries)))
-	if len(entries) == 0 {
-		return buf
-	}
-	scale := chooseScale(entries)
-	buf = binary.AppendUvarint(buf, uint64(scale))
-	if scale == 0 {
-		// Raw fallback: IEEE-754 bits, no delta coding of values.
-		for _, e := range entries {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Value))
-			buf = binary.AppendUvarint(buf, e.Count)
-		}
-		return buf
-	}
-	prev := int64(0)
-	for _, e := range entries {
-		iv := int64(math.Round(e.Value * float64(scale)))
-		buf = binary.AppendVarint(buf, iv-prev)
-		prev = iv
-		buf = binary.AppendUvarint(buf, e.Count)
-	}
-	return buf
-}
-
-// chooseScale returns the smallest power-of-ten multiplier (1..1e6) that
-// makes every value integral, or 0 when none does.
-func chooseScale(entries []Entry) int64 {
-	for scale := int64(1); scale <= 1_000_000; scale *= 10 {
-		ok := true
-		for _, e := range entries {
-			sv := e.Value * float64(scale)
-			if sv != math.Trunc(sv) || math.Abs(sv) > float64(math.MaxInt64)/2 {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return scale
-		}
-	}
-	return 0
-}
-
-var errCorrupt = errors.New("compress: corrupt summary encoding")
-
-// DecodeSummary parses a stream produced by EncodeSummary.
-func DecodeSummary(buf []byte) ([]Entry, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 {
-		return nil, errCorrupt
-	}
-	buf = buf[sz:]
-	if n == 0 {
-		return []Entry{}, nil
-	}
-	if n > uint64(len(buf)) { // each entry needs >= 1 byte
-		return nil, fmt.Errorf("compress: implausible entry count %d", n)
-	}
-	scaleU, sz := binary.Uvarint(buf)
-	if sz <= 0 {
-		return nil, errCorrupt
-	}
-	buf = buf[sz:]
-	scale := int64(scaleU)
-	entries := make([]Entry, 0, n)
-	if scale == 0 {
-		for i := uint64(0); i < n; i++ {
-			if len(buf) < 8 {
-				return nil, errCorrupt
-			}
-			v := math.Float64frombits(binary.LittleEndian.Uint64(buf))
-			buf = buf[8:]
-			c, sz := binary.Uvarint(buf)
-			if sz <= 0 {
-				return nil, errCorrupt
-			}
-			buf = buf[sz:]
-			entries = append(entries, Entry{Value: v, Count: c})
-		}
-		return entries, nil
-	}
-	prev := int64(0)
-	for i := uint64(0); i < n; i++ {
-		d, sz := binary.Varint(buf)
-		if sz <= 0 {
-			return nil, errCorrupt
-		}
-		buf = buf[sz:]
-		prev += d
-		c, sz := binary.Uvarint(buf)
-		if sz <= 0 {
-			return nil, errCorrupt
-		}
-		buf = buf[sz:]
-		entries = append(entries, Entry{Value: float64(prev) / float64(scale), Count: c})
-	}
-	return entries, nil
 }

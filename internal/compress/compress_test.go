@@ -123,139 +123,3 @@ func TestDropLowDigits(t *testing.T) {
 		}
 	}
 }
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	entries := []Entry{
-		{Value: 100, Count: 5000},
-		{Value: 101, Count: 3},
-		{Value: 798, Count: 12345},
-		{Value: 74300, Count: 1},
-	}
-	buf := EncodeSummary(entries)
-	got, err := DecodeSummary(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(entries) {
-		t.Fatalf("decoded %d entries, want %d", len(got), len(entries))
-	}
-	for i := range entries {
-		if got[i] != entries[i] {
-			t.Fatalf("entry %d: got %+v, want %+v", i, got[i], entries[i])
-		}
-	}
-}
-
-func TestEncodeDecodeFractionalValues(t *testing.T) {
-	entries := []Entry{
-		{Value: 0.125, Count: 2}, // not scalable by powers of ten -> raw path
-		{Value: 1.333333333333, Count: 7},
-	}
-	buf := EncodeSummary(entries)
-	got, err := DecodeSummary(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range entries {
-		if got[i] != entries[i] {
-			t.Fatalf("entry %d: got %+v, want %+v", i, got[i], entries[i])
-		}
-	}
-}
-
-func TestEncodeDecodeScaledDecimals(t *testing.T) {
-	entries := []Entry{
-		{Value: 7.98, Count: 9},
-		{Value: 12.47, Count: 1},
-	}
-	buf := EncodeSummary(entries)
-	got, err := DecodeSummary(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range entries {
-		if math.Abs(got[i].Value-entries[i].Value) > 1e-12 || got[i].Count != entries[i].Count {
-			t.Fatalf("entry %d: got %+v, want %+v", i, got[i], entries[i])
-		}
-	}
-}
-
-func TestEncodeEmpty(t *testing.T) {
-	buf := EncodeSummary(nil)
-	got, err := DecodeSummary(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("decoded %d entries from empty summary", len(got))
-	}
-}
-
-func TestDecodeCorrupt(t *testing.T) {
-	for _, buf := range [][]byte{
-		{},
-		{0xFF}, // truncated uvarint
-		{0x05}, // claims 5 entries, no data
-		{0x02, 0x01, 0x02},
-	} {
-		if _, err := DecodeSummary(buf); err == nil {
-			t.Errorf("DecodeSummary(%v) did not error", buf)
-		}
-	}
-}
-
-func TestCompressionBeatsRaw(t *testing.T) {
-	// Telemetry-like integer latencies: encoding must be much smaller than
-	// 16 bytes/entry raw representation.
-	var entries []Entry
-	v := 100.0
-	for i := 0; i < 1000; i++ {
-		entries = append(entries, Entry{Value: v, Count: uint64(1 + i%50)})
-		v += float64(1 + i%10)
-	}
-	buf := EncodeSummary(entries)
-	raw := len(entries) * 16
-	if len(buf)*4 > raw {
-		t.Fatalf("encoded %d bytes for raw %d bytes: want >= 4x compression", len(buf), raw)
-	}
-}
-
-// Property: round trip preserves integer-valued summaries exactly.
-func TestQuickRoundTrip(t *testing.T) {
-	f := func(vals []uint32, counts []uint16) bool {
-		n := len(vals)
-		if len(counts) < n {
-			n = len(counts)
-		}
-		seen := map[float64]bool{}
-		var entries []Entry
-		for i := 0; i < n; i++ {
-			v := float64(vals[i] % 1_000_000)
-			if seen[v] {
-				continue
-			}
-			seen[v] = true
-			entries = append(entries, Entry{Value: v, Count: uint64(counts[i]) + 1})
-		}
-		// sort ascending as the contract requires
-		for i := 1; i < len(entries); i++ {
-			for j := i; j > 0 && entries[j].Value < entries[j-1].Value; j-- {
-				entries[j], entries[j-1] = entries[j-1], entries[j]
-			}
-		}
-		buf := EncodeSummary(entries)
-		got, err := DecodeSummary(buf)
-		if err != nil || len(got) != len(entries) {
-			return false
-		}
-		for i := range entries {
-			if got[i] != entries[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -71,19 +71,6 @@ func (p *Policy) observeDistress(mi int, distress bool) {
 	p.budgets[mi] = b
 }
 
-// CurrentFractions returns the controller's live fraction per managed
-// quantile (nil when adaptation is off), for observability and tests.
-func (p *Policy) CurrentFractions() []float64 {
-	if p.adapt == nil {
-		return nil
-	}
-	out := make([]float64, len(p.adapt))
-	for i, st := range p.adapt {
-		out[i] = st.fraction
-	}
-	return out
-}
-
 // poolShallow reports whether the merged top-k pool for managed quantile
 // mi cannot reach its read rank — the budget-undershoot distress signal.
 func (p *Policy) poolShallow(mi int) bool {

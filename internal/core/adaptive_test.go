@@ -16,8 +16,8 @@ func TestAdaptiveGrowsUnderBurst(t *testing.T) {
 		Spec: spec, Phis: []float64{0.999},
 		FewK: true, Fraction: 0.1, Adaptive: true,
 	})
-	if fr := p.CurrentFractions(); len(fr) != 1 || fr[0] != 0.1 {
-		t.Fatalf("initial fractions = %v", fr)
+	if len(p.adapt) != 1 || p.adapt[0].fraction != 0.1 {
+		t.Fatalf("initial controllers = %+v", p.adapt)
 	}
 	// Drive manually to observe the controller between evaluations: the
 	// fraction grows under distress and may decay once the budget becomes
@@ -34,7 +34,7 @@ func TestAdaptiveGrowsUnderBurst(t *testing.T) {
 			p.Observe(data[pos])
 		}
 		p.Result()
-		if fr := p.CurrentFractions()[0]; fr > maxFr {
+		if fr := p.adapt[0].fraction; fr > maxFr {
 			maxFr = fr
 		}
 	}
@@ -55,7 +55,7 @@ func TestAdaptiveDecaysWhenCalm(t *testing.T) {
 	if _, _, err := stream.Run(p, spec, data); err != nil {
 		t.Fatal(err)
 	}
-	fr := p.CurrentFractions()[0]
+	fr := p.adapt[0].fraction
 	if fr >= 1.0 {
 		t.Fatalf("fraction did not decay on calm traffic: %v", fr)
 	}
@@ -69,7 +69,7 @@ func TestAdaptiveOffByDefault(t *testing.T) {
 		Spec: window.Spec{Size: 100, Period: 10},
 		Phis: []float64{0.999}, FewK: true,
 	})
-	if p.CurrentFractions() != nil {
+	if p.adapt != nil {
 		t.Fatal("controller active without Adaptive")
 	}
 }

@@ -1,34 +1,6 @@
 package core
 
-import (
-	"fmt"
-)
-
-// MergedResult combines the state of several QLOVE shards that consumed
-// disjoint partitions of one logical stream into window-level quantile
-// estimates: it captures a Snapshot of every shard, folds them with
-// Snapshot.Merge and reads Estimates off the merged capture. Kept as the
-// one-shot convenience form; callers that want to ship state across
-// goroutines or machines, cache captures, or merge incrementally use the
-// Snapshot API directly.
-//
-// All shards must share an identical configuration; ErrMismatched is
-// wrapped otherwise. Only the goroutine owning each shard may snapshot it,
-// so the caller must quiesce or own every shard for the duration of the
-// call.
-func MergedResult(shards []*Policy) ([]float64, error) {
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("qlove: no shards to merge")
-	}
-	merged := shards[0].Snapshot()
-	for _, s := range shards[1:] {
-		var err error
-		if merged, err = merged.Merge(s.Snapshot()); err != nil {
-			return nil, err
-		}
-	}
-	return merged.Estimates(), nil
-}
+import "fmt"
 
 // ErrMismatched reports an attempt to merge shards with different
 // configurations.

@@ -9,6 +9,15 @@ import (
 	"repro/internal/workload"
 )
 
+// snapshotsOf captures every shard, in order, for MergeSnapshots.
+func snapshotsOf(shards []*Policy) []Snapshot {
+	snaps := make([]Snapshot, len(shards))
+	for i, p := range shards {
+		snaps[i] = p.Snapshot()
+	}
+	return snaps
+}
+
 func TestMergedResultMatchesSingleStream(t *testing.T) {
 	// Two shards each consuming half of an i.i.d. stream must merge to an
 	// estimate close to a single operator over the whole stream.
@@ -36,10 +45,11 @@ func TestMergedResultMatchesSingleStream(t *testing.T) {
 		shardA.Expire(nil)
 		shardB.Expire(nil)
 	}
-	merged, err := MergedResult([]*Policy{shardA, shardB})
+	folded, err := MergeSnapshots([]Snapshot{shardA.Snapshot(), shardB.Snapshot()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	merged := folded.Estimates()
 	single := whole.Result()
 	for j := range phis {
 		if rel := math.Abs(merged[j]-single[j]) / single[j]; rel > 0.01 {
@@ -66,10 +76,11 @@ func TestMergedResultAccuracy(t *testing.T) {
 		}
 		shards = append(shards, p)
 	}
-	merged, err := MergedResult(shards)
+	folded, err := MergeSnapshots(snapshotsOf(shards))
 	if err != nil {
 		t.Fatal(err)
 	}
+	merged := folded.Estimates()
 	exact := stats.Quantiles(all, phis)
 	for j := range phis {
 		if rel := math.Abs(merged[j]-exact[j]) / exact[j]; rel > 0.05 {
@@ -96,10 +107,11 @@ func TestMergedResultFewK(t *testing.T) {
 		}
 		shards = append(shards, p)
 	}
-	merged, err := MergedResult(shards)
+	folded, err := MergeSnapshots(snapshotsOf(shards))
 	if err != nil {
 		t.Fatal(err)
 	}
+	merged := folded.Estimates()
 	exact := stats.Quantiles(all, phis)
 	if merged[0] != exact[0] {
 		t.Fatalf("merged Q0.999 = %v, exact %v", merged[0], exact[0])
@@ -145,10 +157,11 @@ func TestMergedRoundRobinProperty(t *testing.T) {
 						s.Expire(nil)
 					}
 				}
-				merged, err := MergedResult(shards)
+				folded, err := MergeSnapshots(snapshotsOf(shards))
 				if err != nil {
 					t.Fatal(err)
 				}
+				merged := folded.Estimates()
 				exactUnion := stats.Quantiles(stream[total-k*spec.Size:], phis)
 				sres := single.Result()
 				for j, phi := range phis {
@@ -199,36 +212,33 @@ func TestMergedRoundRobinFewKTailBeatsLevel2(t *testing.T) {
 		plain[i%k].Observe(v)
 	}
 	exact := stats.Quantiles(stream, phis)[0]
-	mf, err := MergedResult(fewk)
+	mf, err := MergeSnapshots(snapshotsOf(fewk))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, err := MergedResult(plain)
+	mp, err := MergeSnapshots(snapshotsOf(plain))
 	if err != nil {
 		t.Fatal(err)
 	}
-	errF := math.Abs(mf[0]-exact) / exact
-	errP := math.Abs(mp[0]-exact) / exact
+	errF := math.Abs(mf.Estimates()[0]-exact) / exact
+	errP := math.Abs(mp.Estimates()[0]-exact) / exact
 	if errF >= errP {
 		t.Fatalf("few-k merged error %.4f not below level-2 merged error %.4f", errF, errP)
 	}
 	if errF > 0.05 {
-		t.Fatalf("few-k merged tail error %.4f too large (estimate %v, exact %v)", errF, mf[0], exact)
+		t.Fatalf("few-k merged tail error %.4f too large (estimate %v, exact %v)", errF, mf.Estimates()[0], exact)
 	}
 }
 
 func TestMergedResultValidation(t *testing.T) {
-	if _, err := MergedResult(nil); err == nil {
-		t.Fatal("empty shard list accepted")
-	}
 	spec := window.Spec{Size: 100, Period: 10}
 	a := mustNew(t, Config{Spec: spec, Phis: []float64{0.5}})
 	b := mustNew(t, Config{Spec: spec, Phis: []float64{0.9}})
-	if _, err := MergedResult([]*Policy{a, b}); err == nil {
+	if _, err := MergeSnapshots([]Snapshot{a.Snapshot(), b.Snapshot()}); err == nil {
 		t.Fatal("mismatched phis accepted")
 	}
 	c := mustNew(t, Config{Spec: window.Spec{Size: 200, Period: 10}, Phis: []float64{0.5}})
-	if _, err := MergedResult([]*Policy{a, c}); err == nil {
+	if _, err := MergeSnapshots([]Snapshot{a.Snapshot(), c.Snapshot()}); err == nil {
 		t.Fatal("mismatched spec accepted")
 	}
 }
@@ -237,11 +247,11 @@ func TestMergedResultEmptyShards(t *testing.T) {
 	spec := window.Spec{Size: 100, Period: 10}
 	a := mustNew(t, Config{Spec: spec, Phis: []float64{0.5}})
 	b := mustNew(t, Config{Spec: spec, Phis: []float64{0.5}})
-	got, err := MergedResult([]*Policy{a, b})
+	folded, err := MergeSnapshots([]Snapshot{a.Snapshot(), b.Snapshot()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != 0 {
+	if got := folded.Estimates(); got[0] != 0 {
 		t.Fatalf("empty merge = %v", got)
 	}
 }

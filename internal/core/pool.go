@@ -57,9 +57,6 @@ func NewPool(cfg Config) (*Pool, error) {
 	return &Pool{proto: p}, nil
 }
 
-// Config returns the pool's resolved configuration.
-func (pl *Pool) Config() Config { return pl.proto.cfg }
-
 // Get returns an operator ready for a fresh stream: a recycled one when
 // available (already Reset by Put), newly constructed otherwise.
 func (pl *Pool) Get() *Policy {
@@ -97,9 +94,6 @@ func (pl *Pool) Put(p *Policy) {
 	p.Reset()
 	pl.free = append(pl.free, p)
 }
-
-// Idle returns how many recycled operators the pool currently holds.
-func (pl *Pool) Idle() int { return len(pl.free) }
 
 // Disown is the leaving half of handing an operator homed here to another
 // owner: the operator keeps the workbench of its in-flight sub-window (the

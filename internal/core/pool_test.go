@@ -72,8 +72,8 @@ func TestPoolRecyclesOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pool.Idle() != 0 {
-		t.Fatalf("idle after construction = %d, want 0 (the validation operator is the prototype, never handed out)", pool.Idle())
+	if len(pool.free) != 0 {
+		t.Fatalf("idle after construction = %d, want 0 (the validation operator is the prototype, never handed out)", len(pool.free))
 	}
 	p1 := pool.Get()
 	p1.ObserveBatch(workload.Generate(workload.NewNetMon(1), cfg.Spec.Size))
@@ -93,11 +93,11 @@ func TestPoolRecyclesOperators(t *testing.T) {
 	// Foreign-config operators are refused.
 	other := mustNew(t, Config{Spec: window.Spec{Size: 400, Period: 100}, Phis: []float64{0.5, 0.999}})
 	pool.Put(other)
-	if pool.Idle() != 0 {
+	if len(pool.free) != 0 {
 		t.Fatal("pool accepted a mismatched operator")
 	}
 	pool.Put(nil)
-	if pool.Idle() != 0 {
+	if len(pool.free) != 0 {
 		t.Fatal("pool accepted nil")
 	}
 }
@@ -131,8 +131,8 @@ func TestPoolMintsIdenticalConfigs(t *testing.T) {
 	// Both recycle.
 	pool.Put(first)
 	pool.Put(second)
-	if pool.Idle() != 2 {
-		t.Fatalf("idle = %d, want 2", pool.Idle())
+	if len(pool.free) != 2 {
+		t.Fatalf("idle = %d, want 2", len(pool.free))
 	}
 	// And unquantized operators really don't quantize.
 	p := pool.Get()

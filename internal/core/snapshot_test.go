@@ -130,38 +130,6 @@ func TestSnapshotMergeIdentityAndMismatch(t *testing.T) {
 	}
 }
 
-// TestMergedResultEqualsSnapshotFold: the convenience wrapper and the
-// explicit snapshot fold are the same computation.
-func TestMergedResultEqualsSnapshotFold(t *testing.T) {
-	spec := window.Spec{Size: 4000, Period: 1000}
-	cfg := Config{Spec: spec, Phis: []float64{0.5, 0.9, 0.999}, FewK: true}
-	var shards []*Policy
-	var snaps []Snapshot
-	for s := 0; s < 3; s++ {
-		p := mustNew(t, cfg)
-		p.ObserveBatch(workload.Generate(workload.NewNetMon(int64(s+40)), spec.Size))
-		shards = append(shards, p)
-		snaps = append(snaps, p.Snapshot())
-	}
-	viaWrapper, err := MergedResult(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	folded, err := MergeSnapshots(snaps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaFold := folded.Estimates()
-	for j := range viaWrapper {
-		if math.Float64bits(viaWrapper[j]) != math.Float64bits(viaFold[j]) {
-			t.Fatalf("wrapper %v != fold %v", viaWrapper, viaFold)
-		}
-	}
-	if folded.Streams() != 3 {
-		t.Fatalf("streams = %d", folded.Streams())
-	}
-}
-
 // TestSnapshotEstimatesAllocs: reading a capture allocates the slice it
 // returns and nothing else — the merge scratch comes from scratchPool, the
 // merge inputs are views of the captured blocks.

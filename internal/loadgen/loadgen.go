@@ -1,12 +1,12 @@
 // Package loadgen is an OPEN-LOOP load-generation harness: operations
-// arrive on a schedule drawn from an arrival process (Poisson by default),
-// not when the previous operation completes. Closed-loop drivers — every
-// bench scenario before this package — self-throttle under overload: a
-// slow system slows its own load, so "max throughput" measurements only
-// say how fast the harness could spin. Open-loop generation keeps offering
-// load at the configured rate regardless of completions, so overload shows
-// up the way production sees it: queue growth, latency blow-up, and a
-// widening gap between offered and completed rates.
+// arrive on a schedule drawn from a Poisson arrival process, not when the
+// previous operation completes. Closed-loop drivers — every bench scenario
+// before this package — self-throttle under overload: a slow system slows
+// its own load, so "max throughput" measurements only say how fast the
+// harness could spin. Open-loop generation keeps offering load at the
+// configured rate regardless of completions, so overload shows up the way
+// production sees it: queue growth, latency blow-up, and a widening gap
+// between offered and completed rates.
 //
 // The harness measures operation latency from the operation's SCHEDULED
 // arrival time, not its dispatch time, so any lag anywhere — in the
@@ -29,13 +29,6 @@ import (
 	"time"
 )
 
-// Arrivals yields successive interarrival gaps of an arrival process.
-// Implementations need not be safe for concurrent use; a Run owns its
-// instance.
-type Arrivals interface {
-	Next() time.Duration
-}
-
 // Exp is a Poisson arrival process: exponentially distributed interarrival
 // gaps with the given mean rate. Deterministic for a seed.
 type Exp struct {
@@ -57,17 +50,6 @@ func (e *Exp) Next() time.Duration {
 	}
 	return d
 }
-
-// Uniform is a constant-gap arrival process (rate operations per second).
-type Uniform struct{ gap time.Duration }
-
-// NewUniform returns uniform arrivals at rate operations per second.
-func NewUniform(rate float64) *Uniform {
-	return &Uniform{gap: time.Duration(float64(time.Second) / rate)}
-}
-
-// Next returns the constant gap.
-func (u *Uniform) Next() time.Duration { return u.gap }
 
 // Op is one operation kind in a percentage-mix workload.
 type Op int
@@ -159,9 +141,7 @@ type Config struct {
 	Duration time.Duration
 	// Mix is the operation mix. The zero Mix means 100% OpPush.
 	Mix Mix
-	// Arrivals overrides the arrival process; nil uses NewExp(Seed, Rate).
-	Arrivals Arrivals
-	// Seed feeds the arrival process and the mix deck shuffle.
+	// Seed feeds the Poisson arrival process and the mix deck shuffle.
 	Seed int64
 	// MaxInFlight caps concurrently executing operations. Arrivals beyond
 	// the cap still fire on schedule and WAIT for a slot — the wait is
@@ -236,10 +216,7 @@ func Run(ctx context.Context, cfg Config, t Target) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	arr := cfg.Arrivals
-	if arr == nil {
-		arr = NewExp(cfg.Seed, cfg.Rate)
-	}
+	arr := NewExp(cfg.Seed, cfg.Rate)
 	inflight := cfg.MaxInFlight
 	if inflight <= 0 {
 		inflight = 512

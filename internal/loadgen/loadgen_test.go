@@ -211,4 +211,7 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Ramp(context.Background(), RampConfig{Start: 10, Max: 5, Factor: 2, StepDuration: time.Second, SLA: time.Second}, tgt); err == nil {
 		t.Fatal("max below start accepted")
 	}
+	if _, err := Ramp(context.Background(), RampConfig{Start: 10, Max: 20, Factor: 1, StepDuration: time.Second, SLA: time.Second}, tgt); err == nil {
+		t.Fatal("non-growing ramp factor accepted")
+	}
 }

@@ -7,16 +7,13 @@ import (
 )
 
 // RampConfig parameterizes a stepped search for the maximum sustainable
-// rate under an SLA: offered load starts at Start and grows (×Factor, or
-// +Step when Factor <= 1) each step until a step violates the p99 SLA or
-// diverges, Tolerance consecutive times, or Max is reached.
+// rate under an SLA: offered load starts at Start and grows ×Factor each
+// step until a step violates the p99 SLA or diverges, or Max is reached.
 type RampConfig struct {
 	// Start is the first step's offered rate (ops/s).
 	Start float64
-	// Factor multiplies the rate between steps when > 1.
+	// Factor multiplies the rate between steps; it must exceed 1.
 	Factor float64
-	// Step adds to the rate between steps when Factor <= 1.
-	Step float64
 	// Max caps the offered rate; the ramp stops after measuring it.
 	Max float64
 	// StepDuration is each step's arrival span.
@@ -26,10 +23,6 @@ type RampConfig struct {
 	// Divergence is the tolerated offered-vs-completed shortfall fraction
 	// (Result.Overloaded); default 0.05.
 	Divergence float64
-	// Tolerance is how many CONSECUTIVE unsustainable steps end the ramp;
-	// default 1 (one transient blip at a rate the system actually sustains
-	// can otherwise end the search early — raise on noisy hosts).
-	Tolerance int
 	// Mix, Seed, MaxInFlight and Grace are passed to each step's Run.
 	Mix         Mix
 	Seed        int64
@@ -66,8 +59,8 @@ func Ramp(ctx context.Context, cfg RampConfig, t Target) (RampResult, error) {
 	if cfg.Start <= 0 {
 		return RampResult{}, fmt.Errorf("loadgen: ramp start rate %v must be positive", cfg.Start)
 	}
-	if cfg.Factor <= 1 && cfg.Step <= 0 {
-		return RampResult{}, fmt.Errorf("loadgen: ramp needs Factor > 1 or Step > 0")
+	if cfg.Factor <= 1 {
+		return RampResult{}, fmt.Errorf("loadgen: ramp factor %v must exceed 1", cfg.Factor)
 	}
 	if cfg.Max < cfg.Start {
 		return RampResult{}, fmt.Errorf("loadgen: ramp max %v below start %v", cfg.Max, cfg.Start)
@@ -82,12 +75,7 @@ func Ramp(ctx context.Context, cfg RampConfig, t Target) (RampResult, error) {
 	if div <= 0 {
 		div = 0.05
 	}
-	tol := cfg.Tolerance
-	if tol <= 0 {
-		tol = 1
-	}
 	out := RampResult{SLA: cfg.SLA}
-	failing := 0
 	for rate, step := cfg.Start, 0; ; step++ {
 		if err := ctx.Err(); err != nil {
 			return out, err
@@ -113,23 +101,14 @@ func Ramp(ctx context.Context, cfg RampConfig, t Target) (RampResult, error) {
 			s.Reason = fmt.Sprintf("p99 %v exceeds SLA %v", r.P99.Round(time.Microsecond), cfg.SLA)
 		}
 		out.Steps = append(out.Steps, s)
-		if s.Sustainable {
-			failing = 0
-			if rate > out.MaxSustainable {
-				out.MaxSustainable = rate
-			}
-		} else if failing++; failing >= tol {
+		if !s.Sustainable {
 			return out, nil
 		}
+		out.MaxSustainable = rate // rates only grow
 		if rate >= cfg.Max {
 			return out, nil
 		}
-		if cfg.Factor > 1 {
-			rate *= cfg.Factor
-		} else {
-			rate += cfg.Step
-		}
-		if rate > cfg.Max {
+		if rate *= cfg.Factor; rate > cfg.Max {
 			rate = cfg.Max
 		}
 	}

@@ -139,33 +139,6 @@ func (t *Tree) Unique() int { return t.unique }
 // Empty reports whether the tree holds no elements.
 func (t *Tree) Empty() bool { return t.total == 0 }
 
-// Cap returns the number of node slots the arena can hold without growing,
-// excluding the sentinel. It is the tree's amortized-allocation horizon:
-// inserts are heap-allocation-free while Unique() stays below Cap().
-func (t *Tree) Cap() int {
-	if c := cap(t.nodes); c > 0 {
-		return c - 1
-	}
-	return 0
-}
-
-// Reserve grows the arena so that at least n unique values fit without
-// further heap allocation.
-func (t *Tree) Reserve(n int) {
-	need := n + 1 // sentinel
-	if cap(t.nodes) >= need {
-		return
-	}
-	grown := make([]node, len(t.nodes), need)
-	copy(grown, t.nodes)
-	t.nodes = grown
-	if len(t.nodes) == 0 {
-		// Install the sentinel now so alloc's empty-arena branch cannot
-		// replace the reserved backing array with a fresh small one.
-		t.nodes = append(t.nodes, node{color: black})
-	}
-}
-
 // alloc returns the index of a zeroed node initialised to {key, count},
 // reusing the free list before growing the arena.
 func (t *Tree) alloc(key float64, count uint64, parent int32) int32 {
@@ -526,15 +499,6 @@ func (t *Tree) descend(i int32, fn func(float64, uint64) bool) bool {
 		return false
 	}
 	return t.descend(n.left, fn)
-}
-
-// TopK returns up to k of the largest elements (counting duplicates) in
-// descending order.
-func (t *Tree) TopK(k int) []float64 {
-	if k <= 0 {
-		return nil
-	}
-	return t.AppendTopK(make([]float64, 0, k), k)
 }
 
 // AppendTopK appends up to k of the largest elements (counting duplicates,

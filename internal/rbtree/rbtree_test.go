@@ -339,21 +339,21 @@ func TestTopK(t *testing.T) {
 	for _, v := range []float64{1, 9, 9, 5, 7, 3} {
 		tr.Insert(v)
 	}
-	got := tr.TopK(4)
+	got := tr.AppendTopK(nil, 4)
 	want := []float64{9, 9, 7, 5}
 	if len(got) != len(want) {
-		t.Fatalf("TopK = %v, want %v", got, want)
+		t.Fatalf("AppendTopK(nil, 4) = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("TopK = %v, want %v", got, want)
+			t.Fatalf("AppendTopK(nil, 4) = %v, want %v", got, want)
 		}
 	}
-	if got := tr.TopK(0); got != nil {
-		t.Fatalf("TopK(0) = %v, want nil", got)
+	if got := tr.AppendTopK(nil, 0); got != nil {
+		t.Fatalf("AppendTopK(nil, 0) = %v, want nil", got)
 	}
-	if got := tr.TopK(100); len(got) != 6 {
-		t.Fatalf("TopK(100) returned %d values, want 6", len(got))
+	if got := tr.AppendTopK(nil, 100); len(got) != 6 {
+		t.Fatalf("AppendTopK(nil, 100) returned %d values, want 6", len(got))
 	}
 }
 
@@ -461,13 +461,13 @@ func TestClearRecyclesArena(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		tr.Insert(float64(i % 300))
 	}
-	capBefore := tr.Cap()
-	if capBefore < 300 {
-		t.Fatalf("Cap = %d after 300 unique inserts", capBefore)
+	capBefore := cap(tr.nodes)
+	if capBefore < 301 { // 300 unique values plus the sentinel
+		t.Fatalf("arena cap = %d after 300 unique inserts", capBefore)
 	}
 	tr.Clear()
-	if tr.Cap() != capBefore {
-		t.Fatalf("Clear dropped arena capacity: %d -> %d", capBefore, tr.Cap())
+	if cap(tr.nodes) != capBefore {
+		t.Fatalf("Clear dropped arena capacity: %d -> %d", capBefore, cap(tr.nodes))
 	}
 	// Refilling the same working set must not touch the heap.
 	allocs := testing.AllocsPerRun(20, func() {
@@ -484,32 +484,6 @@ func TestClearRecyclesArena(t *testing.T) {
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestReserve(t *testing.T) {
-	tr := New()
-	tr.Reserve(500)
-	capReserved := tr.Cap()
-	if capReserved < 500 {
-		t.Fatalf("Cap = %d after Reserve(500)", capReserved)
-	}
-	tr.Insert(1)
-	if tr.Cap() != capReserved {
-		t.Fatalf("first insert replaced the reserved arena: cap %d -> %d", capReserved, tr.Cap())
-	}
-	// Pre-populate the insert cache (allocated lazily on first insert),
-	// then the reserved arena must absorb 500 distinct keys heap-free.
-	allocs := testing.AllocsPerRun(1, func() {
-		for i := 0; i < 500; i++ {
-			tr.Insert(float64(i))
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("inserts into reserved arena allocate %v, want 0", allocs)
-	}
-	if tr.Cap() != capReserved {
-		t.Fatalf("reserved arena grew: cap %d -> %d", capReserved, tr.Cap())
 	}
 }
 

@@ -33,8 +33,8 @@ type Policy interface {
 	// observationally identical to calling Observe per element; it exists
 	// so operators can amortize per-element costs (interface dispatch,
 	// quantization setup, tree descents for repeated values) across the
-	// batch. Implementations without a native batch path delegate to the
-	// ObserveEach adapter.
+	// batch. Implementations without a native batch path loop over
+	// Observe.
 	ObserveBatch(vs []float64)
 	// Expire notifies that a full period of old elements left the window.
 	Expire(old []float64)
@@ -44,12 +44,6 @@ type Policy interface {
 	// SpaceUsage reports the number of resident state variables, the
 	// paper's §5.1 space metric.
 	SpaceUsage() int
-}
-
-// Observer is the single-element half of the Policy ingestion contract,
-// the only piece the ObserveEach fallback needs.
-type Observer interface {
-	Observe(v float64)
 }
 
 // SummaryExpirer is an optional Policy extension for operators that expire
@@ -69,17 +63,6 @@ type SummaryExpirer interface {
 func expireNeedsValues(p Policy) bool {
 	se, ok := p.(SummaryExpirer)
 	return !ok || !se.ExpiresWholeSummaries()
-}
-
-// ObserveEach is the package-level fallback ObserveBatch adapter: it feeds
-// vs one element at a time through Observe. Policies without a native
-// batch path implement ObserveBatch as a call to this adapter; it keeps
-// the loop out of every such implementation while preserving exact
-// element-at-a-time semantics.
-func ObserveEach(p Observer, vs []float64) {
-	for _, v := range vs {
-		p.Observe(v)
-	}
 }
 
 // Evaluation is one query result produced by Run.

@@ -134,6 +134,3 @@ func (k *Pusher) Evaluations() int { return k.evals }
 
 // Policy returns the wrapped policy (e.g. to query SpaceUsage).
 func (k *Pusher) Policy() Policy { return k.policy }
-
-// Spec returns the window spec the pusher was built with.
-func (k *Pusher) Spec() window.Spec { return k.spec }

@@ -17,8 +17,11 @@ type recordingPolicy struct {
 func (p *recordingPolicy) Name() string      { return "recording" }
 func (p *recordingPolicy) Observe(v float64) { p.observed = append(p.observed, v) }
 
-// ObserveBatch exercises the package-level fallback adapter.
-func (p *recordingPolicy) ObserveBatch(vs []float64) { ObserveEach(p, vs) }
+func (p *recordingPolicy) ObserveBatch(vs []float64) {
+	for _, v := range vs {
+		p.Observe(v)
+	}
+}
 func (p *recordingPolicy) Expire(old []float64) {
 	p.expired = append(p.expired, append([]float64(nil), old...))
 }

@@ -25,7 +25,11 @@ func (p *timedFakePolicy) Observe(v float64) {
 		p.EndPeriod()
 	}
 }
-func (p *timedFakePolicy) ObserveBatch(vs []float64) { ObserveEach(p, vs) }
+func (p *timedFakePolicy) ObserveBatch(vs []float64) {
+	for _, v := range vs {
+		p.Observe(v)
+	}
+}
 func (p *timedFakePolicy) Expire([]float64) {
 	p.expired++
 	if p.resident > 0 {

@@ -154,7 +154,7 @@ var claimSeeds = [][]byte{
 
 func TestDecodeClaimedCounts(t *testing.T) {
 	for i, blob := range claimSeeds {
-		if _, _, err := Decode(bytes.NewReader(blob)); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := NewDecoder(bytes.NewReader(blob)).Decode(); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("claim seed %d: %v, want wrapped ErrCorrupt", i, err)
 		}
 	}

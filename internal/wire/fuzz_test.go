@@ -57,7 +57,7 @@ func FuzzDecode(f *testing.F) {
 			switch fr.Kind {
 			case KindFull:
 				reenc := AppendFrame(nil, fr.Key, fr.Snap)
-				key2, snap2, err := Decode(bytes.NewReader(reenc))
+				key2, snap2, err := NewDecoder(bytes.NewReader(reenc)).Decode()
 				if err != nil {
 					t.Fatalf("re-encoded full frame fails to decode: %v", err)
 				}

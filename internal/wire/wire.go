@@ -327,12 +327,6 @@ func validateDelta(d *Delta) error {
 	return nil
 }
 
-// Encode writes one keyed full frame to w; the convenience form of
-// Encoder.Encode for one-shot callers.
-func Encode(w io.Writer, key string, s core.Snapshot) (int, error) {
-	return NewEncoder(w).Encode(key, s)
-}
-
 // AppendFrame appends one complete full frame (header and payload) to dst
 // and returns the extended slice. The capture must be non-zero and its
 // payload must stay within the decoder's 1 GiB frame cap — Encoder.Encode
@@ -585,12 +579,6 @@ func (d *Decoder) DecodeFrame() (Frame, error) {
 		d.raw = d.buf
 	}
 	return f, err
-}
-
-// Decode reads a single full frame from r; the convenience form of
-// Decoder.Decode for one-shot callers.
-func Decode(r io.Reader) (key string, snap core.Snapshot, err error) {
-	return NewDecoder(r).Decode()
 }
 
 // payloadReader is a bounds-checked cursor over one frame's payload.

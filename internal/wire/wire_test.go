@@ -160,7 +160,7 @@ func TestKeyedFraming(t *testing.T) {
 // TestEncodeRejectsZeroSnapshot: the zero value has no config to describe
 // itself with.
 func TestEncodeRejectsZeroSnapshot(t *testing.T) {
-	if _, err := Encode(io.Discard, "k", core.Snapshot{}); err == nil {
+	if _, err := NewEncoder(io.Discard).Encode("k", core.Snapshot{}); err == nil {
 		t.Fatal("zero snapshot encoded")
 	}
 }
@@ -207,7 +207,7 @@ func TestDecodeCorruptionTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := Decode(bytes.NewReader(tc.blob))
+			_, _, err := NewDecoder(bytes.NewReader(tc.blob)).Decode()
 			if err == nil {
 				t.Fatal("decoded corrupt frame")
 			}
@@ -257,7 +257,7 @@ func corruptInnerCount(frame []byte) []byte {
 func TestDecodeTruncationSweep(t *testing.T) {
 	frame := validFrame(t)
 	for n := 0; n < len(frame); n++ {
-		_, _, err := Decode(bytes.NewReader(frame[:n]))
+		_, _, err := NewDecoder(bytes.NewReader(frame[:n])).Decode()
 		if n == 0 {
 			if err != io.EOF {
 				t.Fatalf("empty stream: %v, want io.EOF", err)
@@ -280,7 +280,7 @@ func TestDecodeValuePolicy(t *testing.T) {
 	// Find the wire bytes of a known value and replace them with NaN bits:
 	// quantile positions hold NetMon-generated floats, all of which appear
 	// in the payload as 8 little-endian bytes.
-	_, snap, err := Decode(bytes.NewReader(frame))
+	_, snap, err := NewDecoder(bytes.NewReader(frame)).Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestDecodeValuePolicy(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		nan[idx+i] = byte(math.Float64bits(math.NaN()) >> (8 * i))
 	}
-	if _, _, err := Decode(bytes.NewReader(nan)); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := NewDecoder(bytes.NewReader(nan)).Decode(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("NaN payload: %v, want wrapped ErrCorrupt", err)
 	}
 
@@ -317,7 +317,7 @@ func TestDecodeValuePolicy(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		nanPhi[pidx+i] = byte(math.Float64bits(math.NaN()) >> (8 * i))
 	}
-	if _, _, err := Decode(bytes.NewReader(nanPhi)); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := NewDecoder(bytes.NewReader(nanPhi)).Decode(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("NaN ϕ: %v, want wrapped ErrCorrupt", err)
 	}
 
@@ -347,7 +347,7 @@ func TestDecodeValuePolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := AppendFrame(nil, "", badSnap)
-	if _, _, err := Decode(bytes.NewReader(blob)); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := NewDecoder(bytes.NewReader(blob)).Decode(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("ascending tail: %v, want wrapped ErrCorrupt", err)
 	}
 }
@@ -543,7 +543,7 @@ func TestGoldenCompatMatrix(t *testing.T) {
 				}
 				// Upgrade path: a capture decoded from ANY version re-encodes
 				// under the current version and answers identically.
-				key2, snap2, err := Decode(bytes.NewReader(AppendFrame(nil, f.Key, f.Snap)))
+				key2, snap2, err := NewDecoder(bytes.NewReader(AppendFrame(nil, f.Key, f.Snap))).Decode()
 				if err != nil {
 					t.Fatalf("v%d capture fails the upgrade re-encode: %v", tc.version, err)
 				}
@@ -607,7 +607,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 				t.Fatalf("delta %d<-%d: decoded delta differs\n got %+v\nwant %+v", i, j, f.Delta, d)
 			}
 			// Decode (snapshot-only) must refuse the same frame, loudly.
-			if _, _, err := Decode(bytes.NewReader(blob)); !errors.Is(err, ErrFrameKind) {
+			if _, _, err := NewDecoder(bytes.NewReader(blob)).Decode(); !errors.Is(err, ErrFrameKind) {
 				t.Fatalf("snapshot-only Decode of a delta: %v, want wrapped ErrFrameKind", err)
 			}
 		}
@@ -634,7 +634,7 @@ func TestTombstoneRoundTrip(t *testing.T) {
 		if f.Kind != KindTombstone || f.Key != key {
 			t.Fatalf("key %q decoded as %v %q", key, f.Kind, f.Key)
 		}
-		if _, _, err := Decode(bytes.NewReader(blob)); !errors.Is(err, ErrFrameKind) {
+		if _, _, err := NewDecoder(bytes.NewReader(blob)).Decode(); !errors.Is(err, ErrFrameKind) {
 			t.Fatalf("snapshot-only Decode of a tombstone: %v, want wrapped ErrFrameKind", err)
 		}
 	}
@@ -792,7 +792,7 @@ func BenchmarkDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Decode(bytes.NewReader(frame)); err != nil {
+		if _, _, err := NewDecoder(bytes.NewReader(frame)).Decode(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -84,12 +84,6 @@ func (m *SlotMap) Owners(slot int) []int {
 // their Moves.
 func (m *SlotMap) OwnersView(slot int) []int { return m.owners[slot] }
 
-// Primary returns the primary replica index of one slot.
-func (m *SlotMap) Primary(slot int) int { return m.owners[slot][0] }
-
-// PrimaryOf returns the primary replica index of a logical key.
-func (m *SlotMap) PrimaryOf(key string) int { return m.Primary(SlotOf(key)) }
-
 // IsOwner reports whether replica owns slot.
 func (m *SlotMap) IsOwner(slot, replica int) bool {
 	for _, o := range m.owners[slot] {

@@ -50,7 +50,7 @@ func TestSlotMapCanonical(t *testing.T) {
 			if len(own) != tc.r {
 				t.Fatalf("(%d,%d): slot %d has %d owners", tc.n, tc.r, s, len(own))
 			}
-			if own[0] != s%tc.n || m.Primary(s) != s%tc.n {
+			if own[0] != s%tc.n || m.OwnersView(s)[0] != s%tc.n {
 				t.Fatalf("(%d,%d): slot %d primary %d, want %d", tc.n, tc.r, s, own[0], s%tc.n)
 			}
 			seen := map[int]bool{}
@@ -66,7 +66,7 @@ func TestSlotMapCanonical(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			k := fmt.Sprintf("probe-%d", i)
 			own := m.OwnersView(SlotOf(k))
-			if len(own) != tc.r || own[0] != SlotOf(k)%tc.n || m.PrimaryOf(k) != own[0] {
+			if len(own) != tc.r || own[0] != SlotOf(k)%tc.n || m.Owners(SlotOf(k))[0] != own[0] {
 				t.Fatalf("(%d,%d): key %q owners %v, slot %d",
 					tc.n, tc.r, k, own, SlotOf(k))
 			}
@@ -163,7 +163,7 @@ func TestSlotMapMove(t *testing.T) {
 	c := m.Clone()
 	for to := 0; to < 3; to++ {
 		if !c.IsOwner(9, to) {
-			if err := c.Move(9, c.Primary(9), to); err != nil {
+			if err := c.Move(9, c.OwnersView(9)[0], to); err != nil {
 				t.Fatal(err)
 			}
 			break
@@ -184,7 +184,7 @@ func TestSlotMapJSON(t *testing.T) {
 	// Make the table non-canonical so the round-trip is non-trivial.
 	for to := 0; to < 3; to++ {
 		if !m.IsOwner(11, to) {
-			if err := m.Move(11, m.Primary(11), to); err != nil {
+			if err := m.Move(11, m.OwnersView(11)[0], to); err != nil {
 				t.Fatal(err)
 			}
 			break
