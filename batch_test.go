@@ -182,7 +182,7 @@ func TestPushBatchNilEmit(t *testing.T) {
 }
 
 // steadyQLOVE returns a QLOVE policy warmed past its first windows so the
-// tree arena, Level-2 ring and all scratch buffers have reached their
+// Level-1 buffer, Level-2 ring and all scratch buffers have reached their
 // working-set sizes. Values cycle over a fixed set, mirroring the bounded
 // unique-value population §3.1 quantization produces.
 func steadyQLOVE(t testing.TB, spec Window) (*QLOVE, []float64) {
@@ -243,9 +243,9 @@ func TestObserveBatchSteadyStateZeroAllocs(t *testing.T) {
 
 func TestSealSteadyStateIsArenaRecycled(t *testing.T) {
 	// Across many full periods the only steady-state allocations are the
-	// sealed summary's one block and the slice Result returns — the tree
-	// arena, the seal scratch and, with few-k on, the merge and burst-test
-	// scratch must all be recycled. Budget: 4 per expire+seal+evaluate.
+	// sealed summary's one block and the slice Result returns — the
+	// Level-1 buffer, the seal scratch and, with few-k on, the merge and
+	// burst-test scratch must all be recycled. Budget: 4 per expire+seal+evaluate.
 	spec := Window{Size: 1024, Period: 256}
 	for _, fewk := range []bool{false, true} {
 		p, vals := steadyOperator(t, Config{Spec: spec, Phis: []float64{0.5, 0.9, 0.99, 0.999}, FewK: fewk})

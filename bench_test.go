@@ -260,7 +260,7 @@ func feedElementwise(p Policy, spec Window, data []float64) (stream.RunStats, er
 	return stream.RunStats{Elements: pos, Evaluations: nEvals, Elapsed: time.Since(start)}, nil
 }
 
-// BenchmarkObserveQLOVE: element-at-a-time ingestion (arena tree, fused
+// BenchmarkObserveQLOVE: element-at-a-time ingestion (flat buffer, fused
 // seal, but per-element interface dispatch and quantization).
 func BenchmarkObserveQLOVE(b *testing.B) { benchIngest(b, false) }
 
@@ -305,6 +305,25 @@ func BenchmarkObserveKeyed(b *testing.B) {
 				pushers[order[i%len(order)]].PushBatch(report(i), nil)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*spec.Period), "ns/value")
+		})
+	}
+}
+
+// BenchmarkLevel1PaperWindow: one stand-alone operator at Table 1's
+// window of 128 000 values and the paper's periods of 1 000, 4 000 and
+// 16 000, few-k on, fed NetMon by stream.Feed — the long sub-windows the
+// engine benchmarks (periods 128 and 16) never seal. An iteration feeds a
+// window and then 64 000 more values, evaluating at every period: at most
+// ≈ 65 ms on a 2-CPU box (period 1 000, where the 65 evaluations, each
+// merging 128 summaries, cost more than the sealing).
+func BenchmarkLevel1PaperWindow(b *testing.B) {
+	const size = 128_000
+	data := fig4Data(b, size+size/2)
+	for _, period := range []int{1000, 4000, 16_000} {
+		b.Run(fmt.Sprintf("%d-%d", size, period), func(b *testing.B) {
+			benchFeed(b, func(spec Window, phis []float64) (Policy, error) {
+				return New(Config{Spec: spec, Phis: phis, FewK: true})
+			}, Window{Size: size, Period: period}, data)
 		})
 	}
 }

@@ -37,8 +37,8 @@ func liveHeap() (bytes, objects uint64) {
 //     no key holds a workbench between deliveries;
 //   - 100-value reports, which leave every key mid-period: each key holds
 //     a workbench, so the budget is the workbench — at period 128 a
-//     period-sized buffer and its seal scratch, with no tree arena and no
-//     insert cache (13.2 KB and 29 objects while the workbench was a tree);
+//     period-sized buffer and its seal scratch (13.2 KB and 29 objects
+//     while the workbench was a tree);
 //   - a timed-window engine one idle tick after traffic stopped.
 //
 // Before workbenches were lent by the shard pool the three shapes cost

@@ -138,8 +138,8 @@ type ShardStats struct {
 	// ResidentKeys is the number of keys currently resident on the shard
 	// (an escalated key's sub-streams count individually; see AdaptConfig).
 	ResidentKeys int
-	// InFlightKeys is how many of those keys hold a Level-1 workbench (tree
-	// arena, insert cache, seal scratch — 11 KB at period 128) because
+	// InFlightKeys is how many of those keys hold a Level-1 workbench (the
+	// sub-window buffer and seal scratch — 2.2 KB at period 128) because
 	// their current sub-window has values in it. A key whose last report
 	// ended on a period boundary, or that has been idle since a timed
 	// period closed, holds none and costs only its summaries; traffic made

@@ -2,11 +2,12 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/compress"
-	"repro/internal/rbtree"
 	"repro/internal/window"
 )
 
@@ -102,21 +103,25 @@ func seedProgram(period int) []byte {
 	return append(p, 2<<6)
 }
 
-// referenceSeal is the tree-only Level 1: every value quantized (−0 stored
-// as +0), inserted one by one into a fresh tree and sealed from it; prev,
-// when not nil, is the summary the burst flags compare against.
+// referenceSeal is Level 1 by full sort: every value quantized (−0 stored
+// as +0), the copy sorted with slices.Sort and every rank read by index —
+// it shares only plan and assemble with the operator's seal, not the
+// selection; prev, when not nil, is the summary the burst flags compare
+// against.
 func referenceSeal(p *Policy, values []float64, prev *Summary, sc *mergeScratch) Summary {
 	cfg := p.Config()
 	q := compress.NewQuantizer(cfg.Digits)
-	tree := rbtree.New()
+	b := newBuilder(cfg.Digits, len(values))
 	for _, v := range values {
 		x := q.Quantize(v)
 		if x == 0 {
 			x = 0
 		}
-		tree.InsertN(x, 1)
+		b.vals = append(b.vals, x)
 	}
-	s := newBuilder(tree, cfg.Digits, cfg.Spec.Period).seal(cfg.Phis, p.managed, p.budgets, cfg.Spec.Size)
+	slices.Sort(b.vals)
+	maxTail := b.plan(cfg.Phis, p.managed, cfg.Spec.Size)
+	s := b.assemble(cfg.Phis, p.managed, p.budgets, cfg.Spec.Size, maxTail)
 	if len(p.managed) > 0 && prev != nil {
 		alpha := cfg.BurstAlpha
 		if pairs := cfg.Spec.SubWindows() - 1; pairs > 1 {
@@ -148,8 +153,9 @@ func sameSummary(a, b *Summary) bool {
 // FuzzBuilderSeal drives one operator, stand-alone or pooled, with
 // arbitrary values split arbitrarily into Observe and ObserveBatch calls
 // and EndPeriod forced at arbitrary partial counts, and holds every
-// summary it seals — buffered or spilled into the tree — to the tree-only
-// reference, byte for byte.
+// summary it seals by selection to the full-sort reference, byte for byte.
+// The window is 16 periods, so the high quantiles' tails are deeper than
+// their top-k shares and the seal takes interval samples too.
 func FuzzBuilderSeal(f *testing.F) {
 	for _, period := range []uint16{1, 2, 3, 4, 16, 128, 255, 256, 257, 1000} {
 		f.Add(period, false, seedProgram(int(period)))
@@ -159,7 +165,7 @@ func FuzzBuilderSeal(f *testing.F) {
 		if period == 0 || period > 1100 {
 			t.Skip("period outside 1..1100")
 		}
-		cfg := Config{Spec: window.Spec{Size: 4 * int(period), Period: int(period)}, Phis: builderPhis, FewK: true}
+		cfg := Config{Spec: window.Spec{Size: 16 * int(period), Period: int(period)}, Phis: builderPhis, FewK: true}
 		var p *Policy
 		if pooled {
 			pool, err := NewPool(cfg)
@@ -226,7 +232,7 @@ func FuzzBuilderSeal(f *testing.F) {
 			summaries := p.agg.summaries[len(p.agg.summaries)-int(got):]
 			for i := range summaries {
 				if !sameSummary(&summaries[i], &want[i]) {
-					t.Fatalf("summary %d of %d values differs from the tree-only reference:\n got %v\nwant %v",
+					t.Fatalf("summary %d of %d values differs from the full-sort reference:\n got %v\nwant %v",
 						sealed+uint64(i)+1, want[i].Count, summaries[i].block, want[i].block)
 				}
 			}
@@ -245,10 +251,12 @@ func FuzzBuilderSeal(f *testing.F) {
 
 // TestBuilderOneZero pins the one zero a sub-window stores: −0 and +0
 // quantize to the same key, and whichever arrives first, every read of the
-// sub-window answers +0 — on the buffer and in the tree alike.
+// sub-window answers +0 — sealed by insertion sort or by partitioning
+// alike — and the summary is the full-sort reference's, byte for byte.
+// It is TestSelectSealAdversarial's ±0 row.
 func TestBuilderOneZero(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	for _, period := range []int{16, spillAt + 44} {
+	for _, period := range []int{16, 300} {
 		for _, negFirst := range []bool{true, false} {
 			for _, batch := range []bool{false, true} {
 				p := mustNew(t, Config{Spec: window.Spec{Size: 2 * period, Period: period}, Phis: builderPhis, FewK: true})
@@ -269,6 +277,11 @@ func TestBuilderOneZero(t *testing.T) {
 					t.Fatalf("period %d: %d summaries sealed, want 1", period, p.SubWindowCount())
 				}
 				s := &p.agg.summaries[0]
+				var sc mergeScratch
+				if want := referenceSeal(p, vs, nil, &sc); !sameSummary(s, &want) {
+					t.Errorf("period %d, −0 first %v, batch %v: summary differs from the full-sort reference:\n got %v\nwant %v",
+						period, negFirst, batch, s.block, want.block)
+				}
 				for i := range builderPhis {
 					if q := s.Quantile(i); math.Float64bits(q) != 0 {
 						t.Errorf("period %d, −0 first %v, batch %v: quantile %d = %v (bits %#x), want +0",
@@ -287,10 +300,70 @@ func TestBuilderOneZero(t *testing.T) {
 	}
 }
 
+// TestSelectSealAdversarial seals the inputs that defeat a naive
+// quickselect — all equal, sorted either way, organ pipe, two alternating
+// values — unquantized, through a stand-alone and a pooled operator over
+// a window of 16 periods (so the seal takes interval samples), and holds
+// each summary to the full-sort reference, byte for byte. ±0 mixed is
+// TestBuilderOneZero.
+func TestSelectSealAdversarial(t *testing.T) {
+	inputs := map[string]func(i, n int) float64{
+		"all-equal":   func(i, n int) float64 { return 7 },
+		"ascending":   func(i, n int) float64 { return float64(i) },
+		"descending":  func(i, n int) float64 { return float64(n - i) },
+		"organ-pipe":  func(i, n int) float64 { return float64(min(i, n-1-i)) },
+		"alternating": func(i, n int) float64 { return float64(i % 2) },
+	}
+	for _, period := range []int{256, 16_000} {
+		for name, gen := range inputs {
+			for _, pooled := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%d/%s/pooled=%v", period, name, pooled), func(t *testing.T) {
+					cfg := Config{Spec: window.Spec{Size: 16 * period, Period: period}, Phis: builderPhis, FewK: true, Digits: -1}
+					p := mustNew(t, cfg)
+					if pooled {
+						pool, err := NewPool(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						p = pool.Get()
+					}
+					vs := make([]float64, period)
+					for i := range vs {
+						vs[i] = gen(i, period)
+					}
+					p.ObserveBatch(vs)
+					if p.SubWindowCount() != 1 {
+						t.Fatalf("%d summaries sealed, want 1", p.SubWindowCount())
+					}
+					var sc mergeScratch
+					if want := referenceSeal(p, vs, nil, &sc); !sameSummary(&p.agg.summaries[0], &want) {
+						t.Fatalf("summary differs from the full-sort reference:\n got %v\nwant %v", p.agg.summaries[0].block, want.block)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestMultiSelectDepthFallback: a segment that has used up its depth
+// budget is sorted outright, so at budget 0 the whole buffer comes back
+// sorted whatever was requested.
+func TestMultiSelectDepthFallback(t *testing.T) {
+	const n = 1000
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = float64(min(i, n-1-i)) // organ pipe
+	}
+	want := slices.Sorted(slices.Values(v))
+	multiSelect(v, 0, []rankReq{{rank: n / 2}}, n, 0)
+	if !slices.Equal(v, want) {
+		t.Fatalf("multiSelect at depth 0 left the buffer unsorted: %v", v)
+	}
+}
+
 // TestSpaceUsageLeavesBufferInPlace: mid-period, SpaceUsage counts the
 // distinct quantized values in flight plus the resident summaries, and
-// asking moves nothing into the tree — stream.Run asks every period, and
-// a count that spilled would put every paper experiment on the tree path.
+// asking leaves the buffer as it was — stream.Run asks every period.
 func TestSpaceUsageLeavesBufferInPlace(t *testing.T) {
 	const period = 128
 	p := mustNew(t, Config{Spec: window.Spec{Size: 4 * period, Period: period}, Phis: builderPhis, FewK: true})
@@ -300,18 +373,17 @@ func TestSpaceUsageLeavesBufferInPlace(t *testing.T) {
 		p.Observe(v(i))
 	}
 	distinct := map[float64]bool{}
+	var arrived []float64
 	for i := 0; i < 100; i++ {
 		p.Observe(v(i * 3))
+		arrived = append(arrived, q.Quantize(v(i*3)))
 		distinct[q.Quantize(v(i*3))] = true
 		if got, want := p.SpaceUsage(), len(distinct)+p.agg.spaceUsage(); got != want {
 			t.Fatalf("after %d values in flight: SpaceUsage = %d, want %d distinct + %d summary slots",
 				i+1, got, len(distinct), p.agg.spaceUsage())
 		}
 	}
-	if n, u := p.builder.tree.Len(), p.builder.tree.Unique(); n != 0 || u != 0 {
-		t.Fatalf("the tree holds %d values in %d nodes after SpaceUsage, want none", n, u)
-	}
-	if len(p.builder.vals) != 100 {
-		t.Fatalf("buffer holds %d values, want 100", len(p.builder.vals))
+	if !slices.Equal(p.builder.vals, arrived) {
+		t.Fatalf("buffer after SpaceUsage = %v, want the values in arrival order %v", p.builder.vals, arrived)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/core/fewk"
-	"repro/internal/rbtree"
 )
 
 // summaryParts is a hand-built summary's contents; count defaults to 10,
@@ -222,7 +221,7 @@ func TestQuickLevel2MeanInvariant(t *testing.T) {
 }
 
 func TestBuilderSealProducesSortedTails(t *testing.T) {
-	b := newBuilder(rbtree.New(), 0, 100)
+	b := newBuilder(0, 100)
 	for _, v := range []float64{5, 100, 3, 99, 42, 7, 88, 1, 64, 2} {
 		b.add(v)
 	}
@@ -242,13 +241,13 @@ func TestBuilderSealProducesSortedTails(t *testing.T) {
 		t.Fatal("no samples captured")
 	}
 	// The operator empties the builder after a seal.
-	if b.reset(s.Count); b.len() != 0 {
+	if b.clear(); b.len() != 0 {
 		t.Fatal("builder not reset")
 	}
 }
 
 func TestBuilderDensityAtSmallN(t *testing.T) {
-	b := newBuilder(rbtree.New(), 0, 100)
+	b := newBuilder(0, 100)
 	b.add(1)
 	b.add(2)
 	s := b.seal([]float64{0.5}, nil, nil, 100)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/exact"
+	"repro/internal/stats"
 )
 
 // SnapshotParts is the exploded, exported form of a Snapshot: everything a
@@ -131,7 +131,7 @@ func validateResolved(cfg Config) error {
 	if err := cfg.Spec.Validate(); err != nil {
 		return err
 	}
-	if err := exact.ValidatePhis(cfg.Phis); err != nil {
+	if err := stats.ValidatePhis(cfg.Phis); err != nil {
 		return err
 	}
 	if cfg.Digits < 0 {

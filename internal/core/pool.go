@@ -1,12 +1,9 @@
 package core
 
-import "repro/internal/rbtree"
-
 // Pool mints and recycles QLOVE operators that share one configuration,
 // and lends them their Level-1 workbench. A monitoring engine serving a
 // high-cardinality key space holds one operator per key, but the costly
-// part of an operator — the sub-window buffer (and, past spillAt values,
-// the compressed tree's arena and insert cache) and the seal scratch — is
+// part of an operator — the sub-window buffer and the seal scratch — is
 // in use only while a sub-window is being filled and is empty again at
 // every seal (§3.1: a stream costs its sub-window summaries plus ONE
 // transient sub-window). So the pool owns that part: an
@@ -15,10 +12,8 @@ import "repro/internal/rbtree"
 // boundaries, or that sit idle in a timed period, then share a few
 // cache-hot workbenches instead of each pinning a cold one, and a resident
 // key costs its summaries. A key that IS mid-period keeps its workbench
-// until the period completes: at a period of at most spillAt values that is
-// a period-sized buffer, and the tree's arena and insert cache are never
-// allocated; a longer period's insert cache is sized to the period
-// (rbtree.NewSized).
+// until the period completes: a buffer of 8 bytes per value of the period
+// (1 KB at 128, 128 KB at 16 000) plus the seal scratch.
 //
 // Retired operators (Put) are kept too, Reset and without a workbench, so
 // key churn costs map traffic instead of allocator traffic.
@@ -73,7 +68,7 @@ func (pl *Pool) Get() *Policy {
 
 // maxIdle bounds the free list and the idle-workbench list: a churn burst
 // (a million transient keys evicted) or a burst of keys that were all
-// mid-period at once must not pin a million arenas forever. Operators and
+// mid-period at once must not pin a million buffers forever. Operators and
 // workbenches beyond the cap are dropped to the garbage collector.
 const maxIdle = 64
 
@@ -140,8 +135,7 @@ func (pl *Pool) IdleWorkbenches() int { return len(pl.benches) }
 
 // lend hands out a workbench: the most recently returned one (still in the
 // CPU cache when a shard works through keys one report at a time), or a
-// new one with a buffer sized to the period (up to spillAt) and a tree
-// that knows it is cleared every period.
+// new one with a buffer sized to the period.
 func (pl *Pool) lend() *builder {
 	pl.lent++
 	if n := len(pl.benches); n > 0 {
@@ -150,8 +144,7 @@ func (pl *Pool) lend() *builder {
 		pl.benches = pl.benches[:n-1]
 		return b
 	}
-	period := pl.proto.cfg.Spec.Period
-	return newBuilder(rbtree.NewSized(period), pl.proto.cfg.Digits, period)
+	return newBuilder(pl.proto.cfg.Digits, pl.proto.cfg.Spec.Period)
 }
 
 // takeBack clears a returned workbench and shelves it, up to maxIdle.

@@ -144,7 +144,7 @@ func TestPoolMintsIdenticalConfigs(t *testing.T) {
 }
 
 // TestPoolRecycledOperatorKeepsArena: a recycled operator's first
-// sub-window must reuse the retained tree arena — no per-element
+// sub-window must reuse a retained workbench buffer — no per-element
 // allocations beyond the retained Summary slices.
 func TestPoolRecycledOperatorKeepsArena(t *testing.T) {
 	spec := window.Spec{Size: 1024, Period: 256}
@@ -159,7 +159,7 @@ func TestPoolRecycledOperatorKeepsArena(t *testing.T) {
 	}
 	p := pool.Get()
 	for i := 0; i < 8; i++ {
-		p.ObserveBatch(vals) // grow the arena to working-set size
+		p.ObserveBatch(vals) // grow the workbench to working-set size
 	}
 	pool.Put(p)
 	p = pool.Get()

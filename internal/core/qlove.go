@@ -1,9 +1,9 @@
 // Package core implements QLOVE — approximate Quantiles with LOw Value
 // Error — the primary contribution of the paper. QLOVE partitions a
 // sliding window into period-aligned sub-windows; Level 1 computes each
-// sub-window's exact quantiles — from a sorted buffer of its quantized
-// values while it holds at most 256, else from the compressed
-// {value, count} red-black tree of Algorithm 1 — Level 2 averages the
+// sub-window's exact quantiles — selected from a flat buffer of its
+// quantized values, the same quantiles Algorithm 1's {value, count}
+// red-black tree would read — Level 2 averages the
 // sub-window quantiles across the window (justified by the CLT,
 // Appendix A), and few-k merging (§4)
 // repairs high quantiles under statistical inefficiency and bursty
@@ -14,8 +14,6 @@ import (
 	"fmt"
 
 	"repro/internal/core/fewk"
-	"repro/internal/exact"
-	"repro/internal/rbtree"
 	"repro/internal/stats"
 	"repro/internal/window"
 )
@@ -134,7 +132,7 @@ func New(cfg Config) (*Policy, error) {
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	if err := exact.ValidatePhis(cfg.Phis); err != nil {
+	if err := stats.ValidatePhis(cfg.Phis); err != nil {
 		return nil, fmt.Errorf("qlove: %w", err)
 	}
 	if cfg.Fraction < 0 || cfg.Fraction > 1 {
@@ -213,13 +211,13 @@ func managedIndexes(cfg Config) []int {
 }
 
 // Reset returns the operator to its as-constructed state while keeping
-// every internal buffer — the Level-1 buffer and tree arena, quantization
-// scratch and Level-2 summary slots — at capacity (a pooled operator's workbench goes
-// back to its pool, at capacity, for the next borrower), so a recycled
+// every internal buffer — the Level-1 buffer, seal scratch and Level-2
+// summary slots — at capacity (a pooled operator's workbench goes back to
+// its pool, at capacity, for the next borrower), so a recycled
 // operator ingests its first sub-window with zero heap allocations. It is
 // the enabler for operator pooling: an engine monitoring (and evicting)
 // millions of keys hands retired operators back to a Pool instead of
-// rebuilding arenas from scratch. After Reset the operator is
+// rebuilding buffers from scratch. After Reset the operator is
 // observationally indistinguishable from a freshly constructed one with
 // the same Config.
 func (p *Policy) Reset() {
@@ -265,15 +263,13 @@ func (p *Policy) Observe(v float64) {
 
 // bench returns the workbench of the in-flight sub-window, obtaining one
 // at the sub-window's first value: on loan from the pool that minted the
-// operator, else a private one whose tree has the default-sized insert
-// cache (a stand-alone operator retains tree nodes across periods, see
-// builder.reset).
+// operator, else a private one it keeps for life.
 func (p *Policy) bench() *builder {
 	if p.builder == nil {
 		if p.lender != nil {
 			p.builder = p.lender.lend()
 		} else {
-			p.builder = newBuilder(rbtree.New(), p.cfg.Digits, p.cfg.Spec.Period)
+			p.builder = newBuilder(p.cfg.Digits, p.cfg.Spec.Period)
 		}
 	}
 	return p.builder
@@ -299,13 +295,10 @@ func (p *Policy) inFlight() int {
 
 // ObserveBatch implements stream.Policy: the native batch ingestion path.
 // Each period-bounded chunk is quantized in one pass (amortizing the
-// decade lookup across the batch) straight onto the sub-window buffer, or,
-// for a sub-window past the buffer, into a reused scratch whose runs of
-// equal quantized values collapse into single InsertN tree descents — one
-// descent per run, not per element. Sub-windows seal exactly where the
-// element-at-a-time path would seal, so evaluations are bit-identical to
-// repeated Observe calls. NaN elements are dropped and (as in Observe) do
-// not advance the period.
+// decade lookup across the batch) straight onto the sub-window buffer.
+// Sub-windows seal exactly where the element-at-a-time path would seal, so
+// evaluations are bit-identical to repeated Observe calls. NaN elements
+// are dropped and (as in Observe) do not advance the period.
 func (p *Policy) ObserveBatch(vs []float64) {
 	for len(vs) > 0 {
 		chunk := vs
@@ -364,7 +357,7 @@ func (p *Policy) EndPeriod() {
 	if p.lender != nil {
 		p.returnBench()
 	} else {
-		p.builder.reset(n)
+		p.builder.clear()
 	}
 	prev := p.prev
 	if c := p.agg.count(); c > 0 {
@@ -460,10 +453,11 @@ func (p *Policy) ErrorBounds(alpha float64) []float64 {
 }
 
 // SpaceUsage implements stream.Policy: the in-flight sub-window's distinct
-// values (buffered) or {value, count} nodes (in the tree) plus every
-// resident summary slot (the paper's l(N/P) + O(P) space model, with O(P)
-// shrunk by data redundancy and few-k storage added). Asking changes
-// nothing: a buffered sub-window stays buffered.
+// values — the {value, count} entries Algorithm 1's tree would hold, not
+// the 8 bytes per value the flat buffer keeps — plus every resident
+// summary slot (the paper's l(N/P) + O(P) space model, with O(P) shrunk by
+// data redundancy and few-k storage added). Asking changes nothing: the
+// count runs on a copy.
 func (p *Policy) SpaceUsage() int {
 	n := p.agg.spaceUsage()
 	if p.builder != nil {

@@ -1,13 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/compress"
 	"repro/internal/core/fewk"
-	"repro/internal/rbtree"
 	"repro/internal/stats"
 )
 
@@ -285,13 +286,13 @@ func (sc *mergeScratch) burstyVsPrev(cur, prev *Summary, mi int, alpha float64) 
 
 // builder accumulates one in-flight sub-window of quantized values. The
 // paper's Level 1 keeps a sub-window as the compressed {value, count}
-// red-black tree of Algorithm 1, which pays when values recur across a
-// sub-window of thousands. A small sub-window is mostly distinct values
-// (113 of 128 on NetMon at 3 digits), so the builder keeps up to spillAt
-// of them in a flat buffer and sorts it once at seal; only a sub-window
-// that outgrows the buffer moves into the tree and continues there. Both
-// forms hold the same multiset and seal to the same summary, bit for bit.
-// The scratch slices are reused across batches and seals, so steady-state
+// red-black tree of Algorithm 1; this one keeps it as a flat buffer in
+// arrival order and, at seal, moves into place only the order statistics
+// the summary reads (selectSeal) — the same summary, bit for bit. The
+// tree's compression pays less than it costs: a sub-window of 128 NetMon
+// values is mostly distinct (113 at 3 digits), and even at the paper's
+// 1 000–16 000-value periods selecting from the buffer beats a tree. The
+// scratch slices are reused across batches and seals, so steady-state
 // ingestion allocates only what a Summary must retain.
 //
 // It is the operator's Level-1 workbench, and empty at every seal: a
@@ -299,18 +300,13 @@ func (sc *mergeScratch) burstyVsPrev(cur, prev *Summary, mi int, alpha float64) 
 // borrows one from the pool only while a sub-window is in flight (see
 // Policy.bench).
 type builder struct {
-	// vals is the in-flight sub-window while it has at most spillAt values
-	// and tree is empty: quantized, NaN dropped, −0 stored as +0, in
-	// arrival order until seal sorts it. Once tree holds the sub-window,
-	// vals is empty.
+	// vals is the in-flight sub-window: quantized, NaN dropped, −0 stored
+	// as +0, in arrival order until the seal rearranges it.
 	vals  []float64
-	tree  *rbtree.Tree
 	quant compress.Quantizer
 
-	qbuf     []float64 // quantized batch scratch (addBatch), distinct-count scratch (unique)
+	qbuf     []float64 // distinct-count scratch (unique)
 	reqs     []rankReq // fused rank requests of one seal
-	ranks    []uint64  // sorted ranks handed to SelectRanks
-	rankVals []float64 // SelectRanks output
 	slotVals []float64 // rank answers distributed back to request slots
 	los, his []float64 // density finite-difference bounds per ϕ
 	dens     []float64 // density per ϕ
@@ -320,18 +316,7 @@ type builder struct {
 	// flags, handed to NewSummary.
 	tails, sampleVals, sampleWts [][]float64
 	flags                        []bool
-
-	// prevUnique is the node count retained into the current period; the
-	// difference against the post-period count says how many fresh nodes
-	// this period built, which drives the seal's retention decision.
-	prevUnique int
 }
-
-// spillAt is how many quantized values a sub-window keeps in the flat
-// buffer before it moves into the tree: the engine's 16- and 128-value
-// sub-windows never reach it, the paper's 1 000–16 000-value ones leave it
-// early enough that the tree's duplicate compression still pays.
-const spillAt = 256
 
 // rankReq asks one seal for the value at a 1-based rank; slot says where
 // the answer goes (0..l-1: ϕ-quantiles; l+2i, l+2i+1: density lo/hi
@@ -341,10 +326,10 @@ type rankReq struct {
 	slot int32
 }
 
-// newBuilder returns an empty builder over tree whose buffer is sized for
-// a sub-window of period values (at most spillAt).
-func newBuilder(tree *rbtree.Tree, digits, period int) *builder {
-	return &builder{vals: make([]float64, 0, min(period, spillAt)), tree: tree, quant: compress.NewQuantizer(digits)}
+// newBuilder returns an empty builder whose buffer is sized for a
+// sub-window of period values.
+func newBuilder(digits, period int) *builder {
+	return &builder{vals: make([]float64, 0, period), quant: compress.NewQuantizer(digits)}
 }
 
 // add accumulates one element, quantized to the configured significant
@@ -359,38 +344,14 @@ func (b *builder) add(v float64) {
 	if q == 0 {
 		q = 0
 	}
-	if b.tree.Len() == 0 {
-		if len(b.vals) < spillAt {
-			b.vals = append(b.vals, q)
-			return
-		}
-		b.spill()
-	}
-	b.tree.Insert(q)
+	b.vals = append(b.vals, q)
 }
 
 // addBatch accumulates a run of elements exactly as repeated add calls
-// would. The whole batch is quantized in one decade-cache pass (no
-// per-element dispatch): straight onto the buffer while the sub-window
-// fits there, else into a reused scratch whose runs of equal values —
-// frequent after §3.1 compression flattens telemetry plateaus — collapse
-// into single InsertN tree descents. A batch that would overflow the
-// buffer goes to the tree without passing through it.
+// would, quantized in one decade-cache pass (no per-element dispatch).
 func (b *builder) addBatch(vs []float64) {
-	if b.tree.Len() == 0 && len(b.vals)+len(vs) <= spillAt {
-		b.vals = b.appendQuantized(b.vals, vs)
-		return
-	}
-	b.spill()
-	b.qbuf = b.appendQuantized(b.qbuf[:0], vs)
-	b.insertRuns(b.qbuf)
-}
-
-// appendQuantized appends vs to dst quantized, NaN dropped and −0 stored
-// as +0, and returns the extended slice.
-func (b *builder) appendQuantized(dst, vs []float64) []float64 {
-	n := len(dst)
-	q := b.quant.AppendQuantized(dst, vs)
+	n := len(b.vals)
+	q := b.quant.AppendQuantized(b.vals, vs)
 	kept := q[:n]
 	for _, v := range q[n:] {
 		if math.IsNaN(v) {
@@ -401,39 +362,16 @@ func (b *builder) appendQuantized(dst, vs []float64) []float64 {
 		}
 		kept = append(kept, v)
 	}
-	return kept
-}
-
-// spill moves the buffered sub-window into the tree, which holds it from
-// then until the seal.
-func (b *builder) spill() {
-	b.insertRuns(b.vals)
-	b.vals = b.vals[:0]
-}
-
-// insertRuns inserts appendQuantized output into the tree, one InsertN per
-// run of consecutive equal values.
-func (b *builder) insertRuns(q []float64) {
-	for i := 0; i < len(q); {
-		j := i + 1
-		for j < len(q) && q[j] == q[i] {
-			j++
-		}
-		b.tree.InsertN(q[i], uint64(j-i))
-		i = j
-	}
+	b.vals = kept
 }
 
 // len returns the number of elements accumulated so far.
-func (b *builder) len() int { return len(b.vals) + int(b.tree.Len()) }
+func (b *builder) len() int { return len(b.vals) }
 
-// unique returns the in-flight sub-window's space cost: the distinct
-// buffered values, counted on a sorted copy so that asking moves nothing
-// into the tree, or the tree's resident {value, count} node count.
+// unique returns the in-flight sub-window's space cost, its distinct
+// values, counted on a sorted copy so that asking leaves the buffer as it
+// was.
 func (b *builder) unique() int {
-	if len(b.vals) == 0 {
-		return b.tree.Unique()
-	}
 	u := append(b.qbuf[:0], b.vals...)
 	b.qbuf = u
 	slices.Sort(u)
@@ -441,27 +379,29 @@ func (b *builder) unique() int {
 }
 
 // seal computes the sub-window summary; the caller then empties the
-// builder (reset to keep it, clear to hand it back). managed lists the
-// indexes (into phis) of few-k-managed quantiles; budgets holds their
-// per-sub-window plans.
+// builder (clear). managed lists the indexes (into phis) of few-k-managed
+// quantiles; budgets holds their per-sub-window plans.
 //
-// The seal is fused: every rank the summary needs — the l ϕ-quantiles and
-// the two density finite-difference bounds per ϕ — is read in one go, and
-// every managed quantile's tail is a prefix of ONE shared descending run.
-// A buffered sub-window is sorted once and read by index; a tree answers
-// the ranks with ONE in-order traversal (SelectRanks) and the tail with
-// one descending one.
+// The seal is fused: plan gathers every rank the summary needs — the l
+// ϕ-quantiles and the two density finite-difference bounds per ϕ — and
+// the depth of ONE shared descending tail that every managed quantile
+// reads a prefix of; selectSeal moves exactly those positions into place;
+// assemble reads them by index.
 func (b *builder) seal(phis []float64, managed []int, budgets []fewk.Budget, windowN int) Summary {
-	n := b.len()
-	flat := b.tree.Len() == 0
-	if flat {
-		slices.Sort(b.vals)
-	}
+	maxTail := b.plan(phis, managed, windowN)
+	selectSeal(b.vals, b.reqs, len(b.vals)-maxTail)
+	return b.assemble(phis, managed, budgets, windowN, maxTail)
+}
+
+// plan gathers the seal's rank requests into reqs, and the density
+// bounds into los and his, for the sub-window in vals, and returns how
+// many of its largest values the few-k capture reads.
+func (b *builder) plan(phis []float64, managed []int, windowN int) (maxTail int) {
+	n := len(b.vals)
 	l := len(phis)
-	// Gather rank requests.
 	reqs := b.reqs[:0]
 	for i, phi := range phis {
-		reqs = append(reqs, rankReq{rank: rbtree.CeilRank(phi, uint64(n)), slot: int32(i)})
+		reqs = append(reqs, rankReq{rank: uint64(stats.CeilRank(phi, n)), slot: int32(i)})
 	}
 	b.los = growFloats(b.los, l)
 	b.his = growFloats(b.his, l)
@@ -483,13 +423,21 @@ func (b *builder) seal(phis []float64, managed []int, budgets []fewk.Budget, win
 		}
 	}
 	b.reqs = reqs
+	for _, pi := range managed {
+		maxTail = max(maxTail, tailSize(windowN, phis[pi], n))
+	}
+	return maxTail
+}
+
+// assemble builds the summary of the sub-window in vals from positions
+// alone: every planned rank r is read at vals[r-1], and the top maxTail
+// values from the end of vals backwards. vals need be in sorted order only
+// at those positions.
+func (b *builder) assemble(phis []float64, managed []int, budgets []fewk.Budget, windowN, maxTail int) Summary {
+	n, l := len(b.vals), len(phis)
 	b.slotVals = growFloats(b.slotVals, 3*l)
-	if flat {
-		for _, r := range reqs {
-			b.slotVals[r.slot] = b.vals[r.rank-1]
-		}
-	} else {
-		b.selectRanks(reqs)
+	for _, r := range b.reqs {
+		b.slotVals[r.slot] = b.vals[r.rank-1]
 	}
 	// Density at each ϕ-quantile by finite difference of the empirical
 	// quantile function, mirroring stats.DensityAt on the rank reads.
@@ -508,22 +456,14 @@ func (b *builder) seal(phis []float64, managed []int, budgets []fewk.Budget, win
 	}
 	// Few-k capture: managed quantiles all want "the k largest", so one
 	// shared descending run of maxTail values serves every ϕ as a prefix.
-	maxTail, nSamples := 0, 0
-	for mi, pi := range managed {
-		ts := tailSize(windowN, phis[pi], n)
-		maxTail = max(maxTail, ts)
-		nSamples += fewk.SampleCount(ts, budgets[mi].Ks)
+	tail := b.tail[:0]
+	for i := n - 1; i >= n-maxTail; i-- {
+		tail = append(tail, b.vals[i])
 	}
-	switch {
-	case maxTail == 0:
-	case flat:
-		tail := b.tail[:0]
-		for i := n - 1; i >= n-maxTail; i-- {
-			tail = append(tail, b.vals[i])
-		}
-		b.tail = tail
-	default:
-		b.tail = b.tree.AppendTopK(b.tail[:0], maxTail)
+	b.tail = tail
+	nSamples := 0
+	for mi, pi := range managed {
+		nSamples += fewk.SampleCount(tailSize(windowN, phis[pi], n), budgets[mi].Ks)
 	}
 	b.samples = growFloats(b.samples, 2*nSamples)
 	b.tails, b.sampleVals, b.sampleWts = b.tails[:0], b.sampleVals[:0], b.sampleWts[:0]
@@ -551,73 +491,113 @@ func (b *builder) seal(phis []float64, managed []int, budgets []fewk.Budget, win
 	return s
 }
 
-// selectRanks answers the seal's rank requests from the tree in one
-// in-order traversal, writing each answer to its request's slot.
-func (b *builder) selectRanks(reqs []rankReq) {
-	slices.SortFunc(reqs, func(a, c rankReq) int {
-		switch {
-		case a.rank < c.rank:
-			return -1
-		case a.rank > c.rank:
-			return 1
-		default:
-			return 0
-		}
-	})
-	ranks := b.ranks[:0]
-	for _, r := range reqs {
-		ranks = append(ranks, r.rank)
+// selectSeal rearranges v so that every position a request reads holds
+// the value a full ascending sort would put there, and v[tailFrom:] is
+// sorted; elsewhere v is only partitioned. It sorts reqs by rank. v holds no NaN
+// and no −0, so equal values are identical bits and any arrangement that
+// puts the right value at a position is the sort's, bit for bit.
+func selectSeal(v []float64, reqs []rankReq, tailFrom int) {
+	if len(v) <= selectSortBelow { // as multiSelect would, minus sorting reqs
+		slices.Sort(v)
+		return
 	}
-	b.ranks = ranks
-	b.rankVals = growFloats(b.rankVals, len(reqs))
-	b.tree.SelectRanks(ranks, b.rankVals)
-	for k, r := range reqs {
-		b.slotVals[r.slot] = b.rankVals[k]
+	slices.SortFunc(reqs, func(a, c rankReq) int { return cmp.Compare(a.rank, c.rank) })
+	multiSelect(v, 0, reqs, tailFrom, 2*bits.Len(uint(len(v))))
+}
+
+// selectSortBelow is the segment length multiSelect sorts outright.
+const selectSortBelow = 16
+
+// multiSelect is selectSeal on the segment v of the buffer, which starts
+// at position off; reqs are the requests whose position (rank−1) falls in
+// it, sorted by rank. It is an introselect: each round partitions v three
+// ways around a pseudo-median pivot — quantized telemetry is
+// duplicate-heavy, and the run equal to the pivot is final whatever it
+// holds — and continues only into the parts that hold a requested
+// position or reach into the tail, so the tail ends up quicksorted. A
+// short part is sorted outright, and so is one that has used up its depth
+// budget, so no input is quadratic.
+func multiSelect(v []float64, off int, reqs []rankReq, tailFrom, depth int) {
+	for len(reqs) > 0 || off+len(v) > tailFrom {
+		if len(v) <= selectSortBelow || depth == 0 {
+			slices.Sort(v)
+			return
+		}
+		depth--
+		lt, gt := partition3(v, pivot(v))
+		// Requests left of the equal run, then right of it.
+		i := 0
+		for i < len(reqs) && int(reqs[i].rank) <= off+lt {
+			i++
+		}
+		j := i
+		for j < len(reqs) && int(reqs[j].rank) <= off+gt {
+			j++
+		}
+		multiSelect(v[:lt], off, reqs[:i], tailFrom, depth)
+		v, off, reqs = v[gt:], off+gt, reqs[j:]
 	}
 }
 
-// reset empties a builder its operator keeps (stand-alone operators; a
-// borrowed one is cleared and handed back instead) for the next
-// sub-window of count elements just sealed. A sub-window sealed from the
-// buffer never touched the tree, which keeps whatever it retained. For
-// one the tree held: quantized telemetry re-observes mostly the same
-// values period after period (§3.1's data redundancy), so when this period
-// built few fresh nodes the node set is retained (ResetCounts) and the
-// next spill runs against warm nodes and a valid insert cache — no
-// allocation, no rebalancing. When the value population drifts (many
-// fresh nodes) or retention has accumulated too large a resident set
-// relative to the period, the tree is dropped to its arena (Clear) and
-// rebuilt, bounding the resident set at 4·period + 1024 nodes.
-func (b *builder) reset(count int) {
-	if len(b.vals) > 0 {
-		b.vals = b.vals[:0]
-		return
+// pivot returns the median of three samples of v, or of three such
+// medians (Tukey's ninther) when v is long.
+func pivot(v []float64) float64 {
+	n := len(v)
+	a, b, c := 0, n/2, n-1
+	if n >= 64 {
+		s := n / 8
+		return median3(median3(v[a], v[a+s], v[a+2*s]), median3(v[b-s], v[b], v[b+s]), median3(v[c-2*s], v[c-s], v[c]))
 	}
-	unique := b.tree.Unique()
-	fresh := unique - b.prevUnique
-	// A period that began with an empty tree gives no drift signal (every
-	// node is trivially fresh), so retention starts optimistically and is
-	// judged from the second period on.
-	drifting := b.prevUnique > 0 && 4*fresh >= count
-	if !drifting && unique <= 4*count+1024 {
-		b.tree.ResetCounts()
-		b.prevUnique = unique
-		return
+	return median3(v[a], v[b], v[c])
+}
+
+// median3 returns the middle one of three values.
+func median3(a, b, c float64) float64 {
+	if b < a {
+		a, b = b, a
 	}
-	b.tree.Clear()
-	b.prevUnique = 0
+	if c < b {
+		b = c
+		if b < a {
+			b = a
+		}
+	}
+	return b
+}
+
+// partition3 rearranges v into the values below p, those equal to it and
+// those above it, and returns where the equal run starts and ends. Each of
+// its two passes moves every value it visits and advances its boundary by
+// a comparison, not a branch, so unpredictable data costs no mispredicts.
+func partition3(v []float64, p float64) (lt, gt int) {
+	for i, x := range v {
+		v[i], v[lt] = v[lt], x
+		lt += b2i(x < p)
+	}
+	gt = lt
+	for i := lt; i < len(v); i++ {
+		x := v[i]
+		v[i], v[gt] = v[gt], x
+		gt += b2i(x == p)
+	}
+	return lt, gt
+}
+
+// b2i is 1 for true and 0 for false, compiled without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // clear empties the builder back to its as-constructed state, keeping the
-// buffer, tree arena, insert cache and every scratch buffer at capacity
-// (Clear retains the arena; the quantizer's decade cache is stateless
-// across values), so the next operator to use it — the same one after a
-// Reset, or whichever key of the shard borrows it next — fills it without
-// allocating.
+// buffer and every scratch buffer at capacity (the quantizer's decade
+// cache is stateless across values), so the next sub-window — the same
+// operator's, or whichever key of the shard borrows it next — fills it
+// without allocating.
 func (b *builder) clear() {
 	b.vals = b.vals[:0]
-	b.tree.Clear()
-	b.prevUnique = 0
 }
 
 // tailSize returns how deep the few-k capture reads the sub-window's tail

@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"repro/internal/rbtree"
+	"repro/internal/stats"
 	"repro/internal/window"
 )
 
@@ -27,31 +28,13 @@ func New(spec window.Spec, phis []float64) (*Policy, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if err := ValidatePhis(phis); err != nil {
-		return nil, err
+	if err := stats.ValidatePhis(phis); err != nil {
+		return nil, fmt.Errorf("exact: %w", err)
 	}
 	return &Policy{
 		phis: append([]float64(nil), phis...),
 		tree: rbtree.New(),
 	}, nil
-}
-
-// ValidatePhis checks that quantile targets are sorted and in (0, 1].
-func ValidatePhis(phis []float64) error {
-	if len(phis) == 0 {
-		return fmt.Errorf("exact: no quantiles specified")
-	}
-	prev := 0.0
-	for _, phi := range phis {
-		if phi <= 0 || phi > 1 {
-			return fmt.Errorf("exact: quantile %v outside (0, 1]", phi)
-		}
-		if phi < prev {
-			return fmt.Errorf("exact: quantiles not sorted at %v", phi)
-		}
-		prev = phi
-	}
-	return nil
 }
 
 // Name implements stream.Policy.

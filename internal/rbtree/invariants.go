@@ -3,15 +3,10 @@ package rbtree
 import "fmt"
 
 // CheckInvariants verifies the red-black properties, BST ordering, the
-// order-statistic weight bookkeeping, and the arena accounting (every
-// allocated slot is reachable from exactly one of: the tree, the free
-// list, or the sentinel). It returns a descriptive error when a violation
-// is found. It exists for tests and debugging; production code never needs
-// it.
-//
-// Weights are maintained lazily, so they are validated only when the tree
-// is clean — i.e. after a rank read (Select, Rank, Quantile) has rebuilt
-// them. Tests wanting weight coverage should issue such a read first.
+// count bookkeeping, and the arena accounting (every allocated slot is
+// reachable from exactly one of: the tree, the free list, or the
+// sentinel). It returns a descriptive error when a violation is found. It
+// exists for tests and debugging; production code never needs it.
 func (t *Tree) CheckInvariants() error {
 	if t.root == nilIdx {
 		if t.total != 0 || t.unique != 0 {
@@ -71,13 +66,13 @@ func (t *Tree) checkArena() error {
 	return nil
 }
 
-// checkNode validates colors, parent links, weights; returns black-height.
+// checkNode validates counts, colors and parent links; returns black-height.
 func (t *Tree) checkNode(i int32, unique *int, total *uint64) (int, error) {
 	if i == nilIdx {
 		return 1, nil
 	}
 	n := &t.nodes[i]
-	if n.count == 0 && !t.zeroOK {
+	if n.count == 0 {
 		return 0, fmt.Errorf("rbtree: node %v has zero count", n.key)
 	}
 	*unique++
@@ -103,18 +98,6 @@ func (t *Tree) checkNode(i int32, unique *int, total *uint64) (int, error) {
 	}
 	if lh != rh {
 		return 0, fmt.Errorf("rbtree: black-height mismatch at %v: %d vs %d", n.key, lh, rh)
-	}
-	if !t.dirty {
-		w := n.count
-		if n.left != nilIdx {
-			w += t.nodes[n.left].weight
-		}
-		if n.right != nilIdx {
-			w += t.nodes[n.right].weight
-		}
-		if w != n.weight {
-			return 0, fmt.Errorf("rbtree: weight mismatch at %v: computed %d, stored %d", n.key, w, n.weight)
-		}
 	}
 	if n.color == black {
 		return lh + 1, nil

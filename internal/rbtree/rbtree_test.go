@@ -6,10 +6,28 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/compress"
-	"repro/internal/workload"
 )
+
+// count returns the stored frequency of key (0 when absent).
+func (t *Tree) count(key float64) uint64 {
+	if n := t.find(key); n != nilIdx {
+		return t.nodes[n].count
+	}
+	return 0
+}
+
+// quantile reads one ϕ-quantile through Quantiles.
+func (t *Tree) quantile(phi float64) float64 { return t.Quantiles([]float64{phi})[0] }
+
+// sortedRank returns the value at the rank the paper's quantile definition
+// reads, ceil(ϕ·n), from a sorted slice.
+func sortedRank(sorted []float64, phi float64) float64 {
+	r := int(math.Ceil(phi * float64(len(sorted))))
+	if r < 1 {
+		r = 1
+	}
+	return sorted[r-1]
+}
 
 func TestEmptyTree(t *testing.T) {
 	tr := New()
@@ -22,21 +40,14 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Remove(1.0) {
 		t.Fatal("Remove on empty tree returned true")
 	}
-	if got := tr.Count(1.0); got != 0 {
-		t.Fatalf("Count on empty tree = %d", got)
-	}
-	if got := tr.Rank(5); got != 0 {
-		t.Fatalf("Rank on empty tree = %d", got)
+	if got := tr.count(1.0); got != 0 {
+		t.Fatalf("count on empty tree = %d", got)
 	}
 }
 
 func TestPanicsOnEmpty(t *testing.T) {
 	for name, fn := range map[string]func(*Tree){
-		"Min":       func(tr *Tree) { tr.Min() },
-		"Max":       func(tr *Tree) { tr.Max() },
-		"Quantile":  func(tr *Tree) { tr.Quantile(0.5) },
 		"Quantiles": func(tr *Tree) { tr.Quantiles([]float64{0.5}) },
-		"Select":    func(tr *Tree) { tr.Select(1) },
 	} {
 		func() {
 			defer func() {
@@ -60,11 +71,11 @@ func TestInsertDuplicates(t *testing.T) {
 	if tr.Unique() != 1 {
 		t.Fatalf("Unique = %d, want 1", tr.Unique())
 	}
-	if got := tr.Count(42); got != 100 {
-		t.Fatalf("Count(42) = %d, want 100", got)
+	if got := tr.count(42); got != 100 {
+		t.Fatalf("count(42) = %d, want 100", got)
 	}
-	if got := tr.Quantile(0.5); got != 42 {
-		t.Fatalf("Quantile(0.5) = %v, want 42", got)
+	if got := tr.quantile(0.5); got != 42 {
+		t.Fatalf("Quantiles(0.5) = %v, want 42", got)
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -83,28 +94,17 @@ func TestInsertN(t *testing.T) {
 	if tr.Unique() != 2 {
 		t.Fatalf("Unique = %d, want 2", tr.Unique())
 	}
-	if got := tr.Count(7); got != 8 {
-		t.Fatalf("Count(7) = %d, want 8", got)
+	if got := tr.count(7); got != 8 {
+		t.Fatalf("count(7) = %d, want 8", got)
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	tr := New()
-	vals := []float64{5, 1, 9, 3, 7, -2, 100}
-	for _, v := range vals {
-		tr.Insert(v)
-	}
-	if got := tr.Min(); got != -2 {
-		t.Fatalf("Min = %v, want -2", got)
-	}
-	if got := tr.Max(); got != 100 {
-		t.Fatalf("Max = %v, want 100", got)
-	}
-}
-
+// TestSelectAgainstSorted: one Quantiles traversal asked for a ϕ at every
+// 37th rank of a duplicate-heavy tree selects what a sorted slice holds
+// there, first and last rank included.
 func TestSelectAgainstSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tr := New()
@@ -115,48 +115,20 @@ func TestSelectAgainstSorted(t *testing.T) {
 		ref = append(ref, v)
 	}
 	sort.Float64s(ref)
-	for r := uint64(1); r <= uint64(len(ref)); r += 37 {
-		if got, want := tr.Select(r), ref[r-1]; got != want {
-			t.Fatalf("Select(%d) = %v, want %v", r, got, want)
+	var ranks []int
+	for r := 1; r <= len(ref); r += 37 {
+		ranks = append(ranks, r)
+	}
+	ranks = append(ranks, len(ref))
+	phis := make([]float64, len(ranks))
+	for i, r := range ranks {
+		if phis[i] = float64(r) / float64(len(ref)); ceilRank(phis[i], uint64(len(ref))) != uint64(r) {
+			t.Fatalf("ϕ = %d/%d does not read rank %d", r, len(ref), r)
 		}
 	}
-	if got, want := tr.Select(1), ref[0]; got != want {
-		t.Fatalf("Select(1) = %v, want %v", got, want)
-	}
-	if got, want := tr.Select(uint64(len(ref))), ref[len(ref)-1]; got != want {
-		t.Fatalf("Select(n) = %v, want %v", got, want)
-	}
-}
-
-func TestSelectOutOfRangePanics(t *testing.T) {
-	tr := New()
-	tr.Insert(1)
-	for _, r := range []uint64{0, 2} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Select(%d) did not panic", r)
-				}
-			}()
-			tr.Select(r)
-		}()
-	}
-}
-
-func TestRank(t *testing.T) {
-	tr := New()
-	for _, v := range []float64{10, 20, 20, 30} {
-		tr.Insert(v)
-	}
-	cases := []struct {
-		key  float64
-		want uint64
-	}{
-		{5, 0}, {10, 1}, {15, 1}, {20, 3}, {25, 3}, {30, 4}, {35, 4},
-	}
-	for _, c := range cases {
-		if got := tr.Rank(c.key); got != c.want {
-			t.Errorf("Rank(%v) = %d, want %d", c.key, got, c.want)
+	for i, got := range tr.Quantiles(phis) {
+		if want := ref[ranks[i]-1]; got != want {
+			t.Fatalf("rank %d (ϕ=%v): got %v, want %v", ranks[i], phis[i], got, want)
 		}
 	}
 }
@@ -174,22 +146,28 @@ func TestQuantileDefinition(t *testing.T) {
 		{0.5, 50}, {0.9, 90}, {0.99, 99}, {0.999, 100}, {1.0, 100}, {0.001, 1}, {0.011, 2},
 	}
 	for _, c := range cases {
-		if got := tr.Quantile(c.phi); got != c.want {
-			t.Errorf("Quantile(%v) = %v, want %v", c.phi, got, c.want)
+		if got := tr.quantile(c.phi); got != c.want {
+			t.Errorf("Quantiles(%v) = %v, want %v", c.phi, got, c.want)
 		}
 	}
 }
 
+// TestQuantilesSinglePassMatchesSelect: the one traversal answers every ϕ
+// with the value a selection of rank ceil(ϕN) from a sorted copy reads.
 func TestQuantilesSinglePassMatchesSelect(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tr := New()
+	var ref []float64
 	for i := 0; i < 5000; i++ {
-		tr.Insert(math.Floor(rng.ExpFloat64() * 1000))
+		v := math.Floor(rng.ExpFloat64() * 1000)
+		tr.Insert(v)
+		ref = append(ref, v)
 	}
+	sort.Float64s(ref)
 	phis := []float64{0.1, 0.5, 0.9, 0.99, 0.999}
 	got := tr.Quantiles(phis)
 	for i, phi := range phis {
-		if want := tr.Quantile(phi); got[i] != want {
+		if want := sortedRank(ref, phi); got[i] != want {
 			t.Errorf("Quantiles[%d] (ϕ=%v) = %v, want %v", i, phi, got[i], want)
 		}
 	}
@@ -225,14 +203,14 @@ func TestRemove(t *testing.T) {
 	if !tr.Remove(5) {
 		t.Fatal("Remove(5) = false")
 	}
-	if tr.Count(5) != 1 || tr.Len() != 3 || tr.Unique() != 3 {
-		t.Fatalf("after first remove: count=%d len=%d unique=%d", tr.Count(5), tr.Len(), tr.Unique())
+	if tr.count(5) != 1 || tr.Len() != 3 || tr.Unique() != 3 {
+		t.Fatalf("after first remove: count=%d len=%d unique=%d", tr.count(5), tr.Len(), tr.Unique())
 	}
 	if !tr.Remove(5) {
 		t.Fatal("second Remove(5) = false")
 	}
-	if tr.Count(5) != 0 || tr.Unique() != 2 {
-		t.Fatalf("after second remove: count=%d unique=%d", tr.Count(5), tr.Unique())
+	if tr.count(5) != 0 || tr.Unique() != 2 {
+		t.Fatalf("after second remove: count=%d unique=%d", tr.count(5), tr.Unique())
 	}
 	if tr.Remove(5) {
 		t.Fatal("third Remove(5) = true, key should be gone")
@@ -268,9 +246,6 @@ func TestRandomInsertRemoveInvariants(t *testing.T) {
 			total++
 		}
 		if i%997 == 0 {
-			if total > 0 {
-				_ = tr.Select(1) // force the lazy weight rebuild so invariants cover it
-			}
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatalf("step %d: %v", i, err)
 			}
@@ -283,8 +258,8 @@ func TestRandomInsertRemoveInvariants(t *testing.T) {
 		t.Fatalf("Unique = %d, want %d", tr.Unique(), len(live))
 	}
 	for k, c := range live {
-		if got := tr.Count(k); got != c {
-			t.Fatalf("Count(%v) = %d, want %d", k, got, c)
+		if got := tr.count(k); got != c {
+			t.Fatalf("count(%v) = %d, want %d", k, got, c)
 		}
 	}
 	if err := tr.CheckInvariants(); err != nil {
@@ -292,7 +267,7 @@ func TestRandomInsertRemoveInvariants(t *testing.T) {
 	}
 }
 
-func TestAscendDescendOrder(t *testing.T) {
+func TestAscendOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tr := New()
 	for i := 0; i < 1000; i++ {
@@ -305,14 +280,6 @@ func TestAscendDescendOrder(t *testing.T) {
 		}
 		if c == 0 {
 			t.Fatal("Ascend yielded zero count")
-		}
-		prev = k
-		return true
-	})
-	prev = math.Inf(1)
-	tr.Descend(func(k float64, c uint64) bool {
-		if k >= prev {
-			t.Fatalf("Descend out of order: %v after %v", k, prev)
 		}
 		prev = k
 		return true
@@ -334,49 +301,8 @@ func TestAscendEarlyStop(t *testing.T) {
 	}
 }
 
-func TestTopK(t *testing.T) {
-	tr := New()
-	for _, v := range []float64{1, 9, 9, 5, 7, 3} {
-		tr.Insert(v)
-	}
-	got := tr.AppendTopK(nil, 4)
-	want := []float64{9, 9, 7, 5}
-	if len(got) != len(want) {
-		t.Fatalf("AppendTopK(nil, 4) = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AppendTopK(nil, 4) = %v, want %v", got, want)
-		}
-	}
-	if got := tr.AppendTopK(nil, 0); got != nil {
-		t.Fatalf("AppendTopK(nil, 0) = %v, want nil", got)
-	}
-	if got := tr.AppendTopK(nil, 100); len(got) != 6 {
-		t.Fatalf("AppendTopK(nil, 100) returned %d values, want 6", len(got))
-	}
-}
-
-func TestClear(t *testing.T) {
-	tr := New()
-	for i := 0; i < 50; i++ {
-		tr.Insert(float64(i))
-	}
-	tr.Clear()
-	if !tr.Empty() || tr.Unique() != 0 {
-		t.Fatal("Clear did not empty the tree")
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	tr.Insert(5)
-	if tr.Len() != 1 {
-		t.Fatal("tree unusable after Clear")
-	}
-}
-
-// Property: for any sequence of inserts, Select agrees with a sorted slice
-// and invariants hold.
+// Property: for any sequence of inserts, Quantiles selects what a sorted
+// slice holds at each ϕ's rank, and invariants hold.
 func TestQuickSelectMatchesSort(t *testing.T) {
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
@@ -388,19 +314,15 @@ func TestQuickSelectMatchesSort(t *testing.T) {
 			vals[i] = float64(r % 512)
 			tr.Insert(vals[i])
 		}
-		_ = tr.Select(1) // rebuild lazy weights so invariants cover them
 		if err := tr.CheckInvariants(); err != nil {
 			t.Logf("invariants: %v", err)
 			return false
 		}
 		sort.Float64s(vals)
-		for _, phi := range []float64{0.01, 0.25, 0.5, 0.75, 0.99, 1} {
-			r := int(math.Ceil(phi * float64(len(vals))))
-			if r < 1 {
-				r = 1
-			}
-			if tr.Quantile(phi) != vals[r-1] {
-				t.Logf("phi=%v: got %v want %v", phi, tr.Quantile(phi), vals[r-1])
+		phis := []float64{0.01, 0.25, 0.5, 0.75, 0.99, 1}
+		for i, got := range tr.Quantiles(phis) {
+			if want := sortedRank(vals, phis[i]); got != want {
+				t.Logf("phi=%v: got %v want %v", phis[i], got, want)
 				return false
 			}
 		}
@@ -430,74 +352,17 @@ func TestQuickInsertRemoveAll(t *testing.T) {
 	}
 }
 
-// Property: Rank and Select are inverse-consistent.
-func TestQuickRankSelectConsistent(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		tr := New()
-		for _, r := range raw {
-			tr.Insert(float64(r % 128))
-		}
-		for r := uint64(1); r <= tr.Len(); r++ {
-			v := tr.Select(r)
-			// Rank(v) is the highest rank at value v, so it must be >= r,
-			// and Select(Rank(v)) must equal v.
-			rk := tr.Rank(v)
-			if rk < r || tr.Select(rk) != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestClearRecyclesArena(t *testing.T) {
-	tr := New()
-	for i := 0; i < 1000; i++ {
-		tr.Insert(float64(i % 300))
-	}
-	capBefore := cap(tr.nodes)
-	if capBefore < 301 { // 300 unique values plus the sentinel
-		t.Fatalf("arena cap = %d after 300 unique inserts", capBefore)
-	}
-	tr.Clear()
-	if cap(tr.nodes) != capBefore {
-		t.Fatalf("Clear dropped arena capacity: %d -> %d", capBefore, cap(tr.nodes))
-	}
-	// Refilling the same working set must not touch the heap.
-	allocs := testing.AllocsPerRun(20, func() {
-		tr.Clear()
-		for i := 0; i < 1000; i++ {
-			tr.Insert(float64(i % 300))
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("fill/Clear cycle allocates %v, want 0", allocs)
-	}
-	if tr.Len() != 1000 || tr.Unique() != 300 {
-		t.Fatalf("len=%d unique=%d after refill", tr.Len(), tr.Unique())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestInsertCacheSurvivesMutations: hammering one key (the insert cache's
+// hit path) between removals that delete it never desyncs the bookkeeping.
 func TestInsertCacheSurvivesMutations(t *testing.T) {
-	// Hammer one key (cache-hit path), interleave removals and clears, and
-	// verify the bookkeeping never desyncs.
 	tr := New()
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 100; i++ {
 			tr.Insert(42)
 			tr.Insert(1000 + float64(i)) // disjoint from the hot key
 		}
-		if got := tr.Count(42); got != 100 {
-			t.Fatalf("round %d: Count(42) = %d", round, got)
+		if got := tr.count(42); got != 100 {
+			t.Fatalf("round %d: count(42) = %d", round, got)
 		}
 		// Remove the hot key entirely; its cache entry must not resurrect it.
 		for i := 0; i < 100; i++ {
@@ -505,69 +370,90 @@ func TestInsertCacheSurvivesMutations(t *testing.T) {
 				t.Fatalf("round %d: Remove(42) #%d failed", round, i)
 			}
 		}
-		if got := tr.Count(42); got != 0 {
-			t.Fatalf("round %d: Count(42) = %d after removal", round, got)
+		if got := tr.count(42); got != 0 {
+			t.Fatalf("round %d: count(42) = %d after removal", round, got)
 		}
 		tr.Insert(42) // re-insert lands on a fresh node, not the freed slot's ghost
-		if got := tr.Count(42); got != 1 {
-			t.Fatalf("round %d: Count(42) = %d after re-insert", round, got)
+		if got := tr.count(42); got != 1 {
+			t.Fatalf("round %d: count(42) = %d after re-insert", round, got)
 		}
-		_ = tr.Select(1)
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		tr.Clear()
-		if !tr.Empty() {
-			t.Fatal("Clear left elements")
+		tr.Remove(42)
+		for i := 0; i < 100; i++ {
+			tr.Remove(1000 + float64(i))
+		}
+		if !tr.Empty() || tr.Unique() != 0 {
+			t.Fatalf("round %d: %d values in %d nodes left after removing all", round, tr.Len(), tr.Unique())
 		}
 	}
 }
 
-func TestLazyWeightsRebuild(t *testing.T) {
+// TestSizedCacheIsOnlyACache: a cache far too small for what the tree
+// holds (every key contends for one slot, evicting the others' entry on
+// each insert) must leave the same multiset as a map reference under
+// inserts and removals.
+func TestSizedCacheIsOnlyACache(t *testing.T) {
 	tr := New()
-	rng := rand.New(rand.NewSource(9))
-	ref := make([]float64, 0, 3000)
-	for i := 0; i < 3000; i++ {
-		v := math.Floor(rng.Float64() * 250)
-		tr.Insert(v)
-		ref = append(ref, v)
+	var keys []float64
+	for k := 0.0; len(keys) < 6; k++ {
+		if cacheSlot(k) == cacheSlot(0) {
+			keys = append(keys, k)
+		}
 	}
-	sort.Float64s(ref)
-	// Select triggers the rebuild; afterwards invariants must validate the
-	// weight bookkeeping (the tree is clean).
-	for _, r := range []uint64{1, 500, 1500, 3000} {
-		if got, want := tr.Select(r), ref[r-1]; got != want {
-			t.Fatalf("Select(%d) = %v, want %v", r, got, want)
+	ref := map[float64]uint64{}
+	rng := rand.New(rand.NewSource(3))
+	for step := 0; step < 20_000; step++ {
+		key := keys[rng.Intn(len(keys))]
+		if rng.Intn(10) < 7 {
+			n := uint64(1 + rng.Intn(3))
+			tr.InsertN(key, n)
+			ref[key] += n
+		} else if tr.Remove(key) != (ref[key] > 0) {
+			t.Fatalf("step %d: Remove(%v) disagrees with the reference", step, key)
+		} else if ref[key] > 0 {
+			ref[key]--
+		}
+		if got := tr.count(key); got != ref[key] {
+			t.Fatalf("step %d: count(%v) = %d, want %d", step, key, got, ref[key])
 		}
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// Mutate again (weights go stale), then read again.
-	tr.Insert(-5)
-	if got := tr.Select(1); got != -5 {
-		t.Fatalf("Select(1) = %v after insert, want -5", got)
+}
+
+// TestRemoveRecyclesArena: nodes freed by Remove go back into the arena,
+// so the Exact baseline's steady insert/remove churn over a stable value
+// population never touches the heap.
+func TestRemoveRecyclesArena(t *testing.T) {
+	tr := New()
+	fill := func() {
+		for i := 0; i < 1000; i++ {
+			tr.Insert(float64(i % 300))
+		}
+	}
+	drain := func() {
+		for i := 0; i < 1000; i++ {
+			tr.Remove(float64(i % 300))
+		}
+	}
+	fill()
+	capBefore := cap(tr.nodes)
+	if capBefore < 301 { // 300 unique values plus the sentinel
+		t.Fatalf("arena cap = %d after 300 unique inserts", capBefore)
+	}
+	drain()
+	if allocs := testing.AllocsPerRun(20, func() { fill(); drain() }); allocs != 0 {
+		t.Fatalf("fill/drain cycle allocates %v, want 0", allocs)
+	}
+	if cap(tr.nodes) != capBefore || !tr.Empty() {
+		t.Fatalf("arena cap %d -> %d, %d values left", capBefore, cap(tr.nodes), tr.Len())
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestSelectRanks(t *testing.T) {
-	tr := New()
-	for i := 1; i <= 100; i++ {
-		tr.Insert(float64(i))
-	}
-	ranks := []uint64{1, 1, 50, 90, 99, 100}
-	out := make([]float64, len(ranks))
-	tr.SelectRanks(ranks, out)
-	for i, r := range ranks {
-		if want := tr.Select(r); out[i] != want {
-			t.Fatalf("SelectRanks[%d] (rank %d) = %v, want %v", i, r, out[i], want)
-		}
-	}
-	// Empty request is a no-op even on an empty tree.
-	New().SelectRanks(nil, nil)
 }
 
 func BenchmarkInsertDistinct(b *testing.B) {
@@ -598,117 +484,5 @@ func BenchmarkQuantiles(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Quantiles(phis)
-	}
-}
-
-// cacheHit reports whether InsertN(key, ·) would be answered by the insert
-// cache (test-side mirror of the lookup at the top of InsertN).
-func (t *Tree) cacheHit(key float64) bool {
-	if t.cache == nil {
-		return false
-	}
-	e := &t.cache[t.slot(key)]
-	return e.idx != nilIdx && e.epoch == t.epoch && e.key == key
-}
-
-func TestNewSizedCacheSlots(t *testing.T) {
-	for _, c := range []struct{ maxUnique, slots int }{
-		{-1, 2}, {0, 2}, {1, 2}, {2, 4}, {3, 8}, {10, 32}, {16, 32}, {128, 256},
-		{500, 1024}, {512, 1024}, {513, 1024}, {1 << 20, 1024}, {math.MaxInt, 1024},
-	} {
-		tr := NewSized(c.maxUnique)
-		tr.Insert(1)
-		if len(tr.cache) != c.slots {
-			t.Errorf("NewSized(%d): %d cache slots, want %d", c.maxUnique, len(tr.cache), c.slots)
-		}
-	}
-	tr := New()
-	tr.Insert(1)
-	if len(tr.cache) != cacheSize {
-		t.Errorf("New: %d cache slots, want %d", len(tr.cache), cacheSize)
-	}
-}
-
-// TestSizedCacheIsOnlyACache: a tree whose cache is far too small for what
-// it holds (every slot contended) must stay the same multiset as a
-// default-sized one under inserts, removals and clears.
-func TestSizedCacheIsOnlyACache(t *testing.T) {
-	small, ref := NewSized(1), New()
-	rng := rand.New(rand.NewSource(3))
-	for step := 0; step < 20_000; step++ {
-		key := float64(rng.Intn(300))
-		switch op := rng.Intn(100); {
-		case op < 70:
-			n := uint64(1 + rng.Intn(3))
-			small.InsertN(key, n)
-			ref.InsertN(key, n)
-		case op < 99:
-			if small.Remove(key) != ref.Remove(key) {
-				t.Fatalf("step %d: Remove(%v) disagrees", step, key)
-			}
-		default:
-			small.Clear()
-			ref.Clear()
-		}
-		if small.Len() != ref.Len() || small.Unique() != ref.Unique() || small.Count(key) != ref.Count(key) {
-			t.Fatalf("step %d: len %d/%d unique %d/%d count(%v) %d/%d", step,
-				small.Len(), ref.Len(), small.Unique(), ref.Unique(), key, small.Count(key), ref.Count(key))
-		}
-	}
-	if err := small.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestClearEpochWrap: cache entries are validated by a 32-bit epoch that
-// Clear bumps; when it wraps, an entry written 2^32 Clears ago must not
-// come back to life and credit its key's inserts to whatever node now sits
-// at its index.
-func TestClearEpochWrap(t *testing.T) {
-	tr := New()
-	tr.Insert(7) // cache: {7 -> node 1, epoch 0}
-	tr.epoch = math.MaxUint32
-	tr.Clear() // epoch wraps to 0
-	tr.Insert(8)
-	tr.Insert(7)
-	if tr.Count(7) != 1 || tr.Count(8) != 1 || tr.Unique() != 2 {
-		t.Fatalf("stale cache entry revived: count(7)=%d count(8)=%d unique=%d", tr.Count(7), tr.Count(8), tr.Unique())
-	}
-}
-
-// TestSizedCacheHitRate measures what the period-sized insert cache gives
-// up against the 1024-slot default on the tree core.Pool's workbenches are:
-// Cleared every period, fed run-length-grouped, 3-digit-quantized NetMon
-// telemetry. A hit needs the key to have been inserted earlier in the SAME
-// period, so the rate is bounded by value repetition within a period, not
-// by the table; the smaller table may only lose conflict misses on top.
-func TestSizedCacheHitRate(t *testing.T) {
-	q := compress.NewQuantizer(3)
-	data := q.AppendQuantized(nil, workload.Generate(workload.NewNetMon(1), 1<<18))
-	rate := func(tr *Tree, period int) float64 {
-		hits, descents := 0, 0
-		for off := 0; off+period <= len(data); off += period {
-			for i := off; i < off+period; {
-				j := i + 1
-				for j < off+period && data[j] == data[i] {
-					j++
-				}
-				if tr.cacheHit(data[i]) {
-					hits++
-				}
-				descents++
-				tr.InsertN(data[i], uint64(j-i))
-				i = j
-			}
-			tr.Clear()
-		}
-		return float64(hits) / float64(descents)
-	}
-	for _, period := range []int{16, 128, 1000} {
-		sized, full := rate(NewSized(period), period), rate(New(), period)
-		t.Logf("period %4d: hit rate %.3f with the sized cache, %.3f with %d slots", period, sized, full, cacheSize)
-		if sized < full-0.02 {
-			t.Errorf("period %d: sized cache hits %.3f of inserts, the default %.3f", period, sized, full)
-		}
 	}
 }

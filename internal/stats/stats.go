@@ -6,9 +6,29 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"sort"
 )
+
+// ValidatePhis checks that quantile targets are sorted in non-decreasing
+// order and lie in (0, 1].
+func ValidatePhis(phis []float64) error {
+	if len(phis) == 0 {
+		return fmt.Errorf("no quantiles specified")
+	}
+	prev := 0.0
+	for _, phi := range phis {
+		if phi <= 0 || phi > 1 {
+			return fmt.Errorf("quantile %v outside (0, 1]", phi)
+		}
+		if phi < prev {
+			return fmt.Errorf("quantiles not sorted at %v", phi)
+		}
+		prev = phi
+	}
+	return nil
+}
 
 // CeilRank returns the 1-based rank ceil(phi*n) clamped to [1, n], the
 // paper's quantile definition. It panics when n == 0.

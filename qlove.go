@@ -17,12 +17,10 @@
 // in batches (ObserveBatch / Monitor.PushBatch). The two paths are
 // observationally identical — batching never changes an evaluation — but
 // the batch path is the fast one: it amortizes per-element interface
-// dispatch, quantizes whole chunks against a cached decade scale, and
-// collapses repeated values into single tree operations. The Level-1
-// red-black tree stores its nodes in a flat arena with a free list, keeps
-// its node set warm across sub-windows while the value population is
-// stable, and recycles everything on reset, so steady-state ingestion
-// performs zero heap allocations per element. See README.md for measured
+// dispatch and quantizes whole chunks against a cached decade scale onto
+// the Level-1 buffer. That buffer and the seal scratch are reused across
+// sub-windows and recycled on reset, so steady-state ingestion performs
+// zero heap allocations per element. See README.md for measured
 // throughput.
 //
 // Basic usage:
