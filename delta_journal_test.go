@@ -82,7 +82,7 @@ func (d *diffCursor) exportBoth(e *Engine, step int, tally bool) error {
 
 // TestExportDeltaJournalMatchesScan is the differential gate of the
 // mutation journal: over a seeded random schedule of pushes, evictions,
-// evict-then-recreate, TTL expiry, timed ticks, live stream moves (a
+// evict-then-recreate, TTL expiry, timed ticks, live stream renames (a
 // salt-1 escalation and its collapse) and escalations, and cursor
 // persistence round trips, three cursors exporting at different cadences
 // must each get, from the journal, byte for byte the blob a full scan
@@ -179,8 +179,8 @@ func TestExportDeltaJournalMatchesScan(t *testing.T) {
 						k := stable()
 						switch rng.Intn(4) {
 						case 0, 1:
-							// A whole-stream move: to sub-stream 0's shard
-							// under a salt-1 route, or back to the base name.
+							// A whole-stream rename: to sub-stream 0 under a
+							// salt-1 route, or back to the base name.
 							if ov := e.override(k); ov == nil {
 								e.escalateKey(k, 1)
 							} else {

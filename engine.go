@@ -55,10 +55,9 @@ import (
 //
 // Every key's operator is a QLOVE operator minted by its shard's core.Pool,
 // which also lends it the Level-1 workbench of the sub-window it is filling
-// (a period-sized buffer of quantized values; a tree only past 256 of
-// them): a resident key costs its summaries, a shard's keys share a few
-// workbenches, and evicted keys recycle instead of feeding the garbage
-// collector.
+// (a flat, period-sized buffer of quantized values, sealed by selection): a
+// resident key costs its summaries, a shard's keys share a few workbenches,
+// and evicted keys recycle instead of feeding the garbage collector.
 type Engine struct {
 	spec    Window
 	shards  []*engineShard
@@ -70,7 +69,6 @@ type Engine struct {
 	block   bool                       // BackpressureBlock: lossless delivery, shards block on Results
 	routes  atomic.Pointer[routeTable] // per-key overrides (engineroute.go); nil = pure hash
 	adapt   *adaptState                // adaptive controller (engineadapt.go); nil = static
-	incSeq  atomic.Uint64              // engine-global key incarnation mint (migration-stable)
 	now     func() time.Time
 	bufs    sync.Pool // *[]float64 ingest buffers
 	wg      sync.WaitGroup
@@ -188,24 +186,25 @@ type engineShard struct {
 
 	// Delta-export bookkeeping: mutations is the shard's mutation clock,
 	// and every tick is journaled under its value. A state change an export
-	// could care about (key created, installed by a migration, any seal)
-	// stamps the live entry with a fresh tick and moves it to the tail of
-	// journal; a departure (evicted, expired, handed off) is appended to
-	// departed. An ExportDelta whose cursor recorded clock m walks both back
+	// could care about (key created or renamed to, any seal) stamps the live
+	// entry with a fresh tick and moves it to the tail of journal; a
+	// departure (evicted, expired, renamed from) is appended to departed.
+	// An ExportDelta whose cursor recorded clock m walks both back
 	// from the tail while stamp > m — O(changed since m) — instead of
 	// scanning s.keys. exported is the clock at the latest export capture:
 	// no cursor holds a later one, so an entry already stamped past it is
 	// found by every cursor where it stands and changes again for free — a
 	// shard nobody exports from journals each key once. (Atomic because
 	// captures of a closed engine run on the exporting goroutines, several
-	// at a time.) Incarnation numbers come from the ENGINE-global e.incSeq,
-	// so a stream keeps its identity when a migration hands it to another
-	// name and shard, and can never collide with the destination's counter.
+	// at a time.) incs mints incarnation numbers: a name always lives on
+	// one shard and a rename never leaves it, so a stream keeps its number
+	// under its new name and one name's numbers never collide.
 	mutations uint64
+	incs      uint64
 	exported  atomic.Uint64
-	// journal is the sentinel of the intrusive ring of live (non-parking)
-	// entries in ascending stamp order: journal.next is the oldest,
-	// journal.prev the most recently touched.
+	// journal is the sentinel of the intrusive ring of live entries in
+	// ascending stamp order: journal.next is the oldest, journal.prev the
+	// most recently touched.
 	journal keyEntry
 	// departed logs departures in ascending clock order, capped at resident
 	// keys + departedSlack (a longer walk would cost more than the scan it
@@ -222,15 +221,15 @@ type engineShard struct {
 }
 
 type keyEntry struct {
-	op       *core.Policy        // the key's operator; nil only on a parking entry
+	op       *core.Policy        // the key's operator, minted by the shard's pool
 	pusher   *stream.Pusher      // count-based mode
 	timed    *stream.TimedPusher // timed mode (exactly one of the two is set)
 	emit     func(stream.Evaluation)
 	lastAt   time.Time // wall clock at this key's most recent batch (wallTTL > 0)
-	inc      uint64    // incarnation: unique per key lifetime, engine-global
+	inc      uint64    // incarnation: unique per key lifetime on its shard
 	gen      uint64    // last observed seal generation
 	resident int       // last observed resident summary count
-	batches  uint64    // lifetime batches delivered (travels with migrations)
+	batches  uint64    // lifetime batches delivered (kept across renames)
 	sampled  uint64    // batches already attributed to a ctlSample pass
 
 	// Mutation journal (see engineShard.mutations): the entry's internal
@@ -239,15 +238,6 @@ type keyEntry struct {
 	name       string
 	stamp      uint64
 	prev, next *keyEntry
-
-	// Migration parking (engineroute.go): a parking entry holds a spot at
-	// the destination shard while the operator is still in flight from the
-	// source. Batches arriving under the name are parked, in order, and
-	// replayed by ctlInstall; every other shard path (housekeeping,
-	// snapshots, queries, delta scans) skips parking entries. The journal
-	// ring never links one, so the journal walk needs no check.
-	parking bool
-	park    []*[]float64
 }
 
 // engineMsg is one unit of shard work: either an ingest batch or a control
@@ -266,12 +256,9 @@ const (
 	ctlCount
 	ctlDelta
 	ctlTick
-	// Migration protocol ops (engineroute.go): park a name at the
-	// destination, detach an operator from the source, attach it (and
-	// replay parked batches) at the destination.
-	ctlPrepare
-	ctlHandoff
-	ctlInstall
+	// ctlRename gives a resident stream another internal name on the same
+	// shard (engineroute.go).
+	ctlRename
 	// Occupancy ops (engineadapt.go): per-key load attribution and a
 	// cheap residency probe.
 	ctlSample
@@ -281,19 +268,19 @@ const (
 type engineCtl struct {
 	op   ctlOp
 	key  string
+	to   string // ctlRename: the new name
 	resp chan engineCtlResp
 	cur  *deltaCursorView // ctlDelta
-	ent  *keyEntry        // ctlInstall: the handed-off operator (nil = none)
 	n    int              // ctlSample: top-N keys to attribute
 }
 
 type engineCtlResp struct {
-	snaps map[string]Snapshot
-	ok    bool
-	n     int
-	delta *shardDeltaResp
-	ent   *keyEntry // ctlHandoff: the detached operator
-	loads []KeyLoad // ctlSample
+	snaps   map[string]Snapshot
+	ok      bool
+	n       int
+	delta   *shardDeltaResp
+	batches uint64    // ctlRename: the renamed stream's lifetime batches
+	loads   []KeyLoad // ctlSample
 }
 
 // keyCursor is one key's entry in an ExportCursor: the incarnation, seal
@@ -328,9 +315,9 @@ type shardDeltaResp struct {
 	// re-asks every shard for the scan.
 	stale bool
 	// Journal answers: live keys touched since the cursor's clock that still
-	// match it (a migration without a seal in between), and names that left
-	// the shard since. Both in reverse clock order, departed possibly with
-	// repeats.
+	// match it (renamed away and back without a seal in between), and names
+	// that left the shard since. Both in reverse clock order, departed
+	// possibly with repeats.
 	arrived  []string
 	departed []string
 	// Scan answers: scanned is set, and present holds every resident name
@@ -345,11 +332,11 @@ type deltaCapture struct {
 	inc  uint64
 }
 
-// departure is one departures-log record: an entry left the shard (evicted,
-// expired, or handed off by a migration) when its mutation clock ticked to
-// clock. The incarnation is not kept: whether the name is a tombstone, a
-// re-creation or a migration is decided from where it is resident NOW,
-// which the touched live entries of the same export say.
+// departure is one departures-log record: an entry left the name (evicted,
+// expired, or renamed) when its mutation clock ticked to clock. The
+// incarnation is not kept: whether the name is a tombstone or a re-creation
+// is decided from whether it is resident NOW, which the touched live entries
+// of the same export say.
 type departure struct {
 	name  string
 	clock uint64
@@ -445,9 +432,15 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	return e, nil
 }
 
-// shardIndex hash-partitions a key.
-func (e *Engine) shardIndex(key string) int {
-	return int(maphash.String(e.seed, key) % uint64(len(e.shards)))
+// shardIndex hash-partitions an internal name. Sub-stream 0 hashes as its
+// logical key, so a key and its sub-stream 0 always share a shard and
+// escalation and collapse rename a stream in place; sub-streams 1 and up
+// hash on their own, which is what spreads an escalated key.
+func (e *Engine) shardIndex(name string) int {
+	if base, sub, salted := wire.SplitName(name); salted && sub == 0 {
+		name = base
+	}
+	return int(maphash.String(e.seed, name) % uint64(len(e.shards)))
 }
 
 func (e *Engine) shardOf(key string) *engineShard {
@@ -717,13 +710,11 @@ func (e *Engine) queryOne(key string) (Snapshot, bool) {
 	return e.shardOf(key).query(key)
 }
 
-// query reads one operator in place; keysMu spans lookup AND copy. A name
-// parked by a migration is not resident here yet: its operator is still at
-// the source shard.
+// query reads one operator in place; keysMu spans lookup AND copy.
 func (s *engineShard) query(key string) (Snapshot, bool) {
 	s.keysMu.RLock()
 	defer s.keysMu.RUnlock()
-	if ent := s.keys[key]; ent != nil && !ent.parking {
+	if ent := s.keys[key]; ent != nil {
 		return ent.op.Snapshot(), true
 	}
 	return Snapshot{}, false
@@ -877,8 +868,8 @@ func (e *Engine) ExportDelta(w io.Writer, cur *ExportCursor) (int64, error) {
 
 // captureDelta collects every shard's contribution to one delta export,
 // from the journals (have) or by the scan. The caller holds e.mu.RLock,
-// which also keeps migrations out: a stream is on exactly one shard for
-// the whole capture.
+// which also keeps renames out: a stream has exactly one name for the whole
+// capture.
 func (e *Engine) captureDelta(cur *ExportCursor, have bool) []*shardDeltaResp {
 	resps := make([]*shardDeltaResp, len(e.shards))
 	if e.closed {
@@ -909,9 +900,9 @@ func (e *Engine) captureDelta(cur *ExportCursor, have bool) []*shardDeltaResp {
 // engine. After a scan that is the set difference against what the shards
 // found. From the journals, only a name in some departures log can have
 // gone; it is still resident exactly when a live entry touched since the
-// cursor carries it — evicted and re-created, or handed back to the name by
-// a collapse (whose handoff and install tick both shards' clocks inside one
-// cutover no capture can straddle).
+// cursor carries it — evicted and re-created, or renamed back to the name
+// by a collapse (whose departure and arrival tick one shard's clock inside
+// one rename no capture can straddle).
 func deltaTombstones(cur *ExportCursor, resps []*shardDeltaResp) []string {
 	var tombs []string
 	if resps[0].scanned {
@@ -965,8 +956,7 @@ func deltaTombstones(cur *ExportCursor, resps []*shardDeltaResp) []string {
 // escalated key ships one frame per sub-stream (each a single stream
 // with real seal generations — the stable cursor identity that lets delta
 // exports survive per-key salting), and receivers fold sub-streams back
-// to logical keys at read time. A key observed mid-migration (parked at
-// its destination, not yet handed off) is captured where it still lives.
+// to logical keys at read time.
 func (e *Engine) assembleDelta(w io.Writer, cur *ExportCursor, resps []*shardDeltaResp) (int64, error) {
 	tombs := deltaTombstones(cur, resps)
 	n := 0
@@ -1205,7 +1195,6 @@ func (s *engineShard) run() {
 		select {
 		case msg, ok := <-s.in:
 			if !ok {
-				s.drainParked()
 				return
 			}
 			s.handle(msg)
@@ -1215,33 +1204,10 @@ func (s *engineShard) run() {
 	}
 }
 
-// drainParked runs at shard exit: a migration aborted by Close leaves
-// parking entries behind; their batches were accepted (Push succeeded),
-// so they deliver through the normal mint path — losslessness holds even
-// for a cutover torn down mid-flight.
-func (s *engineShard) drainParked() {
-	for name, ent := range s.keys {
-		if !ent.parking {
-			continue
-		}
-		parked := ent.park
-		s.dropKey(name)
-		for _, bp := range parked {
-			s.handle(engineMsg{key: name, buf: bp})
-		}
-	}
-}
-
 // handle processes one queued unit of shard work.
 func (s *engineShard) handle(msg engineMsg) {
 	if msg.ctl != nil {
 		s.control(msg.ctl)
-		return
-	}
-	if ent := s.keys[msg.key]; ent != nil && ent.parking {
-		// Mid-migration: the operator is in flight from the source shard.
-		// Park the batch; ctlInstall replays in arrival order.
-		ent.park = append(ent.park, msg.buf)
 		return
 	}
 	// One clock read per delivery, shared by the batch timestamp, the TTL
@@ -1281,9 +1247,8 @@ func (s *engineShard) handle(msg engineMsg) {
 }
 
 // noteBenches publishes the pool's workbench gauges. Loans change hands
-// inside deliveries and timed flushes (borrow, seal), evictions (Reset) and
-// migrations (Disown at the handoff, Adopt at the install), and each of
-// those ends here.
+// inside deliveries and timed flushes (borrow, seal) and evictions (Reset),
+// and each of those ends here.
 func (s *engineShard) noteBenches() {
 	setGauge(&s.counters.inFlight, s.pool.Lent())
 	setGauge(&s.counters.idleBenches, s.pool.IdleWorkbenches())
@@ -1323,7 +1288,7 @@ func (s *engineShard) touch(ent *keyEntry) {
 }
 
 // arrive journals an entry that just became resident under name (minted,
-// or installed by a migration).
+// or renamed to it).
 func (s *engineShard) arrive(name string, ent *keyEntry) {
 	ent.name = name
 	s.setKey(name, ent)
@@ -1345,8 +1310,8 @@ func (s *engineShard) dropKey(name string) {
 	s.counters.resident.Store(int64(len(s.keys)))
 }
 
-// depart ticks the mutation clock for a live entry leaving the shard
-// (evicted, expired or handed off): the entry is unlinked from the journal
+// depart ticks the mutation clock for a live entry leaving its name
+// (evicted, expired or renamed): the entry is unlinked from the journal
 // ring and its name appended to the departures log, which is then trimmed
 // to its cap — raising the floor below which a cursor must rescan.
 func (s *engineShard) depart(ent *keyEntry) {
@@ -1390,14 +1355,10 @@ func housekeepInterval(ttl, period time.Duration) time.Duration {
 // like traffic-driven ones. It runs on the shard goroutine between batches
 // (from the ticker, a delivery piggyback, or a ctlTick control op), so it
 // is ordered with ingest on every key the shard owns; evicted operators
-// recycle through the pool. Parking entries are exempt (a migration in
-// flight is not an idle key). Post-Close passes use deliver=false because
+// recycle through the pool. Post-Close passes use deliver=false because
 // the Results channel is already closed.
 func (s *engineShard) housekeep(now time.Time, deliver bool) {
 	for k, ent := range s.keys {
-		if ent.parking {
-			continue
-		}
 		if s.wallTTL > 0 && now.Sub(ent.lastAt) > s.wallTTL {
 			s.evict(k)
 			continue
@@ -1434,7 +1395,8 @@ func (s *engineShard) entry(key string) (*keyEntry, error) {
 		}
 		ent.pusher = pusher
 	}
-	ent.inc = s.eng.incSeq.Add(1)
+	s.incs++
+	ent.inc = s.incs
 	ent.emit = s.makeEmit(wire.LogicalKey(key))
 	s.arrive(key, ent)
 	return ent, nil
@@ -1443,9 +1405,7 @@ func (s *engineShard) entry(key string) (*keyEntry, error) {
 // makeEmit builds a key's evaluation-delivery closure. One closure per key,
 // not per batch: the emit path stays allocation-free at steady state.
 // Results carry the LOGICAL key name (the salt suffix is an internal
-// detail). The closure captures THIS shard's counters, so a migrated
-// operator gets a fresh one from ctlInstall — evaluations account where
-// they are delivered from.
+// detail), so a renamed stream keeps its closure.
 func (s *engineShard) makeEmit(base string) func(stream.Evaluation) {
 	eng := s.eng
 	if eng.block {
@@ -1489,69 +1449,36 @@ func (s *engineShard) control(ctl *engineCtl) {
 	case ctlTick:
 		s.housekeep(s.now(), true)
 		ctl.resp <- engineCtlResp{}
-	case ctlPrepare:
-		if s.keys[ctl.key] != nil {
-			ctl.resp <- engineCtlResp{} // name already resident: refuse
-			return
-		}
-		s.setKey(ctl.key, &keyEntry{parking: true})
-		ctl.resp <- engineCtlResp{ok: true}
-	case ctlHandoff:
-		if ent := s.keys[ctl.key]; ent != nil && !ent.parking {
-			s.depart(ent)
-			s.pool.Disown(ent.op)
-			s.noteBenches()
-			ctl.resp <- engineCtlResp{ent: ent, ok: true}
-			return
-		}
-		ctl.resp <- engineCtlResp{}
-	case ctlInstall:
-		s.install(ctl.key, ctl.ent)
-		s.noteBenches()
-		ctl.resp <- engineCtlResp{}
+	case ctlRename:
+		ctl.resp <- engineCtlResp{batches: s.rename(ctl.key, ctl.to)}
 	case ctlSample:
 		ctl.resp <- engineCtlResp{loads: s.sampleLoads(ctl.n)}
 	case ctlExists:
-		ent := s.keys[ctl.key]
-		ctl.resp <- engineCtlResp{ok: ent != nil && !ent.parking}
+		ctl.resp <- engineCtlResp{ok: s.keys[ctl.key] != nil}
 	}
 }
 
-// install completes a migration on the destination shard: attach the
-// handed-off operator (nil when the source stream was not resident — the
-// key then simply mints fresh on replay, never resurrecting stale seals)
-// and replay the parked batches in arrival order through the normal
-// delivery path, so clocks, TTL stamps, stats and mutation bookkeeping
-// all advance exactly as for direct deliveries.
-func (s *engineShard) install(name string, ent *keyEntry) {
-	var parked []*[]float64
-	if p := s.keys[name]; p != nil && p.parking {
-		parked = p.park
-		s.dropKey(name)
+// rename moves the stream resident under from to the name to, returning the
+// batches it has observed (0 when from is not resident: the key then mints
+// fresh under to, never resurrecting stale seals). The entry itself stays:
+// operator, pool loan, emit closure, incarnation, batch count and TTL stamp
+// all carry over, since a rename is not a delivery. Only the journal sees
+// it, as a departure of from and an arrival of to. A resident to is never
+// overwritten; no route produces one.
+func (s *engineShard) rename(from, to string) uint64 {
+	ent := s.keys[from]
+	if ent == nil || s.keys[to] != nil {
+		return 0
 	}
-	if ent != nil {
-		ent.parking, ent.park = false, nil
-		// The operator borrows from and returns to a pool as it runs, and
-		// the source shard's pool is the source goroutine's to touch.
-		s.pool.Adopt(ent.op)
-		ent.emit = s.makeEmit(wire.LogicalKey(name))
-		if s.wallTTL > 0 {
-			ent.lastAt = s.now()
-		}
-		s.arrive(name, ent)
-	}
-	for _, bp := range parked {
-		s.handle(engineMsg{key: name, buf: bp})
-	}
+	s.depart(ent)
+	s.arrive(to, ent)
+	return ent.batches
 }
 
-// snapshotInto captures every resident operator under its internal name. A
-// parked name has no operator here: it is captured where it still lives.
+// snapshotInto captures every resident operator under its internal name.
 func (s *engineShard) snapshotInto(out map[string]Snapshot) {
 	for k, ent := range s.keys {
-		if !ent.parking {
-			out[k] = ent.op.Snapshot()
-		}
+		out[k] = ent.op.Snapshot()
 	}
 }
 
@@ -1565,7 +1492,7 @@ func (s *engineShard) sampleLoads(n int) []KeyLoad {
 	for k, ent := range s.keys {
 		d := ent.batches - ent.sampled
 		ent.sampled = ent.batches
-		if d == 0 || ent.parking {
+		if d == 0 {
 			continue
 		}
 		loads = append(loads, KeyLoad{Key: k, Batches: d})
@@ -1599,9 +1526,6 @@ func (s *engineShard) deltaResp(cur *deltaCursorView) *shardDeltaResp {
 			r.present = make(map[string]struct{}, min(len(s.keys), len(cur.keys)))
 		}
 		for k, ent := range s.keys {
-			if ent.parking {
-				continue // still resident, and captured, at its source shard
-			}
 			kc, ok := cur.keys[k]
 			if ok {
 				r.present[k] = struct{}{}
@@ -1645,21 +1569,11 @@ func (kc keyCursor) covers(ent *keyEntry) bool {
 	return kc.inc == ent.inc && ent.op.SealGen() <= kc.gen && ent.op.SubWindowCount() == kc.resident
 }
 
-// evict removes a key and recycles its operator. Evicting a PARKING entry
-// (an explicit Evict racing a migration) drops the key along with its
-// parked batches — consistent with evicting the stream they would have
-// joined.
+// evict removes a key and recycles its operator.
 func (s *engineShard) evict(key string) bool {
 	ent, ok := s.keys[key]
 	if !ok {
 		return false
-	}
-	if ent.parking {
-		s.dropKey(key)
-		for _, bp := range ent.park {
-			s.eng.bufs.Put(bp)
-		}
-		return true
 	}
 	s.depart(ent)
 	s.pool.Put(ent.op)

@@ -155,10 +155,10 @@ func foldEquiv(t *testing.T, label string, e *Engine, agg *Aggregator) {
 // --- stream-move bit-equivalence ----------------------------------------
 
 // TestEngineAdaptMigrationEquivalence pins the stream-move promise: a key
-// whose whole stream moves live — a salt-1 escalation hands it to
-// sub-stream 0 on that name's hash shard, a collapse hands it back —
-// produces queries and full exports bit-identical to the same key on an
-// engine that never moved anything, and an ExportDelta-fed aggregator folds
+// whose whole stream is renamed live — a salt-1 escalation renames it to
+// sub-stream 0 on the same shard, a collapse renames it back — produces
+// queries and full exports bit-identical to the same key on an engine that
+// never renamed anything, and an ExportDelta-fed aggregator folds
 // to the same answers, at 1, 2 and 8 shards, including eviction tombstones
 // after a move. Delta bytes match the reference only until the first move:
 // from then on the moved streams ship under their sub-stream names.
@@ -237,8 +237,8 @@ func TestEngineAdaptMigrationEquivalence(t *testing.T) {
 				if !ok {
 					t.Fatalf("salt-1 escalation of %q refused", k)
 				}
-				if ev.Kind != RouteEscalate || ev.FromShard != adaptive.shardIndex(k) || ev.ToShard != adaptive.shardIndex(sub0) {
-					t.Fatalf("move event %+v, want %s from its hash shard to %q's", ev, k, sub0)
+				if ev.Kind != RouteEscalate || adaptive.shardIndex(sub0) != adaptive.shardIndex(k) {
+					t.Fatalf("move event %+v, want %s renamed to %q on its hash shard", ev, k, sub0)
 				}
 				if ev.KeyBatches != rounds {
 					t.Fatalf("move of %q carried %d batches, want %d", k, ev.KeyBatches, rounds)
@@ -434,8 +434,8 @@ func TestEngineAdaptEscalationEquivalence(t *testing.T) {
 			if !ok {
 				t.Fatal("re-escalation refused")
 			}
-			if ev.FromShard != -1 || ev.ToShard != -1 {
-				t.Fatalf("re-escalation moved a stream: %+v", ev)
+			if ev.KeyBatches != 0 {
+				t.Fatalf("re-escalation renamed a stream: %+v", ev)
 			}
 			for i := 0; i < 12; i++ {
 				push(i % salt)
@@ -571,9 +571,9 @@ func TestEngineAdaptCollapseAfterTTL(t *testing.T) {
 // --- stream move vs key TTL ---------------------------------------------
 
 // TestEngineAdaptMigrationTTLRace pins the eviction race: a key that
-// wall-clock-expires before the handoff of its escalation must NOT
+// wall-clock-expires before the rename of its escalation must NOT
 // resurrect with stale seal generations — the route still flips, the
-// handoff finds nothing, and the next push mints a genuinely fresh stream
+// rename finds nothing, and the next push mints a genuinely fresh stream
 // at sub-stream 0 whose delta export tombstones the old identity.
 func TestEngineAdaptMigrationTTLRace(t *testing.T) {
 	spec := Window{Size: 64, Period: 32}
@@ -649,13 +649,13 @@ func TestEngineAdaptMigrationTTLRace(t *testing.T) {
 		t.Fatal("k survived its wall TTL")
 	}
 
-	// Escalate the now-evicted key. The route flips; the handoff misses.
+	// Escalate the now-evicted key. The route flips; the rename misses.
 	ev, ok := e.escalateKey("k", 1)
 	if !ok {
 		t.Fatal("escalation of evicted key refused")
 	}
 	if ev.KeyBatches != 0 {
-		t.Fatalf("handoff of evicted key carried %d batches, want 0", ev.KeyBatches)
+		t.Fatalf("rename of evicted key carried %d batches, want 0", ev.KeyBatches)
 	}
 	if ov := e.override("k"); ov == nil || ov.salt != 1 {
 		t.Fatalf("salt-1 route not installed: %+v", ov)
@@ -939,6 +939,35 @@ func TestEngineAdaptStreamsStayOnHashShard(t *testing.T) {
 	}
 	e.Close()
 	<-done
+}
+
+// TestEngineSubStreamZeroSharesItsKeysShard: over fresh engines (each
+// NewEngine draws a random hash seed) and many keys, a key's sub-stream 0
+// hashes to the key's own shard, so escalation and collapse rename a
+// stream in place and never move it between shards; sub-stream 1 still
+// lands elsewhere for most keys, which is what spreads an escalated key.
+func TestEngineSubStreamZeroSharesItsKeysShard(t *testing.T) {
+	cfg := Config{Spec: Window{Size: 64, Period: 32}, Phis: []float64{0.5}}
+	for r := 0; r < 16; r++ {
+		e, err := NewEngine(EngineConfig{Config: cfg, Shards: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spread := 0
+		for i := 0; i < 1000; i++ {
+			k := fmt.Sprintf("key%d", i)
+			if got, want := e.shardIndex(wire.SaltedName(k, 0)), e.shardIndex(k); got != want {
+				t.Fatalf("engine %d: %q is on shard %d, its sub-stream 0 on shard %d", r, k, want, got)
+			}
+			if e.shardIndex(wire.SaltedName(k, 1)) != e.shardIndex(k) {
+				spread++
+			}
+		}
+		if spread < 500 {
+			t.Fatalf("engine %d: sub-stream 1 left its key's shard for only %d of 1000 keys", r, spread)
+		}
+		e.Close()
+	}
 }
 
 // TestEngineAdaptCollapseRacesPush races a collapse of a salt-1 key whose

@@ -1,32 +1,30 @@
 // Tests for the Level-1 workbench loans at the engine level: an operator
-// borrows from the pool of the shard it runs on, so a key that changes
-// shards mid-sub-window must change pools with it.
+// borrows from the pool of the shard it runs on, and a stream never leaves
+// its shard — renaming it (escalation, collapse) keeps the loan at home.
 package qlove
 
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
-// TestEngineMigrationRehomesWorkbenches hands keys between shards — by
-// whole-stream moves (a salt-1 escalation sends a key's stream to
-// sub-stream 0's shard, its collapse brings it back to the base name's), by
-// escalation and by controller passes — while a producer pushes 20-value
-// reports against a 32-value period, so the moved operators are nearly
-// always holding a workbench on loan from the shard they leave. An
-// operator that kept borrowing from (or returning to) its old shard's pool
-// would share that pool's free list with another goroutine: a race report
-// here, and a hang on a corrupted list in the prototype. The run must finish inside the timeout, every key that was
-// not escalated over more than one sub-stream must answer bit-identically
-// to an engine that never moved anything (a salt-1 key's merged view is its
-// single stream), and once every key is evicted no shard may still count a
+// TestEngineRenamesKeepWorkbenchesHome renames streams — whole streams by
+// salt-1 escalations (a key's stream becomes its sub-stream 0) and their
+// collapses (back to the base name), plus an escalation and controller
+// passes — while a producer pushes 20-value reports against a 32-value
+// period, so the renamed operators are nearly always holding a workbench on
+// loan from their shard's pool. The run must finish inside the timeout
+// (and, under -race, without a report), every key that was not escalated
+// over more than one sub-stream must answer bit-identically to an engine
+// that never renamed anything (a salt-1 key's merged view is its single
+// stream), and once every key is evicted no shard may still count a
 // workbench on loan.
-func TestEngineMigrationRehomesWorkbenches(t *testing.T) {
+func TestEngineRenamesKeepWorkbenchesHome(t *testing.T) {
 	const (
 		shards  = 4
 		nkeys   = 24
@@ -54,7 +52,7 @@ func TestEngineMigrationRehomesWorkbenches(t *testing.T) {
 	const escalated = "k0"
 	data := workload.Generate(workload.NewNetMon(41), 1<<12)
 
-	crossings, merged := 0, map[string]bool{} // the mover's, read once finished closes
+	renamed, merged := 0, map[string]bool{} // the mover's, read once finished closes
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
@@ -72,7 +70,7 @@ func TestEngineMigrationRehomesWorkbenches(t *testing.T) {
 				case i%16 == 15:
 					evs = moving.Rebalance()
 				default:
-					// Move a whole stream, or move it back; a key the
+					// Rename a whole stream, or rename it back; a key the
 					// controller fanned out is left to the controller.
 					k := keys[1+rng.Intn(8)]
 					var ev RouteEvent
@@ -91,8 +89,8 @@ func TestEngineMigrationRehomesWorkbenches(t *testing.T) {
 					switch {
 					case ev.Kind == RouteEscalate && ev.Salt > 1:
 						merged[ev.Key] = true // answers from merged sub-streams from here on
-					case ev.FromShard >= 0 && ev.FromShard != ev.ToShard:
-						crossings++ // a stream changed pools
+					case ev.KeyBatches*report%uint64(cfg.Spec.Period) != 0:
+						renamed++ // every batch is one report: a sub-window was in flight
 					}
 				}
 			}
@@ -121,11 +119,11 @@ func TestEngineMigrationRehomesWorkbenches(t *testing.T) {
 	select {
 	case <-finished:
 	case <-time.After(60 * time.Second):
-		t.Fatal("pushes and stream moves did not finish: a shard is stuck")
+		t.Fatal("pushes and renames did not finish: a shard is stuck")
 	}
 
-	if crossings < 10 || !merged[escalated] {
-		t.Fatalf("%d cross-shard stream moves, escalations %v: the test needs keys to move while on loan", crossings, merged)
+	if renamed < 10 || !merged[escalated] {
+		t.Fatalf("%d renames on loan, escalations %v: the test needs streams renamed while on loan", renamed, merged)
 	}
 	settle(moving)
 	var whole []string
@@ -136,11 +134,10 @@ func TestEngineMigrationRehomesWorkbenches(t *testing.T) {
 			t.Fatalf("escalated key %q lost", k)
 		}
 	}
-	sameEstimates(t, "after stream moves", moving, static, whole)
+	sameEstimates(t, "after renames", moving, static, whole)
 	// A key holds a workbench iff its reports do not add up to whole
-	// periods, wherever it lives: the moved keys must be counted by the
-	// shards they ended up on (the merged ones split into sub-streams and
-	// are not comparable).
+	// periods, under whichever name it lives (the merged ones split into
+	// sub-streams and are not comparable).
 	loans, moved := static.Stats().Total().InFlightKeys, moving.Stats().Total()
 	if loans == 0 || loans > static.Keys() {
 		t.Fatalf("static engine: %d keys in flight of %d resident", loans, static.Keys())
@@ -149,9 +146,9 @@ func TestEngineMigrationRehomesWorkbenches(t *testing.T) {
 		t.Fatalf("moving engine counts %d of %d keys in flight, the static one %d", moved.InFlightKeys, moved.ResidentKeys, loans)
 	}
 
-	// Evict → Pool.Put on a shard that did not mint the operator: every
-	// loan must come home to the pool the key LAST lived on, and the
-	// retired operators must serve new keys there like any other.
+	// Evict → Pool.Put after the renames: every loan must come home to its
+	// shard's pool, and the retired operators must serve new keys there
+	// like any other.
 	for _, k := range keys {
 		if !moving.Evict(k) || !static.Evict(k) {
 			t.Fatalf("evict %q found nothing", k)
@@ -186,49 +183,102 @@ func TestEngineMigrationRehomesWorkbenches(t *testing.T) {
 	}
 }
 
-// TestEngineStreamMoveCarriesLoanGauge moves a key holding a workbench to
-// sub-stream 0's shard and back, with no delivery after either move: each
-// shard's InFlightKeys gauge must follow the loan at once, not wait for the
-// shard's next delivery to republish it.
+// TestEngineStreamMoveCarriesLoanGauge escalates keys holding a workbench
+// to salt-1 routing and collapses them back while every other shard is
+// stalled. Each rename is one control op on the key's own shard: neither
+// call may wait on a stalled shard or leave work in its queue. The loan,
+// and with it the InFlightKeys gauge, stays on the home shard throughout.
 func TestEngineStreamMoveCarriesLoanGauge(t *testing.T) {
+	const shards = 4
 	cfg := Config{Spec: Window{Size: 64, Period: 32}, Phis: []float64{0.5}}
-	e, err := NewEngine(EngineConfig{Config: cfg, Shards: 2, Adapt: &AdaptConfig{}})
+	e, err := NewEngine(EngineConfig{Config: cfg, Shards: shards, Adapt: &AdaptConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := drainResults(e)
-	k := ""
-	for i := 0; k == ""; i++ {
-		if c := fmt.Sprintf("k%d", i); e.shardIndex(c) != e.shardIndex(wire.SaltedName(c, 0)) {
-			k = c
-		}
-	}
-	home := e.shardIndex(k)
-	if err := e.Push(k, workload.Generate(workload.NewNetMon(43), 20)); err != nil {
-		t.Fatal(err)
-	}
-	settle(e)
-	loans := func(label string, want int) {
+	data := workload.Generate(workload.NewNetMon(43), 32)
+	fresh := 0
+	// alone runs op while every shard but home is stalled: the test holds
+	// its keysMu, and a new key's first batch parks the shard goroutine in
+	// setKey. It fails if op waits on a stalled shard or queues work there.
+	alone := func(label string, home int, op func()) {
 		t.Helper()
-		for i, sh := range e.Stats().Shards {
-			w := 0
-			if i == want {
-				w = 1
+		var stalled []*engineShard
+		for i, s := range e.shards {
+			if i == home {
+				continue
 			}
-			if sh.InFlightKeys != w {
-				t.Fatalf("%s: shard %d counts %d workbenches on loan, want %d", label, i, sh.InFlightKeys, w)
+			k := ""
+			for ; k == "" || e.shardIndex(k) != i; fresh++ {
+				k = fmt.Sprintf("stall%d", fresh)
+			}
+			s.keysMu.Lock()
+			stalled = append(stalled, s)
+			if err := e.Push(k, data); err != nil { // a whole period: no loan
+				t.Fatal(err)
+			}
+			for len(s.in) > 0 {
+				runtime.Gosched()
 			}
 		}
+		finished := make(chan struct{})
+		go func() {
+			defer close(finished)
+			op()
+		}()
+		waited := false
+		select {
+		case <-finished:
+		case <-time.After(10 * time.Second):
+			waited = true
+		}
+		queued := 0
+		for _, s := range stalled {
+			queued += len(s.in)
+			s.keysMu.Unlock()
+		}
+		<-finished
+		settle(e) // the stalled shards mint their keys before the next stall
+		if waited || queued != 0 {
+			t.Fatalf("%s: waited on another shard: %v; control ops left on the others' queues: %d", label, waited, queued)
+		}
 	}
-	loans("before the move", home)
-	if ev, ok := e.escalateKey(k, 1); !ok || ev.KeyBatches != 1 {
-		t.Fatalf("salt-1 escalation: %+v, ok %v", ev, ok)
+	for i := 0; i < 8; i++ {
+		k := fmt.Sprintf("k%d", i)
+		home := e.shardIndex(k)
+		if err := e.Push(k, data[:20]); err != nil {
+			t.Fatal(err)
+		}
+		settle(e)
+		loans := func(label string) {
+			t.Helper()
+			for j, sh := range e.Stats().Shards {
+				w := 0
+				if j == home {
+					w = 1
+				}
+				if sh.InFlightKeys != w {
+					t.Fatalf("%s %s: shard %d counts %d workbenches on loan, want %d", k, label, j, sh.InFlightKeys, w)
+				}
+			}
+		}
+		loans("before the escalation")
+		var ev RouteEvent
+		ok := false
+		alone("salt-1 escalation of "+k, home, func() { ev, ok = e.escalateKey(k, 1) })
+		if !ok || ev.KeyBatches != 1 {
+			t.Fatalf("salt-1 escalation of %s: %+v, ok %v", k, ev, ok)
+		}
+		loans("after the escalation")
+		alone("collapse of "+k, home, func() { ev, ok = e.collapseKey(k, 1) })
+		if !ok || ev.KeyBatches != 1 {
+			t.Fatalf("collapse of %s: %+v, ok %v", k, ev, ok)
+		}
+		loans("after the collapse")
+		if !e.Evict(k) {
+			t.Fatalf("evict %s found nothing", k)
+		}
 	}
-	loans("after the move", 1-home)
-	if ev, ok := e.collapseKey(k, 1); !ok || ev.KeyBatches != 1 {
-		t.Fatalf("collapse: %+v, ok %v", ev, ok)
-	}
-	loans("after the move back", home)
 	e.Close()
 	<-done
 }

@@ -243,8 +243,8 @@ func qsScript(rng *rand.Rand, keys []*qsKey, own []int, fan int, rounds int) []q
 // TestEngineQueryIsSomeSealedState: readers Query continuously while
 // producers push period-aligned and unaligned reports to a few hundred keys
 // that are evicted and re-minted (idle-key expiry on a fake clock the
-// producers advance one second per push, explicit Evict), moved between
-// shards by salt-1 escalations and their collapses, and escalated /
+// producers advance one second per push, explicit Evict), renamed by
+// salt-1 escalations and their collapses, and escalated /
 // de-escalated under them. Every capture must be a state the key's own
 // deliveries produce — bit for bit the reference Monitor's for that
 // (SealGen, SubWindows) — never a torn one and never another key's. A merged capture of a fan key must be MergeSnapshots of
@@ -335,7 +335,7 @@ func TestEngineQueryIsSomeSealedState(t *testing.T) {
 		}(scripts[p])
 	}
 	// The mover: stream moves and evictions no script knows about. A move
-	// is a salt-1 escalation (the whole stream to sub-stream 0's shard) or
+	// is a salt-1 escalation (the whole stream renamed to sub-stream 0) or
 	// its collapse back to the base name; Query of a salt-1 key merges one
 	// resident stream, so its captures stay single-stream states.
 	var moves int

@@ -19,12 +19,12 @@ import (
 // lives on its hash shard, so a shard made hot by several moderate keys,
 // none dominating it, is left alone.
 //
-// The stream moves (the base stream to sub-stream 0 at a fresh
-// escalation, back at a collapse) act through ordered control ops on the
-// source and destination shard queues (park at the destination → flip the
-// route → hand off the operator → replay), so per-key delivery order and
-// seal generations are never violated. An escalated key, however, is no
-// longer one stream:
+// Sub-stream 0 hashes to its key's own shard, so a fresh escalation
+// renames the base stream to sub-stream 0 and a collapse renames it back,
+// each with one control op on that shard's queue, ordered behind every
+// batch pushed before the route flipped: per-key delivery order and seal
+// generations are never violated. An escalated key, however, is no longer
+// one stream:
 //
 //   - Reads merge: Snapshot, Query, Export and ExportKeys fold the key's
 //     resident sub-streams through the core.Snapshot merge (disjoint

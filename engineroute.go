@@ -9,15 +9,16 @@ import (
 
 // This file is the Engine's per-key routing plane: a copy-on-write route
 // table layered over the static hash dispatch, consulted on every Push,
-// plus the ordered protocol that moves a live stream from one internal name
+// plus the one ordered op that renames a live stream from one internal name
 // to another without violating per-key delivery order or seal generations.
 // The adaptive controller (engineadapt.go) drives it; the mechanisms here
 // are independent of any policy and usable one key at a time.
 //
 // The table only salts: every internal name — a base key or a sub-stream
-// "key\x00<j>" — always lives on shardOf(name). A stream changes shards
-// only by changing names (a fresh escalation moves the base stream to
-// sub-stream 0, a collapse moves sub-stream 0 back to the base name).
+// "key\x00<j>" — always lives on shardOf(name), and a stream never changes
+// shards. A fresh escalation renames the base stream to sub-stream 0 and a
+// collapse renames it back; shardIndex hashes sub-stream 0 as its key, so
+// both names are on one shard and the rename is one op on one queue.
 
 // routeOverride is one ESCALATED key's routing decision: pushes spread
 // across salt salted sub-streams ("key\x00<j>"), each hash-routed on its
@@ -54,8 +55,8 @@ func (e *Engine) override(base string) *routeOverride {
 // storeRoutesLocked applies mut to a copy of the route table and publishes
 // it. Callers hold e.mu write-locked: because push holds e.mu.RLock across
 // its route read AND enqueue, acquiring the write lock is a barrier — every
-// push that read the old table has already enqueued on its old shard, so a
-// handoff enqueued after the flip is ordered behind all old-route batches.
+// push that read the old table has already enqueued, so a rename enqueued
+// after the flip is ordered behind all old-route batches.
 func (e *Engine) storeRoutesLocked(mut func(map[string]*routeOverride)) {
 	var old map[string]*routeOverride
 	if rt := e.routes.Load(); rt != nil {
@@ -69,7 +70,7 @@ func (e *Engine) storeRoutesLocked(mut func(map[string]*routeOverride)) {
 	e.routes.Store(&routeTable{m: m})
 }
 
-// updateRoutes is a route flip with no stream movement (de-escalation, a
+// updateRoutes is a route flip with no rename (de-escalation, a
 // re-escalation's widening). False when the engine is closed.
 func (e *Engine) updateRoutes(mut func(map[string]*routeOverride)) bool {
 	e.mu.Lock()
@@ -97,73 +98,40 @@ func (e *Engine) sendCtl(s *engineShard, ctl *engineCtl) (engineCtlResp, bool) {
 	return <-ctl.resp, true
 }
 
-// streamExists reports whether an internal key name is live (not parking)
-// on its shard.
+// streamExists reports whether an internal key name is resident on its
+// shard.
 func (e *Engine) streamExists(name string) bool {
 	r, ok := e.sendCtl(e.shardOf(name), &engineCtl{op: ctlExists, key: name})
 	return ok && r.ok
 }
 
-// moveStream relocates one internal stream: srcName becomes dstName, each on
-// its hash shard (src and dst below), with mut flipping the route table at
-// the cutover point. The ordering argument, step by step:
-//
-//  1. A parking entry is created at dst under dstName (ctlPrepare rides
-//     dst's queue, so by the time it acks, dst will park — not deliver —
-//     any batch that arrives under the new name).
-//  2. The route flips under e.mu write-locked. Taking the write lock is a
-//     barrier: every in-flight push that read the OLD route has finished
-//     enqueueing on src (pushes hold the read lock across route+enqueue).
-//     All later pushes route to dst and park behind step 1.
-//  3. ctlHandoff rides src's queue BEHIND every old-route batch, so the
-//     operator leaves src having observed its entire pre-flip history, in
-//     order. The entry is detached, never recycled.
-//  4. ctlInstall rides dst's queue, attaches the operator under dstName
-//     (rebuilding its emit closure against dst's counters) and replays the
-//     parked batches in arrival order. Seal generations continue from the
-//     handed-off operator — the stream never restarts.
-//
-// Steps 2–4 hold e.mu write-locked throughout: pushes stall for the two
-// control round-trips (moves are rare; queues are bounded), and in
-// exchange the protocol is atomic with respect to Close — no path can
-// strand a detached operator — and to ExportDelta, which captures under the
-// read lock: the handoff logs a departure in src's mutation journal and the
-// install journals an arrival in dst's, and no capture can see one without
-// the other, which is how an export tells a move from an eviction. Returns
-// the batches the handed-off stream had observed (0 when srcName was not
-// resident, e.g. evicted by TTL between the decision and the handoff — the
-// stream then simply restarts fresh at dst, never with stale seals) and
-// whether the move ran.
-func (e *Engine) moveStream(srcName, dstName string, mut func(map[string]*routeOverride)) (uint64, bool) {
-	src, dst := e.shardOf(srcName), e.shardOf(dstName)
-	if r, ok := e.sendCtl(dst, &engineCtl{op: ctlPrepare, key: dstName}); !ok || !r.ok {
-		return 0, false
-	}
+// renameStream flips the route table with mut and renames the stream
+// resident under from to the name to — two names of one key that hash to
+// one shard. The rename is enqueued right after the flip, under e.mu
+// write-locked, and the lock is held until it acks. Taking the write lock
+// is a barrier: every push that read the OLD route has finished enqueueing
+// (pushes hold the read lock across route+enqueue), so the shard delivers
+// every pre-flip batch under from, then renames, then delivers the
+// post-flip ones under to — per-key order and seal generations carry
+// straight through. Holding the lock to the ack keeps Query and every
+// capture from straddling the rename. Returns the batches the stream had
+// observed (0 when from was not resident, e.g. evicted by TTL between the
+// decision and the rename — the next push then mints a fresh stream under
+// to) and whether the rename ran (false when the engine closed first).
+func (e *Engine) renameStream(from, to string, mut func(map[string]*routeOverride)) (uint64, bool) {
+	ctl := &engineCtl{op: ctlRename, key: from, to: to, resp: make(chan engineCtlResp, 1)}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		// The parking entry (necessarily empty: the route never flipped)
-		// is discarded by the shard's exit drain.
 		return 0, false
 	}
 	e.storeRoutesLocked(mut)
-	hr := make(chan engineCtlResp, 1)
-	src.in <- engineMsg{ctl: &engineCtl{op: ctlHandoff, key: srcName, resp: hr}}
-	h := <-hr
-	var ent *keyEntry
-	var batches uint64
-	if h.ok {
-		ent = h.ent
-		batches = ent.batches
-	}
-	ir := make(chan engineCtlResp, 1)
-	dst.in <- engineMsg{ctl: &engineCtl{op: ctlInstall, key: dstName, ent: ent, resp: ir}}
-	<-ir
-	return batches, true
+	e.shardOf(from).in <- engineMsg{ctl: ctl}
+	return (<-ctl.resp).batches, true
 }
 
 // escalateKey switches a key to salted sub-stream routing. A fresh
-// escalation moves the key's existing operator to sub-stream 0 (its
+// escalation renames the key's existing stream to sub-stream 0 (its
 // history and seal generations continue there; merged reads never see a
 // discontinuity); a re-escalation of a currently de-escalated key only
 // widens the route again, since sub-stream 0 already carries the live
@@ -179,22 +147,20 @@ func (e *Engine) escalateKey(base string, salt int) (RouteEvent, bool) {
 		if !e.updateRoutes(func(m map[string]*routeOverride) { m[base] = ov }) {
 			return RouteEvent{}, false
 		}
-		ev.FromShard, ev.ToShard = -1, -1
 		return ev, true
 	}
-	sub0 := wire.SaltedName(base, 0)
 	ov := &routeOverride{salt: salt, maxSalt: salt}
-	n, ok := e.moveStream(base, sub0, func(m map[string]*routeOverride) { m[base] = ov })
+	n, ok := e.renameStream(base, wire.SaltedName(base, 0), func(m map[string]*routeOverride) { m[base] = ov })
 	if !ok {
 		return RouteEvent{}, false
 	}
-	ev.FromShard, ev.ToShard, ev.KeyBatches = e.shardIndex(base), e.shardIndex(sub0), n
+	ev.KeyBatches = n
 	return ev, true
 }
 
 // deescalateKey narrows an escalated key back to one stream: every new
 // push routes to sub-stream 0, the older sub-streams stop receiving and
-// age toward TTL expiry. No stream moves — order within each sub-stream
+// age toward TTL expiry. Nothing is renamed — order within each sub-stream
 // is already independent, so narrowing needs no barrier beyond the flip.
 func (e *Engine) deescalateKey(base string) (RouteEvent, bool) {
 	cur := e.override(base)
@@ -205,15 +171,15 @@ func (e *Engine) deescalateKey(base string) (RouteEvent, bool) {
 	if !e.updateRoutes(func(m map[string]*routeOverride) { m[base] = ov }) {
 		return RouteEvent{}, false
 	}
-	return RouteEvent{Kind: RouteDeescalate, Key: base, Salt: 1, FromShard: -1, ToShard: -1}, true
+	return RouteEvent{Kind: RouteDeescalate, Key: base, Salt: 1}, true
 }
 
 // collapseKey retires a de-escalated key's override once its fan has
 // drained: when no sub-stream but 0 is resident (TTL expiry has reclaimed
-// them) and the base name is absent, sub-stream 0 moves back to the base
-// name and the override disappears — the key is an ordinary hash-routed
-// stream again, history intact. False while any older
-// sub-stream is still resident.
+// them), sub-stream 0 is renamed back to the base name and the override
+// disappears — the key is an ordinary hash-routed stream again, history
+// intact. False while any older sub-stream is still resident. The base name
+// itself needs no probe: while the override stands no push routes to it.
 func (e *Engine) collapseKey(base string, maxSalt int) (RouteEvent, bool) {
 	cur := e.override(base)
 	if cur == nil || cur.salt != 1 {
@@ -224,18 +190,14 @@ func (e *Engine) collapseKey(base string, maxSalt int) (RouteEvent, bool) {
 			return RouteEvent{}, false
 		}
 	}
-	if e.streamExists(base) {
-		return RouteEvent{}, false
-	}
-	// Sub-stream 0 moves even when it is not resident: a push that read the
-	// salt-1 route before the flip lands there, and only the handoff, queued
-	// behind it, carries it to the base name.
-	sub0 := wire.SaltedName(base, 0)
-	n, ok := e.moveStream(sub0, base, func(m map[string]*routeOverride) { delete(m, base) })
+	// Sub-stream 0 is renamed even when it is not resident: a push that
+	// read the salt-1 route before the flip lands there, and only the
+	// rename, queued behind it, carries it to the base name.
+	n, ok := e.renameStream(wire.SaltedName(base, 0), base, func(m map[string]*routeOverride) { delete(m, base) })
 	if !ok {
 		return RouteEvent{}, false
 	}
-	return RouteEvent{Kind: RouteCollapse, Key: base, FromShard: e.shardIndex(sub0), ToShard: e.shardIndex(base), KeyBatches: n}, true
+	return RouteEvent{Kind: RouteCollapse, Key: base, KeyBatches: n}, true
 }
 
 // RouteEventKind classifies one adaptive routing action.
@@ -284,10 +246,8 @@ type RouteEvent struct {
 	Key string
 	// Salt is the sub-stream fan after the action (escalate/deescalate).
 	Salt int
-	// FromShard/ToShard are the handoff endpoints of a stream move (a
-	// fresh escalation, a collapse); -1 for a route flip alone.
-	FromShard, ToShard int
-	// KeyBatches is how many batches the moved stream had observed at
-	// handoff (0 when the source stream was not resident).
+	// KeyBatches is how many batches the renamed stream had observed (a
+	// fresh escalation, a collapse); 0 when it was not resident, and for a
+	// route flip alone.
 	KeyBatches uint64
 }

@@ -147,10 +147,10 @@ func TestPooledOperatorsMatchStandAlone(t *testing.T) {
 	}
 }
 
-// TestPoolRehomesOperators: an operator handed from one owner's pool to
-// another's takes its in-flight sub-window along, stops touching the pool
-// it left, and returns its workbench to the pool it now lives on.
-func TestPoolRehomesOperators(t *testing.T) {
+// TestPoolPutDropsForeignOperator: an operator retired on a pool that did
+// not mint it — another pool's, still holding that pool's workbench, or a
+// stand-alone one — is dropped untouched, and neither pool's lists change.
+func TestPoolPutDropsForeignOperator(t *testing.T) {
 	cfg := Config{Spec: window.Spec{Size: 400, Period: 100}, Phis: []float64{0.5, 0.99}, FewK: true}
 	src, err := NewPool(cfg)
 	if err != nil {
@@ -160,50 +160,28 @@ func TestPoolRehomesOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := workload.Generate(workload.NewNetMon(3), 200)
-	p, twin := src.Get(), mustNew(t, cfg)
-	p.ObserveBatch(data[:130]) // one seal, 30 values in flight
-	twin.ObserveBatch(data[:130])
+	q := src.Get()
+	q.ObserveBatch(workload.Generate(workload.NewNetMon(3), 30))
 	if src.Lent() != 1 {
 		t.Fatalf("source lent = %d, want 1", src.Lent())
 	}
-	src.Disown(p)
-	if src.Lent() != 0 || p.lender != nil {
-		t.Fatalf("after Disown: source lent = %d, lender = %p", src.Lent(), p.lender)
-	}
-	dst.Adopt(p)
-	if dst.Lent() != 1 || p.lender != dst {
-		t.Fatalf("after Adopt: destination lent = %d, lender = %p", dst.Lent(), p.lender)
-	}
-	p.ObserveBatch(data[130:]) // completes the straddled sub-window at the destination
-	twin.ObserveBatch(data[130:])
-	sameState(t, 0, "after re-homing", p, twin)
-	if src.IdleWorkbenches() != 0 || dst.IdleWorkbenches() != 1 {
-		t.Fatalf("workbench went home to the wrong pool: source %d, destination %d",
-			src.IdleWorkbenches(), dst.IdleWorkbenches())
-	}
-
-	// Put re-homes by itself: an operator retired on a pool it was not
-	// minted by (and that nobody disowned) must leave that pool alone.
-	q := src.Get()
-	q.ObserveBatch(data[:30])
-	idle := src.IdleWorkbenches()
 	dst.Put(q)
-	if q.lender != dst || q.builder != nil {
-		t.Fatalf("Put left the operator homed on %p with builder %p", q.lender, q.builder)
+	if q.lender != src || q.builder == nil || q.inFlight() != 30 {
+		t.Fatalf("Put touched an operator homed elsewhere: lender %p, builder %p", q.lender, q.builder)
 	}
-	if src.IdleWorkbenches() != idle {
-		t.Fatal("Put on the destination touched the source's workbench list")
+	if src.Lent() != 1 || src.IdleWorkbenches() != 0 || len(src.free) != 0 {
+		t.Fatalf("source lists changed: lent %d, idle %d, free %d", src.Lent(), src.IdleWorkbenches(), len(src.free))
 	}
-	if r := dst.Get(); r != q || r.SubWindowCount() != 0 || r.inFlight() != 0 {
-		t.Fatal("re-homed operator was not recycled clean")
+	if dst.Lent() != 0 || dst.IdleWorkbenches() != 0 || len(dst.free) != 0 {
+		t.Fatalf("destination lists changed: lent %d, idle %d, free %d", dst.Lent(), dst.IdleWorkbenches(), len(dst.free))
 	}
-
-	// A foreign configuration is never lent this pool's workbenches.
-	other := mustNew(t, Config{Spec: cfg.Spec, Phis: cfg.Phis})
-	dst.Adopt(other)
-	if other.lender != nil {
-		t.Fatal("pool adopted an operator of another configuration")
+	if r := dst.Get(); r == q {
+		t.Fatal("the destination handed out an operator it did not mint")
+	}
+	// A stand-alone operator of the very same configuration is foreign too.
+	dst.Put(mustNew(t, cfg))
+	if len(dst.free) != 0 {
+		t.Fatal("pool kept a stand-alone operator")
 	}
 }
 

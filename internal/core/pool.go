@@ -21,14 +21,13 @@ package core
 // A Pool is NOT safe for concurrent use: it is designed to be owned by a
 // single shard goroutine (one pool per shard), which is also the only
 // goroutine allowed to touch the operators homed on it — an operator calls
-// into its pool from Observe, EndPeriod and Reset. An operator handed to
-// another owner must change pools with it (Disown, then the new owner's
-// Adopt). Use one Pool per owner, not one shared Pool behind a lock.
+// into its pool from Observe, EndPeriod and Reset, so an operator never
+// changes owners. Use one Pool per owner, not one shared Pool behind a lock.
 type Pool struct {
 	// proto is the operator NewPool validated the configuration with. It
 	// never runs: every operator the pool hands out is minted from it
 	// (Policy.mint), shares its read-only parts and carries its resolved
-	// configuration, which Put and Adopt compare against.
+	// configuration.
 	proto *Policy
 	free  []*Policy
 	// benches holds the idle workbenches, cleared, most recently used
@@ -72,57 +71,16 @@ func (pl *Pool) Get() *Policy {
 // workbenches beyond the cap are dropped to the garbage collector.
 const maxIdle = 64
 
-// Put resets p and shelves it for reuse, re-homing it here first if it was
-// minted elsewhere. Operators built with a different configuration are
-// dropped (their estimates under this pool's config would be silently
-// wrong), as are operators beyond the maxIdle cap; nil is ignored.
+// Put resets p and shelves it for reuse. Only operators this pool minted
+// are kept: one homed on another pool (whose workbench it may hold, and
+// whose owner alone may touch it) or built stand-alone is dropped untouched,
+// as are operators beyond the maxIdle cap; nil is ignored.
 func (pl *Pool) Put(p *Policy) {
-	if p == nil || len(pl.free) >= maxIdle || !fullConfigEqual(p.cfg, pl.proto.cfg) {
+	if p == nil || p.lender != pl || len(pl.free) >= maxIdle {
 		return
-	}
-	if p.lender != pl {
-		// A workbench it arrived with was built for, or is accounted by,
-		// someone else, and Reset discards the contents anyway.
-		p.builder = nil
-		pl.Adopt(p)
 	}
 	p.Reset()
 	pl.free = append(pl.free, p)
-}
-
-// Disown is the leaving half of handing an operator homed here to another
-// owner: the operator keeps the workbench of its in-flight sub-window (the
-// pool writes the loan off) and is stand-alone until the new owner's pool
-// Adopts it. nil and operators homed elsewhere are ignored.
-func (pl *Pool) Disown(p *Policy) {
-	if p == nil || p.lender != pl {
-		return
-	}
-	if p.builder != nil {
-		pl.lent--
-	}
-	p.lender = nil
-}
-
-// Adopt homes an operator on this pool: from now on it borrows from and
-// returns to pl, starting with the workbench it arrived with. The pool it
-// came from belongs to another owner and is NOT touched — Adopt alone makes
-// the operator safe to run under pl's owner; the previous owner's Disown
-// only keeps that pool's Lent count right. An operator of a different
-// configuration cannot be lent this pool's workbenches and is left
-// stand-alone; nil is ignored.
-func (pl *Pool) Adopt(p *Policy) {
-	if p == nil || p.lender == pl {
-		return
-	}
-	p.lender = nil
-	if !fullConfigEqual(p.cfg, pl.proto.cfg) {
-		return
-	}
-	if p.builder != nil {
-		pl.lent++
-	}
-	p.lender = pl
 }
 
 // Lent returns how many workbenches are out with operators homed here —

@@ -5,8 +5,8 @@
 //
 // QLOVE answers a fixed set of quantiles over count-based sliding windows
 // with low VALUE error (rather than the rank error bounded by classic
-// sketches), by (1) computing exact quantiles per sub-window from a
-// compressed {value, count} red-black tree, (2) averaging the sub-window
+// sketches), by (1) computing exact quantiles per sub-window, selected from
+// a flat buffer of its quantized values, (2) averaging the sub-window
 // quantiles across the window, and (3) retaining a few tail values per
 // sub-window ("few-k merging") to repair high quantiles under statistical
 // inefficiency and bursty traffic.
