@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
+	"maps"
 	"runtime"
 	"slices"
 	"sort"
@@ -73,7 +74,10 @@ type Engine struct {
 	bufs    sync.Pool // *[]float64 ingest buffers
 	wg      sync.WaitGroup
 
-	mu     sync.RWMutex // guards closed; held shared by every public op
+	// mu guards closed. Push, Query and the queueing of shard work (each)
+	// hold it shared; Close, route flips and renames hold it exclusively, as
+	// does all shard work after Close, which runs inline (see each).
+	mu     sync.RWMutex
 	closed bool
 }
 
@@ -194,14 +198,13 @@ type engineShard struct {
 	// scanning s.keys. exported is the clock at the latest export capture:
 	// no cursor holds a later one, so an entry already stamped past it is
 	// found by every cursor where it stands and changes again for free — a
-	// shard nobody exports from journals each key once. (Atomic because
-	// captures of a closed engine run on the exporting goroutines, several
-	// at a time.) incs mints incarnation numbers: a name always lives on
-	// one shard and a rename never leaves it, so a stream keeps its number
-	// under its new name and one name's numbers never collide.
+	// shard nobody exports from journals each key once. incs mints
+	// incarnation numbers: a name always lives on one shard and a rename
+	// never leaves it, so a stream keeps its number under its new name and
+	// one name's numbers never collide.
 	mutations uint64
 	incs      uint64
-	exported  atomic.Uint64
+	exported  uint64
 	// journal is the sentinel of the intrusive ring of live entries in
 	// ascending stamp order: journal.next is the oldest, journal.prev the
 	// most recently touched.
@@ -218,6 +221,10 @@ type engineShard struct {
 	// producers update the enqueue side, the shard goroutine the delivery
 	// side, readers poll without locks.
 	counters shardCounters
+	// stopped is set when run returns: the Results channel is closed, and a
+	// housekeeping pass run inline after Close (see Engine.each) must not
+	// deliver.
+	stopped bool
 }
 
 type keyEntry struct {
@@ -230,7 +237,7 @@ type keyEntry struct {
 	gen      uint64    // last observed seal generation
 	resident int       // last observed resident summary count
 	batches  uint64    // lifetime batches delivered (kept across renames)
-	sampled  uint64    // batches already attributed to a ctlSample pass
+	sampled  uint64    // batches already attributed to a load sample (sampleLoads)
 
 	// Mutation journal (see engineShard.mutations): the entry's internal
 	// name, the shard clock of its latest journaled change, and its links
@@ -240,47 +247,13 @@ type keyEntry struct {
 	prev, next *keyEntry
 }
 
-// engineMsg is one unit of shard work: either an ingest batch or a control
-// request (both ride the same queue, so control ops are ordered with ingest).
+// engineMsg is one unit of shard work: an ingest batch for key, or fn, any
+// other work (see Engine.each). Both ride the same queue, so fn runs between
+// batches, ordered with ingest.
 type engineMsg struct {
 	key string
 	buf *[]float64
-	ctl *engineCtl
-}
-
-type ctlOp int
-
-const (
-	ctlSnapshot ctlOp = iota
-	ctlEvict
-	ctlCount
-	ctlDelta
-	ctlTick
-	// ctlRename gives a resident stream another internal name on the same
-	// shard (engineroute.go).
-	ctlRename
-	// Occupancy ops (engineadapt.go): per-key load attribution and a
-	// cheap residency probe.
-	ctlSample
-	ctlExists
-)
-
-type engineCtl struct {
-	op   ctlOp
-	key  string
-	to   string // ctlRename: the new name
-	resp chan engineCtlResp
-	cur  *deltaCursorView // ctlDelta
-	n    int              // ctlSample: top-N keys to attribute
-}
-
-type engineCtlResp struct {
-	snaps   map[string]Snapshot
-	ok      bool
-	n       int
-	delta   *shardDeltaResp
-	batches uint64    // ctlRename: the renamed stream's lifetime batches
-	loads   []KeyLoad // ctlSample
+	fn  func()
 }
 
 // keyCursor is one key's entry in an ExportCursor: the incarnation, seal
@@ -289,18 +262,6 @@ type engineCtlResp struct {
 type keyCursor struct {
 	inc, gen uint64
 	resident int
-}
-
-// deltaCursorView is the read-only slice of an ExportCursor a shard needs:
-// the per-key map (shared, read concurrently by every shard — safe, no
-// writer runs during the capture) and this shard's mutation clock.
-type deltaCursorView struct {
-	keys map[string]keyCursor
-	mut  uint64
-	// have: the cursor carries this engine's per-shard clocks, so the shard
-	// answers from its mutation journal. Unset (first export, foreign
-	// engine, Reset, or the retry after a stale answer) selects the scan.
-	have bool
 }
 
 // shardDeltaResp is one shard's contribution to a delta export. Every
@@ -494,6 +455,46 @@ func (s *engineShard) enqueue(ctx context.Context, msg engineMsg) error {
 	return nil
 }
 
+// each runs fn(i, shards[i]) for every listed shard; it is how every piece
+// of shard work other than a batch reaches a shard. Before Close, fn is
+// queued behind the batches already pushed and runs on the shard goroutine
+// between batches. The fns are queued under e.mu.RLock, so a rename
+// (queued and acked under the write lock, see renameStream) lands before
+// all of them or after all of them, and awaited outside it, so Close is
+// never held up. After Close the shard goroutines are gone and each runs
+// fn inline under the write lock, excluding every reader and every other
+// post-Close fn: that is the one rule for all work after Close.
+func (e *Engine) each(shards []*engineShard, fn func(i int, s *engineShard)) {
+	e.mu.RLock()
+	if !e.closed {
+		wg := queue(shards, fn)
+		e.mu.RUnlock()
+		wg.Wait() // a shard drains its queue even while Close runs
+		return
+	}
+	e.mu.RUnlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i, s := range shards {
+		fn(i, s)
+	}
+}
+
+// queue enqueues fn(i, shards[i]) on every listed shard and returns what
+// waits for them all. The caller holds e.mu, read- or write-locked, and has
+// seen the engine open: queues close only under the write lock.
+func queue(shards []*engineShard, fn func(i int, s *engineShard)) *sync.WaitGroup {
+	wg := new(sync.WaitGroup)
+	wg.Add(len(shards))
+	for i, s := range shards {
+		s.in <- engineMsg{fn: func() {
+			fn(i, s)
+			wg.Done()
+		}}
+	}
+	return wg
+}
+
 // Push feeds a batch of elements for one key. The values are copied before
 // Push returns, so the caller may reuse vs immediately. Push blocks only
 // when the owning shard's queue is full (backpressure), never on result
@@ -585,25 +586,16 @@ func (e *Engine) Spec() Window { return e.spec }
 // goroutine, so it is consistent with the ingest order of every key it
 // owns (captures of different shards are taken at independent instants).
 func (e *Engine) Snapshot() EngineSnapshot {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	parts := make([]map[string]Snapshot, len(e.shards))
+	e.each(e.shards, func(i int, s *engineShard) {
+		parts[i] = make(map[string]Snapshot, len(s.keys))
+		for k, ent := range s.keys {
+			parts[i][k] = ent.op.Snapshot()
+		}
+	})
 	raw := make(map[string]Snapshot)
-	if e.closed {
-		for _, s := range e.shards {
-			s.snapshotInto(raw)
-		}
-		return EngineSnapshot{keys: e.foldSalted(raw)}
-	}
-	resps := make([]chan engineCtlResp, len(e.shards))
-	for i, s := range e.shards {
-		resps[i] = make(chan engineCtlResp, 1)
-		s.in <- engineMsg{ctl: &engineCtl{op: ctlSnapshot, resp: resps[i]}}
-	}
-	for _, ch := range resps {
-		r := <-ch
-		for k, sn := range r.snaps {
-			raw[k] = sn
-		}
+	for _, p := range parts {
+		maps.Copy(raw, p)
 	}
 	return EngineSnapshot{keys: e.foldSalted(raw)}
 }
@@ -721,7 +713,7 @@ func (s *engineShard) query(key string) (Snapshot, bool) {
 }
 
 // Export captures every key (via Snapshot, so the capture rides the shard
-// control queues and never stops ingestion) and writes it to w as one wire
+// queues and never stops ingestion) and writes it to w as one wire
 // blob — the worker half of the paper's distributed-aggregation sketch.
 // Returns the bytes written. Blobs from any number of engines may be
 // concatenated and handed to an aggregator (EngineSnapshot.ReadFrom,
@@ -820,7 +812,7 @@ func (c *ExportCursor) Reset() { *c = ExportCursor{} }
 //     its incarnation — is bootstrapped with a from-generation-0 replace
 //     frame, preceded by a tombstone when re-created).
 //
-// Like Snapshot, the capture rides the shard control queues and never
+// Like Snapshot, the capture rides the shard queues and never
 // stops ingestion. On success the cursor is advanced in place; on error it
 // is reset (the next export re-bootstraps — receivers treat
 // from-generation-0 deltas as replacements, so this is always safe).
@@ -835,8 +827,6 @@ func (e *Engine) ExportDelta(w io.Writer, cur *ExportCursor) (int64, error) {
 	if cur == nil {
 		return 0, fmt.Errorf("qlove: ExportDelta needs a cursor; use new(ExportCursor) for a first export")
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	if cur.keys == nil {
 		cur.keys = make(map[string]keyCursor)
 	}
@@ -867,32 +857,12 @@ func (e *Engine) ExportDelta(w io.Writer, cur *ExportCursor) (int64, error) {
 }
 
 // captureDelta collects every shard's contribution to one delta export,
-// from the journals (have) or by the scan. The caller holds e.mu.RLock,
-// which also keeps renames out: a stream has exactly one name for the whole
-// capture.
+// from the journals (have) or by the scan. Renames stay out (see each): a
+// stream has exactly one name for the whole capture. The shards read
+// cur.keys concurrently; nothing writes it meanwhile.
 func (e *Engine) captureDelta(cur *ExportCursor, have bool) []*shardDeltaResp {
 	resps := make([]*shardDeltaResp, len(e.shards))
-	if e.closed {
-		// The shard goroutines are gone (Close waited for them), so their
-		// final state is safe to read directly — the one way to flush a
-		// last delta after shutdown.
-		for i, s := range e.shards {
-			resps[i] = s.deltaResp(&deltaCursorView{keys: cur.keys, have: have, mut: cur.shards[i]})
-		}
-		return resps
-	}
-	chans := make([]chan engineCtlResp, len(e.shards))
-	for i, s := range e.shards {
-		chans[i] = make(chan engineCtlResp, 1)
-		s.in <- engineMsg{ctl: &engineCtl{
-			op:   ctlDelta,
-			resp: chans[i],
-			cur:  &deltaCursorView{keys: cur.keys, have: have, mut: cur.shards[i]},
-		}}
-	}
-	for i, ch := range chans {
-		resps[i] = (<-ch).delta
-	}
+	e.each(e.shards, func(i int, s *engineShard) { resps[i] = s.deltaResp(cur.keys, cur.shards[i], have) })
 	return resps
 }
 
@@ -1032,7 +1002,7 @@ func (e *Engine) assembleDelta(w io.Writer, cur *ExportCursor, resps []*shardDel
 // number of remote engines) and merges it with this engine's own live
 // capture into one aggregated view: keys present both remotely and
 // locally combine their disjoint sub-streams; keys present on one side
-// carry over. The local capture rides the control-op path, so importing
+// carry over. The local capture is a Snapshot, so importing
 // never stops ingestion; the engine's own operators are not modified.
 func (e *Engine) ImportSnapshots(r io.Reader) (EngineSnapshot, error) {
 	var remote EngineSnapshot
@@ -1046,41 +1016,17 @@ func (e *Engine) ImportSnapshots(r io.Reader) (EngineSnapshot, error) {
 // clock: keys idle past KeyTTLDuration are evicted, and every other timed
 // key is flushed — period boundaries at or before the clock seal their
 // sub-windows, expired sub-windows drop, and the evaluations fan into
-// Results. The pass rides each shard's control queue, so it is ordered
-// with ingest on every key — deterministic (fake-clock) tests and
-// external schedulers drive expiry and timed windows through it without
-// waiting for the shard tickers. Tick returns after every shard has run
-// its pass; with neither KeyTTLDuration nor timed mode set the pass does
-// nothing. After Close it runs the pass directly — expiring idle keys
-// and sealing trailing sub-windows before a last Export — but the
-// evaluations are discarded, since the Results channel has already
-// closed.
+// Results. The pass rides each shard's queue, so it is ordered with ingest
+// on every key — deterministic (fake-clock) tests and external schedulers
+// drive expiry and timed windows through it without waiting for the shard
+// tickers. Tick returns after every shard has run its pass; with neither
+// KeyTTLDuration nor timed mode set the pass does nothing. After Close it
+// runs like every other operation, inline under the engine's write lock —
+// expiring idle keys and sealing trailing sub-windows before a last
+// Export — but the evaluations are discarded, since the Results channel
+// has already closed.
 func (e *Engine) Tick() {
-	e.mu.RLock()
-	if !e.closed {
-		resps := make([]chan engineCtlResp, len(e.shards))
-		for i, s := range e.shards {
-			resps[i] = make(chan engineCtlResp, 1)
-			s.in <- engineMsg{ctl: &engineCtl{op: ctlTick, resp: resps[i]}}
-		}
-		e.mu.RUnlock()
-		// The shard drains its queue even while Close runs, so the
-		// responses always arrive; waiting outside the lock keeps Close
-		// unblocked.
-		for _, ch := range resps {
-			<-ch
-		}
-		return
-	}
-	e.mu.RUnlock()
-	// After Close the shard goroutines are gone; like post-Close Evict,
-	// the pass mutates shard state directly and must exclude the
-	// RLock-holding readers.
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, s := range e.shards {
-		s.housekeep(s.now(), false)
-	}
+	e.each(e.shards, func(_ int, s *engineShard) { s.housekeep(s.now()) })
 }
 
 // Evict retires a key, returning whether it existed. The key's operator
@@ -1088,76 +1034,42 @@ func (e *Engine) Tick() {
 // pool for the next new key.
 // For an escalated key every resident stream — base residue and
 // sub-streams — is retired; any route override stays, so a later push
-// re-creates the key under its current routing.
+// re-creates the key under its current routing. After Close it retires
+// the key from the final state, inline under the engine's write lock.
 func (e *Engine) Evict(key string) bool {
-	max := 0
+	names := []string{key}
 	if ov := e.override(key); ov != nil {
-		max = ov.maxSalt
-	}
-	any := e.evictOne(key)
-	for j := 0; j < max; j++ {
-		if e.evictOne(wire.SaltedName(key, byte(j))) {
-			any = true
+		for j := 0; j < ov.maxSalt; j++ {
+			names = append(names, wire.SaltedName(key, byte(j)))
 		}
 	}
-	return any
-}
-
-// evictOne retires one INTERNAL key name from its hash shard.
-func (e *Engine) evictOne(key string) bool {
-	s := e.shardOf(key)
-	e.mu.RLock()
-	if !e.closed {
-		resp := make(chan engineCtlResp, 1)
-		s.in <- engineMsg{ctl: &engineCtl{op: ctlEvict, key: key, resp: resp}}
-		e.mu.RUnlock()
-		// The shard drains its queue even while Close runs, so the
-		// response always arrives; waiting outside the lock keeps Close
-		// unblocked.
-		return (<-resp).ok
+	found := false
+	for _, k := range names { // one name per round trip, base first
+		e.each([]*engineShard{e.shardOf(k)}, func(_ int, s *engineShard) { found = s.evict(k) || found })
 	}
-	e.mu.RUnlock()
-	// After Close the shard goroutines are gone, so this is the one
-	// post-Close operation that MUTATES shard state (map delete + pool
-	// put). It must exclude the RLock-holding readers (Snapshot, Query,
-	// Keys), hence the write lock.
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return s.evict(key)
+	return found
 }
 
 // Keys returns the number of keys currently monitored. It counts resident
 // sub-streams (an escalated key may count once per sub-stream, plus a base
 // residue), matching the sum of ShardStats.ResidentKeys.
 func (e *Engine) Keys() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	n := 0
-	if e.closed {
-		for _, s := range e.shards {
-			n += len(s.keys)
-		}
-		return n
-	}
-	resps := make([]chan engineCtlResp, len(e.shards))
-	for i, s := range e.shards {
-		resps[i] = make(chan engineCtlResp, 1)
-		s.in <- engineMsg{ctl: &engineCtl{op: ctlCount, resp: resps[i]}}
-	}
-	for _, ch := range resps {
-		n += (<-ch).n
-	}
-	return n
+	var n atomic.Int64
+	e.each(e.shards, func(_ int, s *engineShard) { n.Add(int64(len(s.keys))) })
+	return int(n.Load())
 }
 
 // Close stops ingestion, waits for every shard to drain its queue and then
 // closes the Results channel (results already buffered stay readable until
-// the consumer drains them). Push returns ErrEngineClosed afterwards;
-// Snapshot, Query, Evict and Keys keep working against the final state.
-// Under BackpressureDrop shards never block on result delivery, so Close
-// cannot deadlock on a slow consumer; under BackpressureBlock the consumer
-// must keep draining Results until it closes, or Close waits behind the
-// full channel with the blocked shards.
+// the consumer drains them). Push returns ErrEngineClosed afterwards and
+// Rebalance does nothing. Every other operation keeps working against the
+// final state: Query reads it in place, and the work that would have ridden
+// a shard queue (Snapshot, the exports, Keys, Evict, Tick) runs inline
+// under the engine's write lock, one operation at a time. Under
+// BackpressureDrop shards never block on result delivery, so Close cannot
+// deadlock on a slow consumer; under BackpressureBlock the consumer must
+// keep draining Results until it closes, or Close waits behind the full
+// channel with the blocked shards.
 func (e *Engine) Close() {
 	// Stop the adaptive controller BEFORE taking the write lock: a pass in
 	// flight may itself need the lock for a route cutover, and would then
@@ -1195,19 +1107,20 @@ func (s *engineShard) run() {
 		select {
 		case msg, ok := <-s.in:
 			if !ok {
+				s.stopped = true
 				return
 			}
 			s.handle(msg)
 		case <-tick:
-			s.housekeep(s.now(), true)
+			s.housekeep(s.now())
 		}
 	}
 }
 
 // handle processes one queued unit of shard work.
 func (s *engineShard) handle(msg engineMsg) {
-	if msg.ctl != nil {
-		s.control(msg.ctl)
+	if msg.fn != nil {
+		msg.fn()
 		return
 	}
 	// One clock read per delivery, shared by the batch timestamp, the TTL
@@ -1241,7 +1154,7 @@ func (s *engineShard) handle(msg engineMsg) {
 	}
 	s.eng.bufs.Put(msg.buf)
 	if s.every > 0 && !now.Before(s.nextAt) {
-		s.housekeep(now, true)
+		s.housekeep(now)
 	}
 	s.noteBenches()
 }
@@ -1274,7 +1187,7 @@ func (s *engineShard) noteMutation(ent *keyEntry) {
 // the shard, linked) to the tail of the journal ring, which therefore stays
 // in ascending stamp order.
 func (s *engineShard) touch(ent *keyEntry) {
-	if ent.stamp > s.exported.Load() {
+	if ent.stamp > s.exported {
 		return
 	}
 	s.mutations++
@@ -1349,15 +1262,15 @@ func housekeepInterval(ttl, period time.Duration) time.Duration {
 // more than the TTL — before its flush, so an expiring key emits nothing
 // more — and drives every other timed key's state machine to now:
 // boundary crossings seal the in-flight sub-windows, expire departed ones,
-// and — when deliver is set — fan evaluations into the engine's results
-// channel. Sealed periods advance the same seal-generation bookkeeping
-// batch deliveries do, so delta exports ship tick-driven seals exactly
-// like traffic-driven ones. It runs on the shard goroutine between batches
-// (from the ticker, a delivery piggyback, or a ctlTick control op), so it
-// is ordered with ingest on every key the shard owns; evicted operators
-// recycle through the pool. Post-Close passes use deliver=false because
-// the Results channel is already closed.
-func (s *engineShard) housekeep(now time.Time, deliver bool) {
+// and fan evaluations into the engine's results channel. Sealed periods
+// advance the same seal-generation bookkeeping batch deliveries do, so
+// delta exports ship tick-driven seals exactly like traffic-driven ones.
+// It runs on the shard goroutine between batches (from the ticker, a
+// delivery piggyback, or Engine.Tick), so it is ordered with ingest on
+// every key the shard owns; evicted operators recycle through the pool. A
+// pass after Close (Engine.Tick, inline) delivers nothing: the Results
+// channel is already closed.
+func (s *engineShard) housekeep(now time.Time) {
 	for k, ent := range s.keys {
 		if s.wallTTL > 0 && now.Sub(ent.lastAt) > s.wallTTL {
 			s.evict(k)
@@ -1365,7 +1278,7 @@ func (s *engineShard) housekeep(now time.Time, deliver bool) {
 		}
 		if ent.timed != nil {
 			emit := ent.emit
-			if !deliver {
+			if s.stopped {
 				emit = nil
 			}
 			ent.timed.Flush(now, emit)
@@ -1434,30 +1347,6 @@ func (s *engineShard) makeEmit(base string) func(stream.Evaluation) {
 	}
 }
 
-func (s *engineShard) control(ctl *engineCtl) {
-	switch ctl.op {
-	case ctlSnapshot:
-		snaps := make(map[string]Snapshot, len(s.keys))
-		s.snapshotInto(snaps)
-		ctl.resp <- engineCtlResp{snaps: snaps}
-	case ctlEvict:
-		ctl.resp <- engineCtlResp{ok: s.evict(ctl.key)}
-	case ctlCount:
-		ctl.resp <- engineCtlResp{n: len(s.keys)}
-	case ctlDelta:
-		ctl.resp <- engineCtlResp{delta: s.deltaResp(ctl.cur)}
-	case ctlTick:
-		s.housekeep(s.now(), true)
-		ctl.resp <- engineCtlResp{}
-	case ctlRename:
-		ctl.resp <- engineCtlResp{batches: s.rename(ctl.key, ctl.to)}
-	case ctlSample:
-		ctl.resp <- engineCtlResp{loads: s.sampleLoads(ctl.n)}
-	case ctlExists:
-		ctl.resp <- engineCtlResp{ok: s.keys[ctl.key] != nil}
-	}
-}
-
 // rename moves the stream resident under from to the name to, returning the
 // batches it has observed (0 when from is not resident: the key then mints
 // fresh under to, never resurrecting stale seals). The entry itself stays:
@@ -1473,13 +1362,6 @@ func (s *engineShard) rename(from, to string) uint64 {
 	s.depart(ent)
 	s.arrive(to, ent)
 	return ent.batches
-}
-
-// snapshotInto captures every resident operator under its internal name.
-func (s *engineShard) snapshotInto(out map[string]Snapshot) {
-	for k, ent := range s.keys {
-		out[k] = ent.op.Snapshot()
-	}
 }
 
 // sampleLoads attributes deliveries since the previous sample to keys,
@@ -1510,23 +1392,26 @@ func (s *engineShard) sampleLoads(n int) []KeyLoad {
 }
 
 // deltaResp computes this shard's contribution to a delta export: capture
-// only the keys the cursor has not seen at their current generation. With
-// the cursor's clock in hand (cur.have) they are found by walking the
-// mutation journal back to that clock — nothing at all when the clock is
-// current, whatever the shard's key count; otherwise every key is scanned.
-func (s *engineShard) deltaResp(cur *deltaCursorView) *shardDeltaResp {
+// only the keys the cursor (keys, and mut, its record of this shard's
+// mutation clock) has not seen at their current generation. With the clock
+// in hand (have: the cursor carries this engine's per-shard clocks) they
+// are found by walking the mutation journal back to mut — nothing at all
+// when the clock is current, whatever the shard's key count. Otherwise
+// (first export, foreign engine, Reset, or the retry after a stale answer)
+// every key is scanned.
+func (s *engineShard) deltaResp(keys map[string]keyCursor, mut uint64, have bool) *shardDeltaResp {
 	r := &shardDeltaResp{mutations: s.mutations}
-	s.exported.Store(s.mutations)
+	s.exported = s.mutations
 	visited := 0
 	switch {
-	case !cur.have:
+	case !have:
 		r.scanned = true
 		visited = len(s.keys)
-		if len(cur.keys) > 0 {
-			r.present = make(map[string]struct{}, min(len(s.keys), len(cur.keys)))
+		if len(keys) > 0 {
+			r.present = make(map[string]struct{}, min(len(s.keys), len(keys)))
 		}
 		for k, ent := range s.keys {
-			kc, ok := cur.keys[k]
+			kc, ok := keys[k]
 			if ok {
 				r.present[k] = struct{}{}
 			}
@@ -1535,23 +1420,23 @@ func (s *engineShard) deltaResp(cur *deltaCursorView) *shardDeltaResp {
 			}
 		}
 		s.counters.exportFullScans.Add(1)
-	case cur.mut < s.depFloor:
+	case mut < s.depFloor:
 		// The departures log no longer reaches back to the cursor's clock:
 		// it may have forgotten a tombstone.
 		r.stale = true
 		return r
 	default:
 		// Every tick since the cursor's clock touched at most one entry.
-		r.changed = make([]deltaCapture, 0, min(uint64(len(s.keys)), s.mutations-cur.mut))
-		for ent := s.journal.prev; ent != &s.journal && ent.stamp > cur.mut; ent = ent.prev {
+		r.changed = make([]deltaCapture, 0, min(uint64(len(s.keys)), s.mutations-mut))
+		for ent := s.journal.prev; ent != &s.journal && ent.stamp > mut; ent = ent.prev {
 			visited++
-			if kc, ok := cur.keys[ent.name]; ok && kc.covers(ent) {
+			if kc, ok := keys[ent.name]; ok && kc.covers(ent) {
 				r.arrived = append(r.arrived, ent.name)
 			} else {
 				r.changed = append(r.changed, deltaCapture{name: ent.name, snap: ent.op.Snapshot(), inc: ent.inc})
 			}
 		}
-		for i := len(s.departed) - 1; i >= 0 && s.departed[i].clock > cur.mut; i-- {
+		for i := len(s.departed) - 1; i >= 0 && s.departed[i].clock > mut; i-- {
 			visited++
 			r.departed = append(r.departed, s.departed[i].name)
 		}

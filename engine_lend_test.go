@@ -31,6 +31,7 @@ func TestEngineRenamesKeepWorkbenchesHome(t *testing.T) {
 		reports = 3000 // at least; the producer runs until the mover is done
 		report  = 20
 		moves   = 96
+		warmup  = 240 // delivered reports before the mover starts
 	)
 	cfg := Config{Spec: Window{Size: 64, Period: 32}, Phis: []float64{0.5, 0.9, 0.99}, FewK: true}
 	// The test escalates one key itself; a controller pass may escalate
@@ -59,6 +60,12 @@ func TestEngineRenamesKeepWorkbenchesHome(t *testing.T) {
 		moved := make(chan struct{})
 		go func() { // the mover: a fixed script, racing the producer below
 			defer close(moved)
+			// Start once the producer's reports are being delivered: a
+			// mover that ran ahead of the first delivery would finish its
+			// script renaming only streams with no batches yet.
+			for moving.Stats().Total().DeliveredBatches < warmup {
+				time.Sleep(100 * time.Microsecond)
+			}
 			rng := rand.New(rand.NewSource(7))
 			for i := 0; i < moves; i++ {
 				var evs []RouteEvent

@@ -7,6 +7,7 @@ package qlove
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -312,6 +313,131 @@ func TestEngineCloseSemantics(t *testing.T) {
 	}
 	if !e.Evict("k") {
 		t.Fatal("evict after close failed")
+	}
+}
+
+// TestEngineCloseConcurrentOps runs every operation a closed engine still
+// serves from separate goroutines at once, on an adaptive timed engine with
+// a TTL and a fake clock: Snapshot and Export, ExportDelta on two cursors,
+// Keys, Query, Evict, Tick and Rebalance. The post-Close Ticks cross period
+// boundaries and expire idle keys, but must not deliver to the closed
+// Results channel (a send would panic); Rebalance must do nothing; and each
+// cursor's aggregator, fed every delta before and after Close, must fold to
+// the final Export.
+func TestEngineCloseConcurrentOps(t *testing.T) {
+	clk := newFakeClock(time.Unix(1_000_000, 0))
+	e, err := NewEngine(EngineConfig{
+		Config: Config{Spec: Window{Size: 128, Period: 64}, Phis: []float64{0.5, 0.99}, FewK: true},
+		Shards: 4, ResultBuffer: 1 << 12,
+		KeyTTLDuration: time.Minute, Clock: clk.now,
+		TimedWindow: 20 * time.Second, TimedPeriod: 10 * time.Second,
+		Adapt: &AdaptConfig{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := drainResults(e)
+	data := workload.Generate(workload.NewNetMon(47), 1<<12)
+	var idle, live []string // idle keys expire after Close, live ones stay
+	for i := 0; i < 12; i++ {
+		idle = append(idle, fmt.Sprintf("idle%d", i))
+		live = append(live, fmt.Sprintf("live%d", i))
+	}
+	push := func(keys []string, round int) {
+		t.Helper()
+		for i, k := range keys {
+			off := (round*len(keys) + i) * 24 % (len(data) - 24)
+			if err := e.Push(k, data[off:off+24]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		settle(e)
+	}
+	push(idle, 0)
+	if _, ok := e.escalateKey(live[0], 4); !ok {
+		t.Fatal("escalation refused")
+	}
+	var cursors [2]ExportCursor
+	var aggs [2]*Aggregator
+	ship := func(i int) {
+		var blob bytes.Buffer
+		if _, err := e.ExportDelta(&blob, &cursors[i]); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := aggs[i].Apply("w", &blob); err != nil {
+			t.Error(err)
+		}
+	}
+	for i := range aggs {
+		aggs[i] = NewAggregator()
+		ship(i)
+	}
+	clk.advance(20 * time.Second)
+	for round := 0; round < 3; round++ { // live keys: three periods, the last in flight
+		clk.advance(10 * time.Second)
+		push(live, round)
+		push(live, round+3) // two reports per sub-stream of the escalated key
+	}
+	clk.advance(5 * time.Second)
+	ship(0) // cursor 0 resumes from the journal after Close, cursor 1 from before the pushes
+	gen, _ := e.Query(live[1])
+	e.Close()
+	<-done
+
+	var wg sync.WaitGroup
+	run := func(fn func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 20; r++ {
+				fn()
+			}
+		}()
+	}
+	run(func() { // 20 s of ticks: two period boundaries, and the idle keys' TTL
+		clk.advance(time.Second)
+		e.Tick()
+	})
+	run(func() {
+		if _, err := e.Export(io.Discard); err != nil {
+			t.Error(err)
+		}
+		e.Snapshot()
+	})
+	run(func() { ship(0) })
+	run(func() { ship(1) })
+	run(func() { e.Keys() })
+	run(func() {
+		for _, k := range live {
+			if _, ok := e.Query(k); !ok {
+				t.Errorf("live key %q lost after Close", k)
+			}
+		}
+	})
+	run(func() {
+		for _, k := range idle[:6] {
+			e.Evict(k)
+		}
+	})
+	run(func() {
+		if evs := e.Rebalance(); evs != nil {
+			t.Errorf("Rebalance after Close acted: %+v", evs)
+		}
+	})
+	wg.Wait()
+
+	for _, k := range idle {
+		if _, ok := e.Query(k); ok {
+			t.Fatalf("idle key %q survived its TTL and Evict", k)
+		}
+	}
+	if sn, _ := e.Query(live[1]); sn.SealGen() <= gen.SealGen() {
+		t.Fatalf("post-Close Ticks sealed nothing: generation %d, %d before Close", sn.SealGen(), gen.SealGen())
+	}
+	for i := range aggs {
+		ship(i)
+		foldEquiv(t, fmt.Sprintf("cursor %d after Close", i), e, aggs[i])
 	}
 }
 

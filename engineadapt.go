@@ -21,7 +21,7 @@ import (
 //
 // Sub-stream 0 hashes to its key's own shard, so a fresh escalation
 // renames the base stream to sub-stream 0 and a collapse renames it back,
-// each with one control op on that shard's queue, ordered behind every
+// each with one closure on that shard's queue, ordered behind every
 // batch pushed before the route flipped: per-key delivery order and seal
 // generations are never violated. An escalated key, however, is no longer
 // one stream:
@@ -247,10 +247,10 @@ func (e *Engine) rebalance() []RouteEvent {
 	if n < 1 || total < minBatches {
 		return nil
 	}
-	loads, ok := e.sampleKeyLoads(topKeys)
-	if !ok {
-		return nil
-	}
+	// Every shard's top-key delivery attribution since the previous sample;
+	// sampling resets the per-key counters.
+	loads := make([][]KeyLoad, n)
+	e.each(e.shards, func(i int, s *engineShard) { loads[i] = s.sampleLoads(topKeys) })
 	mean := total / float64(n)
 
 	// (1) Cooling: de-escalate keys whose engine-wide share stayed below
@@ -324,28 +324,6 @@ func (e *Engine) rebalance() []RouteEvent {
 		}
 	}
 	return events
-}
-
-// sampleKeyLoads gathers every shard's top-key delivery attribution since
-// the previous sample (one ctlSample op per shard; sampling resets the
-// per-key counters). False when the engine closed.
-func (e *Engine) sampleKeyLoads(topN int) ([][]KeyLoad, bool) {
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		return nil, false
-	}
-	chans := make([]chan engineCtlResp, len(e.shards))
-	for i, s := range e.shards {
-		chans[i] = make(chan engineCtlResp, 1)
-		s.in <- engineMsg{ctl: &engineCtl{op: ctlSample, n: topN, resp: chans[i]}}
-	}
-	e.mu.RUnlock()
-	loads := make([][]KeyLoad, len(chans))
-	for i, ch := range chans {
-		loads[i] = (<-ch).loads
-	}
-	return loads, true
 }
 
 // intervalSkew is EngineStats.Skew over one interval's deltas.

@@ -9,7 +9,7 @@ import (
 
 // This file is the Engine's per-key routing plane: a copy-on-write route
 // table layered over the static hash dispatch, consulted on every Push,
-// plus the one ordered op that renames a live stream from one internal name
+// plus the one ordered step that renames a live stream from one internal name
 // to another without violating per-key delivery order or seal generations.
 // The adaptive controller (engineadapt.go) drives it; the mechanisms here
 // are independent of any policy and usable one key at a time.
@@ -18,7 +18,7 @@ import (
 // "key\x00<j>" — always lives on shardOf(name), and a stream never changes
 // shards. A fresh escalation renames the base stream to sub-stream 0 and a
 // collapse renames it back; shardIndex hashes sub-stream 0 as its key, so
-// both names are on one shard and the rename is one op on one queue.
+// both names are on one shard and the rename is one closure on one queue.
 
 // routeOverride is one ESCALATED key's routing decision: pushes spread
 // across salt salted sub-streams ("key\x00<j>"), each hash-routed on its
@@ -82,27 +82,11 @@ func (e *Engine) updateRoutes(mut func(map[string]*routeOverride)) bool {
 	return true
 }
 
-// sendCtl enqueues one control op and waits for its response; false when
-// the engine closed first. The RLock spans only the enqueue (channels are
-// closed exclusively under the write lock, so the send cannot panic); the
-// shard drains its queue until Close, so the response always arrives.
-func (e *Engine) sendCtl(s *engineShard, ctl *engineCtl) (engineCtlResp, bool) {
-	ctl.resp = make(chan engineCtlResp, 1)
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		return engineCtlResp{}, false
-	}
-	s.in <- engineMsg{ctl: ctl}
-	e.mu.RUnlock()
-	return <-ctl.resp, true
-}
-
 // streamExists reports whether an internal key name is resident on its
 // shard.
-func (e *Engine) streamExists(name string) bool {
-	r, ok := e.sendCtl(e.shardOf(name), &engineCtl{op: ctlExists, key: name})
-	return ok && r.ok
+func (e *Engine) streamExists(name string) (ok bool) {
+	e.each([]*engineShard{e.shardOf(name)}, func(_ int, s *engineShard) { ok = s.keys[name] != nil })
+	return ok
 }
 
 // renameStream flips the route table with mut and renames the stream
@@ -118,16 +102,15 @@ func (e *Engine) streamExists(name string) bool {
 // observed (0 when from was not resident, e.g. evicted by TTL between the
 // decision and the rename — the next push then mints a fresh stream under
 // to) and whether the rename ran (false when the engine closed first).
-func (e *Engine) renameStream(from, to string, mut func(map[string]*routeOverride)) (uint64, bool) {
-	ctl := &engineCtl{op: ctlRename, key: from, to: to, resp: make(chan engineCtlResp, 1)}
+func (e *Engine) renameStream(from, to string, mut func(map[string]*routeOverride)) (n uint64, ok bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return 0, false
 	}
 	e.storeRoutesLocked(mut)
-	e.shardOf(from).in <- engineMsg{ctl: ctl}
-	return (<-ctl.resp).batches, true
+	queue([]*engineShard{e.shardOf(from)}, func(_ int, s *engineShard) { n = s.rename(from, to) }).Wait()
+	return n, true
 }
 
 // escalateKey switches a key to salted sub-stream routing. A fresh
