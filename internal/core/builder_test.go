@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/compress"
+	"repro/internal/stats"
 	"repro/internal/window"
+	"repro/internal/workload"
 )
 
 // builderPhis are the quantiles the builder tests seal: two Level-2-only
@@ -103,15 +106,38 @@ func seedProgram(period int) []byte {
 	return append(p, 2<<6)
 }
 
+// partialSeedProgram forces partial seals of a and b values by turns, four
+// of each, fed in batches: a plan made for one length and read for the
+// other puts the ranks, densities and tail depth of the wrong length in the
+// summary.
+func partialSeedProgram(a, b int) []byte {
+	var p []byte
+	for round := 0; round < 4; round++ {
+		for _, n := range []int{a, b} {
+			for left := n; left > 0; {
+				k := min(left, 64)
+				p = append(p, byte(1<<6|(k-1)))
+				for i := 0; i < k; i++ {
+					p = append(p, byte(16+(round*31+n+left*7+i*13)%200))
+				}
+				left -= k
+			}
+			p = append(p, 2<<6)
+		}
+	}
+	return p
+}
+
 // referenceSeal is Level 1 by full sort: every value quantized (−0 stored
 // as +0), the copy sorted with slices.Sort and every rank read by index —
 // it shares only plan and assemble with the operator's seal, not the
-// selection; prev, when not nil, is the summary the burst flags compare
-// against.
-func referenceSeal(p *Policy, values []float64, prev *Summary, sc *mergeScratch) Summary {
+// selection, and plans afresh on a new workbench every time; prev, when
+// not nil, is the summary the burst flags compare against, by
+// referenceBursty rather than the operator's rank test.
+func referenceSeal(p *Policy, values []float64, prev *Summary) Summary {
 	cfg := p.Config()
 	q := compress.NewQuantizer(cfg.Digits)
-	b := newBuilder(cfg.Digits, len(values))
+	b := newBuilder(p)
 	for _, v := range values {
 		x := q.Quantize(v)
 		if x == 0 {
@@ -120,20 +146,80 @@ func referenceSeal(p *Policy, values []float64, prev *Summary, sc *mergeScratch)
 		b.vals = append(b.vals, x)
 	}
 	slices.Sort(b.vals)
-	maxTail := b.plan(cfg.Phis, p.managed, cfg.Spec.Size)
-	s := b.assemble(cfg.Phis, p.managed, p.budgets, cfg.Spec.Size, maxTail)
+	b.plan()
+	s := b.assemble(p.budgets)
 	if len(p.managed) > 0 && prev != nil {
 		alpha := cfg.BurstAlpha
 		if pairs := cfg.Spec.SubWindows() - 1; pairs > 1 {
 			alpha /= float64(pairs)
 		}
 		for mi := range p.managed {
-			if sc.burstyVsPrev(&s, prev, mi, alpha) {
+			if referenceBursty(&s, prev, mi, alpha) {
 				s.setBursty(mi)
 			}
 		}
 	}
 	return s
+}
+
+// referenceBursty is §4.3's burst test by the textbook recipe, sharing no
+// code with the merge walk the operator ranks by: pool every value cur and
+// prev retain for managed quantile mi (the tail, and the samples below
+// it), sort the pool ascending, give each run of ties its midrank, and
+// compare the tie-corrected one-sided p-value with alpha.
+func referenceBursty(cur, prev *Summary, mi int, alpha float64) bool {
+	type obs struct {
+		v     float64
+		fromX bool
+	}
+	var pool []obs
+	nx := 0
+	for _, s := range []*Summary{cur, prev} {
+		tail := s.Tail(mi)
+		for _, v := range tail {
+			pool = append(pool, obs{v, s == cur})
+		}
+		for _, v := range s.SampleValues(mi) {
+			if len(tail) == 0 || v < tail[len(tail)-1] {
+				pool = append(pool, obs{v, s == cur})
+			}
+		}
+		if s == cur {
+			nx = len(pool)
+		}
+	}
+	n := len(pool)
+	ny := n - nx
+	if nx == 0 || ny == 0 {
+		return false
+	}
+	sort.Slice(pool, func(i, j int) bool { return pool[i].v < pool[j].v })
+	var rankSumX, tieTerm float64
+	for i := 0; i < n; {
+		j := i
+		for j < n && pool[j].v == pool[i].v {
+			j++
+		}
+		mid := (float64(i+1) + float64(j)) / 2
+		for k := i; k < j; k++ {
+			if pool[k].fromX {
+				rankSumX += mid
+			}
+		}
+		if t := float64(j - i); t > 1 {
+			tieTerm += t*t*t - t
+		}
+		i = j
+	}
+	u := rankSumX - float64(nx)*float64(nx+1)/2
+	mu := float64(nx) * float64(ny) / 2
+	nn := float64(n)
+	sigma2 := float64(nx) * float64(ny) / 12 * (nn + 1 - tieTerm/(nn*(nn-1)))
+	if sigma2 <= 0 {
+		return false
+	}
+	z := (u - mu - 0.5) / math.Sqrt(sigma2)
+	return 1-stats.NormalCDF(z) < alpha
 }
 
 // sameSummary reports whether two summaries are identical, block bit for
@@ -161,6 +247,10 @@ func FuzzBuilderSeal(f *testing.F) {
 		f.Add(period, false, seedProgram(int(period)))
 		f.Add(period, true, seedProgram(int(period)))
 	}
+	for _, c := range []struct{ period, a, b int }{{16, 3, 15}, {300, 7, 250}, {1000, 999, 500}} {
+		f.Add(uint16(c.period), false, partialSeedProgram(c.a, c.b))
+		f.Add(uint16(c.period), true, partialSeedProgram(c.a, c.b))
+	}
 	f.Fuzz(func(t *testing.T, period uint16, pooled bool, program []byte) {
 		if period == 0 || period > 1100 {
 			t.Skip("period outside 1..1100")
@@ -182,11 +272,10 @@ func FuzzBuilderSeal(f *testing.F) {
 		var (
 			pending []float64 // the reference's in-flight sub-window
 			want    []Summary // the reference's seals not yet matched
-			sc      mergeScratch
 			prev    *Summary
 		)
 		seal := func() {
-			s := referenceSeal(p, pending, prev, &sc)
+			s := referenceSeal(p, pending, prev)
 			want = append(want, s)
 			prev = &want[len(want)-1]
 			pending = pending[:0]
@@ -277,8 +366,7 @@ func TestBuilderOneZero(t *testing.T) {
 					t.Fatalf("period %d: %d summaries sealed, want 1", period, p.SubWindowCount())
 				}
 				s := &p.agg.summaries[0]
-				var sc mergeScratch
-				if want := referenceSeal(p, vs, nil, &sc); !sameSummary(s, &want) {
+				if want := referenceSeal(p, vs, nil); !sameSummary(s, &want) {
 					t.Errorf("period %d, −0 first %v, batch %v: summary differs from the full-sort reference:\n got %v\nwant %v",
 						period, negFirst, batch, s.block, want.block)
 				}
@@ -335,8 +423,7 @@ func TestSelectSealAdversarial(t *testing.T) {
 					if p.SubWindowCount() != 1 {
 						t.Fatalf("%d summaries sealed, want 1", p.SubWindowCount())
 					}
-					var sc mergeScratch
-					if want := referenceSeal(p, vs, nil, &sc); !sameSummary(&p.agg.summaries[0], &want) {
+					if want := referenceSeal(p, vs, nil); !sameSummary(&p.agg.summaries[0], &want) {
 						t.Fatalf("summary differs from the full-sort reference:\n got %v\nwant %v", p.agg.summaries[0].block, want.block)
 					}
 				})
@@ -385,5 +472,36 @@ func TestSpaceUsageLeavesBufferInPlace(t *testing.T) {
 	}
 	if !slices.Equal(p.builder.vals, arrived) {
 		t.Fatalf("buffer after SpaceUsage = %v, want the values in arrival order %v", p.builder.vals, arrived)
+	}
+}
+
+// BenchmarkLevel1Seal times the seal kernel alone — plan, select and
+// assemble — on workbenches lent by a Pool, at the engine benchmarks'
+// shapes 512/128 and 64/16 with few-k on: each iteration borrows a
+// workbench, fills it with the next period of quantized NetMon values, seals
+// it and hands it back. One op is one seal.
+func BenchmarkLevel1Seal(b *testing.B) {
+	data := workload.Generate(workload.NewNetMon(1), 1<<16)
+	for _, spec := range []window.Spec{{Size: 512, Period: 128}, {Size: 64, Period: 16}} {
+		b.Run(fmt.Sprintf("%d-%d", spec.Size, spec.Period), func(b *testing.B) {
+			pool, err := NewPool(Config{Spec: spec, Phis: builderPhis, FewK: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := pool.Get()
+			wb := pool.lend()
+			wb.addBatch(data)
+			quantized := slices.Clone(wb.vals)
+			pool.takeBack(wb)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				off := i * spec.Period % (len(quantized) - spec.Period)
+				wb := pool.lend()
+				wb.vals = append(wb.vals, quantized[off:off+spec.Period]...)
+				wb.seal(p.budgets)
+				pool.takeBack(wb)
+			}
+		})
 	}
 }

@@ -143,14 +143,14 @@ func SampleTail(values, weights, tail []float64) {
 	}
 }
 
-// Scratch is the reusable working state of the window-level merges and the
-// burst detector: the merge heap's index arrays and the rank test's pooled
-// buffer. An evaluation that passes the same Scratch every time stops
-// allocating once the arrays have grown to the window's sub-window count.
-// The zero value is ready to use; a Scratch serves one caller at a time.
+// Scratch is the reusable working state of the window-level merges: the
+// merge heap's head values and index arrays. An evaluation that passes the
+// same Scratch every time stops allocating once the arrays have grown to
+// the window's sub-window count. The zero value is ready to use; a Scratch
+// serves one caller at a time.
 type Scratch struct {
+	vs      []float64
 	li, pos []int32
-	ranks   stats.RankBuf
 }
 
 // TopKMerge merges the cached top-k lists of all sub-windows (each sorted
@@ -216,36 +216,38 @@ func SampleKMerge(values, weights [][]float64, windowN int, phi float64, sc *Scr
 // yielding the globally largest remaining value on each pop.
 type headHeap struct {
 	lists [][]float64
-	// entries are (listIndex, positionInList) pairs ordered by the value
-	// at that position.
+	// Each entry is a list head: its value, kept inline so that a
+	// comparison reads one slice, and where it sits (list index, position
+	// in the list).
+	vs  []float64
 	li  []int32
 	pos []int32
 }
 
-// heap builds the head heap of lists in sc's index arrays. It only shrinks
+// heap builds the head heap of lists in sc's arrays. It only shrinks
 // afterwards, so sc keeps whatever the build grew.
 func (sc *Scratch) heap(lists [][]float64) headHeap {
-	h := headHeap{lists: lists, li: sc.li[:0], pos: sc.pos[:0]}
+	h := headHeap{lists: lists, vs: sc.vs[:0], li: sc.li[:0], pos: sc.pos[:0]}
 	for i, l := range lists {
 		if len(l) > 0 {
-			h.push(int32(i), 0)
+			h.push(l[0], int32(i))
 		}
 	}
-	sc.li, sc.pos = h.li, h.pos
+	sc.vs, sc.li, sc.pos = h.vs, h.li, h.pos
 	return h
 }
 
-func (h *headHeap) empty() bool { return len(h.li) == 0 }
+func (h *headHeap) empty() bool { return len(h.vs) == 0 }
 
-func (h *headHeap) val(k int) float64 { return h.lists[h.li[k]][h.pos[k]] }
-
-func (h *headHeap) push(li, pos int32) {
+// push adds list li's first value v.
+func (h *headHeap) push(v float64, li int32) {
+	h.vs = append(h.vs, v)
 	h.li = append(h.li, li)
-	h.pos = append(h.pos, pos)
-	i := len(h.li) - 1
+	h.pos = append(h.pos, 0)
+	i := len(h.vs) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.val(parent) >= h.val(i) {
+		if h.vs[parent] >= h.vs[i] {
 			break
 		}
 		h.swap(parent, i)
@@ -254,6 +256,7 @@ func (h *headHeap) push(li, pos int32) {
 }
 
 func (h *headHeap) swap(i, j int) {
+	h.vs[i], h.vs[j] = h.vs[j], h.vs[i]
 	h.li[i], h.li[j] = h.li[j], h.li[i]
 	h.pos[i], h.pos[j] = h.pos[j], h.pos[i]
 }
@@ -261,31 +264,32 @@ func (h *headHeap) swap(i, j int) {
 // popIndexed removes and returns the largest remaining value along with
 // its list index and position.
 func (h *headHeap) popIndexed() (v float64, li, pos int, ok bool) {
-	if len(h.li) == 0 {
+	if len(h.vs) == 0 {
 		return 0, 0, 0, false
 	}
-	v, li, pos = h.val(0), int(h.li[0]), int(h.pos[0])
+	v, li, pos = h.vs[0], int(h.li[0]), int(h.pos[0])
 	// Advance that list's head, or remove it.
-	if pos+1 < len(h.lists[li]) {
+	if l := h.lists[li]; pos+1 < len(l) {
 		h.pos[0]++
+		h.vs[0] = l[pos+1]
 	} else {
-		last := len(h.li) - 1
-		h.li[0], h.pos[0] = h.li[last], h.pos[last]
-		h.li, h.pos = h.li[:last], h.pos[:last]
-		if len(h.li) == 0 {
+		last := len(h.vs) - 1
+		h.vs[0], h.li[0], h.pos[0] = h.vs[last], h.li[last], h.pos[last]
+		h.vs, h.li, h.pos = h.vs[:last], h.li[:last], h.pos[:last]
+		if last == 0 {
 			return v, li, pos, true
 		}
 	}
 	// Sift down.
 	i := 0
-	n := len(h.li)
+	n := len(h.vs)
 	for {
 		l, r := 2*i+1, 2*i+2
 		largest := i
-		if l < n && h.val(l) > h.val(largest) {
+		if l < n && h.vs[l] > h.vs[largest] {
 			largest = l
 		}
-		if r < n && h.val(r) > h.val(largest) {
+		if r < n && h.vs[r] > h.vs[largest] {
 			largest = r
 		}
 		if largest == i {
@@ -305,9 +309,11 @@ func (h *headHeap) pop() (float64, bool) {
 // DetectBurst reports whether the newest sub-window's sampled tail is
 // distributionally different and stochastically larger than the previous
 // sub-window's, per the one-sided Mann–Whitney U test at level alpha
-// (§4.3). Either sample being empty yields false.
-func DetectBurst(current, previous []float64, alpha float64, sc *Scratch) bool {
-	return stats.StochasticallyLarger(current, previous, alpha, &sc.ranks)
+// (§4.3). Both samples must be sorted descending, as a sub-window's
+// retained values are (stats.MannWhitneyDescending ranks them in one merge
+// walk). Either sample being empty yields false.
+func DetectBurst(current, previous []float64, alpha float64) bool {
+	return stats.MannWhitneyDescending(current, previous).PValue < alpha
 }
 
 // Outcome selects between the three per-quantile answers at runtime,

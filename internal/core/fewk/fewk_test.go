@@ -280,13 +280,16 @@ func TestDetectBurst(t *testing.T) {
 		prev[i] = 1000 + rng.NormFloat64()*50
 		cur[i] = 10000 + rng.NormFloat64()*500 // 10x burst
 	}
-	if !DetectBurst(cur, prev, DefaultBurstAlpha, new(Scratch)) {
+	// DetectBurst reads descending samples, as a sub-window retains them.
+	sort.Sort(sort.Reverse(sort.Float64Slice(prev)))
+	sort.Sort(sort.Reverse(sort.Float64Slice(cur)))
+	if !DetectBurst(cur, prev, DefaultBurstAlpha) {
 		t.Fatal("10x burst not detected")
 	}
-	if DetectBurst(prev, cur, DefaultBurstAlpha, new(Scratch)) {
+	if DetectBurst(prev, cur, DefaultBurstAlpha) {
 		t.Fatal("reverse direction flagged")
 	}
-	if DetectBurst(nil, prev, DefaultBurstAlpha, new(Scratch)) {
+	if DetectBurst(nil, prev, DefaultBurstAlpha) {
 		t.Fatal("empty current flagged")
 	}
 }

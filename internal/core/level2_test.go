@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core/fewk"
+	"repro/internal/window"
 )
 
 // summaryParts is a hand-built summary's contents; count defaults to 10,
@@ -221,12 +222,12 @@ func TestQuickLevel2MeanInvariant(t *testing.T) {
 }
 
 func TestBuilderSealProducesSortedTails(t *testing.T) {
-	b := newBuilder(0, 100)
+	b := newBuilder(mustNew(t, Config{Spec: window.Spec{Size: 100, Period: 100}, Phis: []float64{0.9}, FewK: true, HighPhiMin: 0.9, Digits: -1}))
 	for _, v := range []float64{5, 100, 3, 99, 42, 7, 88, 1, 64, 2} {
 		b.add(v)
 	}
 	budgets := []fewk.Budget{{K: 5, Kt: 3, Ks: 2}}
-	s := b.seal([]float64{0.9}, []int{0}, budgets, 100)
+	s := b.seal(budgets)
 	if s.Count != 10 {
 		t.Fatalf("Count = %d", s.Count)
 	}
@@ -247,10 +248,10 @@ func TestBuilderSealProducesSortedTails(t *testing.T) {
 }
 
 func TestBuilderDensityAtSmallN(t *testing.T) {
-	b := newBuilder(0, 100)
+	b := newBuilder(mustNew(t, Config{Spec: window.Spec{Size: 100, Period: 100}, Phis: []float64{0.5}, Digits: -1}))
 	b.add(1)
 	b.add(2)
-	s := b.seal([]float64{0.5}, nil, nil, 100)
+	s := b.seal(nil)
 	if got := s.Density(0); got != 0 {
 		t.Fatalf("density with n<4 = %v, want 0", got)
 	}

@@ -93,7 +93,9 @@ func (pl *Pool) IdleWorkbenches() int { return len(pl.benches) }
 
 // lend hands out a workbench: the most recently returned one (still in the
 // CPU cache when a shard works through keys one report at a time), or a
-// new one with a buffer sized to the period.
+// new one made for the pool's configuration. Only operators the pool
+// minted borrow, so a workbench always seals for the configuration it was
+// made for.
 func (pl *Pool) lend() *builder {
 	pl.lent++
 	if n := len(pl.benches); n > 0 {
@@ -102,7 +104,7 @@ func (pl *Pool) lend() *builder {
 		pl.benches = pl.benches[:n-1]
 		return b
 	}
-	return newBuilder(pl.proto.cfg.Digits, pl.proto.cfg.Spec.Period)
+	return newBuilder(pl.proto)
 }
 
 // takeBack clears a returned workbench and shelves it, up to maxIdle.

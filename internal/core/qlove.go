@@ -269,7 +269,7 @@ func (p *Policy) bench() *builder {
 		if p.lender != nil {
 			p.builder = p.lender.lend()
 		} else {
-			p.builder = newBuilder(p.cfg.Digits, p.cfg.Spec.Period)
+			p.builder = newBuilder(p)
 		}
 	}
 	return p.builder
@@ -353,7 +353,7 @@ func (p *Policy) EndPeriod() {
 		p.returnBench() // borrowed for values that all turned out NaN
 		return
 	}
-	s := p.builder.seal(p.cfg.Phis, p.managed, p.budgets, p.cfg.Spec.Size)
+	s := p.builder.seal(p.budgets)
 	if p.lender != nil {
 		p.returnBench()
 	} else {
@@ -401,22 +401,12 @@ func (p *Policy) Result() []float64 {
 		out[i] = p.agg.estimate(i)
 	}
 	for mi, pi := range p.managed {
-		phi := p.cfg.Phis[pi]
-		level2 := out[pi]
-		topK, topOK, sampleK, sampOK := p.scratch().fewkAnswers(p.agg.summaries, mi, p.cfg.Spec.Size, phi)
-		burst := anyBurstyOf(p.agg.summaries, mi)
+		est, burst := p.scratch().managedAnswer(&p.cfg, p.agg.summaries, mi, pi, p.cfg.Spec.Size, out[pi])
+		out[pi] = est
 		p.burstActive[mi] = burst
 		if p.adapt != nil {
 			p.observeDistress(mi, burst || p.poolShallow(mi))
 		}
-		statIneff := fewk.NeedsTopK(p.cfg.Spec.Period, phi, p.cfg.StatThreshold)
-		if p.cfg.SampleKOnly && sampOK {
-			// Table 4 mode: the sample-k pipeline answers managed
-			// quantiles unconditionally.
-			out[pi] = sampleK
-			continue
-		}
-		out[pi] = fewk.Outcome(level2, topK, topOK, sampleK, sampOK, burst, statIneff)
 	}
 	return out
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-
-	"repro/internal/core/fewk"
 )
 
 // Snapshot is a point-in-time, immutable capture of a QLOVE operator's
@@ -160,7 +158,7 @@ func (s Snapshot) Estimate(phi float64) (float64, bool) {
 		for mi, pi := range s.managed {
 			if pi == i {
 				sc := scratchPool.Get().(*mergeScratch)
-				est = s.managedEstimate(sc, mi, i, est)
+				est, _ = sc.managedAnswer(&s.cfg, s.summaries, mi, i, s.cfg.Spec.Size*s.streams, est)
 				scratchPool.Put(sc)
 				break
 			}
@@ -187,7 +185,7 @@ func (s Snapshot) Estimates() []float64 {
 	if len(s.managed) > 0 {
 		sc := scratchPool.Get().(*mergeScratch)
 		for mi, pi := range s.managed {
-			out[pi] = s.managedEstimate(sc, mi, pi, out[pi])
+			out[pi], _ = sc.managedAnswer(&s.cfg, s.summaries, mi, pi, s.cfg.Spec.Size*s.streams, out[pi])
 		}
 		scratchPool.Put(sc)
 	}
@@ -197,20 +195,3 @@ func (s Snapshot) Estimates() []float64 {
 // scratchPool lends the few-k merge scratch to Estimates and Estimate, which
 // any goroutine may call on a capture: there is no owner to keep one.
 var scratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
-
-// managedEstimate resolves one few-k-managed quantile from the captured
-// tails and samples per §4.3 — the selection Estimates runs for every
-// managed ϕ and Estimate runs for just the requested one.
-func (s Snapshot) managedEstimate(sc *mergeScratch, mi, pi int, level2 float64) float64 {
-	phi := s.cfg.Phis[pi]
-	logicalN := s.cfg.Spec.Size * s.streams
-	topK, topOK, sampleK, sampOK := sc.fewkAnswers(s.summaries, mi, logicalN, phi)
-	burst := anyBurstyOf(s.summaries, mi)
-	statIneff := fewk.NeedsTopK(s.cfg.Spec.Period, phi, s.cfg.StatThreshold)
-	if s.cfg.SampleKOnly && sampOK {
-		// Table 4 mode: the sample-k pipeline answers managed quantiles
-		// unconditionally, exactly as Result does.
-		return sampleK
-	}
-	return fewk.Outcome(level2, topK, topOK, sampleK, sampOK, burst, statIneff)
-}

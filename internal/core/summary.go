@@ -209,12 +209,13 @@ func (s *Summary) fewkValues() int {
 	return n
 }
 
-// mergeScratch is the reusable working state of few-k evaluation: the views
-// of resident blocks one merge gathers, the burst detector's two pooled
-// tails, and the heap and rank buffers beneath them. A pooled operator uses
-// its pool's (one per shard, beside the workbenches), a stand-alone one its
-// own, a Snapshot one from scratchPool — so evaluating allocates nothing
-// once the buffers have grown to the window's shape.
+// mergeScratch is the reusable working state of few-k evaluation and of
+// the seal's burst test: the views of resident blocks one merge gathers,
+// the burst test's two retained runs laid end to end, and the merge heap
+// beneath them. A pooled operator uses its pool's (one per shard, beside
+// the workbenches), a stand-alone one its own, a Snapshot one from
+// scratchPool — so evaluating allocates nothing once the buffers have
+// grown to the window's shape.
 type mergeScratch struct {
 	fewk           fewk.Scratch
 	lists, weights [][]float64
@@ -223,9 +224,8 @@ type mergeScratch struct {
 
 // cachedOf gathers, per summary, the runs of every value retained for
 // managed quantile mi (Summary.cached). samplesOf gathers the sample-k
-// lists, anyBurstyOf reads the seal-time flags. Policy.Result and
-// Snapshot.Estimates both go through them, so a captured summary set is
-// read exactly — bit for bit — the way a live operator reads its own.
+// lists, anyBurstyOf reads the seal-time flags. managedAnswer is their one
+// reader.
 func (sc *mergeScratch) cachedOf(summaries []Summary, mi int) [][]float64 {
 	lists := sc.lists[:0]
 	for i := range summaries {
@@ -256,23 +256,52 @@ func anyBurstyOf(summaries []Summary, mi int) bool {
 	return false
 }
 
-// fewkAnswers runs both window-level merges for managed quantile mi over
-// summaries: top-k over every cached value, sample-k over the weighted
-// samples, each reading the rank of phi in a logical window of logicalN
-// elements. The gathered views are dropped before it returns, so the
-// scratch pins no block between evaluations.
-func (sc *mergeScratch) fewkAnswers(summaries []Summary, mi, logicalN int, phi float64) (topK float64, topOK bool, sampleK float64, sampOK bool) {
-	topK, topOK = fewk.TopKMerge(sc.cachedOf(summaries, mi), logicalN, phi, &sc.fewk)
-	values, weights := sc.samplesOf(summaries, mi)
-	sampleK, sampOK = fewk.SampleKMerge(values, weights, logicalN, phi, &sc.fewk)
-	clear(sc.lists[:cap(sc.lists)])
-	clear(sc.weights[:cap(sc.weights)])
-	return topK, topOK, sampleK, sampOK
+// managedAnswer resolves managed quantile mi — the cfg.Phis[pi] quantile —
+// over summaries per §4.3, from the Level-2 estimate level2 and the few-k
+// merges, reading the rank of ϕ in a logical window of logicalN elements.
+// Policy.Result and Snapshot.Estimates both come through it, so a captured
+// summary set is answered exactly, bit for bit, the way a live operator
+// answers its own. It also returns whether a resident sub-window is
+// flagged bursty.
+//
+// It runs only the merges the answer reads: sample-k when there is a burst
+// or cfg.SampleKOnly is set, and top-k only when ϕ is statistically
+// inefficient and sample-k has not already answered. A skipped merge goes
+// to fewk.Outcome as not-ok, where it is never read. The gathered views
+// are dropped before it returns, so the scratch pins no block between
+// evaluations.
+func (sc *mergeScratch) managedAnswer(cfg *Config, summaries []Summary, mi, pi, logicalN int, level2 float64) (est float64, burst bool) {
+	phi := cfg.Phis[pi]
+	burst = anyBurstyOf(summaries, mi)
+	var topK, sampleK float64
+	var topOK, sampOK bool
+	if burst || cfg.SampleKOnly {
+		values, weights := sc.samplesOf(summaries, mi)
+		sampleK, sampOK = fewk.SampleKMerge(values, weights, logicalN, phi, &sc.fewk)
+	}
+	if cfg.SampleKOnly && sampOK {
+		// Table 4 mode: the sample-k pipeline answers managed quantiles
+		// unconditionally.
+		est = sampleK
+	} else {
+		statIneff := fewk.NeedsTopK(cfg.Spec.Period, phi, cfg.StatThreshold)
+		if statIneff && !(burst && sampOK) {
+			topK, topOK = fewk.TopKMerge(sc.cachedOf(summaries, mi), logicalN, phi, &sc.fewk)
+		}
+		est = fewk.Outcome(level2, topK, topOK, sampleK, sampOK, burst, statIneff)
+	}
+	// cachedOf gathers two runs per summary and samplesOf at most one, so
+	// the gathered prefixes cover every view this evaluation left behind.
+	clear(sc.lists)
+	clear(sc.weights)
+	return est, burst
 }
 
 // burstyVsPrev runs §4.3's burst test for managed quantile mi: is the
 // freshly sealed cur's retained tail stochastically larger than prev's, at
-// level alpha?
+// level alpha? Each summary's retained values — the tail, then the samples
+// below it — are one descending run, which is what fewk.DetectBurst ranks
+// by merging.
 func (sc *mergeScratch) burstyVsPrev(cur, prev *Summary, mi int, alpha float64) bool {
 	u := sc.union[:0]
 	tail, below := cur.cached(mi)
@@ -281,7 +310,7 @@ func (sc *mergeScratch) burstyVsPrev(cur, prev *Summary, mi int, alpha float64) 
 	tail, below = prev.cached(mi)
 	u = append(append(u, tail...), below...)
 	sc.union = u
-	return fewk.DetectBurst(u[:nx], u[nx:], alpha, &sc.fewk)
+	return fewk.DetectBurst(u[:nx], u[nx:], alpha)
 }
 
 // builder accumulates one in-flight sub-window of quantized values. The
@@ -299,21 +328,41 @@ func (sc *mergeScratch) burstyVsPrev(cur, prev *Summary, mi int, alpha float64) 
 // stand-alone operator owns one for life, an operator minted by a Pool
 // borrows one from the pool only while a sub-window is in flight (see
 // Policy.bench).
+//
+// A workbench serves ONE configuration, bound when it is made (newBuilder):
+// a pool's workbenches serve the pool's configuration, a stand-alone
+// builder its own operator's. The seal takes nothing of the configuration
+// but the budgets (which the adaptive controller replans per operator),
+// so the plan it memoizes is never read under another configuration.
 type builder struct {
+	// phis, managed and windowN are the configuration served: the ϕs, the
+	// indexes of the few-k-managed ones, and the window size.
+	phis    []float64
+	managed []int
+	windowN int
+
 	// vals is the in-flight sub-window: quantized, NaN dropped, −0 stored
 	// as +0, in arrival order until the seal rearranges it.
 	vals  []float64
 	quant compress.Quantizer
 
-	qbuf     []float64 // distinct-count scratch (unique)
-	reqs     []rankReq // fused rank requests of one seal
-	slotVals []float64 // rank answers distributed back to request slots
+	// The plan of a planN-value seal (see plan): it depends on the
+	// configuration and planN alone, so every full sub-window reuses it
+	// and only a partial seal of another length plans again.
+	planN    int
+	reqs     []rankReq // rank requests, sorted by rank
 	los, his []float64 // density finite-difference bounds per ϕ
+	tailNs   []int     // few-k capture depth per managed ϕ
+	maxTail  int       // the deepest of them
+
+	qbuf     []float64 // distinct-count scratch (unique)
+	slotVals []float64 // rank answers distributed back to request slots
 	dens     []float64 // density per ϕ
 	tail     []float64 // shared descending tail scratch (few-k capture)
 	samples  []float64 // every managed ϕ's sample values and weights, back to back
-	// Per-managed-ϕ views into tail and samples, and the (all false) burst
-	// flags, handed to NewSummary.
+	// Per-managed-ϕ views into tail and samples handed to NewSummary, and
+	// the burst flags it is given: one per managed ϕ (nil without any),
+	// always false here — EndPeriod raises them in the sealed block.
 	tails, sampleVals, sampleWts [][]float64
 	flags                        []bool
 }
@@ -326,10 +375,20 @@ type rankReq struct {
 	slot int32
 }
 
-// newBuilder returns an empty builder whose buffer is sized for a
-// sub-window of period values.
-func newBuilder(digits, period int) *builder {
-	return &builder{vals: make([]float64, 0, period), quant: compress.NewQuantizer(digits)}
+// newBuilder returns an empty workbench for p's configuration, its buffer
+// sized for a sub-window of one period.
+func newBuilder(p *Policy) *builder {
+	b := &builder{
+		phis:    p.cfg.Phis,
+		managed: p.managed,
+		windowN: p.cfg.Spec.Size,
+		vals:    make([]float64, 0, p.cfg.Spec.Period),
+		quant:   compress.NewQuantizer(p.cfg.Digits),
+	}
+	if len(p.managed) > 0 {
+		b.flags = make([]bool, len(p.managed))
+	}
+	return b
 }
 
 // add accumulates one element, quantized to the configured significant
@@ -379,34 +438,39 @@ func (b *builder) unique() int {
 }
 
 // seal computes the sub-window summary; the caller then empties the
-// builder (clear). managed lists the indexes (into phis) of few-k-managed
-// quantiles; budgets holds their per-sub-window plans.
+// builder (clear). budgets holds the per-sub-window plans of the managed
+// quantiles.
 //
 // The seal is fused: plan gathers every rank the summary needs — the l
 // ϕ-quantiles and the two density finite-difference bounds per ϕ — and
 // the depth of ONE shared descending tail that every managed quantile
 // reads a prefix of; selectSeal moves exactly those positions into place;
 // assemble reads them by index.
-func (b *builder) seal(phis []float64, managed []int, budgets []fewk.Budget, windowN int) Summary {
-	maxTail := b.plan(phis, managed, windowN)
-	selectSeal(b.vals, b.reqs, len(b.vals)-maxTail)
-	return b.assemble(phis, managed, budgets, windowN, maxTail)
+func (b *builder) seal(budgets []fewk.Budget) Summary {
+	b.plan()
+	selectSeal(b.vals, b.reqs, len(b.vals)-b.maxTail)
+	return b.assemble(budgets)
 }
 
-// plan gathers the seal's rank requests into reqs, and the density
-// bounds into los and his, for the sub-window in vals, and returns how
-// many of its largest values the few-k capture reads.
-func (b *builder) plan(phis []float64, managed []int, windowN int) (maxTail int) {
+// plan makes the seal's plan for a sub-window of len(vals) values, unless
+// it already holds that length's: the rank requests, sorted by rank, the
+// density bounds per ϕ (the n^(−1/3) bandwidth is in them), and how many
+// of the sub-window's largest values each managed ϕ's few-k capture reads.
+func (b *builder) plan() {
 	n := len(b.vals)
-	l := len(phis)
+	if n == b.planN {
+		return
+	}
+	b.planN = n
+	l := len(b.phis)
 	reqs := b.reqs[:0]
-	for i, phi := range phis {
+	for i, phi := range b.phis {
 		reqs = append(reqs, rankReq{rank: uint64(stats.CeilRank(phi, n)), slot: int32(i)})
 	}
 	b.los = growFloats(b.los, l)
 	b.his = growFloats(b.his, l)
 	if n >= 4 {
-		for i, phi := range phis {
+		for i, phi := range b.phis {
 			h := bandwidth(phi, n)
 			lo := phi - h
 			if lo < 1.0/float64(n) {
@@ -422,19 +486,22 @@ func (b *builder) plan(phis []float64, managed []int, windowN int) (maxTail int)
 				rankReq{rank: uint64(stats.CeilRank(hi, n)), slot: int32(l + 2*i + 1)})
 		}
 	}
+	slices.SortFunc(reqs, func(a, c rankReq) int { return cmp.Compare(a.rank, c.rank) })
 	b.reqs = reqs
-	for _, pi := range managed {
-		maxTail = max(maxTail, tailSize(windowN, phis[pi], n))
+	b.tailNs, b.maxTail = b.tailNs[:0], 0
+	for _, pi := range b.managed {
+		ts := tailSize(b.windowN, b.phis[pi], n)
+		b.tailNs = append(b.tailNs, ts)
+		b.maxTail = max(b.maxTail, ts)
 	}
-	return maxTail
 }
 
 // assemble builds the summary of the sub-window in vals from positions
 // alone: every planned rank r is read at vals[r-1], and the top maxTail
 // values from the end of vals backwards. vals need be in sorted order only
 // at those positions.
-func (b *builder) assemble(phis []float64, managed []int, budgets []fewk.Budget, windowN, maxTail int) Summary {
-	n, l := len(b.vals), len(phis)
+func (b *builder) assemble(budgets []fewk.Budget) Summary {
+	n, l := len(b.vals), len(b.phis)
 	b.slotVals = growFloats(b.slotVals, 3*l)
 	for _, r := range b.reqs {
 		b.slotVals[r.slot] = b.vals[r.rank-1]
@@ -442,7 +509,7 @@ func (b *builder) assemble(phis []float64, managed []int, budgets []fewk.Budget,
 	// Density at each ϕ-quantile by finite difference of the empirical
 	// quantile function, mirroring stats.DensityAt on the rank reads.
 	b.dens = growFloats(b.dens, l)
-	for i := range phis {
+	for i := range b.phis {
 		b.dens[i] = 0
 		if n < 4 {
 			continue
@@ -457,34 +524,27 @@ func (b *builder) assemble(phis []float64, managed []int, budgets []fewk.Budget,
 	// Few-k capture: managed quantiles all want "the k largest", so one
 	// shared descending run of maxTail values serves every ϕ as a prefix.
 	tail := b.tail[:0]
-	for i := n - 1; i >= n-maxTail; i-- {
+	for i := n - 1; i >= n-b.maxTail; i-- {
 		tail = append(tail, b.vals[i])
 	}
 	b.tail = tail
 	nSamples := 0
-	for mi, pi := range managed {
-		nSamples += fewk.SampleCount(tailSize(windowN, phis[pi], n), budgets[mi].Ks)
+	for mi, ts := range b.tailNs {
+		nSamples += fewk.SampleCount(ts, budgets[mi].Ks)
 	}
 	b.samples = growFloats(b.samples, 2*nSamples)
 	b.tails, b.sampleVals, b.sampleWts = b.tails[:0], b.sampleVals[:0], b.sampleWts[:0]
 	samples := b.samples
-	for mi, pi := range managed {
-		tail := b.tail[:tailSize(windowN, phis[pi], n)]
-		ks := fewk.SampleCount(len(tail), budgets[mi].Ks)
+	for mi, ts := range b.tailNs {
+		tail := b.tail[:ts]
+		ks := fewk.SampleCount(ts, budgets[mi].Ks)
 		values, weights := samples[:ks], samples[ks:2*ks]
 		samples = samples[2*ks:]
 		fewk.SampleTail(values, weights, tail)
-		b.tails = append(b.tails, tail[:min(budgets[mi].Kt, len(tail))])
+		b.tails = append(b.tails, tail[:min(budgets[mi].Kt, ts)])
 		b.sampleVals, b.sampleWts = append(b.sampleVals, values), append(b.sampleWts, weights)
 	}
-	// An operator with managed quantiles flags every summary (all false
-	// until EndPeriod has compared it against its predecessor).
-	var flags []bool
-	if len(managed) > 0 {
-		b.flags = append(b.flags[:0], make([]bool, len(managed))...)
-		flags = b.flags
-	}
-	s, err := NewSummary(n, b.slotVals[:l], b.dens, b.tails, b.sampleVals, b.sampleWts, flags)
+	s, err := NewSummary(n, b.slotVals[:l], b.dens, b.tails, b.sampleVals, b.sampleWts, b.flags)
 	if err != nil {
 		panic("qlove: seal built an inconsistent summary: " + err.Error())
 	}
@@ -493,19 +553,15 @@ func (b *builder) assemble(phis []float64, managed []int, budgets []fewk.Budget,
 
 // selectSeal rearranges v so that every position a request reads holds
 // the value a full ascending sort would put there, and v[tailFrom:] is
-// sorted; elsewhere v is only partitioned. It sorts reqs by rank. v holds no NaN
-// and no −0, so equal values are identical bits and any arrangement that
-// puts the right value at a position is the sort's, bit for bit.
+// sorted; elsewhere v is only partitioned. reqs must be sorted by rank. v
+// holds no NaN and no −0, so equal values are identical bits and any
+// arrangement that puts the right value at a position is the sort's, bit
+// for bit.
 func selectSeal(v []float64, reqs []rankReq, tailFrom int) {
-	if len(v) <= selectSortBelow { // as multiSelect would, minus sorting reqs
-		slices.Sort(v)
-		return
-	}
-	slices.SortFunc(reqs, func(a, c rankReq) int { return cmp.Compare(a.rank, c.rank) })
 	multiSelect(v, 0, reqs, tailFrom, 2*bits.Len(uint(len(v))))
 }
 
-// selectSortBelow is the segment length multiSelect sorts outright.
+// selectSortBelow is the segment length multiSelect insertion-sorts.
 const selectSortBelow = 16
 
 // multiSelect is selectSeal on the segment v of the buffer, which starts
@@ -515,11 +571,15 @@ const selectSortBelow = 16
 // duplicate-heavy, and the run equal to the pivot is final whatever it
 // holds — and continues only into the parts that hold a requested
 // position or reach into the tail, so the tail ends up quicksorted. A
-// short part is sorted outright, and so is one that has used up its depth
-// budget, so no input is quadratic.
+// short part is insertion-sorted, and one that has used up its depth
+// budget is sorted outright, so no input is quadratic.
 func multiSelect(v []float64, off int, reqs []rankReq, tailFrom, depth int) {
 	for len(reqs) > 0 || off+len(v) > tailFrom {
-		if len(v) <= selectSortBelow || depth == 0 {
+		if len(v) <= selectSortBelow {
+			insertionSort(v)
+			return
+		}
+		if depth == 0 {
 			slices.Sort(v)
 			return
 		}
@@ -536,6 +596,19 @@ func multiSelect(v []float64, off int, reqs []rankReq, tailFrom, depth int) {
 		}
 		multiSelect(v[:lt], off, reqs[:i], tailFrom, depth)
 		v, off, reqs = v[gt:], off+gt, reqs[j:]
+	}
+}
+
+// insertionSort sorts a short v ascending by plain < comparisons, with no
+// NaN handling: the buffer holds no NaN and no −0, so it leaves every value
+// where slices.Sort would, bit for bit.
+func insertionSort(v []float64) {
+	for i := 1; i < len(v); i++ {
+		x, j := v[i], i
+		for ; j > 0 && x < v[j-1]; j-- {
+			v[j] = v[j-1]
+		}
+		v[j] = x
 	}
 }
 

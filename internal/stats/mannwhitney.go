@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"cmp"
-	"math"
-	"slices"
-)
+import "math"
 
 // MannWhitneyResult holds the outcome of a one-sided Mann–Whitney U test of
 // whether sample X is stochastically larger than sample Y.
@@ -14,65 +10,59 @@ type MannWhitneyResult struct {
 	PValue float64 // one-sided p-value for H1: X stochastically larger than Y
 }
 
-// RankBuf is MannWhitney's pooled-observation buffer. A caller that runs the
-// test repeatedly (the burst detector does, once per seal) keeps one and
-// passes it back in, and the test stops allocating once the buffer has grown
-// to the largest pooled sample; the zero value is ready to use.
-type RankBuf []rankObs
-
-type rankObs struct {
-	v     float64
-	fromX bool
-}
-
-// MannWhitney performs the one-sided Mann–Whitney U test [Mann & Whitney
-// 1947] with the normal approximation and tie correction. QLOVE's runtime
-// traffic handler (§4.3) uses it to decide whether the sampled largest
-// values of the current sub-window are stochastically larger than those of
-// the previous sub-window, which signals bursty traffic.
+// MannWhitneyDescending performs the one-sided Mann–Whitney U test [Mann &
+// Whitney 1947] with the normal approximation and tie correction. QLOVE's
+// runtime traffic handler (§4.3) uses it to decide whether the retained
+// largest values of the current sub-window are stochastically larger than
+// those of the previous sub-window, which signals bursty traffic.
+//
+// x and y must each be sorted descending and hold no NaN — the order a
+// sub-window's retained tail is already kept in — so the pooled ranking is
+// one merge walk of the two runs, from the largest value down, with no
+// sort and no buffer. Each run of tied values gets its midrank and adds
+// t³−t to the tie term. Midranks are half-integers and tie terms integers,
+// so both sums are kept exactly in integers and the result is the textbook
+// sort-and-rank computation's, bit for bit, in any walk order (while
+// (nx+ny)³ stays below 2^53, i.e. below ~200 000 values).
 //
 // Both samples must be non-empty; otherwise it returns a zero-information
-// result with PValue = 1. buf may be nil (the test then allocates its own).
-// The pooled sort need not be stable: tied observations share one mid-rank,
-// so their order never reaches U.
-func MannWhitney(x, y []float64, buf *RankBuf) MannWhitneyResult {
+// result with PValue = 1.
+func MannWhitneyDescending(x, y []float64) MannWhitneyResult {
 	nx, ny := len(x), len(y)
 	if nx == 0 || ny == 0 {
 		return MannWhitneyResult{PValue: 1}
 	}
-	if buf == nil {
-		buf = new(RankBuf)
-	}
-	all := (*buf)[:0]
-	for _, v := range x {
-		all = append(all, rankObs{v, true})
-	}
-	for _, v := range y {
-		all = append(all, rankObs{v, false})
-	}
-	*buf = all
-	slices.SortFunc(all, func(a, b rankObs) int { return cmp.Compare(a.v, b.v) })
-
-	// Midranks with tie correction term Σ(t³−t).
 	n := nx + ny
-	var rankSumX, tieTerm float64
-	for i := 0; i < n; {
-		j := i
-		for j < n && all[j].v == all[i].v {
+	// rank2X is twice X's rank sum; tie is Σ(t³−t).
+	var rank2X, tie int64
+	i, j := 0, 0
+	for i < nx || j < ny {
+		var v float64
+		switch {
+		case j == ny || (i < nx && x[i] > y[j]):
+			v = x[i]
+		default:
+			v = y[j]
+		}
+		above := i + j // values strictly larger than v
+		cx := 0
+		for i < nx && x[i] == v {
+			i++
+			cx++
+		}
+		cy := 0
+		for j < ny && y[j] == v {
 			j++
+			cy++
 		}
-		t := float64(j - i)
-		mid := (float64(i+1) + float64(j)) / 2 // average 1-based rank
-		for k := i; k < j; k++ {
-			if all[k].fromX {
-				rankSumX += mid
-			}
-		}
-		if t > 1 {
-			tieTerm += t*t*t - t
-		}
-		i = j
+		// The run holds ascending 1-based ranks n−above−t+1 … n−above;
+		// twice its midrank is their sum.
+		t := int64(cx + cy)
+		rank2X += int64(cx) * (2*int64(n-above) - t + 1)
+		tie += t*t*t - t
 	}
+	rankSumX := float64(rank2X) / 2
+	tieTerm := float64(tie)
 	u := rankSumX - float64(nx)*float64(nx+1)/2
 	mu := float64(nx) * float64(ny) / 2
 	nn := float64(n)
@@ -84,11 +74,4 @@ func MannWhitney(x, y []float64, buf *RankBuf) MannWhitneyResult {
 	// Continuity correction toward the null.
 	z := (u - mu - 0.5) / math.Sqrt(sigma2)
 	return MannWhitneyResult{U: u, Z: z, PValue: 1 - NormalCDF(z)}
-}
-
-// StochasticallyLarger reports whether sample x is stochastically larger
-// than sample y at significance level alpha, per the one-sided
-// Mann–Whitney U test; buf is MannWhitney's.
-func StochasticallyLarger(x, y []float64, alpha float64, buf *RankBuf) bool {
-	return MannWhitney(x, y, buf).PValue < alpha
 }

@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -232,6 +234,14 @@ func TestCLTBoundCoversObservedError(t *testing.T) {
 	}
 }
 
+// descending returns a copy of x sorted descending, the order
+// MannWhitneyDescending reads.
+func descending(x []float64) []float64 {
+	s := slices.Clone(x)
+	slices.SortFunc(s, func(a, b float64) int { return cmp.Compare(b, a) })
+	return s
+}
+
 func TestMannWhitneyDetectsShift(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	x := make([]float64, 50)
@@ -240,16 +250,17 @@ func TestMannWhitneyDetectsShift(t *testing.T) {
 		x[i] = 10 + rng.NormFloat64() // clearly larger
 		y[i] = rng.NormFloat64()
 	}
-	res := MannWhitney(x, y, nil)
+	x, y = descending(x), descending(y)
+	res := MannWhitneyDescending(x, y)
 	if res.PValue > 1e-6 {
 		t.Fatalf("p-value for obvious shift = %v, want tiny", res.PValue)
 	}
-	if !StochasticallyLarger(x, y, 0.05, nil) {
-		t.Fatal("StochasticallyLarger = false for obvious shift")
+	if !(MannWhitneyDescending(x, y).PValue < 0.05) {
+		t.Fatal("obvious shift not significant at 0.05")
 	}
 	// Reverse direction: y vs x should NOT be flagged.
-	if StochasticallyLarger(y, x, 0.05, nil) {
-		t.Fatal("StochasticallyLarger flagged the smaller sample")
+	if MannWhitneyDescending(y, x).PValue < 0.05 {
+		t.Fatal("the smaller sample flagged as larger")
 	}
 }
 
@@ -266,7 +277,7 @@ func TestMannWhitneyNullDistribution(t *testing.T) {
 			x[i] = rng.NormFloat64()
 			y[i] = rng.NormFloat64()
 		}
-		if StochasticallyLarger(x, y, 0.05, nil) {
+		if MannWhitneyDescending(descending(x), descending(y)).PValue < 0.05 {
 			rejections++
 		}
 	}
@@ -280,7 +291,7 @@ func TestMannWhitneyTies(t *testing.T) {
 	// All-equal samples must not be flagged and must not NaN.
 	x := []float64{5, 5, 5, 5}
 	y := []float64{5, 5, 5, 5}
-	res := MannWhitney(x, y, nil)
+	res := MannWhitneyDescending(x, y)
 	if res.PValue != 1 {
 		t.Fatalf("all-ties p-value = %v, want 1", res.PValue)
 	}
@@ -289,26 +300,39 @@ func TestMannWhitneyTies(t *testing.T) {
 	}
 }
 
-// mannWhitneySortSlice is MannWhitney as it stood before the pooled sort
-// moved from sort.Slice to slices.SortFunc over a caller's buffer — the
-// reference TestMannWhitneyMatchesSortSlice compares against.
-func mannWhitneySortSlice(x, y []float64) MannWhitneyResult {
+// RankBuf is MannWhitney's pooled-observation buffer; the zero value is
+// ready to use.
+type RankBuf []rankObs
+
+type rankObs struct {
+	v     float64
+	fromX bool
+}
+
+// MannWhitney is the textbook test MannWhitneyDescending must match bit for
+// bit: pool both samples, in any order, sort the pool ascending, and give
+// each run of tied values its midrank. The sort need not be stable: tied
+// observations share one midrank, so their order never reaches U. buf may
+// be nil.
+func MannWhitney(x, y []float64, buf *RankBuf) MannWhitneyResult {
 	nx, ny := len(x), len(y)
 	if nx == 0 || ny == 0 {
 		return MannWhitneyResult{PValue: 1}
 	}
-	type obs struct {
-		v     float64
-		fromX bool
+	if buf == nil {
+		buf = new(RankBuf)
 	}
-	all := make([]obs, 0, nx+ny)
+	all := (*buf)[:0]
 	for _, v := range x {
-		all = append(all, obs{v, true})
+		all = append(all, rankObs{v, true})
 	}
 	for _, v := range y {
-		all = append(all, obs{v, false})
+		all = append(all, rankObs{v, false})
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
+	*buf = all
+	slices.SortFunc(all, func(a, b rankObs) int { return cmp.Compare(a.v, b.v) })
+
+	// Midranks with tie correction term Σ(t³−t).
 	n := nx + ny
 	var rankSumX, tieTerm float64
 	for i := 0; i < n; {
@@ -317,7 +341,7 @@ func mannWhitneySortSlice(x, y []float64) MannWhitneyResult {
 			j++
 		}
 		t := float64(j - i)
-		mid := (float64(i+1) + float64(j)) / 2
+		mid := (float64(i+1) + float64(j)) / 2 // average 1-based rank
 		for k := i; k < j; k++ {
 			if all[k].fromX {
 				rankSumX += mid
@@ -339,39 +363,55 @@ func mannWhitneySortSlice(x, y []float64) MannWhitneyResult {
 	return MannWhitneyResult{U: u, Z: z, PValue: 1 - NormalCDF(z)}
 }
 
-// TestMannWhitneyMatchesSortSlice: neither sort is stable, so the two
-// implementations order tied observations differently — and must still agree
-// bit for bit, because ties share a mid-rank. Tie-heavy on purpose (values
-// drawn from a handful of levels, as quantized telemetry tails are), with one
-// buffer reused across every trial.
+// TestMannWhitneyMatchesSortSlice holds the merge walk to the sorting
+// reference, bit for bit in U, Z and the p-value, on tie-heavy descending
+// pairs: values drawn from a handful of levels, as quantized telemetry
+// tails are, shifted against each other so that either sample may lead,
+// with ±0 mixed in. Most pairs are short; every 50th is as long as a
+// paper-window tail (hundreds of values), where the sums are largest.
 func TestMannWhitneyMatchesSortSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	var buf RankBuf
-	for trial := 0; trial < 2000; trial++ {
-		levels := 1 + rng.Intn(6)
-		x := make([]float64, 1+rng.Intn(40))
-		y := make([]float64, 1+rng.Intn(40))
-		for i := range x {
-			x[i] = float64(rng.Intn(levels)) + float64(trial%3)
+	negZero := math.Copysign(0, -1)
+	for trial := 0; trial < 20_000; trial++ {
+		levels := 1 + rng.Intn(8)
+		maxLen := 40
+		if trial%50 == 0 {
+			maxLen = 1500
 		}
-		for i := range y {
-			y[i] = float64(rng.Intn(levels))
+		draw := func(shift float64) []float64 {
+			v := make([]float64, 1+rng.Intn(maxLen))
+			for i := range v {
+				switch x := float64(rng.Intn(levels)) + shift; {
+				case x == 0 && rng.Intn(2) == 0:
+					v[i] = negZero
+				default:
+					v[i] = x * 0.37
+				}
+			}
+			return descending(v)
 		}
-		got, want := MannWhitney(x, y, &buf), mannWhitneySortSlice(x, y)
+		x, y := draw(float64(trial%3)), draw(float64(rng.Intn(3)-1))
+		got, want := MannWhitneyDescending(x, y), MannWhitney(x, y, &buf)
 		if math.Float64bits(got.U) != math.Float64bits(want.U) ||
 			math.Float64bits(got.Z) != math.Float64bits(want.Z) ||
 			math.Float64bits(got.PValue) != math.Float64bits(want.PValue) {
-			t.Fatalf("trial %d: got %+v, sort.Slice reference %+v (x=%v y=%v)", trial, got, want, x, y)
+			t.Fatalf("trial %d: merge walk %+v, sorting reference %+v (x=%v y=%v)", trial, got, want, x, y)
 		}
 	}
 }
 
 func TestMannWhitneyEmpty(t *testing.T) {
-	if got := MannWhitney(nil, []float64{1}, nil).PValue; got != 1 {
-		t.Fatalf("empty x p-value = %v, want 1", got)
-	}
-	if got := MannWhitney([]float64{1}, nil, nil).PValue; got != 1 {
-		t.Fatalf("empty y p-value = %v, want 1", got)
+	for _, c := range []struct{ x, y []float64 }{
+		{nil, []float64{1}},
+		{[]float64{1}, nil},
+	} {
+		if got := MannWhitneyDescending(c.x, c.y).PValue; got != 1 {
+			t.Fatalf("x=%v y=%v: p-value = %v, want 1", c.x, c.y, got)
+		}
+		if got := MannWhitney(c.x, c.y, nil).PValue; got != 1 {
+			t.Fatalf("x=%v y=%v: reference p-value = %v, want 1", c.x, c.y, got)
+		}
 	}
 }
 
@@ -460,7 +500,7 @@ func TestQuickMannWhitneyPValueRange(t *testing.T) {
 		for i, v := range yr {
 			y[i] = float64(v)
 		}
-		p := MannWhitney(x, y, nil).PValue
+		p := MannWhitneyDescending(descending(x), descending(y)).PValue
 		return p >= 0 && p <= 1 && !math.IsNaN(p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
