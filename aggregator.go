@@ -44,6 +44,10 @@ import (
 // the distributed plane's verifications compare.
 type Aggregator struct {
 	store aggstore.Store
+	// shapes interns the configurations pushed frames carry, so every state
+	// of one configuration shares one core.Shape and a delta fold finds
+	// its resident state's shape by pointer.
+	shapes wire.Shapes
 
 	// Push-deadline GC (SetPushDeadline): a worker whose last push is older
 	// than deadline is invisible to reads immediately and physically
@@ -252,7 +256,7 @@ func (a *Aggregator) Apply(worker string, r io.Reader) (int, error) {
 	} else {
 		a.store.Touch(worker, time.Time{})
 	}
-	dec := wire.NewDecoder(r)
+	dec := a.shapes.NewDecoder(r)
 	frames := 0
 	for {
 		f, err := dec.DecodeFrame()
@@ -291,6 +295,8 @@ func (a *Aggregator) mergeKey(base string, live []string) (Snapshot, bool, error
 		}
 		var folded Snapshot
 		for _, ns := range group {
+			// The stored shape was validated, and its managed set derived,
+			// when the frame that brought it decoded.
 			sn, err := core.NewSnapshot(ns.State.Parts)
 			if err != nil {
 				return Snapshot{}, false, fmt.Errorf("qlove: aggregator worker %q key %q: %w", id, ns.Name, err)

@@ -88,3 +88,48 @@ func TestAggregatorApplyAllocsPerFrame(t *testing.T) {
 		})
 	}
 }
+
+// TestAggregatorQueryAllocs pins what a read of a key two workers hold
+// allocates: the live-worker list, each worker's group slice, and the
+// merged capture's sums and summary headers. A capture is built from the
+// stored state's shape as it is, so re-resolving the configuration per
+// worker per read (core.NewShape: a validation and a managed-set slice)
+// adds an allocation per worker and fails the budget.
+func TestAggregatorQueryAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own behalf")
+	}
+	boot, deltas := deltaChain(t, 4, 1)
+	for _, store := range []string{"striped", "disk"} {
+		t.Run(store, func(t *testing.T) {
+			cfg := AggregatorConfig{Store: store}
+			if store == "disk" {
+				cfg.Dir, cfg.Fsync, cfg.CompactBytes = t.TempDir(), "none", -1
+			}
+			agg := mkAgg(t, cfg)
+			defer agg.Close()
+			for _, w := range []string{"w1", "w2"} {
+				for _, blob := range [][]byte{boot, deltas[0]} {
+					if _, err := agg.Apply(w, bytes.NewReader(blob)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			var sn Snapshot
+			allocs := testing.AllocsPerRun(50, func() {
+				var ok bool
+				var err error
+				if sn, ok, err = agg.Query("svc-002/latency"); !ok || err != nil {
+					t.Fatalf("query: ok=%v err=%v", ok, err)
+				}
+			})
+			if sn.Streams() != 2 {
+				t.Fatalf("merged %d streams, want 2", sn.Streams())
+			}
+			t.Logf("%.0f allocations per two-worker read", allocs)
+			if allocs > 5 {
+				t.Fatalf("a two-worker read allocates %.0f times, want <= 5", allocs)
+			}
+		})
+	}
+}

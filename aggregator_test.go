@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/aggstore"
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -399,5 +401,55 @@ func TestAggregatorPushDeadlineArmsLate(t *testing.T) {
 	clk.advance(2 * time.Minute)
 	if agg.Workers() != 0 {
 		t.Fatal("pre-armed worker survived the deadline")
+	}
+}
+
+// TestAggregatorSharesShapes: every state of one configuration points at one
+// core.Shape — across blobs, which each decode with a decoder of their own,
+// and across workers — and so does every state a disk store recovers, from
+// its snapshot (worker w1) and from its log (w2's bootstrap and deltas).
+func TestAggregatorSharesShapes(t *testing.T) {
+	boot, deltas := deltaChain(t, 8, 3)
+	shapes := func(a *Aggregator) map[*core.Shape]int {
+		seen := map[*core.Shape]int{}
+		for _, w := range a.store.Workers(nil) {
+			for _, name := range a.store.WorkerNames(w) {
+				for _, ns := range a.store.Group(w, name) {
+					seen[ns.State.Parts.Shape]++
+				}
+			}
+		}
+		return seen
+	}
+	for _, cfg := range []AggregatorConfig{{Store: "striped"}, {Store: "disk", Dir: t.TempDir(), Fsync: "none", CompactBytes: -1}} {
+		t.Run(cfg.Store, func(t *testing.T) {
+			agg := mkAgg(t, cfg)
+			for _, w := range []string{"w1", "w2"} {
+				for _, blob := range append([][]byte{boot}, deltas...) {
+					if _, err := agg.Apply(w, bytes.NewReader(blob)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if d, ok := agg.store.(*aggstore.Disk); ok && w == "w1" {
+					if err := d.Compact(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if got := shapes(agg); len(got) != 1 {
+				t.Fatalf("16 states of one configuration hold %d shapes", len(got))
+			}
+			if err := agg.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if cfg.Store != "disk" {
+				return
+			}
+			agg = mkAgg(t, cfg)
+			defer agg.Close()
+			if got := shapes(agg); len(got) != 1 {
+				t.Fatalf("16 recovered states of one configuration hold %d shapes", len(got))
+			}
+		})
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/window"
@@ -367,5 +368,14 @@ func TestInstrumentedRecords(t *testing.T) {
 	}
 	if _, ok := Store(in).(LockWaiter); !ok {
 		t.Fatal("instrumented wrapper hides the inner LockWaiter")
+	}
+}
+
+// TestGroupSize: a resident unsalted key's group holds its state's
+// configuration as one pointer to the shared core.Shape (192 bytes while
+// every State carried its own copy of the Config).
+func TestGroupSize(t *testing.T) {
+	if n := unsafe.Sizeof(group{}); n > 112 {
+		t.Errorf("group is %d bytes, budget 112", n)
 	}
 }

@@ -448,9 +448,12 @@ func (d *Disk) recover() error {
 
 	// Newest snapshot that validates wins; an unreadable one (torn
 	// mid-compaction crash) falls back to its predecessor, whose WAL
-	// segment is still on disk and replays the difference.
+	// segment is still on disk and replays the difference. The snapshot and
+	// every replayed frame resolve their configurations through one table,
+	// so the recovered states of one configuration share one shape.
+	var shapes wire.Shapes
 	for i := len(snaps) - 1; i >= 0; i-- {
-		if err := d.loadSnapshot(snaps[i]); err == nil {
+		if err := d.loadSnapshot(snaps[i], &shapes); err == nil {
 			d.snapSeq = snaps[i]
 			break
 		}
@@ -465,7 +468,7 @@ func (d *Disk) recover() error {
 		active = 1
 	}
 	activeOff := int64(-1)
-	fr := newFrameReader()
+	fr := newFrameReader(&shapes)
 	for _, seq := range wals {
 		if seq < d.snapSeq {
 			continue
@@ -548,9 +551,9 @@ type frameReader struct {
 	dec *wire.Decoder
 }
 
-func newFrameReader() *frameReader {
+func newFrameReader(shapes *wire.Shapes) *frameReader {
 	fr := &frameReader{}
-	fr.dec = wire.NewDecoder(&fr.br)
+	fr.dec = shapes.NewDecoder(&fr.br)
 	return fr
 }
 
@@ -618,7 +621,7 @@ func applyRecord(mem *Map, fr *frameReader, body []byte) error {
 // loadSnapshot parses snap-<seq> into a fresh map, replacing the resident
 // one only on full success (a partial parse must not leak state into a
 // fallback to an older snapshot).
-func (d *Disk) loadSnapshot(seq uint64) error {
+func (d *Disk) loadSnapshot(seq uint64, shapes *wire.Shapes) error {
 	data, err := os.ReadFile(d.snapPath(seq))
 	if err != nil {
 		return err
@@ -632,7 +635,7 @@ func (d *Disk) loadSnapshot(seq uint64) error {
 	}
 	mem := NewMap()
 	br := bytes.NewReader(body[len(snapMagic):])
-	dec := wire.NewDecoder(br)
+	dec := shapes.NewDecoder(br)
 	nw, err := binary.ReadUvarint(br)
 	if err != nil {
 		return err

@@ -93,7 +93,7 @@ func plan(get func(worker, name string) (State, bool), worker string, f wire.Fra
 	if cur.Parts.SealGen != d.FromGen {
 		return mutation{}, fmt.Errorf("delta cursor %d does not match resident generation %d", d.FromGen, cur.Parts.SealGen)
 	}
-	if !core.ConfigEqual(cur.Parts.Config, d.Parts.Config) {
+	if !cur.Parts.Shape.Equal(d.Parts.Shape) {
 		return mutation{}, fmt.Errorf("delta configuration differs from resident state")
 	}
 	total := len(cur.Parts.Summaries) + len(d.Parts.Summaries)
@@ -115,7 +115,7 @@ func plan(get func(worker, name string) (State, bool), worker string, f wire.Fra
 		sums = append(sums, d.Parts.Summaries[start-len(cur.Parts.Summaries):]...)
 	}
 	return mutation{op: recPut, name: f.Key, st: State{Parts: core.SnapshotParts{
-		Config:    cur.Parts.Config,
+		Shape:     cur.Parts.Shape,
 		Streams:   d.Parts.Streams,
 		Sums:      d.Parts.Sums,
 		Summaries: sums,

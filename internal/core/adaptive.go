@@ -26,12 +26,13 @@ type adaptState struct {
 
 // initAdaptive sets up controller state after budgets are planned.
 func (p *Policy) initAdaptive() {
-	if !p.cfg.Adaptive || len(p.managed) == 0 {
+	cfg := &p.sh.cfg
+	if !cfg.Adaptive || len(p.sh.managed) == 0 {
 		return
 	}
-	p.adapt = make([]adaptState, len(p.managed))
+	p.adapt = make([]adaptState, len(p.sh.managed))
 	for i := range p.adapt {
-		p.adapt[i] = adaptState{fraction: p.cfg.Fraction, floor: p.cfg.Fraction}
+		p.adapt[i] = adaptState{fraction: cfg.Fraction, floor: cfg.Fraction}
 	}
 }
 
@@ -57,24 +58,18 @@ func (p *Policy) observeDistress(mi int, distress bool) {
 	if st.fraction == old {
 		return
 	}
-	phi := p.cfg.Phis[p.managed[mi]]
-	b, err := fewk.PlanBudget(p.cfg.Spec.Size, p.cfg.Spec.Period, phi, st.fraction)
+	cfg := &p.sh.cfg
+	b, err := fewk.PlanBudget(cfg.Spec.Size, cfg.Spec.Period, cfg.Phis[p.sh.managed[mi]], st.fraction)
 	if err != nil {
 		return // keep the previous plan; fraction stays for next round
 	}
-	switch {
-	case p.cfg.TopKOnly:
-		b = fewk.Budget{K: b.K, Kt: b.K, Ks: 0}
-	case p.cfg.SampleKOnly:
-		b = fewk.Budget{K: b.K, Kt: 0, Ks: b.K}
-	}
-	p.budgets[mi] = b
+	p.budgets[mi] = splitBudget(*cfg, b)
 }
 
 // poolShallow reports whether the merged top-k pool for managed quantile
 // mi cannot reach its read rank — the budget-undershoot distress signal.
 func (p *Policy) poolShallow(mi int) bool {
-	rank := fewk.ExactTailSize(p.cfg.Spec.Size, p.cfg.Phis[p.managed[mi]])
+	rank := fewk.ExactTailSize(p.sh.cfg.Spec.Size, p.sh.cfg.Phis[p.sh.managed[mi]])
 	total := 0
 	for i := range p.agg.summaries {
 		tail, below := p.agg.summaries[i].cached(mi)

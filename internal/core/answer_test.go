@@ -22,17 +22,18 @@ type eagerCoverage struct {
 // selection code with managedAnswer, and notes in cov which branches it
 // met.
 func eagerEstimates(s Snapshot, cov *eagerCoverage) []float64 {
-	out := make([]float64, len(s.cfg.Phis))
+	cfg := s.Config()
+	out := make([]float64, len(cfg.Phis))
 	if len(s.summaries) == 0 {
 		return out
 	}
 	for i := range out {
 		out[i] = s.sums[i] / float64(len(s.summaries))
 	}
-	logicalN := s.cfg.Spec.Size * s.streams
+	logicalN := cfg.Spec.Size * s.streams
 	var sc fewk.Scratch
-	for mi, pi := range s.managed {
-		phi := s.cfg.Phis[pi]
+	for mi, pi := range s.sh.managed {
+		phi := cfg.Phis[pi]
 		var lists, values, weights [][]float64
 		burst := false
 		for i := range s.summaries {
@@ -56,11 +57,11 @@ func eagerEstimates(s Snapshot, cov *eagerCoverage) []float64 {
 		cov.burst, cov.calm = cov.burst || burst, cov.calm || !burst
 		cov.sampNotOK = cov.sampNotOK || (burst && !sampOK)
 		cov.topNotOK = cov.topNotOK || !topOK
-		if s.cfg.SampleKOnly && sampOK {
+		if cfg.SampleKOnly && sampOK {
 			out[pi] = sampleK
 			continue
 		}
-		out[pi] = fewk.Outcome(out[pi], topK, topOK, sampleK, sampOK, burst, fewk.NeedsTopK(s.cfg.Spec.Period, phi, s.cfg.StatThreshold))
+		out[pi] = fewk.Outcome(out[pi], topK, topOK, sampleK, sampOK, burst, fewk.NeedsTopK(cfg.Spec.Period, phi, cfg.StatThreshold))
 	}
 	return out
 }
@@ -168,7 +169,11 @@ func TestManagedAnswerMatchesEagerReference(t *testing.T) {
 func TestManagedAnswerEmptyLists(t *testing.T) {
 	for _, sampleKOnly := range []bool{false, true} {
 		cfg := Config{Spec: window.Spec{Size: 32, Period: 16}, Phis: []float64{0.99}, FewK: true, SampleKOnly: sampleKOnly}.withDefaults()
-		s := Snapshot{cfg: cfg, streams: 1, managed: managedIndexes(cfg)}
+		sh, err := NewShape(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := Snapshot{sh: sh, streams: 1}
 		for i, q := range []float64{3, 5} {
 			s.summaries = append(s.summaries, summaryParts{
 				quantiles: []float64{q},

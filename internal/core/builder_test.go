@@ -137,7 +137,7 @@ func partialSeedProgram(a, b int) []byte {
 func referenceSeal(p *Policy, values []float64, prev *Summary) Summary {
 	cfg := p.Config()
 	q := compress.NewQuantizer(cfg.Digits)
-	b := newBuilder(p)
+	b := newBuilder(p.sh)
 	for _, v := range values {
 		x := q.Quantize(v)
 		if x == 0 {
@@ -148,12 +148,12 @@ func referenceSeal(p *Policy, values []float64, prev *Summary) Summary {
 	slices.Sort(b.vals)
 	b.plan()
 	s := b.assemble(p.budgets)
-	if len(p.managed) > 0 && prev != nil {
+	if len(p.sh.managed) > 0 && prev != nil {
 		alpha := cfg.BurstAlpha
 		if pairs := cfg.Spec.SubWindows() - 1; pairs > 1 {
 			alpha /= float64(pairs)
 		}
-		for mi := range p.managed {
+		for mi := range p.sh.managed {
 			if referenceBursty(&s, prev, mi, alpha) {
 				s.setBursty(mi)
 			}

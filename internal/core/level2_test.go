@@ -222,7 +222,7 @@ func TestQuickLevel2MeanInvariant(t *testing.T) {
 }
 
 func TestBuilderSealProducesSortedTails(t *testing.T) {
-	b := newBuilder(mustNew(t, Config{Spec: window.Spec{Size: 100, Period: 100}, Phis: []float64{0.9}, FewK: true, HighPhiMin: 0.9, Digits: -1}))
+	b := newBuilder(mustNew(t, Config{Spec: window.Spec{Size: 100, Period: 100}, Phis: []float64{0.9}, FewK: true, HighPhiMin: 0.9, Digits: -1}).sh)
 	for _, v := range []float64{5, 100, 3, 99, 42, 7, 88, 1, 64, 2} {
 		b.add(v)
 	}
@@ -248,7 +248,7 @@ func TestBuilderSealProducesSortedTails(t *testing.T) {
 }
 
 func TestBuilderDensityAtSmallN(t *testing.T) {
-	b := newBuilder(mustNew(t, Config{Spec: window.Spec{Size: 100, Period: 100}, Phis: []float64{0.5}, Digits: -1}))
+	b := newBuilder(mustNew(t, Config{Spec: window.Spec{Size: 100, Period: 100}, Phis: []float64{0.5}, Digits: -1}).sh)
 	b.add(1)
 	b.add(2)
 	s := b.seal(nil)

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
+	"repro/internal/core/fewk"
 	"repro/internal/stats"
 )
 
@@ -17,14 +19,15 @@ import (
 // to): a summary's block is immutable after seal, so sharing is safe as
 // long as holders honour the same read-only contract the Snapshot itself
 // relies on. A decoder that just unmarshalled fresh blocks hands them over
-// outright; nothing is copied in either direction. The same holds for
-// Config.Phis, which a decoder may share between the frames of one blob.
+// outright; nothing is copied in either direction. The Shape is shared the
+// same way, by every capture and part of one configuration.
 type SnapshotParts struct {
-	// Config is the FULL resolved configuration the captured operator ran
-	// with — not just the merge-shape fields. Estimates on the rebuilt
+	// Shape is the FULL resolved configuration the captured operator ran
+	// with — not just the merge-shape fields — validated, with the
+	// managed-quantile set derived from it. Estimates on the rebuilt
 	// capture reads Digits-independent state, but Merge compatibility and
 	// the managed-quantile set both derive from it.
-	Config Config
+	Shape *Shape
 	// Streams is the number of merged sub-streams (>= 1).
 	Streams int
 	// Sums holds the Level-2 running quantile sums, one per configured ϕ.
@@ -43,7 +46,7 @@ type SnapshotParts struct {
 // shared with s and MUST be treated as read-only.
 func (s Snapshot) Parts() SnapshotParts {
 	return SnapshotParts{
-		Config:    s.cfg,
+		Shape:     s.sh,
 		Streams:   s.streams,
 		Sums:      s.sums,
 		Summaries: s.summaries,
@@ -53,50 +56,21 @@ func (s Snapshot) Parts() SnapshotParts {
 
 // NewSnapshot rebuilds a capture from its exploded parts, revalidating
 // every structural invariant a live capture carries by construction: the
-// configuration must be a valid RESOLVED one (as produced by New — zero
-// defaults already applied), the Level-2 sums must align with the ϕ set,
-// and every summary's shape must agree with the configuration's quantile
-// and managed-quantile counts. The managed index set is recomputed from the
-// configuration, so a rebuilt capture Merges and Estimates exactly — bit
-// for bit — like the never-serialized original.
+// Level-2 sums must align with the ϕ set, and every summary's shape must
+// agree with the configuration's quantile and managed-quantile counts. The
+// configuration itself was validated, and the managed set derived, once
+// when the Shape was made, so a rebuilt capture Merges and Estimates
+// exactly — bit for bit — like the never-serialized original.
 //
 // NewSnapshot takes ownership of the part slices; callers must not mutate
 // them afterwards. It validates structure, not values: ordering and
 // NaN policies for the float payloads are the transport's concern (see
 // internal/wire), where corrupt input is actually possible.
 func NewSnapshot(p SnapshotParts) (Snapshot, error) {
-	sh, err := NewShape(p.Config)
-	if err != nil {
-		return Snapshot{}, err
+	sh := p.Shape
+	if sh == nil {
+		return Snapshot{}, fmt.Errorf("qlove: snapshot parts: no shape")
 	}
-	return sh.NewSnapshot(p)
-}
-
-// Shape is a resolved configuration that has passed NewSnapshot's checks,
-// together with the managed-quantile set derived from it. A decoder keeps
-// the Shape of the frame it just read: the frames of one blob nearly always
-// carry one configuration, which is then validated and derived once and
-// shared, read-only, by every capture rebuilt from it.
-type Shape struct {
-	cfg     Config
-	managed []int
-}
-
-// NewShape validates cfg as a RESOLVED configuration and derives its managed
-// set. cfg.Phis is retained, not copied.
-func NewShape(cfg Config) (Shape, error) {
-	if err := validateResolved(cfg); err != nil {
-		return Shape{}, fmt.Errorf("qlove: snapshot parts: %w", err)
-	}
-	return Shape{cfg: cfg, managed: managedIndexes(cfg)}, nil
-}
-
-// Config returns the configuration the shape was built from.
-func (sh Shape) Config() Config { return sh.cfg }
-
-// NewSnapshot is NewSnapshot for parts whose configuration is sh's: p.Config
-// is not read, the capture carries sh.Config().
-func (sh Shape) NewSnapshot(p SnapshotParts) (Snapshot, error) {
 	if p.Streams < 1 {
 		return Snapshot{}, fmt.Errorf("qlove: snapshot parts: streams %d < 1", p.Streams)
 	}
@@ -113,13 +87,103 @@ func (sh Shape) NewSnapshot(p SnapshotParts) (Snapshot, error) {
 		}
 	}
 	return Snapshot{
-		cfg:       sh.cfg,
+		sh:        sh,
 		streams:   p.Streams,
 		sums:      p.Sums,
 		summaries: p.Summaries,
-		managed:   sh.managed,
 		sealGen:   p.SealGen,
 	}, nil
+}
+
+// Shape is one resolved, validated configuration together with what every
+// operator and capture of it derives from it: the managed-quantile set and
+// the as-planned few-k budgets. It is immutable and shared by pointer — by
+// a Pool's operators and workbenches, by every capture and SnapshotParts
+// of one operator, by the frames a decoder reads with one configuration
+// and by the aggregator states folded from them — so a configuration is
+// validated and derived once, not copied into every state that runs or
+// holds it.
+type Shape struct {
+	cfg Config
+	// managed[i] is the index into cfg.Phis of the i-th few-k-managed
+	// quantile; budgets[i] its as-planned per-sub-window budget (the
+	// adaptive controller replans a copy per operator).
+	managed []int
+	budgets []fewk.Budget
+}
+
+// zeroShape is what the zero Snapshot reads its configuration from.
+var zeroShape Shape
+
+// NewShape validates cfg as a RESOLVED configuration (as produced by New —
+// zero defaults already applied) and derives its managed set and budgets.
+// A config that would merely resolve to a valid one (e.g. Digits 0 or
+// negative) is rejected: resolving here would break bit-identity between a
+// rebuilt capture and its source. cfg.Phis is retained, not copied.
+func NewShape(cfg Config) (*Shape, error) {
+	if err := validateResolved(cfg); err != nil {
+		return nil, fmt.Errorf("qlove: snapshot parts: %w", err)
+	}
+	return newShape(cfg)
+}
+
+// newShape derives the managed set and budgets of a valid resolved cfg.
+func newShape(cfg Config) (*Shape, error) {
+	sh := &Shape{cfg: cfg, managed: managedIndexes(cfg)}
+	for _, i := range sh.managed {
+		b, err := fewk.PlanBudget(cfg.Spec.Size, cfg.Spec.Period, cfg.Phis[i], cfg.Fraction)
+		if err != nil {
+			return nil, err
+		}
+		sh.budgets = append(sh.budgets, splitBudget(cfg, b))
+	}
+	return sh, nil
+}
+
+// splitBudget applies the TopKOnly / SampleKOnly modes to a planned budget.
+func splitBudget(cfg Config, b fewk.Budget) fewk.Budget {
+	switch {
+	case cfg.TopKOnly:
+		return fewk.Budget{K: b.K, Kt: b.K, Ks: 0}
+	case cfg.SampleKOnly:
+		return fewk.Budget{K: b.K, Kt: 0, Ks: b.K}
+	}
+	return b
+}
+
+// managedIndexes derives, from a RESOLVED configuration, which ϕ indexes
+// are under few-k management: every configured ϕ in [HighPhiMin, 1) when
+// FewK is enabled.
+func managedIndexes(cfg Config) []int {
+	if !cfg.FewK {
+		return nil
+	}
+	var out []int
+	for i, phi := range cfg.Phis {
+		if phi >= cfg.HighPhiMin && phi < 1 {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// Config returns the configuration the shape was built from.
+func (sh *Shape) Config() Config { return sh.cfg }
+
+// Equal reports whether two shapes hold identical configurations in every
+// field — the equality Snapshot.Merge requires and delta folding re-checks
+// across frames of one key. One shared shape is equal to itself without a
+// field compared.
+func (sh *Shape) Equal(o *Shape) bool {
+	if sh == o {
+		return true
+	}
+	a, b := &sh.cfg, &o.cfg
+	return a.Spec == b.Spec && slices.Equal(a.Phis, b.Phis) &&
+		a.Digits == b.Digits && a.FewK == b.FewK && a.Fraction == b.Fraction &&
+		a.StatThreshold == b.StatThreshold && a.BurstAlpha == b.BurstAlpha &&
+		a.HighPhiMin == b.HighPhiMin && a.TopKOnly == b.TopKOnly &&
+		a.SampleKOnly == b.SampleKOnly && a.Adaptive == b.Adaptive
 }
 
 // validateResolved checks that cfg is a valid configuration in RESOLVED

@@ -94,17 +94,12 @@ func TestNewSnapshotRejects(t *testing.T) {
 		})
 	}
 	cases := map[string]SnapshotParts{
-		"zero streams":    mutate(func(p *SnapshotParts) { p.Streams = 0 }),
-		"bad spec":        mutate(func(p *SnapshotParts) { p.Config.Spec.Period = 3 }),
-		"no phis":         mutate(func(p *SnapshotParts) { p.Config.Phis = nil }),
-		"unsorted phis":   mutate(func(p *SnapshotParts) { p.Config.Phis = []float64{0.9, 0.5} }),
-		"unresolved frac": mutate(func(p *SnapshotParts) { p.Config.Fraction = 0 }),
-		"negative digits": mutate(func(p *SnapshotParts) { p.Config.Digits = -1 }),
-		"both modes":      mutate(func(p *SnapshotParts) { p.Config.TopKOnly, p.Config.SampleKOnly = true, true }),
-		"sums mismatch":   mutate(func(p *SnapshotParts) { p.Sums = p.Sums[:1] }),
-		"zero count":      mutate(func(p *SnapshotParts) { s := p.Summaries[0]; s.Count = 0; p.Summaries[0] = s }),
-		"quantile shape":  rebuild(func(sp *summaryParts) { sp.quantiles, sp.densities = sp.quantiles[:1], sp.densities[:1] }),
-		"unmanaged":       rebuild(func(sp *summaryParts) { sp.tails, sp.values, sp.weights, sp.bursty = nil, nil, nil, nil }),
+		"no shape":       mutate(func(p *SnapshotParts) { p.Shape = nil }),
+		"zero streams":   mutate(func(p *SnapshotParts) { p.Streams = 0 }),
+		"sums mismatch":  mutate(func(p *SnapshotParts) { p.Sums = p.Sums[:1] }),
+		"zero count":     mutate(func(p *SnapshotParts) { s := p.Summaries[0]; s.Count = 0; p.Summaries[0] = s }),
+		"quantile shape": rebuild(func(sp *summaryParts) { sp.quantiles, sp.densities = sp.quantiles[:1], sp.densities[:1] }),
+		"unmanaged":      rebuild(func(sp *summaryParts) { sp.tails, sp.values, sp.weights, sp.bursty = nil, nil, nil, nil }),
 		"extra managed": rebuild(func(sp *summaryParts) {
 			sp.tails, sp.values, sp.weights = append(sp.tails, nil), append(sp.values, nil), append(sp.weights, nil)
 			sp.bursty = append(sp.bursty, false)
@@ -123,6 +118,28 @@ func TestNewSnapshotRejects(t *testing.T) {
 	// not what fails the cases above).
 	if _, err := NewSnapshot(mutate(func(*SnapshotParts) {})); err != nil {
 		t.Fatalf("pristine parts rejected: %v", err)
+	}
+
+	// A configuration is validated once, when its Shape is made.
+	shapeOf := func(fn func(c *Config)) Config {
+		c := ok.Shape.Config()
+		fn(&c)
+		return c
+	}
+	for name, c := range map[string]Config{
+		"bad spec":        shapeOf(func(c *Config) { c.Spec.Period = 3 }),
+		"no phis":         shapeOf(func(c *Config) { c.Phis = nil }),
+		"unsorted phis":   shapeOf(func(c *Config) { c.Phis = []float64{0.9, 0.5} }),
+		"unresolved frac": shapeOf(func(c *Config) { c.Fraction = 0 }),
+		"negative digits": shapeOf(func(c *Config) { c.Digits = -1 }),
+		"both modes":      shapeOf(func(c *Config) { c.TopKOnly, c.SampleKOnly = true, true }),
+	} {
+		if _, err := NewShape(c); err == nil {
+			t.Errorf("%s: shape accepted", name)
+		}
+	}
+	if _, err := NewShape(shapeOf(func(*Config) {})); err != nil {
+		t.Fatalf("pristine configuration rejected: %v", err)
 	}
 }
 

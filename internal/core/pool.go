@@ -24,11 +24,10 @@ package core
 // into its pool from Observe, EndPeriod and Reset, so an operator never
 // changes owners. Use one Pool per owner, not one shared Pool behind a lock.
 type Pool struct {
-	// proto is the operator NewPool validated the configuration with. It
-	// never runs: every operator the pool hands out is minted from it
-	// (Policy.mint), shares its read-only parts and carries its resolved
-	// configuration.
-	proto *Policy
+	// shape is the configuration NewPool resolved and validated: every
+	// operator and workbench the pool hands out is made from it
+	// (Shape.policy, newBuilder) and shares it.
+	shape *Shape
 	free  []*Policy
 	// benches holds the idle workbenches, cleared, most recently used
 	// last; lent counts the ones out with operators homed here.
@@ -41,14 +40,14 @@ type Pool struct {
 }
 
 // NewPool returns a pool minting operators with cfg. The configuration is
-// validated eagerly — by constructing the prototype every operator is minted
-// from — so Get never fails afterwards.
+// resolved and validated eagerly, exactly as New does, so Get never fails
+// afterwards.
 func NewPool(cfg Config) (*Pool, error) {
-	p, err := New(cfg)
+	sh, err := resolve(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Pool{proto: p}, nil
+	return &Pool{shape: sh}, nil
 }
 
 // Get returns an operator ready for a fresh stream: a recycled one when
@@ -60,7 +59,7 @@ func (pl *Pool) Get() *Policy {
 		pl.free = pl.free[:n-1]
 		return p
 	}
-	p := pl.proto.mint()
+	p := pl.shape.policy()
 	p.lender = pl
 	return p
 }
@@ -104,7 +103,7 @@ func (pl *Pool) lend() *builder {
 		pl.benches = pl.benches[:n-1]
 		return b
 	}
-	return newBuilder(pl.proto)
+	return newBuilder(pl.shape)
 }
 
 // takeBack clears a returned workbench and shelves it, up to maxIdle.
@@ -114,21 +113,4 @@ func (pl *Pool) takeBack(b *builder) {
 		b.clear()
 		pl.benches = append(pl.benches, b)
 	}
-}
-
-// ConfigEqual reports whether two resolved configurations are identical in
-// every field — the equality Snapshot.Merge requires and delta folding
-// re-checks across frames of one key.
-func ConfigEqual(a, b Config) bool { return fullConfigEqual(a, b) }
-
-// fullConfigEqual compares every field of two resolved configurations —
-// unlike sameConfig (merge semantics), pooling additionally requires the
-// quantizer, burst detector and mode flags to agree.
-func fullConfigEqual(a, b Config) bool {
-	return sameConfig(a, b) &&
-		a.Digits == b.Digits &&
-		a.BurstAlpha == b.BurstAlpha &&
-		a.TopKOnly == b.TopKOnly &&
-		a.SampleKOnly == b.SampleKOnly &&
-		a.Adaptive == b.Adaptive
 }

@@ -73,7 +73,7 @@ func TestPoolRecyclesOperators(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(pool.free) != 0 {
-		t.Fatalf("idle after construction = %d, want 0 (the validation operator is the prototype, never handed out)", len(pool.free))
+		t.Fatalf("idle after construction = %d, want 0 (NewPool mints no operator)", len(pool.free))
 	}
 	p1 := pool.Get()
 	p1.ObserveBatch(workload.Generate(workload.NewNetMon(1), cfg.Spec.Size))
@@ -120,13 +120,13 @@ func TestPoolMintsIdenticalConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := pool.Get()  // the seeded validation operator
-	second := pool.Get() // freshly minted
-	if !fullConfigEqual(first.cfg, second.cfg) {
-		t.Fatalf("minted config diverges: %+v vs %+v", first.cfg, second.cfg)
+	first := pool.Get()
+	second := pool.Get()
+	if first.sh != pool.shape || second.sh != pool.shape {
+		t.Fatal("minted operators do not share the pool's shape")
 	}
-	if second.cfg.Digits != 0 {
-		t.Fatalf("Digits re-resolved to %d, want 0 (identity)", second.cfg.Digits)
+	if second.Config().Digits != 0 {
+		t.Fatalf("Digits re-resolved to %d, want 0 (identity)", second.Config().Digits)
 	}
 	// Both recycle.
 	pool.Put(first)

@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core/fewk"
 	"repro/internal/stats"
@@ -84,7 +85,9 @@ func (c Config) withDefaults() Config {
 // Policy is the QLOVE sliding-window multi-quantile operator. It
 // implements the stream.Policy contract.
 type Policy struct {
-	cfg Config
+	// sh is the operator's configuration, shared with every operator,
+	// workbench and capture of it.
+	sh *Shape
 	// builder is the Level-1 workbench of the sub-window in flight. An
 	// operator minted by a Pool (lender != nil) holds one only from the
 	// first value of a sub-window until EndPeriod seals it, then hands it
@@ -94,15 +97,11 @@ type Policy struct {
 	lender  *Pool
 	agg     *level2
 
-	// managed[i] is the index into cfg.Phis of the i-th few-k-managed
-	// quantile; budgets[i] its per-sub-window plan.
-	managed []int
+	// budgets[i] is the per-sub-window plan of the i-th few-k-managed
+	// quantile: the shape's own, or — when the adaptive controller replans
+	// them at runtime — the operator's copy, which Reset restores from the
+	// shape.
 	budgets []fewk.Budget
-
-	// baseBudgets preserves the as-planned budgets when the adaptive
-	// controller may mutate budgets at runtime, so Reset can restore a
-	// recycled operator to its exact initial plan.
-	baseBudgets []fewk.Budget
 
 	// prev is the most recently sealed summary once it is no longer
 	// resident (Expire saves it when it removes the last one); while it is
@@ -128,6 +127,16 @@ type Policy struct {
 
 // New returns a QLOVE policy for the given configuration.
 func New(cfg Config) (*Policy, error) {
+	sh, err := resolve(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sh.policy(), nil
+}
+
+// resolve applies cfg's defaults, validates the result and makes its Shape,
+// over a private copy of the ϕ set.
+func resolve(cfg Config) (*Shape, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
@@ -142,72 +151,23 @@ func New(cfg Config) (*Policy, error) {
 		return nil, fmt.Errorf("qlove: TopKOnly and SampleKOnly are mutually exclusive")
 	}
 	cfg.Phis = append([]float64(nil), cfg.Phis...)
-	p := &Policy{
-		cfg: cfg,
-		agg: newLevel2(len(cfg.Phis)),
-	}
-	if cfg.FewK {
-		p.managed = managedIndexes(cfg)
-		for _, i := range p.managed {
-			b, err := fewk.PlanBudget(cfg.Spec.Size, cfg.Spec.Period, cfg.Phis[i], cfg.Fraction)
-			if err != nil {
-				return nil, err
-			}
-			switch {
-			case cfg.TopKOnly:
-				b = fewk.Budget{K: b.K, Kt: b.K, Ks: 0}
-			case cfg.SampleKOnly:
-				b = fewk.Budget{K: b.K, Kt: 0, Ks: b.K}
-			}
-			p.budgets = append(p.budgets, b)
-		}
-		p.burstActive = make([]bool, len(p.managed))
-		if cfg.Adaptive {
-			p.baseBudgets = append([]fewk.Budget(nil), p.budgets...)
-		}
-		p.initAdaptive()
-	}
-	return p, nil
+	return newShape(cfg)
 }
 
-// mint returns a fresh operator configured exactly like p, sharing what no
-// operator ever writes — the ϕ set, the managed indexes and, unless the
-// adaptive controller replans them, the budgets — so a pool's thousands of
-// operators do not each hold a copy.
-func (p *Policy) mint() *Policy {
-	q := &Policy{
-		cfg:     p.cfg,
-		agg:     newLevel2(len(p.cfg.Phis)),
-		managed: p.managed,
-		budgets: p.budgets,
-	}
-	if len(p.managed) > 0 {
-		q.burstActive = make([]bool, len(p.managed))
-	}
-	if p.baseBudgets != nil {
-		q.baseBudgets = p.baseBudgets // written by nobody: Reset copies FROM it
-		q.budgets = append([]fewk.Budget(nil), p.baseBudgets...)
-	}
-	q.initAdaptive()
-	return q
-}
-
-// managedIndexes derives, from a RESOLVED configuration, which ϕ indexes
-// are under few-k management: every configured ϕ in [HighPhiMin, 1) when
-// FewK is enabled. It is the single source of truth shared by New and
-// NewSnapshot, so a capture rebuilt from serialized parts recomputes
-// exactly the managed set its source operator ran with.
-func managedIndexes(cfg Config) []int {
-	if !cfg.FewK {
-		return nil
-	}
-	var out []int
-	for i, phi := range cfg.Phis {
-		if phi >= cfg.HighPhiMin && phi < 1 {
-			out = append(out, i)
+// policy mints a fresh operator of the shape. It shares everything the
+// shape holds, so a pool's thousands of operators do not each hold a copy;
+// only the adaptive controller, which replans budgets per operator, gets
+// its own copy of them.
+func (sh *Shape) policy() *Policy {
+	p := &Policy{sh: sh, agg: newLevel2(len(sh.cfg.Phis)), budgets: sh.budgets}
+	if len(sh.managed) > 0 {
+		p.burstActive = make([]bool, len(sh.managed))
+		if sh.cfg.Adaptive {
+			p.budgets = slices.Clone(sh.budgets)
 		}
 	}
-	return out
+	p.initAdaptive()
+	return p
 }
 
 // Reset returns the operator to its as-constructed state while keeping
@@ -233,8 +193,8 @@ func (p *Policy) Reset() {
 	for i := range p.burstActive {
 		p.burstActive[i] = false
 	}
-	if p.baseBudgets != nil {
-		copy(p.budgets, p.baseBudgets)
+	if p.adapt != nil {
+		copy(p.budgets, p.sh.budgets)
 	}
 	p.initAdaptive()
 }
@@ -248,7 +208,7 @@ func (p *Policy) ExpiresWholeSummaries() bool { return true }
 func (p *Policy) Name() string { return "QLOVE" }
 
 // Config returns the resolved configuration.
-func (p *Policy) Config() Config { return p.cfg }
+func (p *Policy) Config() Config { return p.sh.cfg }
 
 // Observe implements stream.Policy: Level-1 accumulation. A completed
 // sub-window seals into a summary handed to Level 2 — a tumbling window
@@ -256,7 +216,7 @@ func (p *Policy) Config() Config { return p.cfg }
 func (p *Policy) Observe(v float64) {
 	b := p.bench()
 	b.add(v)
-	if n := b.len(); n == p.cfg.Spec.Period || n == 0 {
+	if n := b.len(); n == p.sh.cfg.Spec.Period || n == 0 {
 		p.EndPeriod() // seal a full sub-window; release a still-empty workbench
 	}
 }
@@ -269,7 +229,7 @@ func (p *Policy) bench() *builder {
 		if p.lender != nil {
 			p.builder = p.lender.lend()
 		} else {
-			p.builder = newBuilder(p)
+			p.builder = newBuilder(p.sh)
 		}
 	}
 	return p.builder
@@ -302,12 +262,12 @@ func (p *Policy) inFlight() int {
 func (p *Policy) ObserveBatch(vs []float64) {
 	for len(vs) > 0 {
 		chunk := vs
-		if room := p.cfg.Spec.Period - p.inFlight(); len(chunk) > room {
+		if room := p.sh.cfg.Spec.Period - p.inFlight(); len(chunk) > room {
 			chunk = chunk[:room]
 		}
 		b := p.bench()
 		b.addBatch(chunk)
-		if n := b.len(); n == p.cfg.Spec.Period || n == 0 {
+		if n := b.len(); n == p.sh.cfg.Spec.Period || n == 0 {
 			p.EndPeriod() // seal a full sub-window; release a still-empty workbench
 		}
 		vs = vs[len(chunk):]
@@ -318,7 +278,7 @@ func (p *Policy) ObserveBatch(vs []float64) {
 // deaccumulated per period in O(l) — QLOVE's answer to the Exact
 // baseline's per-element deaccumulation cost.
 func (p *Policy) Expire([]float64) {
-	if len(p.managed) > 0 && p.agg.count() == 1 {
+	if len(p.sh.managed) > 0 && p.agg.count() == 1 {
 		last := p.agg.summaries[0]
 		p.prev = &last
 	}
@@ -363,13 +323,13 @@ func (p *Policy) EndPeriod() {
 	if c := p.agg.count(); c > 0 {
 		prev = &p.agg.summaries[c-1]
 	}
-	if len(p.managed) > 0 && prev != nil {
-		alpha := p.cfg.BurstAlpha
-		if pairs := p.cfg.Spec.SubWindows() - 1; pairs > 1 {
+	if len(p.sh.managed) > 0 && prev != nil {
+		alpha := p.sh.cfg.BurstAlpha
+		if pairs := p.sh.cfg.Spec.SubWindows() - 1; pairs > 1 {
 			alpha /= float64(pairs)
 		}
 		sc := p.scratch()
-		for mi := range p.managed {
+		for mi := range p.sh.managed {
 			if sc.burstyVsPrev(&s, prev, mi, alpha) {
 				s.setBursty(mi) // still private: published by accumulate below
 			}
@@ -393,15 +353,16 @@ func (p *Policy) SealGen() uint64 { return p.sealGen }
 // Level-2 average; few-k-managed quantiles select between Level 2, top-k
 // merging and sample-k merging per §4.3.
 func (p *Policy) Result() []float64 {
-	out := make([]float64, len(p.cfg.Phis))
+	cfg := &p.sh.cfg
+	out := make([]float64, len(cfg.Phis))
 	if p.agg.count() == 0 {
 		return out
 	}
-	for i := range p.cfg.Phis {
+	for i := range cfg.Phis {
 		out[i] = p.agg.estimate(i)
 	}
-	for mi, pi := range p.managed {
-		est, burst := p.scratch().managedAnswer(&p.cfg, p.agg.summaries, mi, pi, p.cfg.Spec.Size, out[pi])
+	for mi, pi := range p.sh.managed {
+		est, burst := p.scratch().managedAnswer(cfg, p.agg.summaries, mi, pi, cfg.Spec.Size, out[pi])
 		out[pi] = est
 		p.burstActive[mi] = burst
 		if p.adapt != nil {
@@ -427,17 +388,18 @@ func (p *Policy) BurstDetected() bool {
 // mean sub-window density estimate. A zero entry means the bound is not
 // informative (no usable density estimate yet).
 func (p *Policy) ErrorBounds(alpha float64) []float64 {
-	out := make([]float64, len(p.cfg.Phis))
+	cfg := &p.sh.cfg
+	out := make([]float64, len(cfg.Phis))
 	n := p.agg.count()
 	if n == 0 {
 		return out
 	}
-	for i, phi := range p.cfg.Phis {
+	for i, phi := range cfg.Phis {
 		f := p.agg.meanDensity(i)
 		if f <= 0 {
 			continue
 		}
-		out[i] = stats.CLTErrorBound(phi, n, p.cfg.Spec.Period, f, alpha)
+		out[i] = stats.CLTErrorBound(phi, n, cfg.Spec.Period, f, alpha)
 	}
 	return out
 }
@@ -465,9 +427,9 @@ func (p *Policy) SubWindowCount() int { return p.agg.count() }
 
 // ManagedQuantiles returns the ϕ values under few-k management.
 func (p *Policy) ManagedQuantiles() []float64 {
-	out := make([]float64, len(p.managed))
-	for i, pi := range p.managed {
-		out[i] = p.cfg.Phis[pi]
+	out := make([]float64, len(p.sh.managed))
+	for i, pi := range p.sh.managed {
+		out[i] = p.sh.cfg.Phis[pi]
 	}
 	return out
 }

@@ -422,3 +422,43 @@ func TestSealGenClock(t *testing.T) {
 		t.Fatalf("after Reset: gen=%d resident=%d", p.SealGen(), p.SubWindowCount())
 	}
 }
+
+// TestBurstGateSkipsOnlyUnreachableTests: the seal skips §4.3's burst test
+// only where no input can reach its level, and every flag it raises is the
+// independent reference test's. At 64/16 with the whole budget, ϕ = 0.95
+// retains 4 values a sub-window and 4 against 4 can reach α/3, so a 1000×
+// burst is flagged; at 512/128, ϕ = 0.99 retains 3 and 3 against 3 cannot.
+func TestBurstGateSkipsOnlyUnreachableTests(t *testing.T) {
+	calm := workload.Generate(workload.NewNetMon(3), 6*128)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want bool // whether the burst sub-window is flagged
+	}{
+		{"64/16", Config{Spec: window.Spec{Size: 64, Period: 16}, Phis: []float64{0.95}, FewK: true, Fraction: 1}, true},
+		{"512/128", Config{Spec: window.Spec{Size: 512, Period: 128}, Phis: []float64{0.99}, FewK: true}, false},
+	} {
+		p := mustNew(t, tc.cfg)
+		per := tc.cfg.Spec.Period
+		alpha := p.Config().BurstAlpha / float64(tc.cfg.Spec.SubWindows()-1)
+		for w := 0; w < 6; w++ {
+			vs := append([]float64(nil), calm[w*per:(w+1)*per]...)
+			if w == 5 {
+				for i := range vs {
+					vs[i] *= 1000
+				}
+			}
+			p.ObserveBatch(vs) // nothing expires: Level 2 keeps every summary
+			if w == 0 {
+				continue
+			}
+			cur, prev := &p.agg.summaries[w], &p.agg.summaries[w-1]
+			if got, want := cur.Bursty(0), referenceBursty(cur, prev, 0, alpha); got != want {
+				t.Fatalf("%s sub-window %d: flag %v, reference %v", tc.name, w, got, want)
+			}
+			if w == 5 && cur.Bursty(0) != tc.want {
+				t.Fatalf("%s: the burst is flagged %v, want %v (retained %d against %d)", tc.name, cur.Bursty(0), tc.want, len(cur.Tail(0)), len(prev.Tail(0)))
+			}
+		}
+	}
+}

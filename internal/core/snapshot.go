@@ -29,11 +29,10 @@ import (
 // identical to the Result() the operator would have returned at the same
 // instant.
 type Snapshot struct {
-	cfg       Config
-	streams   int // merged sub-streams; 0 marks the zero Snapshot
+	sh        *Shape // nil only in the zero Snapshot (see shape)
+	streams   int    // merged sub-streams; 0 marks the zero Snapshot
 	sums      []float64
 	summaries []Summary
-	managed   []int
 	// sealGen is the source operator's seal-generation clock at capture
 	// time (see Policy.SealGen); 0 for merged captures and for captures
 	// rebuilt from sources that do not track generations (wire v1).
@@ -50,11 +49,10 @@ func (p *Policy) Snapshot() Snapshot {
 	p.agg.mu.Lock()
 	defer p.agg.mu.Unlock()
 	return Snapshot{
-		cfg:       p.cfg,
+		sh:        p.sh,
 		streams:   1,
 		sums:      append([]float64(nil), p.agg.sums...),
 		summaries: append([]Summary(nil), p.agg.summaries...),
-		managed:   p.managed,
 		sealGen:   p.sealGen,
 	}
 }
@@ -62,6 +60,15 @@ func (p *Policy) Snapshot() Snapshot {
 // IsZero reports whether s is the zero Snapshot (no capture at all — as
 // opposed to a capture of an operator that has sealed nothing yet).
 func (s Snapshot) IsZero() bool { return s.streams == 0 }
+
+// shape returns the capture's shape; the zero Snapshot's is the zero
+// configuration's, with nothing managed.
+func (s Snapshot) shape() *Shape {
+	if s.sh == nil {
+		return &zeroShape
+	}
+	return s.sh
+}
 
 // Streams returns the number of merged sub-streams (1 for a direct
 // capture); the logical window spans Streams()×Size elements.
@@ -81,7 +88,7 @@ func (s Snapshot) Elements() int {
 }
 
 // Config returns the configuration the captured operator ran with.
-func (s Snapshot) Config() Config { return s.cfg }
+func (s Snapshot) Config() Config { return s.shape().cfg }
 
 // SealGen returns the seal-generation clock of the captured operator at
 // capture time: the resident summaries are generations
@@ -90,6 +97,10 @@ func (s Snapshot) Config() Config { return s.cfg }
 // generation-less sources (wire format v1), which therefore cannot anchor a
 // delta export.
 func (s Snapshot) SealGen() uint64 { return s.sealGen }
+
+// ErrMismatched reports an attempt to merge shards with different
+// configurations.
+var ErrMismatched = fmt.Errorf("shards have mismatched configurations")
 
 // Merge combines two snapshots of disjoint sub-streams of one logical
 // stream. The zero Snapshot is the identity, so a fold over any number of
@@ -105,14 +116,13 @@ func (s Snapshot) Merge(o Snapshot) (Snapshot, error) {
 	if o.IsZero() {
 		return s, nil
 	}
-	if !fullConfigEqual(s.cfg, o.cfg) {
+	if !s.sh.Equal(o.sh) {
 		return Snapshot{}, fmt.Errorf("qlove: %w", ErrMismatched)
 	}
 	out := Snapshot{
-		cfg:     s.cfg,
+		sh:      s.sh,
 		streams: s.streams + o.streams,
 		sums:    make([]float64, len(s.sums)),
-		managed: s.managed,
 	}
 	for i := range out.sums {
 		out.sums[i] = s.sums[i] + o.sums[i]
@@ -147,7 +157,8 @@ func (s Snapshot) Estimate(phi float64) (float64, bool) {
 	if s.IsZero() {
 		return 0, false
 	}
-	for i, p := range s.cfg.Phis {
+	cfg := &s.sh.cfg
+	for i, p := range cfg.Phis {
 		if p != phi {
 			continue
 		}
@@ -155,10 +166,10 @@ func (s Snapshot) Estimate(phi float64) (float64, bool) {
 			return 0, true
 		}
 		est := s.sums[i] / float64(len(s.summaries))
-		for mi, pi := range s.managed {
+		for mi, pi := range s.sh.managed {
 			if pi == i {
 				sc := scratchPool.Get().(*mergeScratch)
-				est, _ = sc.managedAnswer(&s.cfg, s.summaries, mi, i, s.cfg.Spec.Size*s.streams, est)
+				est, _ = sc.managedAnswer(cfg, s.summaries, mi, i, cfg.Spec.Size*s.streams, est)
 				scratchPool.Put(sc)
 				break
 			}
@@ -175,17 +186,18 @@ func (s Snapshot) Estimate(phi float64) (float64, bool) {
 // §4.3, with the few-k read rank scaled to the streams×N logical window.
 // With no resident summaries it returns zeros, one per ϕ.
 func (s Snapshot) Estimates() []float64 {
-	out := make([]float64, len(s.cfg.Phis))
+	sh := s.shape()
+	out := make([]float64, len(sh.cfg.Phis))
 	if len(s.summaries) == 0 {
 		return out
 	}
 	for i := range out {
 		out[i] = s.sums[i] / float64(len(s.summaries))
 	}
-	if len(s.managed) > 0 {
+	if len(sh.managed) > 0 {
 		sc := scratchPool.Get().(*mergeScratch)
-		for mi, pi := range s.managed {
-			out[pi], _ = sc.managedAnswer(&s.cfg, s.summaries, mi, pi, s.cfg.Spec.Size*s.streams, out[pi])
+		for mi, pi := range sh.managed {
+			out[pi], _ = sc.managedAnswer(&sh.cfg, s.summaries, mi, pi, sh.cfg.Spec.Size*s.streams, out[pi])
 		}
 		scratchPool.Put(sc)
 	}

@@ -301,17 +301,33 @@ func (sc *mergeScratch) managedAnswer(cfg *Config, summaries []Summary, mi, pi, 
 // freshly sealed cur's retained tail stochastically larger than prev's, at
 // level alpha? Each summary's retained values — the tail, then the samples
 // below it — are one descending run, which is what fewk.DetectBurst ranks
-// by merging.
+// by merging. Runs too short for any values to reach alpha (burstFloor)
+// are not ranked: at 512/128 a ϕ = 0.99 sub-window retains 3 values, and
+// no 3 against 3 gets below p = 0.0234, above α/3.
 func (sc *mergeScratch) burstyVsPrev(cur, prev *Summary, mi int, alpha float64) bool {
-	u := sc.union[:0]
 	tail, below := cur.cached(mi)
-	u = append(append(u, tail...), below...)
-	nx := len(u)
-	tail, below = prev.cached(mi)
-	u = append(append(u, tail...), below...)
+	ptail, pbelow := prev.cached(mi)
+	nx, ny := len(tail)+len(below), len(ptail)+len(pbelow)
+	if nx < len(burstFloor) && ny < len(burstFloor) && burstFloor[nx][ny] >= alpha {
+		return false
+	}
+	u := append(append(sc.union[:0], tail...), below...)
+	u = append(append(u, ptail...), pbelow...)
 	sc.union = u
 	return fewk.DetectBurst(u[:nx], u[nx:], alpha)
 }
+
+// burstFloor[nx][ny] is the smallest p the burst test can return for
+// retained runs of nx and ny values (stats.MannWhitneyFloor), for the run
+// lengths that floor is checked at.
+var burstFloor = func() (f [stats.MannWhitneyFloorSize + 1][stats.MannWhitneyFloorSize + 1]float64) {
+	for nx := range f {
+		for ny := range f[nx] {
+			f[nx][ny], _ = stats.MannWhitneyFloor(nx, ny)
+		}
+	}
+	return f
+}()
 
 // builder accumulates one in-flight sub-window of quantized values. The
 // paper's Level 1 keeps a sub-window as the compressed {value, count}
@@ -335,11 +351,8 @@ func (sc *mergeScratch) burstyVsPrev(cur, prev *Summary, mi int, alpha float64) 
 // but the budgets (which the adaptive controller replans per operator),
 // so the plan it memoizes is never read under another configuration.
 type builder struct {
-	// phis, managed and windowN are the configuration served: the ϕs, the
-	// indexes of the few-k-managed ones, and the window size.
-	phis    []float64
-	managed []int
-	windowN int
+	// sh is the configuration served.
+	sh *Shape
 
 	// vals is the in-flight sub-window: quantized, NaN dropped, −0 stored
 	// as +0, in arrival order until the seal rearranges it.
@@ -375,18 +388,16 @@ type rankReq struct {
 	slot int32
 }
 
-// newBuilder returns an empty workbench for p's configuration, its buffer
-// sized for a sub-window of one period.
-func newBuilder(p *Policy) *builder {
+// newBuilder returns an empty workbench for the configuration sh, its
+// buffer sized for a sub-window of one period.
+func newBuilder(sh *Shape) *builder {
 	b := &builder{
-		phis:    p.cfg.Phis,
-		managed: p.managed,
-		windowN: p.cfg.Spec.Size,
-		vals:    make([]float64, 0, p.cfg.Spec.Period),
-		quant:   compress.NewQuantizer(p.cfg.Digits),
+		sh:    sh,
+		vals:  make([]float64, 0, sh.cfg.Spec.Period),
+		quant: compress.NewQuantizer(sh.cfg.Digits),
 	}
-	if len(p.managed) > 0 {
-		b.flags = make([]bool, len(p.managed))
+	if len(sh.managed) > 0 {
+		b.flags = make([]bool, len(sh.managed))
 	}
 	return b
 }
@@ -462,15 +473,16 @@ func (b *builder) plan() {
 		return
 	}
 	b.planN = n
-	l := len(b.phis)
+	cfg := &b.sh.cfg
+	l := len(cfg.Phis)
 	reqs := b.reqs[:0]
-	for i, phi := range b.phis {
+	for i, phi := range cfg.Phis {
 		reqs = append(reqs, rankReq{rank: uint64(stats.CeilRank(phi, n)), slot: int32(i)})
 	}
 	b.los = growFloats(b.los, l)
 	b.his = growFloats(b.his, l)
 	if n >= 4 {
-		for i, phi := range b.phis {
+		for i, phi := range cfg.Phis {
 			h := bandwidth(phi, n)
 			lo := phi - h
 			if lo < 1.0/float64(n) {
@@ -489,8 +501,8 @@ func (b *builder) plan() {
 	slices.SortFunc(reqs, func(a, c rankReq) int { return cmp.Compare(a.rank, c.rank) })
 	b.reqs = reqs
 	b.tailNs, b.maxTail = b.tailNs[:0], 0
-	for _, pi := range b.managed {
-		ts := tailSize(b.windowN, b.phis[pi], n)
+	for _, pi := range b.sh.managed {
+		ts := tailSize(cfg.Spec.Size, cfg.Phis[pi], n)
 		b.tailNs = append(b.tailNs, ts)
 		b.maxTail = max(b.maxTail, ts)
 	}
@@ -501,7 +513,7 @@ func (b *builder) plan() {
 // values from the end of vals backwards. vals need be in sorted order only
 // at those positions.
 func (b *builder) assemble(budgets []fewk.Budget) Summary {
-	n, l := len(b.vals), len(b.phis)
+	n, l := len(b.vals), len(b.sh.cfg.Phis)
 	b.slotVals = growFloats(b.slotVals, 3*l)
 	for _, r := range b.reqs {
 		b.slotVals[r.slot] = b.vals[r.rank-1]
@@ -509,7 +521,7 @@ func (b *builder) assemble(budgets []fewk.Budget) Summary {
 	// Density at each ϕ-quantile by finite difference of the empirical
 	// quantile function, mirroring stats.DensityAt on the rank reads.
 	b.dens = growFloats(b.dens, l)
-	for i := range b.phis {
+	for i := range l {
 		b.dens[i] = 0
 		if n < 4 {
 			continue

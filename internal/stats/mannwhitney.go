@@ -75,3 +75,25 @@ func MannWhitneyDescending(x, y []float64) MannWhitneyResult {
 	z := (u - mu - 0.5) / math.Sqrt(sigma2)
 	return MannWhitneyResult{U: u, Z: z, PValue: 1 - NormalCDF(z)}
 }
+
+// MannWhitneyFloorSize is the largest sample size MannWhitneyFloor answers
+// for: the sizes up to which TestMannWhitneyFloorIsMinimum enumerates every
+// pair of samples.
+const MannWhitneyFloorSize = 5
+
+// MannWhitneyFloor returns the smallest p-value MannWhitneyDescending can
+// return for samples of nx and ny values: that of the most extreme pair,
+// every x tied above every y tied. Ties within each sample shrink the
+// variance and so push z further out than distinct values would. ok is
+// false when nx or ny exceeds MannWhitneyFloorSize: beyond it, no test has
+// checked that this pair is the extreme one.
+func MannWhitneyFloor(nx, ny int) (p float64, ok bool) {
+	if nx > MannWhitneyFloorSize || ny > MannWhitneyFloorSize {
+		return 0, false
+	}
+	var x, y [MannWhitneyFloorSize]float64
+	for i := range x {
+		x[i] = 1
+	}
+	return MannWhitneyDescending(x[:nx], y[:ny]).PValue, true
+}

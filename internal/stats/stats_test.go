@@ -507,3 +507,54 @@ func TestQuickMannWhitneyPValueRange(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMannWhitneyFloorIsMinimum enumerates every pair of descending samples
+// of up to MannWhitneyFloorSize values each — every sequence of tie groups,
+// each group holding some x and some y values — and checks that none
+// returns a smaller p-value than MannWhitneyFloor, which the fully
+// separated, all-tied pair attains.
+func TestMannWhitneyFloorIsMinimum(t *testing.T) {
+	for nx := 0; nx <= MannWhitneyFloorSize; nx++ {
+		for ny := 0; ny <= MannWhitneyFloorSize; ny++ {
+			floor, ok := MannWhitneyFloor(nx, ny)
+			if !ok {
+				t.Fatalf("MannWhitneyFloor(%d, %d) not answered", nx, ny)
+			}
+			least, pairs := 2.0, 0
+			var x, y []float64
+			// groups appends tie groups of the rx x values and ry y values
+			// still to place, each one value below the last.
+			var groups func(rx, ry int, v float64)
+			groups = func(rx, ry int, v float64) {
+				if rx == 0 && ry == 0 {
+					least = min(least, MannWhitneyDescending(x, y).PValue)
+					pairs++
+					return
+				}
+				for cx := 0; cx <= rx; cx++ {
+					for cy := 0; cy <= ry; cy++ {
+						if cx+cy == 0 {
+							continue
+						}
+						lx, ly := len(x), len(y)
+						for range cx {
+							x = append(x, v)
+						}
+						for range cy {
+							y = append(y, v)
+						}
+						groups(rx-cx, ry-cy, v-1)
+						x, y = x[:lx], y[:ly]
+					}
+				}
+			}
+			groups(nx, ny, 0)
+			if least != floor {
+				t.Errorf("n = %d, %d: least p over %d pairs %v, floor %v", nx, ny, pairs, least, floor)
+			}
+		}
+	}
+	if _, ok := MannWhitneyFloor(MannWhitneyFloorSize+1, 1); ok {
+		t.Error("MannWhitneyFloor answered beyond the enumerated sizes")
+	}
+}

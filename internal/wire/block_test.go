@@ -77,7 +77,7 @@ func TestDecodeAllocsPerFrame(t *testing.T) {
 }
 
 // TestDecoderSharesConfig: frames carrying byte-identical configurations
-// decode to ONE Config — the same ϕ array — while a different configuration
+// decode to ONE Shape — the same pointer — while a different configuration
 // in between gets its own, and sharing changes nothing a frame means.
 func TestDecoderSharesConfig(t *testing.T) {
 	a := core.Config{Spec: window.Spec{Size: 64, Period: 16}, Phis: []float64{0.5, 0.9, 0.99, 0.999}, FewK: true}
@@ -88,17 +88,17 @@ func TestDecoderSharesConfig(t *testing.T) {
 	if len(frames) != 6 {
 		t.Fatalf("decoded %d frames, want 6", len(frames))
 	}
-	phis := func(i int) *float64 { return &frames[i].Delta.Parts.Config.Phis[0] }
-	if phis(0) != phis(1) {
-		t.Error("two consecutive frames of one configuration decoded two ϕ arrays")
+	shape := func(i int) *core.Shape { return frames[i].Delta.Parts.Shape }
+	if shape(0) != shape(1) {
+		t.Error("two consecutive frames of one configuration decoded two shapes")
 	}
-	if phis(2) == phis(1) || len(frames[2].Delta.Parts.Config.Phis) != 2 {
+	if shape(2) == shape(1) || len(shape(2).Config().Phis) != 2 {
 		t.Error("a frame with a different configuration was given its neighbour's")
 	}
-	if phis(3) == phis(2) || len(frames[3].Delta.Parts.Config.Phis) != 4 {
+	if shape(3) == shape(2) || len(shape(3).Config().Phis) != 4 {
 		t.Error("the configuration after a different one is stale")
 	}
-	if phis(5) != phis(3) {
+	if shape(5) != shape(3) {
 		t.Error("a tombstone between two frames of one configuration broke the sharing")
 	}
 	// Each frame decoded alone, by a decoder with nothing to share, means
@@ -110,6 +110,53 @@ func TestDecoderSharesConfig(t *testing.T) {
 		if alone := decodeAll(t, AppendDeltaFrame(nil, f.Key, f.Delta)); !reflect.DeepEqual(alone[0].Delta, f.Delta) {
 			t.Errorf("frame %d differs from the same frame decoded alone", i)
 		}
+	}
+}
+
+// TestShapesInternAcrossDecoders: decoders made by one Shapes table hand out
+// one shape per configuration across blobs and back-and-forth switches,
+// where plain decoders resolve each blob's own; a full table keeps what it
+// holds and still decodes the rest.
+func TestShapesInternAcrossDecoders(t *testing.T) {
+	a := core.Config{Spec: window.Spec{Size: 64, Period: 16}, Phis: []float64{0.5, 0.9, 0.99, 0.999}, FewK: true}
+	b := a
+	b.Phis = []float64{0.5, 0.99}
+	var shapes Shapes
+	decode := func(dec *Decoder) []*core.Shape {
+		var out []*core.Shape
+		for {
+			f, err := dec.DecodeFrame()
+			if err == io.EOF {
+				return out
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, f.Delta.Parts.Shape)
+		}
+	}
+	mixed := bytes.Join([][]byte{deltaBlob(t, a, 1), deltaBlob(t, b, 1), deltaBlob(t, a, 1)}, nil)
+	first := decode(shapes.NewDecoder(bytes.NewReader(mixed)))
+	second := decode(shapes.NewDecoder(bytes.NewReader(mixed)))
+	if first[0] != first[2] || first[0] == first[1] {
+		t.Error("one decoder switching configurations did not come back to the interned shape")
+	}
+	for i := range first {
+		if second[i] != first[i] {
+			t.Errorf("frame %d: a second blob through the table decoded its own shape", i)
+		}
+	}
+	if plain := decode(NewDecoder(bytes.NewReader(mixed))); plain[0] == first[0] {
+		t.Error("a decoder without the table was handed the table's shape")
+	}
+
+	full := Shapes{m: map[string]*core.Shape{}}
+	for i := range maxShapes {
+		full.m[fmt.Sprint(i)] = first[0]
+	}
+	got := decode(full.NewDecoder(bytes.NewReader(mixed)))
+	if len(full.m) != maxShapes || got[0] == first[0] || !got[0].Equal(first[0]) || !got[2].Equal(first[0]) {
+		t.Error("a full table grew, or a decoder through it resolved configurations wrongly")
 	}
 }
 

@@ -114,6 +114,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"repro/internal/core"
 )
@@ -208,7 +209,7 @@ type Delta struct {
 	// Resident is the number of resident summaries at capture time; the
 	// receiver trims its retained run to this length after appending.
 	Resident int
-	// Parts carries Config, Streams, the full Sums, SealGen (the "toGen"
+	// Parts carries the Shape, Streams, the full Sums, SealGen (the "toGen"
 	// the receiver's cursor advances to) and the shipped Summaries:
 	// exactly min(Resident, SealGen-FromGen) of them, oldest first.
 	Parts core.SnapshotParts
@@ -220,6 +221,9 @@ type Delta struct {
 // completely empty) and fromGen must not run ahead of it; pass fromGen 0
 // for a bootstrap frame carrying the whole window.
 func NewDelta(s core.Snapshot, fromGen uint64) (Delta, error) {
+	if s.IsZero() {
+		return Delta{}, fmt.Errorf("wire: cannot ship the zero Snapshot")
+	}
 	p := s.Parts()
 	g := p.SealGen
 	r := len(p.Summaries)
@@ -305,6 +309,9 @@ func (e *Encoder) flush(frame []byte) (int, error) {
 // validateDelta checks the cursor arithmetic EncodeDelta promises the
 // decoder.
 func validateDelta(d *Delta) error {
+	if d.Parts.Shape == nil {
+		return fmt.Errorf("wire: delta carries no configuration")
+	}
 	g := d.Parts.SealGen
 	if g == 0 {
 		if d.Resident != 0 || len(d.Parts.Summaries) != 0 {
@@ -336,7 +343,7 @@ func AppendFrame(dst []byte, key string, s core.Snapshot) []byte {
 		p := s.Parts()
 		dst = append(dst, byte(KindFull))
 		dst = appendKey(dst, key)
-		dst = appendConfig(dst, p.Config)
+		dst = appendConfig(dst, p.Shape.Config())
 		dst = binary.AppendUvarint(dst, uint64(p.Streams))
 		dst = binary.AppendUvarint(dst, p.SealGen)
 		dst = appendF64s(dst, p.Sums)
@@ -352,7 +359,7 @@ func AppendDeltaFrame(dst []byte, key string, d Delta) []byte {
 	return appendFrame(dst, func(dst []byte) []byte {
 		dst = append(dst, byte(KindDelta))
 		dst = appendKey(dst, key)
-		dst = appendConfig(dst, d.Parts.Config)
+		dst = appendConfig(dst, d.Parts.Shape.Config())
 		dst = binary.AppendUvarint(dst, uint64(d.Parts.Streams))
 		dst = binary.AppendUvarint(dst, d.Parts.SealGen)
 		dst = binary.AppendUvarint(dst, d.FromGen)
@@ -479,11 +486,12 @@ type Decoder struct {
 
 	// cfgRaw is the encoded configuration of the last frame whose config
 	// validated, and shape what it resolved to: a frame carrying the same
-	// bytes — every frame of a typical blob — shares that Config (Phis
-	// included) and managed set instead of decoding, validating and
-	// allocating its own.
+	// bytes — every frame of a typical blob — shares that Shape instead of
+	// decoding, validating and allocating its own. shapes, when set, is
+	// where the decoder looks up and keeps the shapes of new bytes.
 	cfgRaw []byte
-	shape  core.Shape
+	shape  *core.Shape
+	shapes *Shapes
 
 	sum summaryScratch
 }
@@ -492,6 +500,52 @@ type Decoder struct {
 // exactly two reads each (header, then payload), so no extra buffering
 // layer is needed even over a pipe.
 func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: r} }
+
+// Shapes interns the shapes decoders resolve, by the encoded bytes of their
+// configuration, so that every decoder made by NewDecoder hands out ONE
+// *core.Shape per configuration however many blobs carry it: the states a
+// receiver keeps from them share it, and a fold comparing two of them
+// finds one pointer instead of comparing fields. It keeps at most
+// maxShapes configurations (a receiver sees a handful; one pushed garbage
+// must not grow it without bound) and resolves the rest per decoder, as a
+// plain Decoder does. The zero value is ready to use and safe for
+// concurrent use.
+type Shapes struct {
+	mu sync.Mutex
+	m  map[string]*core.Shape
+}
+
+// maxShapes bounds a Shapes table.
+const maxShapes = 64
+
+// NewDecoder returns a Decoder reading from r whose shapes are interned in
+// t.
+func (t *Shapes) NewDecoder(r io.Reader) *Decoder { return &Decoder{r: r, shapes: t} }
+
+// lookup returns the shape interned for the encoded configuration raw, or
+// nil.
+func (t *Shapes) lookup(raw []byte) *core.Shape {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.m[string(raw)]
+}
+
+// intern returns the shape kept for raw, keeping sh as it when there is
+// none and room for it.
+func (t *Shapes) intern(raw []byte, sh *core.Shape) *core.Shape {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if kept, ok := t.m[string(raw)]; ok {
+		return kept
+	}
+	if len(t.m) < maxShapes {
+		if t.m == nil {
+			t.m = make(map[string]*core.Shape)
+		}
+		t.m[string(raw)] = sh
+	}
+	return sh
+}
 
 // Consumed returns the total bytes read from the stream so far —
 // including the bytes of a frame whose decode failed, so after an error
@@ -693,7 +747,7 @@ func (d *Decoder) decodePayload(b []byte, version uint16) (Frame, error) {
 	if err := d.decodeShape(r); err != nil {
 		return Frame{}, err
 	}
-	p := core.SnapshotParts{Config: d.shape.Config()}
+	p := core.SnapshotParts{Shape: d.shape}
 	if p.Streams, err = intField(r, "streams"); err != nil {
 		return Frame{}, err
 	}
@@ -765,7 +819,7 @@ func (d *Decoder) decodePayload(b []byte, version uint16) (Frame, error) {
 		// populations) exactly as for a full frame; the rebuilt capture
 		// itself is discarded — Delta.Parts is the transport container the
 		// receiver folds.
-		if _, err := d.shape.NewSnapshot(p); err != nil {
+		if _, err := core.NewSnapshot(p); err != nil {
 			return Frame{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 		return Frame{
@@ -775,7 +829,7 @@ func (d *Decoder) decodePayload(b []byte, version uint16) (Frame, error) {
 		}, nil
 	}
 
-	snap, err := d.shape.NewSnapshot(p)
+	snap, err := core.NewSnapshot(p)
 	if err != nil {
 		return Frame{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -783,15 +837,25 @@ func (d *Decoder) decodePayload(b []byte, version uint16) (Frame, error) {
 }
 
 // decodeShape consumes the frame's configuration and leaves what it resolves
-// to in d.shape. A configuration byte-identical to the previous frame's is
-// not decoded again: the frames then share one read-only Config and managed
-// set (as SnapshotParts documents for summaries), and each distinct
-// configuration is validated once.
+// to in d.shape. A configuration byte-identical to the previous frame's — or,
+// through d.shapes, to one another decoder resolved — is not decoded again:
+// the frames then share one read-only Shape (as SnapshotParts documents for
+// summaries), and each distinct configuration is validated once.
 func (d *Decoder) decodeShape(r *payloadReader) error {
 	start := r.off
-	if end, ok := configEnd(r.b, start); ok && d.cfgRaw != nil && bytes.Equal(r.b[start:end], d.cfgRaw) {
-		r.off = end
-		return nil
+	if end, ok := configEnd(r.b, start); ok {
+		raw := r.b[start:end]
+		if d.cfgRaw != nil && bytes.Equal(raw, d.cfgRaw) {
+			r.off = end
+			return nil
+		}
+		if d.shapes != nil {
+			if sh := d.shapes.lookup(raw); sh != nil {
+				d.shape, d.cfgRaw = sh, append(d.cfgRaw[:0], raw...)
+				r.off = end
+				return nil
+			}
+		}
 	}
 	cfg, err := decodeConfig(r)
 	if err != nil {
@@ -801,7 +865,11 @@ func (d *Decoder) decodeShape(r *payloadReader) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	d.shape, d.cfgRaw = shape, append(d.cfgRaw[:0], r.b[start:r.off]...)
+	raw := r.b[start:r.off]
+	if d.shapes != nil {
+		shape = d.shapes.intern(raw, shape)
+	}
+	d.shape, d.cfgRaw = shape, append(d.cfgRaw[:0], raw...)
 	return nil
 }
 

@@ -404,7 +404,7 @@ func appendFrameV1(dst []byte, key string, s core.Snapshot) []byte {
 	start := len(dst)
 	p := s.Parts()
 	dst = appendKey(dst, key)
-	dst = appendConfig(dst, p.Config)
+	dst = appendConfig(dst, p.Shape.Config())
 	dst = binary.AppendUvarint(dst, uint64(p.Streams))
 	dst = appendF64s(dst, p.Sums)
 	dst = appendSummaries(dst, p.Summaries)
