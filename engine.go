@@ -56,7 +56,7 @@ import (
 //
 // Every key's operator is a QLOVE operator minted by its shard's core.Pool,
 // which also lends it the Level-1 workbench of the sub-window it is filling
-// (a flat, period-sized buffer of quantized values, sealed by selection): a
+// (a flat, period-sized buffer of raw values, sealed by selection): a
 // resident key costs its summaries, a shard's keys share a few workbenches,
 // and evicted keys recycle instead of feeding the garbage collector.
 type Engine struct {

@@ -427,13 +427,46 @@ func (d *Disk) writeSnapshot(seq uint64) error {
 
 // --- recovery ---
 
-// recover rebuilds the resident map from the newest loadable snapshot
-// plus every WAL segment at or after it (ascending), truncates any torn
-// tail off the newest segment, and leaves it open for appending.
+// recover rebuilds the resident map (load), truncates any torn tail off
+// the newest segment, and leaves it open for appending.
 func (d *Disk) recover() error {
-	entries, err := os.ReadDir(d.dir)
+	active, activeOff, err := d.load()
 	if err != nil {
 		return err
+	}
+	f, err := os.OpenFile(d.walPath(active), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	if activeOff >= 0 {
+		// Drop the torn tail so new appends start at a record boundary.
+		if err := f.Truncate(activeOff); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	end, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		f.Close()
+		return err
+	}
+	d.wal, d.seq, d.walBytes = f, active, end
+	if d.mode != FsyncAlways {
+		d.bw = bufio.NewWriterSize(f, 1<<16)
+	}
+	d.removeObsolete(d.snapSeq)
+	return nil
+}
+
+// load rebuilds the resident map from the newest loadable snapshot plus
+// every WAL segment at or after it (ascending), and returns the newest
+// segment's sequence number and where its valid prefix ends (−1 when it
+// has no file yet). It only reads, so it may replay a directory a live
+// store is appending to.
+func (d *Disk) load() (active uint64, activeOff int64, err error) {
+	entries, err := os.ReadDir(d.dir)
+	if err != nil {
+		return 0, 0, err
 	}
 	var snaps, wals []uint64
 	for _, e := range entries {
@@ -458,7 +491,7 @@ func (d *Disk) recover() error {
 			break
 		}
 	}
-	active := d.snapSeq
+	active = d.snapSeq
 	for _, seq := range wals {
 		if seq > active {
 			active = seq
@@ -467,7 +500,7 @@ func (d *Disk) recover() error {
 	if active == 0 {
 		active = 1
 	}
-	activeOff := int64(-1)
+	activeOff = -1
 	fr := newFrameReader(&shapes)
 	for _, seq := range wals {
 		if seq < d.snapSeq {
@@ -475,34 +508,13 @@ func (d *Disk) recover() error {
 		}
 		off, err := d.replayWAL(seq, fr)
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
 		if seq == active {
 			activeOff = off
 		}
 	}
-	f, err := os.OpenFile(d.walPath(active), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return err
-	}
-	if activeOff >= 0 {
-		// Drop the torn tail so new appends start at a record boundary.
-		if err := f.Truncate(activeOff); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	end, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	d.wal, d.seq, d.walBytes = f, active, end
-	if d.mode != FsyncAlways {
-		d.bw = bufio.NewWriterSize(f, 1<<16)
-	}
-	d.removeObsolete(d.snapSeq)
-	return nil
+	return active, activeOff, nil
 }
 
 // replayWAL applies one segment's valid record prefix to the resident

@@ -1,23 +1,75 @@
 // Package compress implements QLOVE's value compression (§3.1): zeroing out
-// insignificant low-order digits so that streamed values collapse onto a
-// small set of recurring numbers. Keeping the three most significant
-// digits bounds the quantization relative error below 1% while greatly
-// increasing data redundancy, which shrinks the red-black-tree state and,
-// per the paper, lowers space usage by ~5x.
+// insignificant low-order digits so that values collapse onto a small set
+// of recurring numbers. Keeping the three most significant digits bounds
+// the quantization relative error below 1% while greatly increasing data
+// redundancy. Level 1 applies it to what a sub-window's summary keeps —
+// its order statistics and tail — not to every arriving value: the
+// quantizer never decreases, so quantizing the k-th smallest raw value
+// gives the k-th smallest quantized one.
 package compress
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Quantizer rounds values to a fixed number of significant decimal digits.
-// The zero value is invalid; use NewQuantizer. Digits <= 0 means "identity"
-// (no quantization).
+// Make one with NewQuantizer; digits <= 0, like the zero value, means
+// "identity" (no quantization).
 type Quantizer struct {
 	digits int
+	dec    *decades // nil for the identity
 }
+
+// decades holds, for one digit count and each decade i of pow10 but the
+// top one (pow10[i] <= mag < pow10[i+1]), the scale its magnitudes round at
+// — 10^(digits−1−exponent) — and the ceiling of its outputs: what decade
+// i+1 makes of its smallest value, pow10[i+1]. Rounding up at a decade's
+// top gains a digit (999.6 -> 1000) and lands on about pow10[i+1], but the
+// two decades compute that power with different scales, and at some
+// boundaries the lower decade's result is an ulp above the upper's —
+// Q(prevfloat(1e24)) = 1.0000000000000001e24 > Q(1e24) = 1e24 at three
+// digits. Capping each decade at its ceiling makes Quantize
+// non-decreasing, and changes no output but those.
+type decades [numDecades - 1]struct{ scale, ceil float64 }
+
+// decadeTables shares one decades table per digit count among all
+// quantizers.
+var decadeTables sync.Map // digits -> *decades
 
 // NewQuantizer returns a Quantizer keeping the given number of most
 // significant decimal digits. The paper uses three.
-func NewQuantizer(digits int) Quantizer { return Quantizer{digits: digits} }
+func NewQuantizer(digits int) Quantizer {
+	q := Quantizer{digits: digits}
+	if digits <= 0 {
+		return q
+	}
+	if t, ok := decadeTables.Load(digits); ok {
+		q.dec = t.(*decades)
+		return q
+	}
+	t := new(decades)
+	for i := range t {
+		exp := i + minDecade
+		if si := (digits - 1) - exp - minDecade; si >= 0 && si < numDecades {
+			t[i].scale = pow10[si]
+		} else {
+			// Digit counts past the table's reach fall back to math.Pow.
+			t[i].scale = math.Pow(10, float64(digits-1-exp))
+		}
+	}
+	for i := range t {
+		if i+1 == len(t) {
+			t[i].ceil = pow10[i+1] // the next magnitude passes through
+			continue
+		}
+		next := t[i+1].scale
+		t[i].ceil = math.Round(pow10[i+1]*next) / next
+	}
+	shared, _ := decadeTables.LoadOrStore(digits, t)
+	q.dec = shared.(*decades)
+	return q
+}
 
 // pow10 holds powers of ten for the fast decade lookup, computed once via
 // math.Pow (repeated multiplication would accumulate rounding drift).
@@ -39,7 +91,7 @@ const (
 // floor(e2·log10(2)) approximated by the classic (e2·1233)>>12 shift is
 // within one of the true decade, and a bounded correction loop (at most
 // one step in practice) lands it exactly — no binary search, no Log10 on
-// the hot insert path. mag must be positive and within table range.
+// the hot path. mag must be positive and within table range.
 func decadeOf(mag float64) int {
 	e2 := int((math.Float64bits(mag)>>52)&0x7ff) - 1023
 	i := (e2*1233)>>12 - minDecade
@@ -57,76 +109,61 @@ func decadeOf(mag float64) int {
 	return i
 }
 
+// quantized reports whether Quantize rounds a value of magnitude mag:
+// zero, NaN, infinities and magnitudes outside [1e-80, 1e80) pass through
+// unchanged.
+func quantized(mag float64) bool {
+	return mag >= pow10[0] && mag < pow10[numDecades-1]
+}
+
+// round rounds mag to the nearest multiple of 1/scale, capped at ceil.
+func round(mag, scale, ceil float64) float64 {
+	if out := math.Round(mag*scale) / scale; out < ceil {
+		return out
+	}
+	return ceil
+}
+
 // Quantize rounds v to the configured significant digits. Zero, NaN,
-// infinities and magnitudes outside [1e-80, 1e80] pass through unchanged;
-// negative values quantize by magnitude.
+// infinities and magnitudes outside [1e-80, 1e80) pass through unchanged;
+// negative values quantize by magnitude. It never decreases: a <= b
+// implies Quantize(a) <= Quantize(b), so quantizing a sorted run keeps it
+// sorted.
 func (q Quantizer) Quantize(v float64) float64 {
-	if q.digits <= 0 || v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-		return v
-	}
 	mag := math.Abs(v)
-	if mag < pow10[0] || mag >= pow10[numDecades-1] {
+	if q.dec == nil || !quantized(mag) {
 		return v
 	}
-	exp := decadeOf(mag) + minDecade
-	scaleIdx := (q.digits - 1) - exp - minDecade
-	var out float64
-	if scaleIdx >= 0 && scaleIdx < numDecades {
-		scale := pow10[scaleIdx]
-		out = math.Round(mag*scale) / scale
-	} else {
-		// Degenerate digit counts fall back to the slow path.
-		scale := math.Pow(10, float64(q.digits-1-exp))
-		out = math.Round(mag*scale) / scale
-	}
-	// Rounding up can gain a digit (999.6 -> 1000); that is still exactly
-	// representable at this precision, so no correction is needed.
-	if v < 0 {
-		return -out
-	}
-	return out
+	d := &q.dec[decadeOf(mag)]
+	return math.Copysign(round(mag, d.scale, d.ceil), v)
 }
 
 // AppendQuantized appends Quantize(v) for every v in src to dst and
-// returns the extended slice. Results are bit-identical to per-element
-// Quantize calls; the batch form exists for the ingestion hot path, where
-// it caches the last decade hit. Telemetry values cluster heavily within
-// one order of magnitude, so most elements skip the binary search over the
-// power-of-ten table and reuse the previous element's scale directly.
+// returns the extended slice; dst may be src[:0], quantizing src in place.
+// Results are bit-identical to per-element Quantize calls; the batch form
+// keeps the last decade's bounds, scale and ceiling in registers, so a run
+// of values within one order of magnitude — a sorted run, or clustered
+// telemetry — finds its decade by two comparisons instead of decadeOf.
 func (q Quantizer) AppendQuantized(dst, src []float64) []float64 {
-	if q.digits <= 0 {
+	if q.dec == nil {
 		return append(dst, src...)
 	}
-	ci := -1 // cached decade index; pow10[ci] <= previous mag < pow10[ci+1]
-	var scale float64
+	// The cached decade spans [lo, hi), inside the quantized range; it
+	// starts empty, so the first value — and any NaN — takes the slow path.
+	lo, hi := 1.0, 0.0
+	var scale, ceil float64
 	for _, v := range src {
-		if v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			dst = append(dst, v)
-			continue
-		}
 		mag := math.Abs(v)
-		if mag < pow10[0] || mag >= pow10[numDecades-1] {
-			dst = append(dst, v)
-			continue
-		}
-		if ci < 0 || mag < pow10[ci] || mag >= pow10[ci+1] {
-			// The range guard above excludes the top decade, so ci+1 is
-			// always a valid table index.
-			ci = decadeOf(mag)
-			exp := ci + minDecade
-			scaleIdx := (q.digits - 1) - exp - minDecade
-			if scaleIdx >= 0 && scaleIdx < numDecades {
-				scale = pow10[scaleIdx]
-			} else {
-				// Degenerate digit counts fall back to the slow path.
-				scale = math.Pow(10, float64(q.digits-1-exp))
+		if !(mag >= lo && mag < hi) {
+			if !quantized(mag) {
+				dst = append(dst, v)
+				continue
 			}
+			i := decadeOf(mag)
+			lo, hi = pow10[i], pow10[i+1] // quantized excludes pow10's top entry
+			scale, ceil = q.dec[i].scale, q.dec[i].ceil
 		}
-		out := math.Round(mag*scale) / scale
-		if v < 0 {
-			out = -out
-		}
-		dst = append(dst, out)
+		dst = append(dst, math.Copysign(round(mag, scale, ceil), v))
 	}
 	return dst
 }

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -102,6 +103,74 @@ func TestQuickQuantizeMonotone(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestQuantizeMonotoneAtEveryDecade probes where Quantize can decrease:
+// both sides of every power of ten in the decade table — the boundaries
+// where one decade's rounded-up top meets the next decade's bottom, among
+// them the pass-through edges 1e-80 and 1e80 — and the values that round
+// up to them, in both signs, at every digit count from 1 to 17. Sorted
+// ascending, the probes must quantize to a non-decreasing run, and
+// AppendQuantized over the run must equal Quantize element by element.
+func TestQuantizeMonotoneAtEveryDecade(t *testing.T) {
+	probes := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}
+	for _, b := range pow10 {
+		lo, hi := math.Nextafter(b, 0), math.Nextafter(b, math.Inf(1))
+		probes = append(probes, math.Nextafter(lo, 0), lo, b, hi, math.Nextafter(hi, math.Inf(1)), b*0.99999, b*0.9996, b*0.996, b*0.96)
+	}
+	for _, v := range probes[4:] {
+		probes = append(probes, -v)
+	}
+	slices.Sort(probes)
+	for digits := 1; digits <= 17; digits++ {
+		q := NewQuantizer(digits)
+		got := q.AppendQuantized(nil, probes)
+		for i, v := range probes {
+			if want := q.Quantize(v); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Errorf("digits %d: AppendQuantized gives %v for %v, Quantize %v", digits, got[i], v, want)
+			}
+			if i > 0 && got[i] < got[i-1] {
+				t.Errorf("digits %d: Quantize(%v) = %v > Quantize(%v) = %v", digits, probes[i-1], got[i-1], v, got[i])
+			}
+		}
+	}
+}
+
+// FuzzQuantizeMonotone: for every digit count from 1 to 17 and any three
+// values, a <= b implies Quantize(a) <= Quantize(b), and AppendQuantized
+// over the three in the given order — which moves its decade cache
+// between them — equals Quantize element by element, bit for bit.
+func FuzzQuantizeMonotone(f *testing.F) {
+	below := func(v float64) float64 { return math.Nextafter(v, 0) }
+	for _, c := range []struct {
+		digits  uint8
+		a, b, c float64
+	}{
+		{3, below(1e24), 1e24, 1e-20},
+		{3, below(1e-20), 1e-20, -1e24},
+		{3, below(1e30), 1e30, 0},
+		{1, 99_999, 100_000, 1e5},
+		{3, below(1e80), 1e80, 1e-81},
+		{3, below(1e-80), 1e-80, math.Inf(-1)},
+		{17, 1247.89, -0.5, math.Copysign(0, -1)},
+	} {
+		f.Add(c.digits, c.a, c.b, c.c)
+	}
+	f.Fuzz(func(t *testing.T, digits uint8, a, b, c float64) {
+		q := NewQuantizer(1 + int(digits-1)%17)
+		vs := []float64{a, b, c}
+		got := q.AppendQuantized(nil, vs)
+		for i, v := range vs {
+			if want := q.Quantize(v); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("%d digits: AppendQuantized(%v) = %v at %v, Quantize gives %v", q.digits, vs, got[i], v, want)
+			}
+			for j, w := range vs {
+				if v <= w && got[i] > got[j] {
+					t.Fatalf("%d digits: %v <= %v but Quantize gives %v > %v", q.digits, v, w, got[i], got[j])
+				}
+			}
+		}
+	})
 }
 
 func TestDropLowDigits(t *testing.T) {

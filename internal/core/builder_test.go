@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -131,13 +132,17 @@ func partialSeedProgram(a, b int) []byte {
 // referenceSeal is Level 1 by full sort: every value quantized (−0 stored
 // as +0), the copy sorted with slices.Sort and every rank read by index —
 // it shares only plan and assemble with the operator's seal, not the
-// selection, and plans afresh on a new workbench every time; prev, when
+// selection, and plans afresh on a new workbench every time. Its
+// workbench's quantizer is the identity, so assemble reads the values
+// quantized here as they are, and the operator's quantized reads of raw
+// order statistics must match quantize-then-sort; prev, when
 // not nil, is the summary the burst flags compare against, by
 // referenceBursty rather than the operator's rank test.
 func referenceSeal(p *Policy, values []float64, prev *Summary) Summary {
 	cfg := p.Config()
 	q := compress.NewQuantizer(cfg.Digits)
 	b := newBuilder(p.sh)
+	b.quant = compress.NewQuantizer(0)
 	for _, v := range values {
 		x := q.Quantize(v)
 		if x == 0 {
@@ -236,6 +241,51 @@ func sameSummary(a, b *Summary) bool {
 	return true
 }
 
+// nearInvertedBoundaries returns values next to 1e24, 1e-20 and 1e30 —
+// powers of ten where a quantizer that rounds each decade alone decreases
+// at three digits: the previous float rounds up past what the power itself
+// quantizes to. Three floats either side of each, the power, and values
+// that round up to it or just miss.
+func nearInvertedBoundaries() []float64 {
+	var near []float64
+	for _, b := range []float64{1e24, 1e-20, 1e30} {
+		lo, hi := b, b
+		for range 3 {
+			lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, math.Inf(1))
+			near = append(near, lo, hi)
+		}
+		near = append(near, b, b*0.9995, b*0.99951, b*0.99949, b*1.0005)
+	}
+	return near
+}
+
+// boundarySeedProgram feeds three sub-windows and a partial one of
+// nearInvertedBoundaries values in both signs, with ±0, ±Inf and NaN mixed
+// in (see TestSealAtInvertedBoundaries).
+func boundarySeedProgram(period int) []byte {
+	near := nearInvertedBoundaries()
+	var p []byte
+	left, i := 3*period+period/2, 0
+	for left > 0 {
+		k := min(left, 64)
+		p = append(p, byte(1<<6|(k-1)))
+		for j := 0; j < k; j++ {
+			if i++; i%7 == 0 {
+				p = append(p, byte(i/7%5)) // NaN, −0, +0, +Inf, −Inf
+				continue
+			}
+			v := near[i*5%len(near)]
+			if i%3 == 0 {
+				v = -v
+			}
+			p = append(p, 0xF0)
+			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
+		}
+		left -= k
+	}
+	return append(p, 2<<6)
+}
+
 // FuzzBuilderSeal drives one operator, stand-alone or pooled, with
 // arbitrary values split arbitrarily into Observe and ObserveBatch calls
 // and EndPeriod forced at arbitrary partial counts, and holds every
@@ -250,6 +300,10 @@ func FuzzBuilderSeal(f *testing.F) {
 	for _, c := range []struct{ period, a, b int }{{16, 3, 15}, {300, 7, 250}, {1000, 999, 500}} {
 		f.Add(uint16(c.period), false, partialSeedProgram(c.a, c.b))
 		f.Add(uint16(c.period), true, partialSeedProgram(c.a, c.b))
+	}
+	for _, period := range []uint16{16, 128} {
+		f.Add(period, false, boundarySeedProgram(int(period)))
+		f.Add(period, true, boundarySeedProgram(int(period)))
 	}
 	f.Fuzz(func(t *testing.T, period uint16, pooled bool, program []byte) {
 		if period == 0 || period > 1100 {
@@ -338,8 +392,8 @@ func FuzzBuilderSeal(f *testing.F) {
 	})
 }
 
-// TestBuilderOneZero pins the one zero a sub-window stores: −0 and +0
-// quantize to the same key, and whichever arrives first, every read of the
+// TestBuilderOneZero pins the one zero a sub-window answers: −0 and +0
+// both stay in the buffer, and whichever arrives first, every read of the
 // sub-window answers +0 — sealed by insertion sort or by partitioning
 // alike — and the summary is the full-sort reference's, byte for byte.
 // It is TestSelectSealAdversarial's ±0 row.
@@ -432,6 +486,94 @@ func TestSelectSealAdversarial(t *testing.T) {
 	}
 }
 
+// TestSealAtInvertedBoundaries seals sub-windows of
+// nearInvertedBoundaries values with ±0, ±Inf and NaN mixed in, both
+// signs, at 512/128 and 64/16 with few-k on, stand-alone and pooled. The
+// seal quantizes only the order statistics it reads, which equals
+// quantizing every value and sorting only where the quantizer never
+// decreases: every summary must equal referenceSeal's, block bit for bit.
+func TestSealAtInvertedBoundaries(t *testing.T) {
+	near := nearInvertedBoundaries()
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	rng := rand.New(rand.NewSource(43))
+	for _, spec := range []window.Spec{{Size: 512, Period: 128}, {Size: 64, Period: 16}} {
+		for _, pooled := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%d-%d/pooled=%v", spec.Size, spec.Period, pooled), func(t *testing.T) {
+				cfg := Config{Spec: spec, Phis: builderPhis, FewK: true}
+				p := mustNew(t, cfg)
+				if pooled {
+					pool, err := NewPool(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p = pool.Get()
+				}
+				var prev *Summary
+				for sw := 0; sw < 24; sw++ {
+					vs := make([]float64, spec.Period)
+					for i := range vs {
+						switch v := near[rng.Intn(len(near))]; {
+						case rng.Intn(8) == 0:
+							vs[i] = specials[rng.Intn(len(specials))]
+						case sw%3 == 2 && rng.Intn(2) == 0:
+							vs[i] = -v
+						default:
+							vs[i] = v
+						}
+					}
+					p.ObserveBatch(vs) // the NaNs leave the sub-window short
+					p.EndPeriod()
+					kept := slices.DeleteFunc(slices.Clone(vs), math.IsNaN)
+					got := &p.agg.summaries[p.agg.count()-1]
+					if want := referenceSeal(p, kept, prev); !sameSummary(got, &want) {
+						t.Fatalf("sub-window %d differs from quantize-then-sort:\n got %v\nwant %v", sw, got.block, want.block)
+					}
+					last := *got
+					prev = &last
+				}
+			})
+		}
+	}
+}
+
+// TestSealQuantilesAreQuantizedOrderStatistics is §3.1 as an assertion:
+// on seeded NetMon and Search data, every sealed sub-window's ϕ-quantile is
+// Quantize of the exact raw order statistic at ϕ's rank, and lies within
+// the quantizer's relative error of it (below 1% at three digits).
+func TestSealQuantilesAreQuantizedOrderStatistics(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		gen  workload.Generator
+	}{{"netmon", workload.NewNetMon(31)}, {"search", workload.NewSearch(31)}} {
+		for _, spec := range []window.Spec{{Size: 512, Period: 128}, {Size: 64, Period: 16}, {Size: 16_000, Period: 1000}} {
+			p := mustNew(t, Config{Spec: spec, Phis: builderPhis, FewK: true})
+			q := compress.NewQuantizer(p.Config().Digits)
+			bound := q.MaxRelativeError()
+			if bound <= 0 || bound >= 0.01 {
+				t.Fatalf("three digits bound the relative error by %v, want (0, 1%%)", bound)
+			}
+			for sw := 0; sw < 40; sw++ {
+				vs := workload.Generate(c.gen, spec.Period)
+				p.ObserveBatch(vs)
+				s := &p.agg.summaries[p.agg.count()-1]
+				sorted := slices.Sorted(slices.Values(vs))
+				for i, phi := range builderPhis {
+					raw := sorted[stats.CeilRank(phi, len(sorted))-1]
+					got := s.Quantile(i)
+					if want := q.Quantize(raw); got != want {
+						t.Fatalf("%s %d-%d sub-window %d: ϕ=%v quantile %v, want Quantize(%v) = %v",
+							c.name, spec.Size, spec.Period, sw, phi, got, raw, want)
+					}
+					if rel := math.Abs(got-raw) / math.Abs(raw); rel > bound {
+						t.Fatalf("%s %d-%d sub-window %d: ϕ=%v quantile %v is %.3g off the raw %v, above %v",
+							c.name, spec.Size, spec.Period, sw, phi, got, rel, raw, bound)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestMultiSelectDepthFallback: a segment that has used up its depth
 // budget is sorted outright, so at budget 0 the whole buffer comes back
 // sorted whatever was requested.
@@ -450,7 +592,8 @@ func TestMultiSelectDepthFallback(t *testing.T) {
 
 // TestSpaceUsageLeavesBufferInPlace: mid-period, SpaceUsage counts the
 // distinct quantized values in flight plus the resident summaries, and
-// asking leaves the buffer as it was — stream.Run asks every period.
+// asking leaves the buffer of raw values as it was — stream.Run asks every
+// period.
 func TestSpaceUsageLeavesBufferInPlace(t *testing.T) {
 	const period = 128
 	p := mustNew(t, Config{Spec: window.Spec{Size: 4 * period, Period: period}, Phis: builderPhis, FewK: true})
@@ -463,7 +606,7 @@ func TestSpaceUsageLeavesBufferInPlace(t *testing.T) {
 	var arrived []float64
 	for i := 0; i < 100; i++ {
 		p.Observe(v(i * 3))
-		arrived = append(arrived, q.Quantize(v(i*3)))
+		arrived = append(arrived, v(i*3))
 		distinct[q.Quantize(v(i*3))] = true
 		if got, want := p.SpaceUsage(), len(distinct)+p.agg.spaceUsage(); got != want {
 			t.Fatalf("after %d values in flight: SpaceUsage = %d, want %d distinct + %d summary slots",
@@ -478,8 +621,9 @@ func TestSpaceUsageLeavesBufferInPlace(t *testing.T) {
 // BenchmarkLevel1Seal times the seal kernel alone — plan, select and
 // assemble — on workbenches lent by a Pool, at the engine benchmarks'
 // shapes 512/128 and 64/16 with few-k on: each iteration borrows a
-// workbench, fills it with the next period of quantized NetMon values, seals
-// it and hands it back. One op is one seal.
+// workbench, fills it with the next period of raw NetMon values, seals it
+// (quantizing what the summary reads) and hands it back. One op is one
+// seal.
 func BenchmarkLevel1Seal(b *testing.B) {
 	data := workload.Generate(workload.NewNetMon(1), 1<<16)
 	for _, spec := range []window.Spec{{Size: 512, Period: 128}, {Size: 64, Period: 16}} {
@@ -491,14 +635,14 @@ func BenchmarkLevel1Seal(b *testing.B) {
 			p := pool.Get()
 			wb := pool.lend()
 			wb.addBatch(data)
-			quantized := slices.Clone(wb.vals)
+			raw := slices.Clone(wb.vals)
 			pool.takeBack(wb)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				off := i * spec.Period % (len(quantized) - spec.Period)
+				off := i * spec.Period % (len(raw) - spec.Period)
 				wb := pool.lend()
-				wb.vals = append(wb.vals, quantized[off:off+spec.Period]...)
+				wb.vals = append(wb.vals, raw[off:off+spec.Period]...)
 				wb.seal(p.budgets)
 				pool.takeBack(wb)
 			}

@@ -1,9 +1,10 @@
 // Package core implements QLOVE — approximate Quantiles with LOw Value
 // Error — the primary contribution of the paper. QLOVE partitions a
 // sliding window into period-aligned sub-windows; Level 1 computes each
-// sub-window's exact quantiles — selected from a flat buffer of its
-// quantized values, the same quantiles Algorithm 1's {value, count}
-// red-black tree would read — Level 2 averages the
+// sub-window's exact quantiles — selected from a flat buffer of its raw
+// values and quantized as they are read, the same quantiles Algorithm 1's
+// {value, count} red-black tree of quantized values would read — Level 2
+// averages the
 // sub-window quantiles across the window (justified by the CLT,
 // Appendix A), and few-k merging (§4)
 // repairs high quantiles under statistical inefficiency and bursty
@@ -254,11 +255,11 @@ func (p *Policy) inFlight() int {
 }
 
 // ObserveBatch implements stream.Policy: the native batch ingestion path.
-// Each period-bounded chunk is quantized in one pass (amortizing the
-// decade lookup across the batch) straight onto the sub-window buffer.
-// Sub-windows seal exactly where the element-at-a-time path would seal, so
-// evaluations are bit-identical to repeated Observe calls. NaN elements
-// are dropped and (as in Observe) do not advance the period.
+// Each period-bounded chunk is appended to the sub-window buffer in one
+// pass, raw; the seal quantizes what it reads. Sub-windows seal exactly
+// where the element-at-a-time path would seal, so evaluations are
+// bit-identical to repeated Observe calls. NaN elements are dropped and
+// (as in Observe) do not advance the period.
 func (p *Policy) ObserveBatch(vs []float64) {
 	for len(vs) > 0 {
 		chunk := vs

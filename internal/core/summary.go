@@ -329,16 +329,19 @@ var burstFloor = func() (f [stats.MannWhitneyFloorSize + 1][stats.MannWhitneyFlo
 	return f
 }()
 
-// builder accumulates one in-flight sub-window of quantized values. The
-// paper's Level 1 keeps a sub-window as the compressed {value, count}
-// red-black tree of Algorithm 1; this one keeps it as a flat buffer in
-// arrival order and, at seal, moves into place only the order statistics
-// the summary reads (selectSeal) — the same summary, bit for bit. The
-// tree's compression pays less than it costs: a sub-window of 128 NetMon
-// values is mostly distinct (113 at 3 digits), and even at the paper's
-// 1 000–16 000-value periods selecting from the buffer beats a tree. The
-// scratch slices are reused across batches and seals, so steady-state
-// ingestion allocates only what a Summary must retain.
+// builder accumulates one in-flight sub-window of raw values. The paper's
+// Level 1 keeps a sub-window as the compressed {value, count} red-black
+// tree of Algorithm 1, quantizing every value so that recurring ones
+// collapse; this one keeps it as a flat buffer in arrival order and, at
+// seal, moves into place only the order statistics the summary reads
+// (selectSeal) and quantizes only those — the same summary, bit for bit,
+// because the quantizer never decreases: the k-th smallest quantized value
+// is the quantized k-th smallest value. The tree's compression pays less
+// than it costs: a sub-window of 128 NetMon values is mostly distinct (113
+// at 3 digits), and even at the paper's 1 000–16 000-value periods
+// selecting from the buffer beats a tree. The scratch slices are reused
+// across batches and seals, so steady-state ingestion allocates only what
+// a Summary must retain.
 //
 // It is the operator's Level-1 workbench, and empty at every seal: a
 // stand-alone operator owns one for life, an operator minted by a Pool
@@ -354,8 +357,9 @@ type builder struct {
 	// sh is the configuration served.
 	sh *Shape
 
-	// vals is the in-flight sub-window: quantized, NaN dropped, −0 stored
-	// as +0, in arrival order until the seal rearranges it.
+	// vals is the in-flight sub-window: raw values, NaN dropped, in arrival
+	// order until the seal rearranges it. ±0 both stay; every read
+	// quantizes and answers +0 for either.
 	vals  []float64
 	quant compress.Quantizer
 
@@ -368,10 +372,12 @@ type builder struct {
 	tailNs   []int     // few-k capture depth per managed ϕ
 	maxTail  int       // the deepest of them
 
-	qbuf     []float64 // distinct-count scratch (unique)
+	// qbuf holds quantized copies: unique's of the whole buffer, and the
+	// seal's reads — each position a request reads below the tail, in rank
+	// order, then the tail, which the few-k capture reverses in place.
+	qbuf     []float64
 	slotVals []float64 // rank answers distributed back to request slots
 	dens     []float64 // density per ϕ
-	tail     []float64 // shared descending tail scratch (few-k capture)
 	samples  []float64 // every managed ϕ's sample values and weights, back to back
 	// Per-managed-ϕ views into tail and samples handed to NewSummary, and
 	// the burst flags it is given: one per managed ϕ (nil without any),
@@ -382,10 +388,10 @@ type builder struct {
 
 // rankReq asks one seal for the value at a 1-based rank; slot says where
 // the answer goes (0..l-1: ϕ-quantiles; l+2i, l+2i+1: density lo/hi
-// bounds of ϕ index i).
+// bounds of ϕ index i), and read where the seal's reads hold the answer.
 type rankReq struct {
-	rank uint64
-	slot int32
+	rank       uint64
+	slot, read int32
 }
 
 // newBuilder returns an empty workbench for the configuration sh, its
@@ -402,47 +408,35 @@ func newBuilder(sh *Shape) *builder {
 	return b
 }
 
-// add accumulates one element, quantized to the configured significant
-// digits. NaN values — telemetry glitches — are dropped: they have no
-// place in an order statistic and would corrupt the comparisons. −0 is
-// stored as +0, so a sub-window's zero does not depend on arrival order.
+// add accumulates one element as it arrived; the seal quantizes what it
+// reads. NaN values — telemetry glitches — are dropped: they have no place
+// in an order statistic and would corrupt the comparisons.
 func (b *builder) add(v float64) {
-	if math.IsNaN(v) {
-		return
+	if !math.IsNaN(v) {
+		b.vals = append(b.vals, v)
 	}
-	q := b.quant.Quantize(v)
-	if q == 0 {
-		q = 0
-	}
-	b.vals = append(b.vals, q)
 }
 
 // addBatch accumulates a run of elements exactly as repeated add calls
-// would, quantized in one decade-cache pass (no per-element dispatch).
+// would.
 func (b *builder) addBatch(vs []float64) {
-	n := len(b.vals)
-	q := b.quant.AppendQuantized(b.vals, vs)
-	kept := q[:n]
-	for _, v := range q[n:] {
-		if math.IsNaN(v) {
-			continue
+	vals := b.vals
+	for _, v := range vs {
+		if !math.IsNaN(v) {
+			vals = append(vals, v)
 		}
-		if v == 0 {
-			v = 0
-		}
-		kept = append(kept, v)
 	}
-	b.vals = kept
+	b.vals = vals
 }
 
 // len returns the number of elements accumulated so far.
 func (b *builder) len() int { return len(b.vals) }
 
 // unique returns the in-flight sub-window's space cost, its distinct
-// values, counted on a sorted copy so that asking leaves the buffer as it
-// was.
+// quantized values, counted on a quantized, sorted copy so that asking
+// leaves the buffer as it was. ±0 count once: they compare equal.
 func (b *builder) unique() int {
-	u := append(b.qbuf[:0], b.vals...)
+	u := b.quant.AppendQuantized(b.qbuf[:0], b.vals)
 	b.qbuf = u
 	slices.Sort(u)
 	return len(slices.Compact(u))
@@ -456,7 +450,7 @@ func (b *builder) unique() int {
 // ϕ-quantiles and the two density finite-difference bounds per ϕ — and
 // the depth of ONE shared descending tail that every managed quantile
 // reads a prefix of; selectSeal moves exactly those positions into place;
-// assemble reads them by index.
+// assemble reads them by index and quantizes what it read.
 func (b *builder) seal(budgets []fewk.Budget) Summary {
 	b.plan()
 	selectSeal(b.vals, b.reqs, len(b.vals)-b.maxTail)
@@ -464,9 +458,13 @@ func (b *builder) seal(budgets []fewk.Budget) Summary {
 }
 
 // plan makes the seal's plan for a sub-window of len(vals) values, unless
-// it already holds that length's: the rank requests, sorted by rank, the
-// density bounds per ϕ (the n^(−1/3) bandwidth is in them), and how many
-// of the sub-window's largest values each managed ϕ's few-k capture reads.
+// it already holds that length's: how many of the sub-window's largest
+// values each managed ϕ's few-k capture reads, the rank requests, sorted
+// by rank, the density bounds per ϕ (the n^(−1/3) bandwidth is in them),
+// and where in the seal's reads each request finds its answer. Requests
+// often share a rank — at 64/16 twelve requests read six positions — and
+// a rank in the tail is read from it, so the seal reads, and quantizes,
+// each position once.
 func (b *builder) plan() {
 	n := len(b.vals)
 	if n == b.planN {
@@ -474,6 +472,12 @@ func (b *builder) plan() {
 	}
 	b.planN = n
 	cfg := &b.sh.cfg
+	b.tailNs, b.maxTail = b.tailNs[:0], 0
+	for _, pi := range b.sh.managed {
+		ts := tailSize(cfg.Spec.Size, cfg.Phis[pi], n)
+		b.tailNs = append(b.tailNs, ts)
+		b.maxTail = max(b.maxTail, ts)
+	}
 	l := len(cfg.Phis)
 	reqs := b.reqs[:0]
 	for i, phi := range cfg.Phis {
@@ -499,24 +503,50 @@ func (b *builder) plan() {
 		}
 	}
 	slices.SortFunc(reqs, func(a, c rankReq) int { return cmp.Compare(a.rank, c.rank) })
+	// The reads: one per distinct rank below the tail, then the tail.
+	tailFrom, below := n-b.maxTail, int32(0)
+	for i := range reqs {
+		r := &reqs[i]
+		if pos := int(r.rank) - 1; pos >= tailFrom {
+			r.read = below + int32(pos-tailFrom) // every rank below the tail came first
+			continue
+		}
+		if i == 0 || reqs[i-1].rank != r.rank {
+			below++
+		}
+		r.read = below - 1
+	}
 	b.reqs = reqs
-	b.tailNs, b.maxTail = b.tailNs[:0], 0
-	for _, pi := range b.sh.managed {
-		ts := tailSize(cfg.Spec.Size, cfg.Phis[pi], n)
-		b.tailNs = append(b.tailNs, ts)
-		b.maxTail = max(b.maxTail, ts)
+	if need := int(below) + b.maxTail; cap(b.qbuf) < need {
+		b.qbuf = make([]float64, 0, need)
 	}
 }
 
 // assemble builds the summary of the sub-window in vals from positions
 // alone: every planned rank r is read at vals[r-1], and the top maxTail
 // values from the end of vals backwards. vals need be in sorted order only
-// at those positions.
+// at those positions. Every position read is quantized once, and −0
+// reads as +0: the reads below the tail, then the tail, are one ascending
+// run, so one AppendQuantized pass looks each decade up once.
 func (b *builder) assemble(budgets []fewk.Budget) Summary {
 	n, l := len(b.vals), len(b.sh.cfg.Phis)
+	tailFrom, reads := n-b.maxTail, b.qbuf[:0]
+	for _, r := range b.reqs {
+		if int(r.read) == len(reads) && int(r.rank) <= tailFrom {
+			reads = append(reads, b.vals[r.rank-1]) // the first request of its rank below the tail
+		}
+	}
+	below := len(reads)
+	reads = append(reads, b.vals[tailFrom:]...)
+	reads = b.quant.AppendQuantized(reads[:0], reads) // plan gave qbuf the room
+	for i, v := range reads {
+		if v == 0 {
+			reads[i] = 0
+		}
+	}
 	b.slotVals = growFloats(b.slotVals, 3*l)
 	for _, r := range b.reqs {
-		b.slotVals[r.slot] = b.vals[r.rank-1]
+		b.slotVals[r.slot] = reads[r.read]
 	}
 	// Density at each ϕ-quantile by finite difference of the empirical
 	// quantile function, mirroring stats.DensityAt on the rank reads.
@@ -535,11 +565,8 @@ func (b *builder) assemble(budgets []fewk.Budget) Summary {
 	}
 	// Few-k capture: managed quantiles all want "the k largest", so one
 	// shared descending run of maxTail values serves every ϕ as a prefix.
-	tail := b.tail[:0]
-	for i := n - 1; i >= n-b.maxTail; i-- {
-		tail = append(tail, b.vals[i])
-	}
-	b.tail = tail
+	tail := reads[below:]
+	slices.Reverse(tail)
 	nSamples := 0
 	for mi, ts := range b.tailNs {
 		nSamples += fewk.SampleCount(ts, budgets[mi].Ks)
@@ -548,7 +575,7 @@ func (b *builder) assemble(budgets []fewk.Budget) Summary {
 	b.tails, b.sampleVals, b.sampleWts = b.tails[:0], b.sampleVals[:0], b.sampleWts[:0]
 	samples := b.samples
 	for mi, ts := range b.tailNs {
-		tail := b.tail[:ts]
+		tail := tail[:ts]
 		ks := fewk.SampleCount(ts, budgets[mi].Ks)
 		values, weights := samples[:ks], samples[ks:2*ks]
 		samples = samples[2*ks:]
@@ -566,9 +593,9 @@ func (b *builder) assemble(budgets []fewk.Budget) Summary {
 // selectSeal rearranges v so that every position a request reads holds
 // the value a full ascending sort would put there, and v[tailFrom:] is
 // sorted; elsewhere v is only partitioned. reqs must be sorted by rank. v
-// holds no NaN and no −0, so equal values are identical bits and any
-// arrangement that puts the right value at a position is the sort's, bit
-// for bit.
+// holds no NaN, so values that compare equal are identical bits but for
+// ±0, and any arrangement that puts the right value at a position is the
+// sort's, bit for bit, once assemble has read −0 as +0.
 func selectSeal(v []float64, reqs []rankReq, tailFrom int) {
 	multiSelect(v, 0, reqs, tailFrom, 2*bits.Len(uint(len(v))))
 }
@@ -579,12 +606,12 @@ const selectSortBelow = 16
 // multiSelect is selectSeal on the segment v of the buffer, which starts
 // at position off; reqs are the requests whose position (rank−1) falls in
 // it, sorted by rank. It is an introselect: each round partitions v three
-// ways around a pseudo-median pivot — quantized telemetry is
-// duplicate-heavy, and the run equal to the pivot is final whatever it
-// holds — and continues only into the parts that hold a requested
-// position or reach into the tail, so the tail ends up quicksorted. A
-// short part is insertion-sorted, and one that has used up its depth
-// budget is sorted outright, so no input is quadratic.
+// ways around a pseudo-median pivot — telemetry repeats values, and the
+// run equal to the pivot is final whatever it holds — and continues only
+// into the parts that hold a requested position or reach into the tail,
+// so the tail ends up quicksorted. A short part is insertion-sorted, and
+// one that has used up its depth budget is sorted outright, so no input is
+// quadratic.
 func multiSelect(v []float64, off int, reqs []rankReq, tailFrom, depth int) {
 	for len(reqs) > 0 || off+len(v) > tailFrom {
 		if len(v) <= selectSortBelow {
@@ -612,8 +639,8 @@ func multiSelect(v []float64, off int, reqs []rankReq, tailFrom, depth int) {
 }
 
 // insertionSort sorts a short v ascending by plain < comparisons, with no
-// NaN handling: the buffer holds no NaN and no −0, so it leaves every value
-// where slices.Sort would, bit for bit.
+// NaN handling: the buffer holds no NaN, so it leaves at every position a
+// value equal to the one slices.Sort would.
 func insertionSort(v []float64) {
 	for i := 1; i < len(v); i++ {
 		x, j := v[i], i
@@ -677,10 +704,9 @@ func b2i(b bool) int {
 }
 
 // clear empties the builder back to its as-constructed state, keeping the
-// buffer and every scratch buffer at capacity (the quantizer's decade
-// cache is stateless across values), so the next sub-window — the same
-// operator's, or whichever key of the shard borrows it next — fills it
-// without allocating.
+// buffer and every scratch buffer at capacity, so the next sub-window —
+// the same operator's, or whichever key of the shard borrows it next —
+// fills it without allocating.
 func (b *builder) clear() {
 	b.vals = b.vals[:0]
 }

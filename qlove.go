@@ -6,7 +6,8 @@
 // QLOVE answers a fixed set of quantiles over count-based sliding windows
 // with low VALUE error (rather than the rank error bounded by classic
 // sketches), by (1) computing exact quantiles per sub-window, selected from
-// a flat buffer of its quantized values, (2) averaging the sub-window
+// a flat buffer of its values and quantized as they are read, (2)
+// averaging the sub-window
 // quantiles across the window, and (3) retaining a few tail values per
 // sub-window ("few-k merging") to repair high quantiles under statistical
 // inefficiency and bursty traffic.
@@ -17,8 +18,9 @@
 // in batches (ObserveBatch / Monitor.PushBatch). The two paths are
 // observationally identical — batching never changes an evaluation — but
 // the batch path is the fast one: it amortizes per-element interface
-// dispatch and quantizes whole chunks against a cached decade scale onto
-// the Level-1 buffer. That buffer and the seal scratch are reused across
+// dispatch and appends whole chunks to the Level-1 buffer, which keeps
+// values as they arrived; a seal quantizes only the few it reads. That
+// buffer and the seal scratch are reused across
 // sub-windows and recycled on reset, so steady-state ingestion performs
 // zero heap allocations per element. See README.md for measured
 // throughput.
