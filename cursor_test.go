@@ -2,7 +2,11 @@ package qlove
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/wire"
@@ -260,4 +264,78 @@ func TestExportCursorRejectsRebuiltEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameView(t, agg, rebuilt)
+}
+
+// FuzzExportCursorUnmarshal: a persisted cursor is bytes from outside the
+// program. No input may panic the decoder; a cursor that decodes must
+// re-marshal to bytes that decode to an equal cursor; and ExportDelta must
+// succeed with it on a 4-shard engine whose departures logs have outrun
+// older clocks — once as decoded (a foreign cursor, unless it names this
+// engine), once bound to this engine, so fuzzed clocks reach the journal
+// walk and the per-shard tombstone fallback that hashes every cursor key.
+// Seeded with TestExportCursorUnmarshalErrors' inputs and a real cursor.
+func FuzzExportCursorUnmarshal(f *testing.F) {
+	eng, err := NewEngine(EngineConfig{
+		Config: Config{Spec: Window{Size: 64, Period: 16}, Phis: []float64{0.5, 0.99}, FewK: true},
+		Shards: 4,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	done := drainResults(eng)
+	f.Cleanup(func() { eng.Close(); <-done })
+	vs := workload.Generate(workload.NewNetMon(3), 16)
+	const keys = 400
+	for i := range keys {
+		if err := eng.Push(fmt.Sprintf("key-%d", i), vs); err != nil {
+			f.Fatal(err)
+		}
+	}
+	var cur ExportCursor
+	if _, err := eng.ExportDelta(io.Discard, &cur); err != nil {
+		f.Fatal(err)
+	}
+	// ~95 departures against ~5 resident keys per shard: past every log's cap.
+	for i := range keys - 20 {
+		eng.Evict(fmt.Sprintf("key-%d", i))
+	}
+	filled, err := cur.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	good, err := new(ExportCursor).MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{
+		filled, good, {}, []byte("XXXX"), good[:len(good)-1],
+		append(append([]byte(nil), good...), 0xff),
+		append(append([]byte(nil), good[:4]...), 99),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var c ExportCursor
+		if c.UnmarshalBinary(data) != nil {
+			return
+		}
+		again, err := c.MarshalBinary()
+		if err != nil {
+			t.Fatalf("decoded cursor does not marshal: %v", err)
+		}
+		var d ExportCursor
+		if err := d.UnmarshalBinary(again); err != nil {
+			t.Fatalf("re-marshaled cursor does not decode: %v", err)
+		}
+		if d.have != c.have || d.engine != c.engine || !slices.Equal(d.shards, c.shards) || !maps.Equal(d.keys, c.keys) {
+			t.Fatalf("round trip diverged:\n got %+v\nwant %+v", d, c)
+		}
+		if _, err := eng.ExportDelta(io.Discard, &c); err != nil {
+			t.Fatalf("export with the decoded cursor: %v", err)
+		}
+		d.engine = eng.id
+		if _, err := eng.ExportDelta(io.Discard, &d); err != nil {
+			t.Fatalf("export with the cursor bound to the engine: %v", err)
+		}
+	})
 }

@@ -329,3 +329,90 @@ func TestExportDeltaSteadyStateCost(t *testing.T) {
 		t.Fatalf("steady-state export fell back to the scan")
 	}
 }
+
+// TestExportDeltaOutrunShardFallsBackAlone: when one shard's departures log
+// outruns a cursor, that shard alone finds its tombstones among the cursor's
+// keys; the other shards still answer from their journals, and the blob
+// still folds to the engine's full export.
+func TestExportDeltaOutrunShardFallsBackAlone(t *testing.T) {
+	const shards, target = 4, 1
+	e, err := NewEngine(EngineConfig{
+		Config: Config{Spec: Window{Size: 64, Period: 16}, Phis: []float64{0.5, 0.99}, FewK: true},
+		Shards: shards,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := drainResults(e)
+	defer func() {
+		e.Close()
+		<-done
+	}()
+	// 100 keys on the target shard, 5 on each other shard.
+	want := [shards]int{5, 5, 5, 5}
+	want[target] = 100
+	byShard := make([][]string, shards)
+	for i, placed := 0, 0; placed < 100+5*(shards-1); i++ {
+		k := fmt.Sprintf("key-%d", i)
+		if s := e.shardIndex(k); len(byShard[s]) < want[s] {
+			byShard[s] = append(byShard[s], k)
+			placed++
+		}
+	}
+	vs := make([]float64, 16) // one period: every push seals
+	for i := range vs {
+		vs[i] = float64(i)
+	}
+	for _, ks := range byShard {
+		for _, k := range ks {
+			if err := e.Push(k, vs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cur, agg := new(ExportCursor), NewAggregator()
+	export := func() {
+		t.Helper()
+		var blob bytes.Buffer
+		if _, err := e.ExportDelta(&blob, cur); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := agg.Apply("w", &blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	export()
+
+	// 90 evictions leave 10 resident keys on the target shard: more than
+	// resident + departedSlack departures, so its log drops the oldest. One
+	// eviction and one seal on other shards stay within their logs.
+	const evicted = 90
+	for _, k := range byShard[target][:evicted] {
+		e.Evict(k)
+	}
+	other := (target + 1) % shards
+	e.Evict(byShard[other][0])
+	if err := e.Push(byShard[(target+2)%shards][0], vs); err != nil {
+		t.Fatal(err)
+	}
+	settle(e)
+	for i, s := range e.shards {
+		if outrun := cur.shards[i] < s.depFloor; outrun != (i == target) {
+			t.Fatalf("shard %d: departures log outran the cursor %v, want %v", i, outrun, i == target)
+		}
+	}
+
+	before := e.Stats().Total()
+	export()
+	after := e.Stats().Total()
+	if scans := after.ExportFullScans - before.ExportFullScans; scans != 1 {
+		t.Fatalf("export with one outrun shard made %d full scans, want 1", scans)
+	}
+	if exports := after.Exports - before.Exports; exports != shards {
+		t.Fatalf("export answered %d shard captures, want %d", exports, shards)
+	}
+	if tombs := after.ExportTombstones - before.ExportTombstones; tombs != evicted+1 {
+		t.Fatalf("export shipped %d tombstones, want %d", tombs, evicted+1)
+	}
+	foldEquiv(t, "outrun", e, agg)
+}

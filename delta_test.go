@@ -13,10 +13,10 @@ import (
 )
 
 // TestExportDeltaStress is the concurrency gate of the delta plane: one
-// engine under simultaneous Push, ExportDelta, Snapshot, ImportSnapshots
-// and TTL eviction (run it with -race). The pushers advance a fake clock
-// one second per batch, so churn keys expire mid-run while the hot set,
-// pushed every few seconds, stays resident. Afterwards the cursor-folded
+// engine under simultaneous Push, ExportDelta, Snapshot (merged with a
+// remote blob) and TTL eviction (run it with -race). The pushers advance a
+// fake clock one second per batch, so churn keys expire mid-run while the
+// hot set, pushed every few seconds, stays resident. Afterwards the cursor-folded
 // aggregator state must equal a fresh full export exactly — same key set
 // in both directions (no lost tombstones, no resurrected keys) and
 // bit-identical estimates.
@@ -35,7 +35,7 @@ func TestExportDeltaStress(t *testing.T) {
 	}
 	done := drainResults(eng)
 
-	// A remote blob for the concurrent ImportSnapshots reader.
+	// A remote blob the concurrent reader merges into its snapshots.
 	remote, err := NewEngine(EngineConfig{Config: cfg, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -105,8 +105,12 @@ func TestExportDeltaStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			_ = eng.Snapshot()
-			if _, err := eng.ImportSnapshots(bytes.NewReader(remoteBlob.Bytes())); err != nil {
+			var imported EngineSnapshot
+			if _, err := imported.ReadFrom(bytes.NewReader(remoteBlob.Bytes())); err != nil {
+				readErr = fmt.Errorf("import: %w", err)
+				return
+			}
+			if _, err := eng.Snapshot().Merge(imported); err != nil {
 				readErr = fmt.Errorf("import: %w", err)
 				return
 			}

@@ -212,8 +212,8 @@ type engineShard struct {
 	// departed logs departures in ascending clock order, capped at resident
 	// keys + departedSlack (a longer walk would cost more than the scan it
 	// replaces). Trimming the oldest entry raises depFloor to its clock: a
-	// cursor older than depFloor may have missed a departure and must fall
-	// back to the full scan.
+	// cursor older than depFloor may have missed a departure, so this shard
+	// finds its tombstones by scanning the cursor's keys instead.
 	departed []departure
 	depFloor uint64
 
@@ -264,27 +264,14 @@ type keyCursor struct {
 	resident int
 }
 
-// shardDeltaResp is one shard's contribution to a delta export. Every
-// shard of one export answers the same way — all from the journal or all by
-// the scan — because tombstones are a whole-engine set difference: a scan
-// cannot tell which cursor keys another shard's journal left unmentioned.
+// shardDeltaResp is one shard's contribution to a delta export: its clock,
+// the keys needing a frame, and the cursor keys that hash to it but are no
+// longer resident (possibly with repeats). A name lives only on its own
+// shard, so each shard answers for its names alone.
 type shardDeltaResp struct {
 	mutations uint64
-	changed   []deltaCapture // keys needing a frame
-	// stale: the cursor asked for the journal but this shard cannot answer
-	// from it (see deltaResp); nothing else is filled and the export
-	// re-asks every shard for the scan.
-	stale bool
-	// Journal answers: live keys touched since the cursor's clock that still
-	// match it (renamed away and back without a seal in between), and names
-	// that left the shard since. Both in reverse clock order, departed
-	// possibly with repeats.
-	arrived  []string
-	departed []string
-	// Scan answers: scanned is set, and present holds every resident name
-	// the cursor tracks.
-	scanned bool
-	present map[string]struct{}
+	changed   []deltaCapture
+	tombs     []string
 }
 
 type deltaCapture struct {
@@ -296,8 +283,7 @@ type deltaCapture struct {
 // departure is one departures-log record: an entry left the name (evicted,
 // expired, or renamed) when its mutation clock ticked to clock. The
 // incarnation is not kept: whether the name is a tombstone or a re-creation
-// is decided from whether it is resident NOW, which the touched live entries
-// of the same export say.
+// is decided from whether it is resident on the shard NOW.
 type departure struct {
 	name  string
 	clock uint64
@@ -716,9 +702,9 @@ func (s *engineShard) query(key string) (Snapshot, bool) {
 // queues and never stops ingestion) and writes it to w as one wire
 // blob — the worker half of the paper's distributed-aggregation sketch.
 // Returns the bytes written. Blobs from any number of engines may be
-// concatenated and handed to an aggregator (EngineSnapshot.ReadFrom,
-// ImportSnapshots or cmd/qlove-agg); keys captured by several engines merge
-// into one logical-window view there.
+// concatenated and handed to an aggregator (EngineSnapshot.ReadFrom or
+// cmd/qlove-agg); keys captured by several engines merge into one
+// logical-window view there.
 func (e *Engine) Export(w io.Writer) (int64, error) {
 	return e.Snapshot().WriteTo(w)
 }
@@ -796,16 +782,19 @@ func (c *ExportCursor) Reset() { *c = ExportCursor{} }
 // O(keys changed since the last export). So is the work, at steady state:
 // each shard journals its mutations under a clock the cursor records, and
 // an export walks the journal back to that clock without visiting an
-// untouched key. The work is O(resident keys + cursor keys) — one scan of
-// every shard — only when there is no clock to resume from: a first export,
-// a cursor after Reset or filled by another engine, or one so old that a
-// shard's bounded departures log no longer reaches back to it. Either way
-// the blob is byte for byte the same. It carries, in sorted key order:
+// untouched key. Each shard answers for the names that hash to it. The work
+// is O(resident keys + cursor keys) on every shard only when there is no
+// clock to resume from: a first export, or a cursor after Reset or filled
+// by another engine. A cursor so old that one shard's bounded departures
+// log no longer reaches back to it costs that shard alone a pass over the
+// cursor keys. Either way the blob is byte for byte the same. It carries,
+// in sorted key order:
 //
 //   - a tombstone frame for every key the cursor has that the engine no
 //     longer monitors (TTL expiry or explicit Evict), so receivers delete
-//     it — none is ever lost, however long ago the eviction: a cursor the
-//     departures log no longer covers gets the set difference of the scan;
+//     it — none is ever lost, however long ago the eviction: a shard whose
+//     departures log no longer covers the cursor checks every cursor key
+//     that hashes to it;
 //   - for every key sealed past (or unknown to) the cursor, a delta frame
 //     with the summaries sealed since the cursor's generation (a key the
 //     cursor never saw, or one evicted and re-created since — detected by
@@ -849,76 +838,17 @@ func (e *Engine) ExportDelta(w io.Writer, cur *ExportCursor) (int64, error) {
 	if len(cur.shards) != len(e.shards) {
 		cur.shards = make([]uint64, len(e.shards))
 	}
-	resps := e.captureDelta(cur, have)
-	if have && slices.ContainsFunc(resps, func(r *shardDeltaResp) bool { return r.stale }) {
-		resps = e.captureDelta(cur, false)
-	}
-	return e.assembleDelta(w, cur, resps)
+	return e.assembleDelta(w, cur, e.captureDelta(cur, have))
 }
 
-// captureDelta collects every shard's contribution to one delta export,
-// from the journals (have) or by the scan. Renames stay out (see each): a
-// stream has exactly one name for the whole capture. The shards read
-// cur.keys concurrently; nothing writes it meanwhile.
+// captureDelta collects every shard's contribution to one delta export.
+// Renames stay out (see each): a stream has exactly one name for the whole
+// capture. The shards read cur.keys concurrently; nothing writes it
+// meanwhile.
 func (e *Engine) captureDelta(cur *ExportCursor, have bool) []*shardDeltaResp {
 	resps := make([]*shardDeltaResp, len(e.shards))
-	e.each(e.shards, func(i int, s *engineShard) { resps[i] = s.deltaResp(cur.keys, cur.shards[i], have) })
+	e.each(e.shards, func(i int, s *engineShard) { resps[i] = s.deltaResp(i, cur.keys, cur.shards[i], have) })
 	return resps
-}
-
-// deltaTombstones names, sorted, the cursor keys resident nowhere in the
-// engine. After a scan that is the set difference against what the shards
-// found. From the journals, only a name in some departures log can have
-// gone; it is still resident exactly when a live entry touched since the
-// cursor carries it — evicted and re-created, or renamed back to the name
-// by a collapse (whose departure and arrival tick one shard's clock inside
-// one rename no capture can straddle).
-func deltaTombstones(cur *ExportCursor, resps []*shardDeltaResp) []string {
-	var tombs []string
-	if resps[0].scanned {
-		for k := range cur.keys {
-			found := false
-			for _, r := range resps {
-				if _, found = r.present[k]; found {
-					break
-				}
-			}
-			if !found {
-				tombs = append(tombs, k)
-			}
-		}
-		sort.Strings(tombs)
-		return tombs
-	}
-	departed, touched := 0, 0
-	for _, r := range resps {
-		departed += len(r.departed)
-		touched += len(r.changed) + len(r.arrived)
-	}
-	if departed == 0 {
-		return nil
-	}
-	live := make(map[string]struct{}, touched)
-	for _, r := range resps {
-		for _, c := range r.changed {
-			live[c.name] = struct{}{}
-		}
-		for _, k := range r.arrived {
-			live[k] = struct{}{}
-		}
-	}
-	for _, r := range resps {
-		for _, k := range r.departed {
-			if _, ok := cur.keys[k]; !ok {
-				continue
-			}
-			if _, ok := live[k]; !ok {
-				tombs = append(tombs, k)
-			}
-		}
-	}
-	sort.Strings(tombs)
-	return slices.Compact(tombs) // a name can depart more than once
 }
 
 // assembleDelta turns the per-shard captures into sorted tombstone and
@@ -928,11 +858,14 @@ func deltaTombstones(cur *ExportCursor, resps []*shardDeltaResp) []string {
 // exports survive per-key salting), and receivers fold sub-streams back
 // to logical keys at read time.
 func (e *Engine) assembleDelta(w io.Writer, cur *ExportCursor, resps []*shardDeltaResp) (int64, error) {
-	tombs := deltaTombstones(cur, resps)
+	var tombs []string
 	n := 0
 	for _, r := range resps {
+		tombs = append(tombs, r.tombs...)
 		n += len(r.changed)
 	}
+	slices.Sort(tombs)
+	tombs = slices.Compact(tombs) // a name can depart more than once
 	changed := make([]*deltaCapture, 0, n)
 	for _, r := range resps {
 		for i := range r.changed {
@@ -996,20 +929,6 @@ func (e *Engine) assembleDelta(w io.Writer, cur *ExportCursor, resps []*shardDel
 	cur.have = true
 	cur.engine = e.id
 	return written, nil
-}
-
-// ImportSnapshots reads a wire blob of keyed captures (the exports of any
-// number of remote engines) and merges it with this engine's own live
-// capture into one aggregated view: keys present both remotely and
-// locally combine their disjoint sub-streams; keys present on one side
-// carry over. The local capture is a Snapshot, so importing
-// never stops ingestion; the engine's own operators are not modified.
-func (e *Engine) ImportSnapshots(r io.Reader) (EngineSnapshot, error) {
-	var remote EngineSnapshot
-	if _, err := remote.ReadFrom(r); err != nil {
-		return EngineSnapshot{}, err
-	}
-	return e.Snapshot().Merge(remote)
 }
 
 // Tick runs every shard's housekeeping pass against the engine's current
@@ -1391,55 +1310,57 @@ func (s *engineShard) sampleLoads(n int) []KeyLoad {
 	return loads
 }
 
-// deltaResp computes this shard's contribution to a delta export: capture
+// deltaResp computes shard i's contribution to a delta export: capture
 // only the keys the cursor (keys, and mut, its record of this shard's
-// mutation clock) has not seen at their current generation. With the clock
-// in hand (have: the cursor carries this engine's per-shard clocks) they
-// are found by walking the mutation journal back to mut — nothing at all
-// when the clock is current, whatever the shard's key count. Otherwise
-// (first export, foreign engine, Reset, or the retry after a stale answer)
-// every key is scanned.
-func (s *engineShard) deltaResp(keys map[string]keyCursor, mut uint64, have bool) *shardDeltaResp {
+// mutation clock) has not seen at their current generation, and name the
+// cursor keys gone from this shard. With the clock in hand (have: the
+// cursor carries this engine's per-shard clocks) the changed keys are found
+// by walking the mutation journal back to mut — nothing at all when the
+// clock is current, whatever the shard's key count — and the tombstones
+// among the names the departures log holds since mut. Otherwise (first
+// export, foreign engine, Reset) every key is scanned. A departures log
+// that no longer reaches back to mut leaves the journal walk correct (the
+// ring holds every live entry) but may have forgotten a tombstone: then,
+// as without a clock, every cursor key hashing here that is not resident
+// is one.
+func (s *engineShard) deltaResp(i int, keys map[string]keyCursor, mut uint64, have bool) *shardDeltaResp {
 	r := &shardDeltaResp{mutations: s.mutations}
 	s.exported = s.mutations
 	visited := 0
-	switch {
-	case !have:
-		r.scanned = true
-		visited = len(s.keys)
-		if len(keys) > 0 {
-			r.present = make(map[string]struct{}, min(len(s.keys), len(keys)))
-		}
-		for k, ent := range s.keys {
-			kc, ok := keys[k]
-			if ok {
-				r.present[k] = struct{}{}
-			}
-			if !ok || !kc.covers(ent) {
-				r.changed = append(r.changed, deltaCapture{name: k, snap: ent.op.Snapshot(), inc: ent.inc})
-			}
-		}
-		s.counters.exportFullScans.Add(1)
-	case mut < s.depFloor:
-		// The departures log no longer reaches back to the cursor's clock:
-		// it may have forgotten a tombstone.
-		r.stale = true
-		return r
-	default:
+	if have {
 		// Every tick since the cursor's clock touched at most one entry.
 		r.changed = make([]deltaCapture, 0, min(uint64(len(s.keys)), s.mutations-mut))
 		for ent := s.journal.prev; ent != &s.journal && ent.stamp > mut; ent = ent.prev {
 			visited++
-			if kc, ok := keys[ent.name]; ok && kc.covers(ent) {
-				r.arrived = append(r.arrived, ent.name)
-			} else {
+			if kc, ok := keys[ent.name]; !ok || !kc.covers(ent) {
 				r.changed = append(r.changed, deltaCapture{name: ent.name, snap: ent.op.Snapshot(), inc: ent.inc})
 			}
 		}
-		for i := len(s.departed) - 1; i >= 0 && s.departed[i].clock > mut; i-- {
-			visited++
-			r.departed = append(r.departed, s.departed[i].name)
+	} else {
+		visited = len(s.keys)
+		for k, ent := range s.keys {
+			if kc, ok := keys[k]; !ok || !kc.covers(ent) {
+				r.changed = append(r.changed, deltaCapture{name: k, snap: ent.op.Snapshot(), inc: ent.inc})
+			}
 		}
+	}
+	if have && mut >= s.depFloor {
+		for j := len(s.departed) - 1; j >= 0 && s.departed[j].clock > mut; j-- {
+			visited++
+			// Still resident means re-created or renamed back since.
+			k := s.departed[j].name
+			if _, tracked := keys[k]; tracked && s.keys[k] == nil {
+				r.tombs = append(r.tombs, k)
+			}
+		}
+	} else {
+		visited += len(keys)
+		for k := range keys {
+			if s.keys[k] == nil && s.eng.shardIndex(k) == i {
+				r.tombs = append(r.tombs, k)
+			}
+		}
+		s.counters.exportFullScans.Add(1)
 	}
 	s.counters.exports.Add(1)
 	s.counters.exportKeysVisited.Add(uint64(visited))

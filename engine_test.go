@@ -491,7 +491,7 @@ func TestEngineValidation(t *testing.T) {
 
 // TestEngineExportImportRoundTrip: Export while ingesting, decode via
 // ReadFrom, and every key's estimates are bit-identical to the live
-// capture's; ImportSnapshots folds a remote blob into the local view.
+// capture's; a remote blob merges into the local view.
 func TestEngineExportImportRoundTrip(t *testing.T) {
 	spec := Window{Size: 400, Period: 100}
 	cfg := Config{Spec: spec, Phis: []float64{0.5, 0.9, 0.99}, FewK: true}
@@ -568,8 +568,8 @@ func TestEngineExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("duplicated export argument produced %d streams", sn.Streams())
 	}
 
-	// ImportSnapshots: a remote engine's blob for an overlapping key set
-	// merges with the local live capture.
+	// A remote engine's blob for an overlapping key set merges with the
+	// local live capture.
 	remote, err := NewEngine(EngineConfig{Config: cfg, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -585,7 +585,11 @@ func TestEngineExportImportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	remote.Close()
-	agg, err := e.ImportSnapshots(&rblob)
+	var imported EngineSnapshot
+	if _, err := imported.ReadFrom(&rblob); err != nil {
+		t.Fatal(err)
+	}
+	agg, err := e.Snapshot().Merge(imported)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,10 +59,10 @@ type shardCounters struct {
 	// Delta-export side (ExportDelta), updated by the shard goroutine except
 	// exportTombstones, which the exporting goroutine adds at encode time.
 	exports           atomic.Uint64 // delta captures answered
-	exportKeysVisited atomic.Uint64 // entries and departure records examined for them
+	exportKeysVisited atomic.Uint64 // entries, departure records and cursor keys examined for them
 	exportFrames      atomic.Uint64 // key captures contributed to delta blobs
 	exportTombstones  atomic.Uint64 // tombstone frames encoded for names hashing here
-	exportFullScans   atomic.Uint64 // captures answered by the full scan, not the journal
+	exportFullScans   atomic.Uint64 // captures whose tombstones came from the cursor keys, not the departures log
 }
 
 // noteDepth raises the queue high-water mark to n if it exceeds the mark.
@@ -152,14 +152,14 @@ type ShardStats struct {
 	IdleWorkbenches int
 
 	// Exports counts the delta captures the shard answered: one per
-	// ExportDelta call, plus one when a cursor too old for the shard's
-	// mutation journal made the export fall back to the scan.
+	// ExportDelta call.
 	Exports uint64
-	// ExportKeysVisited counts the entries (and departure records) those
-	// captures examined: every resident key for a full scan, only the keys
-	// touched since the cursor's clock otherwise. Per export it is the
-	// work ExportDelta did on this shard; ExportFrames is the part of it
-	// that shipped.
+	// ExportKeysVisited counts what those captures examined: the journal
+	// entries and departure records since the cursor's clock, every
+	// resident key when the cursor has no clock, and every cursor key when
+	// the shard fell back for its tombstones. Per export it is the work
+	// ExportDelta did on this shard; ExportFrames is the part of it that
+	// shipped.
 	ExportKeysVisited uint64
 	// ExportFrames counts the key captures the shard contributed to delta
 	// blobs (each becomes one delta or full frame).
@@ -168,10 +168,11 @@ type ShardStats struct {
 	// for names that hash to this shard (evictions, expiries, and the
 	// retirement preceding a re-created key's bootstrap frame).
 	ExportTombstones uint64
-	// ExportFullScans counts the captures answered by scanning every
-	// resident key: first exports, Reset or foreign cursors, and cursors
-	// the departures log no longer covers. At steady state it stays flat
-	// while Exports grows.
+	// ExportFullScans counts the captures that fell back to scanning the
+	// cursor's keys for tombstones: first exports, Reset or foreign cursors
+	// (which scan every resident key too), and cursors this shard's
+	// departures log no longer covers. At steady state it stays flat while
+	// Exports grows.
 	ExportFullScans uint64
 }
 

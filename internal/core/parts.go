@@ -186,9 +186,14 @@ func (sh *Shape) Equal(o *Shape) bool {
 		a.SampleKOnly == b.SampleKOnly && a.Adaptive == b.Adaptive
 }
 
+// maxDigits is the most significant digits a configuration may keep: 17
+// already round-trip every float64, and more overflow the quantizer's
+// decimal scale (NaN at 400).
+const maxDigits = 17
+
 // validateResolved checks that cfg is a valid configuration in RESOLVED
-// form — the invariants New establishes (via withDefaults plus its own
-// checks) and every capture therefore carries. A config that would merely
+// form — the invariants New establishes (withDefaults, then this check)
+// and every capture therefore carries. A config that would merely
 // resolve to a valid one (e.g. Digits 0 or negative) is rejected: resolving
 // here would break bit-identity between a rebuilt capture and its source.
 func validateResolved(cfg Config) error {
@@ -200,6 +205,9 @@ func validateResolved(cfg Config) error {
 	}
 	if cfg.Digits < 0 {
 		return fmt.Errorf("unresolved digits %d", cfg.Digits)
+	}
+	if cfg.Digits > maxDigits {
+		return fmt.Errorf("digits %d > %d", cfg.Digits, maxDigits)
 	}
 	if cfg.Fraction <= 0 || cfg.Fraction > 1 {
 		return fmt.Errorf("fraction %v outside (0, 1]", cfg.Fraction)

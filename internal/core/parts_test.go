@@ -132,6 +132,7 @@ func TestNewSnapshotRejects(t *testing.T) {
 		"unsorted phis":   shapeOf(func(c *Config) { c.Phis = []float64{0.9, 0.5} }),
 		"unresolved frac": shapeOf(func(c *Config) { c.Fraction = 0 }),
 		"negative digits": shapeOf(func(c *Config) { c.Digits = -1 }),
+		"digits 18":       shapeOf(func(c *Config) { c.Digits = 18 }),
 		"both modes":      shapeOf(func(c *Config) { c.TopKOnly, c.SampleKOnly = true, true }),
 	} {
 		if _, err := NewShape(c); err == nil {

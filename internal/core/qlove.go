@@ -29,7 +29,7 @@ type Config struct {
 	Phis []float64
 	// Digits is the number of significant decimal digits kept by value
 	// compression (§3.1). 0 applies the paper's default of 3; negative
-	// disables quantization.
+	// disables quantization; more than 17 is rejected.
 	Digits int
 	// FewK enables few-k merging (§4). The paper's §5.2 comparison runs
 	// with it disabled; §5.3 enables it.
@@ -139,17 +139,8 @@ func New(cfg Config) (*Policy, error) {
 // over a private copy of the ϕ set.
 func resolve(cfg Config) (*Shape, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Spec.Validate(); err != nil {
-		return nil, err
-	}
-	if err := stats.ValidatePhis(cfg.Phis); err != nil {
+	if err := validateResolved(cfg); err != nil {
 		return nil, fmt.Errorf("qlove: %w", err)
-	}
-	if cfg.Fraction < 0 || cfg.Fraction > 1 {
-		return nil, fmt.Errorf("qlove: fraction %v outside (0, 1]", cfg.Fraction)
-	}
-	if cfg.TopKOnly && cfg.SampleKOnly {
-		return nil, fmt.Errorf("qlove: TopKOnly and SampleKOnly are mutually exclusive")
 	}
 	cfg.Phis = append([]float64(nil), cfg.Phis...)
 	return newShape(cfg)

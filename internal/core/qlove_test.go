@@ -45,6 +45,19 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Fatal("fraction > 1 accepted")
 	}
+	// 17 significant digits round-trip every float64; more overflow the
+	// quantizer's scale.
+	for _, digits := range []int{18, 400} {
+		bad = good
+		bad.Digits = digits
+		if _, err := New(bad); err == nil {
+			t.Fatalf("digits %d accepted", digits)
+		}
+	}
+	good.Digits = 17
+	if _, err := New(good); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestDefaults(t *testing.T) {

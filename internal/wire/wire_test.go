@@ -203,7 +203,13 @@ func TestDecodeCorruptionTable(t *testing.T) {
 		{"payload length beyond stream", flip(6, 0xFF), ErrTruncated},
 		{"payload length short", flip(6, 1), ErrCorrupt}, // trailing bytes parsed as next frame: bad magic OR corrupt payload
 		{"inner count overflow", corruptInnerCount(frame), ErrCorrupt},
+		{"digits 18", claimDigits(frame, 18), ErrCorrupt},
+		{"digits 400", claimDigits(frame, 400), ErrCorrupt},
 		{"garbage payload", append(append([]byte(nil), frame[:headerSize]...), make([]byte, len(frame)-headerSize)...), ErrCorrupt},
+	}
+	// The digits splice itself yields a decodable frame at a valid count.
+	if _, _, err := NewDecoder(bytes.NewReader(claimDigits(frame, 17))).Decode(); err != nil {
+		t.Fatalf("frame claiming 17 digits: %v", err)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -227,6 +233,21 @@ func TestDecodeCorruptionTable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// claimDigits rewrites a v2 full frame's configured digits (layout as in
+// corruptInnerCount) and patches the payload length to the new varint's.
+func claimDigits(frame []byte, digits uint64) []byte {
+	off := headerSize + 1 + 2 // frame kind, key
+	for i := 0; i < 2; i++ {  // size, period
+		_, n := binary.Uvarint(frame[off:])
+		off += n
+	}
+	_, n := binary.Uvarint(frame[off:])
+	c := binary.AppendUvarint(append([]byte(nil), frame[:off]...), digits)
+	c = append(c, frame[off+n:]...)
+	binary.LittleEndian.PutUint32(c[6:], uint32(len(c)-headerSize))
+	return c
 }
 
 // corruptInnerCount blows up the ϕ-count varint inside the payload so the

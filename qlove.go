@@ -65,9 +65,9 @@
 // wire format (internal/wire, format v2; v1 blobs keep decoding):
 // Engine.Export writes every key's capture as a blob of self-describing
 // frames without stopping ingestion, EngineSnapshot implements
-// io.WriterTo/io.ReaderFrom, and Engine.ImportSnapshots folds remote
-// blobs into the local view. Blobs concatenate freely, so N workers can
-// write one stream that a central aggregator (cmd/qlove-agg) decodes,
+// io.WriterTo/io.ReaderFrom, and EngineSnapshot.Merge folds a decoded
+// remote blob into a local capture. Blobs concatenate freely, so N workers
+// can write one stream that a central aggregator (cmd/qlove-agg) decodes,
 // groups by key and merges; a decoded capture Merges and Estimates
 // bit-for-bit like a never-serialized one. Snapshot.Estimate answers one
 // configured quantile directly.

@@ -217,10 +217,10 @@ func TestTimedEngineMatchesTimedMonitor(t *testing.T) {
 
 // TestTimedEngineSoak is the concurrency gate of the timed plane (run with
 // -race): one timed engine under simultaneous Push, shard ticks (fake
-// clock advanced concurrently), ExportDelta, Snapshot, ImportSnapshots and
-// wall-clock TTL eviction. Afterwards the cursor-folded aggregator state
-// must equal a fresh full export exactly — same key set in both
-// directions, bit-identical estimates.
+// clock advanced concurrently), ExportDelta, Snapshot (merged with a
+// remote blob) and wall-clock TTL eviction. Afterwards the cursor-folded
+// aggregator state must equal a fresh full export exactly — same key set
+// in both directions, bit-identical estimates.
 func TestTimedEngineSoak(t *testing.T) {
 	cfg := Config{Spec: Window{Size: 256, Period: 64}, Phis: []float64{0.5, 0.99}, FewK: true}
 	clk := newFakeClock(time.Unix(1_000_000, 0))
@@ -239,7 +239,7 @@ func TestTimedEngineSoak(t *testing.T) {
 	}
 	done := drainResults(eng)
 
-	// A remote blob for the concurrent ImportSnapshots reader.
+	// A remote blob the concurrent reader merges into its snapshots.
 	remote, err := NewEngine(EngineConfig{Config: cfg, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -318,8 +318,12 @@ func TestTimedEngineSoak(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			_ = eng.Snapshot()
-			if _, err := eng.ImportSnapshots(bytes.NewReader(remoteBlob.Bytes())); err != nil {
+			var imported EngineSnapshot
+			if _, err := imported.ReadFrom(bytes.NewReader(remoteBlob.Bytes())); err != nil {
+				readErr = fmt.Errorf("import: %w", err)
+				return
+			}
+			if _, err := eng.Snapshot().Merge(imported); err != nil {
 				readErr = fmt.Errorf("import: %w", err)
 				return
 			}
