@@ -173,13 +173,6 @@ const maxReplicaBody = maxPushBody
 // document; anything near the cap is garbage.
 const maxAckBody = 1 << 20
 
-// NewFanin returns a router over the replica base URLs at replication 1.
-// client nil means a default client WITH timeouts (never
-// http.DefaultClient).
-func NewFanin(urls []string, client *http.Client) (*Fanin, error) {
-	return NewFaninConfig(FaninConfig{Replicas: urls, Client: client})
-}
-
 // NewFaninConfig returns a router configured by cfg.
 func NewFaninConfig(cfg FaninConfig) (*Fanin, error) {
 	if len(cfg.Replicas) == 0 {

@@ -225,18 +225,18 @@ func testFaninEndToEnd(t *testing.T, mem memTransport) {
 // construction (including duplicate replicas) and malformed blobs rejected
 // before any replica sees a frame.
 func TestFaninErrors(t *testing.T) {
-	if _, err := NewFanin(nil, nil); err == nil {
+	if _, err := NewFaninConfig(FaninConfig{}); err == nil {
 		t.Fatal("empty URL list accepted")
 	}
-	if _, err := NewFanin([]string{"not a url"}, nil); err == nil {
+	if _, err := NewFaninConfig(FaninConfig{Replicas: []string{"not a url"}}); err == nil {
 		t.Fatal("bad URL accepted")
 	}
-	if _, err := NewFanin([]string{"/just/a/path"}, nil); err == nil {
+	if _, err := NewFaninConfig(FaninConfig{Replicas: []string{"/just/a/path"}}); err == nil {
 		t.Fatal("schemeless URL accepted")
 	}
 	// Duplicates — even differing only by a trailing slash — would
 	// silently split one partition across two identical owners.
-	if _, err := NewFanin([]string{"http://10.0.0.1:7171", "http://10.0.0.1:7171/"}, nil); err == nil {
+	if _, err := NewFaninConfig(FaninConfig{Replicas: []string{"http://10.0.0.1:7171", "http://10.0.0.1:7171/"}}); err == nil {
 		t.Fatal("duplicate replica URLs accepted")
 	}
 	// Replication / quorum / slot-map validation.

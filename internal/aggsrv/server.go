@@ -34,7 +34,7 @@
 // on this.
 //
 // A Server fronts one *qlove.Aggregator on any store backend. Scale-out
-// and replication are NewFanin's: an HTTP router over N such servers.
+// and replication are NewFaninConfig's: an HTTP router over N such servers.
 package aggsrv
 
 import (

@@ -152,7 +152,7 @@ func referenceSeal(p *Policy, values []float64, prev *Summary) Summary {
 	}
 	slices.Sort(b.vals)
 	b.plan()
-	s := b.assemble(p.budgets)
+	s := b.assemble(p.sh.budgets)
 	if len(p.sh.managed) > 0 && prev != nil {
 		alpha := cfg.BurstAlpha
 		if pairs := cfg.Spec.SubWindows() - 1; pairs > 1 {
@@ -643,7 +643,7 @@ func BenchmarkLevel1Seal(b *testing.B) {
 				off := i * spec.Period % (len(raw) - spec.Period)
 				wb := pool.lend()
 				wb.vals = append(wb.vals, raw[off:off+spec.Period]...)
-				wb.seal(p.budgets)
+				wb.seal(p.sh.budgets)
 				pool.takeBack(wb)
 			}
 		})

@@ -46,7 +46,7 @@ func TestPooledOperatorsMatchStandAlone(t *testing.T) {
 	phis := []float64{0.5, 0.9, 0.99, 0.999}
 	for _, cfg := range []Config{
 		{Spec: window.Spec{Size: 512, Period: 128}, Phis: phis, FewK: true},
-		{Spec: window.Spec{Size: 64, Period: 16}, Phis: phis, FewK: true, Adaptive: true},
+		{Spec: window.Spec{Size: 64, Period: 16}, Phis: phis, FewK: true},
 		{Spec: window.Spec{Size: 100, Period: 10}, Phis: phis},
 	} {
 		t.Run(cfg.Spec.String(), func(t *testing.T) {

@@ -97,17 +97,17 @@ func NewSnapshot(p SnapshotParts) (Snapshot, error) {
 
 // Shape is one resolved, validated configuration together with what every
 // operator and capture of it derives from it: the managed-quantile set and
-// the as-planned few-k budgets. It is immutable and shared by pointer — by
-// a Pool's operators and workbenches, by every capture and SnapshotParts
-// of one operator, by the frames a decoder reads with one configuration
-// and by the aggregator states folded from them — so a configuration is
-// validated and derived once, not copied into every state that runs or
-// holds it.
+// the few-k budgets, planned once, that every operator of it seals with. It
+// is immutable and shared by pointer — by a Pool's operators and
+// workbenches, by every capture and SnapshotParts of one operator, by the
+// frames a decoder reads with one configuration and by the aggregator
+// states folded from them — so a configuration is validated and derived
+// once, not copied into every state that runs or holds it.
 type Shape struct {
 	cfg Config
 	// managed[i] is the index into cfg.Phis of the i-th few-k-managed
-	// quantile; budgets[i] its as-planned per-sub-window budget (the
-	// adaptive controller replans a copy per operator).
+	// quantile; budgets[i] its per-sub-window budget, the plan every
+	// operator of the shape seals with.
 	managed []int
 	budgets []fewk.Budget
 }
@@ -183,7 +183,7 @@ func (sh *Shape) Equal(o *Shape) bool {
 		a.Digits == b.Digits && a.FewK == b.FewK && a.Fraction == b.Fraction &&
 		a.StatThreshold == b.StatThreshold && a.BurstAlpha == b.BurstAlpha &&
 		a.HighPhiMin == b.HighPhiMin && a.TopKOnly == b.TopKOnly &&
-		a.SampleKOnly == b.SampleKOnly && a.Adaptive == b.Adaptive
+		a.SampleKOnly == b.SampleKOnly
 }
 
 // maxDigits is the most significant digits a configuration may keep: 17

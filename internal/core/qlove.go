@@ -13,7 +13,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/core/fewk"
 	"repro/internal/stats"
@@ -54,10 +53,6 @@ type Config struct {
 	// managed quantiles, matching Table 4. Mutually exclusive with
 	// TopKOnly.
 	SampleKOnly bool
-	// Adaptive enables the online budget controller (the paper's §4.3
-	// future-work direction): the few-k fraction grows under detected
-	// bursts or budget undershoot and decays back when traffic calms.
-	Adaptive bool
 }
 
 // withDefaults resolves zero-valued optional fields.
@@ -98,12 +93,6 @@ type Policy struct {
 	lender  *Pool
 	agg     *level2
 
-	// budgets[i] is the per-sub-window plan of the i-th few-k-managed
-	// quantile: the shape's own, or — when the adaptive controller replans
-	// them at runtime — the operator's copy, which Reset restores from the
-	// shape.
-	budgets []fewk.Budget
-
 	// prev is the most recently sealed summary once it is no longer
 	// resident (Expire saves it when it removes the last one); while it is
 	// resident it is the newest in agg and prev stays nil. The burst
@@ -113,10 +102,6 @@ type Policy struct {
 	// burstActive[i] records, per managed quantile, whether the last
 	// evaluation detected bursty traffic (exported for observability).
 	burstActive []bool
-
-	// adapt holds the online budget controller state when Config.Adaptive
-	// is set (nil otherwise).
-	adapt []adaptState
 
 	// sealGen counts the summaries sealed since construction (or the last
 	// Reset) — the monotonic per-operator generation clock delta exports
@@ -147,18 +132,12 @@ func resolve(cfg Config) (*Shape, error) {
 }
 
 // policy mints a fresh operator of the shape. It shares everything the
-// shape holds, so a pool's thousands of operators do not each hold a copy;
-// only the adaptive controller, which replans budgets per operator, gets
-// its own copy of them.
+// shape holds, so a pool's thousands of operators do not each hold a copy.
 func (sh *Shape) policy() *Policy {
-	p := &Policy{sh: sh, agg: newLevel2(len(sh.cfg.Phis)), budgets: sh.budgets}
+	p := &Policy{sh: sh, agg: newLevel2(len(sh.cfg.Phis))}
 	if len(sh.managed) > 0 {
 		p.burstActive = make([]bool, len(sh.managed))
-		if sh.cfg.Adaptive {
-			p.budgets = slices.Clone(sh.budgets)
-		}
 	}
-	p.initAdaptive()
 	return p
 }
 
@@ -185,10 +164,6 @@ func (p *Policy) Reset() {
 	for i := range p.burstActive {
 		p.burstActive[i] = false
 	}
-	if p.adapt != nil {
-		copy(p.budgets, p.sh.budgets)
-	}
-	p.initAdaptive()
 }
 
 // ExpiresWholeSummaries implements stream.SummaryExpirer: QLOVE expires a
@@ -305,7 +280,7 @@ func (p *Policy) EndPeriod() {
 		p.returnBench() // borrowed for values that all turned out NaN
 		return
 	}
-	s := p.builder.seal(p.budgets)
+	s := p.builder.seal(p.sh.budgets)
 	if p.lender != nil {
 		p.returnBench()
 	} else {
@@ -357,9 +332,6 @@ func (p *Policy) Result() []float64 {
 		est, burst := p.scratch().managedAnswer(cfg, p.agg.summaries, mi, pi, cfg.Spec.Size, out[pi])
 		out[pi] = est
 		p.burstActive[mi] = burst
-		if p.adapt != nil {
-			p.observeDistress(mi, burst || p.poolShallow(mi))
-		}
 	}
 	return out
 }
@@ -416,12 +388,3 @@ func (p *Policy) FewKSpace() int { return p.agg.fewkSpace() }
 
 // SubWindowCount returns the number of resident sub-window summaries.
 func (p *Policy) SubWindowCount() int { return p.agg.count() }
-
-// ManagedQuantiles returns the ϕ values under few-k management.
-func (p *Policy) ManagedQuantiles() []float64 {
-	out := make([]float64, len(p.sh.managed))
-	for i, pi := range p.sh.managed {
-		out[i] = p.sh.cfg.Phis[pi]
-	}
-	return out
-}

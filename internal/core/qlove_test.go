@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/stats"
@@ -204,13 +205,12 @@ func TestSpaceUsageBenefitsFromRedundancy(t *testing.T) {
 func TestFewKManagedSelection(t *testing.T) {
 	spec := window.Spec{Size: 128000, Period: 16000}
 	p := mustNew(t, Config{Spec: spec, Phis: []float64{0.5, 0.9, 0.99, 0.999}, FewK: true})
-	managed := p.ManagedQuantiles()
-	if len(managed) != 2 || managed[0] != 0.99 || managed[1] != 0.999 {
-		t.Fatalf("managed = %v, want [0.99 0.999]", managed)
+	if managed := p.sh.managed; !slices.Equal(managed, []int{2, 3}) {
+		t.Fatalf("managed indexes = %v, want [2 3] (ϕ 0.99 and 0.999)", managed)
 	}
 	// Few-k disabled: nothing managed.
 	p = mustNew(t, Config{Spec: spec, Phis: []float64{0.999}})
-	if len(p.ManagedQuantiles()) != 0 {
+	if len(p.sh.managed) != 0 {
 		t.Fatal("few-k disabled but quantiles managed")
 	}
 }
@@ -473,5 +473,27 @@ func TestBurstGateSkipsOnlyUnreachableTests(t *testing.T) {
 				t.Fatalf("%s: the burst is flagged %v, want %v (retained %d against %d)", tc.name, cur.Bursty(0), tc.want, len(cur.Tail(0)), len(prev.Tail(0)))
 			}
 		}
+	}
+}
+
+func TestEndPeriodPartialSubWindow(t *testing.T) {
+	// Time-driven sealing: a partial sub-window still yields a summary
+	// and contributes to Level 2.
+	spec := window.Spec{Size: 40, Period: 10}
+	p := mustNew(t, Config{Spec: spec, Phis: []float64{0.5}, Digits: -1})
+	for i := 0; i < 5; i++ {
+		p.Observe(float64(i + 1)) // 1..5, median 3
+	}
+	p.EndPeriod()
+	if p.SubWindowCount() != 1 {
+		t.Fatalf("summaries = %d, want 1", p.SubWindowCount())
+	}
+	if got := p.Result()[0]; got != 3 {
+		t.Fatalf("partial sub-window median = %v, want 3", got)
+	}
+	// Empty EndPeriod is a no-op.
+	p.EndPeriod()
+	if p.SubWindowCount() != 1 {
+		t.Fatal("empty EndPeriod produced a summary")
 	}
 }

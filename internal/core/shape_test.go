@@ -11,10 +11,12 @@ import (
 // TestStateSizes: an operator and a capture hold their configuration as
 // one pointer to the shared Shape, not as a copy of it (the 96-byte Config,
 // the managed set and the base budgets put an operator at 256 bytes and a
-// capture at 184).
+// capture at 184), and an operator seals with the shape's budgets (its own
+// budgets slice and budget-controller state put it at 120 bytes, in the
+// 128-byte class).
 func TestStateSizes(t *testing.T) {
-	if n := unsafe.Sizeof(Policy{}); n > 128 {
-		t.Errorf("Policy is %d bytes, budget 128", n)
+	if n := unsafe.Sizeof(Policy{}); n > 80 {
+		t.Errorf("Policy is %d bytes, budget 80", n)
 	}
 	if n := unsafe.Sizeof(Snapshot{}); n > 80 {
 		t.Errorf("Snapshot is %d bytes, budget 80", n)
@@ -22,11 +24,10 @@ func TestStateSizes(t *testing.T) {
 }
 
 // TestShapeIsShared: a pool's operators, their workbenches and every
-// capture of them point at the pool's one Shape, the parts of a capture
-// carry it, and an adaptive operator replans a copy of the budgets, never
-// the shape's.
+// capture of them point at the pool's one Shape, and the parts of a capture
+// carry it.
 func TestShapeIsShared(t *testing.T) {
-	cfg := Config{Spec: window.Spec{Size: 64, Period: 16}, Phis: []float64{0.5, 0.99, 0.999}, FewK: true, Adaptive: true}
+	cfg := Config{Spec: window.Spec{Size: 64, Period: 16}, Phis: []float64{0.5, 0.99, 0.999}, FewK: true}
 	pool, err := NewPool(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -43,12 +44,6 @@ func TestShapeIsShared(t *testing.T) {
 	m, err := sa.Merge(sb)
 	if err != nil || m.sh != pool.shape {
 		t.Fatalf("merge of one shape: %v, shape shared %v", err, m.sh == pool.shape)
-	}
-	if &a.budgets[0] == &pool.shape.budgets[0] {
-		t.Fatal("an adaptive operator replans the shape's own budgets")
-	}
-	if plain, _ := NewPool(Config{Spec: cfg.Spec, Phis: cfg.Phis, FewK: true}); &plain.Get().budgets[0] != &plain.shape.budgets[0] {
-		t.Fatal("a non-adaptive operator copied its budgets")
 	}
 }
 
@@ -82,7 +77,6 @@ func TestShapeEqual(t *testing.T) {
 		"high phi":  func(c *Config) { c.HighPhiMin = 0.9 },
 		"top-k":     func(c *Config) { c.TopKOnly = true },
 		"sample-k":  func(c *Config) { c.SampleKOnly = true },
-		"adaptive":  func(c *Config) { c.Adaptive = true },
 	} {
 		c := base
 		edit(&c)

@@ -351,8 +351,8 @@ var burstFloor = func() (f [stats.MannWhitneyFloorSize + 1][stats.MannWhitneyFlo
 // A workbench serves ONE configuration, bound when it is made (newBuilder):
 // a pool's workbenches serve the pool's configuration, a stand-alone
 // builder its own operator's. The seal takes nothing of the configuration
-// but the budgets (which the adaptive controller replans per operator),
-// so the plan it memoizes is never read under another configuration.
+// but the budgets (the shape's plan, or a test's hand-made one), so the
+// plan it memoizes is never read under another configuration.
 type builder struct {
 	// sh is the configuration served.
 	sh *Shape

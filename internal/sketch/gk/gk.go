@@ -37,9 +37,6 @@ func New(eps float64) (*Summary, error) {
 	return &Summary{eps: eps}, nil
 }
 
-// Epsilon returns the configured rank-error bound.
-func (s *Summary) Epsilon() float64 { return s.eps }
-
 // Count returns the number of inserted elements.
 func (s *Summary) Count() int64 { return s.n }
 

@@ -19,8 +19,6 @@ type Policy struct {
 	sealed   []*Sketch
 	current  *Sketch
 	inFlight int
-	// solveFailures counts evaluations that used the fallback path.
-	solveFailures int
 }
 
 // NewPolicy returns a Moment policy of order k (the paper uses K=12).
@@ -109,17 +107,12 @@ func (p *Policy) Result() []float64 {
 	for i, phi := range p.phis {
 		q, err := merged.Quantile(phi)
 		if err != nil {
-			p.solveFailures++
 			q = merged.Min + (merged.Max-merged.Min)*phi
 		}
 		out[i] = q
 	}
 	return out
 }
-
-// SolveFailures reports how many quantile evaluations fell back to
-// min/max interpolation because the max-entropy solve did not converge.
-func (p *Policy) SolveFailures() int { return p.solveFailures }
 
 // SpaceUsage implements stream.Policy.
 func (p *Policy) SpaceUsage() int {

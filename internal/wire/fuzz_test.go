@@ -38,6 +38,8 @@ func FuzzDecode(f *testing.F) {
 	for _, blob := range claimSeeds {
 		f.Add(blob)
 	}
+	f.Add(claimFlags(validFrame(f), 1<<3)) // retired bit: decodes, re-encodes without it
+	f.Add(claimFlags(validFrame(f), 1<<4)) // never-written bit: corrupt
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		dec := NewDecoder(bytes.NewReader(blob))
 		for {

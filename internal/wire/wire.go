@@ -30,7 +30,9 @@
 //
 //	key        uvarint len + bytes        ("" for unkeyed captures)
 //	config     size, period, digits       uvarint each
-//	           flags                      1 byte: FewK|TopKOnly|SampleKOnly|Adaptive
+//	           flags                      1 byte: bit 0 FewK, 1 TopKOnly, 2 SampleKOnly;
+//	                                      bit 3 retired (never written, ignored
+//	                                      on decode); bits 4-7 corrupt
 //	           fraction, statThreshold,
 //	           burstAlpha, highPhiMin     float64 each
 //	           phis                       uvarint len + float64s
@@ -250,8 +252,14 @@ const (
 	flagFewK = 1 << iota
 	flagTopKOnly
 	flagSampleKOnly
-	flagAdaptive
 )
+
+// flagsCorrupt are the config flag bits no encoder has ever written. Bit 3
+// is not among them: it once marked an operator's online budget controller,
+// which is gone, and a decoder ignores it rather than reject it, because a
+// disk store's recovery ends its log at the first record that fails to
+// decode and would drop every record after one that set it.
+const flagsCorrupt = 0xF0
 
 // Encoder writes frames to a stream, reusing one marshalling buffer across
 // calls so steady-state export allocates only what the kernel write needs.
@@ -409,9 +417,6 @@ func appendConfig(dst []byte, cfg core.Config) []byte {
 	}
 	if cfg.SampleKOnly {
 		flags |= flagSampleKOnly
-	}
-	if cfg.Adaptive {
-		flags |= flagAdaptive
 	}
 	dst = append(dst, flags)
 	dst = appendF64(dst, cfg.Fraction)
@@ -911,10 +916,12 @@ func decodeConfig(r *payloadReader) (core.Config, error) {
 	if err != nil {
 		return cfg, err
 	}
+	if flags&flagsCorrupt != 0 {
+		return cfg, fmt.Errorf("%w: config flags %#02x", ErrCorrupt, flags)
+	}
 	cfg.FewK = flags&flagFewK != 0
 	cfg.TopKOnly = flags&flagTopKOnly != 0
 	cfg.SampleKOnly = flags&flagSampleKOnly != 0
-	cfg.Adaptive = flags&flagAdaptive != 0
 	for _, f := range []struct {
 		dst  *float64
 		what string

@@ -205,11 +205,25 @@ func TestDecodeCorruptionTable(t *testing.T) {
 		{"inner count overflow", corruptInnerCount(frame), ErrCorrupt},
 		{"digits 18", claimDigits(frame, 18), ErrCorrupt},
 		{"digits 400", claimDigits(frame, 400), ErrCorrupt},
+		{"flag bit 4", claimFlags(frame, 1<<4), ErrCorrupt},
+		{"flag bit 5", claimFlags(frame, 1<<5), ErrCorrupt},
+		{"flag bit 6", claimFlags(frame, 1<<6), ErrCorrupt},
+		{"flag bit 7", claimFlags(frame, 1<<7), ErrCorrupt},
 		{"garbage payload", append(append([]byte(nil), frame[:headerSize]...), make([]byte, len(frame)-headerSize)...), ErrCorrupt},
 	}
 	// The digits splice itself yields a decodable frame at a valid count.
 	if _, _, err := NewDecoder(bytes.NewReader(claimDigits(frame, 17))).Decode(); err != nil {
 		t.Fatalf("frame claiming 17 digits: %v", err)
+	}
+	// The retired flag bit 3 is ignored, not refused: the frame decodes to
+	// the shape of the same frame without it.
+	_, retired, err := NewDecoder(bytes.NewReader(claimFlags(frame, 1<<3))).Decode()
+	if err != nil {
+		t.Fatalf("frame setting the retired flag bit 3: %v", err)
+	}
+	_, plain, _ := NewDecoder(bytes.NewReader(frame)).Decode()
+	if got, want := retired.Parts().Shape, plain.Parts().Shape; !got.Equal(want) {
+		t.Fatalf("flag bit 3 changed the shape: %+v, want %+v", got.Config(), want.Config())
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -247,6 +261,19 @@ func claimDigits(frame []byte, digits uint64) []byte {
 	c := binary.AppendUvarint(append([]byte(nil), frame[:off]...), digits)
 	c = append(c, frame[off+n:]...)
 	binary.LittleEndian.PutUint32(c[6:], uint32(len(c)-headerSize))
+	return c
+}
+
+// claimFlags sets the bits set in a v2 full frame's config flags byte
+// (layout as in corruptInnerCount).
+func claimFlags(frame []byte, set byte) []byte {
+	off := headerSize + 1 + 2 // frame kind, key
+	for i := 0; i < 3; i++ {  // size, period, digits
+		_, n := binary.Uvarint(frame[off:])
+		off += n
+	}
+	c := append([]byte(nil), frame...)
+	c[off] |= set
 	return c
 }
 

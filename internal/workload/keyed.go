@@ -47,9 +47,6 @@ func NewKeyed(seed int64, cardinality int, skew float64, values Generator) (*Key
 	return g, nil
 }
 
-// Cardinality returns the size of the key universe.
-func (g *Keyed) Cardinality() int { return len(g.keys) }
-
 // Key returns the i-th key's name (key 0 is the hottest under skew).
 func (g *Keyed) Key(i int) string { return g.keys[i] }
 
