@@ -286,12 +286,45 @@ func boundarySeedProgram(period int) []byte {
 	return append(p, 2<<6)
 }
 
+// smallIntSeedProgram feeds two and a half sub-windows of period values
+// in batches: whole numbers from lo to hi as raw values, with repeats, a
+// +0 and a NaN now and then. Their keys vary in at most three bytes (512–527
+// alone in one), so at periods 128 and 1 000 the seal sorts such
+// sub-windows outright by radix.
+func smallIntSeedProgram(period, lo, hi int) []byte {
+	var p []byte
+	left, i := 2*period+period/2, 0
+	for left > 0 {
+		k := min(left, 64)
+		p = append(p, byte(1<<6|(k-1)))
+		for j := 0; j < k; j++ {
+			switch i++; {
+			case i%97 == 0:
+				p = append(p, 2) // +0
+			case i%89 == 0:
+				p = append(p, 0) // NaN
+			default:
+				v := lo + (i*i*7+i*13)%(hi-lo+1)
+				if i%5 == 0 {
+					v = lo + (i/5)%4 // a few values repeat throughout
+				}
+				p = append(p, 0xF0)
+				p = binary.LittleEndian.AppendUint64(p, math.Float64bits(float64(v)))
+			}
+		}
+		left -= k
+	}
+	return append(p, 2<<6)
+}
+
 // FuzzBuilderSeal drives one operator, stand-alone or pooled, with
 // arbitrary values split arbitrarily into Observe and ObserveBatch calls
 // and EndPeriod forced at arbitrary partial counts, and holds every
-// summary it seals by selection to the full-sort reference, byte for byte.
-// The window is 16 periods, so the high quantiles' tails are deeper than
-// their top-k shares and the seal takes interval samples too.
+// summary it seals — by selection, or sorted outright by radix — to the
+// full-sort reference, byte for byte. The window is 16 periods, so the
+// high quantiles' tails are deeper than their top-k shares and the seal
+// takes interval samples too. Most seeds' values vary in many key bytes
+// and take selection; the small-integer seeds take the radix sort.
 func FuzzBuilderSeal(f *testing.F) {
 	for _, period := range []uint16{1, 2, 3, 4, 16, 128, 255, 256, 257, 1000} {
 		f.Add(period, false, seedProgram(int(period)))
@@ -304,6 +337,10 @@ func FuzzBuilderSeal(f *testing.F) {
 	for _, period := range []uint16{16, 128} {
 		f.Add(period, false, boundarySeedProgram(int(period)))
 		f.Add(period, true, boundarySeedProgram(int(period)))
+	}
+	for _, c := range []struct{ period, lo, hi int }{{128, 0, 999}, {1000, 512, 1023}, {1000, 512, 527}} {
+		f.Add(uint16(c.period), false, smallIntSeedProgram(c.period, c.lo, c.hi))
+		f.Add(uint16(c.period), true, smallIntSeedProgram(c.period, c.lo, c.hi))
 	}
 	f.Fuzz(func(t *testing.T, period uint16, pooled bool, program []byte) {
 		if period == 0 || period > 1100 {
@@ -394,9 +431,10 @@ func FuzzBuilderSeal(f *testing.F) {
 
 // TestBuilderOneZero pins the one zero a sub-window answers: −0 and +0
 // both stay in the buffer, and whichever arrives first, every read of the
-// sub-window answers +0 — sealed by insertion sort or by partitioning
-// alike — and the summary is the full-sort reference's, byte for byte.
-// It is TestSelectSealAdversarial's ±0 row.
+// sub-window answers +0 — sealed by one network leaf, which puts −0 first,
+// or by partitioning alike — and the summary is the full-sort reference's,
+// byte for byte. It is TestSelectSealAdversarial's ±0 row; the radix sort's
+// is TestRadixSortRefusesAndSorts.
 func TestBuilderOneZero(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	for _, period := range []int{16, 300} {
@@ -618,34 +656,41 @@ func TestSpaceUsageLeavesBufferInPlace(t *testing.T) {
 	}
 }
 
-// BenchmarkLevel1Seal times the seal kernel alone — plan, select and
+// BenchmarkLevel1Seal times the seal kernel alone — plan, order and
 // assemble — on workbenches lent by a Pool, at the engine benchmarks'
 // shapes 512/128 and 64/16 with few-k on: each iteration borrows a
-// workbench, fills it with the next period of raw NetMon values, seals it
+// workbench, fills it with the next period of raw values, seals it
 // (quantizing what the summary reads) and hands it back. One op is one
-// seal.
+// seal. The unnamed rows seal NetMon, whose keys vary in three bytes, so
+// 512/128 sorts outright; the search and normal rows (four and seven
+// varying bytes) price the selection the cost check keeps for them.
 func BenchmarkLevel1Seal(b *testing.B) {
-	data := workload.Generate(workload.NewNetMon(1), 1<<16)
-	for _, spec := range []window.Spec{{Size: 512, Period: 128}, {Size: 64, Period: 16}} {
-		b.Run(fmt.Sprintf("%d-%d", spec.Size, spec.Period), func(b *testing.B) {
-			pool, err := NewPool(Config{Spec: spec, Phis: builderPhis, FewK: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			p := pool.Get()
-			wb := pool.lend()
-			wb.addBatch(data)
-			raw := slices.Clone(wb.vals)
-			pool.takeBack(wb)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				off := i * spec.Period % (len(raw) - spec.Period)
+	for _, in := range []struct {
+		name string
+		gen  workload.Generator
+	}{{"", workload.NewNetMon(1)}, {"-search", workload.NewSearch(1)}, {"-normal", workload.NewNormal(1, 1e6, 5e4)}} {
+		data := workload.Generate(in.gen, 1<<16)
+		for _, spec := range []window.Spec{{Size: 512, Period: 128}, {Size: 64, Period: 16}} {
+			b.Run(fmt.Sprintf("%d-%d%s", spec.Size, spec.Period, in.name), func(b *testing.B) {
+				pool, err := NewPool(Config{Spec: spec, Phis: builderPhis, FewK: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				p := pool.Get()
 				wb := pool.lend()
-				wb.vals = append(wb.vals, raw[off:off+spec.Period]...)
-				wb.seal(p.sh.budgets)
+				wb.addBatch(data)
+				raw := slices.Clone(wb.vals)
 				pool.takeBack(wb)
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					off := i * spec.Period % (len(raw) - spec.Period)
+					wb := pool.lend()
+					wb.vals = append(wb.vals, raw[off:off+spec.Period]...)
+					wb.seal(p.sh.budgets, &pool.scratch)
+					pool.takeBack(wb)
+				}
+			})
+		}
 	}
 }

@@ -227,7 +227,7 @@ func TestBuilderSealProducesSortedTails(t *testing.T) {
 		b.add(v)
 	}
 	budgets := []fewk.Budget{{K: 5, Kt: 3, Ks: 2}}
-	s := b.seal(budgets)
+	s := b.seal(budgets, new(mergeScratch))
 	if s.Count != 10 {
 		t.Fatalf("Count = %d", s.Count)
 	}
@@ -251,7 +251,7 @@ func TestBuilderDensityAtSmallN(t *testing.T) {
 	b := newBuilder(mustNew(t, Config{Spec: window.Spec{Size: 100, Period: 100}, Phis: []float64{0.5}, Digits: -1}).sh)
 	b.add(1)
 	b.add(2)
-	s := b.seal(nil)
+	s := b.seal(nil, new(mergeScratch))
 	if got := s.Density(0); got != 0 {
 		t.Fatalf("density with n<4 = %v, want 0", got)
 	}

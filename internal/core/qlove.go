@@ -280,7 +280,7 @@ func (p *Policy) EndPeriod() {
 		p.returnBench() // borrowed for values that all turned out NaN
 		return
 	}
-	s := p.builder.seal(p.sh.budgets)
+	s := p.builder.seal(p.sh.budgets, p.scratch())
 	if p.lender != nil {
 		p.returnBench()
 	} else {

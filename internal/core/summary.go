@@ -220,6 +220,8 @@ type mergeScratch struct {
 	fewk           fewk.Scratch
 	lists, weights [][]float64
 	union          []float64
+	// keys and swap are the seal's radix sort buffers (radixSort).
+	keys, swap []uint64
 }
 
 // cachedOf gathers, per summary, the runs of every value retained for
@@ -334,9 +336,10 @@ var burstFloor = func() (f [stats.MannWhitneyFloorSize + 1][stats.MannWhitneyFlo
 // tree of Algorithm 1, quantizing every value so that recurring ones
 // collapse; this one keeps it as a flat buffer in arrival order and, at
 // seal, moves into place only the order statistics the summary reads
-// (selectSeal) and quantizes only those — the same summary, bit for bit,
-// because the quantizer never decreases: the k-th smallest quantized value
-// is the quantized k-th smallest value. The tree's compression pays less
+// (selectSeal, or radixSort of the whole buffer where that is cheaper) and
+// quantizes only those — the same summary, bit for bit, because the
+// quantizer never decreases: the k-th smallest quantized value is the
+// quantized k-th smallest value. The tree's compression pays less
 // than it costs: a sub-window of 128 NetMon values is mostly distinct (113
 // at 3 digits), and even at the paper's 1 000–16 000-value periods
 // selecting from the buffer beats a tree. The scratch slices are reused
@@ -365,12 +368,16 @@ type builder struct {
 
 	// The plan of a planN-value seal (see plan): it depends on the
 	// configuration and planN alone, so every full sub-window reuses it
-	// and only a partial seal of another length plans again.
-	planN    int
-	reqs     []rankReq // rank requests, sorted by rank
-	los, his []float64 // density finite-difference bounds per ϕ
-	tailNs   []int     // few-k capture depth per managed ϕ
-	maxTail  int       // the deepest of them
+	// and only a partial seal of another length plans again. radixBytes is
+	// the most varying key bytes at which sorting the sub-window outright
+	// (radixSort) is cheaper than selecting the plan's reads, 0 when
+	// selection always is; the two share a word, which keeps a workbench
+	// in its size class.
+	planN, radixBytes int32
+	reqs              []rankReq // rank requests, sorted by rank
+	los, his          []float64 // density finite-difference bounds per ϕ
+	tailNs            []int     // few-k capture depth per managed ϕ
+	maxTail           int       // the deepest of them
 
 	// qbuf holds quantized copies: unique's of the whole buffer, and the
 	// seal's reads — each position a request reads below the tail, in rank
@@ -449,11 +456,16 @@ func (b *builder) unique() int {
 // The seal is fused: plan gathers every rank the summary needs — the l
 // ϕ-quantiles and the two density finite-difference bounds per ϕ — and
 // the depth of ONE shared descending tail that every managed quantile
-// reads a prefix of; selectSeal moves exactly those positions into place;
-// assemble reads them by index and quantizes what it read.
-func (b *builder) seal(budgets []fewk.Budget) Summary {
+// reads a prefix of; the ordering kernel puts those positions in place —
+// radixSort sorts the whole sub-window where the plan reads most of it and
+// few key bytes vary (radixBytes), selectSeal moves exactly those
+// positions otherwise; assemble reads them by index and quantizes what it
+// read. sc holds the radix sort's buffers.
+func (b *builder) seal(budgets []fewk.Budget, sc *mergeScratch) Summary {
 	b.plan()
-	selectSeal(b.vals, b.reqs, len(b.vals)-b.maxTail)
+	if b.radixBytes == 0 || !sc.radixSort(b.vals, int(b.radixBytes)) {
+		selectSeal(b.vals, b.reqs, len(b.vals)-b.maxTail)
+	}
 	return b.assemble(budgets)
 }
 
@@ -467,10 +479,10 @@ func (b *builder) seal(budgets []fewk.Budget) Summary {
 // each position once.
 func (b *builder) plan() {
 	n := len(b.vals)
-	if n == b.planN {
+	if n == int(b.planN) {
 		return
 	}
-	b.planN = n
+	b.planN = int32(n)
 	cfg := &b.sh.cfg
 	b.tailNs, b.maxTail = b.tailNs[:0], 0
 	for _, pi := range b.sh.managed {
@@ -520,6 +532,7 @@ func (b *builder) plan() {
 	if need := int(below) + b.maxTail; cap(b.qbuf) < need {
 		b.qbuf = make([]float64, 0, need)
 	}
+	b.radixBytes = int32(radixBytes(n, selectCost(n, 0, reqs, tailFrom)))
 }
 
 // assemble builds the summary of the sub-window in vals from positions
@@ -595,12 +608,14 @@ func (b *builder) assemble(budgets []fewk.Budget) Summary {
 // sorted; elsewhere v is only partitioned. reqs must be sorted by rank. v
 // holds no NaN, so values that compare equal are identical bits but for
 // ±0, and any arrangement that puts the right value at a position is the
-// sort's, bit for bit, once assemble has read −0 as +0.
+// sort's, bit for bit, once assemble has read −0 as +0. The leaves sort
+// −0 before +0; the partitions keep them where they fall.
 func selectSeal(v []float64, reqs []rankReq, tailFrom int) {
 	multiSelect(v, 0, reqs, tailFrom, 2*bits.Len(uint(len(v))))
 }
 
-// selectSortBelow is the segment length multiSelect insertion-sorts.
+// selectSortBelow is the longest segment multiSelect sorts as a leaf
+// (sortLeaf) instead of partitioning it: the sorting network's width.
 const selectSortBelow = 16
 
 // multiSelect is selectSeal on the segment v of the buffer, which starts
@@ -609,13 +624,13 @@ const selectSortBelow = 16
 // ways around a pseudo-median pivot — telemetry repeats values, and the
 // run equal to the pivot is final whatever it holds — and continues only
 // into the parts that hold a requested position or reach into the tail,
-// so the tail ends up quicksorted. A short part is insertion-sorted, and
-// one that has used up its depth budget is sorted outright, so no input is
-// quadratic.
+// so the tail ends up quicksorted. A part of at most selectSortBelow
+// values is sorted by the network, and one that has used up its depth
+// budget is sorted outright, so no input is quadratic.
 func multiSelect(v []float64, off int, reqs []rankReq, tailFrom, depth int) {
 	for len(reqs) > 0 || off+len(v) > tailFrom {
 		if len(v) <= selectSortBelow {
-			insertionSort(v)
+			sortLeaf(v)
 			return
 		}
 		if depth == 0 {
@@ -638,17 +653,244 @@ func multiSelect(v []float64, off int, reqs []rankReq, tailFrom, depth int) {
 	}
 }
 
-// insertionSort sorts a short v ascending by plain < comparisons, with no
-// NaN handling: the buffer holds no NaN, so it leaves at every position a
-// value equal to the one slices.Sort would.
-func insertionSort(v []float64) {
-	for i := 1; i < len(v); i++ {
-		x, j := v[i], i
-		for ; j > 0 && x < v[j-1]; j-- {
-			v[j] = v[j-1]
-		}
-		v[j] = x
+// sortKey maps a float64 to a uint64 whose unsigned order is the float's
+// order: a positive float's bits with the sign bit set, a negative one's
+// bits inverted. −0 keys just below +0, and a NaN, which the buffer never
+// holds, beyond ±Inf. fromKey inverts it, bit for bit.
+func sortKey(f float64) uint64 {
+	b := math.Float64bits(f)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+func fromKey(k uint64) float64 {
+	return math.Float64frombits(k ^ (uint64(int64(^k)>>63) | 1<<63))
+}
+
+// sortLeaf sorts a v of at most 16 values ascending by sort16 over their
+// keys, padded with the largest key, which sorts after every value's.
+func sortLeaf(v []float64) {
+	if len(v) < 2 {
+		return
 	}
+	k := [16]uint64{
+		^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0),
+		^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0),
+	}
+	for i, x := range v {
+		k[i] = sortKey(x)
+	}
+	sort16(&k)
+	for i := range v {
+		v[i] = fromKey(k[i])
+	}
+}
+
+// sort16 sorts 16 keys ascending by a fixed network of 60 comparators in
+// ten layers, the fewest comparators known for 16 inputs. Each
+// compare-exchange is an integer min and max, which compile to conditional
+// moves: no branch depends on the data. TestSort16ZeroOne checks it on all
+// 2^16 zero-one inputs, which by the 0-1 principle covers every input.
+func sort16(k *[16]uint64) {
+	a0, a1, a2, a3, a4, a5, a6, a7 := k[0], k[1], k[2], k[3], k[4], k[5], k[6], k[7]
+	a8, a9, a10, a11, a12, a13, a14, a15 := k[8], k[9], k[10], k[11], k[12], k[13], k[14], k[15]
+	a0, a13 = min(a0, a13), max(a0, a13)
+	a1, a12 = min(a1, a12), max(a1, a12)
+	a2, a15 = min(a2, a15), max(a2, a15)
+	a3, a14 = min(a3, a14), max(a3, a14)
+	a4, a8 = min(a4, a8), max(a4, a8)
+	a5, a6 = min(a5, a6), max(a5, a6)
+	a7, a11 = min(a7, a11), max(a7, a11)
+	a9, a10 = min(a9, a10), max(a9, a10)
+
+	a0, a5 = min(a0, a5), max(a0, a5)
+	a1, a7 = min(a1, a7), max(a1, a7)
+	a2, a9 = min(a2, a9), max(a2, a9)
+	a3, a4 = min(a3, a4), max(a3, a4)
+	a6, a13 = min(a6, a13), max(a6, a13)
+	a8, a14 = min(a8, a14), max(a8, a14)
+	a10, a15 = min(a10, a15), max(a10, a15)
+	a11, a12 = min(a11, a12), max(a11, a12)
+
+	a0, a1 = min(a0, a1), max(a0, a1)
+	a2, a3 = min(a2, a3), max(a2, a3)
+	a4, a5 = min(a4, a5), max(a4, a5)
+	a6, a8 = min(a6, a8), max(a6, a8)
+	a7, a9 = min(a7, a9), max(a7, a9)
+	a10, a11 = min(a10, a11), max(a10, a11)
+	a12, a13 = min(a12, a13), max(a12, a13)
+	a14, a15 = min(a14, a15), max(a14, a15)
+
+	a0, a2 = min(a0, a2), max(a0, a2)
+	a1, a3 = min(a1, a3), max(a1, a3)
+	a4, a10 = min(a4, a10), max(a4, a10)
+	a5, a11 = min(a5, a11), max(a5, a11)
+	a6, a7 = min(a6, a7), max(a6, a7)
+	a8, a9 = min(a8, a9), max(a8, a9)
+	a12, a14 = min(a12, a14), max(a12, a14)
+	a13, a15 = min(a13, a15), max(a13, a15)
+
+	a1, a2 = min(a1, a2), max(a1, a2)
+	a3, a12 = min(a3, a12), max(a3, a12)
+	a4, a6 = min(a4, a6), max(a4, a6)
+	a5, a7 = min(a5, a7), max(a5, a7)
+	a8, a10 = min(a8, a10), max(a8, a10)
+	a9, a11 = min(a9, a11), max(a9, a11)
+	a13, a14 = min(a13, a14), max(a13, a14)
+
+	a1, a4 = min(a1, a4), max(a1, a4)
+	a2, a6 = min(a2, a6), max(a2, a6)
+	a5, a8 = min(a5, a8), max(a5, a8)
+	a7, a10 = min(a7, a10), max(a7, a10)
+	a9, a13 = min(a9, a13), max(a9, a13)
+	a11, a14 = min(a11, a14), max(a11, a14)
+
+	a2, a4 = min(a2, a4), max(a2, a4)
+	a3, a6 = min(a3, a6), max(a3, a6)
+	a9, a12 = min(a9, a12), max(a9, a12)
+	a11, a13 = min(a11, a13), max(a11, a13)
+
+	a3, a5 = min(a3, a5), max(a3, a5)
+	a6, a8 = min(a6, a8), max(a6, a8)
+	a7, a9 = min(a7, a9), max(a7, a9)
+	a10, a12 = min(a10, a12), max(a10, a12)
+
+	a3, a4 = min(a3, a4), max(a3, a4)
+	a5, a6 = min(a5, a6), max(a5, a6)
+	a7, a8 = min(a7, a8), max(a7, a8)
+	a9, a10 = min(a9, a10), max(a9, a10)
+	a11, a12 = min(a11, a12), max(a11, a12)
+
+	a6, a7 = min(a6, a7), max(a6, a7)
+	a8, a9 = min(a8, a9), max(a8, a9)
+	k[0], k[1], k[2], k[3], k[4], k[5], k[6], k[7] = a0, a1, a2, a3, a4, a5, a6, a7
+	k[8], k[9], k[10], k[11], k[12], k[13], k[14], k[15] = a8, a9, a10, a11, a12, a13, a14, a15
+}
+
+// The seal's cost model, fitted to both kernels' times on NetMon, Search
+// and Normal(1e6, 5e4) sub-windows of 16–16 000 values (2-CPU amd64, in
+// ns). Selection costs selectPartNs per value per partition round,
+// selectRoundNs per round and selectLeafNs per network leaf. The radix
+// sort costs radixKeyNs per value to key, and per varying byte
+// radixHistNs plus radixPassNs per value — radixPassFarNs once keys and
+// swap (16 bytes a value) outgrow a 32 KB L1 cache.
+const (
+	selectPartNs   = 2.1
+	selectRoundNs  = 72.0
+	selectLeafNs   = 125.0
+	radixKeyNs     = 0.3
+	radixHistNs    = 100.0
+	radixPassNs    = 3.3
+	radixPassFarNs = 5.0
+	radixNearKeys  = 2048
+)
+
+// selectCost estimates what multiSelect spends on the n-position segment
+// starting at off, whose positions reqs and the tail from tailFrom read,
+// if every pivot split it in half.
+func selectCost(n, off int, reqs []rankReq, tailFrom int) float64 {
+	if len(reqs) == 0 && off+n <= tailFrom {
+		return 0
+	}
+	if n <= selectSortBelow {
+		return selectLeafNs
+	}
+	half := n / 2
+	i := 0
+	for i < len(reqs) && int(reqs[i].rank) <= off+half {
+		i++
+	}
+	return selectPartNs*float64(n) + selectRoundNs +
+		selectCost(half, off, reqs[:i], tailFrom) + selectCost(n-half, off+half, reqs[i:], tailFrom)
+}
+
+// radixBytes returns the most varying key bytes at which radixSort sorts n
+// values for less than selection's estimated cost selectNs, or 0. A
+// sub-window that is one network leaf is never radix-sorted.
+func radixBytes(n int, selectNs float64) int {
+	if n <= selectSortBelow {
+		return 0
+	}
+	perPass := radixPassNs
+	if n > radixNearKeys {
+		perPass = radixPassFarNs
+	}
+	p := 0
+	for p < 8 && radixKeyNs*float64(n)+float64(p+1)*(perPass*float64(n)+radixHistNs) < selectNs {
+		p++
+	}
+	return p
+}
+
+// radixSort sorts v ascending by an LSD radix sort of its keys, one pass
+// per key byte that varies across v, when at most maxBytes do, and reports
+// whether it did; otherwise it leaves v as it was. −0 sorts before +0.
+// The keys are built in blocks of radixProbe values, and it gives up as
+// soon as too many bytes vary, so a refused segment costs one block. Each
+// pass counts the next pass's digits as it scatters, and the last one
+// scatters the values themselves back into v.
+func (sc *mergeScratch) radixSort(v []float64, maxBytes int) bool {
+	n := len(v)
+	if cap(sc.keys) < n {
+		sc.keys, sc.swap = make([]uint64, n), make([]uint64, n)
+	}
+	keys, swap := sc.keys[:n], sc.swap[:n]
+	first, diff := sortKey(v[0]), uint64(0)
+	for lo := 0; lo < n; lo += radixProbe {
+		hi := min(lo+radixProbe, n)
+		for i, x := range v[lo:hi] {
+			k := sortKey(x)
+			keys[lo+i] = k
+			diff |= k ^ first
+		}
+		if varyingBytes(diff) > maxBytes {
+			return false
+		}
+	}
+	if diff == 0 {
+		return true // all of v is one value
+	}
+	shift := uint(bits.TrailingZeros64(diff)) &^ 7
+	var counts [2][256]uint32
+	count, next := &counts[0], &counts[1]
+	for _, k := range keys {
+		count[byte(k>>shift)]++
+	}
+	for {
+		sum := uint32(0)
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		rest := diff >> shift >> 8
+		if rest == 0 {
+			for _, k := range keys {
+				d := byte(k >> shift)
+				v[count[d]] = fromKey(k)
+				count[d]++
+			}
+			return true
+		}
+		to := shift + 8 + uint(bits.TrailingZeros64(rest))&^7
+		*next = [256]uint32{}
+		for _, k := range keys {
+			d := byte(k >> shift)
+			swap[count[d]] = k
+			count[d]++
+			next[byte(k>>to)]++
+		}
+		keys, swap = swap, keys
+		shift, count, next = to, next, count
+	}
+}
+
+// radixProbe is how many values radixSort keys between two checks of how
+// many bytes vary.
+const radixProbe = 32
+
+// varyingBytes counts the nonzero bytes of d.
+func varyingBytes(d uint64) int {
+	const low7 = 0x7f7f7f7f7f7f7f7f
+	return bits.OnesCount64((d&low7 + low7 | d) &^ low7)
 }
 
 // pivot returns the median of three samples of v, or of three such
