@@ -309,9 +309,9 @@ func BenchmarkObserveKeyed(b *testing.B) {
 	}
 }
 
-// BenchmarkLevel1PaperWindow: one stand-alone operator at Table 1's
-// window of 128 000 values and the paper's periods of 1 000, 4 000 and
-// 16 000, few-k on, fed NetMon by stream.Feed — the long sub-windows the
+// BenchmarkLevel1PaperWindow: one operator made by New (a pool of its
+// own) at Table 1's window of 128 000 values and the paper's periods of
+// 1 000, 4 000 and 16 000, few-k on, fed NetMon by stream.Feed — the long sub-windows the
 // engine benchmarks (periods 128 and 16) never seal. An iteration feeds a
 // window and then 64 000 more values, evaluating at every period: at most
 // ≈ 65 ms on a 2-CPU box (period 1 000, where the 65 evaluations, each
@@ -328,7 +328,8 @@ func BenchmarkLevel1PaperWindow(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md): design choices behind QLOVE ---
+// --- Ablations: design choices behind QLOVE (README "Benchmarks & perf
+// trajectory" lists how to run them) ---
 
 // BenchmarkAblationQuantizationOn/Off isolates §3.1 value compression.
 func BenchmarkAblationQuantizationOn(b *testing.B) {

@@ -1,9 +1,10 @@
 // Package bench is the experiment harness that regenerates every table and
 // figure of the paper's evaluation (§5). Each experiment is a function
 // taking Options and writing a formatted table to Options.W; the
-// cmd/qlove-bench tool and the repository's bench_test.go drive them. The
-// per-experiment index lives in DESIGN.md; paper-vs-measured numbers are
-// recorded in EXPERIMENTS.md.
+// cmd/qlove-bench tool and the repository's bench_test.go drive them. Order
+// is the per-experiment index (cmd/qlove-bench -list prints it); README
+// "Benchmarks & perf trajectory" says how to run them and "Measured
+// throughput" records measured numbers.
 package bench
 
 import (

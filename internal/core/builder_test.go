@@ -317,9 +317,10 @@ func smallIntSeedProgram(period, lo, hi int) []byte {
 	return append(p, 2<<6)
 }
 
-// FuzzBuilderSeal drives one operator, stand-alone or pooled, with
-// arbitrary values split arbitrarily into Observe and ObserveBatch calls
-// and EndPeriod forced at arbitrary partial counts, and holds every
+// FuzzBuilderSeal drives one operator, with a pool of its own or sharing
+// one, with arbitrary values split arbitrarily into Observe and
+// ObserveBatch calls and EndPeriod forced at arbitrary partial counts, and
+// holds every
 // summary it seals — by selection, or sorted outright by radix — to the
 // full-sort reference, byte for byte. The window is 16 periods, so the
 // high quantiles' tails are deeper than their top-k shares and the seal
@@ -482,8 +483,8 @@ func TestBuilderOneZero(t *testing.T) {
 
 // TestSelectSealAdversarial seals the inputs that defeat a naive
 // quickselect — all equal, sorted either way, organ pipe, two alternating
-// values — unquantized, through a stand-alone and a pooled operator over
-// a window of 16 periods (so the seal takes interval samples), and holds
+// values — unquantized, through an operator with a pool of its own and
+// one sharing a pool, over a window of 16 periods (so the seal takes interval samples), and holds
 // each summary to the full-sort reference, byte for byte. ±0 mixed is
 // TestBuilderOneZero.
 func TestSelectSealAdversarial(t *testing.T) {
@@ -526,8 +527,8 @@ func TestSelectSealAdversarial(t *testing.T) {
 
 // TestSealAtInvertedBoundaries seals sub-windows of
 // nearInvertedBoundaries values with ±0, ±Inf and NaN mixed in, both
-// signs, at 512/128 and 64/16 with few-k on, stand-alone and pooled. The
-// seal quantizes only the order statistics it reads, which equals
+// signs, at 512/128 and 64/16 with few-k on, on an unshared and a shared
+// pool. The seal quantizes only the order statistics it reads, which equals
 // quantizing every value and sorting only where the quantizer never
 // decreases: every summary must equal referenceSeal's, block bit for bit.
 func TestSealAtInvertedBoundaries(t *testing.T) {

@@ -10,7 +10,8 @@ import (
 	"repro/internal/workload"
 )
 
-// sameState fails unless a pooled operator and its stand-alone twin are
+// sameState fails unless an operator sharing a pool and its stand-alone
+// twin — an operator made by New, whose pool serves it alone — are
 // bit-identical in everything a caller can read: Result, the exploded
 // Snapshot (sums, every summary slice, seal clock) and the two state clocks.
 func sameState(t *testing.T, step int, what string, got, want *Policy) {
@@ -33,14 +34,27 @@ func sameState(t *testing.T, step int, what string, got, want *Policy) {
 	}
 }
 
+// idleClear fails unless every workbench pl keeps idle is empty: a
+// workbench is cleared when it is handed back, never when it is lent.
+func idleClear(t *testing.T, step int, what, whose string, pl *Pool) {
+	t.Helper()
+	for j, b := range pl.benches {
+		if n := b.len(); n != 0 {
+			t.Fatalf("step %d (%s): %s idle workbench %d holds %d values", step, what, whose, j, n)
+		}
+	}
+}
+
 // TestPooledOperatorsMatchStandAlone drives operators that share one
-// pool's workbenches and stand-alone twins through one seeded schedule —
-// chunks of every size against the period, NaNs, forced seals of empty and
-// partial sub-windows, recycling through Put/Get — interleaved so that a
-// workbench returned by one key is the next key's. After every step every
-// pair must agree bit for bit. (Mutation-checked: a takeBack that skips
-// clear fails at step 10, an EndPeriod that keeps an empty workbench at
-// step 2.)
+// pool's workbenches and stand-alone twins (each with an unshared pool of
+// its own) through one seeded schedule — chunks of every size against the
+// period, NaNs, forced seals of empty and partial sub-windows, recycling
+// through Put/Get — interleaved so that a workbench returned by one key is
+// the next key's. After every step every pair must agree bit for bit,
+// and every idle workbench in the shared pool and in each twin's must be
+// empty. (Mutation-checked: a takeBack that skips clear fails the idle
+// check at step 9 and, without it, the twin comparison at step 10; an
+// EndPeriod that keeps an empty workbench fails at step 2.)
 func TestPooledOperatorsMatchStandAlone(t *testing.T) {
 	const operators, steps = 8, 4000
 	phis := []float64{0.5, 0.9, 0.99, 0.999}
@@ -126,9 +140,11 @@ func TestPooledOperatorsMatchStandAlone(t *testing.T) {
 					pooled[i].Expire(nil)
 					alone[i].Expire(nil)
 				}
+				idleClear(t, step, what, "shared pool", pool)
 				lent := 0
 				for k := range pooled {
 					sameState(t, step, what, pooled[k], alone[k])
+					idleClear(t, step, what, "twin's pool", alone[k].lender)
 					if pooled[k].builder != nil {
 						lent++
 						if pooled[k].builder.len() == 0 {
@@ -149,7 +165,8 @@ func TestPooledOperatorsMatchStandAlone(t *testing.T) {
 
 // TestPoolPutDropsForeignOperator: an operator retired on a pool that did
 // not mint it — another pool's, still holding that pool's workbench, or a
-// stand-alone one — is dropped untouched, and neither pool's lists change.
+// stand-alone one, homed on a pool of its own — is dropped untouched, and
+// neither pool's lists change.
 func TestPoolPutDropsForeignOperator(t *testing.T) {
 	cfg := Config{Spec: window.Spec{Size: 400, Period: 100}, Phis: []float64{0.5, 0.99}, FewK: true}
 	src, err := NewPool(cfg)
@@ -178,7 +195,8 @@ func TestPoolPutDropsForeignOperator(t *testing.T) {
 	if r := dst.Get(); r == q {
 		t.Fatal("the destination handed out an operator it did not mint")
 	}
-	// A stand-alone operator of the very same configuration is foreign too.
+	// An operator made by New of the very same configuration is foreign too:
+	// its pool is its own.
 	dst.Put(mustNew(t, cfg))
 	if len(dst.free) != 0 {
 		t.Fatal("pool kept a stand-alone operator")

@@ -1,6 +1,12 @@
 package core
 
-import "sync"
+import (
+	"math"
+	"slices"
+	"sync"
+
+	"repro/internal/stats"
+)
 
 // level2 is QLOVE's window-level aggregator (§3.1 Level 2): a sliding
 // window over sub-window summaries. Per the paper it is "almost identical
@@ -15,9 +21,6 @@ type level2 struct {
 	mu        sync.Mutex
 	sums      []float64
 	summaries []Summary // resident summaries, oldest first (ring-free: N/P is small)
-	// merge is a stand-alone operator's own few-k merge scratch, made at its
-	// first evaluation that needs one; a pooled operator uses its pool's.
-	merge *mergeScratch
 }
 
 func newLevel2(nPhis int) *level2 {
@@ -66,22 +69,71 @@ func (l *level2) reset() {
 	l.summaries = l.summaries[:0]
 }
 
-// estimate returns the aggregated ϕ-quantile for phi index i: the mean of
-// the resident sub-window quantiles (guided by the CLT, Appendix A).
-func (l *level2) estimate(i int) float64 {
-	if len(l.summaries) == 0 {
-		return 0
+// answer is QLOVE's answer, by answerAt per ϕ, over the Level-2 state (sums
+// and resident summaries) of streams merged sub-streams of shape sh. A live
+// operator (streams 1) and every capture answer through it, so a
+// single-stream capture answers bit for bit what its operator would.
+// bursts, if not nil, receives each managed ϕ's burst flag. With nothing
+// resident it returns zeros and leaves bursts alone.
+func answer(sh *Shape, sums []float64, summaries []Summary, streams int, sc *mergeScratch, bursts []bool) []float64 {
+	out := make([]float64, len(sh.cfg.Phis))
+	if len(summaries) == 0 {
+		return out
 	}
-	return l.sums[i] / float64(len(l.summaries))
+	for i := range out {
+		mi := slices.Index(sh.managed, i)
+		var burst bool
+		out[i], burst = answerAt(sh, sums, summaries, streams, sc, i, mi)
+		if mi >= 0 && bursts != nil {
+			bursts[mi] = burst
+		}
+	}
+	return out
+}
+
+// answerAt answers ϕ index i over a non-empty resident set: the mean of
+// the resident sub-window ϕ-quantiles (guided by the CLT, Appendix A),
+// resolved by managedAnswer in a streams×N window when ϕ is few-k managed
+// (mi is its index in sh.managed, else -1).
+func answerAt(sh *Shape, sums []float64, summaries []Summary, streams int, sc *mergeScratch, i, mi int) (est float64, burst bool) {
+	est = sums[i] / float64(len(summaries))
+	if mi >= 0 {
+		est, burst = sc.managedAnswer(&sh.cfg, summaries, mi, i, sh.cfg.Spec.Size*streams, est)
+	}
+	return est, burst
+}
+
+// errorBounds is the Appendix A bound for each ϕ of sh over the resident
+// summaries (see Policy.ErrorBounds). The mean of n sub-window quantiles of
+// mᵢ values has variance ϕ(1−ϕ)·Σ(1/mᵢ)/(n²f²): the bound of n full
+// sub-windows scaled by √(Σ(Period/mᵢ)/n), which is exactly 1 when every
+// mᵢ is Period.
+func errorBounds(sh *Shape, summaries []Summary, alpha float64) []float64 {
+	cfg := &sh.cfg
+	out := make([]float64, len(cfg.Phis))
+	n := len(summaries)
+	if n == 0 {
+		return out
+	}
+	var r float64
+	for k := range summaries {
+		r += float64(cfg.Spec.Period) / float64(summaries[k].Count)
+	}
+	for i, phi := range cfg.Phis {
+		if f := meanDensity(summaries, i); f > 0 {
+			out[i] = stats.CLTErrorBound(phi, n, cfg.Spec.Period, f, alpha) * math.Sqrt(r/float64(n))
+		}
+	}
+	return out
 }
 
 // meanDensity averages the finite sub-window density estimates for phi
 // index i; returns 0 when no summary has a usable estimate.
-func (l *level2) meanDensity(i int) float64 {
+func meanDensity(summaries []Summary, i int) float64 {
 	var sum float64
 	var n int
-	for k := range l.summaries {
-		if s := &l.summaries[k]; i < s.NumQuantiles() {
+	for k := range summaries {
+		if s := &summaries[k]; i < s.NumQuantiles() {
 			d := s.Density(i)
 			if d > 0 && !isInf(d) {
 				sum += d

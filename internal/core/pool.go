@@ -1,7 +1,9 @@
 package core
 
 // Pool mints and recycles QLOVE operators that share one configuration,
-// and lends them their Level-1 workbench. A monitoring engine serving a
+// and lends them their Level-1 workbench. Every operator is minted by a
+// pool — one made by New by a pool of its own — and borrows from it alone.
+// A monitoring engine serving a
 // high-cardinality key space holds one operator per key, but the costly
 // part of an operator — the sub-window buffer and the seal scratch — is
 // in use only while a sub-window is being filled and is empty again at
@@ -26,7 +28,7 @@ package core
 type Pool struct {
 	// shape is the configuration NewPool resolved and validated: every
 	// operator and workbench the pool hands out is made from it
-	// (Shape.policy, newBuilder) and shares it.
+	// (Get, newBuilder) and shares it.
 	shape *Shape
 	free  []*Policy
 	// benches holds the idle workbenches, cleared, most recently used
@@ -34,8 +36,8 @@ type Pool struct {
 	benches []*builder
 	lent    int
 	// scratch is the few-k merge scratch every operator homed here
-	// evaluates and seals with (Policy.scratch): like the workbenches it is
-	// the owner goroutine's alone, so one serves the whole shard.
+	// evaluates and seals with: like the workbenches it is the owner
+	// goroutine's alone, so one serves the whole shard.
 	scratch mergeScratch
 }
 
@@ -59,8 +61,12 @@ func (pl *Pool) Get() *Policy {
 		pl.free = pl.free[:n-1]
 		return p
 	}
-	p := pl.shape.policy()
-	p.lender = pl
+	// Every operator shares the pool's shape, so a pool's thousands of
+	// operators do not each hold a copy of it.
+	p := &Policy{sh: pl.shape, lender: pl, agg: newLevel2(len(pl.shape.cfg.Phis))}
+	if len(pl.shape.managed) > 0 {
+		p.burstActive = make([]bool, len(pl.shape.managed))
+	}
 	return p
 }
 
@@ -71,9 +77,10 @@ func (pl *Pool) Get() *Policy {
 const maxIdle = 64
 
 // Put resets p and shelves it for reuse. Only operators this pool minted
-// are kept: one homed on another pool (whose workbench it may hold, and
-// whose owner alone may touch it) or built stand-alone is dropped untouched,
-// as are operators beyond the maxIdle cap; nil is ignored.
+// are kept: one homed on another pool — whose workbench it may hold, and
+// whose owner alone may touch it; one made by New is homed on a pool of
+// its own — is dropped untouched, as are operators beyond the maxIdle cap;
+// nil is ignored.
 func (pl *Pool) Put(p *Policy) {
 	if p == nil || p.lender != pl || len(pl.free) >= maxIdle {
 		return

@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"repro/internal/core/fewk"
-	"repro/internal/stats"
 	"repro/internal/window"
 )
 
@@ -84,11 +83,9 @@ type Policy struct {
 	// sh is the operator's configuration, shared with every operator,
 	// workbench and capture of it.
 	sh *Shape
-	// builder is the Level-1 workbench of the sub-window in flight. An
-	// operator minted by a Pool (lender != nil) holds one only from the
-	// first value of a sub-window until EndPeriod seals it, then hands it
-	// back to the pool; a stand-alone operator builds its own at the first
-	// value and keeps it for life.
+	// builder is the Level-1 workbench of the sub-window in flight, on loan
+	// from lender, the Pool that minted the operator, from the sub-window's
+	// first value until EndPeriod seals it.
 	builder *builder
 	lender  *Pool
 	agg     *level2
@@ -111,13 +108,14 @@ type Policy struct {
 	sealGen uint64
 }
 
-// New returns a QLOVE policy for the given configuration.
+// New returns a QLOVE policy for the given configuration, minted by a Pool
+// of its own.
 func New(cfg Config) (*Policy, error) {
-	sh, err := resolve(cfg)
+	pl, err := NewPool(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return sh.policy(), nil
+	return pl.Get(), nil
 }
 
 // resolve applies cfg's defaults, validates the result and makes its Shape,
@@ -131,20 +129,10 @@ func resolve(cfg Config) (*Shape, error) {
 	return newShape(cfg)
 }
 
-// policy mints a fresh operator of the shape. It shares everything the
-// shape holds, so a pool's thousands of operators do not each hold a copy.
-func (sh *Shape) policy() *Policy {
-	p := &Policy{sh: sh, agg: newLevel2(len(sh.cfg.Phis))}
-	if len(sh.managed) > 0 {
-		p.burstActive = make([]bool, len(sh.managed))
-	}
-	return p
-}
-
 // Reset returns the operator to its as-constructed state while keeping
-// every internal buffer — the Level-1 buffer, seal scratch and Level-2
-// summary slots — at capacity (a pooled operator's workbench goes back to
-// its pool, at capacity, for the next borrower), so a recycled
+// every internal buffer at capacity — the Level-2 summary slots here, the
+// workbench (the Level-1 buffer and seal scratch) back in its pool for the
+// next borrower — so a recycled
 // operator ingests its first sub-window with zero heap allocations. It is
 // the enabler for operator pooling: an engine monitoring (and evicting)
 // millions of keys hands retired operators back to a Pool instead of
@@ -153,9 +141,6 @@ func (sh *Shape) policy() *Policy {
 // the same Config.
 func (p *Policy) Reset() {
 	p.returnBench()
-	if p.builder != nil { // a stand-alone operator's own
-		p.builder.clear()
-	}
 	p.agg.mu.Lock()
 	p.agg.reset()
 	p.sealGen = 0
@@ -188,25 +173,19 @@ func (p *Policy) Observe(v float64) {
 	}
 }
 
-// bench returns the workbench of the in-flight sub-window, obtaining one
-// at the sub-window's first value: on loan from the pool that minted the
-// operator, else a private one it keeps for life.
+// bench returns the workbench of the in-flight sub-window, borrowing one
+// from the operator's pool at the sub-window's first value.
 func (p *Policy) bench() *builder {
 	if p.builder == nil {
-		if p.lender != nil {
-			p.builder = p.lender.lend()
-		} else {
-			p.builder = newBuilder(p.sh)
-		}
+		p.builder = p.lender.lend()
 	}
 	return p.builder
 }
 
-// returnBench hands a pooled operator's workbench (if it holds one) back
-// to its pool, discarding whatever the sub-window in flight contained. A
-// stand-alone operator keeps its builder.
+// returnBench hands the operator's workbench (if it holds one) back to its
+// pool, discarding whatever the sub-window in flight contained.
 func (p *Policy) returnBench() {
-	if p.lender != nil && p.builder != nil {
+	if p.builder != nil {
 		p.lender.takeBack(p.builder)
 		p.builder = nil
 	}
@@ -254,19 +233,6 @@ func (p *Policy) Expire([]float64) {
 	p.agg.mu.Unlock()
 }
 
-// scratch returns the few-k merge scratch this operator evaluates with: its
-// pool's when it is homed on one (the pool's owner is the only goroutine
-// that runs it), else its own.
-func (p *Policy) scratch() *mergeScratch {
-	if p.lender != nil {
-		return &p.lender.scratch
-	}
-	if p.agg.merge == nil {
-		p.agg.merge = new(mergeScratch)
-	}
-	return p.agg.merge
-}
-
 // EndPeriod force-seals the in-flight sub-window even when it holds fewer
 // than Period elements. Time-driven deployments (§2's "evaluate every one
 // minute for the elements seen last one hour") call this at each period
@@ -280,12 +246,9 @@ func (p *Policy) EndPeriod() {
 		p.returnBench() // borrowed for values that all turned out NaN
 		return
 	}
-	s := p.builder.seal(p.sh.budgets, p.scratch())
-	if p.lender != nil {
-		p.returnBench()
-	} else {
-		p.builder.clear()
-	}
+	sc := &p.lender.scratch // the pool owner's alone, like the workbench
+	s := p.builder.seal(p.sh.budgets, sc)
+	p.returnBench()
 	prev := p.prev
 	if c := p.agg.count(); c > 0 {
 		prev = &p.agg.summaries[c-1]
@@ -295,7 +258,6 @@ func (p *Policy) EndPeriod() {
 		if pairs := p.sh.cfg.Spec.SubWindows() - 1; pairs > 1 {
 			alpha /= float64(pairs)
 		}
-		sc := p.scratch()
 		for mi := range p.sh.managed {
 			if sc.burstyVsPrev(&s, prev, mi, alpha) {
 				s.setBursty(mi) // still private: published by accumulate below
@@ -320,20 +282,7 @@ func (p *Policy) SealGen() uint64 { return p.sealGen }
 // Level-2 average; few-k-managed quantiles select between Level 2, top-k
 // merging and sample-k merging per §4.3.
 func (p *Policy) Result() []float64 {
-	cfg := &p.sh.cfg
-	out := make([]float64, len(cfg.Phis))
-	if p.agg.count() == 0 {
-		return out
-	}
-	for i := range cfg.Phis {
-		out[i] = p.agg.estimate(i)
-	}
-	for mi, pi := range p.sh.managed {
-		est, burst := p.scratch().managedAnswer(cfg, p.agg.summaries, mi, pi, cfg.Spec.Size, out[pi])
-		out[pi] = est
-		p.burstActive[mi] = burst
-	}
-	return out
+	return answer(p.sh, p.agg.sums, p.agg.summaries, 1, &p.lender.scratch, p.burstActive)
 }
 
 // BurstDetected reports whether the most recent evaluation flagged bursty
@@ -349,23 +298,11 @@ func (p *Policy) BurstDetected() bool {
 
 // ErrorBounds returns the Appendix A probabilistic bound on |ya − ye| at
 // confidence 1−alpha for each configured quantile, instantiated with the
-// mean sub-window density estimate. A zero entry means the bound is not
-// informative (no usable density estimate yet).
+// mean sub-window density estimate and the resident sub-windows' sizes. A
+// zero entry means the bound is not informative (no usable density
+// estimate yet).
 func (p *Policy) ErrorBounds(alpha float64) []float64 {
-	cfg := &p.sh.cfg
-	out := make([]float64, len(cfg.Phis))
-	n := p.agg.count()
-	if n == 0 {
-		return out
-	}
-	for i, phi := range cfg.Phis {
-		f := p.agg.meanDensity(i)
-		if f <= 0 {
-			continue
-		}
-		out[i] = stats.CLTErrorBound(phi, n, cfg.Spec.Period, f, alpha)
-	}
-	return out
+	return errorBounds(p.sh, p.agg.summaries, alpha)
 }
 
 // SpaceUsage implements stream.Policy: the in-flight sub-window's distinct

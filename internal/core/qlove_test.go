@@ -342,6 +342,55 @@ func TestErrorBoundsEmpty(t *testing.T) {
 	}
 }
 
+// TestErrorBoundsPartialSubWindows: the mean of n sub-window quantiles of
+// mᵢ values has variance ϕ(1−ϕ)·Σ(1/mᵢ)/(n²f²), so once EndPeriod seals
+// short sub-windows (sizes P, P/4, P/2 here) the bound reads the harmonic
+// size n²/Σ(1/mᵢ) where full ones read n·P — and with every sub-window
+// full it is stats.CLTErrorBound(ϕ, n, P, f, α), bit for bit.
+func TestErrorBoundsPartialSubWindows(t *testing.T) {
+	const period, alpha = 400, 0.05
+	phis := []float64{0.5, 0.9}
+	gen := workload.NewNormal(3, 1e6, 5e4)
+	z := stats.NormalQuantile(1 - alpha/2)
+	for _, sizes := range [][]int{{period, period / 4, period / 2}, {period, period, period}} {
+		p := mustNew(t, Config{Spec: window.Spec{Size: 3 * period, Period: period}, Phis: phis, Digits: -1})
+		for _, m := range sizes {
+			p.ObserveBatch(workload.Generate(gen, m))
+			p.EndPeriod() // a no-op after a full sub-window sealed itself
+		}
+		summaries := p.Snapshot().Parts().Summaries
+		if len(summaries) != len(sizes) {
+			t.Fatalf("sizes %v: %d resident sub-windows", sizes, len(summaries))
+		}
+		got := p.ErrorBounds(alpha)
+		for i, phi := range phis {
+			var fsum, inv float64
+			var fn int
+			for k := range summaries {
+				if summaries[k].Count != sizes[k] {
+					t.Fatalf("sub-window %d holds %d values, want %d", k, summaries[k].Count, sizes[k])
+				}
+				if d := summaries[k].Density(i); d > 0 && !math.IsInf(d, 1) {
+					fsum += d
+					fn++
+				}
+				inv += 1 / float64(sizes[k])
+			}
+			f, n := fsum/float64(fn), float64(len(sizes))
+			if sizes[1] == period {
+				if want := stats.CLTErrorBound(phi, len(sizes), period, f, alpha); math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Errorf("full sub-windows, ϕ=%v: bound %v, want %v", phi, got[i], want)
+				}
+				continue
+			}
+			want := 2 * z * math.Sqrt(phi*(1-phi)) * math.Sqrt(inv) / (n * f)
+			if math.Abs(got[i]-want) > 1e-12*want {
+				t.Errorf("sizes %v, ϕ=%v: bound %v, want %v", sizes, phi, got[i], want)
+			}
+		}
+	}
+}
+
 func TestNonIIDAccuracy(t *testing.T) {
 	// §5.4 Table 5: AR(1) data keeps competitive accuracy even at high
 	// correlation.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -157,26 +158,21 @@ func (s Snapshot) Estimate(phi float64) (float64, bool) {
 	if s.IsZero() {
 		return 0, false
 	}
-	cfg := &s.sh.cfg
-	for i, p := range cfg.Phis {
-		if p != phi {
-			continue
-		}
-		if len(s.summaries) == 0 {
-			return 0, true
-		}
-		est := s.sums[i] / float64(len(s.summaries))
-		for mi, pi := range s.sh.managed {
-			if pi == i {
-				sc := scratchPool.Get().(*mergeScratch)
-				est, _ = sc.managedAnswer(cfg, s.summaries, mi, i, cfg.Spec.Size*s.streams, est)
-				scratchPool.Put(sc)
-				break
-			}
-		}
-		return est, true
+	i := slices.Index(s.sh.cfg.Phis, phi)
+	if i < 0 {
+		return 0, false
 	}
-	return 0, false
+	if len(s.summaries) == 0 {
+		return 0, true
+	}
+	mi := slices.Index(s.sh.managed, i)
+	var sc *mergeScratch
+	if mi >= 0 {
+		sc = scratchPool.Get().(*mergeScratch)
+		defer scratchPool.Put(sc)
+	}
+	est, _ := answerAt(s.sh, s.sums, s.summaries, s.streams, sc, i, mi)
+	return est, true
 }
 
 // Estimates answers the configured quantiles from the captured state,
@@ -187,21 +183,12 @@ func (s Snapshot) Estimate(phi float64) (float64, bool) {
 // With no resident summaries it returns zeros, one per ϕ.
 func (s Snapshot) Estimates() []float64 {
 	sh := s.shape()
-	out := make([]float64, len(sh.cfg.Phis))
-	if len(s.summaries) == 0 {
-		return out
+	var sc *mergeScratch
+	if len(sh.managed) > 0 && len(s.summaries) > 0 {
+		sc = scratchPool.Get().(*mergeScratch)
+		defer scratchPool.Put(sc)
 	}
-	for i := range out {
-		out[i] = s.sums[i] / float64(len(s.summaries))
-	}
-	if len(sh.managed) > 0 {
-		sc := scratchPool.Get().(*mergeScratch)
-		for mi, pi := range sh.managed {
-			out[pi], _ = sc.managedAnswer(&sh.cfg, s.summaries, mi, pi, sh.cfg.Spec.Size*s.streams, out[pi])
-		}
-		scratchPool.Put(sc)
-	}
-	return out
+	return answer(sh, s.sums, s.summaries, s.streams, sc, nil)
 }
 
 // scratchPool lends the few-k merge scratch to Estimates and Estimate, which

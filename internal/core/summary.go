@@ -212,10 +212,9 @@ func (s *Summary) fewkValues() int {
 // mergeScratch is the reusable working state of few-k evaluation and of
 // the seal's burst test: the views of resident blocks one merge gathers,
 // the burst test's two retained runs laid end to end, and the merge heap
-// beneath them. A pooled operator uses its pool's (one per shard, beside
-// the workbenches), a stand-alone one its own, a Snapshot one from
-// scratchPool — so evaluating allocates nothing once the buffers have
-// grown to the window's shape.
+// beneath them. An operator uses its pool's (one per shard, beside the
+// workbenches), a Snapshot one from scratchPool — so evaluating allocates
+// nothing once the buffers have grown to the window's shape.
 type mergeScratch struct {
 	fewk           fewk.Scratch
 	lists, weights [][]float64
@@ -261,9 +260,9 @@ func anyBurstyOf(summaries []Summary, mi int) bool {
 // managedAnswer resolves managed quantile mi — the cfg.Phis[pi] quantile —
 // over summaries per §4.3, from the Level-2 estimate level2 and the few-k
 // merges, reading the rank of ϕ in a logical window of logicalN elements.
-// Policy.Result and Snapshot.Estimates both come through it, so a captured
-// summary set is answered exactly, bit for bit, the way a live operator
-// answers its own. It also returns whether a resident sub-window is
+// Policy.Result and Snapshot.Estimates both come through it (by answer),
+// so a captured summary set is answered exactly, bit for bit, the way a
+// live operator answers its own. It also returns whether a resident sub-window is
 // flagged bursty.
 //
 // It runs only the merges the answer reads: sample-k when there is a burst
@@ -346,16 +345,15 @@ var burstFloor = func() (f [stats.MannWhitneyFloorSize + 1][stats.MannWhitneyFlo
 // across batches and seals, so steady-state ingestion allocates only what
 // a Summary must retain.
 //
-// It is the operator's Level-1 workbench, and empty at every seal: a
-// stand-alone operator owns one for life, an operator minted by a Pool
-// borrows one from the pool only while a sub-window is in flight (see
-// Policy.bench).
+// It is the operator's Level-1 workbench, and empty at every seal: an
+// operator borrows one from the Pool that minted it only while a
+// sub-window is in flight (see Policy.bench).
 //
 // A workbench serves ONE configuration, bound when it is made (newBuilder):
-// a pool's workbenches serve the pool's configuration, a stand-alone
-// builder its own operator's. The seal takes nothing of the configuration
-// but the budgets (the shape's plan, or a test's hand-made one), so the
-// plan it memoizes is never read under another configuration.
+// a pool's workbenches serve the pool's configuration. The seal takes
+// nothing of the configuration but the budgets (the shape's plan, or a
+// test's hand-made one), so the plan it memoizes is never read under
+// another configuration.
 type builder struct {
 	// sh is the configuration served.
 	sh *Shape

@@ -14,7 +14,7 @@ import (
 	"repro/internal/window"
 )
 
-// Policy is a sliding-window multi-quantile operator: the contract all five
+// Policy is a sliding-window multi-quantile operator: the contract all six
 // evaluated algorithms (QLOVE, Exact, CMQS, AM, Random, Moment) implement.
 //
 // The runner feeds elements in arrival order via Observe. At every period

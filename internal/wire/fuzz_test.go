@@ -6,13 +6,17 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
 // FuzzDecode drives arbitrary bytes through the frame decoder: whatever
 // the input, DecodeFrame must return a clean io.EOF, a wrapped sentinel
 // error, or a valid frame that survives a re-encode/re-decode round trip —
-// and must never panic. Seeds cover the golden blobs of EVERY format
+// and must never panic. A RawScanner reads the same bytes in step: for
+// every frame the decoder accepts it returns the same kind, key and bytes
+// as Raw, both report the same Consumed after every frame, and where the
+// scanner fails the decoder fails with the same sentinel. Seeds cover the golden blobs of EVERY format
 // version (full, delta and tombstone frames, plus a mixed-version stream)
 // and representative corruptions (among them tail and sample counts that
 // claim more than the payload holds), so the fuzzer starts at the format's
@@ -40,10 +44,21 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add(claimFlags(validFrame(f), 1<<3)) // retired bit: decodes, re-encodes without it
 	f.Add(claimFlags(validFrame(f), 1<<4)) // never-written bit: corrupt
+	sentinels := []error{io.EOF, ErrMagic, ErrVersion, ErrTruncated, ErrCorrupt}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		dec := NewDecoder(bytes.NewReader(blob))
+		sc := NewRawScanner(bytes.NewReader(blob))
 		for {
+			kind, key, raw, serr := sc.Next()
 			fr, err := dec.DecodeFrame()
+			if sc.Consumed() != dec.Consumed() {
+				t.Fatalf("scanner consumed %d bytes, decoder %d", sc.Consumed(), dec.Consumed())
+			}
+			if serr != nil {
+				if i := slices.IndexFunc(sentinels, func(s error) bool { return errors.Is(serr, s) }); i < 0 || !errors.Is(err, sentinels[i]) {
+					t.Fatalf("scanner error %v, decoder error %v", serr, err)
+				}
+			}
 			if err == io.EOF {
 				return
 			}
@@ -53,6 +68,9 @@ func FuzzDecode(f *testing.F) {
 					t.Fatalf("error wraps no sentinel: %v", err)
 				}
 				return
+			}
+			if kind != fr.Kind || key != fr.Key || !bytes.Equal(raw, dec.Raw()) {
+				t.Fatalf("scanner (%v, %q, %d bytes) vs decoder (%v, %q, %d bytes)", kind, key, len(raw), fr.Kind, fr.Key, len(dec.Raw()))
 			}
 			// A successful decode must be canonical: re-encoding and
 			// re-decoding reproduces the frame's meaning exactly.

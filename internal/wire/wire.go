@@ -484,10 +484,8 @@ func appendF64s(dst []byte, vs []float64) []byte {
 // Decoder reads frames from a stream, reusing one frame buffer across
 // calls.
 type Decoder struct {
-	r        io.Reader
-	buf      []byte // header and payload of the frame last read
-	raw      []byte // buf once its frame has decoded; nil after an error
-	consumed int64
+	frameReader        // buf holds the header and payload of the frame last read
+	raw         []byte // buf once its frame has decoded; nil after an error
 
 	// cfgRaw is the encoded configuration of the last frame whose config
 	// validated, and shape what it resolved to: a frame carrying the same
@@ -504,7 +502,7 @@ type Decoder struct {
 // NewDecoder returns a Decoder reading from r. Frames are read with
 // exactly two reads each (header, then payload), so no extra buffering
 // layer is needed even over a pipe.
-func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: r} }
+func NewDecoder(r io.Reader) *Decoder { return &Decoder{frameReader: frameReader{r: r}} }
 
 // Shapes interns the shapes decoders resolve, by the encoded bytes of their
 // configuration, so that every decoder made by NewDecoder hands out ONE
@@ -525,7 +523,9 @@ const maxShapes = 64
 
 // NewDecoder returns a Decoder reading from r whose shapes are interned in
 // t.
-func (t *Shapes) NewDecoder(r io.Reader) *Decoder { return &Decoder{r: r, shapes: t} }
+func (t *Shapes) NewDecoder(r io.Reader) *Decoder {
+	return &Decoder{frameReader: frameReader{r: r}, shapes: t}
+}
 
 // lookup returns the shape interned for the encoded configuration raw, or
 // nil.
@@ -586,52 +586,9 @@ func (d *Decoder) Decode() (key string, snap core.Snapshot, err error) {
 // whatever the input bytes.
 func (d *Decoder) DecodeFrame() (Frame, error) {
 	d.raw = nil
-	if cap(d.buf) < headerSize {
-		d.buf = make([]byte, headerSize)
-	}
-	d.buf = d.buf[:headerSize]
-	hn, err := io.ReadFull(d.r, d.buf)
-	d.consumed += int64(hn)
+	v, err := d.next()
 	if err != nil {
-		if err == io.EOF {
-			return Frame{}, io.EOF
-		}
-		return Frame{}, fmt.Errorf("%w: header: %v", ErrTruncated, err)
-	}
-	if [4]byte(d.buf[:4]) != magic {
-		return Frame{}, fmt.Errorf("%w: %q", ErrMagic, d.buf[:4])
-	}
-	v := binary.LittleEndian.Uint16(d.buf[4:6])
-	if v != VersionV1 && v != Version {
-		return Frame{}, fmt.Errorf("%w: frame v%d, decoder speaks v%d", ErrVersion, v, Version)
-	}
-	n := binary.LittleEndian.Uint32(d.buf[6:10])
-	if n > maxPayload {
-		return Frame{}, fmt.Errorf("%w: payload length %d exceeds cap", ErrCorrupt, n)
-	}
-	size := headerSize + int(n)
-	if cap(d.buf) >= size {
-		d.buf = d.buf[:size]
-		pn, err := io.ReadFull(d.r, d.buf[headerSize:])
-		d.consumed += int64(pn)
-		if err != nil {
-			return Frame{}, fmt.Errorf("%w: payload: %v", ErrTruncated, err)
-		}
-	} else {
-		// The claimed length is untrusted until the bytes actually arrive:
-		// the buffer grows in bounded steps so a corrupt header cannot
-		// demand a huge up-front allocation for a stream that ends after a
-		// few bytes.
-		const allocStep = 1 << 20
-		for len(d.buf) < size {
-			step := min(size-len(d.buf), allocStep)
-			d.buf = append(d.buf, make([]byte, step)...)
-			pn, err := io.ReadFull(d.r, d.buf[len(d.buf)-step:])
-			d.consumed += int64(pn)
-			if err != nil {
-				return Frame{}, fmt.Errorf("%w: payload: %v", ErrTruncated, err)
-			}
-		}
+		return Frame{}, err
 	}
 	f, err := d.decodePayload(d.buf[headerSize:], v)
 	if err == nil {
@@ -722,25 +679,10 @@ func (r *payloadReader) appendF64s(dst []float64, what string) ([]float64, error
 
 func (d *Decoder) decodePayload(b []byte, version uint16) (Frame, error) {
 	r := &payloadReader{b: b}
-
-	kind := KindFull
-	if version >= 2 {
-		kb, err := r.byte("frame kind")
-		if err != nil {
-			return Frame{}, err
-		}
-		if Kind(kb) > KindTombstone {
-			return Frame{}, fmt.Errorf("%w: unknown frame kind %d", ErrCorrupt, kb)
-		}
-		kind = Kind(kb)
-	}
-
-	keyLen, err := r.count("key", 1)
+	kind, key, err := envelope(r, version)
 	if err != nil {
 		return Frame{}, err
 	}
-	key := string(r.b[r.off : r.off+keyLen])
-	r.off += keyLen
 
 	if kind == KindTombstone {
 		if r.remaining() != 0 {

@@ -845,3 +845,39 @@ func BenchmarkDecode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRawScan is the fan-in's routing scan: one RawScanner pass over a
+// push blob of many small keyed frames, reading each frame's kind and key.
+func BenchmarkRawScan(b *testing.B) {
+	p := mustPolicy(b, core.Config{
+		Spec: window.Spec{Size: 512, Period: 128},
+		Phis: []float64{0.5, 0.9, 0.99, 0.999},
+		FewK: true,
+	})
+	p.ObserveBatch(workload.Generate(workload.NewNetMon(1), 640))
+	snap := p.Snapshot()
+	const frames = 1000
+	var blob []byte
+	for i := 0; i < frames; i++ {
+		blob = AppendFrame(blob, fmt.Sprintf("svc-%d", i), snap)
+	}
+	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc := NewRawScanner(bytes.NewReader(blob))
+		for n := 0; ; n++ {
+			_, _, _, err := sc.Next()
+			if err == io.EOF {
+				if n != frames {
+					b.Fatalf("scanned %d frames of %d", n, frames)
+				}
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames), "ns/frame")
+}

@@ -1,6 +1,7 @@
 // Package workload provides the data sources of the paper's evaluation
 // (§5.1, §5.4). The proprietary NetMon and Search datasets are replaced by
-// calibrated synthetic surrogates (see DESIGN.md "Substitutions"); the
+// calibrated synthetic surrogates (NetMon and Search below give their
+// anchors; README "Quick start" names cmd/qlove-gen, which writes them); the
 // Normal, Uniform, Pareto and AR(1) datasets follow the paper's published
 // parameters exactly. All generators are deterministic given a seed.
 package workload
