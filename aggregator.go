@@ -4,7 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/aggstore"
@@ -176,12 +177,12 @@ func (a *Aggregator) SetPushDeadline(d time.Duration, clock func() time.Time) {
 	}
 	if d > 0 {
 		// Date EVERY resident worker at arming time: workers folded before
-		// the GC was armed have no push stamp (Apply only stamps while a
-		// deadline is live), and workers stamped under a previous arming
-		// may carry a different clock's times — either way, "armed now"
-		// means every current worker gets one full deadline from now, and
-		// a worker that kept pushing through a disarm/re-arm cycle is
-		// never retired by its stale stamp.
+		// the GC was armed carry the default clock's stamps, and workers
+		// stamped under a previous arming may carry a different clock's
+		// times — either way, "armed now" means every current worker gets
+		// one full deadline from now, and a worker that kept pushing
+		// through a disarm/re-arm cycle is never retired by its stale
+		// stamp.
 		now := a.now()
 		for _, id := range a.store.Workers(nil) {
 			a.store.Touch(id, now)
@@ -246,15 +247,14 @@ func (a *Aggregator) Sweep() int {
 // replaces whatever state is resident).
 func (a *Aggregator) Apply(worker string, r io.Reader) (int, error) {
 	// Stamp the pusher BEFORE the piggybacked sweep, so a worker revived
-	// at the deadline's edge is never dropped by its own push. No stamps
-	// accrue while the GC is unarmed — SetPushDeadline dates those workers
-	// itself, with its own clock.
+	// at the deadline's edge is never dropped by its own push. Stamps are
+	// real times even while the GC is unarmed: a disk store logs them, and
+	// a restart that arms the GC from the stored stamps must not read a
+	// zero time as a worker silent for centuries.
+	now := a.now()
+	a.store.Touch(worker, now)
 	if a.deadline > 0 {
-		now := a.now()
-		a.store.Touch(worker, now)
 		a.store.SweepWorkers(a.staleAt(now))
-	} else {
-		a.store.Touch(worker, time.Time{})
 	}
 	dec := a.shapes.NewDecoder(r)
 	frames := 0
@@ -293,25 +293,44 @@ func (a *Aggregator) mergeKey(base string, live []string) (Snapshot, bool, error
 		if len(group) == 0 {
 			continue
 		}
-		var folded Snapshot
-		for _, ns := range group {
-			// The stored shape was validated, and its managed set derived,
-			// when the frame that brought it decoded.
-			sn, err := core.NewSnapshot(ns.State.Parts)
-			if err != nil {
-				return Snapshot{}, false, fmt.Errorf("qlove: aggregator worker %q key %q: %w", id, ns.Name, err)
-			}
-			if folded, err = folded.Merge(sn); err != nil {
-				return Snapshot{}, false, fmt.Errorf("qlove: aggregator merge key %q: %w", base, err)
-			}
+		var err error
+		if merged, err = mergeWorker(merged, id, base, group); err != nil {
+			return Snapshot{}, false, err
 		}
 		found = true
-		var err error
-		if merged, err = merged.Merge(folded); err != nil {
-			return Snapshot{}, false, fmt.Errorf("qlove: aggregator merge key %q: %w", base, err)
-		}
 	}
 	return merged, found, nil
+}
+
+// mergeWorker folds one worker's resident streams of one logical key, given
+// in fold order [base, sub-stream 0, 1, …], and merges the result into
+// merged: the step both mergeKey and Snapshot take per (key, worker).
+func mergeWorker(merged Snapshot, id, base string, group []aggstore.NamedState) (Snapshot, error) {
+	var folded Snapshot
+	for _, ns := range group {
+		// The stored shape was validated, and its managed set derived,
+		// when the frame that brought it decoded.
+		sn, err := core.NewSnapshot(ns.State.Parts)
+		if err != nil {
+			return Snapshot{}, fmt.Errorf("qlove: aggregator worker %q key %q: %w", id, ns.Name, err)
+		}
+		if folded, err = folded.Merge(sn); err != nil {
+			return Snapshot{}, fmt.Errorf("qlove: aggregator merge key %q: %w", base, err)
+		}
+	}
+	merged, err := merged.Merge(folded)
+	if err != nil {
+		return Snapshot{}, fmt.Errorf("qlove: aggregator merge key %q: %w", base, err)
+	}
+	return merged, nil
+}
+
+// allKeys is the NamesMatching predicate that lists a worker's every key.
+func allKeys(string) bool { return true }
+
+// byLogicalKey orders a worker's states by logical key alone.
+func byLogicalKey(x, y aggstore.NamedState) int {
+	return strings.Compare(wire.LogicalKey(x.Name), wire.LogicalKey(y.Name))
 }
 
 // Query answers one LOGICAL key from the merged cross-worker view: within
@@ -328,27 +347,30 @@ func (a *Aggregator) Query(key string) (Snapshot, bool, error) {
 // across its workers in ascending worker-ID order — as an EngineSnapshot,
 // interchangeable with the batch-mode fold of the workers' full exports.
 func (a *Aggregator) Snapshot() (EngineSnapshot, error) {
-	live := a.liveWorkers()
-	seen := make(map[string]struct{})
-	var bases []string
-	for _, id := range live {
-		for _, name := range a.store.WorkerNames(id) {
-			b := wire.LogicalKey(name)
-			if _, dup := seen[b]; !dup {
-				seen[b] = struct{}{}
-				bases = append(bases, b)
+	out := EngineSnapshot{keys: make(map[string]Snapshot)}
+	// One listing per live worker, workers ascending: each key merges its
+	// workers in the order Query does.
+	for _, id := range a.liveWorkers() {
+		// Sorted by internal name, so a key's streams are contiguous and in
+		// fold order — unless a name wire.ValidName refuses (only a WAL
+		// written before that check holds one) sorts inside another key's
+		// run; a stable sort by logical key regroups it.
+		states := a.store.NamesMatching(id, allKeys)
+		if !slices.IsSortedFunc(states, byLogicalKey) {
+			slices.SortStableFunc(states, byLogicalKey)
+		}
+		for len(states) > 0 {
+			base := wire.LogicalKey(states[0].Name)
+			n := 1
+			for n < len(states) && wire.LogicalKey(states[n].Name) == base {
+				n++
 			}
-		}
-	}
-	sort.Strings(bases)
-	out := EngineSnapshot{keys: make(map[string]Snapshot, len(bases))}
-	for _, b := range bases {
-		sn, ok, err := a.mergeKey(b, live)
-		if err != nil {
-			return EngineSnapshot{}, err
-		}
-		if ok { // a raced removal may have emptied the key; skip it
-			out.keys[b] = sn
+			sn, err := mergeWorker(out.keys[base], id, base, states[:n])
+			if err != nil {
+				return EngineSnapshot{}, err
+			}
+			out.keys[base] = sn
+			states = states[n:]
 		}
 	}
 	return out, nil
@@ -376,8 +398,8 @@ func (a *Aggregator) Keys() int {
 	}
 	seen := make(map[string]struct{})
 	for _, id := range live {
-		for _, name := range a.store.WorkerNames(id) {
-			seen[wire.LogicalKey(name)] = struct{}{}
+		for _, ns := range a.store.NamesMatching(id, allKeys) {
+			seen[wire.LogicalKey(ns.Name)] = struct{}{}
 		}
 	}
 	return len(seen)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -191,5 +192,31 @@ func TestAggregatorDiskRecoveryPushDeadline(t *testing.T) {
 	}
 	if n := agg.Sweep(); n != 1 {
 		t.Fatalf("recovered sweep dropped %d workers, want 1", n)
+	}
+}
+
+// TestAggregatorDiskRecoveryUnarmedStamps: a worker that pushed while the
+// worker GC was unarmed is stamped with the real time, so a restart that
+// arms the GC from the stored stamps keeps it live. Once an unarmed push
+// stamped the zero time, which the log recovered as 1754 and the armed
+// restart retired at once.
+func TestAggregatorDiskRecoveryUnarmedStamps(t *testing.T) {
+	cfg := Config{Spec: Window{Size: 256, Period: 64}, Phis: []float64{0.5}}
+	dcfg := AggregatorConfig{Store: "disk", Dir: t.TempDir()}
+	agg, err := NewAggregatorConfig(dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := wire.AppendFrame(nil, "k", mkKeySnapshot(t, cfg, 1, 256))
+	if _, err := agg.Apply("w", bytes.NewReader(blob)); err != nil {
+		t.Fatal(err)
+	}
+	agg = reopenDisk(t, agg, dcfg)
+	agg.SetPushDeadlineFromStored(time.Minute, nil)
+	if n := agg.Workers(); n != 1 {
+		t.Fatalf("recovered aggregator sees %d live workers, want 1", n)
+	}
+	if _, ok, _ := agg.Query("k"); !ok {
+		t.Fatal("a worker that pushed a moment before the restart was retired")
 	}
 }

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/aggstore"
 	"repro/internal/core"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -404,6 +406,83 @@ func TestAggregatorPushDeadlineArmsLate(t *testing.T) {
 	}
 }
 
+// TestAggregatorSnapshotListsEachWorkerOnce: Snapshot lists each live
+// worker's states once (one names_matching op, no per-key group reads) and
+// folds them in one pass, yet answers every key — a salt group, and one whose
+// run another key's legacy name splits — bit-identically to Query. The values
+// are fractions, so Level-2 sums that merged in another association would
+// differ in their last bits.
+func TestAggregatorSnapshotListsEachWorkerOnce(t *testing.T) {
+	cfg := Config{Spec: Window{Size: 256, Period: 64}, Phis: []float64{0.5, 0.99}, FewK: true}
+	capture := func(seed int64, n int) Snapshot {
+		return mkSnapshotOf(t, cfg, workload.Generate(workload.NewUniform(seed, 0, 1), n))
+	}
+	agg := mkAgg(t, AggregatorConfig{Instrument: true})
+	workers := []string{"w0", "w1", "w2"}
+	for i, w := range workers {
+		var blob []byte
+		for j, name := range []string{"a", wire.SaltedName("hot", 0), wire.SaltedName("hot", 1), "z" + w} {
+			sn := capture(int64(10*i+j), 300+100*j)
+			if _, _, salted := wire.SplitName(name); salted {
+				d, err := wire.NewDelta(sn, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				blob = wire.AppendDeltaFrame(blob, name, d)
+				continue
+			}
+			blob = wire.AppendFrame(blob, name, sn)
+		}
+		if _, err := agg.Apply(w, bytes.NewReader(blob)); err != nil {
+			t.Fatal(err)
+		}
+		// A name Apply refuses, as a WAL written before that check may hold
+		// one: logical key "hot\x00", sorting between "hot"'s sub-streams.
+		legacy := wire.SaltedName("hot"+string(wire.SaltSep), 'z')
+		dec := agg.shapes.NewDecoder(bytes.NewReader(wire.AppendFrame(nil, legacy, capture(int64(10*i+9), 500))))
+		f, err := dec.DecodeFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := agg.store.ApplyFrame(w, f, dec.Raw()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counts := func() map[string]int64 {
+		out := map[string]int64{}
+		for _, op := range agg.Metrics().Store.Ops {
+			out[op.Op] = op.Count
+		}
+		return out
+	}
+	before := counts()
+	snap, err := agg.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := counts()
+	if n := after["names_matching"] - before["names_matching"]; n != int64(len(workers)) {
+		t.Fatalf("Snapshot over %d workers made %d names_matching ops", len(workers), n)
+	}
+	if n := after["group"] - before["group"]; n != 0 {
+		t.Fatalf("Snapshot made %d group ops, want none", n)
+	}
+	keys := snap.Keys()
+	if want := []string{"a", "hot", "hot\x00", "zw0", "zw1", "zw2"}; !slices.Equal(keys, want) {
+		t.Fatalf("Snapshot keys %q, want %q", keys, want)
+	}
+	for _, k := range keys {
+		got, _ := snap.Get(k)
+		want, ok, err := agg.Query(k)
+		if err != nil || !ok {
+			t.Fatalf("Query(%q): ok=%v err=%v", k, ok, err)
+		}
+		if !bytes.Equal(wire.AppendFrame(nil, k, got), wire.AppendFrame(nil, k, want)) {
+			t.Fatalf("Snapshot's %q differs from Query's", k)
+		}
+	}
+}
+
 // TestAggregatorSharesShapes: every state of one configuration points at one
 // core.Shape — across blobs, which each decode with a decoder of their own,
 // and across workers — and so does every state a disk store recovers, from
@@ -413,10 +492,8 @@ func TestAggregatorSharesShapes(t *testing.T) {
 	shapes := func(a *Aggregator) map[*core.Shape]int {
 		seen := map[*core.Shape]int{}
 		for _, w := range a.store.Workers(nil) {
-			for _, name := range a.store.WorkerNames(w) {
-				for _, ns := range a.store.Group(w, name) {
-					seen[ns.State.Parts.Shape]++
-				}
+			for _, ns := range a.store.NamesMatching(w, allKeys) {
+				seen[ns.State.Parts.Shape]++
 			}
 		}
 		return seen

@@ -190,12 +190,18 @@ func TestAggregatorStoreConformanceDeltaFold(t *testing.T) {
 // re-encoded under arbitrary internal names).
 func mkKeySnapshot(t testing.TB, cfg Config, seed int64, n int) Snapshot {
 	t.Helper()
+	return mkSnapshotOf(t, cfg, workload.Generate(workload.NewNetMon(seed), n))
+}
+
+// mkSnapshotOf captures one key fed the given values.
+func mkSnapshotOf(t testing.TB, cfg Config, values []float64) Snapshot {
+	t.Helper()
 	eng, err := NewEngine(EngineConfig{Config: cfg, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := drainResults(eng)
-	pushAll(t, eng, map[string][]float64{"x": workload.Generate(workload.NewNetMon(seed), n)})
+	pushAll(t, eng, map[string][]float64{"x": values})
 	eng.Close()
 	<-done
 	snap := fullFold(t, eng)

@@ -62,14 +62,13 @@ func TestObserveBatchMatchesObserveAllPolicies(t *testing.T) {
 	spec := Window{Size: 2000, Period: 500}
 	phis := []float64{0.5, 0.9, 0.99, 0.999}
 	data := workload.Generate(workload.NewNetMon(7), 6500)
-	reg := Registry()
 	for _, name := range []string{"qlove", "qlove-fewk", "exact", "cmqs", "am", "random", "moment", "gk"} {
 		t.Run(name, func(t *testing.T) {
-			pe, err := reg.New(name, spec, phis)
+			pe, err := NewPolicy(name, spec, phis)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pb, err := reg.New(name, spec, phis)
+			pb, err := NewPolicy(name, spec, phis)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -256,53 +256,33 @@ func aggregate(paths []string, stdin io.Reader) (qlove.EngineSnapshot, error) {
 	return agg, nil
 }
 
-// keyReport is one merged key's line, shared by the table and -json paths.
-type keyReport struct {
-	Key        string    `json:"key"`
-	Streams    int       `json:"streams"`
-	SubWindows int       `json:"sub_windows"`
-	Elements   int       `json:"elements"`
-	Phis       []float64 `json:"phis"`
-	Estimates  []float64 `json:"estimates"`
-}
+// keyReport is one merged key's line, shared by the table and -json paths:
+// the service's own report, built by aggsrv.Report.
+type keyReport = aggsrv.KeyReport
 
 func report(w io.Writer, agg qlove.EngineSnapshot, jsonOut bool, top int, phi float64) error {
-	// The cheap shape fields drive the -top selection; estimates — heap
+	// The cheap element counts drive the -top selection; estimates — heap
 	// merges over every resident summary per key — are computed only for
 	// the keys that survive it.
-	reports := make([]keyReport, 0, agg.Len())
-	for _, k := range agg.Keys() {
-		sn, _ := agg.Get(k)
-		reports = append(reports, keyReport{
-			Key:        k,
-			Streams:    sn.Streams(),
-			SubWindows: sn.SubWindows(),
-			Elements:   sn.Elements(),
-		})
-	}
+	keys := agg.Keys()
 	if top > 0 {
-		sort.SliceStable(reports, func(i, j int) bool { return reports[i].Elements > reports[j].Elements })
-		if top < len(reports) {
-			reports = reports[:top]
+		elements := make(map[string]int, len(keys))
+		for _, k := range keys {
+			sn, _ := agg.Get(k)
+			elements[k] = sn.Elements()
 		}
+		sort.SliceStable(keys, func(i, j int) bool { return elements[keys[i]] > elements[keys[j]] })
+		keys = keys[:min(top, len(keys))]
 	}
-	for i := range reports {
-		r := &reports[i]
-		sn, _ := agg.Get(r.Key)
-		if phi != 0 {
-			// Estimate's interpolation guard: an unconfigured ϕ is an
-			// error, not a silently interpolated answer.
-			est, ok := sn.Estimate(phi)
-			if !ok {
-				return fmt.Errorf("key %q: ϕ=%v is not a configured quantile (configured: %v)",
-					r.Key, phi, sn.Config().Phis)
-			}
-			r.Phis = []float64{phi}
-			r.Estimates = []float64{est}
-		} else {
-			r.Phis = sn.Config().Phis
-			r.Estimates = sn.Estimates()
+	reports := make([]keyReport, 0, len(keys))
+	for _, k := range keys {
+		sn, _ := agg.Get(k)
+		// An unconfigured ϕ is an error, not a silently interpolated answer.
+		r, err := aggsrv.Report(k, sn, phi)
+		if err != nil {
+			return fmt.Errorf("key %q: %w", k, err)
 		}
+		reports = append(reports, r)
 	}
 	if jsonOut {
 		enc := json.NewEncoder(w)

@@ -36,7 +36,7 @@ func run(args []string, out *os.File) error {
 	windowSize := fs.Int("window", 100000, "window size N (elements)")
 	period := fs.Int("period", 10000, "window period P (elements)")
 	phisArg := fs.String("phis", "0.5,0.9,0.99,0.999", "comma-separated quantiles")
-	policy := fs.String("policy", "qlove", "policy: qlove|qlove-fewk|exact|cmqs|am|random|moment")
+	policy := fs.String("policy", "qlove", "policy: "+strings.Join(qlove.PolicyNames(), "|"))
 	bounds := fs.Bool("bounds", false, "print Appendix-A error bounds after the run (QLOVE only)")
 	space := fs.Bool("space", false, "print peak operator space usage after the run")
 	if err := fs.Parse(args); err != nil {
@@ -47,7 +47,7 @@ func run(args []string, out *os.File) error {
 		return err
 	}
 	spec := qlove.Window{Size: *windowSize, Period: *period}
-	p, err := qlove.Registry().New(*policy, spec, phis)
+	p, err := qlove.NewPolicy(*policy, spec, phis)
 	if err != nil {
 		return err
 	}

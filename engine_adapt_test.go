@@ -20,43 +20,6 @@ import (
 	"repro/internal/workload"
 )
 
-// --- satellite: HotShards degenerate shard counts -----------------------
-
-func TestEngineHotShardsDegenerateCounts(t *testing.T) {
-	// One shard: there is no "other shard" to compare against, so no
-	// factor may ever flag it.
-	one := EngineStats{Shards: []ShardStats{{DeliveredBatches: 1 << 20}}}
-	for _, f := range []float64{1.0001, 1.5, 2, 10} {
-		if hot := one.HotShards(f); hot != nil {
-			t.Fatalf("1 shard, factor %v: HotShards = %v, want nil", f, hot)
-		}
-	}
-	// Two shards: max/mean is at most 2, so factor >= 2 can never fire
-	// and the comparison is strictly greater-than.
-	two := EngineStats{Shards: []ShardStats{{DeliveredBatches: 90}, {DeliveredBatches: 10}}}
-	if hot := two.HotShards(2); hot != nil {
-		t.Fatalf("2 shards, factor 2: HotShards = %v, want nil", hot)
-	}
-	if hot := two.HotShards(1.5); len(hot) != 1 || hot[0] != 0 {
-		t.Fatalf("2 shards, factor 1.5: HotShards = %v, want [0]", hot)
-	}
-	if hot := two.HotShards(1.79); len(hot) != 1 || hot[0] != 0 {
-		t.Fatalf("2 shards, factor 1.79: HotShards = %v, want [0]", hot)
-	}
-	// 90 > 1.8×50 is false: the bound is strict.
-	if hot := two.HotShards(1.8); hot != nil {
-		t.Fatalf("2 shards, factor 1.8: HotShards = %v, want nil", hot)
-	}
-	balanced := EngineStats{Shards: []ShardStats{{DeliveredBatches: 50}, {DeliveredBatches: 50}}}
-	if hot := balanced.HotShards(1); hot != nil {
-		t.Fatalf("balanced, factor 1: HotShards = %v, want nil", hot)
-	}
-	idle := EngineStats{Shards: []ShardStats{{}, {}}}
-	if hot := idle.HotShards(1.5); hot != nil {
-		t.Fatalf("idle shards: HotShards = %v, want nil", hot)
-	}
-}
-
 // --- validation ---------------------------------------------------------
 
 func TestEngineAdaptValidation(t *testing.T) {

@@ -57,7 +57,7 @@ const (
 	adaptSalt = 8
 	// hotShardFactor flags a shard as hot when its delivered-batch count
 	// over the last controller pass exceeds factor × the per-shard mean
-	// (see EngineStats.HotShards; with 2 shards it fires below 2 only).
+	// (strictly: with 2 shards a factor of 2 or more never fires).
 	hotShardFactor = 1.5
 	// hotKeyFrac decides WHICH key on a hot shard escalates: the shard's
 	// top key must carry at least this fraction of the shard's

@@ -228,43 +228,6 @@ func (st EngineStats) Skew() float64 {
 	return float64(max) * float64(len(st.Shards)) / float64(sum)
 }
 
-// HotShards returns the indices of shards whose delivered-batch count
-// exceeds factor times the per-shard mean — the hot-shard detector a
-// router or operator (or the engine's own adaptive controller) consults to
-// decide when a key storm needs salting (factor 2 flags a shard carrying
-// twice its fair share).
-//
-// The factor is relative to the MEAN, so the degenerate shard counts have
-// defined semantics rather than accidental ones:
-//
-//   - 1 shard: always nil. The only shard is by definition at the mean;
-//     flagging it would make every single-shard engine permanently "hot"
-//     at any factor below 1.
-//   - 2 shards: a shard can carry at most 2× the mean (all the traffic),
-//     so factors ≥ 2 can never flag anything — the comparison is strictly
-//     greater-than. Detectors that want "one of two shards is doing almost
-//     everything" must use a factor in (1, 2), e.g. 1.5.
-func (st EngineStats) HotShards(factor float64) []int {
-	if len(st.Shards) < 2 {
-		return nil
-	}
-	var sum uint64
-	for _, s := range st.Shards {
-		sum += s.DeliveredBatches
-	}
-	if sum == 0 {
-		return nil
-	}
-	mean := float64(sum) / float64(len(st.Shards))
-	var hot []int
-	for i, s := range st.Shards {
-		if float64(s.DeliveredBatches) > factor*mean {
-			hot = append(hot, i)
-		}
-	}
-	return hot
-}
-
 // Stats captures every shard's counters. It is lock-free — it reads only
 // atomics, never the engine mutex or the shard queues — so it stays
 // responsive while producers are blocked on backpressure, and is safe to

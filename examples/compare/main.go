@@ -17,7 +17,6 @@ func main() {
 	phis := []float64{0.5, 0.999}
 
 	names := []string{"qlove-fewk", "exact", "cmqs", "am", "random", "moment"}
-	reg := qlove.Registry()
 	mons := map[string]*qlove.Monitor{}
 	for _, n := range names {
 		var p qlove.Policy
@@ -28,7 +27,7 @@ func main() {
 			// burst pattern (§4.2) at a tiny space cost.
 			p, err = qlove.New(qlove.Config{Spec: spec, Phis: phis, FewK: true, Fraction: 1})
 		} else {
-			p, err = reg.New(n, spec, phis)
+			p, err = qlove.NewPolicy(n, spec, phis)
 		}
 		if err != nil {
 			log.Fatal(err)

@@ -23,11 +23,10 @@ func TestIntegrationAllPoliciesMonotoneEstimates(t *testing.T) {
 		"uniform": workload.NewUniform(1, 90, 110),
 		"pareto":  workload.NewPaperPareto(1),
 	}
-	reg := Registry()
 	for gname, gen := range gens {
 		data := workload.Generate(gen, 24000)
 		for _, pname := range []string{"qlove", "qlove-fewk", "exact", "cmqs", "am", "random", "moment", "gk"} {
-			p, err := reg.New(pname, spec, phis)
+			p, err := NewPolicy(pname, spec, phis)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,9 +56,8 @@ func TestIntegrationEstimatesWithinDataRange(t *testing.T) {
 		lo = math.Min(lo, v)
 		hi = math.Max(hi, v)
 	}
-	reg := Registry()
 	for _, pname := range []string{"qlove", "qlove-fewk", "exact", "cmqs", "am", "random", "moment", "gk"} {
-		p, err := reg.New(pname, spec, phis)
+		p, err := NewPolicy(pname, spec, phis)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +80,7 @@ func TestIntegrationEstimatesWithinDataRange(t *testing.T) {
 func TestIntegrationNaNValuesIgnored(t *testing.T) {
 	spec := Window{Size: 100, Period: 10}
 	for _, pname := range []string{"qlove", "exact"} {
-		p, err := Registry().New(pname, spec, []float64{0.5})
+		p, err := NewPolicy(pname, spec, []float64{0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +103,7 @@ func TestIntegrationQLOVEBeatsRankSketchesOnTail(t *testing.T) {
 	phis := []float64{0.999}
 	data := workload.Generate(workload.NewNetMon(3), 128000)
 	errOf := func(name string) float64 {
-		p, err := Registry().New(name, spec, phis)
+		p, err := NewPolicy(name, spec, phis)
 		if err != nil {
 			t.Fatal(err)
 		}

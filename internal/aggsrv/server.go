@@ -263,9 +263,10 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, PushResult{Worker: worker, Frames: frames, Keys: s.agg.Keys()})
 }
 
-// report builds one key's merged KeyReport; phi 0 means every configured
-// quantile.
-func report(key string, sn qlove.Snapshot, phi float64) (KeyReport, error) {
+// Report builds one key's KeyReport from its merged capture; phi 0 means
+// every configured quantile. The service's /query and /snapshot and
+// qlove-agg's batch report all answer through it.
+func Report(key string, sn qlove.Snapshot, phi float64) (KeyReport, error) {
 	rep := KeyReport{
 		Key:        key,
 		Streams:    sn.Streams(),
@@ -314,7 +315,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "key %q is not aggregated", key)
 		return
 	}
-	rep, err := report(key, sn, phi)
+	rep, err := Report(key, sn, phi)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "key %q: %v", key, err)
 		return
@@ -336,7 +337,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	// []KeyReport: the response stays {"keys":[…]} but the service never
 	// holds more than one key's report (plus the write buffer), so memory
 	// is bounded by the snapshot itself, not by its JSON expansion.
-	// report() cannot fail for phi=0 (it only validates a requested
+	// Report cannot fail for phi=0 (it only validates a requested
 	// quantile), so nothing can error after the status line is committed.
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
@@ -344,7 +345,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	bw.WriteString(`{"keys":[`)
 	for i, k := range snap.Keys() {
 		sn, _ := snap.Get(k)
-		rep, err := report(k, sn, 0)
+		rep, err := Report(k, sn, 0)
 		if err != nil {
 			// Unreachable for phi=0; abort mid-body so the client's JSON
 			// parse fails rather than silently truncating the key set.

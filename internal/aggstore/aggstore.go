@@ -88,16 +88,15 @@ type Store interface {
 	// nothing for it. The returned slice is the caller's; the States'
 	// slices are shared and read-only.
 	Group(worker, base string) []NamedState
-	// WorkerNames returns every internal name the worker holds, sorted.
-	WorkerNames(worker string) []string
 	// NamesMatching returns the worker's resident states for every
 	// logical group whose BASE key satisfies match (salted sub-streams
 	// ride with their group — the predicate never sees internal salted
-	// names), sorted by internal name, which keeps each group contiguous
-	// in fold order [base, sub 0, sub 1, …]. The slot-migration export
-	// path uses it to lift one hash slot's worth of state atomically per
-	// group. The returned slice is the caller's; the States' slices are
-	// shared and read-only.
+	// names), sorted by internal name, which keeps each group of valid
+	// names (wire.ValidName) contiguous in fold order [base, sub 0, sub 1,
+	// …]. The slot-migration export path uses it to lift one hash slot's
+	// worth of state atomically per group, and the aggregator's whole-view
+	// reads to list a worker (match accepting every key). The returned
+	// slice is the caller's; the States' slices are shared and read-only.
 	NamesMatching(worker string, match func(base string) bool) []NamedState
 
 	// Touch creates the worker if needed and stamps its last-push time.

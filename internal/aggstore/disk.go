@@ -216,7 +216,6 @@ func (d *Disk) Compact() error {
 // --- reads: straight to the resident map ---
 
 func (d *Disk) Group(worker, base string) []NamedState { return d.mem.Group(worker, base) }
-func (d *Disk) WorkerNames(worker string) []string     { return d.mem.WorkerNames(worker) }
 func (d *Disk) NamesMatching(worker string, match func(base string) bool) []NamedState {
 	return d.mem.NamesMatching(worker, match)
 }

@@ -29,9 +29,9 @@ func requireSameState(t *testing.T, got, want Store, when string) {
 		t.Fatalf("%s: Workers %v != %v", when, g, workers)
 	}
 	for _, id := range workers {
-		names := want.WorkerNames(id)
-		if g := got.WorkerNames(id); !reflect.DeepEqual(g, names) {
-			t.Fatalf("%s: WorkerNames(%s) %v != %v", when, id, g, names)
+		names := residentNames(want, id)
+		if g := residentNames(got, id); !reflect.DeepEqual(g, names) {
+			t.Fatalf("%s: resident names of %s %v != %v", when, id, g, names)
 		}
 		seen := map[string]struct{}{}
 		for _, n := range names {
@@ -339,7 +339,7 @@ func TestDiskExplicitCompactAndCorruptSnapshotFallback(t *testing.T) {
 		// Only the post-compaction WAL survived; it re-creates the worker
 		// via its frame record, so 1 worker with just the "post" key is also
 		// acceptable — what is NOT acceptable is a phantom full recovery.
-		if names := d.WorkerNames("w"); len(names) != 1 || names[0] != "post" {
+		if names := residentNames(d, "w"); len(names) != 1 || names[0] != "post" {
 			t.Fatalf("corrupt snapshot recovered to workers=%d names=%v", n, names)
 		}
 	}

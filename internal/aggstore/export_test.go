@@ -9,7 +9,19 @@ import (
 // Hooks shared with the aggstore_test package, whose tests drive the disk
 // store with the blobs a real Engine exports.
 
-var RequireSameState = requireSameState
+var (
+	RequireSameState = requireSameState
+	ResidentNames    = residentNames
+)
+
+// residentNames lists every internal name the worker holds, sorted.
+func residentNames(s Store, worker string) []string {
+	var names []string
+	for _, ns := range s.NamesMatching(worker, func(string) bool { return true }) {
+		names = append(names, ns.Name)
+	}
+	return names
+}
 
 // WAL record ops, as a scan reports them.
 const (

@@ -172,7 +172,7 @@ func TestDiskMixedEraRecovery(t *testing.T) {
 			}
 		})
 	}
-	if got, want := ref.WorkerNames("wa"), []string{"a", "c", "s\x00\x01", "t\x00\x02", "u"}; !slices.Equal(got, want) {
+	if got, want := aggstore.ResidentNames(ref, "wa"), []string{"a", "c", "s\x00\x01", "t\x00\x02", "u"}; !slices.Equal(got, want) {
 		t.Fatalf("reference holds %q, want %q", got, want)
 	}
 	d := openDisk(t, dir)

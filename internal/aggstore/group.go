@@ -11,11 +11,12 @@ import (
 // the per-base index the read path folds from — group reads and wholesale
 // replacement never scan the worker's other keys. States are held inline:
 // a fold overwrites the slot with the new value, so it allocates nothing
-// beyond the State's own new slices.
+// beyond the State's own new slices. The base state is resident exactly
+// when it has streams: every stored state has at least one (the decoder and
+// core.NewSnapshot refuse fewer), and a dropped base is the zero State.
 type group struct {
-	base    State
-	hasBase bool
-	subs    []subState // ascending salt index
+	base State
+	subs []subState // ascending salt index
 }
 
 type subState struct {
@@ -23,13 +24,16 @@ type subState struct {
 	st State
 }
 
-func (g *group) empty() bool { return !g.hasBase && len(g.subs) == 0 }
+// baseResident reports whether the base name's state is resident.
+func (g *group) baseResident() bool { return g.base.Parts.Streams > 0 }
+
+func (g *group) empty() bool { return !g.baseResident() && len(g.subs) == 0 }
 
 // dropBase removes the base name's state, reporting whether it was resident.
 // The slot is zeroed so the dropped state's slices are not kept reachable.
 func (g *group) dropBase() bool {
-	had := g.hasBase
-	g.base, g.hasBase = State{}, false
+	had := g.baseResident()
+	g.base = State{}
 	return had
 }
 
@@ -38,7 +42,7 @@ func (g *group) set(salted bool, j byte, st State) {
 	if salted {
 		g.setSub(j, st)
 	} else {
-		g.base, g.hasBase = st, true
+		g.base = st
 	}
 }
 
@@ -95,7 +99,7 @@ func (g *group) drop(salted bool, j byte) bool {
 // get returns the state under the exact (salted, j) coordinate.
 func (g *group) get(salted bool, j byte) (State, bool) {
 	if !salted {
-		return g.base, g.hasBase
+		return g.base, g.baseResident()
 	}
 	i := sort.Search(len(g.subs), func(i int) bool { return g.subs[i].j >= j })
 	if i >= len(g.subs) || g.subs[i].j != j {
@@ -106,22 +110,11 @@ func (g *group) get(salted bool, j byte) (State, bool) {
 
 // fold appends the group's states in fold order [base, sub 0, sub 1, …].
 func (g *group) fold(base string, out []NamedState) []NamedState {
-	if g.hasBase {
+	if g.baseResident() {
 		out = append(out, NamedState{Name: base, State: g.base})
 	}
 	for _, s := range g.subs {
 		out = append(out, NamedState{Name: wire.SaltedName(base, s.j), State: s.st})
-	}
-	return out
-}
-
-// names appends the group's resident internal names (fold order).
-func (g *group) names(base string, out []string) []string {
-	if g.hasBase {
-		out = append(out, base)
-	}
-	for _, s := range g.subs {
-		out = append(out, wire.SaltedName(base, s.j))
 	}
 	return out
 }

@@ -12,7 +12,6 @@ const (
 	opDrop = iota
 	opApplyFrame
 	opGroup
-	opWorkerNames
 	opNamesMatching
 	opTouch
 	opWorkers
@@ -22,7 +21,7 @@ const (
 )
 
 var opNames = [opCount]string{
-	"drop", "apply_frame", "group", "worker_names", "names_matching", "touch", "workers",
+	"drop", "apply_frame", "group", "names_matching", "touch", "workers",
 	"drop_worker", "sweep_workers",
 }
 
@@ -94,11 +93,6 @@ func (in *Instrumented) ApplyFrame(worker string, f wire.Frame, raw []byte) erro
 func (in *Instrumented) Group(worker, base string) []NamedState {
 	defer in.record(opGroup, time.Now())
 	return in.inner.Group(worker, base)
-}
-
-func (in *Instrumented) WorkerNames(worker string) []string {
-	defer in.record(opWorkerNames, time.Now())
-	return in.inner.WorkerNames(worker)
 }
 
 func (in *Instrumented) NamesMatching(worker string, match func(base string) bool) []NamedState {

@@ -112,20 +112,6 @@ func (m *Map) Group(worker, base string) []NamedState {
 	return g.fold(base, nil)
 }
 
-func (m *Map) WorkerNames(worker string) []string {
-	m.rlock()
-	w := m.workers[worker]
-	var names []string
-	if w != nil {
-		for base, g := range w.groups {
-			names = g.names(base, names)
-		}
-	}
-	m.runlock()
-	sort.Strings(names)
-	return names
-}
-
 func (m *Map) NamesMatching(worker string, match func(base string) bool) []NamedState {
 	m.rlock()
 	w := m.workers[worker]

@@ -147,22 +147,6 @@ func (s *Striped) Group(worker, base string) []NamedState {
 	return g.fold(base, nil)
 }
 
-func (s *Striped) WorkerNames(worker string) []string {
-	var names []string
-	for i := range s.stripes {
-		sp := &s.stripes[i]
-		rlockTimed(&sp.mu, &s.readWait)
-		for gk, g := range sp.groups {
-			if gk.worker == worker {
-				names = g.names(gk.base, names)
-			}
-		}
-		sp.mu.RUnlock()
-	}
-	sort.Strings(names)
-	return names
-}
-
 func (s *Striped) NamesMatching(worker string, match func(base string) bool) []NamedState {
 	var out []NamedState
 	for i := range s.stripes {

@@ -2,13 +2,10 @@
 // Policy contract all evaluated algorithms implement, the runners that drive
 // a policy over a recorded count window (Run, Feed), the push-based state
 // machines live monitors wrap (Pusher for count windows, TimedPusher for
-// wall-clock ones) and the by-name policy Registry.
+// wall-clock ones).
 package stream
 
 import (
-	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/window"
@@ -157,69 +154,4 @@ func Feed(p Policy, spec window.Spec, data []float64) (RunStats, error) {
 		Evaluations: nEvals,
 		Elapsed:     time.Since(start),
 	}, nil
-}
-
-// Factory constructs a fresh policy instance for a window spec and quantile
-// set; the bench harness uses it to instantiate each competing algorithm
-// uniformly.
-type Factory func(spec window.Spec, phis []float64) (Policy, error)
-
-// Registry maps policy names to factories. It hands out construction
-// recipes, never policy instances, so any number of goroutines can
-// instantiate the same algorithm concurrently. All methods are safe for
-// concurrent use.
-type Registry struct {
-	mu        sync.RWMutex
-	factories map[string]Factory
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{factories: map[string]Factory{}}
-}
-
-// Register adds a factory under name, failing on duplicates.
-func (r *Registry) Register(name string, f Factory) error {
-	if f == nil {
-		return fmt.Errorf("stream: nil factory for policy %q", name)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.factories[name]; dup {
-		return fmt.Errorf("stream: policy %q already registered", name)
-	}
-	r.factories[name] = f
-	return nil
-}
-
-// Lookup returns the factory registered under name.
-func (r *Registry) Lookup(name string) (Factory, error) {
-	r.mu.RLock()
-	f, ok := r.factories[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("stream: unknown policy %q", name)
-	}
-	return f, nil
-}
-
-// New instantiates a registered policy.
-func (r *Registry) New(name string, spec window.Spec, phis []float64) (Policy, error) {
-	f, err := r.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return f(spec, phis)
-}
-
-// Names returns the registered policy names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	out := make([]string, 0, len(r.factories))
-	for name := range r.factories {
-		out = append(out, name)
-	}
-	r.mu.RUnlock()
-	sort.Strings(out)
-	return out
 }

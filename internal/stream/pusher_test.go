@@ -84,20 +84,3 @@ func TestPusherValidation(t *testing.T) {
 		t.Fatal("invalid spec accepted")
 	}
 }
-
-func TestRegistryNamesAndNilFactory(t *testing.T) {
-	r := NewRegistry()
-	if err := r.Register("b", nil); err == nil {
-		t.Fatal("nil factory accepted")
-	}
-	mk := func(window.Spec, []float64) (Policy, error) { return &recordingPolicy{}, nil }
-	for _, n := range []string{"c", "a", "b"} {
-		if err := r.Register(n, mk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	names := r.Names()
-	if len(names) != 3 || names[0] != "a" || names[1] != "b" || names[2] != "c" {
-		t.Fatalf("names = %v", names)
-	}
-}

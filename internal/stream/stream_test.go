@@ -101,21 +101,3 @@ func TestThroughputMevS(t *testing.T) {
 		t.Fatal("zero-elapsed throughput should be 0")
 	}
 }
-
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	mk := func(spec window.Spec, phis []float64) (Policy, error) { return &recordingPolicy{}, nil }
-	if err := r.Register("rec", mk); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register("rec", mk); err == nil {
-		t.Fatal("duplicate registration accepted")
-	}
-	p, err := r.New("rec", window.Spec{Size: 2, Period: 1}, nil)
-	if err != nil || p.Name() != "recording" {
-		t.Fatalf("New: %v %v", p, err)
-	}
-	if _, err := r.New("nope", window.Spec{Size: 2, Period: 1}, nil); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-}

@@ -82,6 +82,8 @@
 package qlove
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/sketch/am"
@@ -202,41 +204,33 @@ const DefaultEpsilon = 0.02
 // DefaultMomentK is the moment-sketch order used in Table 1.
 const DefaultMomentK = 12
 
-// Registry returns a policy registry with every policy registered under
-// its paper name using Table 1 parameters — the six evaluated algorithms
-// plus the unwindowed GK reference ("gk"). The registry hands out
-// factories, never shared instances, so the benchmark harness and CLI can
-// instantiate any number of policies through it.
-func Registry() *stream.Registry {
-	r := stream.NewRegistry()
-	must := func(err error) {
-		if err != nil {
-			panic("qlove: registry: " + err.Error())
-		}
-	}
-	must(r.Register("qlove", func(spec Window, phis []float64) (Policy, error) {
+// PolicyNames returns the names NewPolicy builds: the six evaluated
+// algorithms, QLOVE's few-k variant and the unwindowed GK reference.
+func PolicyNames() []string {
+	return []string{"qlove", "qlove-fewk", "exact", "cmqs", "am", "random", "moment", "gk"}
+}
+
+// NewPolicy builds the policy of one of PolicyNames with Table 1
+// parameters. Each call returns a fresh instance, so the benchmark harness
+// and the CLI can run any number of policies side by side.
+func NewPolicy(name string, spec Window, phis []float64) (Policy, error) {
+	switch name {
+	case "qlove":
 		return New(Config{Spec: spec, Phis: phis})
-	}))
-	must(r.Register("qlove-fewk", func(spec Window, phis []float64) (Policy, error) {
+	case "qlove-fewk":
 		return New(Config{Spec: spec, Phis: phis, FewK: true})
-	}))
-	must(r.Register("exact", func(spec Window, phis []float64) (Policy, error) {
+	case "exact":
 		return NewExact(spec, phis)
-	}))
-	must(r.Register("cmqs", func(spec Window, phis []float64) (Policy, error) {
+	case "cmqs":
 		return NewCMQS(spec, phis, DefaultEpsilon)
-	}))
-	must(r.Register("am", func(spec Window, phis []float64) (Policy, error) {
+	case "am":
 		return NewAM(spec, phis, DefaultEpsilon)
-	}))
-	must(r.Register("random", func(spec Window, phis []float64) (Policy, error) {
+	case "random":
 		return NewRandom(spec, phis, DefaultEpsilon, 1)
-	}))
-	must(r.Register("moment", func(spec Window, phis []float64) (Policy, error) {
+	case "moment":
 		return NewMoment(spec, phis, DefaultMomentK)
-	}))
-	must(r.Register("gk", func(spec Window, phis []float64) (Policy, error) {
+	case "gk":
 		return NewGK(spec, phis, DefaultEpsilon)
-	}))
-	return r
+	}
+	return nil, fmt.Errorf("qlove: unknown policy %q", name)
 }

@@ -3,6 +3,7 @@ package qlove
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/workload"
@@ -127,11 +128,14 @@ func TestBaselineConstructors(t *testing.T) {
 }
 
 func TestRegistryHasAllPolicies(t *testing.T) {
-	r := Registry()
 	spec := Window{Size: 100, Period: 10}
 	phis := []float64{0.5}
-	for _, name := range []string{"qlove", "qlove-fewk", "exact", "cmqs", "am", "random", "moment", "gk"} {
-		p, err := r.New(name, spec, phis)
+	names := []string{"qlove", "qlove-fewk", "exact", "cmqs", "am", "random", "moment", "gk"}
+	if got := PolicyNames(); !slices.Equal(got, names) {
+		t.Fatalf("PolicyNames = %v, want %v", got, names)
+	}
+	for _, name := range names {
+		p, err := NewPolicy(name, spec, phis)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -139,7 +143,7 @@ func TestRegistryHasAllPolicies(t *testing.T) {
 			t.Fatalf("%s: nil policy", name)
 		}
 	}
-	if _, err := r.New("nope", spec, phis); err == nil {
+	if _, err := NewPolicy("nope", spec, phis); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }
