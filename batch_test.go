@@ -293,7 +293,7 @@ func TestKeyedReportAllocBudget(t *testing.T) {
 		i := 0
 		evals := 0
 		perReport := testing.AllocsPerRun(2000, func() {
-			pushers[(i*31)%keys].PushBatch(report(i), func(stream.Evaluation) { evals++ })
+			pushers[(i*31)%keys].PushBatch(report(i), func(stream.Result) { evals++ })
 			i++
 		})
 		if evals < 2000 {

@@ -15,6 +15,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -31,7 +32,7 @@ func main() {
 	}
 }
 
-func run(args []string, out *os.File) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("qlove", flag.ContinueOnError)
 	windowSize := fs.Int("window", 100000, "window size N (elements)")
 	period := fs.Int("period", 10000, "window period P (elements)")
@@ -63,7 +64,9 @@ func run(args []string, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	mon, err := qlove.NewMonitor(p, spec)
+	// Run samples space mid-period too: sub-window operators hold nothing
+	// in flight right after a seal.
+	evals, stats, err := qlove.Run(p, spec, data)
 	if err != nil {
 		return err
 	}
@@ -71,24 +74,18 @@ func run(args []string, out *os.File) error {
 	defer w.Flush()
 	fmt.Fprintf(w, "# policy=%s window=%d period=%d phis=%v elements=%d\n",
 		p.Name(), spec.Size, spec.Period, phis, len(data))
-	peak := 0
-	// Batched ingestion: the monitor hands the policy period-aligned
-	// ObserveBatch chunks and calls back per evaluation.
-	mon.PushBatch(data, func(res qlove.Result) {
+	for _, res := range evals {
 		fmt.Fprintf(w, "%d", res.Evaluation)
 		for _, e := range res.Estimates {
 			fmt.Fprintf(w, "\t%g", e)
 		}
 		fmt.Fprintln(w)
-		if s := p.SpaceUsage(); s > peak {
-			peak = s
-		}
-	})
-	if mon.Evaluations() == 0 {
+	}
+	if len(evals) == 0 {
 		fmt.Fprintf(w, "# no evaluations: need at least %d elements, got %d\n", spec.Size, len(data))
 	}
 	if *space {
-		fmt.Fprintf(w, "# peak space: %d variables\n", peak)
+		fmt.Fprintf(w, "# peak space: %d variables\n", stats.MaxSpace)
 	}
 	if *bounds {
 		if q, ok := p.(*qlove.QLOVE); ok {

@@ -29,7 +29,7 @@ import (
 // Architecture:
 //
 //   - Keys are hash-partitioned across Shards goroutines. Each shard owns
-//     a map[key]*Pusher — the same per-stream state machine Monitor wraps
+//     a map[key]*Pusher — the per-stream state machine a Monitor is
 //     — and is the ONLY goroutine that touches those operators, so the
 //     hot path needs no locks and no atomic traffic.
 //   - Push(key, vs) copies the batch into a recycled buffer and enqueues
@@ -117,7 +117,7 @@ type EngineConfig struct {
 	// re-evaluated every TimedPeriod — the paper's §2 "evaluate every one
 	// minute for the elements seen last one hour" — instead of count-based
 	// Spec windows. Each shard owns a stream.TimedPusher per key (the same
-	// state machine TimedMonitor wraps): batch deliveries are stamped with
+	// state machine a TimedMonitor is): batch deliveries are stamped with
 	// the shard's clock, period boundaries seal whatever the sub-window
 	// holds, and the shard's housekeeping pass (see Engine.Tick) Flushes
 	// every key at least every TimedPeriod, so evaluations fire on wall
@@ -231,7 +231,7 @@ type keyEntry struct {
 	op       *core.Policy        // the key's operator, minted by the shard's pool
 	pusher   *stream.Pusher      // count-based mode
 	timed    *stream.TimedPusher // timed mode (exactly one of the two is set)
-	emit     func(stream.Evaluation)
+	emit     func(Result)
 	lastAt   time.Time // wall clock at this key's most recent batch (wallTTL > 0)
 	inc      uint64    // incarnation: unique per key lifetime on its shard
 	gen      uint64    // last observed seal generation
@@ -1238,14 +1238,14 @@ func (s *engineShard) entry(key string) (*keyEntry, error) {
 // not per batch: the emit path stays allocation-free at steady state.
 // Results carry the LOGICAL key name (the salt suffix is an internal
 // detail), so a renamed stream keeps its closure.
-func (s *engineShard) makeEmit(base string) func(stream.Evaluation) {
+func (s *engineShard) makeEmit(base string) func(Result) {
 	eng := s.eng
 	if eng.block {
 		// Lossless delivery: a full Results channel stalls the shard (and,
 		// transitively, producers) instead of shedding the evaluation. The
 		// stall is accounted so overload is observable via Stats.
-		return func(ev stream.Evaluation) {
-			kr := KeyedResult{Key: base, Result: Result{Evaluation: ev.Index, Estimates: ev.Estimates}}
+		return func(res Result) {
+			kr := KeyedResult{Key: base, Result: res}
 			select {
 			case eng.results <- kr:
 			default:
@@ -1256,9 +1256,9 @@ func (s *engineShard) makeEmit(base string) func(stream.Evaluation) {
 			s.counters.evalsDelivered.Add(1)
 		}
 	}
-	return func(ev stream.Evaluation) {
+	return func(res Result) {
 		select {
-		case eng.results <- KeyedResult{Key: base, Result: Result{Evaluation: ev.Index, Estimates: ev.Estimates}}:
+		case eng.results <- KeyedResult{Key: base, Result: res}:
 			s.counters.evalsDelivered.Add(1)
 		default:
 			s.counters.evalsDropped.Add(1)

@@ -37,7 +37,7 @@ func TestIntegrationAllPoliciesMonotoneEstimates(t *testing.T) {
 			for _, e := range evals {
 				for j := 1; j < len(phis); j++ {
 					if e.Estimates[j] < e.Estimates[j-1]-1e-9 {
-						t.Fatalf("%s/%s eval %d: non-monotone %v", pname, gname, e.Index, e.Estimates)
+						t.Fatalf("%s/%s eval %d: non-monotone %v", pname, gname, e.Evaluation, e.Estimates)
 					}
 				}
 			}
@@ -70,7 +70,7 @@ func TestIntegrationEstimatesWithinDataRange(t *testing.T) {
 				// Allow 1% slack for QLOVE's quantization rounding.
 				if est < lo*0.99 || est > hi*1.01 {
 					t.Fatalf("%s eval %d phi %v: estimate %v outside [%v, %v]",
-						pname, e.Index, phis[j], est, lo, hi)
+						pname, e.Evaluation, phis[j], est, lo, hi)
 				}
 			}
 		}

@@ -1,8 +1,9 @@
 // Package stream is the streaming substrate under every operator: the
 // Policy contract all evaluated algorithms implement, the runners that drive
-// a policy over a recorded count window (Run, Feed), the push-based state
-// machines live monitors wrap (Pusher for count windows, TimedPusher for
-// wall-clock ones).
+// a policy over a recorded count window (Run, Feed), and the push-based
+// state machines every live stream runs (Pusher for count windows,
+// TimedPusher for wall-clock ones), which the public Monitor and
+// TimedMonitor are.
 package stream
 
 import (
@@ -11,16 +12,17 @@ import (
 	"repro/internal/window"
 )
 
-// Policy is a sliding-window multi-quantile operator: the contract all six
-// evaluated algorithms (QLOVE, Exact, CMQS, AM, Random, Moment) implement.
+// Policy is a sliding-window multi-quantile operator: the contract all
+// eight policies (QLOVE, its few-k variant, Exact, CMQS, AM, Random, Moment
+// and the unwindowed GK reference) implement.
 //
 // The runner feeds elements in arrival order via Observe. At every period
 // boundary once a full window has been seen, it calls Result, then — before
 // the next period begins — Expire with the batch of elements that just left
-// the window (one full period, oldest first). Operators that expire state
-// at sub-window granularity (QLOVE, CMQS) may ignore the slice contents and
-// simply drop their oldest summary; element-wise operators (Exact, AM,
-// Random) deaccumulate each value.
+// the window (one full period, oldest first). Only Exact is element-wise:
+// it deaccumulates each value of the slice. Every other policy implements
+// SummaryExpirer and ignores the slice: it drops the state of its oldest
+// sub-window (GK, which never expires, drops nothing).
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
@@ -46,10 +48,10 @@ type Policy interface {
 // SummaryExpirer is an optional Policy extension for operators that expire
 // state at sub-window (or coarser) granularity and never read the slice
 // passed to Expire — QLOVE, CMQS, AM, Random and Moment all drop a whole
-// summary per period. A Pusher detects the marker and skips the O(window)
-// replay ring it would otherwise keep per stream, which is what makes
-// monitoring hundreds of thousands of concurrent keys affordable: each key
-// then costs only its operator state.
+// summary per period, and GK never expires. A Pusher detects the marker
+// and skips the O(window) replay ring it would otherwise keep per stream,
+// which is what makes monitoring hundreds of thousands of concurrent keys
+// affordable: each key then costs only its operator state.
 type SummaryExpirer interface {
 	// ExpiresWholeSummaries reports that Expire ignores its argument.
 	ExpiresWholeSummaries() bool
@@ -62,10 +64,13 @@ func expireNeedsValues(p Policy) bool {
 	return !ok || !se.ExpiresWholeSummaries()
 }
 
-// Evaluation is one query result produced by Run.
-type Evaluation struct {
-	Index     int       // 0-based evaluation number
-	Estimates []float64 // one per configured ϕ
+// Result is one query evaluation, produced by Run, a Pusher or a
+// TimedPusher.
+type Result struct {
+	// Evaluation is the 0-based index of this query evaluation.
+	Evaluation int
+	// Estimates holds one quantile estimate per configured ϕ.
+	Estimates []float64
 }
 
 // RunStats aggregates runner-side measurements.
@@ -91,12 +96,12 @@ func (s RunStats) ThroughputMevS() float64 {
 // only for their operator state. Elements are delivered through
 // ObserveBatch one period at a time, so a policy's native batch path is on
 // the measured ingestion path.
-func Run(p Policy, spec window.Spec, data []float64) ([]Evaluation, RunStats, error) {
+func Run(p Policy, spec window.Spec, data []float64) ([]Result, RunStats, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, RunStats{}, err
 	}
 	nEvals := spec.Evaluations(len(data))
-	evals := make([]Evaluation, 0, nEvals)
+	evals := make([]Result, 0, nEvals)
 	stats := RunStats{}
 	start := time.Now()
 	pos := 0
@@ -118,7 +123,7 @@ func Run(p Policy, spec window.Spec, data []float64) ([]Evaluation, RunStats, er
 		p.ObserveBatch(data[pos:hi])
 		pos = hi
 		est := p.Result()
-		evals = append(evals, Evaluation{Index: i, Estimates: est})
+		evals = append(evals, Result{Evaluation: i, Estimates: est})
 		if sp := p.SpaceUsage(); sp > stats.MaxSpace {
 			stats.MaxSpace = sp
 		}

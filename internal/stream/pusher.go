@@ -8,10 +8,11 @@ import (
 
 // Pusher drives one policy through the count-window protocol from pushed
 // elements rather than a pre-materialized slice: callers hand it elements
-// (or batches) as they arrive and receive an Evaluation every window period
-// once the first full window has been observed. It is the per-stream state
-// machine shared by the public Monitor (one anonymous stream) and every
-// key owned by an Engine shard (map[key]*Pusher).
+// (or batches) as they arrive and receive a Result every window period
+// once the first full window has been observed. It is the one per-stream
+// state machine of count windows: the public qlove.Monitor is this type
+// (one anonymous stream), and an Engine shard runs one for every
+// count-based key.
 //
 // The Pusher owns the replay buffer element-wise policies need to expire
 // old elements (as the streaming engine does in Trill), so policies remain
@@ -71,7 +72,7 @@ func (k *Pusher) atBoundary() bool {
 // Push feeds one element. When the element completes a window period (and
 // at least one full window has been seen), it returns the evaluation and
 // true.
-func (k *Pusher) Push(v float64) (Evaluation, bool) {
+func (k *Pusher) Push(v float64) (Result, bool) {
 	// Expire the period that just left the window, one batch per period,
 	// before the new period begins — mirroring Run's protocol.
 	if k.atBoundary() {
@@ -83,11 +84,11 @@ func (k *Pusher) Push(v float64) (Evaluation, bool) {
 	k.seen++
 	k.policy.Observe(v)
 	if k.atBoundary() {
-		ev := Evaluation{Index: k.evals, Estimates: k.policy.Result()}
+		ev := Result{Evaluation: k.evals, Estimates: k.policy.Result()}
 		k.evals++
 		return ev, true
 	}
-	return Evaluation{}, false
+	return Result{}, false
 }
 
 // PushBatch feeds a run of elements through the policy's batch path,
@@ -97,7 +98,7 @@ func (k *Pusher) Push(v float64) (Evaluation, bool) {
 // amortizes ring maintenance into bulk copies and hands the policy
 // period-aligned ObserveBatch chunks, so a caller draining an ingest queue
 // pays none of Push's per-element bookkeeping.
-func (k *Pusher) PushBatch(vs []float64, emit func(Evaluation)) {
+func (k *Pusher) PushBatch(vs []float64, emit func(Result)) {
 	for len(vs) > 0 {
 		if k.atBoundary() {
 			k.expireOldest()
@@ -116,7 +117,7 @@ func (k *Pusher) PushBatch(vs []float64, emit func(Evaluation)) {
 		k.seen += int64(len(chunk))
 		k.policy.ObserveBatch(chunk)
 		if k.atBoundary() {
-			ev := Evaluation{Index: k.evals, Estimates: k.policy.Result()}
+			ev := Result{Evaluation: k.evals, Estimates: k.policy.Result()}
 			k.evals++
 			if emit != nil {
 				emit(ev)

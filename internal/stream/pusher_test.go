@@ -61,7 +61,7 @@ func TestPusherSkipsRingForSummaryExpirers(t *testing.T) {
 	batch := make([]float64, spec.Period)
 	evals := 0
 	for i := 0; i < 8; i++ {
-		k.PushBatch(batch, func(Evaluation) { evals++ })
+		k.PushBatch(batch, func(Result) { evals++ })
 	}
 	if evals != 5 {
 		t.Fatalf("evaluations = %d, want 5", evals)

@@ -32,12 +32,13 @@ type TimedPolicy interface {
 // sub-window sizes unchanged (the Appendix A argument does not require
 // equal m).
 //
-// It is the timed analogue of Pusher: the per-stream state machine shared
-// by the public TimedMonitor (one anonymous stream) and every timed key
-// owned by an Engine shard. Callers feed timestamped elements (or batches)
-// and wall-clock ticks; every boundary crossing seals the in-flight
-// sub-window, expires the sub-windows that left the window, and — once a
-// full window has elapsed — produces an Evaluation.
+// It is the timed analogue of Pusher: the one per-stream state machine of
+// timed windows. The public qlove.TimedMonitor is this type (one anonymous
+// stream), and an Engine shard runs one for every timed key. Callers feed
+// timestamped elements (or batches) and wall-clock ticks; every boundary
+// crossing seals the in-flight sub-window, expires the sub-windows that
+// left the window, and — once a full window has elapsed — produces a
+// Result.
 //
 // Timestamps must be non-decreasing across Push/PushBatch/Flush calls.
 //
@@ -104,8 +105,10 @@ func (k *TimedPusher) start(t time.Time) {
 // Push feeds one timestamped element. When t crosses one or more period
 // boundaries, the in-flight sub-window is sealed, expired sub-windows are
 // dropped, and — once a full window has elapsed — the evaluation of the
-// most recent crossing is returned.
-func (k *TimedPusher) Push(v float64, t time.Time) (Evaluation, bool) {
+// most recent crossing is returned. Only that one is returned: when t
+// crosses several boundaries, a caller that wants every evaluation calls
+// Flush(t, emit) first.
+func (k *TimedPusher) Push(v float64, t time.Time) (Result, bool) {
 	k.start(t)
 	ev, ready := k.advanceTo(t, nil)
 	k.policy.Observe(v)
@@ -121,7 +124,7 @@ func (k *TimedPusher) Push(v float64, t time.Time) (Evaluation, bool) {
 // Every evaluation produced by the crossings is handed to emit (nil emit
 // discards all but the returned last one); an empty batch degenerates to
 // Flush(t, emit).
-func (k *TimedPusher) PushBatch(t time.Time, vs []float64, emit func(Evaluation)) (Evaluation, bool) {
+func (k *TimedPusher) PushBatch(t time.Time, vs []float64, emit func(Result)) (Result, bool) {
 	if len(vs) == 0 {
 		return k.Flush(t, emit)
 	}
@@ -135,9 +138,9 @@ func (k *TimedPusher) PushBatch(t time.Time, vs []float64, emit func(Evaluation)
 // sealing, expiring and evaluating as needed. Every evaluation produced is
 // handed to emit; the most recent one is also returned. Before the first
 // element, Flush is a no-op (there is no period grid to align to yet).
-func (k *TimedPusher) Flush(t time.Time, emit func(Evaluation)) (Evaluation, bool) {
+func (k *TimedPusher) Flush(t time.Time, emit func(Result)) (Result, bool) {
 	if !k.started {
-		return Evaluation{}, false
+		return Result{}, false
 	}
 	return k.advanceTo(t, emit)
 }
@@ -145,8 +148,8 @@ func (k *TimedPusher) Flush(t time.Time, emit func(Evaluation)) (Evaluation, boo
 // advanceTo processes every period boundary at or before t: expire the
 // summaries of the period sliding out of the window, seal the in-flight
 // one, and evaluate once a full window has been seen.
-func (k *TimedPusher) advanceTo(t time.Time, emit func(Evaluation)) (Evaluation, bool) {
-	var last Evaluation
+func (k *TimedPusher) advanceTo(t time.Time, emit func(Result)) (Result, bool) {
+	var last Result
 	ready := false
 	sw := len(k.counts)
 	for !t.Before(k.boundary) {
@@ -165,7 +168,7 @@ func (k *TimedPusher) advanceTo(t time.Time, emit func(Evaluation)) (Evaluation,
 		k.lastGen = g
 		k.sealed++
 		if k.sealed >= sw && k.policy.SubWindowCount() > 0 {
-			ev := Evaluation{Index: k.evals, Estimates: k.policy.Result()}
+			ev := Result{Evaluation: k.evals, Estimates: k.policy.Result()}
 			k.evals++
 			last, ready = ev, true
 			if emit != nil {

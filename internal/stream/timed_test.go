@@ -99,8 +99,8 @@ func TestTimedPusherProtocol(t *testing.T) {
 	if !ok {
 		t.Fatal("no evaluation after the first full window")
 	}
-	if ev.Index != 0 || k.Evaluations() != 1 {
-		t.Fatalf("evaluation index %d, evals %d", ev.Index, k.Evaluations())
+	if ev.Evaluation != 0 || k.Evaluations() != 1 {
+		t.Fatalf("evaluation index %d, evals %d", ev.Evaluation, k.Evaluations())
 	}
 	if p.resident != 2 {
 		t.Fatalf("resident = %d, want 2 (periods 0 and 2)", p.resident)
@@ -174,8 +174,8 @@ func TestTimedPusherEmitsEveryEvaluation(t *testing.T) {
 	at := func(d time.Duration) time.Time { return timedStart.Add(d) }
 	k.Push(1, at(0))
 	k.Push(2, at(1100*time.Millisecond))
-	var emitted []Evaluation
-	emit := func(ev Evaluation) { emitted = append(emitted, ev) }
+	var emitted []Result
+	emit := func(ev Result) { emitted = append(emitted, ev) }
 	// Jump 3 boundaries at once: evaluations at the period-1 close and the
 	// period-2 close (period 1's summary still resident), then none at the
 	// period-3 close (window empty).
@@ -186,11 +186,11 @@ func TestTimedPusherEmitsEveryEvaluation(t *testing.T) {
 	if len(emitted) != 2 {
 		t.Fatalf("emitted %d evaluations, want 2", len(emitted))
 	}
-	if emitted[0].Index != 0 || emitted[1].Index != 1 {
-		t.Fatalf("emitted indexes %d, %d", emitted[0].Index, emitted[1].Index)
+	if emitted[0].Evaluation != 0 || emitted[1].Evaluation != 1 {
+		t.Fatalf("emitted indexes %d, %d", emitted[0].Evaluation, emitted[1].Evaluation)
 	}
-	if last.Index != emitted[1].Index {
-		t.Fatalf("returned evaluation %d is not the last emitted %d", last.Index, emitted[1].Index)
+	if last.Evaluation != emitted[1].Evaluation {
+		t.Fatalf("returned evaluation %d is not the last emitted %d", last.Evaluation, emitted[1].Evaluation)
 	}
 	if k.Evaluations() != 2 {
 		t.Fatalf("Evaluations = %d", k.Evaluations())

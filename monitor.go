@@ -4,82 +4,17 @@ import (
 	"repro/internal/stream"
 )
 
-// Result is one evaluation produced by a Monitor or an Engine.
-type Result struct {
-	// Evaluation is the 0-based index of this query evaluation.
-	Evaluation int
-	// Estimates holds one quantile estimate per configured ϕ.
-	Estimates []float64
-}
+// Result is one evaluation produced by a Monitor, a TimedMonitor, Run or an
+// Engine: the 0-based Evaluation index and one estimate per configured ϕ.
+type Result = stream.Result
 
-// Monitor adapts a Policy to push-based streaming: callers Push one
-// element at a time (or PushBatch a run) and receive a Result every window
-// period once the first full window has been observed. It is a thin
-// single-stream adapter over the same per-key state machine an Engine
-// shard runs for every key (stream.Pusher): the window protocol, replay
-// buffer ownership and batch chunking live there, shared between the two
-// front ends.
-type Monitor struct {
-	pusher *stream.Pusher
-	// emit/adapt implement the Evaluation→Result callback adaptation with
-	// one closure for the Monitor's lifetime instead of one per PushBatch
-	// call, keeping the batch path allocation-free at steady state.
-	emit  func(Result)
-	adapt func(stream.Evaluation)
-}
+// Monitor drives a Policy over a count window from pushed elements:
+// callers Push one element at a time (or PushBatch a run) and receive a
+// Result every window period once the first full window has been
+// observed. It is the per-stream state machine an Engine shard runs for
+// every count-based key.
+type Monitor = stream.Pusher
 
 // NewMonitor wraps a policy for push-based use under the window spec. The
 // spec must match the one the policy was constructed with.
-func NewMonitor(p Policy, spec Window) (*Monitor, error) {
-	k, err := stream.NewPusher(p, spec)
-	if err != nil {
-		return nil, err
-	}
-	return &Monitor{pusher: k}, nil
-}
-
-// Push feeds one element. When the element completes a window period (and
-// at least one full window has been seen), it returns the evaluation
-// result and true.
-func (m *Monitor) Push(v float64) (Result, bool) {
-	ev, ok := m.pusher.Push(v)
-	if !ok {
-		return Result{}, false
-	}
-	return Result{Evaluation: ev.Index, Estimates: ev.Estimates}, true
-}
-
-// PushBatch feeds a run of elements through the policy's batch path,
-// invoking emit for every evaluation produced along the way (nil emit
-// discards them). It is observationally identical to repeated Push calls
-// but amortizes ring maintenance into bulk copies and hands the policy
-// period-aligned ObserveBatch chunks.
-func (m *Monitor) PushBatch(vs []float64, emit func(Result)) {
-	if emit == nil {
-		m.pusher.PushBatch(vs, nil)
-		return
-	}
-	if m.adapt == nil {
-		m.adapt = func(ev stream.Evaluation) {
-			m.emit(Result{Evaluation: ev.Index, Estimates: ev.Estimates})
-		}
-	}
-	// Save/restore rather than assign/nil so a reentrant PushBatch from
-	// inside emit leaves the outer call's callback in place; restoring nil
-	// at the outermost level also avoids retaining the caller's closure
-	// between batches.
-	prev := m.emit
-	m.emit = emit
-	m.pusher.PushBatch(vs, m.adapt)
-	m.emit = prev
-}
-
-// Seen returns the number of elements pushed so far.
-func (m *Monitor) Seen() int64 { return m.pusher.Seen() }
-
-// Evaluations returns the number of results produced so far.
-func (m *Monitor) Evaluations() int { return m.pusher.Evaluations() }
-
-// Policy returns the wrapped policy (e.g. to query SpaceUsage or, for a
-// *QLOVE, ErrorBounds).
-func (m *Monitor) Policy() Policy { return m.pusher.Policy() }
+func NewMonitor(p Policy, spec Window) (*Monitor, error) { return stream.NewPusher(p, spec) }

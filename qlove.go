@@ -44,6 +44,11 @@
 // Single-element feeding (mon.Push(v)) remains available for callers
 // without natural batch boundaries.
 //
+// Monitor and TimedMonitor are the per-stream state machines themselves
+// (stream.Pusher and stream.TimedPusher), the ones an Engine runs for
+// every key, and every evaluation — from Run, a Monitor, a TimedMonitor or
+// an Engine — is one Result.
+//
 // # Keyed monitoring
 //
 // Monitor drives one anonymous stream; the Engine is its keyed, sharded,
@@ -134,16 +139,13 @@ func MergeSnapshots(snaps []Snapshot) (Snapshot, error) {
 // and SpaceUsage reports resident state variables.
 type Policy = stream.Policy
 
-// Evaluation is one windowed query result.
-type Evaluation = stream.Evaluation
-
 // RunStats aggregates runner-side measurements (elements, evaluations,
 // wall time, peak space).
 type RunStats = stream.RunStats
 
 // Run drives any Policy over a data slice under the window spec, returning
 // every evaluation plus runner statistics.
-func Run(p Policy, spec Window, data []float64) ([]Evaluation, RunStats, error) {
+func Run(p Policy, spec Window, data []float64) ([]Result, RunStats, error) {
 	return stream.Run(p, spec, data)
 }
 

@@ -127,11 +127,11 @@ func TestTimedEngineMatchesTimedMonitor(t *testing.T) {
 	for e := 0; e < script.epochs; e++ {
 		at := script.start.Add(time.Duration(e) * script.period)
 		for _, vs := range script.hotReports(e) {
-			if _, ok := ref.PushBatch(at, vs); ok {
+			if _, ok := ref.PushBatch(at, vs, nil); ok {
 				t.Fatalf("epoch %d: reference evaluated mid-report (script must cross boundaries only on ticks)", e)
 			}
 		}
-		if res, ok := ref.Flush(at.Add(script.period)); ok {
+		if res, ok := ref.Flush(at.Add(script.period), nil); ok {
 			want = append(want, res)
 		}
 	}

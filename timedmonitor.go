@@ -9,22 +9,11 @@ import (
 
 // TimedMonitor drives a QLOVE operator with time-defined windows — the
 // paper's §2 example query shape "evaluate every one minute (window
-// period) for the elements seen last one hour (window size)". Sub-windows
-// are period-aligned wall-clock intervals whose populations vary with
-// traffic; QLOVE's Level-2 estimator handles the variable sub-window sizes
-// unchanged (the Appendix A argument does not require equal m).
-//
-// It is a thin single-stream adapter over the same timed state machine an
-// Engine shard runs for every timed key (stream.TimedPusher): the boundary
-// protocol, seal-count ring and expiry accounting live there, shared
-// between the two front ends — exactly as Monitor shares stream.Pusher
-// with count-based engine keys.
-//
-// Only the QLOVE operator supports time-driven sealing (via EndPeriod);
-// count-based policies should use Monitor instead.
-type TimedMonitor struct {
-	tp *stream.TimedPusher
-}
+// period) for the elements seen last one hour (window size)". It is the
+// per-stream state machine an Engine shard runs for every timed key.
+// Only the QLOVE operator supports time-driven sealing; count-based
+// policies use Monitor instead.
+type TimedMonitor = stream.TimedPusher
 
 // NewTimedMonitor builds a time-driven monitor. size must be a positive
 // multiple of period. The QLOVE config's count-based Spec governs the
@@ -38,45 +27,5 @@ func NewTimedMonitor(q *QLOVE, size, period time.Duration) (*TimedMonitor, error
 	if err != nil {
 		return nil, fmt.Errorf("qlove: %w", err)
 	}
-	return &TimedMonitor{tp: tp}, nil
+	return tp, nil
 }
-
-// Push feeds one timestamped element. Timestamps must be non-decreasing.
-// When t crosses one or more period boundaries the in-flight sub-window
-// is sealed (empty periods are skipped), expired sub-windows are dropped,
-// and — once a full window has elapsed — an evaluation is returned.
-func (m *TimedMonitor) Push(v float64, t time.Time) (Result, bool) {
-	return adaptTimed(m.tp.Push(v, t))
-}
-
-// PushBatch feeds a run of elements sharing one arrival timestamp — the
-// natural shape of real telemetry, where a source reports a chunk of
-// measurements at once. It is observationally identical to calling
-// Push(v, t) for each element with the same t (the boundary crossing is
-// processed once, before any element, exactly as repeated Pushes would),
-// but delivers the run through the operator's amortized ObserveBatch path.
-// An empty batch degenerates to Flush(t).
-func (m *TimedMonitor) PushBatch(t time.Time, vs []float64) (Result, bool) {
-	return adaptTimed(m.tp.PushBatch(t, vs, nil))
-}
-
-// Flush advances wall-clock time without an element (e.g. from a ticker),
-// sealing and evaluating as needed. It returns the evaluation produced by
-// the most recent boundary crossing, if any.
-func (m *TimedMonitor) Flush(t time.Time) (Result, bool) {
-	return adaptTimed(m.tp.Flush(t, nil))
-}
-
-// adaptTimed converts the state machine's Evaluation to the public Result.
-func adaptTimed(ev stream.Evaluation, ok bool) (Result, bool) {
-	if !ok {
-		return Result{}, false
-	}
-	return Result{Evaluation: ev.Index, Estimates: ev.Estimates}, true
-}
-
-// Evaluations returns the number of results produced so far.
-func (m *TimedMonitor) Evaluations() int { return m.tp.Evaluations() }
-
-// Policy returns the wrapped operator (e.g. to Snapshot it).
-func (m *TimedMonitor) Policy() Policy { return m.tp.Policy() }

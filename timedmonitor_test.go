@@ -80,7 +80,7 @@ func TestTimedMonitorEmptyPeriodsSkipped(t *testing.T) {
 	}
 	// Flush past the window: evaluation covers the two non-empty
 	// sub-windows; Level 2 averages their medians (5 and 105).
-	res, ok := mon.Flush(start.Add(4 * time.Second))
+	res, ok := mon.Flush(start.Add(4*time.Second), nil)
 	if !ok {
 		t.Fatal("no evaluation after window elapsed")
 	}
@@ -105,7 +105,7 @@ func TestTimedMonitorExpiryByTime(t *testing.T) {
 	feed(10, 0)
 	feed(20, time.Second)
 	feed(30, 2*time.Second)
-	res, ok := mon.Flush(start.Add(3 * time.Second))
+	res, ok := mon.Flush(start.Add(3*time.Second), nil)
 	if !ok {
 		t.Fatal("no evaluation")
 	}
@@ -149,22 +149,20 @@ func TestTimedMonitorPushBatchMatchesPush(t *testing.T) {
 		reports = append(reports, report{at: at, vs: workload.Generate(gen, n)})
 	}
 
+	collect := func(out *[]Result) func(Result) {
+		return func(res Result) { *out = append(*out, res) }
+	}
+
+	// Push returns only the most recent crossing's evaluation, so the
+	// element path flushes each report's time first: every crossing then
+	// happens inside the Flush, and its emit sees every evaluation.
 	m1 := mk()
 	var want []Result
 	for _, r := range reports {
-		if len(r.vs) == 0 {
-			if res, ok := m1.Flush(r.at); ok {
-				want = append(want, res)
-			}
-			continue
-		}
+		m1.Flush(r.at, collect(&want))
 		for i, v := range r.vs {
-			res, ok := m1.Push(v, r.at)
-			if ok {
-				if i != 0 {
-					t.Fatalf("evaluation produced mid-report at element %d", i)
-				}
-				want = append(want, res)
+			if _, ok := m1.Push(v, r.at); ok {
+				t.Fatalf("evaluation produced mid-report at element %d", i)
 			}
 		}
 	}
@@ -172,17 +170,15 @@ func TestTimedMonitorPushBatchMatchesPush(t *testing.T) {
 	m2 := mk()
 	var got []Result
 	for _, r := range reports {
-		if res, ok := m2.PushBatch(r.at, r.vs); ok {
-			got = append(got, res)
-		}
+		m2.PushBatch(r.at, r.vs, collect(&got))
 	}
 
-	if len(got) != len(want) {
-		t.Fatalf("results: batch %d, element %d", len(got), len(want))
+	if len(want) != 9 || len(got) != len(want) {
+		t.Fatalf("results: batch %d, element %d, want 9", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].Evaluation != want[i].Evaluation {
-			t.Fatalf("result %d: evaluation %d != %d", i, got[i].Evaluation, want[i].Evaluation)
+		if want[i].Evaluation != i || got[i].Evaluation != i {
+			t.Fatalf("result %d: evaluation %d (batch), %d (element)", i, got[i].Evaluation, want[i].Evaluation)
 		}
 		for j := range want[i].Estimates {
 			if math.Float64bits(got[i].Estimates[j]) != math.Float64bits(want[i].Estimates[j]) {
@@ -198,7 +194,7 @@ func TestTimedMonitorPushBatchMatchesPush(t *testing.T) {
 func TestTimedMonitorFlushBeforeStart(t *testing.T) {
 	q := mustQLOVE(t, Config{Spec: Window{Size: 100, Period: 10}, Phis: []float64{0.5}})
 	mon, _ := NewTimedMonitor(q, time.Minute, time.Second)
-	if _, ok := mon.Flush(time.Now()); ok {
+	if _, ok := mon.Flush(time.Now(), nil); ok {
 		t.Fatal("Flush before any Push produced a result")
 	}
 }
