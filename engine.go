@@ -225,19 +225,24 @@ type engineShard struct {
 	// housekeeping pass run inline after Close (see Engine.each) must not
 	// deliver.
 	stopped bool
+
+	// emit is the shard's one evaluation-delivery function (makeEmit): it
+	// delivers for delivering, the entry the shard sets before each
+	// PushBatch and Flush.
+	emit       func(Result)
+	delivering *keyEntry
 }
 
 type keyEntry struct {
 	op       *core.Policy        // the key's operator, minted by the shard's pool
 	pusher   *stream.Pusher      // count-based mode
 	timed    *stream.TimedPusher // timed mode (exactly one of the two is set)
-	emit     func(Result)
-	lastAt   time.Time // wall clock at this key's most recent batch (wallTTL > 0)
-	inc      uint64    // incarnation: unique per key lifetime on its shard
-	gen      uint64    // last observed seal generation
-	resident int       // last observed resident summary count
-	batches  uint64    // lifetime batches delivered (kept across renames)
-	sampled  uint64    // batches already attributed to a load sample (sampleLoads)
+	lastAt   time.Time           // wall clock at this key's most recent batch (wallTTL > 0)
+	inc      uint64              // incarnation: unique per key lifetime on its shard
+	gen      uint64              // last observed seal generation
+	resident int                 // last observed resident summary count
+	batches  uint64              // lifetime batches delivered (kept across renames)
+	sampled  uint64              // batches already attributed to a load sample (sampleLoads)
 
 	// Mutation journal (see engineShard.mutations): the entry's internal
 	// name, the shard clock of its latest journaled change, and its links
@@ -363,6 +368,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 			now:         now,
 		}
 		s.journal.prev, s.journal.next = &s.journal, &s.journal
+		s.emit = s.makeEmit()
 		if every > 0 {
 			s.nextAt = now().Add(every)
 		}
@@ -1059,13 +1065,14 @@ func (s *engineShard) handle(msg engineMsg) {
 		if s.wallTTL > 0 {
 			ent.lastAt = now
 		}
+		s.delivering = ent
 		if ent.timed != nil {
 			// The batch is stamped with the shard's clock at delivery;
 			// boundary crossings at or before it seal and evaluate first,
 			// exactly as a TimedMonitor handed the same timestamp would.
-			ent.timed.PushBatch(now, *msg.buf, ent.emit)
+			ent.timed.PushBatch(now, *msg.buf, s.emit)
 		} else {
-			ent.pusher.PushBatch(*msg.buf, ent.emit)
+			ent.pusher.PushBatch(*msg.buf, s.emit)
 		}
 		ent.batches++
 		s.counters.delivered.Add(1)
@@ -1196,10 +1203,11 @@ func (s *engineShard) housekeep(now time.Time) {
 			continue
 		}
 		if ent.timed != nil {
-			emit := ent.emit
+			emit := s.emit
 			if s.stopped {
 				emit = nil
 			}
+			s.delivering = ent
 			ent.timed.Flush(now, emit)
 			s.noteMutation(ent)
 		}
@@ -1229,23 +1237,23 @@ func (s *engineShard) entry(key string) (*keyEntry, error) {
 	}
 	s.incs++
 	ent.inc = s.incs
-	ent.emit = s.makeEmit(wire.LogicalKey(key))
 	s.arrive(key, ent)
 	return ent, nil
 }
 
-// makeEmit builds a key's evaluation-delivery closure. One closure per key,
-// not per batch: the emit path stays allocation-free at steady state.
-// Results carry the LOGICAL key name (the salt suffix is an internal
-// detail), so a renamed stream keeps its closure.
-func (s *engineShard) makeEmit(base string) func(Result) {
+// makeEmit builds the shard's one evaluation-delivery function, which
+// serves every key: it delivers for s.delivering under the LOGICAL key
+// name (the salt suffix is an internal detail), read at delivery, so a
+// renamed stream needs nothing remade and the emit path stays
+// allocation-free at steady state.
+func (s *engineShard) makeEmit() func(Result) {
 	eng := s.eng
 	if eng.block {
 		// Lossless delivery: a full Results channel stalls the shard (and,
 		// transitively, producers) instead of shedding the evaluation. The
 		// stall is accounted so overload is observable via Stats.
 		return func(res Result) {
-			kr := KeyedResult{Key: base, Result: res}
+			kr := KeyedResult{Key: wire.LogicalKey(s.delivering.name), Result: res}
 			select {
 			case eng.results <- kr:
 			default:
@@ -1258,7 +1266,7 @@ func (s *engineShard) makeEmit(base string) func(Result) {
 	}
 	return func(res Result) {
 		select {
-		case eng.results <- KeyedResult{Key: base, Result: res}:
+		case eng.results <- KeyedResult{Key: wire.LogicalKey(s.delivering.name), Result: res}:
 			s.counters.evalsDelivered.Add(1)
 		default:
 			s.counters.evalsDropped.Add(1)
@@ -1269,10 +1277,11 @@ func (s *engineShard) makeEmit(base string) func(Result) {
 // rename moves the stream resident under from to the name to, returning the
 // batches it has observed (0 when from is not resident: the key then mints
 // fresh under to, never resurrecting stale seals). The entry itself stays:
-// operator, pool loan, emit closure, incarnation, batch count and TTL stamp
-// all carry over, since a rename is not a delivery. Only the journal sees
-// it, as a departure of from and an arrival of to. A resident to is never
-// overwritten; no route produces one.
+// operator, pool loan, incarnation, batch count and TTL stamp all carry
+// over, since a rename is not a delivery (emit reads the logical key from
+// the name at delivery). Only the journal sees it, as a departure of from
+// and an arrival of to. A resident to is never overwritten; no route
+// produces one.
 func (s *engineShard) rename(from, to string) uint64 {
 	ent := s.keys[from]
 	if ent == nil || s.keys[to] != nil {

@@ -47,7 +47,10 @@ func liveHeap() (bytes, objects uint64) {
 // slices and every operator kept its own copy of the ϕ set, managed indexes
 // and budgets; now a summary is one pointer-free block and a key is its
 // entry, pusher, operator, Level 2 (struct, sums, summary headers), burst
-// flags and four blocks: 11.1, 23.3 and 12.4 objects.
+// flags and four blocks: 11.1, 23.3 and 12.4 objects. Since the operator
+// holds its Level 2 and the shard's one emit function serves every key, a
+// key is entry, pusher, operator (Level 2 inside), sums, summary headers,
+// burst flags and four blocks: 9.1, 21.3 and 10.4 objects.
 //
 // The operator holds its configuration as one pointer to the pool's shared
 // core.Shape. While it held its own 96-byte Config (and slice headers for
@@ -55,8 +58,11 @@ func liveHeap() (bytes, objects uint64) {
 // shapes cost 1 458, 3 444 and 1 535 B per key; in the 128-byte class they
 // cost 1 330, 3 283 and 1 407 B. Since it seals with the shape's budgets
 // and keeps no plan or budget-controller state of its own it is a 72-byte
-// operator in the 80-byte class, and they cost 1 282, 3 235 and 1 359 B
-// (linux/amd64, go1.24).
+// operator in the 80-byte class, and they cost 1 282, 3 235 and 1 359 B.
+// With its Level 2 inside (one 120-byte object in the 128-byte class, where
+// the two took 80 + 64), no per-key emit closure (48 B) and 32-byte summary
+// headers (48 before) they cost 1 139, 3 092 and 1 215 B (linux/amd64,
+// go1.24).
 func TestEngineHeapPerKey(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pushes 30M values")
@@ -86,9 +92,9 @@ func TestEngineHeapPerKey(t *testing.T) {
 		inFlight int     // keys holding a workbench afterwards
 		minIdle  int     // workbenches shelved afterwards, at least
 	}{
-		{name: "aligned", report: 128, reports: 4, budget: 1_310, objects: 12, inFlight: 0, minIdle: shards},
-		{name: "unaligned", report: 100, reports: 5, budget: 3_260, objects: 25, inFlight: keys},
-		{name: "timed-idle", report: 100, reports: 5, timed: true, budget: 1_385, objects: 14, inFlight: 0, minIdle: shards},
+		{name: "aligned", report: 128, reports: 4, budget: 1_170, objects: 9.5, inFlight: 0, minIdle: shards},
+		{name: "unaligned", report: 100, reports: 5, budget: 3_120, objects: 22, inFlight: keys},
+		{name: "timed-idle", report: 100, reports: 5, timed: true, budget: 1_250, objects: 11, inFlight: 0, minIdle: shards},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
 			clock := newFakeClock(time.Unix(1_700_000_000, 0))
@@ -127,7 +133,7 @@ func TestEngineHeapPerKey(t *testing.T) {
 				t.Errorf("a resident key costs %.0f B, budget %.0f", perKey, shape.budget)
 			}
 			if objectsPerKey > shape.objects {
-				t.Errorf("a resident key is %.1f heap objects, budget %.0f", objectsPerKey, shape.objects)
+				t.Errorf("a resident key is %.1f heap objects, budget %g", objectsPerKey, shape.objects)
 			}
 			if st.InFlightKeys != shape.inFlight {
 				t.Errorf("InFlightKeys = %d, want %d", st.InFlightKeys, shape.inFlight)

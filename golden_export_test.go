@@ -115,7 +115,7 @@ func TestGoldenExportBytes(t *testing.T) {
 				break
 			}
 			for _, sm := range sn.Parts().Summaries {
-				sawShort = sawShort || sm.Count < spec.Period
+				sawShort = sawShort || sm.Count() < spec.Period
 				for mi := 0; mi < sm.Managed(); mi++ {
 					sawTail = sawTail || len(sm.Tail(mi)) > 0
 					sawSamples = sawSamples || len(sm.SampleValues(mi)) > 0

@@ -230,7 +230,7 @@ func referenceBursty(cur, prev *Summary, mi int, alpha float64) bool {
 // sameSummary reports whether two summaries are identical, block bit for
 // bit.
 func sameSummary(a, b *Summary) bool {
-	if a.Count != b.Count || a.l != b.l || a.m != b.m || a.flagged != b.flagged || len(a.block) != len(b.block) {
+	if a.count != b.count || a.dims != b.dims || len(a.block) != len(b.block) {
 		return false
 	}
 	for i := range a.block {
@@ -414,7 +414,7 @@ func FuzzBuilderSeal(f *testing.F) {
 			for i := range summaries {
 				if !sameSummary(&summaries[i], &want[i]) {
 					t.Fatalf("summary %d of %d values differs from the full-sort reference:\n got %v\nwant %v",
-						sealed+uint64(i)+1, want[i].Count, summaries[i].block, want[i].block)
+						sealed+uint64(i)+1, want[i].Count(), summaries[i].block, want[i].block)
 				}
 			}
 			sealed += got

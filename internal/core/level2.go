@@ -16,15 +16,12 @@ import (
 // sub-window size.
 // Policy.Snapshot copies sums and summaries from any goroutine, so the owner
 // holds mu around its three writes (Policy.EndPeriod, Expire, Reset); its own
-// reads need no lock. With mu the struct stays in its 64-byte size class.
+// reads need no lock. An operator holds its level2 by value, mu included, so
+// a resident key's operator and Level 2 are one object.
 type level2 struct {
 	mu        sync.Mutex
 	sums      []float64
 	summaries []Summary // resident summaries, oldest first (ring-free: N/P is small)
-}
-
-func newLevel2(nPhis int) *level2 {
-	return &level2{sums: make([]float64, nPhis)}
 }
 
 // accumulate adds a freshly sealed summary.
@@ -117,7 +114,7 @@ func errorBounds(sh *Shape, summaries []Summary, alpha float64) []float64 {
 	}
 	var r float64
 	for k := range summaries {
-		r += float64(cfg.Spec.Period) / float64(summaries[k].Count)
+		r += float64(cfg.Spec.Period) / float64(summaries[k].Count())
 	}
 	for i, phi := range cfg.Phis {
 		if f := meanDensity(summaries, i); f > 0 {

@@ -9,6 +9,12 @@ import (
 	"repro/internal/window"
 )
 
+// newLevel2 returns an empty Level 2 for nPhis quantiles, as an operator
+// starts with one.
+func newLevel2(nPhis int) *level2 {
+	return &level2{sums: make([]float64, nPhis)}
+}
+
 // summaryParts is a hand-built summary's contents; count defaults to 10,
 // densities to zeros, everything else to absent.
 type summaryParts struct {
@@ -34,7 +40,7 @@ func (p summaryParts) build() Summary {
 
 // partsOf explodes a summary back into (copies of) what NewSummary takes.
 func partsOf(s Summary) summaryParts {
-	p := summaryParts{count: s.Count}
+	p := summaryParts{count: s.Count()}
 	for i := 0; i < s.NumQuantiles(); i++ {
 		p.quantiles, p.densities = append(p.quantiles, s.Quantile(i)), append(p.densities, s.Density(i))
 	}
@@ -238,8 +244,8 @@ func TestBuilderSealProducesSortedTails(t *testing.T) {
 	}
 	budgets := []fewk.Budget{{K: 5, Kt: 3, Ks: 2}}
 	s := b.seal(budgets, new(mergeScratch))
-	if s.Count != 10 {
-		t.Fatalf("Count = %d", s.Count)
+	if s.Count() != 10 {
+		t.Fatalf("Count = %d", s.Count())
 	}
 	// Tail cache: 3 largest, descending.
 	want := []float64{100, 99, 88}

@@ -200,8 +200,14 @@ func validateResolved(cfg Config) error {
 	if err := cfg.Spec.Validate(); err != nil {
 		return err
 	}
+	if cfg.Spec.Period > MaxSummaryCount {
+		return fmt.Errorf("period %d > %d, the most elements a summary counts", cfg.Spec.Period, MaxSummaryCount)
+	}
 	if err := stats.ValidatePhis(cfg.Phis); err != nil {
 		return err
+	}
+	if len(cfg.Phis) > MaxSummaryQuantiles {
+		return fmt.Errorf("%d phis > %d, the most a summary answers", len(cfg.Phis), MaxSummaryQuantiles)
 	}
 	if cfg.Digits < 0 {
 		return fmt.Errorf("unresolved digits %d", cfg.Digits)
@@ -228,8 +234,9 @@ func validateResolved(cfg Config) error {
 // cannot cache more tail values, or represent more tail ranks, than it
 // contained; a weight is a whole number of ranks).
 func validateSummary(s *Summary, l, nManaged int) error {
-	if s.Count < 1 {
-		return fmt.Errorf("count %d < 1", s.Count)
+	count := s.Count()
+	if count < 1 {
+		return fmt.Errorf("count %d < 1", count)
 	}
 	if s.NumQuantiles() != l {
 		return fmt.Errorf("%d quantiles, config has %d", s.NumQuantiles(), l)
@@ -238,8 +245,8 @@ func validateSummary(s *Summary, l, nManaged int) error {
 		return fmt.Errorf("%d tail and sample lists for %d managed quantiles", s.Managed(), nManaged)
 	}
 	for mi := 0; mi < nManaged; mi++ {
-		if n := len(s.Tail(mi)); n > s.Count {
-			return fmt.Errorf("tail %d holds %d values, sub-window held %d", mi, n, s.Count)
+		if n := len(s.Tail(mi)); n > count {
+			return fmt.Errorf("tail %d holds %d values, sub-window held %d", mi, n, count)
 		}
 		ranks := 0.0
 		for _, w := range s.SampleWeights(mi) {
@@ -248,8 +255,8 @@ func validateSummary(s *Summary, l, nManaged int) error {
 			}
 			ranks += w
 		}
-		if ranks > float64(s.Count) {
-			return fmt.Errorf("sample list %d represents %v tail ranks, sub-window held %d", mi, ranks, s.Count)
+		if ranks > float64(count) {
+			return fmt.Errorf("sample list %d represents %v tail ranks, sub-window held %d", mi, ranks, count)
 		}
 	}
 	return nil

@@ -97,7 +97,7 @@ func TestNewSnapshotRejects(t *testing.T) {
 		"no shape":       mutate(func(p *SnapshotParts) { p.Shape = nil }),
 		"zero streams":   mutate(func(p *SnapshotParts) { p.Streams = 0 }),
 		"sums mismatch":  mutate(func(p *SnapshotParts) { p.Sums = p.Sums[:1] }),
-		"zero count":     mutate(func(p *SnapshotParts) { s := p.Summaries[0]; s.Count = 0; p.Summaries[0] = s }),
+		"zero count":     mutate(func(p *SnapshotParts) { s := p.Summaries[0]; s.count = 0; p.Summaries[0] = s }),
 		"quantile shape": rebuild(func(sp *summaryParts) { sp.quantiles, sp.densities = sp.quantiles[:1], sp.densities[:1] }),
 		"unmanaged":      rebuild(func(sp *summaryParts) { sp.tails, sp.values, sp.weights, sp.bursty = nil, nil, nil, nil }),
 		"extra managed": rebuild(func(sp *summaryParts) {

@@ -63,7 +63,8 @@ func (pl *Pool) Get() *Policy {
 	}
 	// Every operator shares the pool's shape, so a pool's thousands of
 	// operators do not each hold a copy of it.
-	p := &Policy{sh: pl.shape, lender: pl, agg: newLevel2(len(pl.shape.cfg.Phis))}
+	p := &Policy{sh: pl.shape, lender: pl}
+	p.agg.sums = make([]float64, len(pl.shape.cfg.Phis))
 	if len(pl.shape.managed) > 0 {
 		p.burstActive = make([]bool, len(pl.shape.managed))
 	}

@@ -22,8 +22,10 @@ import (
 // selects the paper's defaults.
 type Config struct {
 	// Spec is the window specification (size and period in elements).
+	// The period is at most MaxSummaryCount.
 	Spec window.Spec
-	// Phis are the quantiles to answer, sorted non-decreasing, in (0, 1].
+	// Phis are the quantiles to answer, sorted non-decreasing, in (0, 1]:
+	// at most MaxSummaryQuantiles of them.
 	Phis []float64
 	// Digits is the number of significant decimal digits kept by value
 	// compression (§3.1). 0 applies the paper's default of 3; negative
@@ -88,7 +90,9 @@ type Policy struct {
 	// first value until EndPeriod seals it.
 	builder *builder
 	lender  *Pool
-	agg     *level2
+	// agg is the operator's Level 2, held by value: one object with the
+	// operator.
+	agg level2
 
 	// prev is the most recently sealed summary once it is no longer
 	// resident (Expire saves it when it removes the last one); while it is

@@ -367,8 +367,8 @@ func TestErrorBoundsPartialSubWindows(t *testing.T) {
 			var fsum, inv float64
 			var fn int
 			for k := range summaries {
-				if summaries[k].Count != sizes[k] {
-					t.Fatalf("sub-window %d holds %d values, want %d", k, summaries[k].Count, sizes[k])
+				if summaries[k].Count() != sizes[k] {
+					t.Fatalf("sub-window %d holds %d values, want %d", k, summaries[k].Count(), sizes[k])
 				}
 				if d := summaries[k].Density(i); d > 0 && !math.IsInf(d, 1) {
 					fsum += d

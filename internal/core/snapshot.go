@@ -83,7 +83,7 @@ func (s Snapshot) SubWindows() int { return len(s.summaries) }
 func (s Snapshot) Elements() int {
 	n := 0
 	for i := range s.summaries {
-		n += s.summaries[i].Count
+		n += s.summaries[i].Count()
 	}
 	return n
 }

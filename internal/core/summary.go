@@ -35,18 +35,38 @@ import (
 //
 // Offsets, weights and flag words are integers stored as float64, all far
 // below 2^53, so every slot of the block is an ordinary number.
+//
+// The header is 32 bytes: the block, the element count as an int32, and l,
+// m and the flagged bit packed into one word (dims). NewSummary refuses
+// what that layout cannot hold — a count above MaxSummaryCount, more than
+// MaxSummaryQuantiles configured or managed quantiles — rather than
+// truncating it, and a configuration with more ϕ than a summary can answer
+// is refused when it is validated.
 type Summary struct {
-	// Count is the number of elements the sub-window contained.
-	Count int
-
 	block []float64
-	l, m  int32
-	// flagged records that the summary carries seal-time burst flags — one
-	// per managed quantile, §4.3's burst signal, computed once at seal so
-	// Result() never repeats a rank test. Summaries of operators without
-	// managed quantiles, and hand-built ones, carry none.
-	flagged bool
+	count int32
+	dims  uint32
 }
+
+// MaxSummaryCount is the largest sub-window element count a summary
+// records, and MaxSummaryQuantiles the most configured (or managed)
+// quantiles it answers: a configuration's Period and ϕ count are held to
+// them when it is validated.
+const (
+	MaxSummaryCount     = math.MaxInt32
+	MaxSummaryQuantiles = 1<<dimsBits - 1
+)
+
+// dims packs l into its low dimsBits bits, m into the next dimsBits, and
+// above them the flagged bit: the summary carries seal-time burst flags —
+// one per managed quantile, §4.3's burst signal, computed once at seal so
+// Result() never repeats a rank test. Summaries of operators without
+// managed quantiles, and hand-built ones, carry none.
+const (
+	dimsBits   = 15
+	dimsMask   = 1<<dimsBits - 1
+	flaggedBit = 1 << (2 * dimsBits)
+)
 
 const burstWordBits = 32
 
@@ -69,6 +89,12 @@ func NewSummary(count int, quantiles, densities []float64, tails, sampleValues, 
 	if bursty != nil && len(bursty) != m {
 		return Summary{}, fmt.Errorf("%d burst flags for %d managed quantiles", len(bursty), m)
 	}
+	if count < 0 || count > MaxSummaryCount {
+		return Summary{}, fmt.Errorf("count %d outside [0, %d]", count, MaxSummaryCount)
+	}
+	if l > MaxSummaryQuantiles || m > MaxSummaryQuantiles {
+		return Summary{}, fmt.Errorf("%d quantiles, %d managed: a summary holds at most %d of each", l, m, MaxSummaryQuantiles)
+	}
 	size := 2*l + 2*m
 	for mi := range tails {
 		if len(sampleValues[mi]) != len(sampleWeights[mi]) {
@@ -82,7 +108,10 @@ func NewSummary(count int, quantiles, densities []float64, tails, sampleValues, 
 	if size > math.MaxInt32 {
 		return Summary{}, fmt.Errorf("summary of %d values is too large", size)
 	}
-	s := Summary{Count: count, block: make([]float64, size), l: int32(l), m: int32(m), flagged: bursty != nil}
+	s := Summary{block: make([]float64, size), count: int32(count), dims: uint32(l) | uint32(m)<<dimsBits}
+	if bursty != nil {
+		s.dims |= flaggedBit
+	}
 	copy(s.block, quantiles)
 	copy(s.block[l:], densities)
 	off := 2*l + 2*m
@@ -101,27 +130,34 @@ func NewSummary(count int, quantiles, densities []float64, tails, sampleValues, 
 	return s, nil
 }
 
+// Count returns the number of elements the sub-window contained.
+func (s *Summary) Count() int { return int(s.count) }
+
 // NumQuantiles returns l, the number of configured quantiles the summary
 // answers.
-func (s *Summary) NumQuantiles() int { return int(s.l) }
+func (s *Summary) NumQuantiles() int { return int(s.dims & dimsMask) }
 
 // Managed returns m, the number of few-k-managed quantiles the summary
 // caches a tail and a sample list for.
-func (s *Summary) Managed() int { return int(s.m) }
+func (s *Summary) Managed() int { return int(s.dims >> dimsBits & dimsMask) }
 
 // Quantile returns the exact sub-window ϕ-quantile of the i-th configured ϕ.
-func (s *Summary) Quantile(i int) float64 { return s.block[:s.l][i] }
+func (s *Summary) Quantile(i int) float64 { return s.block[:s.NumQuantiles()][i] }
 
 // Density returns the estimate of the underlying density at the i-th
 // ϕ-quantile, a finite difference of neighbouring sub-window quantiles used
 // by the Appendix A error bound. +Inf marks a point mass.
-func (s *Summary) Density(i int) float64 { return s.block[s.l : 2*s.l][i] }
+func (s *Summary) Density(i int) float64 {
+	l := s.NumQuantiles()
+	return s.block[l : 2*l][i]
+}
 
 // lists returns managed quantile mi's two stored runs: the tail, and the
 // sample values followed by as many sample weights.
 func (s *Summary) lists(mi int) (tail, samples []float64) {
-	idx := s.block[2*s.l : 2*s.l+2*s.m]
-	start := 2*int(s.l) + 2*int(s.m)
+	l, m := s.NumQuantiles(), s.Managed()
+	idx := s.block[2*l : 2*l+2*m]
+	start := 2*l + 2*m
 	if mi > 0 {
 		start = int(idx[2*mi-1])
 	}
@@ -152,13 +188,13 @@ func (s *Summary) SampleWeights(mi int) []float64 {
 }
 
 // Flagged reports whether the summary carries seal-time burst flags.
-func (s *Summary) Flagged() bool { return s.flagged }
+func (s *Summary) Flagged() bool { return s.dims&flaggedBit != 0 }
 
 // Bursty reports whether this sub-window's cached tail for the mi-th managed
 // quantile was detected, at seal time, as stochastically larger than the
 // previous sub-window's (§4.3). False for a summary without flags.
 func (s *Summary) Bursty(mi int) bool {
-	if !s.flagged {
+	if !s.Flagged() {
 		return false
 	}
 	w := uint32(s.burstWords()[mi/burstWordBits])
@@ -173,7 +209,7 @@ func (s *Summary) setBursty(mi int) {
 }
 
 func (s *Summary) burstWords() []float64 {
-	return s.block[len(s.block)-(int(s.m)+burstWordBits-1)/burstWordBits:]
+	return s.block[len(s.block)-(s.Managed()+burstWordBits-1)/burstWordBits:]
 }
 
 // cached returns every value retained for managed quantile mi as two
@@ -184,7 +220,7 @@ func (s *Summary) burstWords() []float64 {
 // burst detector read this union, not only the k_t share. Both runs are nil
 // for a summary that manages fewer than mi+1 quantiles.
 func (s *Summary) cached(mi int) (tail, below []float64) {
-	if mi >= int(s.m) {
+	if mi >= s.Managed() {
 		return nil, nil
 	}
 	tail, sm := s.lists(mi)
@@ -202,7 +238,7 @@ func (s *Summary) cached(mi int) (tail, below []float64) {
 // samples.
 func (s *Summary) fewkValues() int {
 	n := 0
-	for mi := 0; mi < int(s.m); mi++ {
+	for mi := 0; mi < s.Managed(); mi++ {
 		tail, sm := s.lists(mi)
 		n += len(tail) + len(sm)/2
 	}
@@ -240,7 +276,7 @@ func (sc *mergeScratch) cachedOf(summaries []Summary, mi int) [][]float64 {
 func (sc *mergeScratch) samplesOf(summaries []Summary, mi int) (values, weights [][]float64) {
 	values, weights = sc.lists[:0], sc.weights[:0]
 	for i := range summaries {
-		if s := &summaries[i]; mi < int(s.m) {
+		if s := &summaries[i]; mi < s.Managed() {
 			values, weights = append(values, s.SampleValues(mi)), append(weights, s.SampleWeights(mi))
 		}
 	}
@@ -250,7 +286,7 @@ func (sc *mergeScratch) samplesOf(summaries []Summary, mi int) (values, weights 
 
 func anyBurstyOf(summaries []Summary, mi int) bool {
 	for i := range summaries {
-		if s := &summaries[i]; mi < int(s.m) && s.Bursty(mi) {
+		if s := &summaries[i]; mi < s.Managed() && s.Bursty(mi) {
 			return true
 		}
 	}

@@ -206,3 +206,32 @@ func TestDecodeClaimedCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeRefusesTooManyPhis: a frame whose configuration lists one ϕ
+// more than a summary answers (core.MaxSummaryQuantiles) is corrupt, and
+// one listing exactly as many decodes.
+func TestDecodeRefusesTooManyPhis(t *testing.T) {
+	frame := func(nPhis int) []byte {
+		phis := make([]float64, nPhis)
+		for i := range phis {
+			phis[i] = float64(i+1) / float64(nPhis)
+		}
+		cfg := core.Config{Spec: window.Spec{Size: 64, Period: 16}, Digits: 3, Phis: phis,
+			Fraction: 0.5, StatThreshold: 10, BurstAlpha: 0.05, HighPhiMin: 0.95}
+		return appendFrame(nil, func(dst []byte) []byte {
+			dst = append(dst, byte(KindFull))
+			dst = appendKey(dst, "k")
+			dst = appendConfig(dst, cfg)
+			dst = binary.AppendUvarint(dst, 1)            // streams
+			dst = binary.AppendUvarint(dst, 0)            // sealGen
+			dst = appendF64s(dst, make([]float64, nPhis)) // sums
+			return binary.AppendUvarint(dst, 0)           // no summaries
+		})
+	}
+	if _, _, err := NewDecoder(bytes.NewReader(frame(core.MaxSummaryQuantiles))).Decode(); err != nil {
+		t.Fatalf("%d ϕ: %v", core.MaxSummaryQuantiles, err)
+	}
+	if _, _, err := NewDecoder(bytes.NewReader(frame(core.MaxSummaryQuantiles + 1))).Decode(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("%d ϕ: %v, want wrapped ErrCorrupt", core.MaxSummaryQuantiles+1, err)
+	}
+}

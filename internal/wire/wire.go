@@ -431,7 +431,7 @@ func appendSummaries(dst []byte, summaries []core.Summary) []byte {
 	for i := range summaries {
 		sm := &summaries[i]
 		l, m := sm.NumQuantiles(), sm.Managed()
-		dst = binary.AppendUvarint(dst, uint64(sm.Count))
+		dst = binary.AppendUvarint(dst, uint64(sm.Count()))
 		dst = binary.AppendUvarint(dst, uint64(l))
 		for i := 0; i < l; i++ {
 			dst = appendF64(dst, sm.Quantile(i))

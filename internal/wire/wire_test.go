@@ -387,7 +387,7 @@ func TestDecodeValuePolicy(t *testing.T) {
 	}
 	tail := tails[0]
 	tail[0], tail[len(tail)-1] = tail[len(tail)-1], tail[0]
-	if parts.Summaries[0], err = core.NewSummary(first.Count, quantiles, densities, tails, values, weights, nil); err != nil {
+	if parts.Summaries[0], err = core.NewSummary(first.Count(), quantiles, densities, tails, values, weights, nil); err != nil {
 		t.Fatal(err)
 	}
 	badSnap, err := core.NewSnapshot(parts)
