@@ -24,13 +24,9 @@ import (
 // slice and one block per resident summary. The disk store keeps the same
 // states in its map, plus a constant for its log.
 //
-// While every State carried its own copy of the 96-byte Config the group
-// was 192 bytes and a state cost 1 026 B (striped) / 1 003 B (disk), in 8.0
-// objects; sharing the Shape put the group at 112 and a state at 946 /
-// 923 B, and dropping the group's resident-base flag puts the group at 96
-// and a state at 930 / 907 B, in the same 8.0 objects. With 32-byte
-// summary headers (48 before) a state costs 866 / 843 B (linux/amd64,
-// go1.24).
+// A state costs 674 B (striped) / 651 B (disk) in 8.0 objects, its 64/16
+// blocks 10 words in the 80-byte class (linux/amd64, go1.24), under a
+// budget of 690 B and 8.5 objects on both stores.
 func TestAggregatorHeapPerState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("folds 20 000 states")
@@ -81,8 +77,8 @@ func TestAggregatorHeapPerState(t *testing.T) {
 		budget  float64 // bytes per state
 		objects float64 // heap objects per state
 	}{
-		{AggregatorConfig{Store: "striped"}, 880, 8.5},
-		{AggregatorConfig{Store: "disk", Fsync: "none", CompactBytes: -1}, 880, 8.5},
+		{AggregatorConfig{Store: "striped"}, 690, 8.5},
+		{AggregatorConfig{Store: "disk", Fsync: "none", CompactBytes: -1}, 690, 8.5},
 	} {
 		t.Run(store.cfg.Store, func(t *testing.T) {
 			if store.cfg.Store == "disk" {

@@ -37,32 +37,15 @@ func liveHeap() (bytes, objects uint64) {
 //     no key holds a workbench between deliveries;
 //   - 100-value reports, which leave every key mid-period: each key holds
 //     a workbench, so the budget is the workbench — at period 128 a
-//     period-sized buffer and its seal scratch (13.2 KB and 29 objects
-//     while the workbench was a tree);
+//     period-sized buffer and its seal scratch;
 //   - a timed-window engine one idle tick after traffic stopped.
 //
-// Before workbenches were lent by the shard pool the three shapes cost
-// 31.0, 30.8 and 31.1 KB per key. The object census is what the collector
-// has to mark per key: 40.5, 45.2 and 43.1 objects while a summary was nine
-// slices and every operator kept its own copy of the ϕ set, managed indexes
-// and budgets; now a summary is one pointer-free block and a key is its
-// entry, pusher, operator, Level 2 (struct, sums, summary headers), burst
-// flags and four blocks: 11.1, 23.3 and 12.4 objects. Since the operator
-// holds its Level 2 and the shard's one emit function serves every key, a
-// key is entry, pusher, operator (Level 2 inside), sums, summary headers,
-// burst flags and four blocks: 9.1, 21.3 and 10.4 objects.
-//
-// The operator holds its configuration as one pointer to the pool's shared
-// core.Shape. While it held its own 96-byte Config (and slice headers for
-// the managed set and base budgets) it was a 256-byte object and the three
-// shapes cost 1 458, 3 444 and 1 535 B per key; in the 128-byte class they
-// cost 1 330, 3 283 and 1 407 B. Since it seals with the shape's budgets
-// and keeps no plan or budget-controller state of its own it is a 72-byte
-// operator in the 80-byte class, and they cost 1 282, 3 235 and 1 359 B.
-// With its Level 2 inside (one 120-byte object in the 128-byte class, where
-// the two took 80 + 64), no per-key emit closure (48 B) and 32-byte summary
-// headers (48 before) they cost 1 139, 3 092 and 1 215 B (linux/amd64,
-// go1.24).
+// A key is its entry, pusher, operator (its Level 2 and a pointer to the
+// pool's shared core.Shape inside), sums, summary headers, burst flags and
+// four pointer-free summary blocks (13 words, the 112-byte class, at
+// 512/128): 1 010, 2 996 and 1 087 B in 9.1, 21.3 and 10.4 objects
+// (linux/amd64, go1.24), under budgets of 1 040, 3 025 and 1 120 B and 9.5,
+// 22 and 11 objects. The object census is what the collector marks per key.
 func TestEngineHeapPerKey(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pushes 30M values")
@@ -92,9 +75,9 @@ func TestEngineHeapPerKey(t *testing.T) {
 		inFlight int     // keys holding a workbench afterwards
 		minIdle  int     // workbenches shelved afterwards, at least
 	}{
-		{name: "aligned", report: 128, reports: 4, budget: 1_170, objects: 9.5, inFlight: 0, minIdle: shards},
-		{name: "unaligned", report: 100, reports: 5, budget: 3_120, objects: 22, inFlight: keys},
-		{name: "timed-idle", report: 100, reports: 5, timed: true, budget: 1_250, objects: 11, inFlight: 0, minIdle: shards},
+		{name: "aligned", report: 128, reports: 4, budget: 1_040, objects: 9.5, inFlight: 0, minIdle: shards},
+		{name: "unaligned", report: 100, reports: 5, budget: 3_025, objects: 22, inFlight: keys},
+		{name: "timed-idle", report: 100, reports: 5, timed: true, budget: 1_120, objects: 11, inFlight: 0, minIdle: shards},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
 			clock := newFakeClock(time.Unix(1_700_000_000, 0))

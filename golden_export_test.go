@@ -118,7 +118,8 @@ func TestGoldenExportBytes(t *testing.T) {
 				sawShort = sawShort || sm.Count() < spec.Period
 				for mi := 0; mi < sm.Managed(); mi++ {
 					sawTail = sawTail || len(sm.Tail(mi)) > 0
-					sawSamples = sawSamples || len(sm.SampleValues(mi)) > 0
+					values, _ := sm.Samples(mi)
+					sawSamples = sawSamples || len(values) > 0
 					sawBurst = sawBurst || sm.Bursty(mi)
 				}
 			}

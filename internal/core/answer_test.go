@@ -43,13 +43,14 @@ func eagerEstimates(s Snapshot, cov *eagerCoverage) []float64 {
 			}
 			tail := sm.Tail(mi)
 			var below []float64
-			for _, v := range sm.SampleValues(mi) {
+			sv, sw := sm.Samples(mi)
+			for _, v := range sv {
 				if len(tail) == 0 || v < tail[len(tail)-1] {
 					below = append(below, v)
 				}
 			}
 			lists = append(lists, tail, below)
-			values, weights = append(values, sm.SampleValues(mi)), append(weights, sm.SampleWeights(mi))
+			values, weights = append(values, sv), append(weights, sw)
 			burst = burst || sm.Bursty(mi)
 		}
 		topK, topOK := fewk.TopKMerge(lists, logicalN, phi, &sc)

@@ -184,7 +184,8 @@ func referenceBursty(cur, prev *Summary, mi int, alpha float64) bool {
 		for _, v := range tail {
 			pool = append(pool, obs{v, s == cur})
 		}
-		for _, v := range s.SampleValues(mi) {
+		values, _ := s.Samples(mi)
+		for _, v := range values {
 			if len(tail) == 0 || v < tail[len(tail)-1] {
 				pool = append(pool, obs{v, s == cur})
 			}
@@ -470,7 +471,8 @@ func TestBuilderOneZero(t *testing.T) {
 					}
 				}
 				for mi := 0; mi < s.Managed(); mi++ {
-					for _, v := range append(s.Tail(mi), s.SampleValues(mi)...) {
+					values, _ := s.Samples(mi)
+					for _, v := range append(s.Tail(mi), values...) {
 						if math.Float64bits(v) != 0 {
 							t.Errorf("period %d, −0 first %v, batch %v: cached value %v, want +0", period, negFirst, batch, v)
 						}

@@ -46,8 +46,9 @@ func partsOf(s Summary) summaryParts {
 	}
 	for mi := 0; mi < s.Managed(); mi++ {
 		p.tails = append(p.tails, append([]float64(nil), s.Tail(mi)...))
-		p.values = append(p.values, append([]float64(nil), s.SampleValues(mi)...))
-		p.weights = append(p.weights, append([]float64(nil), s.SampleWeights(mi)...))
+		values, weights := s.Samples(mi)
+		p.values = append(p.values, append([]float64(nil), values...))
+		p.weights = append(p.weights, append([]float64(nil), weights...))
 		if s.Flagged() {
 			p.bursty = append(p.bursty, s.Bursty(mi))
 		}
@@ -254,7 +255,7 @@ func TestBuilderSealProducesSortedTails(t *testing.T) {
 			t.Fatalf("Tail = %v, want %v", s.Tail(0), want)
 		}
 	}
-	if len(s.SampleValues(0)) == 0 {
+	if values, _ := s.Samples(0); len(values) == 0 {
 		t.Fatal("no samples captured")
 	}
 	// The operator empties the builder after a seal.

@@ -249,7 +249,8 @@ func validateSummary(s *Summary, l, nManaged int) error {
 			return fmt.Errorf("tail %d holds %d values, sub-window held %d", mi, n, count)
 		}
 		ranks := 0.0
-		for _, w := range s.SampleWeights(mi) {
+		_, weights := s.Samples(mi)
+		for _, w := range weights {
 			if !(w >= 1) || w != math.Trunc(w) {
 				return fmt.Errorf("sample list %d: weight %v is not a count of tail ranks", mi, w)
 			}

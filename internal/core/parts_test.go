@@ -163,7 +163,7 @@ func TestNewSummaryRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Bursty(0) || s.Tail(0)[1] != 8 || s.SampleWeights(0)[1] != 2 || s.Quantile(1) != 2 {
+	if _, weights := s.Samples(0); !s.Bursty(0) || s.Tail(0)[1] != 8 || weights[1] != 2 || s.Quantile(1) != 2 {
 		t.Fatalf("summary does not read back what it was built from: %+v", s)
 	}
 }

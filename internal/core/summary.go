@@ -24,17 +24,29 @@ import (
 //
 //	[0, l)        the sub-window ϕ-quantile per configured ϕ
 //	[l, 2l)       the density estimate at each of them (+Inf: a point mass)
-//	[2l, 2l+2m)   the list index: per managed ϕ, the block offsets where its
-//	              tail ends and where its samples end
-//	per managed ϕ, back to back:
-//	              the k_t largest values, descending (Tail)
-//	              the k_s interval-sample values, descending (SampleValues)
-//	              their k_s weights, exact integers (SampleWeights)
-//	if flagged:   ⌈m/32⌉ words of seal-time burst flags, 32 per word, each
-//	              word an exact integer (Bursty)
+//	[2l, end)     the list area: the index, then the stored lists
 //
-// Offsets, weights and flag words are integers stored as float64, all far
-// below 2^53, so every slot of the block is an ordinary number.
+// The index is a string of m bit groups, one per managed ϕ, laid into
+// words of indexWordBits bits each — as few words as it needs, a field may
+// straddle two. A group holds three offsets into the list area — where
+// the ϕ's tail starts, where it ends, and where the ϕ's lists end — each
+// as wide as the list area's length needs, then the ϕ's seal-time burst
+// flag (§4.3's burst signal, computed once at seal so Result() never
+// repeats a rank test; always clear in a summary without flags). After
+// the index, per managed ϕ in order:
+//
+//	the k_t largest values, descending (Tail), unless they are a prefix of
+//	              the tail stored last, which the group then points into
+//	the k_s interval-sample values, descending (Samples)
+//	their k_s weights, exact integers
+//
+// so a ϕ's samples start where its tail ends, or where the previous ϕ's
+// lists end if its tail is shared. The seal's tails are all prefixes of
+// one shared descending run, and a decoded frame's are found by value, so
+// a summary stores that run once however it was built.
+//
+// Index words and weights are integers stored as float64, all below 2^53,
+// so every slot of the block is an ordinary number.
 //
 // The header is 32 bytes: the block, the element count as an int32, and l,
 // m and the flagged bit packed into one word (dims). NewSummary refuses
@@ -58,26 +70,28 @@ const (
 )
 
 // dims packs l into its low dimsBits bits, m into the next dimsBits, and
-// above them the flagged bit: the summary carries seal-time burst flags —
-// one per managed quantile, §4.3's burst signal, computed once at seal so
-// Result() never repeats a rank test. Summaries of operators without
-// managed quantiles, and hand-built ones, carry none.
+// above them the flagged bit: the summary carries seal-time burst flags,
+// one per managed quantile. Summaries of operators without managed
+// quantiles, and hand-built ones, carry none.
 const (
 	dimsBits   = 15
 	dimsMask   = 1<<dimsBits - 1
 	flaggedBit = 1 << (2 * dimsBits)
 )
 
-const burstWordBits = 32
+// indexWordBits is how many bits of the index one block word holds: an
+// integer below 2^52 is exact in a float64.
+const indexWordBits = 52
 
 // NewSummary builds a summary from its parts, copying them into one block:
 // count elements, the sub-window quantiles and their densities (equally
 // long), and per managed quantile a descending tail and a descending sample
 // list given as parallel values and weights. bursty is nil for a summary
-// without seal-time burst flags, else one flag per managed quantile. It is
-// the one writer of the block layout — the seal, the wire decoder and tests
-// all come through it — and checks only that the parts fit together;
-// NewSnapshot checks them against a configuration.
+// without seal-time burst flags, else one flag per managed quantile. A tail
+// that is, bit for bit, a prefix of the last tail stored is not stored
+// again. It is the one writer of the block layout — the seal, the wire
+// decoder and tests all come through it — and checks only that the parts
+// fit together; NewSnapshot checks them against a configuration.
 func NewSummary(count int, quantiles, densities []float64, tails, sampleValues, sampleWeights [][]float64, bursty []bool) (Summary, error) {
 	l, m := len(quantiles), len(tails)
 	if len(densities) != l {
@@ -95,16 +109,19 @@ func NewSummary(count int, quantiles, densities []float64, tails, sampleValues, 
 	if l > MaxSummaryQuantiles || m > MaxSummaryQuantiles {
 		return Summary{}, fmt.Errorf("%d quantiles, %d managed: a summary holds at most %d of each", l, m, MaxSummaryQuantiles)
 	}
-	size := 2*l + 2*m
-	for mi := range tails {
+	stored, last := 0, []float64(nil)
+	for mi, tail := range tails {
 		if len(sampleValues[mi]) != len(sampleWeights[mi]) {
 			return Summary{}, fmt.Errorf("sample list %d: %d values, %d weights", mi, len(sampleValues[mi]), len(sampleWeights[mi]))
 		}
-		size += len(tails[mi]) + 2*len(sampleValues[mi])
+		if !isPrefix(tail, last) {
+			stored += len(tail)
+			last = tail
+		}
+		stored += 2 * len(sampleValues[mi])
 	}
-	if bursty != nil {
-		size += (m + burstWordBits - 1) / burstWordBits
-	}
+	words := indexWords(m, stored)
+	size := 2*l + words + stored
 	if size > math.MaxInt32 {
 		return Summary{}, fmt.Errorf("summary of %d values is too large", size)
 	}
@@ -114,20 +131,81 @@ func NewSummary(count int, quantiles, densities []float64, tails, sampleValues, 
 	}
 	copy(s.block, quantiles)
 	copy(s.block[l:], densities)
-	off := 2*l + 2*m
-	for mi := range tails {
-		off += copy(s.block[off:], tails[mi])
-		s.block[2*l+2*mi] = float64(off)
-		off += copy(s.block[off:], sampleValues[mi])
-		off += copy(s.block[off:], sampleWeights[mi])
-		s.block[2*l+2*mi+1] = float64(off)
-	}
-	for mi, b := range bursty {
-		if b {
+	area := s.block[2*l:]
+	w := uint(bits.Len(uint(len(area))))
+	off, lastAt := words, words
+	last = nil
+	for mi, tail := range tails {
+		at := lastAt
+		if !isPrefix(tail, last) {
+			at = off
+			off += copy(area[off:], tail)
+			lastAt, last = at, tail
+		}
+		off += copy(area[off:], sampleValues[mi])
+		off += copy(area[off:], sampleWeights[mi])
+		p := uint(mi) * (3*w + 1)
+		setIndexField(area, p, w, uint(at))
+		setIndexField(area, p+w, w, uint(at+len(tail)))
+		setIndexField(area, p+2*w, w, uint(off))
+		if bursty != nil && bursty[mi] {
 			s.setBursty(mi)
 		}
 	}
 	return s, nil
+}
+
+// isPrefix reports whether a is a prefix of b, bit for bit.
+func isPrefix(a, b []float64) bool {
+	if len(a) > len(b) {
+		return false
+	}
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// indexWords returns how many words the index of m managed quantiles takes
+// beside stored list values: the fields are as wide as the list area —
+// the index and the lists — needs, so the index is sized to a fixed point.
+func indexWords(m, stored int) int {
+	if m == 0 {
+		return 0
+	}
+	words := 0
+	for {
+		need := (m*(3*bits.Len(uint(stored+words))+1) + indexWordBits - 1) / indexWordBits
+		if need == words {
+			return words
+		}
+		words = need
+	}
+}
+
+// indexField returns the w-bit field at bit p of the index that opens
+// the list area.
+func indexField(area []float64, p, w uint) uint {
+	mask := uint(1)<<(w&63) - 1
+	i, at := p/indexWordBits, p%indexWordBits
+	v := uint(int64(area[i])) >> at
+	if at+w > indexWordBits {
+		v |= uint(int64(area[i+1])) << (indexWordBits - at)
+	}
+	return v & mask
+}
+
+// setIndexField ORs v, below 2^w, into the w-bit field at bit p of the
+// index. Only NewSummary, and the seal still building the summary, write
+// the index.
+func setIndexField(area []float64, p, w, v uint) {
+	i, at := p/indexWordBits, p%indexWordBits
+	area[i] = float64(int64(area[i]) | int64(v<<at&(1<<indexWordBits-1)))
+	if at+w > indexWordBits {
+		area[i+1] = float64(int64(area[i+1]) | int64(v>>(indexWordBits-at)))
+	}
 }
 
 // Count returns the number of elements the sub-window contained.
@@ -152,17 +230,35 @@ func (s *Summary) Density(i int) float64 {
 	return s.block[l : 2*l][i]
 }
 
-// lists returns managed quantile mi's two stored runs: the tail, and the
-// sample values followed by as many sample weights.
+// lists returns managed quantile mi's two runs: the tail, and the sample
+// values followed by as many sample weights. It reads the ϕ's three index
+// fields and, for mi > 0, the previous ϕ's lists end. A group in the
+// index's first word — every group of a one-word index, as at every
+// benchmark shape — is shifted out of that word, converted once; the rest
+// go through indexField. A BenchmarkSummaryRead read at 64/16 takes
+// 21–25 ns so, 30–37 ns through indexField alone (2-CPU amd64).
 func (s *Summary) lists(mi int) (tail, samples []float64) {
-	l, m := s.NumQuantiles(), s.Managed()
-	idx := s.block[2*l : 2*l+2*m]
-	start := 2*l + 2*m
-	if mi > 0 {
-		start = int(idx[2*mi-1])
+	area, w := s.listArea()
+	f := 3*w + 1
+	p := uint(mi) * f
+	var at, tailEnd, end, prevEnd uint
+	if p+f <= indexWordBits {
+		x, mask := uint(int64(area[0])), uint(1)<<(w&63)-1
+		at, tailEnd, end = x>>(p&63)&mask, x>>((p+w)&63)&mask, x>>((p+2*w)&63)&mask
+		if mi > 0 {
+			prevEnd = x >> ((p - w - 1) & 63) & mask
+		}
+	} else {
+		at, tailEnd, end = indexField(area, p, w), indexField(area, p+w, w), indexField(area, p+2*w, w)
+		if mi > 0 {
+			prevEnd = indexField(area, p-w-1, w)
+		}
 	}
-	tailEnd, end := int(idx[2*mi]), int(idx[2*mi+1])
-	return s.block[start:tailEnd:tailEnd], s.block[tailEnd:end:end]
+	// The first ϕ's samples follow its tail, which is stored right after
+	// the index; a later ϕ's follow its tail, or the previous ϕ's lists if
+	// its tail is read in place.
+	from := max(tailEnd, prevEnd)
+	return area[at:tailEnd:tailEnd], area[from:end:end]
 }
 
 // Tail returns the k_t largest values (descending) cached for the mi-th
@@ -172,19 +268,13 @@ func (s *Summary) Tail(mi int) []float64 {
 	return tail
 }
 
-// SampleValues returns the values of the k_s weighted interval samples of
-// the sub-window's N(1−ϕ) largest values (descending) for the mi-th managed
-// quantile.
-func (s *Summary) SampleValues(mi int) []float64 {
+// Samples returns the k_s weighted interval samples of the sub-window's
+// N(1−ϕ) largest values for the mi-th managed quantile: their values,
+// descending, and parallel to them the number of tail ranks each stands
+// for, exact integers >= 1.
+func (s *Summary) Samples(mi int) (values, weights []float64) {
 	_, sm := s.lists(mi)
-	return sm[:len(sm)/2]
-}
-
-// SampleWeights returns, parallel to SampleValues, the number of tail ranks
-// each sample stands for — exact integers >= 1.
-func (s *Summary) SampleWeights(mi int) []float64 {
-	_, sm := s.lists(mi)
-	return sm[len(sm)/2:]
+	return sm[:len(sm)/2], sm[len(sm)/2:]
 }
 
 // Flagged reports whether the summary carries seal-time burst flags.
@@ -194,22 +284,29 @@ func (s *Summary) Flagged() bool { return s.dims&flaggedBit != 0 }
 // quantile was detected, at seal time, as stochastically larger than the
 // previous sub-window's (§4.3). False for a summary without flags.
 func (s *Summary) Bursty(mi int) bool {
-	if !s.Flagged() {
-		return false
-	}
-	w := uint32(s.burstWords()[mi/burstWordBits])
-	return w>>(mi%burstWordBits)&1 != 0
+	area, p := s.burstFlag(mi)
+	return indexField(area, p, 1) != 0
 }
 
 // setBursty raises managed quantile mi's burst flag. Only the seal that is
 // still building the summary may call it: a published block is immutable.
 func (s *Summary) setBursty(mi int) {
-	w := &s.burstWords()[mi/burstWordBits]
-	*w = float64(uint32(*w) | 1<<(mi%burstWordBits))
+	area, p := s.burstFlag(mi)
+	setIndexField(area, p, 1, 1)
 }
 
-func (s *Summary) burstWords() []float64 {
-	return s.block[len(s.block)-(s.Managed()+burstWordBits-1)/burstWordBits:]
+// burstFlag returns the list area and the bit of the index that holds
+// managed quantile mi's burst flag.
+func (s *Summary) burstFlag(mi int) (area []float64, p uint) {
+	area, w := s.listArea()
+	return area, uint(mi)*(3*w+1) + 3*w
+}
+
+// listArea returns the list area — the index, then the stored lists — and
+// the width of the index's offset fields.
+func (s *Summary) listArea() (area []float64, w uint) {
+	area = s.block[2*s.NumQuantiles():]
+	return area, uint(bits.Len(uint(len(area))))
 }
 
 // cached returns every value retained for managed quantile mi as two
@@ -277,7 +374,8 @@ func (sc *mergeScratch) samplesOf(summaries []Summary, mi int) (values, weights 
 	values, weights = sc.lists[:0], sc.weights[:0]
 	for i := range summaries {
 		if s := &summaries[i]; mi < s.Managed() {
-			values, weights = append(values, s.SampleValues(mi)), append(weights, s.SampleWeights(mi))
+			v, w := s.Samples(mi)
+			values, weights = append(values, v), append(weights, w)
 		}
 	}
 	sc.lists, sc.weights = values, weights

@@ -446,7 +446,7 @@ func appendSummaries(dst []byte, summaries []core.Summary) []byte {
 		}
 		dst = binary.AppendUvarint(dst, uint64(m))
 		for mi := 0; mi < m; mi++ {
-			values, weights := sm.SampleValues(mi), sm.SampleWeights(mi)
+			values, weights := sm.Samples(mi)
 			dst = binary.AppendUvarint(dst, uint64(len(values)))
 			for j, v := range values {
 				dst = appendF64(dst, v)
@@ -617,13 +617,14 @@ func (r *payloadReader) uvarint(what string) (uint64, error) {
 // count reads a length-prefixed element count and checks it against the
 // bytes actually left (elemSize is a lower bound on the wire size of one
 // element), so a corrupted length cannot drive allocation beyond the
-// payload it arrived in.
+// payload it arrived in. The check is v > remaining/elemSize without the
+// divide: v*elemSize cannot overflow once v is at most remaining.
 func (r *payloadReader) count(what string, elemSize int) (int, error) {
 	v, err := r.uvarint(what)
 	if err != nil {
 		return 0, err
 	}
-	if v > uint64(r.remaining()/elemSize) {
+	if rem := uint64(r.remaining()); v > rem || v*uint64(elemSize) > rem {
 		return 0, fmt.Errorf("%w: %s: count %d exceeds remaining payload", ErrCorrupt, what, v)
 	}
 	return int(v), nil

@@ -383,7 +383,8 @@ func TestDecodeValuePolicy(t *testing.T) {
 	var tails, values, weights [][]float64
 	for mi := 0; mi < first.Managed(); mi++ {
 		tails = append(tails, append([]float64(nil), first.Tail(mi)...))
-		values, weights = append(values, first.SampleValues(mi)), append(weights, first.SampleWeights(mi))
+		v, w := first.Samples(mi)
+		values, weights = append(values, v), append(weights, w)
 	}
 	tail := tails[0]
 	tail[0], tail[len(tail)-1] = tail[len(tail)-1], tail[0]
