@@ -29,9 +29,10 @@ import (
 // Architecture:
 //
 //   - Keys are hash-partitioned across Shards goroutines. Each shard owns
-//     a map[key]*Pusher — the per-stream state machine a Monitor is
-//     — and is the ONLY goroutine that touches those operators, so the
-//     hot path needs no locks and no atomic traffic.
+//     a map from key to its operator and its stream.Position — the
+//     count-window state a Monitor drives, held inline — and is the ONLY
+//     goroutine that touches those operators, so the hot path needs no
+//     locks and no atomic traffic.
 //   - Push(key, vs) copies the batch into a recycled buffer and enqueues
 //     it on the owning shard's MPSC channel; the shard delivers it through
 //     the operator's period-aligned ObserveBatch path, preserving the
@@ -182,6 +183,7 @@ type engineShard struct {
 	// piggybacks it once nextAt is overdue, and Engine.Tick drives it
 	// explicitly. every is 0 when neither job is on.
 	wallTTL     time.Duration
+	ttlEpoch    time.Time // the clock reading entries' lastAt count from (wallTTL > 0)
 	timedWindow time.Duration
 	timedPeriod time.Duration
 	every       time.Duration
@@ -233,11 +235,17 @@ type engineShard struct {
 	delivering *keyEntry
 }
 
+// keyEntry is one resident stream of a shard: its operator, its place in
+// the window, and the shard's bookkeeping for it. A count-based key keeps
+// its window position inline (pos: the elements it has seen) and the shard
+// drives it with the engine's spec, so the per-key protocol state is one
+// word; a timed key points at its TimedPusher instead. The entry is 112
+// bytes (TestKeyEntrySize).
 type keyEntry struct {
 	op       *core.Policy        // the key's operator, minted by the shard's pool
-	pusher   *stream.Pusher      // count-based mode
-	timed    *stream.TimedPusher // timed mode (exactly one of the two is set)
-	lastAt   time.Time           // wall clock at this key's most recent batch (wallTTL > 0)
+	timed    *stream.TimedPusher // timed mode; nil in count-based mode, which uses pos
+	pos      stream.Position     // count-based mode: the key's window position
+	lastAt   int64               // shard clock at this key's most recent batch, in ns since ttlEpoch (wallTTL > 0)
 	inc      uint64              // incarnation: unique per key lifetime on its shard
 	gen      uint64              // last observed seal generation
 	resident int                 // last observed resident summary count
@@ -341,6 +349,13 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	e.now = now
 	every := housekeepInterval(cfg.KeyTTLDuration, cfg.TimedPeriod)
+	// A key's TTL stamp is an offset from one reading of the clock: a
+	// Duration between two readings of time.Now is monotonic, and an
+	// injected Clock's readings subtract as wall times.
+	var ttlEpoch time.Time
+	if cfg.KeyTTLDuration > 0 {
+		ttlEpoch = now()
+	}
 	if cfg.Adapt != nil {
 		if cfg.Adapt.Interval < 0 {
 			return nil, fmt.Errorf("qlove: engine Adapt.Interval %v < 0", cfg.Adapt.Interval)
@@ -362,6 +377,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 			in:          make(chan engineMsg, depth),
 			keys:        make(map[string]*keyEntry),
 			wallTTL:     cfg.KeyTTLDuration,
+			ttlEpoch:    ttlEpoch,
 			timedWindow: cfg.TimedWindow,
 			timedPeriod: cfg.TimedPeriod,
 			every:       every,
@@ -559,8 +575,9 @@ func (e *Engine) Dropped() uint64 {
 // different failure paths produce different error implementations).
 type engineErr struct{ err error }
 
-// Err returns the most recent per-key construction failure (a pusher that
-// refused the key's window — nothing NewEngine's validation lets through),
+// Err returns the most recent per-key construction failure (a timed key's
+// TimedPusher that refused the window — nothing NewEngine's validation lets
+// through; a count-based key starts at the zero Position and cannot fail),
 // plus how many batches were dropped because of such failures.
 func (e *Engine) Err() (error, uint64) {
 	we, _ := e.lastErr.Load().(engineErr)
@@ -1063,7 +1080,7 @@ func (s *engineShard) handle(msg engineMsg) {
 		s.eng.lastErr.Store(engineErr{err})
 	} else {
 		if s.wallTTL > 0 {
-			ent.lastAt = now
+			ent.lastAt = int64(now.Sub(s.ttlEpoch))
 		}
 		s.delivering = ent
 		if ent.timed != nil {
@@ -1072,7 +1089,7 @@ func (s *engineShard) handle(msg engineMsg) {
 			// exactly as a TimedMonitor handed the same timestamp would.
 			ent.timed.PushBatch(now, *msg.buf, s.emit)
 		} else {
-			ent.pusher.PushBatch(*msg.buf, s.emit)
+			ent.pos.PushBatch(ent.op, s.eng.spec, *msg.buf, s.emit)
 		}
 		ent.batches++
 		s.counters.delivered.Add(1)
@@ -1197,8 +1214,9 @@ func housekeepInterval(ttl, period time.Duration) time.Duration {
 // pass after Close (Engine.Tick, inline) delivers nothing: the Results
 // channel is already closed.
 func (s *engineShard) housekeep(now time.Time) {
+	at := int64(now.Sub(s.ttlEpoch))
 	for k, ent := range s.keys {
-		if s.wallTTL > 0 && now.Sub(ent.lastAt) > s.wallTTL {
+		if s.wallTTL > 0 && at-ent.lastAt > int64(s.wallTTL) {
 			s.evict(k)
 			continue
 		}
@@ -1216,7 +1234,9 @@ func (s *engineShard) housekeep(now time.Time) {
 	s.noteBenches()
 }
 
-// entry returns the key's state, minting operator + pusher on first use.
+// entry returns the key's state, minting its operator (and, in timed mode,
+// its TimedPusher) on first use. A count-based key starts at the zero
+// Position.
 func (s *engineShard) entry(key string) (*keyEntry, error) {
 	if ent, ok := s.keys[key]; ok {
 		return ent, nil
@@ -1228,12 +1248,6 @@ func (s *engineShard) entry(key string) (*keyEntry, error) {
 			return nil, err
 		}
 		ent.timed = tp
-	} else {
-		pusher, err := stream.NewPusher(ent.op, s.eng.spec)
-		if err != nil {
-			return nil, err
-		}
-		ent.pusher = pusher
 	}
 	s.incs++
 	ent.inc = s.incs

@@ -40,12 +40,13 @@ func liveHeap() (bytes, objects uint64) {
 //     period-sized buffer and its seal scratch;
 //   - a timed-window engine one idle tick after traffic stopped.
 //
-// A key is its entry, pusher, operator (its Level 2 and a pointer to the
-// pool's shared core.Shape inside), sums, summary headers, burst flags and
-// four pointer-free summary blocks (13 words, the 112-byte class, at
-// 512/128): 1 010, 2 996 and 1 087 B in 9.1, 21.3 and 10.4 objects
-// (linux/amd64, go1.24), under budgets of 1 040, 3 025 and 1 120 B and 9.5,
-// 22 and 11 objects. The object census is what the collector marks per key.
+// A key is its entry (its count-window position inline), operator (its
+// Level 2, its one burst flag and a pointer to the pool's shared core.Shape
+// inside), sums, summary headers and four pointer-free summary blocks (13
+// words, the 112-byte class, at 512/128): 880, 2 866 and 1 051 B in 8.0,
+// 20.1 and 10.2 objects (linux/amd64, go1.24), under budgets of 910, 2 900
+// and 1 085 B and 8.5, 20.5 and 10.5 objects. The object census is what
+// the collector marks per key.
 func TestEngineHeapPerKey(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pushes 30M values")
@@ -75,9 +76,9 @@ func TestEngineHeapPerKey(t *testing.T) {
 		inFlight int     // keys holding a workbench afterwards
 		minIdle  int     // workbenches shelved afterwards, at least
 	}{
-		{name: "aligned", report: 128, reports: 4, budget: 1_040, objects: 9.5, inFlight: 0, minIdle: shards},
-		{name: "unaligned", report: 100, reports: 5, budget: 3_025, objects: 22, inFlight: keys},
-		{name: "timed-idle", report: 100, reports: 5, timed: true, budget: 1_120, objects: 11, inFlight: 0, minIdle: shards},
+		{name: "aligned", report: 128, reports: 4, budget: 910, objects: 8.5, inFlight: 0, minIdle: shards},
+		{name: "unaligned", report: 100, reports: 5, budget: 2_900, objects: 20.5, inFlight: keys},
+		{name: "timed-idle", report: 100, reports: 5, timed: true, budget: 1_085, objects: 10.5, inFlight: 0, minIdle: shards},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
 			clock := newFakeClock(time.Unix(1_700_000_000, 0))

@@ -111,7 +111,7 @@ func (c *shardCounters) snapshot() ShardStats {
 //   - Ingest-side: Push never loses a batch (it blocks on a full queue) and
 //     PushContext surfaces abandonment as an error to the caller; the only
 //     ingest loss is FailedBatches — batches discarded because the key's
-//     pusher could not be built (see Engine.Err).
+//     TimedPusher could not be built (see Engine.Err).
 //   - Delivery-side: EvalsDropped counts evaluations shed at the Results
 //     fan-in under BackpressureDrop; it is zero under BackpressureBlock.
 type ShardStats struct {
@@ -120,8 +120,8 @@ type ShardStats struct {
 	// DeliveredBatches counts batches the shard delivered into operators.
 	// After Close, EnqueuedBatches == DeliveredBatches + FailedBatches.
 	DeliveredBatches uint64
-	// FailedBatches counts batches discarded because their key's pusher
-	// could not be built; zero on any engine NewEngine returned.
+	// FailedBatches counts batches discarded because their key's
+	// TimedPusher could not be built; zero on any engine NewEngine returned.
 	FailedBatches uint64
 	// EvalsDelivered counts evaluations handed to the Results consumer.
 	EvalsDelivered uint64

@@ -372,13 +372,13 @@ func TestInstrumentedRecords(t *testing.T) {
 }
 
 // TestGroupSize: a resident unsalted key's group holds its state's
-// configuration as one pointer to the shared core.Shape (192 bytes while
-// every State carried its own copy of the Config) and no flag beside the
-// base state (112 bytes while a bool marked a resident base).
+// configuration as one pointer to the shared core.Shape, no flag beside
+// the base state, and its salted sub-streams behind one pointer, nil for
+// an unsalted key: at most 80 bytes, one size class.
 func TestGroupSize(t *testing.T) {
 	n := unsafe.Sizeof(group{})
 	t.Logf("group is %d bytes", n)
-	if n > 96 {
-		t.Errorf("group is %d bytes, budget 96", n)
+	if n > 80 {
+		t.Errorf("group is %d bytes, budget 80", n)
 	}
 }

@@ -14,9 +14,11 @@ import (
 // beyond the State's own new slices. The base state is resident exactly
 // when it has streams: every stored state has at least one (the decoder and
 // core.NewSnapshot refuse fewer), and a dropped base is the zero State.
+// Only an escalated key has sub-streams, so they sit behind one pointer,
+// nil when there are none: an unsalted key's group is its state and a word.
 type group struct {
 	base State
-	subs []subState // ascending salt index
+	subs *[]subState // ascending salt index; nil or non-empty
 }
 
 type subState struct {
@@ -27,7 +29,22 @@ type subState struct {
 // baseResident reports whether the base name's state is resident.
 func (g *group) baseResident() bool { return g.base.Parts.Streams > 0 }
 
-func (g *group) empty() bool { return !g.baseResident() && len(g.subs) == 0 }
+func (g *group) empty() bool { return !g.baseResident() && g.subs == nil }
+
+// subList returns the sub-streams, ascending by salt index.
+func (g *group) subList() []subState {
+	if g.subs == nil {
+		return nil
+	}
+	return *g.subs
+}
+
+// find returns where sub-stream j is, or would be inserted, in subs, and
+// whether it is resident.
+func find(subs []subState, j byte) (int, bool) {
+	i := sort.Search(len(subs), func(i int) bool { return subs[i].j >= j })
+	return i, i < len(subs) && subs[i].j == j
+}
 
 // dropBase removes the base name's state, reporting whether it was resident.
 // The slot is zeroed so the dropped state's slices are not kept reachable.
@@ -65,25 +82,37 @@ func (g *group) apply(op byte, salted bool, j byte, st State) {
 
 // setSub inserts or replaces sub-stream j.
 func (g *group) setSub(j byte, st State) {
-	i := sort.Search(len(g.subs), func(i int) bool { return g.subs[i].j >= j })
-	if i < len(g.subs) && g.subs[i].j == j {
-		g.subs[i].st = st
+	if g.subs == nil {
+		g.subs = &[]subState{{j: j, st: st}}
 		return
 	}
-	g.subs = append(g.subs, subState{})
-	copy(g.subs[i+1:], g.subs[i:])
-	g.subs[i] = subState{j: j, st: st}
+	subs := *g.subs
+	i, ok := find(subs, j)
+	if ok {
+		subs[i].st = st
+		return
+	}
+	subs = append(subs, subState{})
+	copy(subs[i+1:], subs[i:])
+	subs[i] = subState{j: j, st: st}
+	*g.subs = subs
 }
 
-// dropSub removes sub-stream j, reporting whether it was resident.
+// dropSub removes sub-stream j, reporting whether it was resident. The
+// last one leaves subs nil.
 func (g *group) dropSub(j byte) bool {
-	i := sort.Search(len(g.subs), func(i int) bool { return g.subs[i].j >= j })
-	if i >= len(g.subs) || g.subs[i].j != j {
+	subs := g.subList()
+	i, ok := find(subs, j)
+	if !ok {
 		return false
 	}
-	copy(g.subs[i:], g.subs[i+1:])
-	g.subs[len(g.subs)-1] = subState{}
-	g.subs = g.subs[:len(g.subs)-1]
+	if len(subs) == 1 {
+		g.subs = nil
+		return true
+	}
+	copy(subs[i:], subs[i+1:])
+	subs[len(subs)-1] = subState{}
+	*g.subs = subs[:len(subs)-1]
 	return true
 }
 
@@ -101,11 +130,12 @@ func (g *group) get(salted bool, j byte) (State, bool) {
 	if !salted {
 		return g.base, g.baseResident()
 	}
-	i := sort.Search(len(g.subs), func(i int) bool { return g.subs[i].j >= j })
-	if i >= len(g.subs) || g.subs[i].j != j {
+	subs := g.subList()
+	i, ok := find(subs, j)
+	if !ok {
 		return State{}, false
 	}
-	return g.subs[i].st, true
+	return subs[i].st, true
 }
 
 // fold appends the group's states in fold order [base, sub 0, sub 1, …].
@@ -113,7 +143,7 @@ func (g *group) fold(base string, out []NamedState) []NamedState {
 	if g.baseResident() {
 		out = append(out, NamedState{Name: base, State: g.base})
 	}
-	for _, s := range g.subs {
+	for _, s := range g.subList() {
 		out = append(out, NamedState{Name: wire.SaltedName(base, s.j), State: s.st})
 	}
 	return out

@@ -70,20 +70,22 @@ func (l *level2) reset() {
 // and resident summaries) of streams merged sub-streams of shape sh. A live
 // operator (streams 1) and every capture answer through it, so a
 // single-stream capture answers bit for bit what its operator would.
-// bursts, if not nil, receives each managed ϕ's burst flag. With nothing
-// resident it returns zeros and leaves bursts alone.
-func answer(sh *Shape, sums []float64, summaries []Summary, streams int, sc *mergeScratch, bursts []bool) []float64 {
+// bursty, if not nil, receives whether any managed ϕ found a resident
+// sub-window flagged bursty. With nothing resident it returns zeros and
+// leaves bursty alone.
+func answer(sh *Shape, sums []float64, summaries []Summary, streams int, sc *mergeScratch, bursty *bool) []float64 {
 	out := make([]float64, len(sh.cfg.Phis))
 	if len(summaries) == 0 {
 		return out
 	}
+	anyBurst := false
 	for i := range out {
-		mi := slices.Index(sh.managed, i)
 		var burst bool
-		out[i], burst = answerAt(sh, sums, summaries, streams, sc, i, mi)
-		if mi >= 0 && bursts != nil {
-			bursts[mi] = burst
-		}
+		out[i], burst = answerAt(sh, sums, summaries, streams, sc, i, slices.Index(sh.managed, i))
+		anyBurst = anyBurst || burst
+	}
+	if bursty != nil {
+		*bursty = anyBurst
 	}
 	return out
 }

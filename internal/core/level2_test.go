@@ -68,7 +68,7 @@ func level2Estimate(l *level2, i int) float64 {
 
 func mkSummary(qs ...float64) Summary { return summaryParts{quantiles: qs}.build() }
 
-// union concatenates the runs cachedOf gathered for one summary.
+// union concatenates the runs gather collected for one summary.
 func union(runs [][]float64) []float64 {
 	var out []float64
 	for _, r := range runs {
@@ -117,7 +117,12 @@ func TestLevel2CachedSkipsSummariesWithoutTails(t *testing.T) {
 		values:    [][]float64{{5}}, weights: [][]float64{{2}},
 	}.build())
 	var sc mergeScratch
-	got := sc.cachedOf(l.summaries, 0)
+	sc.gather(l.summaries, 0)
+	// The sample lists come only from the summary that manages ϕ 0.
+	if values, weights := sc.samplesOf(l.summaries, 0); len(values) != 1 || len(weights) != 1 || values[0][0] != 5 || weights[0][0] != 2 {
+		t.Fatalf("sample lists = %v / %v", values, weights)
+	}
+	got := sc.cachedOf()
 	if n := len(union(got[:2])); n != 0 {
 		t.Fatalf("summary without tails contributed %d values", n)
 	}
@@ -136,7 +141,8 @@ func TestLevel2CachedDedupsSamplesInTopK(t *testing.T) {
 		values:    [][]float64{{8, 3}}, weights: [][]float64{{1, 2}},
 	}.build())
 	var sc mergeScratch
-	got := union(sc.cachedOf(l.summaries, 0))
+	sc.gather(l.summaries, 0)
+	got := union(sc.cachedOf())
 	if len(got) != 3 {
 		t.Fatalf("cached union = %v, want 3 values (8 deduped)", got)
 	}
@@ -151,18 +157,19 @@ func TestLevel2AnyBursty(t *testing.T) {
 			bursty: []bool{bursty},
 		}.build()
 	}
+	var sc mergeScratch
 	l.accumulate(managed(1, false))
-	if anyBurstyOf(l.summaries, 0) {
+	if sc.gather(l.summaries, 0) {
 		t.Fatal("burst flagged without any bursty summary")
 	}
 	l.accumulate(managed(2, true))
-	if !anyBurstyOf(l.summaries, 0) {
+	if !sc.gather(l.summaries, 0) {
 		t.Fatal("burst not flagged")
 	}
 	// After the bursty summary expires the flag clears.
 	l.deaccumulate()
 	l.deaccumulate()
-	if anyBurstyOf(l.summaries, 0) {
+	if sc.gather(l.summaries, 0) {
 		t.Fatal("burst flag survived expiry")
 	}
 }

@@ -65,9 +65,6 @@ func (pl *Pool) Get() *Policy {
 	// operators do not each hold a copy of it.
 	p := &Policy{sh: pl.shape, lender: pl}
 	p.agg.sums = make([]float64, len(pl.shape.cfg.Phis))
-	if len(pl.shape.managed) > 0 {
-		p.burstActive = make([]bool, len(pl.shape.managed))
-	}
 	return p
 }
 

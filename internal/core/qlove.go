@@ -100,16 +100,16 @@ type Policy struct {
 	// detector compares each new sub-window against it.
 	prev *Summary
 
-	// burstActive[i] records, per managed quantile, whether the last
-	// evaluation detected bursty traffic (exported for observability).
-	burstActive []bool
-
 	// sealGen counts the summaries sealed since construction (or the last
 	// Reset) — the monotonic per-operator generation clock delta exports
 	// cursor against. Summary g (1-based) stays resident until it slides
 	// out of the window, so a capture taken at generation G holds exactly
 	// the last SubWindowCount() generations (G-count, G].
 	sealGen uint64
+
+	// burst records whether the last evaluation found bursty traffic for
+	// any managed quantile (BurstDetected).
+	burst bool
 }
 
 // New returns a QLOVE policy for the given configuration, minted by a Pool
@@ -150,9 +150,7 @@ func (p *Policy) Reset() {
 	p.sealGen = 0
 	p.agg.mu.Unlock()
 	p.prev = nil
-	for i := range p.burstActive {
-		p.burstActive[i] = false
-	}
+	p.burst = false
 }
 
 // ExpiresWholeSummaries implements stream.SummaryExpirer: QLOVE expires a
@@ -286,19 +284,12 @@ func (p *Policy) SealGen() uint64 { return p.sealGen }
 // Level-2 average; few-k-managed quantiles select between Level 2, top-k
 // merging and sample-k merging per §4.3.
 func (p *Policy) Result() []float64 {
-	return answer(p.sh, p.agg.sums, p.agg.summaries, 1, &p.lender.scratch, p.burstActive)
+	return answer(p.sh, p.agg.sums, p.agg.summaries, 1, &p.lender.scratch, &p.burst)
 }
 
 // BurstDetected reports whether the most recent evaluation flagged bursty
 // traffic for any managed quantile.
-func (p *Policy) BurstDetected() bool {
-	for _, b := range p.burstActive {
-		if b {
-			return true
-		}
-	}
-	return false
-}
+func (p *Policy) BurstDetected() bool { return p.burst }
 
 // ErrorBounds returns the Appendix A probabilistic bound on |ya − ye| at
 // confidence 1−alpha for each configured quantile, instantiated with the

@@ -9,21 +9,17 @@ import (
 )
 
 // TestStateSizes: an operator and a capture hold their configuration as
-// one pointer to the shared Shape, not as a copy of it (the 96-byte Config,
-// the managed set and the base budgets put an operator at 256 bytes and a
-// capture at 184), and an operator seals with the shape's budgets (its own
-// budgets slice and budget-controller state put it at 120 bytes, in the
-// 128-byte class). An operator holds its Level 2 by value: the two took an
-// 80- and a 64-byte object, and now fit one of 128 bytes, of which the rest
-// of the operator may take at most 72. A summary header is 32 bytes, the
-// block and two 32-bit words; it was 48 while it kept an int count and l,
-// m and the flagged bit in three fields.
+// one pointer to the shared Shape, and an operator seals with the shape's
+// budgets. An operator holds its Level 2 by value and one burst flag, in
+// at most 104 bytes (the 112-byte class), of which the rest of the
+// operator may take at most 48. A capture is at most 80 bytes. A summary
+// header is 32 bytes: the block and two 32-bit words.
 func TestStateSizes(t *testing.T) {
-	if n := unsafe.Sizeof(Policy{}); n > 128 {
-		t.Errorf("Policy is %d bytes, budget 128", n)
+	if n := unsafe.Sizeof(Policy{}); n > 104 {
+		t.Errorf("Policy is %d bytes, budget 104", n)
 	}
-	if n := unsafe.Sizeof(Policy{}) - unsafe.Sizeof(level2{}); n > 72 {
-		t.Errorf("Policy without its Level 2 is %d bytes, budget 72", n)
+	if n := unsafe.Sizeof(Policy{}) - unsafe.Sizeof(level2{}); n > 48 {
+		t.Errorf("Policy without its Level 2 is %d bytes, budget 48", n)
 	}
 	if n := unsafe.Sizeof(Snapshot{}); n > 80 {
 		t.Errorf("Snapshot is %d bytes, budget 80", n)

@@ -230,26 +230,29 @@ func (s *Summary) Density(i int) float64 {
 	return s.block[l : 2*l][i]
 }
 
-// lists returns managed quantile mi's two runs: the tail, and the sample
-// values followed by as many sample weights. It reads the ϕ's three index
-// fields and, for mi > 0, the previous ϕ's lists end. A group in the
-// index's first word — every group of a one-word index, as at every
-// benchmark shape — is shifted out of that word, converted once; the rest
-// go through indexField. A BenchmarkSummaryRead read at 64/16 takes
-// 21–25 ns so, 30–37 ns through indexField alone (2-CPU amd64).
-func (s *Summary) lists(mi int) (tail, samples []float64) {
+// lists reads managed quantile mi's index group once and returns its two
+// runs — the tail, and the sample values followed by as many sample
+// weights — and its burst flag (Bursty): all three, what the few-k
+// evaluation (mergeScratch.gather) reads of a summary. It reads the ϕ's
+// three offset fields, its flag and, for mi > 0, the previous ϕ's lists
+// end. A group in the index's first word — every group of a one-word
+// index, as at every benchmark shape — is shifted out of that word,
+// converted once; the rest go through indexField.
+func (s *Summary) lists(mi int) (tail, samples []float64, bursty bool) {
 	area, w := s.listArea()
 	f := 3*w + 1
 	p := uint(mi) * f
-	var at, tailEnd, end, prevEnd uint
+	var at, tailEnd, end, prevEnd, flag uint
 	if p+f <= indexWordBits {
 		x, mask := uint(int64(area[0])), uint(1)<<(w&63)-1
 		at, tailEnd, end = x>>(p&63)&mask, x>>((p+w)&63)&mask, x>>((p+2*w)&63)&mask
+		flag = x >> ((p + 3*w) & 63) & 1
 		if mi > 0 {
 			prevEnd = x >> ((p - w - 1) & 63) & mask
 		}
 	} else {
 		at, tailEnd, end = indexField(area, p, w), indexField(area, p+w, w), indexField(area, p+2*w, w)
+		flag = indexField(area, p+3*w, 1)
 		if mi > 0 {
 			prevEnd = indexField(area, p-w-1, w)
 		}
@@ -258,13 +261,13 @@ func (s *Summary) lists(mi int) (tail, samples []float64) {
 	// the index; a later ϕ's follow its tail, or the previous ϕ's lists if
 	// its tail is read in place.
 	from := max(tailEnd, prevEnd)
-	return area[at:tailEnd:tailEnd], area[from:end:end]
+	return area[at:tailEnd:tailEnd], area[from:end:end], flag != 0
 }
 
 // Tail returns the k_t largest values (descending) cached for the mi-th
 // managed quantile. Like every view of the block it is read-only.
 func (s *Summary) Tail(mi int) []float64 {
-	tail, _ := s.lists(mi)
+	tail, _, _ := s.lists(mi)
 	return tail
 }
 
@@ -273,7 +276,7 @@ func (s *Summary) Tail(mi int) []float64 {
 // descending, and parallel to them the number of tail ranks each stands
 // for, exact integers >= 1.
 func (s *Summary) Samples(mi int) (values, weights []float64) {
-	_, sm := s.lists(mi)
+	_, sm, _ := s.lists(mi)
 	return sm[:len(sm)/2], sm[len(sm)/2:]
 }
 
@@ -320,15 +323,20 @@ func (s *Summary) cached(mi int) (tail, below []float64) {
 	if mi >= s.Managed() {
 		return nil, nil
 	}
-	tail, sm := s.lists(mi)
-	below = sm[:len(sm)/2]
+	tail, sm, _ := s.lists(mi)
+	return tail, belowTail(tail, sm[:len(sm)/2])
+}
+
+// belowTail returns the descending sample values strictly below every value
+// of the descending tail.
+func belowTail(tail, values []float64) []float64 {
 	if len(tail) > 0 {
 		least := tail[len(tail)-1]
-		for len(below) > 0 && !(below[0] < least) {
-			below = below[1:]
+		for len(values) > 0 && !(values[0] < least) {
+			values = values[1:]
 		}
 	}
-	return tail, below
+	return values
 }
 
 // fewkValues counts the summary's few-k storage: cached tail values plus
@@ -336,7 +344,7 @@ func (s *Summary) cached(mi int) (tail, below []float64) {
 func (s *Summary) fewkValues() int {
 	n := 0
 	for mi := 0; mi < s.Managed(); mi++ {
-		tail, sm := s.lists(mi)
+		tail, sm, _ := s.lists(mi)
 		n += len(tail) + len(sm)/2
 	}
 	return n
@@ -349,46 +357,59 @@ func (s *Summary) fewkValues() int {
 // workbenches), a Snapshot one from scratchPool — so evaluating allocates
 // nothing once the buffers have grown to the window's shape.
 type mergeScratch struct {
-	fewk           fewk.Scratch
-	lists, weights [][]float64
-	union          []float64
+	fewk                   fewk.Scratch
+	lists, values, weights [][]float64
+	union                  []float64
 	// keys and swap are the seal's radix sort buffers (radixSort).
 	keys, swap []uint64
 }
 
-// cachedOf gathers, per summary, the runs of every value retained for
-// managed quantile mi (Summary.cached). samplesOf gathers the sample-k
-// lists, anyBurstyOf reads the seal-time flags. managedAnswer is their one
-// reader.
-func (sc *mergeScratch) cachedOf(summaries []Summary, mi int) [][]float64 {
+// gather reads each summary's index group for managed quantile mi once
+// (Summary.lists): it lays out, per summary, mi's tail and its sample run
+// (values, then weights) in lists — two nil runs for a summary that manages
+// fewer than mi+1 quantiles — and reports whether any summary is flagged
+// bursty. cachedOf and samplesOf then shape the gathered runs for the two
+// merges without reading an index again. managedAnswer is their one reader.
+func (sc *mergeScratch) gather(summaries []Summary, mi int) (burst bool) {
 	lists := sc.lists[:0]
 	for i := range summaries {
-		tail, below := summaries[i].cached(mi)
-		lists = append(lists, tail, below)
+		s := &summaries[i]
+		if mi >= s.Managed() {
+			lists = append(lists, nil, nil)
+			continue
+		}
+		tail, samples, b := s.lists(mi)
+		lists = append(lists, tail, samples)
+		burst = burst || b
 	}
 	sc.lists = lists
+	return burst
+}
+
+// cachedOf turns the gathered runs, in place, into the runs of every value
+// retained for mi per summary (Summary.cached): the tail, and the sample
+// values below it.
+func (sc *mergeScratch) cachedOf() [][]float64 {
+	lists := sc.lists
+	for i := 0; i+1 < len(lists); i += 2 {
+		sm := lists[i+1]
+		lists[i+1] = belowTail(lists[i], sm[:len(sm)/2])
+	}
 	return lists
 }
 
+// samplesOf returns the gathered sample lists of the summaries that manage
+// mi, as values and weights. It must run before cachedOf.
 func (sc *mergeScratch) samplesOf(summaries []Summary, mi int) (values, weights [][]float64) {
-	values, weights = sc.lists[:0], sc.weights[:0]
+	values, weights = sc.values[:0], sc.weights[:0]
 	for i := range summaries {
-		if s := &summaries[i]; mi < s.Managed() {
-			v, w := s.Samples(mi)
-			values, weights = append(values, v), append(weights, w)
+		if mi < summaries[i].Managed() {
+			sm := sc.lists[2*i+1]
+			values, weights = append(values, sm[:len(sm)/2]), append(weights, sm[len(sm)/2:])
 		}
 	}
-	sc.lists, sc.weights = values, weights
+	sc.values, sc.weights = values, weights
 	return values, weights
-}
-
-func anyBurstyOf(summaries []Summary, mi int) bool {
-	for i := range summaries {
-		if s := &summaries[i]; mi < s.Managed() && s.Bursty(mi) {
-			return true
-		}
-	}
-	return false
 }
 
 // managedAnswer resolves managed quantile mi — the cfg.Phis[pi] quantile —
@@ -407,12 +428,14 @@ func anyBurstyOf(summaries []Summary, mi int) bool {
 // evaluations.
 func (sc *mergeScratch) managedAnswer(cfg *Config, summaries []Summary, mi, pi, logicalN int, level2 float64) (est float64, burst bool) {
 	phi := cfg.Phis[pi]
-	burst = anyBurstyOf(summaries, mi)
+	burst = sc.gather(summaries, mi)
 	var topK, sampleK float64
 	var topOK, sampOK bool
 	if burst || cfg.SampleKOnly {
 		values, weights := sc.samplesOf(summaries, mi)
 		sampleK, sampOK = fewk.SampleKMerge(values, weights, logicalN, phi, &sc.fewk)
+		clear(values)
+		clear(weights)
 	}
 	if cfg.SampleKOnly && sampOK {
 		// Table 4 mode: the sample-k pipeline answers managed quantiles
@@ -421,14 +444,11 @@ func (sc *mergeScratch) managedAnswer(cfg *Config, summaries []Summary, mi, pi, 
 	} else {
 		statIneff := fewk.NeedsTopK(cfg.Spec.Period, phi, cfg.StatThreshold)
 		if statIneff && !(burst && sampOK) {
-			topK, topOK = fewk.TopKMerge(sc.cachedOf(summaries, mi), logicalN, phi, &sc.fewk)
+			topK, topOK = fewk.TopKMerge(sc.cachedOf(), logicalN, phi, &sc.fewk)
 		}
 		est = fewk.Outcome(level2, topK, topOK, sampleK, sampOK, burst, statIneff)
 	}
-	// cachedOf gathers two runs per summary and samplesOf at most one, so
-	// the gathered prefixes cover every view this evaluation left behind.
 	clear(sc.lists)
-	clear(sc.weights)
 	return est, burst
 }
 

@@ -213,7 +213,7 @@ func sameBits(a, b []float64) bool {
 // TestSummaryLayout: NewSummary stores each list once — a tail that is a
 // prefix of the tail stored last is read in place — behind an index of as
 // few words as its field widths need, and every accessor returns what it
-// was given, bit for bit.
+// was given, bit for bit, the burst flag lists reads included.
 func TestSummaryLayout(t *testing.T) {
 	for _, c := range layoutCases() {
 		s, quantiles, densities, err := c.build()
@@ -239,6 +239,10 @@ func TestSummaryLayout(t *testing.T) {
 			}
 			if want := c.bursty != nil && c.bursty[mi]; s.Bursty(mi) != want {
 				t.Fatalf("%s: managed %d bursty %v, want %v", c.name, mi, s.Bursty(mi), want)
+			}
+			// The evaluation's one read of the group reads the same flag.
+			if _, _, bursty := s.lists(mi); bursty != s.Bursty(mi) {
+				t.Fatalf("%s: managed %d lists reads burst flag %v", c.name, mi, bursty)
 			}
 		}
 	}
@@ -334,7 +338,7 @@ func BenchmarkSummaryRead(b *testing.B) {
 				for i := range sums {
 					s := &sums[i]
 					for mi := range m {
-						tail, samples := s.lists(mi)
+						tail, samples, _ := s.lists(mi)
 						top, below := s.cached(mi)
 						n += len(tail) + len(samples) + len(top) + len(below) + b2i(s.Bursty(mi))
 					}

@@ -9,25 +9,39 @@ import (
 // Pusher drives one policy through the count-window protocol from pushed
 // elements rather than a pre-materialized slice: callers hand it elements
 // (or batches) as they arrive and receive a Result every window period
-// once the first full window has been observed. It is the one per-stream
-// state machine of count windows: the public qlove.Monitor is this type
-// (one anonymous stream), and an Engine shard runs one for every
-// count-based key.
+// once the first full window has been observed. The public qlove.Monitor
+// is this type (one anonymous stream).
 //
-// The Pusher owns the replay buffer element-wise policies need to expire
-// old elements (as the streaming engine does in Trill), so policies remain
+// A Pusher is a Position — the stream's whole per-stream protocol state —
+// together with the policy and the window spec it drives, and, for
+// element-wise policies, the replay buffer they need to expire old
+// elements (as the streaming engine does in Trill), so policies remain
 // charged only for their operator state. Policies that declare — via the
 // SummaryExpirer marker — that they ignore the Expire slice skip the
-// O(window) ring entirely; with QLOVE that shrinks a monitored key from
-// O(N) to O(operator state), the difference between thousands and millions
-// of concurrently monitored keys.
+// O(window) ring entirely. An Engine shard already holds the policy and
+// the spec of every count-based key, so it keeps only the Position inline
+// in the key and drives it through the same protocol code.
 type Pusher struct {
 	policy Policy
 	spec   window.Spec
-	ring   []float64 // last Size elements; nil for summary-expiring policies
-	expire []float64 // Period-sized replay scratch handed to Expire
-	seen   int64     // total elements pushed
-	evals  int
+	replay *replay // nil for summary-expiring policies
+	pos    Position
+}
+
+// replay is the window of raw elements an element-wise policy is handed
+// back when they expire.
+type replay struct {
+	ring   []float64 // last Size elements
+	expire []float64 // Period-sized scratch handed to Expire
+}
+
+// Position is a count-window stream's place in the protocol: how many
+// elements it has seen. Nothing else is per-stream state — expiry and
+// evaluation happen where the count crosses a period boundary, and since a
+// window's Size is a multiple of its Period the index of the evaluation at
+// a boundary is (seen − Size)/Period. The zero Position is a fresh stream.
+type Position struct {
+	seen int64
 }
 
 // NewPusher wraps a policy for push-based use under the window spec. The
@@ -41,54 +55,16 @@ func NewPusher(p Policy, spec window.Spec) (*Pusher, error) {
 	}
 	k := &Pusher{policy: p, spec: spec}
 	if expireNeedsValues(p) {
-		k.ring = make([]float64, spec.Size)
-		k.expire = make([]float64, spec.Period)
+		k.replay = &replay{ring: make([]float64, spec.Size), expire: make([]float64, spec.Period)}
 	}
 	return k, nil
-}
-
-// expireOldest replays the period that just left the window to the policy,
-// reusing the pusher's scratch buffer. The policy contract already forbids
-// retaining the Expire slice, so sharing one buffer across periods is safe.
-// Summary-expiring policies are notified with a nil slice.
-func (k *Pusher) expireOldest() {
-	if k.ring == nil {
-		k.policy.Expire(nil)
-		return
-	}
-	start := int(k.seen-int64(k.spec.Size)) % len(k.ring)
-	n := copy(k.expire, k.ring[start:])
-	copy(k.expire[n:], k.ring[:k.spec.Period-n])
-	k.policy.Expire(k.expire)
-}
-
-// atBoundary reports whether seen sits on a period boundary with at least
-// one full window observed — the point where expiry (before new elements)
-// and evaluation (after them) happen.
-func (k *Pusher) atBoundary() bool {
-	return k.seen >= int64(k.spec.Size) && k.seen%int64(k.spec.Period) == 0
 }
 
 // Push feeds one element. When the element completes a window period (and
 // at least one full window has been seen), it returns the evaluation and
 // true.
 func (k *Pusher) Push(v float64) (Result, bool) {
-	// Expire the period that just left the window, one batch per period,
-	// before the new period begins — mirroring Run's protocol.
-	if k.atBoundary() {
-		k.expireOldest()
-	}
-	if k.ring != nil {
-		k.ring[int(k.seen)%len(k.ring)] = v
-	}
-	k.seen++
-	k.policy.Observe(v)
-	if k.atBoundary() {
-		ev := Result{Evaluation: k.evals, Estimates: k.policy.Result()}
-		k.evals++
-		return ev, true
-	}
-	return Result{}, false
+	return k.pos.push(k.policy, k.spec, k.replay, v)
 }
 
 // PushBatch feeds a run of elements through the policy's batch path,
@@ -99,26 +75,101 @@ func (k *Pusher) Push(v float64) (Result, bool) {
 // period-aligned ObserveBatch chunks, so a caller draining an ingest queue
 // pays none of Push's per-element bookkeeping.
 func (k *Pusher) PushBatch(vs []float64, emit func(Result)) {
+	k.pos.pushBatch(k.policy, k.spec, k.replay, vs, emit)
+}
+
+// Seen returns the number of elements pushed so far.
+func (k *Pusher) Seen() int64 { return k.pos.seen }
+
+// Evaluations returns the number of results produced so far.
+func (k *Pusher) Evaluations() int { return k.pos.evaluations(k.spec) }
+
+// Policy returns the wrapped policy (e.g. to query SpaceUsage).
+func (k *Pusher) Policy() Policy { return k.policy }
+
+// PushBatch is Pusher.PushBatch for a stream whose policy and spec the
+// caller holds: it feeds vs to p, configured with spec, from this position
+// and advances it. p must be a SummaryExpirer whose ExpiresWholeSummaries
+// is true, and this is not checked: there is no replay ring to hand back
+// expired elements, so Expire gets nil. The Engine, whose operators are
+// QLOVE policies (checked by TestEngineOperatorExpiresWholeSummaries), is
+// its one caller; NewPusher is the checked entry point for any policy.
+func (c *Position) PushBatch(p Policy, spec window.Spec, vs []float64, emit func(Result)) {
+	c.pushBatch(p, spec, nil, vs, emit)
+}
+
+// evaluations returns the number of results produced so far under spec.
+func (c *Position) evaluations(spec window.Spec) int {
+	if c.seen < int64(spec.Size) {
+		return 0
+	}
+	return int((c.seen-int64(spec.Size))/int64(spec.Period)) + 1
+}
+
+// atBoundary reports whether seen sits on a period boundary with at least
+// one full window observed — the point where expiry (before new elements)
+// and evaluation (after them) happen.
+func (c *Position) atBoundary(spec window.Spec) bool {
+	return c.seen >= int64(spec.Size) && c.seen%int64(spec.Period) == 0
+}
+
+// evaluate returns the evaluation at the boundary seen sits on.
+func (c *Position) evaluate(p Policy, spec window.Spec) Result {
+	return Result{Evaluation: c.evaluations(spec) - 1, Estimates: p.Result()}
+}
+
+// expireOldest replays the period that just left the window to the policy,
+// reusing the replay scratch buffer. The policy contract already forbids
+// retaining the Expire slice, so sharing one buffer across periods is safe.
+// Summary-expiring policies (r nil) are notified with a nil slice.
+func (c *Position) expireOldest(p Policy, spec window.Spec, r *replay) {
+	if r == nil {
+		p.Expire(nil)
+		return
+	}
+	start := int(c.seen-int64(spec.Size)) % len(r.ring)
+	n := copy(r.expire, r.ring[start:])
+	copy(r.expire[n:], r.ring[:spec.Period-n])
+	p.Expire(r.expire)
+}
+
+func (c *Position) push(p Policy, spec window.Spec, r *replay, v float64) (Result, bool) {
+	// Expire the period that just left the window, one batch per period,
+	// before the new period begins — mirroring Run's protocol.
+	if c.atBoundary(spec) {
+		c.expireOldest(p, spec, r)
+	}
+	if r != nil {
+		r.ring[int(c.seen)%len(r.ring)] = v
+	}
+	c.seen++
+	p.Observe(v)
+	if c.atBoundary(spec) {
+		return c.evaluate(p, spec), true
+	}
+	return Result{}, false
+}
+
+func (c *Position) pushBatch(p Policy, spec window.Spec, r *replay, vs []float64, emit func(Result)) {
 	for len(vs) > 0 {
-		if k.atBoundary() {
-			k.expireOldest()
+		if c.atBoundary(spec) {
+			c.expireOldest(p, spec, r)
 		}
 		// Chunk to the next period boundary (chunks are ring-safe: one
 		// period never exceeds the ring size).
 		chunk := vs
-		if room := k.spec.Period - int(k.seen%int64(k.spec.Period)); len(chunk) > room {
+		if room := spec.Period - int(c.seen%int64(spec.Period)); len(chunk) > room {
 			chunk = chunk[:room]
 		}
-		if k.ring != nil {
-			start := int(k.seen) % len(k.ring)
-			n := copy(k.ring[start:], chunk)
-			copy(k.ring, chunk[n:])
+		if r != nil {
+			start := int(c.seen) % len(r.ring)
+			n := copy(r.ring[start:], chunk)
+			copy(r.ring, chunk[n:])
 		}
-		k.seen += int64(len(chunk))
-		k.policy.ObserveBatch(chunk)
-		if k.atBoundary() {
-			ev := Result{Evaluation: k.evals, Estimates: k.policy.Result()}
-			k.evals++
+		c.seen += int64(len(chunk))
+		p.ObserveBatch(chunk)
+		if c.atBoundary(spec) {
+			ev := c.evaluate(p, spec)
 			if emit != nil {
 				emit(ev)
 			}
@@ -126,12 +177,3 @@ func (k *Pusher) PushBatch(vs []float64, emit func(Result)) {
 		vs = vs[len(chunk):]
 	}
 }
-
-// Seen returns the number of elements pushed so far.
-func (k *Pusher) Seen() int64 { return k.seen }
-
-// Evaluations returns the number of results produced so far.
-func (k *Pusher) Evaluations() int { return k.evals }
-
-// Policy returns the wrapped policy (e.g. to query SpaceUsage).
-func (k *Pusher) Policy() Policy { return k.policy }

@@ -53,7 +53,7 @@ func TestPusherSkipsRingForSummaryExpirers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.ring != nil || k.expire != nil {
+	if k.replay != nil {
 		t.Fatal("pusher kept a replay ring for a summary-expiring policy")
 	}
 	// Protocol still runs: feed two windows batched, expect the expiry
@@ -82,5 +82,70 @@ func TestPusherValidation(t *testing.T) {
 	}
 	if _, err := NewPusher(&recordingPolicy{}, window.Spec{Size: 3, Period: 2}); err == nil {
 		t.Fatal("invalid spec accepted")
+	}
+}
+
+// TestPositionDerivesEvaluationIndex: a Position keeps only the element
+// count, and derives the index of each evaluation and Evaluations() from it.
+// Both must equal an explicit counter of the evaluations produced, pushed
+// element by element, in batches that straddle period boundaries, and over
+// a tumbling window (Size == Period).
+func TestPositionDerivesEvaluationIndex(t *testing.T) {
+	for _, spec := range []window.Spec{{Size: 12, Period: 4}, {Size: 5, Period: 5}, {Size: 6, Period: 1}} {
+		check := func(t *testing.T, counted int, res Result) {
+			t.Helper()
+			if res.Evaluation != counted {
+				t.Fatalf("%v: evaluation index %d after %d evaluations", spec, res.Evaluation, counted)
+			}
+		}
+		t.Run(spec.String()+"/Push", func(t *testing.T) {
+			k, err := NewPusher(&summaryExpiringPolicy{}, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counted := 0
+			for i := 0; i < 10*spec.Size+3; i++ {
+				if res, ok := k.Push(float64(i)); ok {
+					check(t, counted, res)
+					counted++
+				}
+				if k.Evaluations() != counted {
+					t.Fatalf("Evaluations() = %d after %d evaluations, %d elements", k.Evaluations(), counted, k.Seen())
+				}
+			}
+			if counted == 0 {
+				t.Fatal("no evaluations")
+			}
+		})
+		t.Run(spec.String()+"/PushBatch", func(t *testing.T) {
+			k, err := NewPusher(&recordingPolicy{}, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pos Position
+			counted, inline := 0, 0
+			// Batch lengths cycle through values below, at and above the
+			// period, so batches start and end at every phase of a period.
+			for i, n := 0, 1; i < 40; i, n = i+1, n%(2*spec.Period+1)+1 {
+				vs := make([]float64, n)
+				k.PushBatch(vs, func(res Result) {
+					check(t, counted, res)
+					counted++
+				})
+				if k.Evaluations() != counted {
+					t.Fatalf("Evaluations() = %d after %d evaluations, %d elements", k.Evaluations(), counted, k.Seen())
+				}
+				pos.PushBatch(&summaryExpiringPolicy{}, spec, vs, func(res Result) {
+					check(t, inline, res)
+					inline++
+				})
+				if pos.seen != k.Seen() || inline != counted || pos.evaluations(spec) != counted {
+					t.Fatalf("inline position at %d elements, %d evaluations; pusher at %d, %d", pos.seen, pos.evaluations(spec), k.Seen(), counted)
+				}
+			}
+			if counted == 0 {
+				t.Fatal("no evaluations")
+			}
+		})
 	}
 }
