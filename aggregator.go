@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/aggstore"
-	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -47,8 +46,9 @@ type Aggregator struct {
 	store aggstore.Store
 	// shapes interns the configurations pushed frames carry, so every state
 	// of one configuration shares one core.Shape and a delta fold finds
-	// its resident state's shape by pointer.
-	shapes wire.Shapes
+	// its resident state's shape by pointer. A disk store's is the table it
+	// recovered with, so recovered states and later pushes share it too.
+	shapes *wire.Shapes
 
 	// Push-deadline GC (SetPushDeadline): a worker whose last push is older
 	// than deadline is invisible to reads immediately and physically
@@ -96,6 +96,7 @@ func NewAggregator() *Aggregator {
 // backend.
 func NewAggregatorConfig(cfg AggregatorConfig) (*Aggregator, error) {
 	var store aggstore.Store
+	shapes := new(wire.Shapes)
 	switch cfg.Store {
 	case "", "striped":
 		store = aggstore.NewStriped(0)
@@ -111,7 +112,7 @@ func NewAggregatorConfig(cfg AggregatorConfig) (*Aggregator, error) {
 		if err != nil {
 			return nil, fmt.Errorf("qlove: open disk aggregator store: %w", err)
 		}
-		store = d
+		store, shapes = d, d.Shapes()
 	default:
 		return nil, fmt.Errorf("qlove: unknown aggregator store %q (striped | disk)", cfg.Store)
 	}
@@ -121,7 +122,7 @@ func NewAggregatorConfig(cfg AggregatorConfig) (*Aggregator, error) {
 	if cfg.Instrument {
 		store = aggstore.NewInstrumented(store)
 	}
-	return &Aggregator{store: store, now: time.Now}, nil
+	return &Aggregator{store: store, shapes: shapes, now: time.Now}, nil
 }
 
 // Close releases the store backend: for the disk backend it flushes and
@@ -294,7 +295,7 @@ func (a *Aggregator) mergeKey(base string, live []string) (Snapshot, bool, error
 			continue
 		}
 		var err error
-		if merged, err = mergeWorker(merged, id, base, group); err != nil {
+		if merged, err = mergeWorker(merged, base, group); err != nil {
 			return Snapshot{}, false, err
 		}
 		found = true
@@ -305,16 +306,13 @@ func (a *Aggregator) mergeKey(base string, live []string) (Snapshot, bool, error
 // mergeWorker folds one worker's resident streams of one logical key, given
 // in fold order [base, sub-stream 0, 1, …], and merges the result into
 // merged: the step both mergeKey and Snapshot take per (key, worker).
-func mergeWorker(merged Snapshot, id, base string, group []aggstore.NamedState) (Snapshot, error) {
+func mergeWorker(merged Snapshot, base string, group []aggstore.NamedState) (Snapshot, error) {
 	var folded Snapshot
 	for _, ns := range group {
-		// The stored shape was validated, and its managed set derived,
-		// when the frame that brought it decoded.
-		sn, err := core.NewSnapshot(ns.State.Parts)
-		if err != nil {
-			return Snapshot{}, fmt.Errorf("qlove: aggregator worker %q key %q: %w", id, ns.Name, err)
-		}
-		if folded, err = folded.Merge(sn); err != nil {
+		// Each stored capture was checked when the frame that brought it
+		// decoded.
+		var err error
+		if folded, err = folded.Merge(ns.Snap); err != nil {
 			return Snapshot{}, fmt.Errorf("qlove: aggregator merge key %q: %w", base, err)
 		}
 	}
@@ -365,7 +363,7 @@ func (a *Aggregator) Snapshot() (EngineSnapshot, error) {
 			for n < len(states) && wire.LogicalKey(states[n].Name) == base {
 				n++
 			}
-			sn, err := mergeWorker(out.keys[base], id, base, states[:n])
+			sn, err := mergeWorker(out.keys[base], base, states[:n])
 			if err != nil {
 				return EngineSnapshot{}, err
 			}
@@ -449,24 +447,20 @@ func (a *Aggregator) ExportSlots(slots []int) ([]WorkerBlob, error) {
 		var buf bytes.Buffer
 		enc := wire.NewEncoder(&buf)
 		for _, ns := range states {
-			sn, err := core.NewSnapshot(ns.State.Parts)
-			if err != nil {
-				return nil, fmt.Errorf("qlove: export slots worker %q key %q: %w", id, ns.Name, err)
-			}
 			if _, _, salted := wire.SplitName(ns.Name); salted {
 				// A full frame would ReplaceGroup away the sibling
 				// sub-streams already replayed; a from-generation-0 delta
 				// bootstraps exactly this sub-stream, cursor intact.
-				d, err := wire.NewDelta(sn, 0)
-				if err != nil {
-					return nil, fmt.Errorf("qlove: export slots worker %q key %q: %w", id, ns.Name, err)
+				d, err := ns.Snap.Delta(0)
+				if err == nil {
+					_, err = enc.EncodeDelta(ns.Name, d)
 				}
-				if _, err := enc.EncodeDelta(ns.Name, d); err != nil {
+				if err != nil {
 					return nil, fmt.Errorf("qlove: export slots worker %q key %q: %w", id, ns.Name, err)
 				}
 				continue
 			}
-			if _, err := enc.Encode(ns.Name, sn); err != nil {
+			if _, err := enc.Encode(ns.Name, ns.Snap); err != nil {
 				return nil, fmt.Errorf("qlove: export slots worker %q key %q: %w", id, ns.Name, err)
 			}
 		}

@@ -46,7 +46,7 @@ func deltaChain(t *testing.T, keys, rounds int) (boot []byte, deltas [][]byte) {
 // one-summary delta frame allocates on each backend: the frame's decode
 // (key, Level-2 sums, summary headers, the summary's block — see
 // TestDecodeAllocsPerFrame) plus the fold's new window slice. The resident
-// State is a value, so the fold allocates no State of its own; the disk
+// capture is a value, so the fold allocates no state of its own; the disk
 // store logs the frame from a reused scratch buffer. Per-Apply costs (the
 // decoder, the blob's first configuration) cancel out of the difference
 // between a wide and a one-key chain.
@@ -91,10 +91,10 @@ func TestAggregatorApplyAllocsPerFrame(t *testing.T) {
 
 // TestAggregatorQueryAllocs pins what a read of a key two workers hold
 // allocates: the live-worker list, each worker's group slice, and the
-// merged capture's sums and summary headers. A capture is built from the
-// stored state's shape as it is, so re-resolving the configuration per
-// worker per read (core.NewShape: a validation and a managed-set slice)
-// adds an allocation per worker and fails the budget.
+// merged capture's sums and summary headers. A stored capture merges as it
+// is, so re-resolving the configuration per worker per read
+// (core.NewShape: a validation and a managed-set slice) adds an allocation
+// per worker and fails the budget.
 func TestAggregatorQueryAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own behalf")

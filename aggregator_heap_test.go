@@ -18,7 +18,7 @@ import (
 // costs the aggregation tier: several workers bootstrap the same keys at
 // 64/16 and then fold delta chains through Aggregator.Apply, and the live
 // heap over the pre-aggregator baseline is divided by the resident states.
-// A state is its group (the State value inline: one pointer to the shared
+// A state is its group (the core.Snapshot inline: one pointer to the shared
 // configuration, the Level-2 sums, the window's summary headers, the seal
 // generation; and one nil pointer where an escalated key's salted
 // sub-streams would hang), the group's map entry and key, its sums, its

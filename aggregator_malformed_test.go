@@ -20,7 +20,7 @@ var malformedKeys = []string{"abc\x00", "\x00", "a\x00bc"}
 // formed as wire frames, so they decode, and refused only for the name.
 func malformedKeyFrames(tb testing.TB, sn Snapshot) map[string][]byte {
 	tb.Helper()
-	d, err := wire.NewDelta(sn, 0)
+	d, err := sn.Delta(0)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -424,7 +424,7 @@ func TestAggregatorSnapshotListsEachWorkerOnce(t *testing.T) {
 		for j, name := range []string{"a", wire.SaltedName("hot", 0), wire.SaltedName("hot", 1), "z" + w} {
 			sn := capture(int64(10*i+j), 300+100*j)
 			if _, _, salted := wire.SplitName(name); salted {
-				d, err := wire.NewDelta(sn, 0)
+				d, err := sn.Delta(0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -486,26 +486,33 @@ func TestAggregatorSnapshotListsEachWorkerOnce(t *testing.T) {
 // TestAggregatorSharesShapes: every state of one configuration points at one
 // core.Shape — across blobs, which each decode with a decoder of their own,
 // and across workers — and so does every state a disk store recovers, from
-// its snapshot (worker w1) and from its log (w2's bootstrap and deltas).
+// its snapshot (worker w1) and from its log (w2's bootstrap and deltas), and
+// every state pushed after the reopen: a delta round of w1 and w2, and a new
+// worker's bootstrap, decode through the table the store recovered with.
 func TestAggregatorSharesShapes(t *testing.T) {
-	boot, deltas := deltaChain(t, 8, 3)
+	boot, deltas := deltaChain(t, 8, 4)
+	deltas, after := deltas[:3], deltas[3]
 	shapes := func(a *Aggregator) map[*core.Shape]int {
 		seen := map[*core.Shape]int{}
 		for _, w := range a.store.Workers(nil) {
 			for _, ns := range a.store.NamesMatching(w, allKeys) {
-				seen[ns.State.Parts.Shape]++
+				seen[ns.Snap.Parts().Shape]++
 			}
 		}
 		return seen
+	}
+	apply := func(a *Aggregator, w string, blob []byte) {
+		t.Helper()
+		if _, err := a.Apply(w, bytes.NewReader(blob)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, cfg := range []AggregatorConfig{{Store: "striped"}, {Store: "disk", Dir: t.TempDir(), Fsync: "none", CompactBytes: -1}} {
 		t.Run(cfg.Store, func(t *testing.T) {
 			agg := mkAgg(t, cfg)
 			for _, w := range []string{"w1", "w2"} {
 				for _, blob := range append([][]byte{boot}, deltas...) {
-					if _, err := agg.Apply(w, bytes.NewReader(blob)); err != nil {
-						t.Fatal(err)
-					}
+					apply(agg, w, blob)
 				}
 				if d, ok := agg.store.(*aggstore.Disk); ok && w == "w1" {
 					if err := d.Compact(); err != nil {
@@ -526,6 +533,12 @@ func TestAggregatorSharesShapes(t *testing.T) {
 			defer agg.Close()
 			if got := shapes(agg); len(got) != 1 {
 				t.Fatalf("16 recovered states of one configuration hold %d shapes", len(got))
+			}
+			apply(agg, "w1", after)
+			apply(agg, "w2", after)
+			apply(agg, "w3", boot)
+			if got := shapes(agg); len(got) != 1 {
+				t.Fatalf("24 states of one configuration, pushed across a reopen, hold %d shapes", len(got))
 			}
 		})
 	}

@@ -228,7 +228,7 @@ func TestAggregatorStoreConformanceSaltGroups(t *testing.T) {
 	salted := func(j byte) string { return "k" + string([]byte{0, j}) }
 	full := func(name string, sn Snapshot) []byte { return wire.AppendFrame(nil, name, sn) }
 	bootstrap := func(name string, sn Snapshot) []byte {
-		d, err := wire.NewDelta(sn, 0)
+		d, err := sn.Delta(0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -166,7 +166,7 @@ func TestExportCursorResumesDeltas(t *testing.T) {
 		case wire.KindTombstone:
 			t.Fatalf("spurious tombstone for %q", f.Key)
 		case wire.KindDelta:
-			if f.Delta.FromGen == 0 {
+			if f.Delta.FromGen() == 0 {
 				t.Fatalf("key %q re-bootstrapped (from-generation-0) after cursor restore", f.Key)
 			}
 		}
@@ -249,8 +249,8 @@ func TestExportCursorRejectsRebuiltEngine(t *testing.T) {
 		case wire.KindTombstone:
 			sawTombstone = true
 		case wire.KindDelta:
-			if f.Delta.FromGen != 0 {
-				t.Fatalf("rebuilt engine resumed a delta from generation %d", f.Delta.FromGen)
+			if f.Delta.FromGen() != 0 {
+				t.Fatalf("rebuilt engine resumed a delta from generation %d", f.Delta.FromGen())
 			}
 			sawBootstrap = true
 		case wire.KindFull:

@@ -935,7 +935,7 @@ func (e *Engine) assembleDelta(w io.Writer, cur *ExportCursor, resps []*shardDel
 		} else if ok && kc.gen <= g {
 			from = kc.gen
 		}
-		d, err := wire.NewDelta(c.snap, from)
+		d, err := c.snap.Delta(from)
 		if err != nil {
 			return fail(fmt.Errorf("qlove: delta export key %q: %w", k, err))
 		}
@@ -1336,35 +1336,28 @@ func (s *engineShard) sampleLoads(n int) []KeyLoad {
 // deltaResp computes shard i's contribution to a delta export: capture
 // only the keys the cursor (keys, and mut, its record of this shard's
 // mutation clock) has not seen at their current generation, and name the
-// cursor keys gone from this shard. With the clock in hand (have: the
-// cursor carries this engine's per-shard clocks) the changed keys are found
-// by walking the mutation journal back to mut — nothing at all when the
-// clock is current, whatever the shard's key count — and the tombstones
-// among the names the departures log holds since mut. Otherwise (first
-// export, foreign engine, Reset) every key is scanned. A departures log
-// that no longer reaches back to mut leaves the journal walk correct (the
-// ring holds every live entry) but may have forgotten a tombstone: then,
-// as without a clock, every cursor key hashing here that is not resident
-// is one.
+// cursor keys gone from this shard. The changed keys are found by walking
+// the mutation journal back to mut — nothing at all when the clock is
+// current, whatever the shard's key count. Without the clock (have is
+// false: first export, foreign engine, Reset) the walk starts from clock 0,
+// which every live entry's stamp is past, so it visits the whole ring, that
+// is every resident key. With the clock, the tombstones are among the names
+// the departures log holds since mut. A departures log that no longer
+// reaches back to mut may have forgotten a tombstone: then, as without a
+// clock, every cursor key hashing here that is not resident is one.
 func (s *engineShard) deltaResp(i int, keys map[string]keyCursor, mut uint64, have bool) *shardDeltaResp {
 	r := &shardDeltaResp{mutations: s.mutations}
 	s.exported = s.mutations
+	if !have {
+		mut = 0
+	}
+	// Every tick since the clock touched at most one entry.
+	r.changed = make([]deltaCapture, 0, min(uint64(len(s.keys)), s.mutations-mut))
 	visited := 0
-	if have {
-		// Every tick since the cursor's clock touched at most one entry.
-		r.changed = make([]deltaCapture, 0, min(uint64(len(s.keys)), s.mutations-mut))
-		for ent := s.journal.prev; ent != &s.journal && ent.stamp > mut; ent = ent.prev {
-			visited++
-			if kc, ok := keys[ent.name]; !ok || !kc.covers(ent) {
-				r.changed = append(r.changed, deltaCapture{name: ent.name, snap: ent.op.Snapshot(), inc: ent.inc})
-			}
-		}
-	} else {
-		visited = len(s.keys)
-		for k, ent := range s.keys {
-			if kc, ok := keys[k]; !ok || !kc.covers(ent) {
-				r.changed = append(r.changed, deltaCapture{name: k, snap: ent.op.Snapshot(), inc: ent.inc})
-			}
+	for ent := s.journal.prev; ent != &s.journal && ent.stamp > mut; ent = ent.prev {
+		visited++
+		if kc, ok := keys[ent.name]; !ok || !kc.covers(ent) {
+			r.changed = append(r.changed, deltaCapture{name: ent.name, snap: ent.op.Snapshot(), inc: ent.inc})
 		}
 	}
 	if have && mut >= s.depFloor {

@@ -22,10 +22,12 @@
 // and then applies it. The disk store logs the received frame between the
 // two and replays it through the same planner.
 //
-// A State is a value, held inline by every backend, and its slices are
-// IMMUTABLE once stored: folds are copy-on-write (a delta builds a fresh
-// State over a new window slice rather than appending into the resident
-// one), which is what lets read paths share resident parts with zero
+// A state is a core.Snapshot, held by value by every backend and checked
+// once, when the frame that brought it decoded: reads merge or encode it as
+// it is. Its slices are IMMUTABLE once stored: folds are copy-on-write (a
+// delta advances the resident capture into a fresh one over a new window
+// slice, core.Snapshot.Advance, rather than appending into the resident
+// one), which is what lets read paths share resident state with zero
 // copying.
 //
 // Internal key names follow the salt convention internal/wire defines
@@ -48,19 +50,12 @@ import (
 	"repro/internal/wire"
 )
 
-// State is one worker's folded capture of one internal key name — exactly
-// the SnapshotParts a full export of that name would carry. Stores keep it
-// by value; the slices it carries are shared and read-only once stored:
-// folds replace the State, never mutate what its slices point at.
-type State struct {
-	Parts core.SnapshotParts
-}
-
-// NamedState pairs a resident internal name with its state, as returned
-// by Group in fold order.
+// NamedState pairs a resident internal name with its state — the worker's
+// folded capture of that name, exactly what a full export of it would carry
+// — as returned by Group in fold order.
 type NamedState struct {
-	Name  string
-	State State
+	Name string
+	Snap core.Snapshot
 }
 
 // Store is the aggregator's state plane. Implementations serialize each
@@ -85,7 +80,7 @@ type Store interface {
 	ApplyFrame(worker string, f wire.Frame, raw []byte) error
 	// Group returns the worker's resident states for one logical key in
 	// fold order [base, sub 0, sub 1, …]; empty when the worker holds
-	// nothing for it. The returned slice is the caller's; the States'
+	// nothing for it. The returned slice is the caller's; the captures'
 	// slices are shared and read-only.
 	Group(worker, base string) []NamedState
 	// NamesMatching returns the worker's resident states for every
@@ -96,7 +91,7 @@ type Store interface {
 	// …]. The slot-migration export path uses it to lift one hash slot's
 	// worth of state atomically per group, and the aggregator's whole-view
 	// reads to list a worker (match accepting every key). The returned
-	// slice is the caller's; the States' slices are shared and read-only.
+	// slice is the caller's; the captures' slices are shared and read-only.
 	NamesMatching(worker string, match func(base string) bool) []NamedState
 
 	// Touch creates the worker if needed and stamps its last-push time.

@@ -18,7 +18,7 @@ import (
 
 // testParts is a valid minimal capture: states reach a store only as wire
 // frames, so dummies must satisfy the same snapshot-validity contract real
-// folds do (the read path folds through core.NewSnapshot anyway).
+// folds do.
 var testParts = func() core.SnapshotParts {
 	p, err := core.New(core.Config{Spec: window.Spec{Size: 256, Period: 64}, Phis: []float64{0.5}})
 	if err != nil {
@@ -27,24 +27,24 @@ var testParts = func() core.SnapshotParts {
 	return p.Snapshot().Parts()
 }()
 
-// mkState builds a distinguishable dummy State, tagged via SealGen (the
-// stores never inspect Parts beyond holding them and checking a delta's
+// mkState builds a distinguishable dummy capture, tagged via SealGen (the
+// stores never inspect a capture beyond holding it and checking a delta's
 // cursor against it).
-func mkState(tag uint64) State {
+func mkState(tag uint64) core.Snapshot {
 	parts := testParts
 	parts.SealGen = tag
-	return State{Parts: parts}
+	sn, err := core.NewSnapshot(parts)
+	if err != nil {
+		panic(err)
+	}
+	return sn
 }
 
 // fullFrame is a full frame for name carrying mkState(tag): it replaces
 // name's whole salt group.
 func fullFrame(t testing.TB, name string, tag uint64) []byte {
 	t.Helper()
-	sn, err := core.NewSnapshot(mkState(tag).Parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wire.AppendFrame(nil, name, sn)
+	return wire.AppendFrame(nil, name, mkState(tag))
 }
 
 // deltaFrame is a delta frame for name advancing cursor from to mkState(tag).
@@ -52,11 +52,7 @@ func fullFrame(t testing.TB, name string, tag uint64) []byte {
 // one retires the group's base state.
 func deltaFrame(t testing.TB, name string, from, tag uint64) []byte {
 	t.Helper()
-	sn, err := core.NewSnapshot(mkState(tag).Parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := wire.NewDelta(sn, from)
+	d, err := mkState(tag).Delta(from)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +84,13 @@ func mustApply(t testing.TB, s Store, worker string, raw []byte) {
 }
 
 // resident returns the state s holds under the exact internal name.
-func resident(s Store, worker, name string) (State, bool) {
+func resident(s Store, worker, name string) (core.Snapshot, bool) {
 	for _, ns := range s.Group(worker, wire.LogicalKey(name)) {
 		if ns.Name == name {
-			return ns.State, true
+			return ns.Snap, true
 		}
 	}
-	return State{}, false
+	return core.Snapshot{}, false
 }
 
 // stores returns one fresh instance of every backend, the Map first (it
@@ -148,7 +144,7 @@ func driveOps(t *testing.T, rng *rand.Rand, steps int, tag *uint64, each func(st
 		case 0, 1, 2: // advance name, bootstrapping it when nothing is resident
 			from := uint64(0)
 			if ok {
-				from = cur.Parts.SealGen
+				from = cur.SealGen()
 			}
 			frame = deltaFrame(t, name, from, *tag)
 		case 3:
@@ -160,7 +156,7 @@ func driveOps(t *testing.T, rng *rand.Rand, steps int, tag *uint64, each func(st
 		case 7: // the base coming home, retiring its salt group
 			frame = deltaFrame(t, base, 0, *tag)
 		case 10: // never bootstrapped, or behind the resident generation
-			frame, refused = deltaFrame(t, name, cur.Parts.SealGen+1, *tag), true
+			frame, refused = deltaFrame(t, name, cur.SealGen()+1, *tag), true
 		}
 		for _, s := range ss {
 			switch op {
@@ -213,9 +209,9 @@ func TestStoreParityRandomOps(t *testing.T) {
 						t.Fatalf("step %d: %s Group(%s,%s) has %d members, map %d", step, s.Kind(), w, b, len(got), len(want))
 					}
 					for i := range got {
-						if got[i].Name != want[i].Name || got[i].State.Parts.SealGen != want[i].State.Parts.SealGen {
+						if got[i].Name != want[i].Name || got[i].Snap.SealGen() != want[i].Snap.SealGen() {
 							t.Fatalf("step %d: %s Group(%s,%s)[%d] = %q/%d, map %q/%d", step, s.Kind(), w, b, i,
-								got[i].Name, got[i].State.Parts.SealGen, want[i].Name, want[i].State.Parts.SealGen)
+								got[i].Name, got[i].Snap.SealGen(), want[i].Name, want[i].Snap.SealGen())
 						}
 					}
 				}

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -47,8 +46,8 @@ import (
 // instead — a resulting state re-encoded as a wire full frame under a put,
 // replace-group or bootstrap-sub op — and those still replay
 // (testdata/state_records.wal pins it). Snapshots hold every resident state
-// as a full frame, so anything resident (which the read path already
-// requires to be a valid Snapshot) round-trips bit-identically.
+// as a full frame, so anything resident (a core.Snapshot checked when its
+// frame decoded) round-trips bit-identically.
 //
 // Durability is governed by DiskConfig.Fsync: FsyncAlways syncs every
 // record before the mutation returns (a state acknowledged to a worker
@@ -64,6 +63,10 @@ type Disk struct {
 	dir          string
 	mode         string
 	compactBytes int64
+	// shapes is the table recovery resolved every configuration through;
+	// the receiver decodes later pushes through it too (Shapes), so the
+	// states of one configuration share one shape across a restart.
+	shapes wire.Shapes
 
 	mu       sync.Mutex
 	seq      uint64 // active WAL sequence
@@ -162,6 +165,10 @@ func OpenDisk(cfg DiskConfig) (*Disk, error) {
 }
 
 func (d *Disk) Kind() string { return "disk" }
+
+// Shapes returns the shape table the store recovered with, for the decoder
+// of the frames that are then applied to it.
+func (d *Disk) Shapes() *wire.Shapes { return &d.shapes }
 
 // Err returns the sticky write error, if any: after a failed WAL append,
 // snapshot write or sync the store keeps serving from memory, but
@@ -390,11 +397,7 @@ func (d *Disk) writeSnapshot(seq uint64) error {
 		body = append(body, ts[:]...)
 		body = appendUvarint(body, uint64(len(w.states)))
 		for _, ns := range w.states {
-			sn, err := core.NewSnapshot(ns.State.Parts)
-			if err != nil {
-				return fmt.Errorf("snapshot state %q/%q: %w", w.id, ns.Name, err)
-			}
-			body = wire.AppendFrame(body, ns.Name, sn)
+			body = wire.AppendFrame(body, ns.Name, ns.Snap)
 		}
 	}
 	var crc [4]byte
@@ -483,9 +486,8 @@ func (d *Disk) load() (active uint64, activeOff int64, err error) {
 	// segment is still on disk and replays the difference. The snapshot and
 	// every replayed frame resolve their configurations through one table,
 	// so the recovered states of one configuration share one shape.
-	var shapes wire.Shapes
 	for i := len(snaps) - 1; i >= 0; i-- {
-		if err := d.loadSnapshot(snaps[i], &shapes); err == nil {
+		if err := d.loadSnapshot(snaps[i]); err == nil {
 			d.snapSeq = snaps[i]
 			break
 		}
@@ -500,7 +502,7 @@ func (d *Disk) load() (active uint64, activeOff int64, err error) {
 		active = 1
 	}
 	activeOff = -1
-	fr := newFrameReader(&shapes)
+	fr := newFrameReader(&d.shapes)
 	for _, seq := range wals {
 		if seq < d.snapSeq {
 			continue
@@ -609,7 +611,7 @@ func applyRecord(mem *Map, fr *frameReader, body []byte) error {
 		if f.Kind != wire.KindFull {
 			return fmt.Errorf("state record carries a %v frame", f.Kind)
 		}
-		mutation{op: op, name: f.Key, st: State{Parts: f.Snap.Parts()}}.apply(mem, worker)
+		mutation{op: op, name: f.Key, st: f.Snap}.apply(mem, worker)
 	case recDrop:
 		name, _, err := takeLenPrefixed(rest)
 		if err != nil {
@@ -632,7 +634,7 @@ func applyRecord(mem *Map, fr *frameReader, body []byte) error {
 // loadSnapshot parses snap-<seq> into a fresh map, replacing the resident
 // one only on full success (a partial parse must not leak state into a
 // fallback to an older snapshot).
-func (d *Disk) loadSnapshot(seq uint64, shapes *wire.Shapes) error {
+func (d *Disk) loadSnapshot(seq uint64) error {
 	data, err := os.ReadFile(d.snapPath(seq))
 	if err != nil {
 		return err
@@ -646,7 +648,7 @@ func (d *Disk) loadSnapshot(seq uint64, shapes *wire.Shapes) error {
 	}
 	mem := NewMap()
 	br := bytes.NewReader(body[len(snapMagic):])
-	dec := shapes.NewDecoder(br)
+	dec := d.shapes.NewDecoder(br)
 	nw, err := binary.ReadUvarint(br)
 	if err != nil {
 		return err
@@ -673,7 +675,7 @@ func (d *Disk) loadSnapshot(seq uint64, shapes *wire.Shapes) error {
 			if f.Kind != wire.KindFull {
 				return fmt.Errorf("snapshot carries a %v frame", f.Kind)
 			}
-			mem.set(id, mutation{op: recPut, name: f.Key, st: State{Parts: f.Snap.Parts()}})
+			mem.set(id, mutation{op: recPut, name: f.Key, st: f.Snap})
 		}
 	}
 	if br.Len() != 0 {

@@ -48,8 +48,8 @@ func requireSameState(t *testing.T, got, want Store, when string) {
 				if g[i].Name != w[i].Name {
 					t.Fatalf("%s: Group(%s,%s)[%d] name %q != %q", when, id, base, i, g[i].Name, w[i].Name)
 				}
-				if !reflect.DeepEqual(g[i].State.Parts, w[i].State.Parts) {
-					t.Fatalf("%s: Group(%s,%s)[%d] %q parts diverge after recovery", when, id, base, i, g[i].Name)
+				if !reflect.DeepEqual(g[i].Snap, w[i].Snap) {
+					t.Fatalf("%s: Group(%s,%s)[%d] %q states diverge after recovery", when, id, base, i, g[i].Name)
 				}
 			}
 		}
@@ -437,7 +437,7 @@ func TestMalformedNamesAreUnsaltedKeys(t *testing.T) {
 			mustApply(t, s, "w", deltaFrame(t, name, tag+1, tag+2))
 			mustApply(t, s, "w", deltaFrame(t, name, 0, tag+3))
 			mustApply(t, s, "w", deltaFrame(t, name, tag+3, tag+4))
-			if st, ok := resident(s, "w", name); !ok || st.Parts.SealGen != tag+4 {
+			if st, ok := resident(s, "w", name); !ok || st.SealGen() != tag+4 {
 				t.Fatalf("%T lost %q", s, name)
 			}
 			if name == "\x00" && !s.Drop("w", name) {

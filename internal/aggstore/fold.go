@@ -12,7 +12,7 @@ import (
 // this package reaches them; state enters a Store only as a frame.
 type memStore interface {
 	// get returns the state resident under the exact internal name.
-	get(worker, name string) (State, bool)
+	get(worker, name string) (core.Snapshot, bool)
 	// set performs a state-record mutation (see group.apply).
 	set(worker string, m mutation)
 	Drop(worker, name string) bool
@@ -25,7 +25,7 @@ type memStore interface {
 type mutation struct {
 	op   byte
 	name string
-	st   State
+	st   core.Snapshot
 }
 
 // apply performs m on s.
@@ -54,71 +54,41 @@ func applyFrame(s memStore, worker string, f wire.Frame) error {
 // of an adaptively escalated engine); they are stored per name and folded
 // back to logical keys at read time.
 //
-// A delta advances one key's resident window: append the newly sealed
-// summaries, trim the front to the worker's resident count (the summaries
-// that slid out of its window since the cursor), and replace the Level-2
-// sums wholesale. The result is bit-for-bit the full capture the worker held
-// at export time. Folds are copy-on-write — a fresh State value, over a new
-// window slice, replaces the resident one, whose slices stay untouched for
-// any concurrent reader still holding them.
-func plan(get func(worker, name string) (State, bool), worker string, f wire.Frame) (mutation, error) {
+// A delta advances one key's resident capture (core.Snapshot.Advance): the
+// result is bit-for-bit the full capture the worker held at export time.
+// Folds are copy-on-write — a fresh capture, over a new window slice,
+// replaces the resident one, whose slices stay untouched for any concurrent
+// reader still holding them.
+func plan(get func(worker, name string) (core.Snapshot, bool), worker string, f wire.Frame) (mutation, error) {
 	switch f.Kind {
 	case wire.KindTombstone:
 		return mutation{op: recDrop, name: f.Key}, nil
 	case wire.KindFull:
 		// A full frame is the worker's complete folded view of the logical
 		// key: it replaces the whole salt group, not just the exact name.
-		return mutation{op: recReplaceGroup, name: f.Key, st: State{Parts: f.Snap.Parts()}}, nil
+		return mutation{op: recReplaceGroup, name: f.Key, st: f.Snap}, nil
 	case wire.KindDelta:
 	default:
 		return mutation{}, fmt.Errorf("unknown frame kind %v", f.Kind)
 	}
-	d := f.Delta
-	if d.FromGen == 0 {
+	var cur core.Snapshot
+	op, ok := recPut, true
+	if f.Delta.FromGen() == 0 {
 		// Bootstrap: the frame carries the entire resident window. A
 		// bootstrap resets stale state the tombstone stream may not cover
 		// (e.g. after a cursor reset): a sub-stream bootstrap retires the
 		// BASE state it was escalated out of; a base bootstrap (a collapsed
 		// key coming home) retires the whole former salt group.
-		op := recReplaceGroup
+		op = recReplaceGroup
 		if _, _, salted := wire.SplitName(f.Key); salted {
 			op = recBootstrapSub
 		}
-		return mutation{op: op, name: f.Key, st: State{Parts: d.Parts}}, nil
+	} else if cur, ok = get(worker, f.Key); !ok {
+		return mutation{}, fmt.Errorf("delta from generation %d for a key never bootstrapped", f.Delta.FromGen())
 	}
-	cur, ok := get(worker, f.Key)
-	if !ok {
-		return mutation{}, fmt.Errorf("delta from generation %d for a key never bootstrapped", d.FromGen)
+	st, err := cur.Advance(f.Delta)
+	if err != nil {
+		return mutation{}, err
 	}
-	if cur.Parts.SealGen != d.FromGen {
-		return mutation{}, fmt.Errorf("delta cursor %d does not match resident generation %d", d.FromGen, cur.Parts.SealGen)
-	}
-	if !cur.Parts.Shape.Equal(d.Parts.Shape) {
-		return mutation{}, fmt.Errorf("delta configuration differs from resident state")
-	}
-	total := len(cur.Parts.Summaries) + len(d.Parts.Summaries)
-	if total < d.Resident {
-		return mutation{}, fmt.Errorf("delta needs %d resident summaries, only %d accumulated", d.Resident, total)
-	}
-	// The resident window is the LAST d.Resident of [resident ++ delta]:
-	// anything older slid out of the worker's window since the cursor. An
-	// empty window stays nil, as a decoded full frame holds it, so a state
-	// reloaded from a snapshot is the state folded live.
-	var sums []core.Summary
-	if d.Resident > 0 {
-		sums = make([]core.Summary, 0, d.Resident)
-	}
-	if start := total - d.Resident; start < len(cur.Parts.Summaries) {
-		sums = append(sums, cur.Parts.Summaries[start:]...)
-		sums = append(sums, d.Parts.Summaries...)
-	} else {
-		sums = append(sums, d.Parts.Summaries[start-len(cur.Parts.Summaries):]...)
-	}
-	return mutation{op: recPut, name: f.Key, st: State{Parts: core.SnapshotParts{
-		Shape:     cur.Parts.Shape,
-		Streams:   d.Parts.Streams,
-		Sums:      d.Parts.Sums,
-		Summaries: sums,
-		SealGen:   d.Parts.SealGen,
-	}}}, nil
+	return mutation{op: op, name: f.Key, st: st}, nil
 }

@@ -12,7 +12,6 @@ import (
 
 	qlove "repro"
 	"repro/internal/aggstore"
-	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -155,11 +154,7 @@ func TestDiskMixedEraRecovery(t *testing.T) {
 	if len(c) != 1 {
 		t.Fatalf("wa holds %d states for c, want 1", len(c))
 	}
-	sn, err := core.NewSnapshot(c[0].State.Parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boot, err := wire.NewDelta(sn, 0)
+	boot, err := c[0].Snap.Delta(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,11 +282,7 @@ func digest(t testing.TB, s aggstore.Store) string {
 	for _, w := range s.Workers(nil) {
 		b = append(append(b, w...), 0)
 		for _, ns := range s.NamesMatching(w, func(string) bool { return true }) {
-			sn, err := core.NewSnapshot(ns.State.Parts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b = wire.AppendFrame(b, ns.Name, sn)
+			b = wire.AppendFrame(b, ns.Name, ns.Snap)
 		}
 	}
 	return string(b)

@@ -3,6 +3,7 @@ package aggstore
 import (
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -10,24 +11,24 @@ import (
 // capture plus any salted sub-streams, kept sorted by salt index. This IS
 // the per-base index the read path folds from — group reads and wholesale
 // replacement never scan the worker's other keys. States are held inline:
-// a fold overwrites the slot with the new value, so it allocates nothing
-// beyond the State's own new slices. The base state is resident exactly
-// when it has streams: every stored state has at least one (the decoder and
-// core.NewSnapshot refuse fewer), and a dropped base is the zero State.
+// a fold overwrites the slot with the new capture, so it allocates nothing
+// beyond the capture's own new window. The base state is resident exactly
+// when it is not the zero Snapshot: every stored capture has a stream (the
+// decoder refuses fewer), and a dropped base is the zero Snapshot.
 // Only an escalated key has sub-streams, so they sit behind one pointer,
 // nil when there are none: an unsalted key's group is its state and a word.
 type group struct {
-	base State
+	base core.Snapshot
 	subs *[]subState // ascending salt index; nil or non-empty
 }
 
 type subState struct {
 	j  byte
-	st State
+	st core.Snapshot
 }
 
 // baseResident reports whether the base name's state is resident.
-func (g *group) baseResident() bool { return g.base.Parts.Streams > 0 }
+func (g *group) baseResident() bool { return !g.base.IsZero() }
 
 func (g *group) empty() bool { return !g.baseResident() && g.subs == nil }
 
@@ -50,12 +51,12 @@ func find(subs []subState, j byte) (int, bool) {
 // The slot is zeroed so the dropped state's slices are not kept reachable.
 func (g *group) dropBase() bool {
 	had := g.baseResident()
-	g.base = State{}
+	g.base = core.Snapshot{}
 	return had
 }
 
 // set stores st under the exact (salted, j) coordinate.
-func (g *group) set(salted bool, j byte, st State) {
+func (g *group) set(salted bool, j byte, st core.Snapshot) {
 	if salted {
 		g.setSub(j, st)
 	} else {
@@ -69,7 +70,7 @@ func (g *group) set(salted bool, j byte, st State) {
 // recBootstrapSub first drops the base state and stores st as sub-stream j
 // (a salted sub-stream bootstrapping out of an escalated base), leaving the
 // other sub-streams resident.
-func (g *group) apply(op byte, salted bool, j byte, st State) {
+func (g *group) apply(op byte, salted bool, j byte, st core.Snapshot) {
 	switch op {
 	case recReplaceGroup:
 		*g = group{}
@@ -81,7 +82,7 @@ func (g *group) apply(op byte, salted bool, j byte, st State) {
 }
 
 // setSub inserts or replaces sub-stream j.
-func (g *group) setSub(j byte, st State) {
+func (g *group) setSub(j byte, st core.Snapshot) {
 	if g.subs == nil {
 		g.subs = &[]subState{{j: j, st: st}}
 		return
@@ -126,14 +127,14 @@ func (g *group) drop(salted bool, j byte) bool {
 }
 
 // get returns the state under the exact (salted, j) coordinate.
-func (g *group) get(salted bool, j byte) (State, bool) {
+func (g *group) get(salted bool, j byte) (core.Snapshot, bool) {
 	if !salted {
 		return g.base, g.baseResident()
 	}
 	subs := g.subList()
 	i, ok := find(subs, j)
 	if !ok {
-		return State{}, false
+		return core.Snapshot{}, false
 	}
 	return subs[i].st, true
 }
@@ -141,10 +142,10 @@ func (g *group) get(salted bool, j byte) (State, bool) {
 // fold appends the group's states in fold order [base, sub 0, sub 1, …].
 func (g *group) fold(base string, out []NamedState) []NamedState {
 	if g.baseResident() {
-		out = append(out, NamedState{Name: base, State: g.base})
+		out = append(out, NamedState{Name: base, Snap: g.base})
 	}
 	for _, s := range g.subList() {
-		out = append(out, NamedState{Name: wire.SaltedName(base, s.j), State: s.st})
+		out = append(out, NamedState{Name: wire.SaltedName(base, s.j), Snap: s.st})
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -46,17 +47,17 @@ func (m *Map) LockWaitNanos() (read, write int64) {
 	return m.readWait.Load(), m.writeWait.Load()
 }
 
-func (m *Map) get(worker, name string) (State, bool) {
+func (m *Map) get(worker, name string) (core.Snapshot, bool) {
 	base, j, salted := wire.SplitName(name)
 	m.rlock()
 	defer m.runlock()
 	w := m.workers[worker]
 	if w == nil {
-		return State{}, false
+		return core.Snapshot{}, false
 	}
 	g := w.groups[base]
 	if g == nil {
-		return State{}, false
+		return core.Snapshot{}, false
 	}
 	return g.get(salted, j)
 }

@@ -9,7 +9,7 @@ import (
 // TestStoreNamesMatching pins the slot-export enumeration on every
 // backend: the predicate sees only BASE keys (salted sub-streams ride
 // with their group), results sort by internal name — groups contiguous
-// in fold order — the returned States share the residents' slices, and all
+// in fold order — the returned captures share the residents' slices, and all
 // backends agree.
 func TestStoreNamesMatching(t *testing.T) {
 	salted := func(base string, j byte) string { return base + string([]byte{0, j}) }
@@ -33,7 +33,7 @@ func TestStoreNamesMatching(t *testing.T) {
 		tags := make([]uint64, len(all))
 		for i, ns := range all {
 			gotNames[i] = ns.Name
-			tags[i] = ns.State.Parts.SealGen
+			tags[i] = ns.Snap.SealGen()
 		}
 		if !reflect.DeepEqual(gotNames, wantNames) {
 			t.Fatalf("%s: names %q, want %q", s.Kind(), gotNames, wantNames)
@@ -59,8 +59,8 @@ func TestStoreNamesMatching(t *testing.T) {
 		if len(only) != 2 || only[0].Name != salted("b", 0) || only[1].Name != salted("b", 1) {
 			t.Fatalf("%s: filtered names %v", s.Kind(), only)
 		}
-		if got, ok := resident(s, "w", salted("b", 0)); !ok || got.Parts.SealGen != only[0].State.Parts.SealGen ||
-			&got.Parts.Sums[0] != &only[0].State.Parts.Sums[0] {
+		if got, ok := resident(s, "w", salted("b", 0)); !ok || got.SealGen() != only[0].Snap.SealGen() ||
+			&got.Parts().Sums[0] != &only[0].Snap.Parts().Sums[0] {
 			t.Fatalf("%s: filtered state is not the shared resident", s.Kind())
 		}
 		if n := s.NamesMatching("w", func(string) bool { return false }); len(n) != 0 {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -88,14 +89,14 @@ func (s *Striped) stripe(worker, base string) *stripe {
 	return &s.stripes[fnv1a(worker, base)&s.mask]
 }
 
-func (s *Striped) get(worker, name string) (State, bool) {
+func (s *Striped) get(worker, name string) (core.Snapshot, bool) {
 	base, j, salted := wire.SplitName(name)
 	sp := s.stripe(worker, base)
 	rlockTimed(&sp.mu, &s.readWait)
 	defer sp.mu.RUnlock()
 	g := sp.groups[groupKey{worker, base}]
 	if g == nil {
-		return State{}, false
+		return core.Snapshot{}, false
 	}
 	return g.get(salted, j)
 }

@@ -11,9 +11,10 @@ import (
 
 // SnapshotParts is the exploded, exported form of a Snapshot: everything a
 // transport needs to serialize a capture and rebuild it on the other side
-// of a process or datacenter boundary. Parts and NewSnapshot are the
-// encapsulation seam between core and the wire codec — the codec never
-// sees Snapshot's private fields, and core never sees bytes.
+// of a process or datacenter boundary. Parts and NewSnapshot (for a delta,
+// Delta.Parts and NewDelta) are the encapsulation seam between core and the
+// wire codec — the codec never sees Snapshot's private fields, and core
+// never sees bytes.
 //
 // The slices are SHARED with the Snapshot they came from (or are handed
 // to): a summary's block is immutable after seal, so sharing is safe as
@@ -93,6 +94,25 @@ func NewSnapshot(p SnapshotParts) (Snapshot, error) {
 		summaries: p.Summaries,
 		sealGen:   p.SealGen,
 	}, nil
+}
+
+// NewDelta rebuilds a delta from decoded parts — p.Summaries the shipped
+// summaries only — its cursor from and its source's resident count. It is
+// the one check a delta passes: the cursor arithmetic Delta documents, then
+// NewSnapshot's structural validation of the parts. Like NewSnapshot it
+// takes ownership of the part slices.
+func NewDelta(p SnapshotParts, from uint64, resident int) (Delta, error) {
+	if err := checkCursor(p.SealGen, from, resident); err != nil {
+		return Delta{}, err
+	}
+	if want := shipped(p.SealGen, from, resident); len(p.Summaries) != want {
+		return Delta{}, fmt.Errorf("qlove: delta ships %d summaries, cursor arithmetic requires %d", len(p.Summaries), want)
+	}
+	ship, err := NewSnapshot(p)
+	if err != nil {
+		return Delta{}, err
+	}
+	return Delta{ship: ship, from: from, resident: resident}, nil
 }
 
 // Shape is one resolved, validated configuration together with what every

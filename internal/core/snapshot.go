@@ -99,6 +99,103 @@ func (s Snapshot) Config() Config { return s.shape().cfg }
 // delta export.
 func (s Snapshot) SealGen() uint64 { return s.sealGen }
 
+// Delta is what a capture ships since an export cursor, and what a receiver
+// holding the capture at the cursor's generation folds to reach it
+// (Advance). Every Delta but the zero one is checked — made by
+// Snapshot.Delta from a capture, or by NewDelta from the parts a transport
+// decoded — so it keeps the cursor arithmetic: its cursor FromGen and its
+// Resident count are at most its capture's SealGen, and it ships exactly
+// the min(SealGen-FromGen, Resident) newest resident summaries, oldest
+// first. From generation 0 that is the whole window, which replaces
+// whatever the receiver held.
+//
+// A Delta is not a queryable capture: its summaries are only the shipped
+// ones, while its Level-2 sums cover the whole resident window.
+type Delta struct {
+	ship     Snapshot // the capture with only the shipped summaries
+	from     uint64
+	resident int
+}
+
+// shipped is how many of a capture's resident summaries, at generation g,
+// were sealed after generation from (from <= g): the newest ones.
+func shipped(g, from uint64, resident int) int { return int(min(g-from, uint64(resident))) }
+
+// checkCursor checks the cursor arithmetic a delta from generation from of
+// a capture at generation g with resident summaries must keep: neither
+// count runs ahead of the generation.
+func checkCursor(g, from uint64, resident int) error {
+	if from > g {
+		return fmt.Errorf("qlove: delta cursor %d ahead of generation %d", from, g)
+	}
+	if resident < 0 || uint64(resident) > g {
+		return fmt.Errorf("qlove: delta resident count %d exceeds generation %d", resident, g)
+	}
+	return nil
+}
+
+// Delta returns what s ships since generation from: its full sums and the
+// summaries sealed after from. s must carry a seal generation (or hold no
+// summary), and from must not run ahead of it; pass 0 for a bootstrap
+// carrying the whole window.
+func (s Snapshot) Delta(from uint64) (Delta, error) {
+	if s.IsZero() {
+		return Delta{}, fmt.Errorf("qlove: cannot ship the zero Snapshot")
+	}
+	r := len(s.summaries)
+	if err := checkCursor(s.sealGen, from, r); err != nil {
+		return Delta{}, err
+	}
+	d := Delta{ship: s, from: from, resident: r}
+	d.ship.summaries = nil // canonical: a decoded delta shipping nothing holds nil
+	if n := shipped(s.sealGen, from, r); n > 0 {
+		d.ship.summaries = s.summaries[r-n:]
+	}
+	return d, nil
+}
+
+// FromGen returns the cursor the delta is relative to (0: a bootstrap).
+func (d Delta) FromGen() uint64 { return d.from }
+
+// Resident returns the source's resident summary count at capture.
+func (d Delta) Resident() int { return d.resident }
+
+// Parts explodes the delta for serialization: the capture's shape, streams,
+// full sums and SealGen (the generation a receiver's cursor advances to),
+// and only the shipped summaries. The slices are shared and read-only.
+func (d Delta) Parts() SnapshotParts { return d.ship.Parts() }
+
+// Advance returns what s, a receiver's copy of a capture, becomes once d
+// folds in: d's shipped summaries appended to s's window, the front trimmed
+// to d's resident count (what slid out of the source's window since the
+// cursor), and d's sums, streams and generation — bit for bit the capture
+// d was cut from, over a new window slice, s's shape kept. From generation
+// 0, d replaces s. Otherwise s must stand at d's cursor with an equal
+// shape. No summary is checked again: d was when it was made.
+func (s Snapshot) Advance(d Delta) (Snapshot, error) {
+	if d.from == 0 {
+		return d.ship, nil
+	}
+	if s.sealGen != d.from {
+		return Snapshot{}, fmt.Errorf("qlove: delta cursor %d does not match resident generation %d", d.from, s.sealGen)
+	}
+	if !s.sh.Equal(d.ship.sh) {
+		return Snapshot{}, fmt.Errorf("qlove: delta configuration differs from resident state")
+	}
+	keep := d.resident - len(d.ship.summaries) // the resident summaries s already holds
+	if keep > len(s.summaries) {
+		return Snapshot{}, fmt.Errorf("qlove: delta needs %d resident summaries, only %d accumulated", d.resident, len(s.summaries)+len(d.ship.summaries))
+	}
+	out := d.ship
+	out.sh = s.sh
+	// An empty window stays d's nil, as a decoded full frame holds it, so a
+	// state reloaded from a snapshot is the state folded live.
+	if d.resident > 0 {
+		out.summaries = append(append(make([]Summary, 0, d.resident), s.summaries[len(s.summaries)-keep:]...), d.ship.summaries...)
+	}
+	return out, nil
+}
+
 // ErrMismatched reports an attempt to merge shards with different
 // configurations.
 var ErrMismatched = fmt.Errorf("shards have mismatched configurations")

@@ -21,12 +21,12 @@ func deltaBlob(t testing.TB, cfg core.Config, keys int) []byte {
 	var blob []byte
 	for k := 0; k < keys; k++ {
 		snaps := deltaSequence(t, cfg, int64(100+k), []int{cfg.Spec.Size, per})
-		d, err := NewDelta(snaps[1], snaps[0].SealGen())
+		d, err := snaps[1].Delta(snaps[0].SealGen())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(d.Parts.Summaries) != 1 {
-			t.Fatalf("delta ships %d summaries, want 1", len(d.Parts.Summaries))
+		if len(d.Parts().Summaries) != 1 {
+			t.Fatalf("delta ships %d summaries, want 1", len(d.Parts().Summaries))
 		}
 		blob = AppendDeltaFrame(blob, fmt.Sprintf("host-%03d/latency", k), d)
 	}
@@ -88,7 +88,7 @@ func TestDecoderSharesConfig(t *testing.T) {
 	if len(frames) != 6 {
 		t.Fatalf("decoded %d frames, want 6", len(frames))
 	}
-	shape := func(i int) *core.Shape { return frames[i].Delta.Parts.Shape }
+	shape := func(i int) *core.Shape { return frames[i].Delta.Parts().Shape }
 	if shape(0) != shape(1) {
 		t.Error("two consecutive frames of one configuration decoded two shapes")
 	}
@@ -132,7 +132,7 @@ func TestShapesInternAcrossDecoders(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, f.Delta.Parts.Shape)
+			out = append(out, f.Delta.Parts().Shape)
 		}
 	}
 	mixed := bytes.Join([][]byte{deltaBlob(t, a, 1), deltaBlob(t, b, 1), deltaBlob(t, a, 1)}, nil)

@@ -69,7 +69,8 @@
 // The receiver folds a delta by appending the shipped summaries to the
 // key's retained run, trimming the front to `resident` (the summaries that
 // slid out of the worker's window since the cursor), and replacing the sums
-// wholesale — reproducing the worker's full capture bit for bit.
+// wholesale — reproducing the worker's full capture bit for bit. That
+// arithmetic, on both sides, is core's (core.Delta).
 //
 // A TOMBSTONE frame (kind 2) retires one key — the receiver deletes its
 // state. Exporters emit it when a key present at the cursor has been
@@ -89,10 +90,11 @@
 //
 // Decode trusts nothing: the version is gated, the payload must be
 // consumed exactly, every slice length is bounds-checked against the
-// remaining payload BEFORE allocation, the rebuilt parts must pass
-// core.NewSnapshot's structural validation, delta frames must satisfy the
-// cursor arithmetic above, cached tails and sample lists must be sorted
-// descending (the merge heaps assume it), and the NaN/Inf policy is
+// remaining payload BEFORE allocation, a full frame's parts must pass
+// core.NewSnapshot's structural validation and a delta frame's must pass
+// core.NewDelta's (the cursor arithmetic above, then the same structure),
+// cached tails and sample lists must be sorted descending (the merge heaps
+// assume it), and the NaN/Inf policy is
 // enforced: NaN is rejected everywhere (ingestion drops NaN, so no
 // legitimate capture contains one); ±Inf is rejected in configuration
 // fields but allowed in data positions (quantiles, sums, tails, samples)
@@ -187,7 +189,10 @@ func (k Kind) String() string {
 }
 
 // Frame is one decoded frame of any kind. Key is always set; Snap is
-// non-zero exactly for KindFull, Delta is meaningful exactly for KindDelta.
+// non-zero exactly for KindFull, Delta exactly for KindDelta. Both were
+// checked as they decoded (core.NewSnapshot, core.NewDelta), so a receiver
+// merges Snap and folds Delta (core.Snapshot.Advance) without checking a
+// summary again.
 type Frame struct {
 	Kind  Kind
 	Key   string
@@ -196,56 +201,10 @@ type Frame struct {
 }
 
 // Delta is the payload of one delta frame: the resident summaries one key
-// sealed after the export cursor FromGen, plus the full Level-2 sums.
-//
-// Parts is a transport container, NOT a queryable capture: Parts.Summaries
-// holds only the newly shipped summaries while Parts.Sums covers the whole
-// resident window, so estimates read off it directly are meaningless. Fold
-// it into retained state first (see the package comment; qlove.Aggregator
-// implements the fold).
-type Delta struct {
-	// FromGen is the cursor the delta is relative to; 0 marks a bootstrap
-	// frame whose summaries are the ENTIRE resident window (receivers
-	// replace rather than fold).
-	FromGen uint64
-	// Resident is the number of resident summaries at capture time; the
-	// receiver trims its retained run to this length after appending.
-	Resident int
-	// Parts carries the Shape, Streams, the full Sums, SealGen (the "toGen"
-	// the receiver's cursor advances to) and the shipped Summaries:
-	// exactly min(Resident, SealGen-FromGen) of them, oldest first.
-	Parts core.SnapshotParts
-}
-
-// NewDelta builds the delta frame payload shipping what changed in capture
-// s since cursor fromGen: the last min(resident, SealGen-fromGen) resident
-// summaries. The capture must carry a seal generation (SealGen > 0, or be
-// completely empty) and fromGen must not run ahead of it; pass fromGen 0
-// for a bootstrap frame carrying the whole window.
-func NewDelta(s core.Snapshot, fromGen uint64) (Delta, error) {
-	if s.IsZero() {
-		return Delta{}, fmt.Errorf("wire: cannot ship the zero Snapshot")
-	}
-	p := s.Parts()
-	g := p.SealGen
-	r := len(p.Summaries)
-	if g == 0 && r > 0 {
-		return Delta{}, fmt.Errorf("wire: capture carries no seal generation; ship a full frame instead")
-	}
-	if fromGen > g {
-		return Delta{}, fmt.Errorf("wire: cursor %d ahead of capture generation %d", fromGen, g)
-	}
-	newCount := g - fromGen
-	if newCount > uint64(r) {
-		newCount = uint64(r)
-	}
-	if newCount == 0 {
-		p.Summaries = nil // canonical: the decoder yields nil for an empty set
-	} else {
-		p.Summaries = p.Summaries[r-int(newCount):]
-	}
-	return Delta{FromGen: fromGen, Resident: r, Parts: p}, nil
-}
+// sealed after the export cursor FromGen, plus the full Level-2 sums. It is
+// core's checked delta — the cursor arithmetic the package comment lays out
+// lives there once — made by core.Snapshot.Delta on the producing side.
+type Delta = core.Delta
 
 // config flag bits.
 const (
@@ -283,11 +242,11 @@ func (e *Encoder) Encode(key string, s core.Snapshot) (int, error) {
 }
 
 // EncodeDelta writes one keyed delta frame and returns the bytes written.
-// The delta's cursor arithmetic is validated up front (the decoder would
-// reject a malformed frame anyway; failing here names the producer bug).
+// A Delta keeps its cursor arithmetic by construction; only the zero Delta,
+// which carries no configuration, is refused.
 func (e *Encoder) EncodeDelta(key string, d Delta) (int, error) {
-	if err := validateDelta(&d); err != nil {
-		return 0, err
+	if d.Parts().Shape == nil {
+		return 0, fmt.Errorf("wire: cannot encode the zero Delta")
 	}
 	return e.flush(AppendDeltaFrame(e.buf[:0], key, d))
 }
@@ -314,34 +273,6 @@ func (e *Encoder) flush(frame []byte) (int, error) {
 	return n, nil
 }
 
-// validateDelta checks the cursor arithmetic EncodeDelta promises the
-// decoder.
-func validateDelta(d *Delta) error {
-	if d.Parts.Shape == nil {
-		return fmt.Errorf("wire: delta carries no configuration")
-	}
-	g := d.Parts.SealGen
-	if g == 0 {
-		if d.Resident != 0 || len(d.Parts.Summaries) != 0 {
-			return fmt.Errorf("wire: delta with summaries but no seal generation")
-		}
-	}
-	if d.FromGen > g {
-		return fmt.Errorf("wire: delta cursor %d ahead of generation %d", d.FromGen, g)
-	}
-	if uint64(d.Resident) > g {
-		return fmt.Errorf("wire: delta resident count %d exceeds generation %d", d.Resident, g)
-	}
-	want := g - d.FromGen
-	if want > uint64(d.Resident) {
-		want = uint64(d.Resident)
-	}
-	if uint64(len(d.Parts.Summaries)) != want {
-		return fmt.Errorf("wire: delta ships %d summaries, cursor arithmetic requires %d", len(d.Parts.Summaries), want)
-	}
-	return nil
-}
-
 // AppendFrame appends one complete full frame (header and payload) to dst
 // and returns the extended slice. The capture must be non-zero and its
 // payload must stay within the decoder's 1 GiB frame cap — Encoder.Encode
@@ -360,20 +291,20 @@ func AppendFrame(dst []byte, key string, s core.Snapshot) []byte {
 	})
 }
 
-// AppendDeltaFrame appends one complete delta frame to dst. Like
-// AppendFrame, direct callers own the payload cap; unlike
-// Encoder.EncodeDelta it does not re-validate the cursor arithmetic.
+// AppendDeltaFrame appends one complete delta frame to dst; d must not be
+// the zero Delta. Like AppendFrame, direct callers own the payload cap.
 func AppendDeltaFrame(dst []byte, key string, d Delta) []byte {
 	return appendFrame(dst, func(dst []byte) []byte {
+		p := d.Parts()
 		dst = append(dst, byte(KindDelta))
 		dst = appendKey(dst, key)
-		dst = appendConfig(dst, d.Parts.Shape.Config())
-		dst = binary.AppendUvarint(dst, uint64(d.Parts.Streams))
-		dst = binary.AppendUvarint(dst, d.Parts.SealGen)
-		dst = binary.AppendUvarint(dst, d.FromGen)
-		dst = binary.AppendUvarint(dst, uint64(d.Resident))
-		dst = appendF64s(dst, d.Parts.Sums)
-		dst = appendSummaries(dst, d.Parts.Summaries)
+		dst = appendConfig(dst, p.Shape.Config())
+		dst = binary.AppendUvarint(dst, uint64(p.Streams))
+		dst = binary.AppendUvarint(dst, p.SealGen)
+		dst = binary.AppendUvarint(dst, d.FromGen())
+		dst = binary.AppendUvarint(dst, uint64(d.Resident()))
+		dst = appendF64s(dst, p.Sums)
+		dst = appendSummaries(dst, p.Summaries)
 		return dst
 	})
 }
@@ -746,35 +677,11 @@ func (d *Decoder) decodePayload(b []byte, version uint16) (Frame, error) {
 	}
 
 	if kind == KindDelta {
-		// The delta's cursor arithmetic: fromGen <= sealGen, the resident
-		// window cannot exceed everything ever sealed, and the frame must
-		// ship exactly the resident summaries sealed after the cursor.
-		g := p.SealGen
-		if fromGen > g {
-			return Frame{}, fmt.Errorf("%w: delta cursor %d ahead of generation %d", ErrCorrupt, fromGen, g)
-		}
-		if uint64(resident) > g {
-			return Frame{}, fmt.Errorf("%w: delta resident count %d exceeds generation %d", ErrCorrupt, resident, g)
-		}
-		want := g - fromGen
-		if want > uint64(resident) {
-			want = uint64(resident)
-		}
-		if uint64(nSummaries) != want {
-			return Frame{}, fmt.Errorf("%w: delta ships %d summaries, cursor arithmetic requires %d", ErrCorrupt, nSummaries, want)
-		}
-		// NewSnapshot revalidates structure (slice shapes, per-summary
-		// populations) exactly as for a full frame; the rebuilt capture
-		// itself is discarded — Delta.Parts is the transport container the
-		// receiver folds.
-		if _, err := core.NewSnapshot(p); err != nil {
+		d, err := core.NewDelta(p, fromGen, resident)
+		if err != nil {
 			return Frame{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		return Frame{
-			Kind:  KindDelta,
-			Key:   key,
-			Delta: Delta{FromGen: fromGen, Resident: resident, Parts: p},
-		}, nil
+		return Frame{Kind: KindDelta, Key: key, Delta: d}, nil
 	}
 
 	snap, err := core.NewSnapshot(p)

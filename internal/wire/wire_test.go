@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -486,7 +487,7 @@ func goldenBlobV2(t testing.TB) []byte {
 	before := p.Snapshot()
 	rest := workload.Generate(workload.NewNetMon(43), 500)[300:]
 	p.ObserveBatch(rest)
-	d, err := NewDelta(p.Snapshot(), before.SealGen())
+	d, err := p.Snapshot().Delta(before.SealGen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -640,7 +641,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 	for i := 1; i < len(snaps); i++ {
 		for j := 0; j < i; j++ {
 			from := snaps[j].SealGen()
-			d, err := NewDelta(snaps[i], from)
+			d, err := snaps[i].Delta(from)
 			if err != nil {
 				t.Fatalf("delta %d<-%d: %v", i, j, err)
 			}
@@ -662,12 +663,12 @@ func TestDeltaRoundTrip(t *testing.T) {
 		}
 	}
 	// A bootstrap delta (fromGen 0) carries the whole resident window.
-	d, err := NewDelta(snaps[len(snaps)-1], 0)
+	d, err := snaps[len(snaps)-1].Delta(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Parts.Summaries) != d.Resident {
-		t.Fatalf("bootstrap delta ships %d of %d resident summaries", len(d.Parts.Summaries), d.Resident)
+	if len(d.Parts().Summaries) != d.Resident() {
+		t.Fatalf("bootstrap delta ships %d of %d resident summaries", len(d.Parts().Summaries), d.Resident())
 	}
 }
 
@@ -695,56 +696,101 @@ func TestTombstoneRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDeltaCorruption: every violation of the delta cursor arithmetic is a
-// wrapped ErrCorrupt, and encode-side validation catches the same bugs
-// before they reach a stream.
+// TestDeltaCorruption: a delta breaking the cursor arithmetic — a cursor
+// ahead of the generation, a resident count above it, the wrong number of
+// shipped summaries — or whose summaries do not fit its configuration is
+// refused by the one check core.NewDelta makes. The producing side can hold
+// no such Delta, so no encoder can write one: core.NewDelta refuses it, and
+// Snapshot.Delta refuses the two a capture can ask for with the same error.
+// Laid out as a frame by hand, the decoder refuses each through that same
+// check, as a wrapped ErrCorrupt carrying its error.
 func TestDeltaCorruption(t *testing.T) {
 	cfg := core.Config{Spec: window.Spec{Size: 256, Period: 64}, Phis: []float64{0.5, 0.99}}
 	snaps := deltaSequence(t, cfg, 11, []int{320, 320})
 	// Cursor 3 generations back with a 4-summary window: the delta ships 3
 	// summaries, strictly fewer than the window, so every mutation below
 	// actually breaks the arithmetic.
-	good, err := NewDelta(snaps[1], snaps[1].SealGen()-3)
+	good, err := snaps[1].Delta(snaps[1].SealGen() - 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(good.Parts.Summaries) != 3 {
-		t.Fatalf("test delta ships %d summaries, want 3", len(good.Parts.Summaries))
+	if len(good.Parts().Summaries) != 3 {
+		t.Fatalf("test delta ships %d summaries, want 3", len(good.Parts().Summaries))
+	}
+	if !bytes.Equal(appendRawDelta(nil, "k", good.Parts(), good.FromGen(), good.Resident()), AppendDeltaFrame(nil, "k", good)) {
+		t.Fatal("appendRawDelta lays a delta out unlike AppendDeltaFrame")
+	}
+	wide := snaps[1].Config()
+	wide.Phis = []float64{0.5, 0.9, 0.99}
+	wideShape, err := core.NewShape(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type rawDelta struct {
+		p        core.SnapshotParts
+		from     uint64
+		resident int
+	}
+	g := snaps[1].SealGen()
+	genless := snaps[1].Parts()
+	genless.SealGen = 0
+	genlessSnap, err := core.NewSnapshot(genless)
+	if err != nil {
+		t.Fatal(err)
 	}
 	cases := []struct {
 		name   string
-		mutate func(d Delta) Delta
+		mutate func(r *rawDelta)
+		// produce asks a capture for the same delta, when one can.
+		produce func() (Delta, error)
 	}{
-		{"cursor ahead of generation", func(d Delta) Delta { d.FromGen = d.Parts.SealGen + 1; return d }},
-		{"resident exceeds generation", func(d Delta) Delta { d.Resident = int(d.Parts.SealGen) + 1; return d }},
-		{"summary count off", func(d Delta) Delta { d.FromGen--; return d }}, // arithmetic now wants one more summary
+		{"cursor ahead of generation", func(r *rawDelta) { r.from = g + 1 },
+			func() (Delta, error) { return snaps[1].Delta(g + 1) }},
+		{"resident exceeds generation", func(r *rawDelta) { r.resident = int(g) + 1 }, nil},
+		{"resident summaries with no generation", func(r *rawDelta) { r.p.SealGen, r.from = 0, 0 },
+			func() (Delta, error) { return genlessSnap.Delta(0) }},
+		{"summary count off", func(r *rawDelta) { r.from-- }, nil}, // arithmetic now wants one more summary
+		{"shape mismatch", func(r *rawDelta) { r.p.Shape = wideShape }, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := tc.mutate(good)
-			if _, err := NewEncoder(io.Discard).EncodeDelta("k", bad); err == nil {
-				t.Fatal("encoder accepted a malformed delta")
+			r := rawDelta{good.Parts(), good.FromGen(), good.Resident()}
+			tc.mutate(&r)
+			_, checkErr := core.NewDelta(r.p, r.from, r.resident)
+			if checkErr == nil {
+				t.Fatal("core.NewDelta accepted a malformed delta")
 			}
-			blob := AppendDeltaFrame(nil, "k", bad) // unvalidated append path
-			if _, err := NewDecoder(bytes.NewReader(blob)).DecodeFrame(); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("decode: %v, want wrapped ErrCorrupt", err)
+			if tc.produce != nil {
+				if _, err := tc.produce(); err == nil || err.Error() != checkErr.Error() {
+					t.Fatalf("Snapshot.Delta: %v, want %v", err, checkErr)
+				}
+			}
+			blob := appendRawDelta(nil, "k", r.p, r.from, r.resident)
+			_, err := NewDecoder(bytes.NewReader(blob)).DecodeFrame()
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), checkErr.Error()) {
+				t.Fatalf("decode: %v, want wrapped ErrCorrupt carrying %q", err, checkErr)
 			}
 		})
 	}
-	// NewDelta itself refuses a cursor from the future and a
-	// generation-less capture with resident summaries.
-	if _, err := NewDelta(snaps[1], snaps[1].SealGen()+1); err == nil {
-		t.Fatal("NewDelta accepted a future cursor")
+	if _, err := NewEncoder(io.Discard).EncodeDelta("k", Delta{}); err == nil {
+		t.Fatal("encoder accepted the zero Delta")
 	}
-	parts := snaps[1].Parts()
-	parts.SealGen = 0
-	genless, err := core.NewSnapshot(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewDelta(genless, 0); err == nil {
-		t.Fatal("NewDelta accepted a generation-less capture with summaries")
-	}
+}
+
+// appendRawDelta lays out a delta frame from unchecked fields, as
+// AppendDeltaFrame lays out a checked Delta.
+func appendRawDelta(dst []byte, key string, p core.SnapshotParts, from uint64, resident int) []byte {
+	return appendFrame(dst, func(dst []byte) []byte {
+		dst = append(dst, byte(KindDelta))
+		dst = appendKey(dst, key)
+		dst = appendConfig(dst, p.Shape.Config())
+		dst = binary.AppendUvarint(dst, uint64(p.Streams))
+		dst = binary.AppendUvarint(dst, p.SealGen)
+		dst = binary.AppendUvarint(dst, from)
+		dst = binary.AppendUvarint(dst, uint64(resident))
+		dst = appendF64s(dst, p.Sums)
+		return appendSummaries(dst, p.Summaries)
+	})
 }
 
 // TestMixedVersionStream: v1 and v2 frames of every kind concatenate into
@@ -792,7 +838,7 @@ func TestMixedVersionStream(t *testing.T) {
 func TestDeltaTruncationSweep(t *testing.T) {
 	cfg := core.Config{Spec: window.Spec{Size: 256, Period: 64}, Phis: []float64{0.5, 0.99}, FewK: true}
 	snaps := deltaSequence(t, cfg, 3, []int{320, 320})
-	d, err := NewDelta(snaps[1], snaps[0].SealGen())
+	d, err := snaps[1].Delta(snaps[0].SealGen())
 	if err != nil {
 		t.Fatal(err)
 	}
